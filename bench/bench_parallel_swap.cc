@@ -89,6 +89,14 @@ ParallelEnv& Env() {
   return env;
 }
 
+// Full passes over the input and megabytes read by one run. Every
+// iteration does the same I/O, so the last one's figures stand for all.
+void SetIoCounters(benchmark::State& state, const IoStats& io) {
+  state.counters["scans"] = static_cast<double>(io.sequential_scans);
+  state.counters["read_mb"] =
+      static_cast<double>(io.bytes_read) / (1024.0 * 1024.0);
+}
+
 bool SameSet(const BitVector& a, const BitVector& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -101,6 +109,7 @@ void BM_ParallelTwoKSwap(benchmark::State& state) {
   ParallelEnv& env = Env();
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   double rounds = 0;
+  IoStats io;
   for (auto _ : state) {
     AlgoResult res;
     ParallelSwapOptions opts;
@@ -115,12 +124,14 @@ void BM_ParallelTwoKSwap(benchmark::State& state) {
       break;
     }
     rounds += static_cast<double>(res.rounds);
+    io = res.io;
     benchmark::DoNotOptimize(res.set_size);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(env.directed_edges));
   state.counters["threads"] = threads;
   state.counters["set_size"] = static_cast<double>(env.reference_size);
+  SetIoCounters(state, io);
   if (state.iterations() > 0) {
     state.counters["rounds"] = rounds / static_cast<double>(state.iterations());
   }
@@ -137,6 +148,7 @@ BENCHMARK(BM_ParallelTwoKSwap)
 // input, for the "parallel executor vs paper implementation" column.
 void BM_SequentialTwoKSwap(benchmark::State& state) {
   ParallelEnv& env = Env();
+  IoStats io;
   for (auto _ : state) {
     AlgoResult res;
     Status s =
@@ -145,10 +157,12 @@ void BM_SequentialTwoKSwap(benchmark::State& state) {
       state.SkipWithError(s.ToString().c_str());
       break;
     }
+    io = res.io;
     benchmark::DoNotOptimize(res.set_size);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(env.directed_edges));
+  SetIoCounters(state, io);
 }
 BENCHMARK(BM_SequentialTwoKSwap)->Unit(benchmark::kMillisecond)->UseRealTime();
 

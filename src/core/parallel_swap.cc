@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -30,6 +31,36 @@ VertexId PairSecond(uint64_t key) {
 // scanning the vertex's record.
 enum class Decision : uint8_t { kNone = 0, kEnter, kLeave, kDenied };
 
+// Adjacency test against the record in hand, bounded by its degree:
+// binary search over its neighbor list, or over a sorted copy in the
+// worker's buffer when the file does not store the list sorted. Built on
+// the first query, so a record that needs no test pays nothing.
+class RecordNeighbors {
+ public:
+  RecordNeighbors(const VertexRecordView& rec, std::vector<VertexId>* buffer)
+      : rec_(rec), buffer_(buffer) {}
+
+  bool Contains(VertexId v) {
+    if (!built_) {
+      if (std::is_sorted(rec_.begin(), rec_.end())) {
+        sorted_ = std::span<const VertexId>(rec_.begin(), rec_.end());
+      } else {
+        buffer_->assign(rec_.begin(), rec_.end());
+        std::sort(buffer_->begin(), buffer_->end());
+        sorted_ = *buffer_;
+      }
+      built_ = true;
+    }
+    return std::binary_search(sorted_.begin(), sorted_.end(), v);
+  }
+
+ private:
+  const VertexRecordView& rec_;
+  std::vector<VertexId>* buffer_;
+  std::span<const VertexId> sorted_;
+  bool built_ = false;
+};
+
 class ParallelSwapRun {
  public:
   ParallelSwapRun(const std::string& manifest_path,
@@ -40,7 +71,7 @@ class ParallelSwapRun {
         manifest_(std::move(manifest)),
         n_(manifest_.header.num_vertices),
         pool_(options.num_threads),
-        worker_io_(pool_.size()),
+        workers_(pool_.size()),
         state_(n_),
         isn1_(n_, kInvalidVertex),
         isn2_(n_, kInvalidVertex),
@@ -88,6 +119,12 @@ class ParallelSwapRun {
       bytes += (removed.size() + used.size()) * 2 * sizeof(VertexId);
       return bytes;
     }
+  };
+
+  // Everything one worker owns, on cache lines no other worker writes.
+  struct alignas(64) WorkerScratch {
+    IoStats io;
+    std::vector<VertexId> sorted_neighbors;  // RecordNeighbors' buffer
   };
 
   VState State(VertexId v) const {
@@ -142,7 +179,7 @@ class ParallelSwapRun {
 
   template <typename RecordFn>
   Status ScanOneShard(uint32_t shard, size_t worker, RecordFn&& fn) {
-    AdjacencyShardReader reader(&worker_io_[worker]);
+    AdjacencyShardReader reader(&workers_[worker].io);
     SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
     VertexRecordView rec;
     bool has_next = false;
@@ -154,11 +191,11 @@ class ParallelSwapRun {
     return reader.Close();
   }
 
-  Status LabelScan();
+  Status LabelScan(uint64_t* free_count);
+  bool LabelVertex(const VertexRecordView& rec);
   Status ProposalScan(RoundStats* round, AlgoResult* res);
   Status SwapScan();
   void ApplySwaps(RoundStats* round);
-  Status FreeScan();
   Status JoinScan();
   uint64_t ApplyJoins(RoundStats* round);
 
@@ -170,13 +207,9 @@ class ParallelSwapRun {
     mark_r_[w].store(1, std::memory_order_relaxed);
     ctx->removed.insert(w);
   }
-  void StampNeighbors(const VertexRecordView& rec, size_t worker);
-  bool Stamped(VertexId v, size_t worker) const {
-    return stamp_[worker][v] == token_[worker];
-  }
-  void ProposalVertex(const VertexRecordView& rec, size_t worker,
+  void ProposalVertex(const VertexRecordView& rec, WorkerScratch* scratch,
                       ShardContext* ctx, RoundStats* round);
-  void TryTwoKSwap(const VertexRecordView& rec, size_t worker,
+  void TryTwoKSwap(const VertexRecordView& rec, WorkerScratch* scratch,
                    ShardContext* ctx, RoundStats* round);
 
   const ParallelSwapOptions& options_;
@@ -184,7 +217,7 @@ class ParallelSwapRun {
   const ShardedAdjacencyManifest manifest_;
   const uint64_t n_;
   ThreadPool pool_;
-  std::vector<IoStats> worker_io_;
+  std::vector<WorkerScratch> workers_;
   uint64_t scans_started_ = 0;
 
   // Shared vertex-state tables. `state_` is atomic because the label scan
@@ -199,72 +232,71 @@ class ParallelSwapRun {
   std::vector<Decision> decision_;
   std::vector<uint8_t> free_;  // 1 = not in IS and no IS neighbor
 
-  // Per-worker neighborhood stamps for O(1) adjacency tests against the
-  // record in hand (two-k discovery only).
-  std::vector<std::vector<uint32_t>> stamp_;
-  std::vector<uint32_t> token_;
-
-  // Per-round accumulators shared across workers (commutative adds only).
-  std::atomic<uint64_t> round_one_k_{0};
-  std::atomic<uint64_t> round_two_k_{0};
-  std::atomic<uint64_t> sc_scan_vertices_{0};
-  std::atomic<uint64_t> sc_scan_bytes_{0};
-
   uint64_t is_size_ = 0;
   uint64_t sc_peak_vertices_ = 0;
 };
 
-Status ParallelSwapRun::LabelScan() {
+// Labels `rec`'s vertex against the current IS and writes its free flag;
+// returns whether it is free. A non-member is free exactly when the IS
+// neighbor count below ends at 0, and then the loop has already scanned
+// the whole neighbor list, so the free test costs nothing extra.
+bool ParallelSwapRun::LabelVertex(const VertexRecordView& rec) {
+  const VertexId u = rec.id;
+  if (State(u) == VState::kI) {
+    free_[u] = 0;
+    return false;
+  }
+  VertexId e1 = kInvalidVertex, e2 = kInvalidVertex;
+  uint32_t count = 0;
+  for (uint32_t i = 0; i < rec.degree && count < 3; ++i) {
+    const VertexId nb = rec.neighbors[i];
+    if (State(nb) == VState::kI) {
+      if (count == 0) {
+        e1 = nb;
+      } else if (count == 1) {
+        e2 = nb;
+      }
+      count++;
+    }
+  }
+  if (count == 1) {
+    SetState(u, VState::kA);
+    isn1_[u] = e1;
+    isn2_[u] = kInvalidVertex;
+    cnt_[e1].fetch_add(1, std::memory_order_relaxed);
+  } else if (count == 2 && options_.enable_two_k) {
+    SetState(u, VState::kA);
+    isn1_[u] = e1;
+    isn2_[u] = e2;
+  } else {
+    SetState(u, VState::kN);
+    isn1_[u] = kInvalidVertex;
+    isn2_[u] = kInvalidVertex;
+  }
+  free_[u] = count == 0 ? 1 : 0;
+  return count == 0;
+}
+
+Status ParallelSwapRun::LabelScan(uint64_t* free_count) {
   for (uint64_t v = 0; v < n_; ++v) {
     cnt_[v].store(0, std::memory_order_relaxed);
   }
-  return ScanShards([this](const VertexRecordView& rec, size_t) {
-    const VertexId u = rec.id;
-    if (State(u) == VState::kI) return;
-    VertexId e1 = kInvalidVertex, e2 = kInvalidVertex;
-    uint32_t count = 0;
-    for (uint32_t i = 0; i < rec.degree && count < 3; ++i) {
-      const VertexId nb = rec.neighbors[i];
-      if (State(nb) == VState::kI) {
-        if (count == 0) {
-          e1 = nb;
-        } else if (count == 1) {
-          e2 = nb;
-        }
-        count++;
-      }
-    }
-    if (count == 1) {
-      SetState(u, VState::kA);
-      isn1_[u] = e1;
-      isn2_[u] = kInvalidVertex;
-      cnt_[e1].fetch_add(1, std::memory_order_relaxed);
-    } else if (count == 2 && options_.enable_two_k) {
-      SetState(u, VState::kA);
-      isn1_[u] = e1;
-      isn2_[u] = e2;
-    } else {
-      SetState(u, VState::kN);
-      isn1_[u] = kInvalidVertex;
-      isn2_[u] = kInvalidVertex;
-    }
-  });
+  std::atomic<uint64_t> total_free{0};
+  SEMIS_RETURN_IF_ERROR(RunShardPass([&](uint32_t shard, size_t worker) {
+    uint64_t shard_free = 0;
+    Status s = ScanOneShard(shard, worker, [&](const VertexRecordView& rec) {
+      if (LabelVertex(rec)) shard_free++;
+    });
+    total_free.fetch_add(shard_free, std::memory_order_relaxed);
+    return s;
+  }));
+  *free_count = total_free.load();
+  return Status::OK();
 }
 
-void ParallelSwapRun::StampNeighbors(const VertexRecordView& rec,
-                                     size_t worker) {
-  if (stamp_[worker].empty()) stamp_[worker].assign(n_, 0);
-  if (++token_[worker] == 0) {  // wrapped: clear and restart
-    std::fill(stamp_[worker].begin(), stamp_[worker].end(), 0);
-    token_[worker] = 1;
-  }
-  for (uint32_t i = 0; i < rec.degree; ++i) {
-    stamp_[worker][rec.neighbors[i]] = token_[worker];
-  }
-}
-
-void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec, size_t worker,
-                                  ShardContext* ctx, RoundStats* round) {
+void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec,
+                                  WorkerScratch* scratch, ShardContext* ctx,
+                                  RoundStats* round) {
   // Shard-local Algorithm 4: register u in SC(w1, w2), pair it with an
   // earlier compatible anchor, and fire the 2-3 skeleton when u is the
   // third mutually non-adjacent vertex. `ctx` carries the scan-order
@@ -274,7 +306,7 @@ void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec, size_t worker,
   const bool anchor = IsAnchor(u);
   const VertexId w1 = isn1_[u];
   const VertexId w2 = isn2_[u];
-  StampNeighbors(rec, worker);
+  RecordNeighbors adjacent(rec, &scratch->sorted_neighbors);
 
   if (anchor && IsLive(w1, *ctx) && IsLive(w2, *ctx)) {
     const uint64_t key = PairKey(w1, w2);
@@ -287,7 +319,7 @@ void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec, size_t worker,
     if (bucket.pairs.size() < options_.max_pairs_per_bucket) {
       VertexId partner = kInvalidVertex;
       for (VertexId v : bucket.anchors) {
-        if (v != u && ctx->used.count(v) == 0 && !Stamped(v, worker)) {
+        if (v != u && ctx->used.count(v) == 0 && !adjacent.Contains(v)) {
           partner = v;
           break;
         }
@@ -307,7 +339,7 @@ void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec, size_t worker,
         }
         VertexId partner = kInvalidVertex;
         for (VertexId v : bucket.anchors) {
-          if (v != u && ctx->used.count(v) == 0 && !Stamped(v, worker)) {
+          if (v != u && ctx->used.count(v) == 0 && !adjacent.Contains(v)) {
             partner = v;
             break;
           }
@@ -323,19 +355,14 @@ void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec, size_t worker,
 
   // 2-3 skeleton with u as the third vertex.
   const uint64_t single_key = anchor ? PairKey(w1, w2) : 0;
-  const std::vector<uint64_t>* keys = nullptr;
-  std::vector<uint64_t> one_key;
+  std::span<const uint64_t> keys;
   if (anchor) {
-    if (IsLive(w1, *ctx) && IsLive(w2, *ctx)) {
-      one_key.push_back(single_key);
-      keys = &one_key;
-    }
+    if (IsLive(w1, *ctx) && IsLive(w2, *ctx)) keys = {&single_key, 1};
   } else {
     auto kit = ctx->keys_with_w.find(w1);
-    if (kit != ctx->keys_with_w.end()) keys = &kit->second;
+    if (kit != ctx->keys_with_w.end()) keys = kit->second;
   }
-  if (keys == nullptr) return;
-  for (uint64_t key : *keys) {
+  for (uint64_t key : keys) {
     auto bit = ctx->buckets.find(key);
     if (bit == ctx->buckets.end() || bit->second.freed) continue;
     const VertexId kw1 = PairFirst(key), kw2 = PairSecond(key);
@@ -343,7 +370,7 @@ void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec, size_t worker,
     for (const auto& [v1, v2] : bit->second.pairs) {
       if (v1 == u || v2 == u) continue;
       if (ctx->used.count(v1) != 0 || ctx->used.count(v2) != 0) continue;
-      if (Stamped(v1, worker) || Stamped(v2, worker)) continue;
+      if (adjacent.Contains(v1) || adjacent.Contains(v2)) continue;
       // Fire: (v1, v2, u) replace (kw1, kw2). The entering trio joins the
       // wave via the all-ISN-removed rule at the swap scan.
       ctx->used.insert(u);
@@ -358,14 +385,15 @@ void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec, size_t worker,
   }
 }
 
-void ParallelSwapRun::ProposalVertex(const VertexRecordView& rec, size_t worker,
-                                     ShardContext* ctx, RoundStats* round) {
+void ParallelSwapRun::ProposalVertex(const VertexRecordView& rec,
+                                     WorkerScratch* scratch, ShardContext* ctx,
+                                     RoundStats* round) {
   const VertexId u = rec.id;
   if (State(u) != VState::kA) return;
   if (ctx->used.count(u) != 0) return;  // already entering via a skeleton
 
   if (options_.enable_two_k) {
-    TryTwoKSwap(rec, worker, ctx, round);
+    TryTwoKSwap(rec, scratch, ctx, round);
     if (ctx->used.count(u) != 0) return;
   }
 
@@ -390,26 +418,25 @@ void ParallelSwapRun::ProposalVertex(const VertexRecordView& rec, size_t worker,
 }
 
 Status ParallelSwapRun::ProposalScan(RoundStats* round, AlgoResult* res) {
-  sc_scan_vertices_.store(0, std::memory_order_relaxed);
-  sc_scan_bytes_.store(0, std::memory_order_relaxed);
-  std::atomic<uint64_t> one_k{0}, two_k{0};
+  std::atomic<uint64_t> one_k{0}, two_k{0}, sc_vertices{0}, sc_bytes{0};
   SEMIS_RETURN_IF_ERROR(RunShardPass([&](uint32_t shard, size_t worker) {
     ShardContext ctx;
     RoundStats local;
     Status s = ScanOneShard(shard, worker, [&](const VertexRecordView& rec) {
-      ProposalVertex(rec, worker, &ctx, &local);
+      ProposalVertex(rec, &workers_[worker], &ctx, &local);
     });
     one_k.fetch_add(local.one_k_swaps, std::memory_order_relaxed);
     two_k.fetch_add(local.two_k_swaps, std::memory_order_relaxed);
-    sc_scan_vertices_.fetch_add(ctx.sc_vertices, std::memory_order_relaxed);
-    sc_scan_bytes_.fetch_add(ctx.ApproxBytes(), std::memory_order_relaxed);
+    sc_vertices.fetch_add(ctx.sc_vertices, std::memory_order_relaxed);
+    sc_bytes.fetch_add(ctx.ApproxBytes(), std::memory_order_relaxed);
     return s;
   }));
   round->one_k_swaps = one_k.load();
   round->two_k_swaps = two_k.load();
-  const uint64_t sc_now = sc_scan_vertices_.load();
-  sc_peak_vertices_ = std::max(sc_peak_vertices_, sc_now);
-  res->memory.Set("sc", sc_scan_bytes_.load());
+  sc_peak_vertices_ = std::max(sc_peak_vertices_, sc_vertices.load());
+  // Charged as if every shard's context were live at once, as with a
+  // worker per shard, so the figure is the same at every thread count.
+  res->memory.Set("sc", sc_bytes.load());
   res->memory.Set("sc", 0);  // freed at end of scan; Set records the peak
   return Status::OK();
 }
@@ -468,24 +495,6 @@ void ParallelSwapRun::ApplySwaps(RoundStats* round) {
   }
 }
 
-Status ParallelSwapRun::FreeScan() {
-  return ScanShards([this](const VertexRecordView& rec, size_t) {
-    const VertexId u = rec.id;
-    if (State(u) == VState::kI) {
-      free_[u] = 0;
-      return;
-    }
-    bool has_is_neighbor = false;
-    for (uint32_t i = 0; i < rec.degree; ++i) {
-      if (State(rec.neighbors[i]) == VState::kI) {
-        has_is_neighbor = true;
-        break;
-      }
-    }
-    free_[u] = has_is_neighbor ? 0 : 1;
-  });
-}
-
 Status ParallelSwapRun::JoinScan() {
   // 0<->1 swaps: a free vertex (no IS neighbor) joins iff it is the local
   // minimum among the free vertices of its closed neighborhood -- the
@@ -527,13 +536,6 @@ Status ParallelSwapRun::Execute(const BitVector* initial_set,
   res->memory.Add("marks", n_ * sizeof(uint8_t));
   res->memory.Add("decision", n_ * sizeof(Decision));
   res->memory.Add("free", n_ * sizeof(uint8_t));
-  stamp_.resize(pool_.size());
-  token_.assign(pool_.size(), 0);
-  if (options_.enable_two_k) {
-    // Stamps are allocated lazily per worker, but charge them up front:
-    // every worker that touches a shard needs one.
-    res->memory.Add("stamps", pool_.size() * n_ * sizeof(uint32_t));
-  }
 
   for (uint64_t v = 0; v < n_; ++v) {
     const bool in = initial_set != nullptr
@@ -543,22 +545,35 @@ Status ParallelSwapRun::Execute(const BitVector* initial_set,
     if (in) is_size_++;
   }
 
+  // Labels and free flags always describe the current vertex states. The
+  // label pass runs once up front, then only after a step that moved a
+  // vertex: when a round's swaps or joins move nobody, the flags a new
+  // pass would write are the ones already in place. Round 1's clock
+  // covers the first pass.
+  WallTimer round_timer;
+  uint64_t free_count = 0;
+  SEMIS_RETURN_IF_ERROR(LabelScan(&free_count));
   uint64_t stalled_rounds = 0;
   bool progress = true;
   while (progress &&
          (options_.max_rounds == 0 || res->rounds < options_.max_rounds)) {
     const uint64_t size_before = is_size_;
     RoundStats round;
-    WallTimer round_timer;
-    SEMIS_RETURN_IF_ERROR(LabelScan());
     SEMIS_RETURN_IF_ERROR(ProposalScan(&round, res));
     SEMIS_RETURN_IF_ERROR(SwapScan());
     ApplySwaps(&round);
-    SEMIS_RETURN_IF_ERROR(FreeScan());
-    SEMIS_RETURN_IF_ERROR(JoinScan());
-    ApplyJoins(&round);
+    if (round.removed_is_vertices + round.new_is_vertices > 0) {
+      SEMIS_RETURN_IF_ERROR(LabelScan(&free_count));
+    }
+    if (free_count > 0) {
+      SEMIS_RETURN_IF_ERROR(JoinScan());
+      if (ApplyJoins(&round) > 0) {
+        SEMIS_RETURN_IF_ERROR(LabelScan(&free_count));
+      }
+    }
     round.is_size_after = is_size_;
     round.seconds = round_timer.ElapsedSeconds();
+    round_timer.Reset();
     res->round_stats.push_back(round);
     res->rounds++;
     progress = round.removed_is_vertices + round.new_is_vertices > 0;
@@ -570,10 +585,10 @@ Status ParallelSwapRun::Execute(const BitVector* initial_set,
   }
 
   if (options_.final_maximality_pass) {
-    while (true) {
-      SEMIS_RETURN_IF_ERROR(FreeScan());
+    while (free_count > 0) {
       SEMIS_RETURN_IF_ERROR(JoinScan());
       if (ApplyJoins(nullptr) == 0) break;
+      SEMIS_RETURN_IF_ERROR(LabelScan(&free_count));
     }
   }
 
@@ -589,7 +604,7 @@ Status ParallelSwapRun::Execute(const BitVector* initial_set,
   res->peak_memory_bytes = res->memory.PeakBytes();
   res->sc_peak_vertices = sc_peak_vertices_;
 
-  for (const IoStats& io : worker_io_) res->io.MergeFrom(io);
+  for (const WorkerScratch& w : workers_) res->io.MergeFrom(w.io);
   res->io.sequential_scans += scans_started_;
   return Status::OK();
 }

@@ -5,6 +5,17 @@
 // shard with a private reader and proposing swaps against shared
 // vertex-state tables.
 //
+// Round schedule: a round is three full passes, the paper's cost for a
+// two-k round -- propose, commit, and a label pass that labels every
+// non-IS vertex and also computes its free flag (no IS neighbor) for the
+// 0<->1 join rule. One label pass runs before round 1. After that the
+// labels are recomputed only when a commit or a join moved a vertex;
+// labels computed from vertex states that have not changed are still
+// exact. The join pass runs only when the last label pass found a free
+// vertex, and the final maximality loop starts from that count. So a run
+// that joins nobody and stops because a round moved nobody costs 3R
+// scans for R rounds.
+//
 // Determinism contract (the reason results are byte-identical for every
 // thread count, including one):
 //   * each phase reads only state frozen by the previous phase barrier and
@@ -29,6 +40,11 @@
 // indexed by worker id, and the phase barrier (ThreadPool completion) is
 // the happens-before edge for everything a later phase reads. See
 // docs/architecture.md ("Static analysis") for the conventions.
+//
+// Memory: the per-vertex tables are O(|V|) and shared. Per-worker scratch
+// is bounded by the degree of the record in hand, and each shard's 2<->k
+// discovery structures are charged summed over all shards, so the
+// accounted peak does not depend on the thread count.
 #ifndef SEMIS_CORE_PARALLEL_SWAP_H_
 #define SEMIS_CORE_PARALLEL_SWAP_H_
 

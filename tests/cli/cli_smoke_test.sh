@@ -50,13 +50,25 @@ set -e
 # (non-zero) decode traffic on the sharded path.
 grep -q "decode pipeline: " "$work/solve_par.log" \
     || fail "solve --stats printed no decode pipeline line"
-grep -q "block ring     : 0 blocks" "$work/solve_par.log" \
-    && fail "sharded solve --stats reported zero decoded blocks"
+grep -q "^  block ring     : [1-9][0-9]* blocks" "$work/solve_par.log" \
+    || fail "sharded solve --stats reported no decoded blocks"
 # Determinism contract: thread count must not change the result.
 "$CLI" solve "$work/g.sadj" --algo twok --shards 4 --threads 1 \
-    --out "$work/set_seq.txt"
+    --stats --out "$work/set_seq.txt" > "$work/solve_seq.log"
 cmp -s "$work/set_par.txt" "$work/set_seq.txt" \
     || fail "parallel result differs between 1 and 2 threads"
+# Nor the swap stage's scan count, which --stats reports on its own line.
+swap_scans() {
+  sed -n 's/^  swap stage     : [0-9]* rounds, \([0-9]*\) scans,.*/\1/p' "$1"
+}
+par_scans="$(swap_scans "$work/solve_par.log")"
+[ -n "$par_scans" ] || fail "solve --stats printed no swap-stage scan count"
+[ "$par_scans" = "$(swap_scans "$work/solve_seq.log")" ] \
+    || fail "swap-stage scan count differs between 1 and 2 threads"
+grep -q "^  sort           : skipped" "$work/solve_par.log" \
+    || fail "solve --stats did not report the skipped sort of sorted input"
+grep -q "^  block ring     : not used" "$work/solve_seq.log" \
+    || fail "1-thread solve --stats did not report the block ring as unused"
 
 # Sharded GREEDY contract: with no swap stage the sharded, multi-threaded
 # pipeline must reproduce the plain sequential solve byte for byte, for

@@ -48,7 +48,9 @@ class ParallelSwapTest : public ScratchTest {
 TEST_F(ParallelSwapTest, ByteIdenticalAcrossThreadCounts) {
   // The acceptance contract of the parallel executor: the independent set
   // is byte-identical to the sequential path (num_threads == 1) at every
-  // thread count, on a non-trivial power-law graph.
+  // thread count, on a non-trivial power-law graph. Per-worker scratch is
+  // bounded by the degree of the record in hand, so the accounted peak
+  // memory is the same at every thread count too.
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(30000, 2.0), 31);
   std::string manifest = Prepare(g, 8);
 
@@ -57,6 +59,7 @@ TEST_F(ParallelSwapTest, ByteIdenticalAcrossThreadCounts) {
   opts.num_threads = 1;
   ASSERT_OK(RunParallelSwap(manifest, greedy_.in_set, opts, &sequential));
   EXPECT_GE(sequential.set_size, greedy_.set_size);
+  EXPECT_GT(sequential.memory.CategoryPeakBytes("sc"), 0u);
 
   for (uint32_t threads : {2u, 8u}) {
     AlgoResult parallel;
@@ -67,6 +70,159 @@ TEST_F(ParallelSwapTest, ByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(SetToVector(parallel.in_set), SetToVector(sequential.in_set))
         << "result depends on thread count at " << threads << " threads";
     EXPECT_EQ(parallel.rounds, sequential.rounds) << threads;
+    EXPECT_EQ(parallel.peak_memory_bytes, sequential.peak_memory_bytes)
+        << threads;
+  }
+}
+
+// FNV-1a over a byte stream.
+class Fnv1a {
+ public:
+  void Byte(uint8_t b) { hash_ = (hash_ ^ b) * 0x100000001b3ull; }
+  void U64(uint64_t x) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(x >> (8 * i)));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// Digest of everything the executor decides: the member bitmap (eight
+// vertices per byte, lowest id in the lowest bit), the round count, and
+// every RoundStats counter. Only the wall-clock `seconds` is left out.
+uint64_t ResultDigest(const AlgoResult& res) {
+  Fnv1a d;
+  for (size_t base = 0; base < res.in_set.size(); base += 8) {
+    uint8_t byte = 0;
+    for (size_t i = 0; i < 8 && base + i < res.in_set.size(); ++i) {
+      if (res.in_set.Test(base + i)) byte |= static_cast<uint8_t>(1u << i);
+    }
+    d.Byte(byte);
+  }
+  d.U64(res.set_size);
+  d.U64(res.rounds);
+  for (const RoundStats& r : res.round_stats) {
+    for (uint64_t x :
+         {r.one_k_swaps, r.two_k_swaps, r.follower_joins, r.zero_one_swaps,
+          r.conflicts, r.denied_promotions, r.new_is_vertices,
+          r.removed_is_vertices, r.is_size_after, r.frontier_after}) {
+      d.U64(x);
+    }
+  }
+  return d.value();
+}
+
+// The pinned corpus. The PLRG fires 2<->k skeletons (a different number
+// per shard count) and never joins; the ER graph's commit pass denies
+// enough promotions that 0<->1 joins fire in rounds 1 and 2.
+enum class CorpusGraph { kPlrg, kEr };
+
+Graph MakeCorpusGraph(CorpusGraph which) {
+  return which == CorpusGraph::kPlrg
+             ? GeneratePlrg(PlrgSpec::ForVertexCount(8000, 1.8), 1)
+             : GenerateErdosRenyi(4000, 12000, 1);
+}
+
+// Which branches of the round schedule a case must exercise, checked on
+// every run so a corpus drift cannot silently drop coverage.
+enum class Expect {
+  kNoJoins,         // no 0<->1 join anywhere, final loop idle
+  kJoinsInRounds,   // some round's join pass joins a vertex
+  kFinalLoopJoins,  // the final maximality loop adds vertices
+};
+
+struct DigestCase {
+  const char* name;
+  CorpusGraph graph;
+  bool two_k;
+  // 0 = start from the greedy set; k = drop every k-th greedy member, so
+  // round 1 starts with free vertices.
+  uint32_t holes_every;
+  uint32_t max_rounds;
+  Expect expect;
+  uint64_t digest[3];  // at 1, 3 and 7 shards
+};
+
+constexpr uint32_t kDigestShards[3] = {1, 3, 7};
+
+const DigestCase kDigestCases[] = {
+    {"plrg-twok", CorpusGraph::kPlrg, true, 0, 0, Expect::kNoJoins,
+     {0x582a1d54a2e7ad17ull, 0x1b1435d399ea82b2ull, 0x66f3ed49dd07dbe3ull}},
+    {"plrg-onek", CorpusGraph::kPlrg, false, 0, 0, Expect::kNoJoins,
+     {0x24b46fe07c2c03ecull, 0x8c58c5beb30df730ull, 0x66f3ed49dd07dbe3ull}},
+    {"er-twok", CorpusGraph::kEr, true, 0, 0, Expect::kJoinsInRounds,
+     {0x0a5c9857e821f898ull, 0x2b8a3d22c8034f5bull, 0xb09664d405458c33ull}},
+    {"er-onek", CorpusGraph::kEr, false, 0, 0, Expect::kJoinsInRounds,
+     {0xa8527d2272b20429ull, 0xd07ffcbffe80b49dull, 0xbc7d5fb2f0d7b6b2ull}},
+    {"plrg-twok-holes", CorpusGraph::kPlrg, true, 5, 0, Expect::kJoinsInRounds,
+     {0x4b9961b7d347c85dull, 0x9aafac46a26aeb04ull, 0x1840e3a0dada1bb7ull}},
+    {"plrg-twok-holes-1round", CorpusGraph::kPlrg, true, 5, 1,
+     Expect::kFinalLoopJoins,
+     {0xc4fe58b241ce2b56ull, 0x58dad6ad78c8a9b9ull, 0x493868ac519feb18ull}},
+    {"er-onek-holes-1round", CorpusGraph::kEr, false, 3, 1,
+     Expect::kFinalLoopJoins,
+     {0xd47d3a604a75f693ull, 0x625648c9a2f32a2full, 0x21e44990d3efdcf2ull}},
+};
+
+TEST_F(ParallelSwapTest, PinnedDigestsAcrossShardAndThreadCounts) {
+  // Pins the executor's exact output -- set, rounds and per-round
+  // counters -- so a change to the pass schedule must reproduce every
+  // decision, not just an independent maximal set.
+  for (CorpusGraph which : {CorpusGraph::kPlrg, CorpusGraph::kEr}) {
+    const Graph g = MakeCorpusGraph(which);
+    const std::string mono = WriteGraphFile(&scratch_, g);
+    const std::string sorted = NewPath("sorted");
+    ASSERT_OK(
+        BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{}));
+    AlgoResult greedy;
+    ASSERT_OK(RunGreedy(sorted, GreedyOptions{}, &greedy));
+    for (size_t s = 0; s < 3; ++s) {
+      const std::string manifest = NewPath("sharded");
+      ASSERT_OK(ShardAdjacencyFile(sorted, manifest, kDigestShards[s]));
+      for (const DigestCase& c : kDigestCases) {
+        if (c.graph != which) continue;
+        BitVector initial = greedy.in_set;
+        uint64_t members = 0;
+        for (size_t v = 0; c.holes_every > 0 && v < initial.size(); ++v) {
+          if (initial.Test(v) && members++ % c.holes_every == 0) {
+            initial.Clear(v);
+          }
+        }
+        for (uint32_t threads : {1u, 8u}) {
+          SCOPED_TRACE(std::string(c.name) + " at " +
+                       std::to_string(kDigestShards[s]) + " shards, " +
+                       std::to_string(threads) + " threads");
+          ParallelSwapOptions opts;
+          opts.enable_two_k = c.two_k;
+          opts.max_rounds = c.max_rounds;
+          opts.num_threads = threads;
+          AlgoResult res;
+          ASSERT_OK(RunParallelSwap(manifest, initial, opts, &res));
+          ASSERT_FALSE(res.round_stats.empty());
+          uint64_t round_joins = 0;
+          for (const RoundStats& r : res.round_stats) {
+            round_joins += r.zero_one_swaps;
+          }
+          const uint64_t final_loop_joins =
+              res.set_size - res.round_stats.back().is_size_after;
+          switch (c.expect) {
+            case Expect::kNoJoins:
+              EXPECT_EQ(round_joins, 0u);
+              EXPECT_EQ(final_loop_joins, 0u);
+              break;
+            case Expect::kJoinsInRounds:
+              EXPECT_GT(round_joins, 0u);
+              break;
+            case Expect::kFinalLoopJoins:
+              EXPECT_GT(final_loop_joins, 0u);
+              break;
+          }
+          EXPECT_EQ(ResultDigest(res), c.digest[s])
+              << "0x" << std::hex << ResultDigest(res);
+        }
+      }
+    }
   }
 }
 
@@ -133,16 +289,21 @@ TEST_F(ParallelSwapTest, MaxRoundsRespected) {
 }
 
 TEST_F(ParallelSwapTest, MergesPerThreadIoIntoAggregate) {
-  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(10000, 2.0), 36);
+  Graph g = MakeCorpusGraph(CorpusGraph::kPlrg);
   std::string manifest = Prepare(g, 4);
   AlgoResult res;
   ParallelSwapOptions opts;
   opts.num_threads = 3;
   ASSERT_OK(RunParallelSwap(manifest, greedy_.in_set, opts, &res));
-  // Every round is five full passes over the shards plus the completion
-  // loop; all of that I/O must land in the merged counters.
+  for (const RoundStats& r : res.round_stats) {
+    ASSERT_EQ(r.zero_one_swaps, 0u) << "the schedule below assumes no joins";
+  }
+  // With no joins a run is one label pass up front, then propose, commit
+  // and relabel per round, except that the last round moves nobody and
+  // skips its relabel: three full passes per round, and every byte of
+  // them must land in the merged counters.
   EXPECT_GT(res.io.bytes_read, 0u);
-  EXPECT_GE(res.io.sequential_scans, 5u * res.rounds);
+  EXPECT_EQ(res.io.sequential_scans, 3u * res.rounds);
   EXPECT_GT(res.io.files_opened, 0u);
   EXPECT_GT(res.peak_memory_bytes, 0u);
 }

@@ -434,6 +434,21 @@ int CmdSolve(const Args& args) {
     // Whether the consumed records were degree-sorted (GREEDY order) --
     // false on BASELINE runs and on manifests whose flag was cleared.
     std::printf("  degree_sorted=%s\n", res.degree_sorted ? "true" : "false");
+    // The preprocessing sort only runs on unsorted monolithic input.
+    if (res.sort_seconds > 0.0) {
+      std::printf("  sort           : %.2fs\n", res.sort_seconds);
+    } else {
+      std::printf("  sort           : skipped\n");
+    }
+    if (opts.swap != SwapMode::kNone) {
+      // The swap stage's own I/O. Like its rounds, its scan count depends
+      // on the graph and the shard count, never on the thread count.
+      std::printf("  swap stage     : %llu rounds, %llu scans, %s read\n",
+                  static_cast<unsigned long long>(res.swap.rounds),
+                  static_cast<unsigned long long>(
+                      res.swap.io.sequential_scans),
+                  MemoryTracker::FormatBytes(res.swap.io.bytes_read).c_str());
+    }
     if (rounds_engine) {
       // Every counter here is a pure function of the graph, so the line
       // is identical at every shard/thread count (the smoke test holds
@@ -466,12 +481,21 @@ int CmdSolve(const Args& args) {
                 "(%.0f records/s)\n",
                 static_cast<unsigned long long>(res.io.records_decoded),
                 records_per_sec);
-    std::printf("  block ring     : %llu blocks, arena %s, "
-                "peak buffered %s\n",
-                static_cast<unsigned long long>(res.io.blocks_decoded),
-                MemoryTracker::FormatBytes(res.io.arena_bytes).c_str(),
-                MemoryTracker::FormatBytes(
-                    res.io.peak_buffered_bytes).c_str());
+    // Only the greedy engine's multi-threaded sharded scan decodes through
+    // the block ring; the 1-thread, unsharded and rounds-engine paths read
+    // records directly. On the ring path a zero count means a broken run.
+    const bool ring_path = !rounds_engine && opts.pipeline.num_threads != 1 &&
+                           (is_manifest || opts.pipeline.num_shards > 1);
+    if (!ring_path) {
+      std::printf("  block ring     : not used\n");
+    } else {
+      std::printf("  block ring     : %llu blocks, arena %s, "
+                  "peak buffered %s\n",
+                  static_cast<unsigned long long>(res.io.blocks_decoded),
+                  MemoryTracker::FormatBytes(res.io.arena_bytes).c_str(),
+                  MemoryTracker::FormatBytes(
+                      res.io.peak_buffered_bytes).c_str());
+    }
   }
   if (args.Has("out")) {
     s = WriteSetText(res.set, args.Get("out"));
