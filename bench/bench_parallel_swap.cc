@@ -2,6 +2,12 @@
 // ROADMAP "parallel greedy/swap rounds"): two-k swap rounds over a
 // sharded PLRG with >= 1M directed edges, swept over thread counts.
 //
+// BM_ParallelTwoKSwapOneShard runs the same graph as a 1-shard store at
+// one thread -- the configuration `semis_cli solve g.adj` takes by
+// default. Its `vs_sequential` counter is its time per run over
+// BM_SequentialTwoKSwap's (the paper's reference implementation) in the
+// same process; it is left out when a filter skipped that benchmark.
+//
 // Two properties are measured/checked:
 //   * correctness: every thread count must produce a byte-identical
 //     independent set (the executor's determinism contract); the bench
@@ -28,6 +34,7 @@
 #include "graph/sharded_adjacency_file.h"
 #include "io/scratch.h"
 #include "util/bit_vector.h"
+#include "util/timer.h"
 
 namespace semis {
 namespace {
@@ -59,6 +66,9 @@ struct ParallelEnv {
                                          DegreeSortOptions{}));
     manifest = scratch.NewFilePath("sharded.sadjs");
     SEMIS_BENCH_CHECK_OK(ShardAdjacencyFile(sorted_path, manifest, kNumShards));
+    one_shard_manifest = scratch.NewFilePath("one_shard.sadjs");
+    SEMIS_BENCH_CHECK_OK(
+        ShardAdjacencyFile(sorted_path, one_shard_manifest, 1));
     SEMIS_BENCH_CHECK_OK(RunGreedy(sorted_path, GreedyOptions{}, &greedy));
     std::printf(
         "# bench_parallel_swap: %llu vertices, %llu directed edges, "
@@ -73,15 +83,27 @@ struct ParallelEnv {
     SEMIS_BENCH_CHECK_OK(RunParallelSwap(manifest, greedy.in_set, opts, &ref));
     reference_set = ref.in_set;
     reference_size = ref.set_size;
+    // The 1-shard store finds different 2<->k skeletons (discovery is
+    // shard-local), so it has its own reference.
+    AlgoResult one_shard_ref;
+    SEMIS_BENCH_CHECK_OK(RunParallelSwap(one_shard_manifest, greedy.in_set,
+                                         opts, &one_shard_ref));
+    one_shard_reference_set = one_shard_ref.in_set;
+    one_shard_reference_size = one_shard_ref.set_size;
   }
 
   ScratchDir scratch;
   std::string manifest;
+  std::string one_shard_manifest;
   std::string sorted_path;
   AlgoResult greedy;
   uint64_t directed_edges = 0;
   BitVector reference_set;
   uint64_t reference_size = 0;
+  BitVector one_shard_reference_set;
+  uint64_t one_shard_reference_size = 0;
+  // Wall seconds per BM_SequentialTwoKSwap run (0 until it ran).
+  double sequential_seconds = 0.0;
 };
 
 ParallelEnv& Env() {
@@ -105,21 +127,34 @@ bool SameSet(const BitVector& a, const BitVector& b) {
   return true;
 }
 
-void BM_ParallelTwoKSwap(benchmark::State& state) {
+// Wall seconds per iteration of a finished benchmark loop.
+double SecondsPerRun(const benchmark::State& state, const WallTimer& timer) {
+  return state.iterations() > 0
+             ? timer.ElapsedSeconds() / static_cast<double>(state.iterations())
+             : 0.0;
+}
+
+// Times RunParallelSwap on `manifest` at `threads` threads, aborting the
+// loop when a run's set differs from `reference` (the 1-thread result).
+// Returns the wall seconds per run.
+double RunParallelTwoKSwap(benchmark::State& state,
+                           const std::string& manifest, uint32_t threads,
+                           const BitVector& reference,
+                           uint64_t reference_size) {
   ParallelEnv& env = Env();
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
   double rounds = 0;
   IoStats io;
+  WallTimer timer;
   for (auto _ : state) {
     AlgoResult res;
     ParallelSwapOptions opts;
     opts.num_threads = threads;
-    Status s = RunParallelSwap(env.manifest, env.greedy.in_set, opts, &res);
+    Status s = RunParallelSwap(manifest, env.greedy.in_set, opts, &res);
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       break;
     }
-    if (!SameSet(res.in_set, env.reference_set)) {
+    if (!SameSet(res.in_set, reference)) {
       state.SkipWithError("result differs from the sequential path");
       break;
     }
@@ -127,14 +162,23 @@ void BM_ParallelTwoKSwap(benchmark::State& state) {
     io = res.io;
     benchmark::DoNotOptimize(res.set_size);
   }
+  const double seconds = SecondsPerRun(state, timer);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(env.directed_edges));
   state.counters["threads"] = threads;
-  state.counters["set_size"] = static_cast<double>(env.reference_size);
+  state.counters["set_size"] = static_cast<double>(reference_size);
   SetIoCounters(state, io);
   if (state.iterations() > 0) {
     state.counters["rounds"] = rounds / static_cast<double>(state.iterations());
   }
+  return seconds;
+}
+
+void BM_ParallelTwoKSwap(benchmark::State& state) {
+  ParallelEnv& env = Env();
+  RunParallelTwoKSwap(state, env.manifest,
+                      static_cast<uint32_t>(state.range(0)),
+                      env.reference_set, env.reference_size);
 }
 BENCHMARK(BM_ParallelTwoKSwap)
     ->Arg(1)
@@ -149,6 +193,7 @@ BENCHMARK(BM_ParallelTwoKSwap)
 void BM_SequentialTwoKSwap(benchmark::State& state) {
   ParallelEnv& env = Env();
   IoStats io;
+  WallTimer timer;
   for (auto _ : state) {
     AlgoResult res;
     Status s =
@@ -160,11 +205,26 @@ void BM_SequentialTwoKSwap(benchmark::State& state) {
     io = res.io;
     benchmark::DoNotOptimize(res.set_size);
   }
+  env.sequential_seconds = SecondsPerRun(state, timer);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(env.directed_edges));
   SetIoCounters(state, io);
 }
 BENCHMARK(BM_SequentialTwoKSwap)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The engine's default geometry: one shard, one thread.
+void BM_ParallelTwoKSwapOneShard(benchmark::State& state) {
+  ParallelEnv& env = Env();
+  const double seconds = RunParallelTwoKSwap(
+      state, env.one_shard_manifest, 1, env.one_shard_reference_set,
+      env.one_shard_reference_size);
+  if (env.sequential_seconds > 0.0) {
+    state.counters["vs_sequential"] = seconds / env.sequential_seconds;
+  }
+}
+BENCHMARK(BM_ParallelTwoKSwapOneShard)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace semis

@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/greedy.h"
-#include "core/one_k_swap.h"
 #include "core/parallel_greedy.h"
 #include "core/parallel_swap.h"
 #include "core/rounds_engine.h"
-#include "core/two_k_swap.h"
 #include "core/verify.h"
 #include "graph/adjacency_file.h"
 #include "graph/degree_sort.h"
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
-#include "io/epoch_journal.h"
-#include "io/file.h"
+#include "util/memory_tracker.h"
 #include "util/timer.h"
 
 namespace semis {
@@ -34,7 +30,6 @@ Status MisEngine::IntermediateDir(std::string* dir) {
 }
 
 Status MisEngine::RunShardPipeline(const std::string& manifest_path,
-                                   bool require_degree_sorted,
                                    SolveResult* res) {
   std::vector<VState> seed_states;
   const AlgoResult* final_stage = nullptr;
@@ -46,7 +41,7 @@ Status MisEngine::RunShardPipeline(const std::string& manifest_path,
     final_stage = &res->rounds;
   } else {
     ParallelGreedyOptions greedy_opts;
-    greedy_opts.greedy.require_degree_sorted = require_degree_sorted;
+    greedy_opts.greedy.require_degree_sorted = options_.degree_sort;
     greedy_opts.pipeline = options_.pipeline;
     SEMIS_RETURN_IF_ERROR(RunParallelGreedyWithStates(
         manifest_path, greedy_opts, &res->greedy, &seed_states));
@@ -66,103 +61,106 @@ Status MisEngine::RunShardPipeline(const std::string& manifest_path,
   return Status::OK();
 }
 
-Status MisEngine::OpenMonolithic(const std::string& adjacency_path) {
-  WallTimer timer;
-  SolveResult res;
-  std::string work_path = adjacency_path;
-  MemoryTracker sort_memory;
-  bool input_sorted = false;
-  const bool rounds_engine =
-      options_.pipeline.engine == SolveEngine::kRounds;
-
-  if (options_.degree_sort && !rounds_engine) {
+Status MisEngine::SplitMonolithic(const std::string& adjacency_path,
+                                  SolveResult* res,
+                                  std::string* manifest_path) {
+  std::string dir;
+  SEMIS_RETURN_IF_ERROR(IntermediateDir(&dir));
+  std::string source = adjacency_path;
+  if (options_.degree_sort &&
+      options_.pipeline.engine != SolveEngine::kRounds) {
     // The probe reads only the header; it is closed before the (possibly
     // hours-long) sort so no file handle dangles across the stage, and
     // its I/O is charged to the aggregate like every other read.
+    bool input_sorted = false;
     {
-      AdjacencyFileScanner probe(&res.io);
+      AdjacencyFileScanner probe(&res->io);
       SEMIS_RETURN_IF_ERROR(probe.Open(adjacency_path));
       input_sorted = probe.header().IsDegreeSorted();
       SEMIS_RETURN_IF_ERROR(probe.Close());
     }
     if (!input_sorted) {
       WallTimer sort_timer;
-      std::string dir;
-      SEMIS_RETURN_IF_ERROR(IntermediateDir(&dir));
-      work_path = dir + "/sorted.sadj";
+      source = dir + "/sorted.sadj";
+      MemoryTracker sort_memory;
       DegreeSortOptions sort_opts;
       sort_opts.memory_budget_bytes = options_.sort_memory_budget_bytes;
       sort_opts.fan_in = options_.sort_fan_in;
-      sort_opts.stats = &res.io;
+      sort_opts.stats = &res->io;
       sort_opts.memory = &sort_memory;
-      SEMIS_RETURN_IF_ERROR(BuildDegreeSortedAdjacencyFile(
-          adjacency_path, work_path, sort_opts));
-      res.sort_seconds = sort_timer.ElapsedSeconds();
+      SEMIS_RETURN_IF_ERROR(
+          BuildDegreeSortedAdjacencyFile(adjacency_path, source, sort_opts));
+      res->sort_seconds = sort_timer.ElapsedSeconds();
+      res->peak_memory_bytes = sort_memory.PeakBytes();
     }
-  } else {
-    // BASELINE order (or the rounds engine, which is order-free and
-    // never sorts): consume as-is, but still report whether the input
-    // happened to be degree-sorted. The uncharged peek keeps the I/O
-    // accounting byte-identical to the pre-engine pipeline.
-    AdjacencyFileScanner probe;
-    SEMIS_RETURN_IF_ERROR(probe.Open(adjacency_path));
-    input_sorted = probe.header().IsDegreeSorted();
-    SEMIS_RETURN_IF_ERROR(probe.Close());
   }
-  res.degree_sorted =
-      (options_.degree_sort && !rounds_engine) || input_sorted;
+  // The split copies the header flags, so the store is degree-sorted
+  // exactly when the consumed records are.
+  WallTimer shard_timer;
+  *manifest_path = dir + "/sharded.sadjs";
+  SEMIS_RETURN_IF_ERROR(ShardAdjacencyFile(
+      source, *manifest_path,
+      std::max<uint32_t>(1, options_.pipeline.num_shards), &res->io));
+  res->shard_seconds = shard_timer.ElapsedSeconds();
+  return Status::OK();
+}
 
-  // Sharded pipeline: the (sorted) file is split into shards up front and
-  // BOTH stages run over them -- greedy on the shard-pipelined executor,
-  // swaps on the parallel round executor, which is seeded with greedy's
-  // final state array so the monolithic file is never re-read. Every
-  // stage's result is byte-identical for any num_threads. The rounds
-  // engine is shard-native, so it always takes this path (1 shard unless
-  // configured higher).
-  const bool sharded = rounds_engine || options_.pipeline.num_shards > 1;
-  if (sharded) {
-    WallTimer shard_timer;
-    std::string dir;
-    SEMIS_RETURN_IF_ERROR(IntermediateDir(&dir));
-    const std::string manifest_path = dir + "/sharded.sadjs";
-    SEMIS_RETURN_IF_ERROR(ShardAdjacencyFile(
-        work_path, manifest_path,
-        std::max<uint32_t>(1, options_.pipeline.num_shards), &res.io));
-    res.shard_seconds = shard_timer.ElapsedSeconds();
-    SEMIS_RETURN_IF_ERROR(RunShardPipeline(
-        manifest_path, /*require_degree_sorted=*/false, &res));
-    manifest_path_ = manifest_path;
-  } else {
-    GreedyOptions greedy_opts;
-    SEMIS_RETURN_IF_ERROR(RunGreedy(work_path, greedy_opts, &res.greedy));
-    const AlgoResult* final_stage = &res.greedy;
-    if (options_.swap == SwapMode::kOneK) {
-      OneKSwapOptions swap_opts;
-      swap_opts.max_rounds = options_.max_swap_rounds;
-      SEMIS_RETURN_IF_ERROR(
-          RunOneKSwap(work_path, res.greedy.in_set, swap_opts, &res.swap));
-      final_stage = &res.swap;
-    } else if (options_.swap == SwapMode::kTwoK) {
-      TwoKSwapOptions swap_opts;
-      swap_opts.max_rounds = options_.max_swap_rounds;
-      SEMIS_RETURN_IF_ERROR(
-          RunTwoKSwap(work_path, res.greedy.in_set, swap_opts, &res.swap));
-      final_stage = &res.swap;
-    }
-    res.set = final_stage->in_set;
-    res.set_size = final_stage->set_size;
+Status MisEngine::BeginOpen() {
+  if (open_) {
+    return Status::InvalidArgument("engine is already open; Close() first");
   }
+  open_result_ = SolveResult();
+  return Status::OK();
+}
+
+void MisEngine::PublishFirstEpoch(const std::string& manifest_path,
+                                  SolveResult res) {
+  manifest_path_ = manifest_path;
+  open_result_ = std::move(res);
+  epoch_ = 1;
+  Install(std::make_shared<const EpochSnapshot>(
+      epoch_, open_result_.set, open_result_.set_size, EpochStats{}));
+  open_ = true;
+}
+
+Status MisEngine::Open(const std::string& path) {
+  SEMIS_RETURN_IF_ERROR(BeginOpen());
+  WallTimer timer;
+  SolveResult res;
+  std::string manifest_path = path;
+  if (!IsShardStoreRoot(path)) {
+    SEMIS_RETURN_IF_ERROR(SplitMonolithic(path, &res, &manifest_path));
+  }
+  // `manifest_path` is the store ROOT: a plain SADM manifest or a SEPR
+  // epoch root pointer. Resolve here for the direct manifest read, but
+  // keep passing the root downstream -- every consumer (executors,
+  // verifier, streaming maintainer) resolves it itself, so epoch flips
+  // between stages are impossible to mis-path.
+  ShardedAdjacencyManifest manifest;
+  SEMIS_RETURN_IF_ERROR(
+      ReadShardStoreManifest(manifest_path, &manifest, &res.io));
+  if (options_.degree_sort &&
+      options_.pipeline.engine != SolveEngine::kRounds &&
+      !manifest.header.IsDegreeSorted()) {
+    return Status::InvalidArgument(
+        "sharded input is not degree-sorted and cannot be sorted in place; "
+        "sort before sharding or set degree_sort = false: " + manifest_path);
+  }
+  res.degree_sorted = manifest.header.IsDegreeSorted();
+
+  SEMIS_RETURN_IF_ERROR(RunShardPipeline(manifest_path, &res));
 
   res.io.MergeFrom(res.greedy.io);
   res.io.MergeFrom(res.rounds.io);
   res.io.MergeFrom(res.swap.io);
   res.peak_memory_bytes =
-      std::max({res.greedy.peak_memory_bytes, res.rounds.peak_memory_bytes,
-                res.swap.peak_memory_bytes, sort_memory.PeakBytes()});
+      std::max({res.peak_memory_bytes, res.greedy.peak_memory_bytes,
+                res.rounds.peak_memory_bytes, res.swap.peak_memory_bytes});
 
   if (options_.verify) {
     VerifyResult vr;
-    SEMIS_RETURN_IF_ERROR(VerifyIndependentSetFile(work_path, res.set, &vr));
+    SEMIS_RETURN_IF_ERROR(
+        VerifyIndependentSetShardedFile(manifest_path, res.set, &vr));
     if (!vr.independent) {
       return Status::Corruption("solver produced a non-independent set");
     }
@@ -172,112 +170,13 @@ Status MisEngine::OpenMonolithic(const std::string& adjacency_path) {
   }
 
   res.seconds = timer.ElapsedSeconds();
-  work_path_ = work_path;
-  num_vertices_ = res.set.size();
-  open_result_ = std::move(res);
-  return Status::OK();
-}
-
-Status MisEngine::OpenShardedInternal(const std::string& manifest_path,
-                                      SolveResult* res) {
-  WallTimer timer;
-  // `manifest_path` is the store ROOT: a plain SADM manifest or a SEPR
-  // epoch root pointer. Resolve here for the direct manifest read, but
-  // keep passing the root downstream -- every consumer (executors,
-  // verifier, streaming maintainer) resolves it itself, so epoch flips
-  // between stages are impossible to mis-path.
-  ShardedAdjacencyManifest manifest;
-  SEMIS_RETURN_IF_ERROR(
-      ReadShardStoreManifest(manifest_path, &manifest, &res->io));
-  const bool rounds_engine =
-      options_.pipeline.engine == SolveEngine::kRounds;
-  if (options_.degree_sort && !rounds_engine &&
-      !manifest.header.IsDegreeSorted()) {
-    return Status::InvalidArgument(
-        "sharded input is not degree-sorted and cannot be sorted in place; "
-        "sort before sharding or set degree_sort = false: " + manifest_path);
-  }
-  res->degree_sorted = manifest.header.IsDegreeSorted();
-
-  SEMIS_RETURN_IF_ERROR(RunShardPipeline(
-      manifest_path,
-      /*require_degree_sorted=*/options_.degree_sort && !rounds_engine, res));
-
-  res->io.MergeFrom(res->greedy.io);
-  res->io.MergeFrom(res->rounds.io);
-  res->io.MergeFrom(res->swap.io);
-  res->peak_memory_bytes =
-      std::max({res->greedy.peak_memory_bytes, res->rounds.peak_memory_bytes,
-                res->swap.peak_memory_bytes});
-
-  if (options_.verify) {
-    VerifyResult vr;
-    SEMIS_RETURN_IF_ERROR(
-        VerifyIndependentSetShardedFile(manifest_path, res->set, &vr));
-    if (!vr.independent) {
-      return Status::Corruption("solver produced a non-independent set");
-    }
-    if (!vr.maximal) {
-      return Status::Corruption("solver produced a non-maximal set");
-    }
-  }
-
-  res->seconds = timer.ElapsedSeconds();
-  manifest_path_ = manifest_path;
-  num_vertices_ = manifest.header.num_vertices;
-  return Status::OK();
-}
-
-Status MisEngine::Open(const std::string& path) {
-  if (open_) {
-    return Status::InvalidArgument("engine is already open; Close() first");
-  }
-  open_result_ = SolveResult();
-  // Route on the file's magic: a file that CLAIMS to be a manifest but
-  // fails to parse must surface the manifest reader's diagnosis, not a
-  // misleading "not an adjacency file" from the monolithic scanner.
-  bool is_manifest = false;
-  {
-    uint32_t magic = 0;
-    if (ProbeFileMagic(path, &magic).ok()) {
-      is_manifest = magic == kShardManifestMagic || magic == kEpochRootMagic;
-    }
-  }
-  if (is_manifest) {
-    SolveResult res;
-    SEMIS_RETURN_IF_ERROR(OpenShardedInternal(path, &res));
-    open_result_ = std::move(res);
-  } else {
-    SEMIS_RETURN_IF_ERROR(OpenMonolithic(path));
-  }
-  epoch_ = 1;
-  Install(std::make_shared<const EpochSnapshot>(
-      epoch_, open_result_.set, open_result_.set_size, EpochStats{}));
-  open_ = true;
-  return Status::OK();
-}
-
-Status MisEngine::OpenSharded(const std::string& manifest_path) {
-  if (open_) {
-    return Status::InvalidArgument("engine is already open; Close() first");
-  }
-  open_result_ = SolveResult();
-  SolveResult res;
-  SEMIS_RETURN_IF_ERROR(OpenShardedInternal(manifest_path, &res));
-  open_result_ = std::move(res);
-  epoch_ = 1;
-  Install(std::make_shared<const EpochSnapshot>(
-      epoch_, open_result_.set, open_result_.set_size, EpochStats{}));
-  open_ = true;
+  PublishFirstEpoch(manifest_path, std::move(res));
   return Status::OK();
 }
 
 Status MisEngine::OpenSharded(const std::string& manifest_path,
                               const BitVector& initial_set) {
-  if (open_) {
-    return Status::InvalidArgument("engine is already open; Close() first");
-  }
-  open_result_ = SolveResult();
+  SEMIS_RETURN_IF_ERROR(BeginOpen());
   SolveResult res;
   ShardedAdjacencyManifest manifest;
   SEMIS_RETURN_IF_ERROR(
@@ -291,13 +190,7 @@ Status MisEngine::OpenSharded(const std::string& manifest_path,
   res.degree_sorted = manifest.header.IsDegreeSorted();
   res.set = initial_set;
   res.set_size = res.set.Count();
-  manifest_path_ = manifest_path;
-  num_vertices_ = manifest.header.num_vertices;
-  open_result_ = std::move(res);
-  epoch_ = 1;
-  Install(std::make_shared<const EpochSnapshot>(
-      epoch_, open_result_.set, open_result_.set_size, EpochStats{}));
-  open_ = true;
+  PublishFirstEpoch(manifest_path, std::move(res));
   return Status::OK();
 }
 
@@ -336,18 +229,6 @@ Status MisEngine::PrepareInner() {
     return Status::InvalidArgument("engine is not open");
   }
   if (mutant_ != nullptr) return Status::OK();
-  if (manifest_path_.empty()) {
-    // Sequential monolithic open: the mutation arm is shard-native, so
-    // split the consumed file now (1 shard unless configured higher).
-    std::string dir;
-    SEMIS_RETURN_IF_ERROR(IntermediateDir(&dir));
-    const std::string manifest_path = dir + "/sharded.sadjs";
-    SEMIS_RETURN_IF_ERROR(ShardAdjacencyFile(
-        work_path_, manifest_path,
-        std::max<uint32_t>(1, options_.pipeline.num_shards),
-        &open_result_.io));
-    manifest_path_ = manifest_path;
-  }
   auto mutant = std::make_unique<ShardedStreamingMis>();
   // The successor starts from the served epoch's set; an existing SDELTA
   // overlay (a previous session's unfinished stream) is replayed on top.
@@ -432,9 +313,7 @@ Status MisEngine::Close() {
   dirty_ = false;
   degraded_ = Status::OK();  // a reopened engine starts healthy
   mark_ = PublishedMark{};
-  work_path_.clear();
   manifest_path_.clear();
-  num_vertices_ = 0;
   inter_dir_.clear();
   return scratch_.Remove();
 }

@@ -2,10 +2,13 @@
 // MisEngine: the resident form of the pipeline. One object owns the full
 // open -> serve -> mutate -> republish lifecycle over a graph snapshot:
 //
-//   Open()       loads a SADJ file or SADJS manifest, runs the solve
-//                pipeline (sort -> shard -> greedy -> swaps, exactly the
-//                stages Solver used to wire inline), and publishes the
-//                result as epoch 1.
+//   Open()       loads a SADJS manifest, or splits a SADJ file into one
+//                in the engine's scratch dir (degree-sorting it first
+//                when needed), runs the solve pipeline over the shards
+//                (greedy -> swaps) and publishes the result as epoch 1.
+//                Every open takes this one path; the paper's sequential
+//                RunGreedy/RunOneKSwap/RunTwoKSwap stay library
+//                algorithms and test oracles.
 //   Snapshot()   hands out an immutable, refcounted view of the current
 //                epoch (solution bit-vector + |IS| + per-epoch stats).
 //                Readers on any thread query it without ever blocking on
@@ -17,9 +20,8 @@
 //   Publish()    freezes the successor into a new epoch and atomically
 //                swaps it in as the current snapshot.
 //
-// Solver::SolveFile / Solver::SolveShardedFile are thin wrappers over
-// Open() + open_result(); semis_cli's `update` and `engine` subcommands
-// drive the full lifecycle.
+// Solver::SolveFile is a thin wrapper over Open() + open_result();
+// semis_cli's `update` and `engine` subcommands drive the full lifecycle.
 //
 // Threading contract: Snapshot() (and the views it returns) may be used
 // concurrently from any number of threads. The mutating calls -- Open,
@@ -31,9 +33,11 @@
 // in-flight repair.
 //
 // Determinism: every published epoch inherits the byte-identical
-// contract of the underlying executors -- for a fixed input and update
-// script the epoch sequence is identical for every shard/thread count,
-// and 1 thread equals the sequential path.
+// contract of the underlying executors -- for a fixed input, shard count
+// and update script the epoch sequence is identical for every thread
+// count, and 1 thread equals the executors' sequential path. Only the
+// swap stage depends on the shard count (its discovery is shard-local);
+// greedy, baseline, the rounds engine and repair do not.
 #ifndef SEMIS_CORE_ENGINE_H_
 #define SEMIS_CORE_ENGINE_H_
 
@@ -77,9 +81,9 @@ struct MisEngineOptions {
   size_t sort_memory_budget_bytes = 64ull << 20;
   /// Merge fan-in of the preprocessing sort.
   size_t sort_fan_in = 16;
-  /// Directory for intermediate artifacts -- the sorted copy and, on a
-  /// monolithic open, the shard files ("" = a private temp dir owned by
-  /// the engine until Close).
+  /// Directory for intermediate artifacts of a monolithic open -- the
+  /// sorted copy (`sorted.sadj`) and the shard store (`sharded.sadjs`)
+  /// ("" = a private temp dir owned by the engine until Close).
   std::string scratch_dir;
   /// Re-scan the graph after the open-time solve and fail on a
   /// non-independent or non-maximal result (paranoid mode).
@@ -104,7 +108,8 @@ struct SolveResult {
   AlgoResult swap;
   /// Seconds spent in the preprocessing sort (0 when skipped).
   double sort_seconds = 0.0;
-  /// Seconds spent splitting the file into shards (0 when not sharding).
+  /// Seconds spent splitting a monolithic input into shards (0 on a
+  /// manifest open).
   double shard_seconds = 0.0;
   /// Aggregated I/O over all stages (sort + shard + greedy + swaps).
   IoStats io;
@@ -113,11 +118,12 @@ struct SolveResult {
   size_t peak_memory_bytes = 0;
   /// Total wall-clock seconds.
   double seconds = 0.0;
-  /// Whether the records actually consumed were degree-sorted: the
-  /// manifest flag on sharded input, the (post-sort) header flag on
-  /// monolithic input. False means Algorithm 1 ran in BASELINE order --
-  /// on a manifest this can happen silently after a compaction cleared
-  /// the flag, so callers surface it (semis_cli warns on stderr).
+  /// Whether the records actually consumed were degree-sorted: the flag
+  /// of the consumed manifest, which a monolithic input's split copies
+  /// from the (post-sort) file header. False means Algorithm 1 ran in
+  /// BASELINE order -- on a manifest this can happen silently after a
+  /// compaction cleared the flag, so callers surface it (semis_cli warns
+  /// on stderr).
   bool degree_sorted = false;
 };
 
@@ -185,19 +191,13 @@ class MisEngine {
 
   /// Opens `path` -- a SADJS manifest or an epoch-journaled store root
   /// (both detected by magic) or a SADJ monolithic file -- runs the
-  /// solve pipeline on it, and publishes the
-  /// result as epoch 1. Monolithic input is degree-sorted (when
-  /// configured and needed) and, with pipeline.num_shards > 1, split
-  /// into shards first; both intermediates live in the engine's scratch
-  /// directory until Close.
+  /// solve pipeline on it, and publishes the result as epoch 1.
+  /// Monolithic input is degree-sorted (when configured and needed) and
+  /// split into max(1, pipeline.num_shards) shards first; both
+  /// intermediates live in the engine's scratch directory until Close.
+  /// A manifest cannot be sorted in place, so degree_sort demands its
+  /// degree-sorted flag instead (InvalidArgument when cleared).
   Status Open(const std::string& path) EXCLUDES(publish_mu_);
-
-  /// As Open but the input must be a SADJS manifest: any other file
-  /// fails with the manifest reader's diagnosis instead of falling
-  /// through to the monolithic path. This is the Solver::SolveShardedFile
-  /// contract (and the `update` subcommand's entry point).
-  Status OpenSharded(const std::string& manifest_path)
-      EXCLUDES(publish_mu_);
 
   /// Binds to a SADJS manifest WITHOUT solving: `initial_set` (an
   /// independent set over the manifest's base graph, e.g. a previous
@@ -214,10 +214,10 @@ class MisEngine {
   EpochSnapshotRef Snapshot() const EXCLUDES(publish_mu_);
 
   /// Eagerly materializes the mutation arm: binds ShardedStreamingMis to
-  /// the manifest (sharding a sequential monolithic open first) and
-  /// replays any existing SDELTA overlay on top of the current epoch's
-  /// set. Called implicitly by the first mutating call; explicit use
-  /// fronts the bind cost and surfaces replayed overlay state early.
+  /// the manifest and replays any existing SDELTA overlay on top of the
+  /// current epoch's set. Called implicitly by the first mutating call;
+  /// explicit use fronts the bind cost and surfaces replayed overlay
+  /// state early.
   /// NOTE: a replayed overlay advances only the private successor state;
   /// the published epoch still shows the base-graph set until the next
   /// Publish().
@@ -278,9 +278,9 @@ class MisEngine {
     return mutant_ == nullptr ? nullptr : &mutant_->stats();
   }
 
-  /// The SADJS manifest backing the mutation arm: the opened manifest,
-  /// the engine-sharded copy for monolithic opens, or "" while a
-  /// sequential monolithic open has not been sharded yet.
+  /// The store the open solved and the mutation arm binds to: the opened
+  /// manifest, or the engine's shard copy of a monolithic input. Set by
+  /// every successful open; "" only while closed.
   const std::string& manifest_path() const { return manifest_path_; }
 
   /// Drops the mutation arm and the current epoch (outstanding snapshot
@@ -300,18 +300,22 @@ class MisEngine {
   Status NoteMutationResult(Status s);
   // FailedPrecondition naming `verb` when the engine is read-only.
   Status GuardMutable(const char* verb) const;
-  // The deduplicated shard pipeline shared by every sharded open: the
-  // configured engine (shard-pipelined greedy or min-id rounds) seeded
-  // into the parallel swap executor. `require_degree_sorted` gates the
-  // manifest flag with the same error text as the monolithic path.
+  // The solve pipeline of every open: the configured engine
+  // (shard-pipelined greedy or min-id rounds) seeded into the parallel
+  // swap executor.
   Status RunShardPipeline(const std::string& manifest_path,
-                          bool require_degree_sorted, SolveResult* res);
-  // The monolithic pipeline: optional sort, then either the shard
-  // pipeline (pipeline.num_shards > 1) or the sequential greedy + swap.
-  Status OpenMonolithic(const std::string& adjacency_path);
-  // Shared tail of every sharded open (flag check, pipeline, verify).
-  Status OpenShardedInternal(const std::string& manifest_path,
-                             SolveResult* res);
+                          SolveResult* res);
+  // Turns a SADJ file into the engine's shard store: degree-sorts it
+  // first when GREEDY order is configured and the header is not sorted,
+  // then splits it. Charges sort/split I/O, time and the sort's peak
+  // memory to `res`.
+  Status SplitMonolithic(const std::string& adjacency_path, SolveResult* res,
+                         std::string* manifest_path);
+  // Rejects a second open and clears the previous open's result.
+  Status BeginOpen();
+  // Publishes `res` as epoch 1 over the store at `manifest_path`.
+  void PublishFirstEpoch(const std::string& manifest_path, SolveResult res)
+      EXCLUDES(publish_mu_);
   // Swaps `snapshot` in as the current epoch.
   void Install(EpochSnapshotRef snapshot) EXCLUDES(publish_mu_);
   // Stats of the successor session at the last publication, for
@@ -329,12 +333,8 @@ class MisEngine {
   // outlive Open when the engine stays resident.
   ScratchDir scratch_;
   std::string inter_dir_;
-  // The consumed monolithic file (input or sorted copy); "" on a
-  // manifest open.
-  std::string work_path_;
   std::string manifest_path_;
   SolveResult open_result_;
-  uint64_t num_vertices_ = 0;
   // The mutation arm, materialized on first use.
   std::unique_ptr<ShardedStreamingMis> mutant_;
   // Pending (unpublished) mutation bookkeeping.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <memory>
 #include <queue>
-#include <thread>
 
 #include "io/epoch_journal.h"
 #include "util/crash_point.h"
@@ -399,11 +398,7 @@ Status ShardedStreamingMis::Repair() {
   }
   WallTimer timer;
   uint64_t added = 0;
-  uint32_t num_threads = options_.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
   if (num_threads <= 1) {
     // The sequential reference path: a plain forward scan over the shards.
     ShardedAdjacencyScanner scanner(&stats_.io);
@@ -769,11 +764,7 @@ Status ShardedStreamingMis::ResortInternal() {
     run_paths[k] = new_manifest + ".resort" + std::to_string(k);
     SEMIS_RETURN_IF_ERROR(RemoveFileIfExists(run_paths[k]));
   }
-  uint32_t num_threads = options_.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
   if (num_threads <= 1 || num_shards <= 1) {
     for (uint32_t k = 0; k < num_shards; ++k) {
       SEMIS_RETURN_IF_ERROR(BuildResortRun(k, run_paths[k], &stats_.io));

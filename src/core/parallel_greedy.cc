@@ -1,7 +1,5 @@
 #include "core/parallel_greedy.h"
 
-#include <thread>
-
 #include "graph/sharded_adjacency_file.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -15,11 +13,7 @@ Status RunParallelGreedyWithStates(const std::string& manifest_path,
   WallTimer timer;
   AlgoResult res;
 
-  uint32_t num_threads = options.pipeline.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  const uint32_t num_threads = ResolveThreadCount(options.pipeline.num_threads);
 
   std::vector<VState> state;
   if (num_threads <= 1) {

@@ -70,7 +70,11 @@ class ParallelSwapRun {
         manifest_path_(manifest_path),
         manifest_(std::move(manifest)),
         n_(manifest_.header.num_vertices),
-        pool_(options.num_threads),
+        // Workers beyond the shard count add no parallelism to a pass;
+        // they only spread freed shard contexts over more per-thread
+        // malloc arenas, which stay resident. Manifests hold >= 1 shard.
+        pool_(std::min<size_t>(ResolveThreadCount(options.num_threads),
+                               manifest_.num_shards())),
         workers_(pool_.size()),
         state_(n_),
         isn1_(n_, kInvalidVertex),

@@ -29,10 +29,12 @@
 //   * conflicting promotions are resolved by a fixed priority: the lowest
 //     vertex id wins, evaluated independently per vertex.
 // Consequently the executor with num_threads == 1 IS the sequential path;
-// any other thread count reproduces its output bit for bit. The result
-// generally differs from the monolithic RunOneKSwap/RunTwoKSwap (conflict
-// resolution is by vertex id, not file position), but satisfies the same
-// invariants: the returned set is independent and, with the final
+// any other thread count reproduces its output bit for bit. This is the
+// only swap stage MisEngine runs, at every shard count including one.
+// Its result generally differs from RunOneKSwap/RunTwoKSwap, the paper's
+// reference implementations over one monolithic file, which resolve
+// conflicts by file position rather than vertex id; both satisfy the
+// same invariants: the returned set is independent and, with the final
 // maximality pass, maximal.
 //
 // Concurrency contract: no mutex -- shared per-vertex state is atomics
@@ -61,8 +63,9 @@ namespace semis {
 struct ParallelSwapOptions {
   /// Stop after this many rounds (0 = until no proposals fire).
   uint32_t max_rounds = 0;
-  /// Worker threads scanning shards (0 = hardware concurrency). The
-  /// result is independent of this value by construction.
+  /// Worker threads scanning shards (0 = hardware concurrency), capped
+  /// at the shard count. The result is independent of this value by
+  /// construction.
   uint32_t num_threads = 1;
   /// Enable 2<->k swap skeleton discovery (shard-local SC buckets) in
   /// addition to 1<->k swaps. Off reproduces one-k-swap semantics.

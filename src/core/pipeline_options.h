@@ -43,10 +43,10 @@ struct EnginePipelineOptions {
   /// (RunParallelGreedy, RunMinIdRounds) ignore it.
   SolveEngine engine = SolveEngine::kGreedySwap;
 
-  /// Number of adjacency shards when a monolithic input is split for the
-  /// parallel executors (Solver/MisEngine monolithic opens). Values <= 1
-  /// keep the sequential single-file path. Ignored by consumers whose
-  /// input is already sharded -- the file fixes the shard count.
+  /// Number of adjacency shards a monolithic input is split into before
+  /// the solve (Solver/MisEngine monolithic opens); 0 and 1 both mean
+  /// one shard. Ignored by consumers whose input is already sharded --
+  /// the file fixes the shard count.
   uint32_t num_shards = 0;
 
   /// Worker threads of the parallel executors and of the repair pipeline

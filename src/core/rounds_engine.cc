@@ -1,6 +1,5 @@
 #include "core/rounds_engine.h"
 
-#include <thread>
 #include <utility>
 
 #include "graph/shard_store.h"
@@ -297,11 +296,7 @@ Status RunMinIdRoundsImpl(const std::string& manifest_path,
   SEMIS_RETURN_IF_ERROR(
       ReadShardedAdjacencyManifest(resolved.manifest_path, &manifest, &res.io));
 
-  uint32_t num_threads = options.pipeline.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  const uint32_t num_threads = ResolveThreadCount(options.pipeline.num_threads);
 
   if (force_reference || num_threads <= 1) {
     // 1 thread IS the sequential reference, not a 1-worker pool.

@@ -5,23 +5,14 @@
 
 namespace semis {
 
-// Both entry points are one-shot engine sessions: Open runs the full
-// stage pipeline (the code that used to live here, deduplicated into
-// MisEngine::RunShardPipeline and friends) and the result is copied out
-// before the engine -- and its scratch intermediates -- are torn down.
+// A one-shot engine session: Open runs the full stage pipeline and the
+// result is copied out before the engine -- and its scratch
+// intermediates -- are torn down.
 
 Status Solver::SolveFile(const std::string& adjacency_path,
                          SolveResult* result) {
   MisEngine engine(options_);
   SEMIS_RETURN_IF_ERROR(engine.Open(adjacency_path));
-  *result = engine.open_result();
-  return Status::OK();
-}
-
-Status Solver::SolveShardedFile(const std::string& manifest_path,
-                                SolveResult* result) {
-  MisEngine engine(options_);
-  SEMIS_RETURN_IF_ERROR(engine.OpenSharded(manifest_path));
   *result = engine.open_result();
   return Status::OK();
 }

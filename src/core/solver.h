@@ -1,7 +1,7 @@
 // Copyright (c) the semis authors.
 // One-shot facade over the pipeline: this is the entry point a
-// downstream user calls for a single solve. Since the engine refactor
-// the stages themselves -- degree-sort preprocessing (Section 4.1),
+// downstream user calls for a single solve. The stages themselves --
+// degree-sort preprocessing (Section 4.1), the shard split, the
 // greedy/baseline initial set (Algorithm 1), the optional swap stage
 // (Algorithms 2-4), and streaming verification -- live in
 // core/engine.h's MisEngine; a Solver is a throwaway engine that opens,
@@ -32,32 +32,20 @@ class Solver {
   explicit Solver(SolverOptions options) : options_(std::move(options)) {}
 
   /// Solves the graph stored at `adjacency_path` -- a SADJ monolithic
-  /// file or (detected by magic) a SADJS manifest. If
-  /// `options.degree_sort` is set and a monolithic file is not already
-  /// degree-sorted, a sorted copy is produced first. With
-  /// `options.pipeline.num_shards` > 1 the whole pipeline runs over
-  /// shards (see MisEngine::Open).
+  /// file or (detected by magic) a SADJS manifest -- with the pipeline
+  /// of MisEngine::Open: a monolithic file is degree-sorted when
+  /// `options.degree_sort` asks for it and split into
+  /// max(1, `options.pipeline.num_shards`) shards; a manifest is
+  /// consumed as-is (its file fixes the shard count, and degree_sort
+  /// demands its degree-sorted flag). Greedy runs on the
+  /// shard-pipelined executor and the swap stage on the parallel round
+  /// executor, both byte-identical for every
+  /// `options.pipeline.num_threads`.
   Status SolveFile(const std::string& adjacency_path, SolveResult* result);
 
   /// Convenience for in-memory graphs: writes `graph` to a scratch
   /// adjacency file and solves it semi-externally.
   Status SolveGraph(const Graph& graph, SolveResult* result);
-
-  /// Solves a graph that is ALREADY sharded (SADJS manifest; see
-  /// graph/sharded_adjacency_file.h) without re-sorting or re-splitting:
-  /// greedy on the shard-pipelined executor, then the swap stage on the
-  /// parallel round executor, both with `options.pipeline.num_threads`
-  /// (`options.pipeline.num_shards` is ignored -- the file fixes the
-  /// shard count). Used by the streaming-update pipeline to solve from
-  /// scratch after a compaction, and byte-identical for every thread
-  /// count like the sharded SolveFile path. Because shards cannot be
-  /// degree-sorted in place, `options.degree_sort` demands the
-  /// manifest's degree-sorted flag instead of sorting; pass degree_sort
-  /// = false to consume the records as-is (paper BASELINE order
-  /// semantics). Non-manifest input fails with the manifest reader's
-  /// diagnosis.
-  Status SolveShardedFile(const std::string& manifest_path,
-                          SolveResult* result);
 
   /// The options this solver was created with.
   const SolverOptions& options() const { return options_; }

@@ -269,6 +269,12 @@ Status GarbageCollectShardStore(const ResolvedShardStore& resolved,
   return Status::OK();
 }
 
+bool IsShardStoreRoot(const std::string& path) {
+  uint32_t magic = 0;
+  return ProbeFileMagic(path, &magic).ok() &&
+         (magic == kShardManifestMagic || magic == kEpochRootMagic);
+}
+
 Status ReadShardStoreManifest(const std::string& root_path,
                               ShardedAdjacencyManifest* out, IoStats* stats) {
   ResolvedShardStore resolved;

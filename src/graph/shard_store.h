@@ -99,6 +99,14 @@ Status ListShardStoreOrphans(const ResolvedShardStore& resolved,
 Status GarbageCollectShardStore(const ResolvedShardStore& resolved,
                                 uint64_t* removed = nullptr);
 
+/// True when `path` starts with a store-root magic: a SADM manifest or a
+/// SEPR epoch root pointer. The engine and the CLI route on this, so a
+/// file that CLAIMS to be a store but fails to parse surfaces the
+/// manifest reader's diagnosis instead of a misleading "not an adjacency
+/// file". An unreadable file is "not a store root"; the consumer's own
+/// open reports the real error.
+bool IsShardStoreRoot(const std::string& path);
+
 /// Resolves `root_path` read-only and reads the serving SADM manifest.
 /// Convenience for callers that only need totals/flags.
 Status ReadShardStoreManifest(const std::string& root_path,

@@ -1,15 +1,18 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
 namespace semis {
 
+uint32_t ResolveThreadCount(uint32_t num_threads) {
+  if (num_threads != 0) return num_threads;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  if (num_threads == 0) num_threads = ResolveThreadCount(0);
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -25,11 +26,14 @@
 
 namespace semis {
 
+/// The worker count a `num_threads` knob asks for: the value itself, or
+/// std::thread::hardware_concurrency() (at least 1) when it is 0.
+uint32_t ResolveThreadCount(uint32_t num_threads);
+
 /// Fixed pool of worker threads executing parallel-for jobs.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (0 = std::thread::hardware_concurrency(),
-  /// itself clamped to at least 1).
+  /// Spawns `num_threads` workers (0 = ResolveThreadCount(0)).
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 

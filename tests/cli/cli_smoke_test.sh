@@ -29,6 +29,40 @@ fail() {
 [ -z "$("$CLI" frobnicate 2>/dev/null)" ] || fail "usage error wrote to stdout"
 [ -n "$("$CLI" frobnicate 2>&1 >/dev/null)" ] || fail "usage error silent on stderr"
 
+# Malformed numeric flags exit 1 with an error that names the flag,
+# before any I/O: no garbage read as 0, no negative wrapped to 2^32-1.
+expect_flag_error() {  # <flag> <semis_cli args...>
+  local flag="$1" err rc
+  shift
+  err="$("$CLI" "$@" 2>&1 >/dev/null)"
+  rc=$?
+  [ "$rc" -eq 1 ] || fail "'$*' exited $rc, want 1"
+  case "$err" in
+    *"--$flag"*) ;;
+    *) fail "'$*' did not name --$flag: $err" ;;
+  esac
+}
+none="$work/none"
+expect_flag_error rounds solve "$none.adj" --rounds abc
+expect_flag_error rounds solve "$none.adj" --rounds -1
+expect_flag_error shards solve "$none.adj" --shards 4097
+expect_flag_error threads solve "$none.adj" --threads 2x
+expect_flag_error rounds engine "$none.adj" --script "$none.txt" --rounds ""
+expect_flag_error compact-threshold update "$none.adj" --stream "$none.txt" \
+    --compact-threshold bogus
+expect_flag_error compact-threshold engine "$none.adj" --script "$none.txt" \
+    --compact-threshold -5
+expect_flag_error vertices generate --vertices abc --out "$none.adj"
+expect_flag_error seed generate --vertices 10 --seed 7x --out "$none.adj"
+expect_flag_error avg-degree generate --vertices 10 --avg-degree 4x \
+    --out "$none.adj"
+expect_flag_error beta generate --vertices 10 --beta "" --out "$none.adj"
+[ -e "$none.adj" ] && fail "generate wrote a graph despite a malformed flag"
+expect_flag_error memory-mb sort "$none.adj" "$none.sadj" --memory-mb 8MB
+expect_flag_error memory-mb convert "$none.txt" "$none.adj" --memory-mb -8
+expect_flag_error fan-in sort "$none.adj" "$none.sadj" --fan-in 1
+expect_flag_error mis-rounds color "$none.sadj" --mis-rounds -3
+
 # --- pipeline on a generated PLRG graph ------------------------------------
 set -e
 "$CLI" generate --vertices 2000 --avg-degree 4 --seed 7 --out "$work/g.adj"
@@ -279,6 +313,25 @@ if "$CLI" engine "$work/ge1.sadjs" --script "$work/badsession.txt" \
     >/dev/null 2>&1; then
   fail "malformed session script exited 0"
 fi
+# One open path: a session on a monolithic input (the engine splits it
+# into one shard in its scratch dir) equals the same session on a
+# 1-shard copy -- the same set and the same transcript, mutations and
+# two-k swaps included.
+"$CLI" shard "$work/g.sadj" "$work/g1.sadjs" --shards 1 >/dev/null
+for input in g.sadj g1.sadjs; do
+  "$CLI" engine "$work/$input" --script "$work/session.txt" --algo twok \
+      --threads 2 --stats --out "$work/eng_$input.txt" \
+      > "$work/eng_$input.log" \
+      || fail "two-k engine session on $input exited non-zero"
+  sed -e "s|$input|INPUT|g" "$work/eng_$input.log" > "$work/eng_$input.norm"
+done
+cmp -s "$work/eng_g.sadj.txt" "$work/eng_g1.sadjs.txt" \
+    || fail "monolithic engine session differs from the 1-shard session"
+cmp -s "$work/eng_g.sadj.norm" "$work/eng_g1.sadjs.norm" \
+    || fail "monolithic engine transcript differs from the 1-shard one"
+grep -q "^session end: epoch 3" "$work/eng_g.sadj.log" \
+    || fail "monolithic engine session did not end on epoch 3"
+
 # update also accepts a monolithic input (shards it next to itself).
 "$CLI" update "$work/g.sadj" --stream "$work/updates.txt" --shards 3 \
     --threads 2 --batch 4 --compact --verify >/dev/null

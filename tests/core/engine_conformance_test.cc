@@ -88,7 +88,7 @@ std::vector<EngineSpec> Engines() {
                          Solver solver(opts);
                          SolveResult res;
                          SEMIS_RETURN_IF_ERROR(
-                             solver.SolveShardedFile(manifest, &res));
+                             solver.SolveFile(manifest, &res));
                          *set = std::move(res.set);
                          return Status::OK();
                        }});

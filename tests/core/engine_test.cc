@@ -17,6 +17,7 @@
 //     record of that epoch).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -31,6 +32,7 @@
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/plrg.h"
+#include "graph/degree_sort.h"
 #include "graph/graph_io.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/env.h"
@@ -213,15 +215,71 @@ TEST_F(EngineTest, OpenSolvesAndPublishesEpochOne) {
   EXPECT_EQ(SetToVector(res.set), SetToVector(snap->set()));
 }
 
+// Every counter the swap stage reports: its round count and each
+// RoundStats field but the wall-clock `seconds`.
+std::vector<uint64_t> RoundCounters(const AlgoResult& res) {
+  std::vector<uint64_t> out{res.rounds};
+  for (const RoundStats& r : res.round_stats) {
+    out.insert(out.end(),
+               {r.one_k_swaps, r.two_k_swaps, r.follower_joins,
+                r.zero_one_swaps, r.conflicts, r.denied_promotions,
+                r.new_is_vertices, r.removed_is_vertices, r.is_size_after,
+                r.frontier_after});
+  }
+  return out;
+}
+
+TEST_F(EngineTest, MonolithicOpenEqualsShardedManifestOpen) {
+  // One open path: a monolithic open degree-sorts and splits the file into
+  // max(1, num_shards) shards, then solves exactly like an open of the
+  // manifest a user builds with the same two library calls -- the same
+  // set, swap rounds and per-round counters at every thread count.
+  Graph base = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 1.9), 43);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  std::string sorted = scratch_.NewFilePath("one_path.sadj");
+  ASSERT_OK(BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{}));
+  for (uint32_t shards : {0u, 1u, 3u}) {
+    std::string manifest = scratch_.NewFilePath(
+        "one_path_s" + std::to_string(shards) + ".sadjs");
+    ASSERT_OK(ShardAdjacencyFile(sorted, manifest, std::max(1u, shards)));
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      MisEngineOptions opts;
+      opts.pipeline.num_shards = shards;
+      opts.pipeline.num_threads = threads;
+      MisEngine from_manifest(opts);
+      ASSERT_OK(from_manifest.Open(manifest));
+      MisEngine from_mono(opts);
+      ASSERT_OK(from_mono.Open(mono));
+      EXPECT_FALSE(from_mono.manifest_path().empty());
+
+      const SolveResult& want = from_manifest.open_result();
+      const SolveResult& got = from_mono.open_result();
+      EXPECT_EQ(SetToVector(got.set), SetToVector(want.set));
+      EXPECT_EQ(got.set_size, want.set_size);
+      EXPECT_GT(got.swap.rounds, 0u);
+      EXPECT_EQ(RoundCounters(got.swap), RoundCounters(want.swap));
+      EXPECT_TRUE(got.degree_sorted);
+
+      // No late split: the mutation arm binds to the store Open built.
+      const uint64_t written = got.io.bytes_written;
+      ASSERT_OK(from_mono.Prepare());
+      EXPECT_EQ(from_mono.open_result().io.bytes_written, written);
+      ASSERT_NE(from_mono.streaming_stats(), nullptr);
+    }
+  }
+}
+
 TEST_F(EngineTest, MonolithicOpenThenMutate) {
-  // A sequential monolithic open shards lazily on the first mutation;
-  // the maintained set must still match the sequential reference.
+  // A monolithic open solves over the engine's shard copy, which the
+  // mutation arm then binds to; the maintained set must still match the
+  // sequential reference.
   Graph base = GenerateErdosRenyi(70, 160, 31);
   std::string mono = WriteGraphFile(&scratch_, base);
 
   MisEngine engine(MisEngineOptions{});
   ASSERT_OK(engine.Open(mono));
-  EXPECT_TRUE(engine.manifest_path().empty());
   EXPECT_EQ(engine.streaming_stats(), nullptr);
 
   IncrementalMis reference;
@@ -244,8 +302,6 @@ TEST_F(EngineTest, MonolithicOpenThenMutate) {
     EpochSnapshotRef epoch = engine.Publish();
     ASSERT_EQ(SetToVector(epoch->set()), SetToVector(reference.set()));
   }
-  // Mutation materialized the shard substrate in the engine's scratch.
-  EXPECT_FALSE(engine.manifest_path().empty());
   ASSERT_NE(engine.streaming_stats(), nullptr);
   EXPECT_EQ(engine.streaming_stats()->updates_applied, 3u * 15u);
   ASSERT_OK(engine.Close());
@@ -353,17 +409,6 @@ TEST_F(EngineTest, AdoptedSetMustMatchVertexCount) {
   Status s = engine.OpenSharded(manifest, wrong);
   EXPECT_FALSE(s.ok());
   EXPECT_FALSE(engine.is_open());
-}
-
-TEST_F(EngineTest, OpenShardedRejectsMonolithicFile) {
-  Graph base = GenerateErdosRenyi(40, 80, 37);
-  std::string mono = WriteGraphFile(&scratch_, base);
-  MisEngine engine(MisEngineOptions{});
-  Status s = engine.OpenSharded(mono);
-  EXPECT_FALSE(s.ok());
-  // Open() on the same file auto-detects and succeeds.
-  ASSERT_OK(engine.Open(mono));
-  EXPECT_EQ(engine.Snapshot()->epoch(), 1u);
 }
 
 TEST_F(EngineTest, ReaderMutatorStressObservesOnlyPublishedEpochs) {

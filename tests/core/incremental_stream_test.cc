@@ -531,7 +531,7 @@ TEST_F(IncrementalStreamTest, StreamQualityTracksFromScratchSolve) {
     sopts.pipeline.num_threads = 2;
     Solver fresh(sopts);
     SolveResult from_scratch;
-    ASSERT_OK(fresh.SolveShardedFile(manifest, &from_scratch));
+    ASSERT_OK(fresh.SolveFile(manifest, &from_scratch));
     EXPECT_GT(mis.set_size(), from_scratch.set_size * 85 / 100);
     // Both satisfy the same invariants on the same graph.
     VerifyResult vr;

@@ -318,9 +318,9 @@ TEST_F(ParallelSwapTest, InitialSetSizeMismatchRejected) {
 }
 
 TEST_F(ParallelSwapTest, SolverIntegrationEndToEnd) {
-  // SolveFile with num_shards > 1 routes the swap stage through the
-  // parallel executor; the result must verify and the thread count must
-  // not change it.
+  // SolveFile runs the swap stage on the parallel executor at every
+  // shard count; the result must verify and the thread count must not
+  // change it.
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(15000, 2.0), 38);
   std::string path = WriteGraphFile(&scratch_, g);
   SolverOptions opts;

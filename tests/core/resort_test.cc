@@ -195,9 +195,9 @@ TEST_F(ResortTest, RestoresSortByteIdenticalToFreshRebuildEverywhere) {
       solver_options.pipeline.num_threads = num_threads;
       Solver solver{solver_options};
       SolveResult result;
-      ASSERT_OK(solver.SolveShardedFile(root, &result));
+      ASSERT_OK(solver.SolveFile(root, &result));
       SolveResult fresh;
-      ASSERT_OK(solver.SolveShardedFile(reference, &fresh));
+      ASSERT_OK(solver.SolveFile(reference, &fresh));
       std::vector<uint32_t> members = ToVector(result.set);
       EXPECT_EQ(members, ToVector(fresh.set));
       if (solve_reference.empty()) {

@@ -254,7 +254,7 @@ TEST_F(RoundsPropertyTest, HostilePipelineKnobsThroughSolver) {
     opts.pipeline.num_threads = 1;
     Solver solver(opts);
     SolveResult res;
-    ASSERT_OK(solver.SolveShardedFile(manifest, &res));
+    ASSERT_OK(solver.SolveFile(manifest, &res));
     reference = std::move(res.set);
   }
   SolverOptions opts;
@@ -267,7 +267,7 @@ TEST_F(RoundsPropertyTest, HostilePipelineKnobsThroughSolver) {
   opts.pipeline.max_buffered_bytes = 1;
   Solver solver(opts);
   SolveResult res;
-  ASSERT_OK(solver.SolveShardedFile(manifest, &res));
+  ASSERT_OK(solver.SolveFile(manifest, &res));
   EXPECT_EQ(SetToVector(res.set), SetToVector(reference));
   EXPECT_GT(res.rounds.rounds, 0u);
   EXPECT_EQ(res.rounds.round_stats.back().frontier_after, 0u);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/greedy.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/plrg.h"
@@ -153,28 +154,29 @@ TEST_F(SolverTest, HeaderProbeReadIsAccounted) {
 }
 
 TEST_F(SolverTest, ShardedGreedySolveMatchesSequentialSolve) {
-  // With SwapMode::kNone the sharded pipeline is GREEDY alone, whose
-  // commit order equals the monolithic scan order -- so the sharded,
-  // multi-threaded solve must reproduce the plain sequential solve's
-  // in_set bit for bit.
+  // With SwapMode::kNone the pipeline is GREEDY alone, whose commit order
+  // over the shards equals the monolithic scan order -- so the solve must
+  // reproduce the paper's sequential Algorithm 1 (RunGreedy on the sorted
+  // file) bit for bit at every shard and thread count.
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(12000, 2.0), 17);
   std::string path = WriteGraphFile(&scratch_, g);
-  SolverOptions seq_opts;
-  seq_opts.swap = SwapMode::kNone;
-  Solver seq(seq_opts);
-  SolveResult seq_res;
-  ASSERT_OK(seq.SolveFile(path, &seq_res));
+  std::string sorted = NewPath("sorted.sadj");
+  ASSERT_OK(BuildDegreeSortedAdjacencyFile(path, sorted,
+                                           DegreeSortOptions{}));
+  AlgoResult oracle;
+  ASSERT_OK(RunGreedy(sorted, GreedyOptions{}, &oracle));
 
-  for (uint32_t shards : {3u, 5u}) {
+  for (uint32_t shards : {0u, 1u, 3u, 5u}) {
     for (uint32_t threads : {1u, 2u, 4u}) {
-      SolverOptions opts = seq_opts;
+      SolverOptions opts;
+      opts.swap = SwapMode::kNone;
       opts.pipeline.num_shards = shards;
       opts.pipeline.num_threads = threads;
       Solver solver(opts);
       SolveResult res;
       ASSERT_OK(solver.SolveFile(path, &res));
       EXPECT_EQ(testing_util::SetToVector(res.set),
-                testing_util::SetToVector(seq_res.set))
+                testing_util::SetToVector(oracle.in_set))
           << shards << " shards, " << threads << " threads";
       EXPECT_GT(res.shard_seconds, 0.0);
     }
@@ -208,11 +210,11 @@ TEST_F(SolverTest, ShardedFullPipelineDeterministicAcrossThreads) {
   }
 }
 
-TEST_F(SolverTest, SolveShardedFileMatchesShardedSolveFile) {
-  // SolveShardedFile consumes an existing SADJS manifest directly and
-  // must reproduce the SolveFile sharded pipeline on the same shards,
-  // thread for thread -- it is the re-solve entry point of the streaming
-  // update path (e.g. after a compaction).
+TEST_F(SolverTest, ManifestSolveMatchesMonolithicSolve) {
+  // SolveFile consumes an existing SADJS manifest directly and must
+  // reproduce the solve of the monolithic file split into the same
+  // shards -- it is the re-solve entry point of the streaming update
+  // path (e.g. after a compaction).
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(9000, 2.0), 23);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string sorted = NewPath("sorted.sadj");
@@ -230,7 +232,7 @@ TEST_F(SolverTest, SolveShardedFileMatchesShardedSolveFile) {
   ASSERT_OK(ref_solver.SolveFile(mono, &ref));
 
   SolveResult direct;
-  ASSERT_OK(ref_solver.SolveShardedFile(manifest, &direct));
+  ASSERT_OK(ref_solver.SolveFile(manifest, &direct));
   EXPECT_EQ(testing_util::SetToVector(direct.set),
             testing_util::SetToVector(ref.set));
   EXPECT_EQ(direct.set_size, ref.set_size);
@@ -241,13 +243,13 @@ TEST_F(SolverTest, SolveShardedFileMatchesShardedSolveFile) {
   std::string unsorted_manifest = NewPath("unsorted.sadjs");
   ASSERT_OK(ShardAdjacencyFile(mono, unsorted_manifest, 4));
   SolveResult rejected;
-  EXPECT_TRUE(ref_solver.SolveShardedFile(unsorted_manifest, &rejected)
+  EXPECT_TRUE(ref_solver.SolveFile(unsorted_manifest, &rejected)
                   .IsInvalidArgument());
   // ...while degree_sort = false consumes the records as-is.
   SolverOptions baseline = opts;
   baseline.degree_sort = false;
   Solver baseline_solver(baseline);
-  ASSERT_OK(baseline_solver.SolveShardedFile(unsorted_manifest, &rejected));
+  ASSERT_OK(baseline_solver.SolveFile(unsorted_manifest, &rejected));
   EXPECT_GT(rejected.set_size, 0u);
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
 #include <vector>
 
 namespace semis {
@@ -92,6 +94,18 @@ TEST(ThreadPoolTest, ZeroThreadsMeansHardwareConcurrency) {
   std::atomic<size_t> count{0};
   pool.ParallelFor(10, [&](size_t, size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10u);
+}
+
+TEST(ThreadPoolTest, ResolveThreadCountKeepsExplicitCounts) {
+  EXPECT_EQ(ResolveThreadCount(1), 1u);
+  EXPECT_EQ(ResolveThreadCount(3), 3u);
+  EXPECT_EQ(ResolveThreadCount(4096), 4096u);
+  // 0 asks for the hardware: never fewer than one worker, and the same
+  // count a 0-thread pool spawns.
+  const uint32_t hardware = ResolveThreadCount(0);
+  EXPECT_GE(hardware, 1u);
+  EXPECT_EQ(hardware, std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(ThreadPool(0).size(), hardware);
 }
 
 }  // namespace

@@ -12,8 +12,9 @@
 //                      [--algo baseline|greedy|onek|twok]
 //                      [--rounds R] [--shards N] [--threads T]
 //                      [--out set.txt] [--verify]
-//                      (--shards > 1 runs the WHOLE pipeline -- greedy and
-//                       the swap stage -- over shards with T threads; the
+//                      (the WHOLE pipeline -- greedy and the swap stage --
+//                       runs over shards with T threads: a monolithic
+//                       input is split into N shards first, 0 = 1; the
 //                       result is byte-identical for every thread count.
 //                       A SADJS manifest is consumed directly; when its
 //                       degree-sorted flag is cleared -- e.g. by a
@@ -67,13 +68,16 @@
 //   compact         fold the pending delta into the base shards
 //   publish         freeze the successor into a new served epoch
 //   query v [v...]  membership queries against the CURRENT epoch
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
-
-#include <algorithm>
 
 #include "core/coloring.h"
 #include "core/engine.h"
@@ -88,7 +92,6 @@
 #include "graph/graph_stats.h"
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
-#include "io/epoch_journal.h"
 #include "util/memory_tracker.h"
 
 namespace semis {
@@ -180,6 +183,54 @@ int Fail(const Status& s) {
   return 1;
 }
 
+constexpr uint64_t kMaxU32 = 0xFFFFFFFFull;
+constexpr uint64_t kMaxU64 = ~0ull;
+
+// Parses the integer flag --`key` (`def` when absent) into `*out`: plain
+// decimal digits in [min, max]. Signs, garbage and overflow are rejected
+// -- not read as 0 or wrapped through an unsigned cast -- with an error
+// that names the flag.
+template <typename T>
+bool ParseCount(const Args& args, const char* key, const char* def,
+                uint64_t min, uint64_t max, T* out) {
+  const std::string text = args.Get(key, def);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || v < min || v > max) {
+    std::fprintf(stderr,
+                 "error: --%s must be an integer in [%llu, %llu], got '%s'\n",
+                 key, static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max), text.c_str());
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
+// Parses the real-valued flag --`key` (`def` when absent) into `*out`:
+// a finite number with nothing after it, else an error naming the flag.
+bool ParseReal(const Args& args, const char* key, const char* def,
+               double* out) {
+  const std::string text = args.Get(key, def);
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(*out)) {
+    std::fprintf(stderr, "error: --%s must be a number, got '%s'\n", key,
+                 text.c_str());
+    return false;
+  }
+  return true;
+}
+
+// The --memory-mb budget in bytes (64 MiB when absent).
+bool ParseMemoryBudget(const Args& args, size_t* bytes) {
+  if (!ParseCount(args, "memory-mb", "64", 1, kMaxU32, bytes)) return false;
+  *bytes <<= 20;
+  return true;
+}
+
 Status WriteSetText(const BitVector& set, const std::string& path) {
   SequentialFileWriter w;
   SEMIS_RETURN_IF_ERROR(w.Open(path));
@@ -195,16 +246,19 @@ Status WriteSetText(const BitVector& set, const std::string& path) {
 
 int CmdGenerate(const Args& args) {
   if (!args.Has("vertices") || !args.Has("out")) return Usage();
-  uint64_t n = std::strtoull(args.Get("vertices").c_str(), nullptr, 10);
-  uint64_t seed = std::strtoull(args.Get("seed", "42").c_str(), nullptr, 10);
-  PlrgSpec spec;
-  if (args.Has("avg-degree")) {
-    spec = PlrgSpec::ForVerticesAndAvgDegree(
-        n, std::atof(args.Get("avg-degree").c_str()));
-  } else {
-    spec = PlrgSpec::ForVertexCount(n,
-                                    std::atof(args.Get("beta", "2.0").c_str()));
+  uint64_t n = 0, seed = 0;
+  if (!ParseCount(args, "vertices", "", 1, kMaxU32, &n) ||
+      !ParseCount(args, "seed", "42", 0, kMaxU64, &seed)) {
+    return 1;
   }
+  double shape = 0.0;
+  const bool by_degree = args.Has("avg-degree");
+  if (!ParseReal(args, by_degree ? "avg-degree" : "beta", "2.0", &shape)) {
+    return 1;
+  }
+  const PlrgSpec spec = by_degree
+                            ? PlrgSpec::ForVerticesAndAvgDegree(n, shape)
+                            : PlrgSpec::ForVertexCount(n, shape);
   Graph g = GeneratePlrg(spec, seed);
   Status s = WriteGraphToAdjacencyFile(g, args.Get("out"));
   if (!s.ok()) return Fail(s);
@@ -218,8 +272,7 @@ int CmdGenerate(const Args& args) {
 int CmdConvert(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   EdgeListConvertOptions opts;
-  opts.memory_budget_bytes =
-      std::strtoull(args.Get("memory-mb", "64").c_str(), nullptr, 10) << 20;
+  if (!ParseMemoryBudget(args, &opts.memory_budget_bytes)) return 1;
   IoStats io;
   opts.stats = &io;
   Status s = ConvertEdgeListToAdjacencyFile(args.positional[0],
@@ -235,9 +288,10 @@ int CmdConvert(const Args& args) {
 int CmdSort(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   DegreeSortOptions opts;
-  opts.memory_budget_bytes =
-      std::strtoull(args.Get("memory-mb", "64").c_str(), nullptr, 10) << 20;
-  opts.fan_in = std::strtoull(args.Get("fan-in", "16").c_str(), nullptr, 10);
+  if (!ParseMemoryBudget(args, &opts.memory_budget_bytes) ||
+      !ParseCount(args, "fan-in", "16", 2, kMaxU32, &opts.fan_in)) {
+    return 1;
+  }
   IoStats io;
   opts.stats = &io;
   Status s = BuildDegreeSortedAdjacencyFile(args.positional[0],
@@ -247,26 +301,6 @@ int CmdSort(const Args& args) {
               args.positional[0].c_str(), args.positional[1].c_str(),
               static_cast<unsigned long long>(io.sort_passes));
   return 0;
-}
-
-// Parses a shard/thread count flag: rejects negatives and garbage instead
-// of letting them wrap through an unsigned cast.
-bool ParseCount(const std::string& text, long min, long max, uint32_t* out) {
-  char* end = nullptr;
-  long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || v < min || v > max) return false;
-  *out = static_cast<uint32_t>(v);
-  return true;
-}
-
-// True when the file at `path` is a sharded-store root: a SADJS manifest
-// or a SEPR epoch root pointer (both detected by magic). Unreadable files
-// are "not a manifest" -- the consuming command will surface the real
-// open error.
-bool IsManifestFile(const std::string& path) {
-  uint32_t magic = 0;
-  return ProbeFileMagic(path, &magic).ok() &&
-         (magic == kShardManifestMagic || magic == kEpochRootMagic);
 }
 
 // The degree-sorted-flag warning shared by solve/update/engine: a cleared
@@ -289,13 +323,53 @@ const char kResortNotScheduled[] =
     "not scheduled (run `semis_cli update --resort` to restore GREEDY "
     "order)";
 
+// The solve flags `solve` and `engine` share: --algo (degree order and
+// swap stage), --rounds, --shards and --threads. A store whose
+// degree-sorted flag was cleared cannot run the sorted-order algorithms,
+// so they degrade to BASELINE order -- loudly. False (after printing the
+// reason) on a bad flag or an unreadable store.
+bool ParseSolveFlags(const Args& args, bool is_manifest,
+                     MisEngineOptions* opts) {
+  const std::string algo = args.Get("algo", "twok");
+  if (algo == "baseline") {
+    opts->degree_sort = false;
+    opts->swap = SwapMode::kNone;
+  } else if (algo == "greedy") {
+    opts->swap = SwapMode::kNone;
+  } else if (algo == "onek") {
+    opts->swap = SwapMode::kOneK;
+  } else if (algo == "twok") {
+    opts->swap = SwapMode::kTwoK;
+  } else {
+    Usage();
+    return false;
+  }
+  if (!ParseCount(args, "rounds", "0", 0, kMaxU32, &opts->max_swap_rounds) ||
+      !ParseCount(args, "shards", "0", 0, kMaxAdjacencyShards,
+                  &opts->pipeline.num_shards) ||
+      !ParseCount(args, "threads", "1", 0, 4096,
+                  &opts->pipeline.num_threads)) {
+    return false;
+  }
+  if (is_manifest && opts->degree_sort) {
+    ShardedAdjacencyManifest manifest;
+    Status s = ReadShardStoreManifest(args.positional[0], &manifest);
+    if (!s.ok()) {
+      Fail(s);
+      return false;
+    }
+    if (!manifest.header.IsDegreeSorted()) {
+      WarnNotDegreeSorted(args.positional[0], kResortNotScheduled);
+      opts->degree_sort = false;
+    }
+  }
+  return true;
+}
+
 int CmdShard(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   uint32_t num_shards = 0;
-  if (!ParseCount(args.Get("shards", "8"), 1, kMaxAdjacencyShards,
-                  &num_shards)) {
-    std::fprintf(stderr, "error: --shards must be in [1, %u]\n",
-                 kMaxAdjacencyShards);
+  if (!ParseCount(args, "shards", "8", 1, kMaxAdjacencyShards, &num_shards)) {
     return 1;
   }
   IoStats io;
@@ -351,19 +425,6 @@ int CmdBound(const Args& args) {
 int CmdSolve(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   SolverOptions opts;
-  std::string algo = args.Get("algo", "twok");
-  if (algo == "baseline") {
-    opts.degree_sort = false;
-    opts.swap = SwapMode::kNone;
-  } else if (algo == "greedy") {
-    opts.swap = SwapMode::kNone;
-  } else if (algo == "onek") {
-    opts.swap = SwapMode::kOneK;
-  } else if (algo == "twok") {
-    opts.swap = SwapMode::kTwoK;
-  } else {
-    return Usage();
-  }
   // --engine picks the initial-set engine; --algo keeps selecting the
   // swap stage (and, for the greedy engine, GREEDY vs BASELINE order).
   const std::string engine = args.Get("engine", "greedy");
@@ -377,38 +438,14 @@ int CmdSolve(const Args& args) {
                  engine.c_str());
     return 1;
   }
-  opts.max_swap_rounds =
-      static_cast<uint32_t>(std::atoi(args.Get("rounds", "0").c_str()));
-  if (!ParseCount(args.Get("shards", "0"), 0, kMaxAdjacencyShards,
-                  &opts.pipeline.num_shards)) {
-    std::fprintf(stderr, "error: --shards must be in [0, %u]\n",
-                 kMaxAdjacencyShards);
-    return 1;
-  }
-  if (!ParseCount(args.Get("threads", "1"), 0, 4096,
-                  &opts.pipeline.num_threads)) {
-    std::fprintf(stderr, "error: --threads must be in [0, 4096]\n");
-    return 1;
-  }
-  opts.verify = args.Has("verify");
   // A SADJS manifest is consumed directly (the file fixes the shard
-  // count). Shards cannot be sorted in place, so a sorted-order algo on
-  // an unsorted manifest degrades to BASELINE order -- loudly.
-  const bool is_manifest = IsManifestFile(args.positional[0]);
-  if (is_manifest && opts.degree_sort) {
-    ShardedAdjacencyManifest manifest;
-    Status ms = ReadShardStoreManifest(args.positional[0], &manifest);
-    if (!ms.ok()) return Fail(ms);
-    if (!manifest.header.IsDegreeSorted()) {
-      WarnNotDegreeSorted(args.positional[0], kResortNotScheduled);
-      opts.degree_sort = false;
-    }
-  }
+  // count); a monolithic file is split into --shards shards (0 = 1).
+  const bool is_manifest = IsShardStoreRoot(args.positional[0]);
+  if (!ParseSolveFlags(args, is_manifest, &opts)) return 1;
+  opts.verify = args.Has("verify");
   Solver solver(opts);
   SolveResult res;
-  Status s = is_manifest
-                 ? solver.SolveShardedFile(args.positional[0], &res)
-                 : solver.SolveFile(args.positional[0], &res);
+  Status s = solver.SolveFile(args.positional[0], &res);
   if (!s.ok()) return Fail(s);
   const bool rounds_engine = opts.pipeline.engine == SolveEngine::kRounds;
   const AlgoResult& first_stage = rounds_engine ? res.rounds : res.greedy;
@@ -425,10 +462,10 @@ int CmdSolve(const Args& args) {
               MemoryTracker::FormatBytes(res.peak_memory_bytes).c_str(),
               static_cast<unsigned long long>(res.io.sequential_scans),
               MemoryTracker::FormatBytes(res.io.bytes_read).c_str());
-  if (opts.pipeline.num_shards > 1 && !is_manifest) {
+  if (!is_manifest) {
     std::printf("  sharded pipeline: %u shards, %u threads, split in %.2fs\n",
-                opts.pipeline.num_shards, opts.pipeline.num_threads,
-                res.shard_seconds);
+                std::max<uint32_t>(1, opts.pipeline.num_shards),
+                opts.pipeline.num_threads, res.shard_seconds);
   }
   if (args.Has("stats")) {
     // Whether the consumed records were degree-sorted (GREEDY order) --
@@ -464,11 +501,10 @@ int CmdSolve(const Args& args) {
                   static_cast<unsigned long long>(res.rounds.set_size),
                   static_cast<unsigned long long>(final_frontier));
     }
-    // Shard-decode counters, all zero on the unsharded single-file path.
-    // records_decoded spans EVERY shard scan (the initial engine's passes
-    // plus each swap round's rescans); the block-ring line covers only
-    // the cursor-driven stages, which is why records per block don't
-    // divide.
+    // Shard-decode counters. records_decoded spans EVERY shard scan (the
+    // initial engine's passes plus each swap round's rescans); the
+    // block-ring line covers only the cursor-driven stages, which is why
+    // records per block don't divide.
     const double decode_seconds =
         res.greedy.seconds + res.rounds.seconds + res.swap.seconds > 0.0
             ? res.greedy.seconds + res.rounds.seconds + res.swap.seconds
@@ -481,11 +517,10 @@ int CmdSolve(const Args& args) {
                 "(%.0f records/s)\n",
                 static_cast<unsigned long long>(res.io.records_decoded),
                 records_per_sec);
-    // Only the greedy engine's multi-threaded sharded scan decodes through
-    // the block ring; the 1-thread, unsharded and rounds-engine paths read
-    // records directly. On the ring path a zero count means a broken run.
-    const bool ring_path = !rounds_engine && opts.pipeline.num_threads != 1 &&
-                           (is_manifest || opts.pipeline.num_shards > 1);
+    // Only the greedy engine's multi-threaded scan decodes through the
+    // block ring; the 1-thread and rounds-engine paths read records
+    // directly. On the ring path a zero count means a broken run.
+    const bool ring_path = !rounds_engine && opts.pipeline.num_threads != 1;
     if (!ring_path) {
       std::printf("  block ring     : not used\n");
     } else {
@@ -526,8 +561,9 @@ int CmdCover(const Args& args) {
 int CmdColor(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   ColoringOptions opts;
-  opts.max_mis_rounds =
-      static_cast<uint32_t>(std::atoi(args.Get("mis-rounds", "8").c_str()));
+  if (!ParseCount(args, "mis-rounds", "8", 0, kMaxU32, &opts.max_mis_rounds)) {
+    return 1;
+  }
   ColoringResult res;
   Status s = ComputeGreedyColoringFile(args.positional[0], opts, &res);
   if (!s.ok()) return Fail(s);
@@ -662,18 +698,14 @@ int CmdUpdate(const Args& args) {
   if (args.positional.size() != 1 || !args.Has("stream")) return Usage();
   const std::string input = args.positional[0];
   uint32_t num_shards = 0, num_threads = 0, batch = 0;
-  if (!ParseCount(args.Get("shards", "8"), 1, kMaxAdjacencyShards,
-                  &num_shards)) {
-    std::fprintf(stderr, "error: --shards must be in [1, %u]\n",
-                 kMaxAdjacencyShards);
-    return 1;
-  }
-  if (!ParseCount(args.Get("threads", "1"), 0, 4096, &num_threads)) {
-    std::fprintf(stderr, "error: --threads must be in [0, 4096]\n");
-    return 1;
-  }
-  if (!ParseCount(args.Get("batch", "1024"), 1, 1 << 30, &batch)) {
-    std::fprintf(stderr, "error: --batch must be a positive count\n");
+  uint64_t compact_threshold = 0;
+  // Auto-compaction defaults ON so the pending delta (in memory and on
+  // disk) stays bounded no matter how long the stream runs; 0 disables.
+  if (!ParseCount(args, "shards", "8", 1, kMaxAdjacencyShards, &num_shards) ||
+      !ParseCount(args, "threads", "1", 0, 4096, &num_threads) ||
+      !ParseCount(args, "batch", "1024", 1, 1 << 30, &batch) ||
+      !ParseCount(args, "compact-threshold", "65536", 0, kMaxU64,
+                  &compact_threshold)) {
     return 1;
   }
   const bool compact = args.Has("compact");
@@ -692,8 +724,7 @@ int CmdUpdate(const Args& args) {
   // misleading "not an adjacency file" from the sharder.
   std::string manifest_path = input;
   ShardedAdjacencyManifest manifest;
-  const bool is_manifest = IsManifestFile(input);
-  if (is_manifest) {
+  if (IsShardStoreRoot(input)) {
     Status s = ReadShardStoreManifest(input, &manifest);
     if (!s.ok()) return Fail(s);
   } else {
@@ -723,10 +754,7 @@ int CmdUpdate(const Args& args) {
   eopts.degree_sort = manifest.header.IsDegreeSorted();
   eopts.swap = SwapMode::kNone;
   eopts.pipeline.num_threads = num_threads;
-  // Auto-compaction defaults ON so the pending delta (in memory and on
-  // disk) stays bounded no matter how long the stream runs; 0 disables.
-  eopts.pipeline.compact_threshold_entries = std::strtoull(
-      args.Get("compact-threshold", "65536").c_str(), nullptr, 10);
+  eopts.pipeline.compact_threshold_entries = compact_threshold;
   // With --resort, every compaction that clears the degree-sorted flag
   // immediately restores it through the same epoch commit.
   eopts.pipeline.auto_resort = resort;
@@ -739,7 +767,7 @@ int CmdUpdate(const Args& args) {
     s = engine.OpenSharded(manifest_path, initial);
     if (!s.ok()) return Fail(s);
   } else {
-    Status s = engine.OpenSharded(manifest_path);
+    Status s = engine.Open(manifest_path);
     if (!s.ok()) return Fail(s);
     std::printf("initial set: %llu vertices (sharded %s)\n",
                 static_cast<unsigned long long>(
@@ -893,45 +921,10 @@ int CmdUpdate(const Args& args) {
 int CmdEngine(const Args& args) {
   if (args.positional.size() != 1 || !args.Has("script")) return Usage();
   MisEngineOptions opts;
-  std::string algo = args.Get("algo", "twok");
-  if (algo == "baseline") {
-    opts.degree_sort = false;
-    opts.swap = SwapMode::kNone;
-  } else if (algo == "greedy") {
-    opts.swap = SwapMode::kNone;
-  } else if (algo == "onek") {
-    opts.swap = SwapMode::kOneK;
-  } else if (algo == "twok") {
-    opts.swap = SwapMode::kTwoK;
-  } else {
-    return Usage();
-  }
-  opts.max_swap_rounds =
-      static_cast<uint32_t>(std::atoi(args.Get("rounds", "0").c_str()));
-  if (!ParseCount(args.Get("shards", "0"), 0, kMaxAdjacencyShards,
-                  &opts.pipeline.num_shards)) {
-    std::fprintf(stderr, "error: --shards must be in [0, %u]\n",
-                 kMaxAdjacencyShards);
+  if (!ParseCount(args, "compact-threshold", "65536", 0, kMaxU64,
+                  &opts.pipeline.compact_threshold_entries) ||
+      !ParseSolveFlags(args, IsShardStoreRoot(args.positional[0]), &opts)) {
     return 1;
-  }
-  if (!ParseCount(args.Get("threads", "1"), 0, 4096,
-                  &opts.pipeline.num_threads)) {
-    std::fprintf(stderr, "error: --threads must be in [0, 4096]\n");
-    return 1;
-  }
-  opts.pipeline.compact_threshold_entries = std::strtoull(
-      args.Get("compact-threshold", "65536").c_str(), nullptr, 10);
-
-  // Same degrade-loudly rule as `solve`: a manifest whose sorted flag was
-  // cleared cannot run the sorted-order algorithms.
-  if (IsManifestFile(args.positional[0]) && opts.degree_sort) {
-    ShardedAdjacencyManifest manifest;
-    Status ms = ReadShardStoreManifest(args.positional[0], &manifest);
-    if (!ms.ok()) return Fail(ms);
-    if (!manifest.header.IsDegreeSorted()) {
-      WarnNotDegreeSorted(args.positional[0], kResortNotScheduled);
-      opts.degree_sort = false;
-    }
   }
 
   MisEngine engine(opts);
