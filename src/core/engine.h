@@ -229,8 +229,11 @@ class MisEngine {
   Status ApplyBatch(const std::vector<EdgeUpdate>& updates)
       EXCLUDES(publish_mu_);
 
-  /// Restores maximality of the successor state with one merged pass
-  /// over base shards + delta. Safe to run while readers hold snapshots.
+  /// Restores maximality of the successor state: one merged pass over
+  /// base shards + delta the first time after Prepare(), then a read of
+  /// only the frontier the applied batches can have freed (see
+  /// ShardedStreamingMis::Repair). Safe to run while readers hold
+  /// snapshots.
   Status Repair() EXCLUDES(publish_mu_);
 
   /// Folds saturated (or, with `force`, all pending) shard deltas into

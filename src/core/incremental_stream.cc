@@ -23,6 +23,14 @@ constexpr size_t kHashSlotBytes = 4 * sizeof(uint64_t);
 Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
                                        const BitVector& initial_set,
                                        const EnginePipelineOptions& options) {
+  // A new session: nothing of a previous one survives, including a wedge
+  // left by a failed flush, and the frontier is unknown until the first
+  // (full) repair.
+  initialized_ = false;
+  wedged_ = false;
+  in_resort_ = false;
+  stats_ = StreamingMisStats();
+  DropFrontier();
   // Crash recovery first: resolve the root (legacy SADM or journaled
   // SEPR), fall back one epoch if the current one is torn, and remove
   // orphaned files a crashed commit left behind.
@@ -43,7 +51,8 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
   n_ = manifest_.header.num_vertices;
   set_ = initial_set;
   set_size_ = set_.Count();
-  inserted_.clear();
+  inserted_adj_.clear();
+  inserted_edges_ = 0;
   deleted_.clear();
   pending_.assign(manifest_.num_shards(), {});
   next_sequence_ = 0;
@@ -73,24 +82,50 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
 }
 
 Status ShardedStreamingMis::BuildRouteMap() {
-  // Route map: records are permuted by the degree sort, so the shard
-  // holding a vertex's record is only discoverable by scanning. One pass
-  // over the shards; 2 bytes per vertex (kMaxAdjacencyShards = 4096).
-  shard_of_.assign(n_, 0);
+  // Records are permuted by the degree sort, so where a vertex's record
+  // sits is only discoverable by scanning. One pass over the shards
+  // fills every rank and checkpoint; the result is swapped in whole, so
+  // a failed scan leaves the previous locator as it was.
+  const uint32_t num_shards = manifest_.num_shards();
+  std::vector<uint32_t> rank(n_, 0);
+  std::vector<uint64_t> first_rank(num_shards + 1, 0);
+  std::vector<std::vector<uint64_t>> checkpoints(num_shards);
   stats_.io.sequential_scans++;
-  for (uint32_t k = 0; k < manifest_.num_shards(); ++k) {
+  uint64_t next_rank = 0;
+  for (uint32_t k = 0; k < num_shards; ++k) {
+    first_rank[k] = next_rank;
+    checkpoints[k].reserve(
+        (manifest_.shards[k].num_records + kRepairCheckpointStride - 1) /
+        kRepairCheckpointStride);
     AdjacencyShardReader reader(&stats_.io);
     SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, k));
+    uint64_t offset = kAdjacencyShardHeaderBytes;
     VertexRecordView rec;
     bool has_next = false;
     while (true) {
       SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
       if (!has_next) break;
-      shard_of_[rec.id] = static_cast<uint16_t>(k);
+      if ((next_rank - first_rank[k]) % kRepairCheckpointStride == 0) {
+        checkpoints[k].push_back(offset);
+      }
+      rank[rec.id] = static_cast<uint32_t>(next_rank++);
+      offset += AdjacencyRecordBytes(rec.degree);
     }
     SEMIS_RETURN_IF_ERROR(reader.Close());
   }
+  first_rank[num_shards] = next_rank;
+  rank_ = std::move(rank);
+  shard_first_rank_ = std::move(first_rank);
+  checkpoints_ = std::move(checkpoints);
   return Status::OK();
+}
+
+uint32_t ShardedStreamingMis::ShardOfRank(uint64_t rank) const {
+  // The last shard starting at or before `rank`; empty shards share
+  // their successor's start, and upper_bound skips past them.
+  const auto it = std::upper_bound(shard_first_rank_.begin(),
+                                   shard_first_rank_.end(), rank);
+  return static_cast<uint32_t>(it - shard_first_rank_.begin() - 1);
 }
 
 template <typename Fn>
@@ -197,26 +232,100 @@ Status ShardedStreamingMis::ValidateUpdate(const EdgeUpdate& update) const {
   return Status::OK();
 }
 
+bool ShardedStreamingMis::InsertDeltaEdge(VertexId u, VertexId v) {
+  // References, not iterators: they survive the rehash that creating the
+  // second entry may cause.
+  std::vector<VertexId>& list_u = inserted_adj_[u];
+  std::vector<VertexId>& list_v = inserted_adj_[v];
+  // Scan the shorter list: a hub's list can be long, its partner's not.
+  const bool u_shorter = list_u.size() <= list_v.size();
+  const std::vector<VertexId>& shorter = u_shorter ? list_u : list_v;
+  if (std::find(shorter.begin(), shorter.end(), u_shorter ? v : u) !=
+      shorter.end()) {
+    return false;
+  }
+  list_u.push_back(v);
+  list_v.push_back(u);
+  inserted_edges_++;
+  return true;
+}
+
+void ShardedStreamingMis::EraseDeltaEdge(VertexId u, VertexId v) {
+  // Emptied lists stay (with their capacity) until the next rebuild, so a
+  // vertex whose edges come and go does not churn the allocator.
+  const auto swap_erase = [this](VertexId a, VertexId b) {
+    const auto it = inserted_adj_.find(a);
+    if (it == inserted_adj_.end()) return false;
+    std::vector<VertexId>& list = it->second;
+    const auto pos = std::find(list.begin(), list.end(), b);
+    if (pos == list.end()) return false;
+    *pos = list.back();
+    list.pop_back();
+    return true;
+  };
+  if (swap_erase(u, v) && swap_erase(v, u)) inserted_edges_--;
+}
+
+bool ShardedStreamingMis::HasInsertedSetNeighbor(VertexId u) const {
+  if (inserted_adj_.empty()) return false;
+  const auto it = inserted_adj_.find(u);
+  if (it == inserted_adj_.end()) return false;
+  for (VertexId nb : it->second) {
+    if (set_.Test(nb)) return true;
+  }
+  return false;
+}
+
 bool ShardedStreamingMis::ApplyToState(const EdgeUpdate& update) {
   const uint64_t key = EdgeKey(update.u, update.v);
   if (update.op == EdgeDeltaOp::kInsert) {
-    if (inserted_.count(key) != 0) return false;  // already live in delta
-    inserted_.insert(key);
+    if (!InsertDeltaEdge(update.u, update.v)) return false;  // live in delta
     deleted_.erase(key);
     // Eager independence maintenance: the larger id leaves, as in
     // IncrementalMis (and the lowest-id-wins rule of the swap executor).
     if (set_.Test(update.u) && set_.Test(update.v)) {
-      set_.Clear(update.u > update.v ? update.u : update.v);
+      const VertexId evicted = update.u > update.v ? update.u : update.v;
+      set_.Clear(evicted);
       set_size_--;
       stats_.evictions++;
+      // It may now be free, and so may every neighbor it was the only
+      // set neighbor of.
+      NoteEviction(evicted);
     }
     return true;
   }
-  if (deleted_.count(key) != 0) return false;  // already deleted in delta
-  deleted_.insert(key);
-  inserted_.erase(key);
-  // A deletion can only open a maximality gap; Repair() closes it.
+  if (!deleted_.insert(key).second) return false;  // already deleted
+  EraseDeltaEdge(update.u, update.v);
+  // A deletion can only open a maximality gap, at one of its endpoints;
+  // Repair() closes it.
+  AddToFrontier(update.u);
+  AddToFrontier(update.v);
   return true;
+}
+
+uint64_t ShardedStreamingMis::FrontierLimit() const {
+  return std::max<uint64_t>(n_ / kRepairFrontierDivisor,
+                            kRepairFrontierFloor);
+}
+
+void ShardedStreamingMis::AddToFrontier(VertexId v) {
+  if (!frontier_known_) return;
+  if (frontier_.size() + evicted_.size() >= FrontierLimit()) {
+    DropFrontier();  // the full pass is cheaper now; stop collecting
+    return;
+  }
+  frontier_.push_back(v);
+}
+
+void ShardedStreamingMis::NoteEviction(VertexId v) {
+  AddToFrontier(v);
+  if (frontier_known_) evicted_.push_back(v);
+}
+
+void ShardedStreamingMis::DropFrontier() {
+  frontier_known_ = false;
+  frontier_.clear();
+  evicted_.clear();
 }
 
 Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
@@ -249,8 +358,8 @@ Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
       continue;
     }
     EdgeDeltaEntry entry{next_sequence_++, update.op, update.u, update.v};
-    const uint32_t su = shard_of_[update.u];
-    const uint32_t sv = shard_of_[update.v];
+    const uint32_t su = ShardOf(update.u);
+    const uint32_t sv = ShardOf(update.v);
     fresh[su].push_back(entry);
     pending_[su].push_back(entry);
     if (sv != su) {
@@ -330,66 +439,153 @@ void ShardedStreamingMis::BuildShardDeltaView(uint32_t shard,
   }
 }
 
+bool ShardedStreamingMis::TryJoin(const VertexRecordView& rec) {
+  // The exact sequential rule of IncrementalMis::Repair: a non-member
+  // with no live set neighbor (base edges masked by deletes, plus
+  // inserted edges) joins, and later records observe the addition
+  // through set_.
+  const VertexId u = rec.id;
+  if (set_.Test(u)) return false;
+  for (uint32_t i = 0; i < rec.degree; ++i) {
+    const VertexId nb = rec.neighbors[i];
+    if (set_.Test(nb) &&
+        (deleted_.empty() || deleted_.find(EdgeKey(u, nb)) == deleted_.end())) {
+      return false;
+    }
+  }
+  if (HasInsertedSetNeighbor(u)) return false;
+  set_.Set(u);
+  set_size_++;
+  return true;
+}
+
 template <typename Source>
 Status ShardedStreamingMis::RepairScan(Source* source, uint64_t* added) {
-  // The exact sequential rule of IncrementalMis::Repair, committed
-  // strictly in global manifest order: a non-member with no live set
-  // neighbor (base edges masked by deletes, plus inserted edges) joins,
-  // and later records observe the addition through set_.
-  ShardDeltaView view;
-  uint32_t shard = 0;
-  uint64_t remaining = manifest_.shards.empty()
-                           ? 0
-                           : manifest_.shards[0].num_records;
-  bool view_built = false;
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(source->Next(&rec, &has_next));
     if (!has_next) break;
-    while (remaining == 0 && shard + 1 < manifest_.num_shards()) {
-      shard++;
-      remaining = manifest_.shards[shard].num_records;
-      view_built = false;
-    }
-    if (remaining == 0) {
-      return Status::Corruption("record stream longer than the manifest");
-    }
-    remaining--;
-    if (!view_built) {
-      view = ShardDeltaView();
-      if (!pending_[shard].empty()) BuildShardDeltaView(shard, &view);
-      view_built = true;
-    }
-    const VertexId u = rec.id;
-    if (set_.Test(u)) continue;
-    bool has_set_neighbor = false;
-    for (uint32_t i = 0; i < rec.degree && !has_set_neighbor; ++i) {
-      const VertexId nb = rec.neighbors[i];
-      if (set_.Test(nb) &&
-          (view.deleted.empty() ||
-           view.deleted.find(EdgeKey(u, nb)) == view.deleted.end())) {
-        has_set_neighbor = true;
-      }
-    }
-    if (!has_set_neighbor && !view.inserted_adj.empty()) {
-      auto it = view.inserted_adj.find(u);
-      if (it != view.inserted_adj.end()) {
-        for (VertexId nb : it->second) {
-          if (set_.Test(nb)) {
-            has_set_neighbor = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!has_set_neighbor) {
-      set_.Set(u);
-      set_size_++;
-      (*added)++;
-    }
+    if (TryJoin(rec)) (*added)++;
   }
   return Status::OK();
+}
+
+Status ShardedStreamingMis::RepairFull(uint64_t* added) {
+  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
+  if (num_threads <= 1) {
+    // The sequential reference path: a plain forward scan over the shards.
+    ShardedAdjacencyScanner scanner(&stats_.io);
+    SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path_));
+    return RepairScan(&scanner, added);
+  }
+  // Decoder threads prefetch shards while this thread commits in
+  // manifest order -- the RunParallelGreedy pipeline. The commit
+  // sequence is identical to the sequential path by construction.
+  ThreadPool pool(num_threads);
+  ManifestOrderedShardCursor cursor(&stats_.io);
+  BlockRingOptions ring;
+  ring.block_bytes = options_.decode_block_bytes;
+  ring.max_buffered_bytes = options_.max_buffered_bytes;
+  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, &pool, ring));
+  Status scan = RepairScan(&cursor, added);
+  Status close = cursor.Close();
+  SEMIS_RETURN_IF_ERROR(scan);
+  SEMIS_RETURN_IF_ERROR(close);
+  // The pipeline's decoded-shard buffer rides on top of the maintainer's
+  // own state.
+  stats_.peak_memory_bytes =
+      std::max(stats_.peak_memory_bytes,
+               CurrentMemoryBytes() + cursor.peak_buffered_bytes());
+  return Status::OK();
+}
+
+void ShardedStreamingMis::SortByRank(std::vector<VertexId>* ids) const {
+  std::sort(ids->begin(), ids->end(), [this](VertexId a, VertexId b) {
+    return rank_[a] < rank_[b];
+  });
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+template <typename Wanted, typename Visit>
+Status ShardedStreamingMis::ReadBaseRecords(const std::vector<VertexId>& ids,
+                                            Wanted&& wanted, Visit&& visit) {
+  AdjacencyShardRecordReader reader(&stats_.io);
+  bool open = false;
+  uint32_t open_shard = 0;
+  VertexRecordView rec;
+  for (VertexId v : ids) {
+    if (!wanted(v)) continue;
+    const uint64_t rank = rank_[v];
+    const uint32_t shard = ShardOfRank(rank);
+    if (!open || shard != open_shard) {
+      if (open) SEMIS_RETURN_IF_ERROR(reader.Close());
+      SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
+      open = true;
+      open_shard = shard;
+    }
+    const uint64_t record = rank - shard_first_rank_[shard];
+    const uint64_t checkpoint = record / kRepairCheckpointStride;
+    SEMIS_RETURN_IF_ERROR(reader.ReadRecord(
+        record, checkpoint * kRepairCheckpointStride,
+        checkpoints_[shard][checkpoint], v, &rec));
+    visit(rec);
+  }
+  return open ? reader.Close() : Status::OK();
+}
+
+Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
+  // Expanding an eviction adds about one entry per neighbor. When that
+  // alone would overflow the frontier, skip the reads and leave the work
+  // to the full pass.
+  const uint64_t avg_degree =
+      n_ == 0 ? 0 : manifest_.header.num_directed_edges / n_;
+  if (frontier_.size() + evicted_.size() * avg_degree >= FrontierLimit()) {
+    DropFrontier();
+    return Status::OK();
+  }
+  // An evicted vertex's neighbors may have lost their only set neighbor:
+  // read its record and move them into the frontier. Once that
+  // succeeded the evictions are accounted for, so a retry after a later
+  // failure does not read them again.
+  if (!evicted_.empty()) {
+    std::vector<VertexId> evicted;
+    evicted.swap(evicted_);
+    SortByRank(&evicted);
+    Status expanded = ReadBaseRecords(
+        evicted, [this](VertexId) { return frontier_known_; },
+        [this](const VertexRecordView& rec) {
+          for (uint32_t i = 0; i < rec.degree; ++i) {
+            AddToFrontier(rec.neighbors[i]);
+          }
+          const auto it = inserted_adj_.find(rec.id);
+          if (it == inserted_adj_.end()) return;
+          for (VertexId nb : it->second) AddToFrontier(nb);
+        });
+    if (!expanded.ok()) {
+      if (frontier_known_) evicted_.swap(evicted);  // retry reads them
+      return expanded;
+    }
+    if (!frontier_known_) return Status::OK();  // overflowed: full pass
+  }
+  // Re-check the frontier's non-members in manifest order. A candidate
+  // with an inserted edge to a member stays out without a read; one that
+  // a candidate before it joined next to is rejected by the rule itself.
+  std::vector<VertexId> candidates;
+  candidates.reserve(frontier_.size());
+  for (VertexId v : frontier_) {
+    if (!set_.Test(v)) candidates.push_back(v);
+  }
+  SortByRank(&candidates);
+  stats_.peak_memory_bytes =
+      std::max(stats_.peak_memory_bytes,
+               CurrentMemoryBytes() + candidates.capacity() * sizeof(VertexId));
+  return ReadBaseRecords(
+      candidates,
+      [this](VertexId v) { return !HasInsertedSetNeighbor(v); },
+      [this, added](const VertexRecordView& rec) {
+        if (TryJoin(rec)) (*added)++;
+      });
 }
 
 Status ShardedStreamingMis::Repair() {
@@ -398,32 +594,16 @@ Status ShardedStreamingMis::Repair() {
   }
   WallTimer timer;
   uint64_t added = 0;
-  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
-  if (num_threads <= 1) {
-    // The sequential reference path: a plain forward scan over the shards.
-    ShardedAdjacencyScanner scanner(&stats_.io);
-    SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path_));
-    SEMIS_RETURN_IF_ERROR(RepairScan(&scanner, &added));
-  } else {
-    // Decoder threads prefetch shards while this thread commits in
-    // manifest order -- the RunParallelGreedy pipeline. The commit
-    // sequence is identical to the sequential path by construction.
-    ThreadPool pool(num_threads);
-    ManifestOrderedShardCursor cursor(&stats_.io);
-    BlockRingOptions ring;
-    ring.block_bytes = options_.decode_block_bytes;
-    ring.max_buffered_bytes = options_.max_buffered_bytes;
-    SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, &pool, ring));
-    Status scan = RepairScan(&cursor, &added);
-    Status close = cursor.Close();
-    SEMIS_RETURN_IF_ERROR(scan);
-    SEMIS_RETURN_IF_ERROR(close);
-    // The pipeline's decoded-shard buffer rides on top of the maintainer's
-    // own state.
-    stats_.peak_memory_bytes =
-        std::max(stats_.peak_memory_bytes,
-                 CurrentMemoryBytes() + cursor.peak_buffered_bytes());
+  if (frontier_known_) SEMIS_RETURN_IF_ERROR(RepairFrontier(&added));
+  if (!frontier_known_) {
+    SEMIS_RETURN_IF_ERROR(RepairFull(&added));
+    stats_.full_repair_passes++;
   }
+  // The set is maximal now: the next repair starts from an empty, known
+  // frontier.
+  frontier_known_ = true;
+  frontier_.clear();
+  evicted_.clear();
   stats_.repair_passes++;
   stats_.repair_added += added;
   stats_.repair_seconds += timer.ElapsedSeconds();
@@ -435,7 +615,8 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
                                          const std::string& out_path,
                                          ShardInfo* new_info,
                                          uint32_t* max_degree_seen,
-                                         bool* records_changed) {
+                                         bool* records_changed,
+                                         std::vector<uint64_t>* checkpoints) {
   ShardDeltaView view;
   BuildShardDeltaView(shard, &view);
 
@@ -447,6 +628,10 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
 
   std::vector<VertexId> neighbors;
   std::unordered_set<VertexId> present;
+  // Records keep their order, so ranks do not move; only the byte
+  // offsets of the rewritten records do.
+  checkpoints->clear();
+  uint64_t offset = kAdjacencyShardHeaderBytes;
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
@@ -481,6 +666,10 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
       }
     }
     const uint32_t degree = static_cast<uint32_t>(neighbors.size());
+    if (new_info->num_records % kRepairCheckpointStride == 0) {
+      checkpoints->push_back(offset);
+    }
+    offset += AdjacencyRecordBytes(degree);
     SEMIS_RETURN_IF_ERROR(writer.AppendU32(u));
     SEMIS_RETURN_IF_ERROR(writer.AppendU32(degree));
     if (degree > 0) {
@@ -536,16 +725,17 @@ Status ShardedStreamingMis::CollectStoreGarbage() {
 Status ShardedStreamingMis::RebuildDeltaState() {
   // Compaction retired some entries; the global delta state is the replay
   // of what is still pending, merged across shards by sequence number.
-  inserted_.clear();
+  inserted_adj_.clear();
+  inserted_edges_ = 0;
   deleted_.clear();
   return ForEachMergedPendingEntry([this](const EdgeDeltaEntry& entry) {
     const uint64_t key = EdgeKey(entry.u, entry.v);
     if (entry.op == EdgeDeltaOp::kInsert) {
-      inserted_.insert(key);
+      InsertDeltaEdge(entry.u, entry.v);
       deleted_.erase(key);
     } else {
       deleted_.insert(key);
-      inserted_.erase(key);
+      EraseDeltaEdge(entry.u, entry.v);
     }
   });
 }
@@ -583,6 +773,7 @@ Status ShardedStreamingMis::Compact(bool force) {
   for (uint32_t k : saturated) is_saturated[k] = true;
 
   ShardedAdjacencyManifest staged = manifest_;
+  std::vector<std::vector<uint64_t>> staged_checkpoints(num_shards);
   bool records_changed = false;
   uint32_t max_degree_seen = 0;
   std::vector<std::string> staged_files;
@@ -595,7 +786,8 @@ Status ShardedStreamingMis::Compact(bool force) {
     if (is_saturated[k]) {
       ShardInfo new_info;
       SEMIS_RETURN_IF_ERROR(CompactShard(k, out_shard, &new_info,
-                                         &max_degree_seen, &records_changed));
+                                         &max_degree_seen, &records_changed,
+                                         &staged_checkpoints[k]));
       staged.shards[k] = new_info;
     } else {
       // Unchanged shards carry over as hard links: one directory entry,
@@ -653,9 +845,11 @@ Status ShardedStreamingMis::Compact(bool force) {
   SEMIS_RETURN_IF_ERROR(PublishEpoch(next_epoch, staged_files));
 
   // The commit succeeded; bring the maintainer in line with the new
-  // epoch, then retire the old one.
+  // epoch, then retire the old one. Only now do the rewritten shards'
+  // offsets replace the old ones.
   manifest_ = staged;
   for (uint32_t k : saturated) {
+    checkpoints_[k] = std::move(staged_checkpoints[k]);
     pending_[k].clear();
     pending_[k].shrink_to_fit();
   }
@@ -890,21 +1084,35 @@ Status ShardedStreamingMis::ResortInternal() {
   SEMIS_RETURN_IF_ERROR(PublishEpoch(next_epoch, staged_files));
 
   // Records moved shards: reload the manifest the writer computed and
-  // rebuild the route map. The delta state is empty by construction.
-  SEMIS_RETURN_IF_ERROR(
-      ReadShardedAdjacencyManifest(manifest_path_, &manifest_, &stats_.io));
+  // rebuild the locator. The delta state is empty by construction. Disk
+  // already serves the new epoch, so if that fails memory can no longer
+  // route updates or locate records: wedge, as a failed flip does.
   pending_.assign(num_shards, {});
-  inserted_.clear();
+  inserted_adj_.clear();
+  inserted_edges_ = 0;
   deleted_.clear();
   stats_.pending_delta_entries = 0;
-  SEMIS_RETURN_IF_ERROR(BuildRouteMap());
+  Status relocated =
+      ReadShardedAdjacencyManifest(manifest_path_, &manifest_, &stats_.io);
+  if (relocated.ok()) relocated = BuildRouteMap();
+  if (!relocated.ok()) {
+    wedged_ = true;
+    return relocated;
+  }
   return CollectStoreGarbage();
 }
 
 size_t ShardedStreamingMis::CurrentMemoryBytes() const {
-  size_t bytes = shard_of_.capacity() * sizeof(uint16_t) +
+  size_t bytes = rank_.capacity() * sizeof(uint32_t) +
+                 shard_first_rank_.capacity() * sizeof(uint64_t) +
                  set_.MemoryBytes() +
-                 (inserted_.size() + deleted_.size()) * kHashSlotBytes;
+                 (inserted_adj_.size() + deleted_.size()) * kHashSlotBytes +
+                 2 * inserted_edges_ * sizeof(VertexId) +
+                 (frontier_.capacity() + evicted_.capacity()) *
+                     sizeof(VertexId);
+  for (const auto& offsets : checkpoints_) {
+    bytes += offsets.capacity() * sizeof(uint64_t);
+  }
   for (const auto& shard_entries : pending_) {
     bytes += shard_entries.capacity() * sizeof(EdgeDeltaEntry);
   }

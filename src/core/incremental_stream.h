@@ -13,16 +13,30 @@
 //     record, so each shard log carries the full delta incident to its
 //     records and the logs double as a durable redo stream.
 //
-// Repair() restores maximality with ONE pass over the base shards merged
-// with the per-shard delta. The pass commits the exact sequential rule of
-// IncrementalMis::Repair strictly in global manifest order while worker
-// threads prefetch and decode shards ahead of it through
-// ManifestOrderedShardCursor -- the same pipeline (and the same
-// determinism contract) as RunParallelGreedy:
+// Repair() restores maximality. The first Repair() of a session is ONE
+// pass over the base shards merged with the delta: it commits the exact
+// sequential rule of IncrementalMis::Repair strictly in global manifest
+// order while worker threads prefetch and decode shards ahead of it
+// through ManifestOrderedShardCursor -- the same pipeline (and the same
+// determinism contract) as RunParallelGreedy. After it the set is
+// maximal, so a non-member can only become free by losing its set
+// neighbor: ApplyBatch records the endpoints of every delete that
+// changes state and every evicted vertex, and later repairs read the
+// evicted vertices' records to add their neighbors, then re-check only
+// that frontier's non-members with the same rule, in manifest order,
+// reading each record through a sparse forward reader. Every vertex
+// outside the frontier still has a set neighbor and the set only grows
+// during a repair, so the result equals the full pass's:
 //
 //   the repaired set is byte-identical for EVERY shard/thread count, and
 //   equal to sequential IncrementalMis::Repair on the equivalent
-//   monolithic file; num_threads <= 1 is the plain sequential scan.
+//   monolithic file; on the full pass num_threads <= 1 is the plain
+//   sequential scan, and the frontier pass is sequential at any count.
+//
+// A frontier with more than max(n / kRepairFrontierDivisor,
+// kRepairFrontierFloor) entries takes the full pass instead, which also
+// bounds the frontier's memory. docs/formats.md ("Determinism contract
+// of the streaming Repair") has the argument.
 //
 // Compact() folds saturated shards' deltas into the base: each saturated
 // shard is rewritten with deletions dropped and insertions appended to
@@ -94,6 +108,9 @@ struct StreamingMisStats {
   /// Repair() passes executed, and vertices they re-added.
   uint64_t repair_passes = 0;
   uint64_t repair_added = 0;
+  /// The subset of repair_passes that scanned every record; the rest
+  /// read only their frontier.
+  uint64_t full_repair_passes = 0;
   /// Compact() passes that rewrote at least one shard, and shards
   /// rewritten in total.
   uint64_t compactions = 0;
@@ -123,6 +140,22 @@ struct StreamingMisStats {
   double resort_seconds = 0.0;
 };
 
+/// Locator checkpoint stride: the maintainer keeps the byte offset of
+/// every kRepairCheckpointStride-th record of each shard, so a sparse
+/// record read steps over at most this many record headers. 16 costs
+/// 0.5 B per vertex.
+inline constexpr uint32_t kRepairCheckpointStride = 16;
+
+/// Repair crossover: a frontier with more than max(n / divisor, floor)
+/// entries takes the full pass instead. On a 4-vCPU VM with 16-shard
+/// PLRGs the frontier pass beat the full pass up to about 30% of the
+/// records at 100k vertices (1 and 4 threads) and 18% at 1M vertices (4
+/// threads), and lost beyond; 1/8 keeps a margin on both. The same bound
+/// caps the frontier's memory at n/8 ids. Below the floor either pass
+/// takes well under a millisecond.
+inline constexpr uint64_t kRepairFrontierDivisor = 8;
+inline constexpr uint64_t kRepairFrontierFloor = 256;
+
 /// Maintains an independent set over "sharded base file + SDELTA overlay".
 ///
 /// Concurrency contract: this class holds no mutex on purpose. All
@@ -141,19 +174,24 @@ class ShardedStreamingMis {
   /// graph. Runs crash recovery first: resolves the root, falls back to
   /// the previous epoch if the current one is torn (making the fallback
   /// durable), and garbage-collects orphaned epoch files. Builds the
-  /// vertex-to-shard routing map with one pass over the shards. If an
-  /// SDELTA overlay already exists next to the manifest, its logs are
-  /// replayed in sequence order on top of `initial_set`, reproducing the
-  /// previous session's delta state and eager evictions exactly. Repair
-  /// additions are NOT logged, so if the previous session ran Repair()
-  /// mid-stream the replayed membership may lag it -- it is still
-  /// independent w.r.t. the updated graph, and the next Repair() restores
-  /// maximality.
+  /// record locator (each vertex's manifest rank plus per-shard
+  /// checkpoint offsets) with one pass over the shards. If an SDELTA
+  /// overlay already exists next to the manifest, its logs are replayed
+  /// in sequence order on top of `initial_set`, reproducing the previous
+  /// session's delta state and eager evictions exactly. Repair additions
+  /// are NOT logged, so if the previous session ran Repair() mid-stream
+  /// the replayed membership may lag it -- it is still independent w.r.t.
+  /// the updated graph, and the next Repair() restores maximality.
+  ///
+  /// Every call starts a new session: the statistics, a wedge left by a
+  /// failed flush and the repair frontier are reset. The frontier starts
+  /// unknown (an adopted set need not be maximal, and a replayed overlay
+  /// evicts), so the next Repair() is a full pass.
   ///
   /// `options` is the shared pipeline struct: this layer reads
   /// `num_threads` / `decode_block_bytes` / `max_buffered_bytes` (the
-  /// Repair pipeline, as in ParallelGreedyOptions -- the repaired set is
-  /// independent of all three by construction) and
+  /// full Repair pipeline, as in ParallelGreedyOptions -- the repaired
+  /// set is independent of all three by construction) and
   /// `compact_threshold_entries`; `num_shards` is ignored (the manifest
   /// fixes it).
   Status Initialize(const std::string& manifest_path,
@@ -170,9 +208,12 @@ class ShardedStreamingMis {
   /// after the batch.
   Status ApplyBatch(const std::vector<EdgeUpdate>& updates);
 
-  /// Restores maximality with one merged pass over base shards + delta
-  /// (see the file comment for the determinism contract). Safe to call at
-  /// any time.
+  /// Restores maximality (see the file comment for the determinism
+  /// contract). A full merged pass over base shards + delta when the
+  /// frontier is unknown (the first repair of a session) or too large;
+  /// otherwise a sequential pass over the frontier's records only, with
+  /// no scan. The frontier is cleared only when the repair succeeds, so
+  /// a failed repair can be retried. Safe to call at any time.
   Status Repair();
 
   /// Rewrites every saturated shard (every shard with a non-empty log
@@ -224,7 +265,8 @@ class ShardedStreamingMis {
 
   Status ValidateUpdate(const EdgeUpdate& update) const;
   // Applies one validated update to the in-memory state; returns true if
-  // it changed the delta state (and must be logged).
+  // it changed the delta state (and must be logged). Records what the
+  // update may free in the repair frontier.
   bool ApplyToState(const EdgeUpdate& update);
   // Replays existing delta logs on top of the initial set (restart path).
   Status ReplayExistingDelta();
@@ -235,8 +277,8 @@ class ShardedStreamingMis {
   // and calls `fn` once per update in stream order.
   template <typename Fn>
   Status ForEachMergedPendingEntry(Fn&& fn) const;
-  // Shard-local merged view of the pending delta, rebuilt per shard
-  // during Repair/Compact.
+  // Shard-local merged view of the pending delta, rebuilt per shard by
+  // CompactShard.
   struct ShardDeltaView {
     std::unordered_set<uint64_t> deleted;
     // Flat inserted adjacency for the shard's records, built by replaying
@@ -244,16 +286,46 @@ class ShardedStreamingMis {
     std::unordered_map<VertexId, std::vector<VertexId>> inserted_adj;
   };
   void BuildShardDeltaView(uint32_t shard, ShardDeltaView* view) const;
-  // The shared Repair commit rule, applied to records strictly in
+  // The inserted-edge adjacency (global delta state). InsertDeltaEdge
+  // returns false when the edge was already there.
+  bool InsertDeltaEdge(VertexId u, VertexId v);
+  void EraseDeltaEdge(VertexId u, VertexId v);
+  bool HasInsertedSetNeighbor(VertexId u) const;
+  // The Repair commit rule for one base record: a non-member with no
+  // live set neighbor joins. Returns true when `rec.id` joined.
+  bool TryJoin(const VertexRecordView& rec);
+  // The full pass: the commit rule over every record, strictly in
   // manifest order. `Source` exposes the view-API Next(&view, &has_next).
   template <typename Source>
   Status RepairScan(Source* source, uint64_t* added);
+  Status RepairFull(uint64_t* added);
+  // The frontier pass; drops the frontier (leaving the work to the full
+  // pass) when expanding the evictions overflows it.
+  Status RepairFrontier(uint64_t* added);
+  // Reads the base records of `ids` (sorted by rank) forward through a
+  // sparse reader per shard, skipping ids `wanted` rejects at their turn,
+  // and hands each record to `visit`.
+  template <typename Wanted, typename Visit>
+  Status ReadBaseRecords(const std::vector<VertexId>& ids, Wanted&& wanted,
+                         Visit&& visit);
+  // Sorts `ids` by manifest rank and drops duplicates.
+  void SortByRank(std::vector<VertexId>* ids) const;
+  // Frontier bookkeeping (no-ops while the frontier is unknown).
+  void AddToFrontier(VertexId v);
+  void NoteEviction(VertexId v);
+  void DropFrontier();
+  uint64_t FrontierLimit() const;
+  // The shard holding the record of manifest rank `rank`.
+  uint32_t ShardOfRank(uint64_t rank) const;
+  uint32_t ShardOf(VertexId v) const { return ShardOfRank(rank_[v]); }
   // Writes shard `shard` with its delta folded in to `out_path` (a staged
-  // file of the next epoch).
+  // file of the next epoch), and its locator offsets to `checkpoints`.
   Status CompactShard(uint32_t shard, const std::string& out_path,
                       ShardInfo* new_info, uint32_t* max_degree_seen,
-                      bool* records_changed);
-  // Rebuilds the vertex-to-shard routing map by scanning the shards.
+                      bool* records_changed,
+                      std::vector<uint64_t>* checkpoints);
+  // Rebuilds the record locator (rank_, shard_first_rank_, checkpoints_)
+  // by scanning the shards.
   Status BuildRouteMap();
   // The commit point of an epoch transaction: fsyncs the staged files of
   // epoch `next_epoch`, atomically flips the root pointer, and updates
@@ -270,8 +342,8 @@ class ShardedStreamingMis {
   // file at `run_path` (u64 key + u32 neighbors per record).
   Status BuildResortRun(uint32_t shard, const std::string& run_path,
                         IoStats* io);
-  // Rebuilds inserted_/deleted_ from the pending per-shard entries (after
-  // compaction retired some of them).
+  // Rebuilds inserted_adj_/deleted_ from the pending per-shard entries
+  // (after compaction retired some of them).
   Status RebuildDeltaState();
   size_t CurrentMemoryBytes() const;
   void AccountMemory();
@@ -286,18 +358,33 @@ class ShardedStreamingMis {
   ShardedAdjacencyManifest manifest_;
   EnginePipelineOptions options_;
   uint64_t n_ = 0;
-  // Shard holding each vertex's base record (records are permuted by the
-  // degree sort, so this is not derivable from the id). kMaxAdjacencyShards
-  // fits comfortably in 16 bits.
-  std::vector<uint16_t> shard_of_;
+  // The record locator. rank_[v] is the manifest rank (global record
+  // position) of v's base record -- records are permuted by the degree
+  // sort, so it is only discoverable by scanning. shard_first_rank_[k] is
+  // the rank of shard k's first record, with the total at the end, so a
+  // rank's shard is a binary search. checkpoints_[k][j] is the byte
+  // offset of record j * kRepairCheckpointStride of shard k.
+  std::vector<uint32_t> rank_;
+  std::vector<uint64_t> shard_first_rank_;
+  std::vector<std::vector<uint64_t>> checkpoints_;
   BitVector set_;
   uint64_t set_size_ = 0;
   // Global delta state (the CURRENT effective delta, deduplicated):
-  // effective edges = (base \ deleted_) + inserted_. Same conventions as
-  // IncrementalMis: inserted_ may overlap base edges, deleted_ may hold
-  // keys the base never had.
-  std::unordered_set<uint64_t> inserted_;
+  // effective edges = (base \ deleted_) + inserted edges, kept as the
+  // adjacency inserted_adj_ (both directions; a list may be empty).
+  // Same conventions as IncrementalMis: inserted edges may overlap base
+  // edges, deleted_ may hold keys the base never had. Both are global,
+  // which for every record gives the same effective neighbors as the
+  // shard-local view of its own shard's log.
+  std::unordered_map<VertexId, std::vector<VertexId>> inserted_adj_;
+  uint64_t inserted_edges_ = 0;
   std::unordered_set<uint64_t> deleted_;
+  // The repair frontier. While known, every non-member outside
+  // frontier_ and outside the neighborhoods of evicted_ has a live set
+  // neighbor, so a repair need only re-check those. Entries may repeat.
+  bool frontier_known_ = false;
+  std::vector<VertexId> frontier_;
+  std::vector<VertexId> evicted_;
   // Pending (uncompacted) entries per shard, in sequence order -- the
   // in-memory mirror of the on-disk logs.
   std::vector<std::vector<EdgeDeltaEntry>> pending_;
@@ -307,9 +394,10 @@ class ShardedStreamingMis {
   // True while Resort() runs its internal forced compaction, so that
   // compaction does not recurse into auto-resort.
   bool in_resort_ = false;
-  // Set when a flush/compaction failed after mutating state, leaving the
-  // in-memory maintainer ahead of (or torn against) the on-disk overlay.
-  // Further mutations are refused; re-Initialize to recover from disk.
+  // Set when a flush, an epoch flip or the reload after a re-sort's flip
+  // failed, leaving the in-memory maintainer ahead of (or torn against)
+  // the store on disk. Further mutations are refused; re-Initialize to
+  // recover from disk.
   bool wedged_ = false;
 };
 

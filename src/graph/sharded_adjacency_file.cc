@@ -9,9 +9,48 @@ constexpr uint32_t kManifestMagic = kShardManifestMagic;
 constexpr uint32_t kShardMagic = 0x53444153u;  // 'SADS' little-endian
 constexpr uint32_t kVersion = 1;
 
+// Buffer of the sparse record reader. Most records are a few dozen bytes
+// and the ones a frontier asks for lie far apart, so one window usually
+// covers the checkpoint walk and the record. On a 1M-vertex PLRG a
+// 1024-update frontier repair took 4.6 ms with 4 KB, 5.4 ms with 1 KB
+// and no less with 8 KB.
+constexpr size_t kSparseReadWindowBytes = 4096;
+
 // Record cost in u32 words: id + degree + neighbors. Shards are balanced
 // on this, which is proportional to both file bytes and scan work.
 uint64_t RecordWords(uint32_t degree) { return 2 + degree; }
+
+// Reads and validates the header of shard `index` from a freshly opened
+// `reader` (kAdjacencyShardHeaderBytes bytes).
+Status ReadShardHeader(SequentialFileReader* reader, const std::string& path,
+                       uint32_t index, uint64_t num_vertices) {
+  uint32_t magic = 0, version = 0, file_index = 0, reserved = 0;
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&magic));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&version));
+  if (magic != kShardMagic) {
+    return Status::Corruption("bad magic in '" + path +
+                              "': not an adjacency shard");
+  }
+  if (version != kVersion) {
+    return Status::NotSupported("adjacency shard version " +
+                                std::to_string(version) + " not supported");
+  }
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&file_index));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&reserved));
+  if (file_index != index) {
+    return Status::Corruption("shard index mismatch in '" + path + "'");
+  }
+  uint64_t hint_records = 0, hint_edges = 0, global_vertices = 0;
+  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_records));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_edges));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&global_vertices));
+  if (global_vertices != num_vertices) {
+    return Status::Corruption("shard '" + path +
+                              "' disagrees with manifest vertex count");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string ShardFilePath(const std::string& manifest_path, uint32_t index) {
@@ -252,31 +291,7 @@ Status AdjacencyShardReader::Open(const std::string& manifest_path,
   records_seen_ = 0;
   edges_seen_ = 0;
   SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
-  uint32_t magic = 0, version = 0, file_index = 0, reserved = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&magic));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&version));
-  if (magic != kShardMagic) {
-    return Status::Corruption("bad magic in '" + path_ +
-                              "': not an adjacency shard");
-  }
-  if (version != kVersion) {
-    return Status::NotSupported("adjacency shard version " +
-                                std::to_string(version) + " not supported");
-  }
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&file_index));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&reserved));
-  if (file_index != index) {
-    return Status::Corruption("shard index mismatch in '" + path_ + "'");
-  }
-  uint64_t hint_records = 0, hint_edges = 0, global_vertices = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU64(&hint_records));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU64(&hint_edges));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU64(&global_vertices));
-  if (global_vertices != num_vertices_) {
-    return Status::Corruption("shard '" + path_ +
-                              "' disagrees with manifest vertex count");
-  }
-  return Status::OK();
+  return ReadShardHeader(&reader_, path_, index, num_vertices_);
 }
 
 Status AdjacencyShardReader::NextInto(RecordBlock* block, bool* has_next) {
@@ -347,6 +362,116 @@ Status AdjacencyShardReader::Next(VertexRecordView* view, bool* has_next) {
 }
 
 Status AdjacencyShardReader::Close() { return reader_.Close(); }
+
+AdjacencyShardRecordReader::AdjacencyShardRecordReader(IoStats* stats)
+    : stats_(stats), reader_(stats, kSparseReadWindowBytes) {}
+
+Status AdjacencyShardRecordReader::Open(
+    const std::string& manifest_path, const ShardedAdjacencyManifest& manifest,
+    uint32_t index) {
+  if (index >= manifest.num_shards()) {
+    return Status::InvalidArgument("shard index out of range");
+  }
+  path_ = ShardFilePath(manifest_path, index);
+  num_vertices_ = manifest.header.num_vertices;
+  max_degree_ = manifest.header.max_degree;
+  num_records_ = manifest.shards[index].num_records;
+  next_record_ = 0;
+  offset_ = kAdjacencyShardHeaderBytes;
+  error_ = Status::OK();
+  SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
+  error_ = ReadShardHeader(&reader_, path_, index, num_vertices_);
+  return error_;
+}
+
+Status AdjacencyShardRecordReader::ReadRecord(uint64_t record,
+                                              uint64_t checkpoint_record,
+                                              uint64_t checkpoint_offset,
+                                              VertexId id,
+                                              VertexRecordView* view) {
+  // The read position is only known on the success path; after a failure
+  // it is not, so the reader stays failed.
+  if (!error_.ok()) return error_;
+  error_ = ReadRecordInner(record, checkpoint_record, checkpoint_offset, id,
+                           view);
+  return error_;
+}
+
+Status AdjacencyShardRecordReader::ReadRecordInner(uint64_t record,
+                                                   uint64_t checkpoint_record,
+                                                   uint64_t checkpoint_offset,
+                                                   VertexId id,
+                                                   VertexRecordView* view) {
+  if (record >= num_records_ || checkpoint_record > record) {
+    return Status::InvalidArgument("sparse read of record " +
+                                   std::to_string(record) +
+                                   " out of range in '" + path_ + "'");
+  }
+  if (record < next_record_) {
+    return Status::InvalidArgument("sparse read of record " +
+                                   std::to_string(record) +
+                                   " moves backwards in '" + path_ + "'");
+  }
+  if (checkpoint_record > next_record_) {
+    if (checkpoint_offset < offset_) {
+      return Status::Corruption("checkpoint of record " +
+                                std::to_string(checkpoint_record) +
+                                " lies behind the read position in '" +
+                                path_ + "'");
+    }
+    SEMIS_RETURN_IF_ERROR(reader_.Skip(checkpoint_offset - offset_));
+    offset_ = checkpoint_offset;
+    next_record_ = checkpoint_record;
+  }
+  uint32_t got_id = 0, degree = 0;
+  while (true) {
+    SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&got_id));
+    SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&degree));
+    if (got_id >= num_vertices_) {
+      return Status::Corruption("record id out of range in '" + path_ + "'");
+    }
+    if (degree > max_degree_) {
+      return Status::Corruption(
+          "record degree exceeds header max_degree in '" + path_ + "'");
+    }
+    if (next_record_ == record) break;
+    // A record between the checkpoint and the target: step over its
+    // neighbor words.
+    SEMIS_RETURN_IF_ERROR(reader_.Skip(sizeof(VertexId) * uint64_t{degree}));
+    offset_ += AdjacencyRecordBytes(degree);
+    next_record_++;
+  }
+  if (got_id != id) {
+    return Status::Corruption("record " + std::to_string(record) + " of '" +
+                              path_ + "' holds vertex " +
+                              std::to_string(got_id) + ", not " +
+                              std::to_string(id));
+  }
+  block_.Clear();
+  VertexId* dst = block_.BeginRecord(id, degree);
+  if (degree > 0) {
+    Status read = reader_.ReadExact(dst, sizeof(VertexId) * degree);
+    if (!read.ok()) {
+      block_.AbandonRecord();
+      return read;
+    }
+    for (uint32_t i = 0; i < degree; ++i) {
+      if (dst[i] >= num_vertices_) {
+        block_.AbandonRecord();
+        return Status::Corruption("neighbor id out of range in '" + path_ +
+                                  "'");
+      }
+    }
+  }
+  block_.CommitRecord();
+  offset_ += AdjacencyRecordBytes(degree);
+  next_record_++;
+  if (stats_ != nullptr) stats_->records_decoded++;
+  *view = block_.view(0);
+  return Status::OK();
+}
+
+Status AdjacencyShardRecordReader::Close() { return reader_.Close(); }
 
 ShardedAdjacencyScanner::ShardedAdjacencyScanner(IoStats* stats)
     : stats_(stats), reader_(stats) {}

@@ -55,6 +55,16 @@ inline constexpr uint32_t kMaxAdjacencyShards = 4096;
 /// instead of guessing from a parse failure.
 inline constexpr uint32_t kShardManifestMagic = 0x4D444153u;  // 'SADM'
 
+/// Size of the shard-file header: the byte offset of a shard's first
+/// record.
+inline constexpr uint64_t kAdjacencyShardHeaderBytes = 40;
+
+/// Encoded size of one record with `degree` neighbors (id, degree,
+/// neighbor words).
+inline constexpr uint64_t AdjacencyRecordBytes(uint32_t degree) {
+  return 2 * sizeof(uint32_t) + sizeof(VertexId) * uint64_t{degree};
+}
+
 /// Per-shard totals recorded in the manifest.
 struct ShardInfo {
   uint64_t num_records = 0;
@@ -184,6 +194,58 @@ class AdjacencyShardReader {
   uint64_t records_seen_ = 0;
   uint64_t edges_seen_ = 0;
   RecordBlock scratch_block_;  // backs the per-record Next flavors
+};
+
+/// Sparse forward reader of one shard: decodes single records at known
+/// positions and skips what lies between them. A position is a record
+/// index within the shard, reached from a checkpoint -- the byte offset
+/// of an earlier record, as a full scan recorded it -- by stepping over
+/// the records in between, reading only their 8-byte headers. Requests
+/// must move forward through the shard. Reads go through a small fixed
+/// window rather than the 1 MB scan buffer, because the records asked
+/// for are usually far apart. Validation mirrors NextInto, and the
+/// record must hold the vertex asked for.
+class AdjacencyShardRecordReader {
+ public:
+  /// `stats` may be null. Decoded records count in records_decoded; the
+  /// skipped bytes are not charged to bytes_read.
+  explicit AdjacencyShardRecordReader(IoStats* stats = nullptr);
+
+  /// Opens shard `index` like AdjacencyShardReader::Open (no scan is
+  /// counted).
+  Status Open(const std::string& manifest_path,
+              const ShardedAdjacencyManifest& manifest, uint32_t index);
+
+  /// Decodes record `record` (0-based within the shard), which must hold
+  /// vertex `id`: Corruption otherwise. `checkpoint_offset` is the byte
+  /// offset of record `checkpoint_record` <= `record`; the reader jumps
+  /// there only when it lies ahead of the read position. InvalidArgument
+  /// when `record` lies behind the read position. The view stays valid
+  /// until the next call. After any error the reader keeps failing until
+  /// it is reopened.
+  Status ReadRecord(uint64_t record, uint64_t checkpoint_record,
+                    uint64_t checkpoint_offset, VertexId id,
+                    VertexRecordView* view);
+
+  /// Closes the underlying file. Safe to call twice.
+  Status Close();
+
+ private:
+  Status ReadRecordInner(uint64_t record, uint64_t checkpoint_record,
+                         uint64_t checkpoint_offset, VertexId id,
+                         VertexRecordView* view);
+
+  IoStats* stats_;
+  SequentialFileReader reader_;
+  std::string path_;
+  uint64_t num_vertices_ = 0;
+  uint32_t max_degree_ = 0;
+  uint64_t num_records_ = 0;
+  // The read position: index and byte offset of the next record.
+  uint64_t next_record_ = 0;
+  uint64_t offset_ = 0;
+  Status error_;
+  RecordBlock block_;
 };
 
 /// Forward-only reader over all shards in index order: yields exactly the

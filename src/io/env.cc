@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -48,6 +49,21 @@ class PosixFile : public RawFile {
       got += static_cast<size_t>(r);
     }
     *out_n = got;
+    return Status::OK();
+  }
+
+  Status Skip(uint64_t n) override {
+    // lseek past end of file is legal and leaves the next read at EOF,
+    // the same outcome as reading and discarding up to the end.
+    if (n > static_cast<uint64_t>(std::numeric_limits<off_t>::max())) {
+      return Status::InvalidArgument("skip of " + std::to_string(n) +
+                                     " bytes overflows off_t in '" + path_ +
+                                     "'");
+    }
+    if (::lseek(fd_, static_cast<off_t>(n), SEEK_CUR) < 0) {
+      return Status::IOError(ErrnoMessage("seek failed for", path_, errno),
+                             errno);
+    }
     return Status::OK();
   }
 
@@ -280,6 +296,19 @@ class FaultInjectionFile : public RawFile {
     return base_->Read(out, n, out_n);
   }
 
+  // A skip moves the read position, so it is a read-class op: the same
+  // spec index counts it, and a short fault moves half the distance.
+  Status Skip(uint64_t n) override {
+    Status injected;
+    if (fs_->ShouldFault(IoOp::kRead, path_, &injected)) {
+      if (fs_->short_transfer() && n > 1) {
+        base_->Skip(n / 2).IgnoreError();
+      }
+      return injected;
+    }
+    return base_->Skip(n);
+  }
+
   Status Write(const void* data, size_t n) override {
     Status injected;
     if (fs_->ShouldFault(IoOp::kWrite, path_, &injected)) {
@@ -336,6 +365,19 @@ std::vector<std::string> SplitColon(const std::string& s) {
 }
 
 }  // namespace
+
+Status RawFile::Skip(uint64_t n) {
+  char discard[4096];
+  while (n > 0) {
+    const size_t want = n < sizeof(discard) ? static_cast<size_t>(n)
+                                            : sizeof(discard);
+    size_t got = 0;
+    SEMIS_RETURN_IF_ERROR(Read(discard, want, &got));
+    if (got == 0) break;  // end of file
+    n -= got;
+  }
+  return Status::OK();
+}
 
 const char* IoOpName(IoOp op) {
   switch (op) {

@@ -28,7 +28,7 @@ namespace semis {
 /// these and an occurrence index.
 enum class IoOp {
   kOpen,        // any file open (read, write, or append)
-  kRead,        // RawFile::Read
+  kRead,        // RawFile::Read and RawFile::Skip
   kWrite,       // RawFile::Write
   kSync,        // RawFile::Sync and FileSystem::SyncFile (fsync)
   kSyncDir,     // FileSystem::SyncDirectory (directory fsync)
@@ -56,6 +56,12 @@ class RawFile {
   /// actually read. A short count means end-of-file, never a swallowed
   /// error (implementations retry EINTR internally).
   virtual Status Read(void* out, size_t n, size_t* out_n) = 0;
+
+  /// Moves the read position `n` bytes forward without delivering them.
+  /// Skipping past end of file is not an error: the next Read then
+  /// returns 0 bytes. The default reads and discards, so a wrapper that
+  /// does not override it stays correct; the POSIX file seeks instead.
+  virtual Status Skip(uint64_t n);
 
   /// Writes exactly `n` bytes or returns an error carrying the failing
   /// errno (short kernel writes are continued internally).

@@ -190,6 +190,25 @@ Status SequentialFileReader::ReadExact(void* out, size_t n) {
   return Status::OK();
 }
 
+Status SequentialFileReader::Skip(uint64_t n) {
+  if (file_ == nullptr) return Status::InvalidArgument("reader not open");
+  if (!pending_error_.ok()) return pending_error_;
+  const size_t avail = buf_len_ - buf_pos_;
+  if (n <= avail) {
+    buf_pos_ += static_cast<size_t>(n);
+    return Status::OK();
+  }
+  n -= avail;
+  buf_pos_ = buf_len_ = 0;
+  // The file's position already sits at its end: nothing left to skip.
+  if (hit_eof_) return Status::OK();
+  Status s = file_->Skip(n);
+  // Latch, as FillBuffer does: the position is unknown after a failed
+  // skip, so no later read may pretend to continue from it.
+  if (!s.ok()) pending_error_ = s;
+  return s;
+}
+
 bool SequentialFileReader::AtEof() {
   if (file_ == nullptr) return true;
   // An I/O error is not end of file: report "more to read" so the caller's

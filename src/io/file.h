@@ -2,9 +2,10 @@
 // Buffered sequential file access. This is the only way graph data reaches
 // the algorithms: the API intentionally offers no seek-to-offset read, so
 // core code is structurally unable to perform the random accesses the
-// semi-external model forbids. All bytes and metadata ops route through
-// the process-wide FileSystem seam (io/env.h), so fault-injection tests
-// exercise these exact code paths.
+// semi-external model forbids. A reader only moves forward; Skip jumps
+// ahead without delivering bytes, never back. All bytes and metadata ops
+// route through the process-wide FileSystem seam (io/env.h), so
+// fault-injection tests exercise these exact code paths.
 #ifndef SEMIS_IO_FILE_H_
 #define SEMIS_IO_FILE_H_
 
@@ -111,6 +112,14 @@ class SequentialFileReader {
 
   /// Reads one little-endian u64.
   Status ReadU64(uint64_t* v) { return ReadExact(v, sizeof(*v)); }
+
+  /// Moves `n` bytes forward without delivering them: consumed from the
+  /// buffer when they are there, else the buffer is dropped and the file
+  /// skips the rest (RawFile::Skip). Skipped bytes are not charged to
+  /// IoStats::bytes_read or BytesRead(). Skipping past end of file is
+  /// not an error; the next ReadExact then fails with Corruption. A
+  /// failed skip latches like a failed fill (see AtEof()).
+  Status Skip(uint64_t n);
 
   /// True when all bytes have been consumed. A read error is NOT end of
   /// file: after one, AtEof() returns false and the next Read/ReadExact/

@@ -12,7 +12,11 @@
 //     (1/2/8 threads x 1/3/7 shards) -- the determinism contract;
 //   * compaction never changes the effective graph or the maintained
 //     set, and a restarted session replays the on-disk delta back to the
-//     exact same state.
+//     exact same state;
+//   * after a session's first (full) repair, a repair reads only the
+//     frontier a batch can free, with no scan, and still gives the full
+//     pass's set -- also across re-sorts, and when retried after a read
+//     fault.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -29,6 +33,7 @@
 #include "graph/graph_io.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/edge_delta_file.h"
+#include "io/env.h"
 #include "test_util.h"
 
 namespace semis {
@@ -59,17 +64,22 @@ Graph ApplyDelta(const Graph& base, const std::set<Edge>& inserted,
   return Graph::FromEdges(base.NumVertices(), std::move(edges));
 }
 
-// One maintainer bound to its own sharded copy of the base graph.
+// One maintainer bound to its own sharded copy of the base graph. With
+// auto-resort on, a re-sort reorders the records, so such an instance
+// keeps its own IncrementalMis, rebound to an unsharded copy of the
+// re-sorted store (see RunDifferentialStream).
 struct Instance {
   std::string manifest;
   ShardedStreamingMis mis;
+  IncrementalMis reference;
+  uint64_t resorts_seen = 0;
 };
 
 // Shards `mono_path` into one copy per (shard count x thread count)
 // combination and initializes a maintainer on each.
 void MakeInstances(ScratchDir* scratch, const std::string& mono_path,
                    const BitVector& initial, const std::string& tag,
-                   uint64_t compact_threshold,
+                   uint64_t compact_threshold, bool auto_resort,
                    std::vector<Instance>* instances) {
   for (uint32_t shards : kShardCounts) {
     for (uint32_t threads : kThreadCounts) {
@@ -82,17 +92,46 @@ void MakeInstances(ScratchDir* scratch, const std::string& mono_path,
       EnginePipelineOptions opts;
       opts.num_threads = threads;
       opts.compact_threshold_entries = compact_threshold;
+      opts.auto_resort = auto_resort;
       ASSERT_OK(i.mis.Initialize(i.manifest, initial, opts));
+      ASSERT_OK(i.reference.Initialize(mono_path, initial));
     }
   }
+}
+
+// Writes the effective graph of the store at `root` (no pending delta)
+// as a monolithic file in the store's record order.
+std::string UnshardStore(ScratchDir* scratch, const std::string& root) {
+  ShardedAdjacencyScanner scanner;
+  EXPECT_OK(scanner.Open(root));
+  const AdjacencyFileHeader& h = scanner.header();
+  const std::string path = scratch->NewFilePath("unsharded.adj");
+  AdjacencyFileWriter writer;
+  EXPECT_OK(writer.Open(path, h.num_vertices, h.num_directed_edges,
+                        h.max_degree, h.flags));
+  VertexRecordView rec;
+  bool has_next = false;
+  while (true) {
+    EXPECT_OK(scanner.Next(&rec, &has_next));
+    if (!has_next) break;
+    EXPECT_OK(writer.AppendVertex(rec.id, rec.neighbors, rec.degree));
+  }
+  EXPECT_OK(writer.Finish());
+  return path;
 }
 
 // Drives a seeded random update stream over `base` through a sequential
 // IncrementalMis and the full shard/thread matrix, checking equality and
 // the independence/maximality invariants after every batch + repair.
+// With `auto_resort`, a re-sort moves records, and the order the repair
+// rule commits in moves with them. Each instance then checks against
+// its own IncrementalMis, rebound after every re-sort to an unsharded
+// copy of the store and the set it had; the re-sort folds the whole
+// delta, so that copy is the effective graph.
 void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
                            uint64_t seed, int steps, int batch,
-                           uint64_t compact_threshold) {
+                           uint64_t compact_threshold,
+                           bool auto_resort = false) {
   const VertexId n = base.NumVertices();
   std::string tag = "base";
   tag += std::to_string(seed);
@@ -107,7 +146,7 @@ void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
   std::string graph_tag = "g";
   graph_tag += std::to_string(seed);
   MakeInstances(scratch, mono, initial, graph_tag, compact_threshold,
-                &instances);
+                auto_resort, &instances);
 
   std::set<Edge> inserted, deleted;
   Random rng(seed * 131 + 9);
@@ -144,6 +183,20 @@ void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
     Graph updated = ApplyDelta(base, inserted, deleted);
     for (Instance& inst : instances) {
       ASSERT_OK(inst.mis.ApplyBatch(batch_updates));
+      if (auto_resort) {
+        for (const EdgeUpdate& up : batch_updates) {
+          ASSERT_OK(up.op == EdgeDeltaOp::kInsert
+                        ? inst.reference.InsertEdge(up.u, up.v)
+                        : inst.reference.DeleteEdge(up.u, up.v));
+        }
+        if (inst.mis.stats().resorts != inst.resorts_seen) {
+          inst.resorts_seen = inst.mis.stats().resorts;
+          const BitVector evicted = inst.reference.set();
+          ASSERT_OK(inst.reference.Initialize(
+              UnshardStore(scratch, inst.manifest), evicted));
+        }
+        ASSERT_OK(inst.reference.Repair());
+      }
       // Independence must hold after every batch, before any repair.
       VerifyResult pre = VerifyIndependentSet(updated, inst.mis.set());
       ASSERT_TRUE(pre.independent)
@@ -154,7 +207,8 @@ void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
       // Byte-identical to the sequential monolithic reference -- which
       // also proves every shard/thread combination identical to every
       // other.
-      ASSERT_EQ(SetToVector(inst.mis.set()), expected)
+      ASSERT_EQ(SetToVector(inst.mis.set()),
+                auto_resort ? SetToVector(inst.reference.set()) : expected)
           << "seed " << seed << " step " << step << " manifest "
           << inst.manifest;
       ASSERT_EQ(inst.mis.set_size(), inst.mis.set().Count());
@@ -167,6 +221,14 @@ void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
           << inst.manifest << " vertex " << vr.witness_u;
     }
     batch_updates.clear();
+  }
+  if (auto_resort) {
+    for (const Instance& inst : instances) {
+      // The stream really re-sorted mid-way, and every repair but the
+      // session's first read only its frontier.
+      EXPECT_GT(inst.mis.stats().resorts, 0u) << inst.manifest;
+      EXPECT_EQ(inst.mis.stats().full_repair_passes, 1u) << inst.manifest;
+    }
   }
 }
 
@@ -191,6 +253,15 @@ TEST_F(IncrementalStreamTest, DifferentialStreamWithAutoCompaction) {
   Graph base = GenerateErdosRenyi(80, 180, 33);
   RunDifferentialStream(&scratch_, base, 7, /*steps=*/120, /*batch=*/20,
                         /*compact_threshold=*/8);
+}
+
+TEST_F(IncrementalStreamTest, DifferentialStreamWithAutoResort) {
+  // A low compaction threshold with auto-resort: compactions patch the
+  // record locator's offsets and each re-sort that follows rebuilds it,
+  // mid-stream, while frontier repairs keep reading through it.
+  Graph base = GenerateErdosRenyi(80, 180, 35);
+  RunDifferentialStream(&scratch_, base, 8, /*steps=*/120, /*batch=*/20,
+                        /*compact_threshold=*/8, /*auto_resort=*/true);
 }
 
 TEST_F(IncrementalStreamTest, DifferentialStreamOnWorkedExamples) {
@@ -581,6 +652,270 @@ TEST_F(IncrementalStreamTest, EmptyGraphAndEmptyBatches) {
   ASSERT_OK(mis2.ApplyBatch({}));
   ASSERT_OK(mis2.Repair());
   EXPECT_EQ(mis2.set_size(), 3u - 1u);  // path 0-1-2: repair adds 0 and 2
+}
+
+
+// A store plus its IncrementalMis twin for the frontier tests: a
+// degree-sorted PLRG sharded 4 ways, and a maximal starting set.
+struct FrontierFixture {
+  Graph graph;
+  std::string mono;
+  BitVector initial;
+};
+
+FrontierFixture MakeFrontierFixture(ScratchDir* scratch, uint64_t n,
+                                    uint64_t seed) {
+  FrontierFixture f;
+  f.graph = GeneratePlrg(PlrgSpec::ForVerticesAndAvgDegree(n, 8.0), seed);
+  f.mono = WriteGraphFile(scratch, f.graph);
+  f.initial = RandomMaximalSet(f.graph, seed + 1);
+  return f;
+}
+
+std::string ShardCopy(ScratchDir* scratch, const std::string& mono,
+                      const std::string& tag) {
+  const std::string manifest = scratch->NewFilePath(tag + ".sadjs");
+  EXPECT_OK(ShardAdjacencyFile(mono, manifest, 4));
+  return manifest;
+}
+
+// True when some non-member neighbor of `w` has no other set neighbor:
+// evicting `w` frees it.
+bool HasPrivateNeighbor(const Graph& g, const BitVector& set, VertexId w) {
+  for (VertexId x : g.Neighbors(w)) {
+    if (set.Test(x)) continue;
+    int members = 0;
+    for (VertexId y : g.Neighbors(x)) members += set.Test(y) ? 1 : 0;
+    if (members == 1) return true;
+  }
+  return false;
+}
+
+// A batch of `size` updates that both evicts and frees: half are inserts
+// between set members whose larger endpoint has a low degree (so its
+// neighborhood stays small) and a neighbor only it covers, the rest
+// delete every edge between a low-degree non-member and the set. Both
+// kinds leave vertices that must rejoin.
+std::vector<EdgeUpdate> SmallFrontierBatch(const Graph& g, const BitVector& set,
+                                           size_t size, uint64_t seed) {
+  std::vector<EdgeUpdate> batch;
+  Random rng(seed);
+  const auto n = static_cast<VertexId>(g.NumVertices());
+  while (batch.size() < size / 2) {
+    const auto u = static_cast<VertexId>(rng.Uniform(n));
+    const auto v = static_cast<VertexId>(rng.Uniform(n));
+    if (u == v || !set.Test(u) || !set.Test(v)) continue;
+    const VertexId evicted = std::max(u, v);
+    if (g.Neighbors(evicted).size() > 16 ||
+        !HasPrivateNeighbor(g, set, evicted)) {
+      continue;
+    }
+    batch.push_back(EdgeUpdate::Insert(u, v));
+  }
+  while (batch.size() < size) {
+    const auto u = static_cast<VertexId>(rng.Uniform(n));
+    if (set.Test(u) || g.Neighbors(u).size() > 8) continue;
+    for (VertexId nb : g.Neighbors(u)) {
+      if (set.Test(nb) && batch.size() < size) {
+        batch.push_back(EdgeUpdate::Delete(u, nb));
+      }
+    }
+  }
+  return batch;
+}
+
+void ApplyToReference(IncrementalMis* reference,
+                      const std::vector<EdgeUpdate>& batch) {
+  for (const EdgeUpdate& up : batch) {
+    ASSERT_OK(up.op == EdgeDeltaOp::kInsert ? reference->InsertEdge(up.u, up.v)
+                                           : reference->DeleteEdge(up.u, up.v));
+  }
+}
+
+TEST_F(IncrementalStreamTest, FrontierRepairReadsOnlyTheFrontier) {
+  const FrontierFixture f = MakeFrontierFixture(&scratch_, 20000, 61);
+  const uint64_t n = f.graph.NumVertices();
+  const std::string manifest = ShardCopy(&scratch_, f.mono, "frontier");
+  EnginePipelineOptions opts;
+  opts.num_threads = 2;
+  ShardedStreamingMis mis;
+  ASSERT_OK(mis.Initialize(manifest, f.initial, opts));
+  IncrementalMis reference;
+  ASSERT_OK(reference.Initialize(f.mono, f.initial));
+
+  // The session's first repair scans everything.
+  ASSERT_OK(mis.Repair());
+  ASSERT_OK(reference.Repair());
+  EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+  ASSERT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+
+  const std::vector<EdgeUpdate> batch =
+      SmallFrontierBatch(f.graph, mis.set(), 16, 62);
+  ASSERT_OK(mis.ApplyBatch(batch));
+  ApplyToReference(&reference, batch);
+  ASSERT_GT(mis.stats().evictions, 0u);
+  const uint64_t added_before = mis.stats().repair_added;
+  const IoStats before = mis.stats().io;
+  ASSERT_OK(mis.Repair());
+  ASSERT_OK(reference.Repair());
+  const IoStats& after = mis.stats().io;
+  const uint64_t decoded = after.records_decoded - before.records_decoded;
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, n / 50) << "the frontier repair read " << decoded
+                             << " of " << n << " records";
+  EXPECT_EQ(after.sequential_scans, before.sequential_scans);
+  EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+  EXPECT_EQ(mis.stats().repair_passes, 2u);
+  EXPECT_GT(mis.stats().repair_added, added_before);
+  EXPECT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+  std::set<Edge> inserted, deleted;
+  for (const EdgeUpdate& up : batch) {
+    const Edge e{std::min(up.u, up.v), std::max(up.u, up.v)};
+    (up.op == EdgeDeltaOp::kInsert ? inserted : deleted).insert(e);
+  }
+  VerifyResult vr = VerifyIndependentSet(
+      ApplyDelta(f.graph, inserted, deleted), mis.set());
+  EXPECT_TRUE(vr.independent && vr.maximal);
+
+  // Nothing happened since: nothing to read.
+  const uint64_t decoded_so_far = mis.stats().io.records_decoded;
+  const std::vector<VertexId> repaired = SetToVector(mis.set());
+  ASSERT_OK(mis.Repair());
+  EXPECT_EQ(mis.stats().io.records_decoded, decoded_so_far);
+  EXPECT_EQ(SetToVector(mis.set()), repaired);
+  EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+}
+
+TEST_F(IncrementalStreamTest, FirstRepairAfterInitializeIsFull) {
+  // An adopted set need not be maximal -- an empty one certainly is not
+  // -- so the first repair must scan every record.
+  const FrontierFixture f = MakeFrontierFixture(&scratch_, 3000, 71);
+  const uint64_t n = f.graph.NumVertices();
+  const std::string manifest = ShardCopy(&scratch_, f.mono, "first");
+  const BitVector empty(n);
+  ShardedStreamingMis mis;
+  ASSERT_OK(mis.Initialize(manifest, empty, EnginePipelineOptions{}));
+  const IoStats before = mis.stats().io;
+  ASSERT_OK(mis.Repair());
+  EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+  EXPECT_EQ(mis.stats().io.sequential_scans, before.sequential_scans + 1);
+  EXPECT_EQ(mis.stats().io.records_decoded, before.records_decoded + n);
+  IncrementalMis reference;
+  ASSERT_OK(reference.Initialize(f.mono, empty));
+  ASSERT_OK(reference.Repair());
+  EXPECT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+  EXPECT_EQ(mis.stats().repair_added, reference.set_size());
+}
+
+TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {
+  // Twins on identical stores take the same batch. One repairs cleanly;
+  // the other's frontier repair hits a transient read fault part-way
+  // through its shard reads, and its retry must land on the twin's set.
+  // The fault lands early (while the evictions' records are read) and
+  // late (while candidates join), each on a fresh twin.
+  const FrontierFixture f = MakeFrontierFixture(&scratch_, 8000, 81);
+  EnginePipelineOptions opts;
+  opts.num_threads = 2;
+  ShardedStreamingMis clean;
+  ASSERT_OK(clean.Initialize(ShardCopy(&scratch_, f.mono, "clean"), f.initial,
+                             opts));
+  ASSERT_OK(clean.Repair());
+  const std::vector<EdgeUpdate> batch =
+      SmallFrontierBatch(f.graph, clean.set(), 24, 82);
+  ASSERT_OK(clean.ApplyBatch(batch));
+  const uint64_t added_before = clean.stats().repair_added;
+
+  // Count the shard reads of a clean frontier repair (the spec's index is
+  // never reached).
+  uint64_t shard_reads = 0;
+  {
+    FaultSpec never;
+    ASSERT_OK(FaultSpec::Parse("read:1000000000@.shard", &never));
+    FaultInjectionFileSystem fs(PosixFileSystem(), never);
+    ScopedFileSystem scoped(&fs);
+    ASSERT_OK(clean.Repair());
+    shard_reads = fs.ops_matched();
+  }
+  ASSERT_GE(shard_reads, 4u);
+  ASSERT_GT(clean.stats().repair_added, added_before);
+  EXPECT_EQ(clean.stats().full_repair_passes, 1u);
+
+  int stopped_short = 0;
+  for (uint64_t nth : {uint64_t{2}, shard_reads - 1}) {
+    SCOPED_TRACE("fault at shard read " + std::to_string(nth));
+    ShardedStreamingMis faulted;
+    ASSERT_OK(faulted.Initialize(
+        ShardCopy(&scratch_, f.mono, "faulted" + std::to_string(nth)),
+        f.initial, opts));
+    ASSERT_OK(faulted.Repair());
+    ASSERT_OK(faulted.ApplyBatch(batch));
+    FaultSpec spec;
+    ASSERT_OK(FaultSpec::Parse("read:" + std::to_string(nth) + "@.shard",
+                               &spec));
+    FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+    ScopedFileSystem scoped(&fs);
+    Status s = faulted.Repair();
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_EQ(fs.faults_injected(), 1u);
+    EXPECT_EQ(faulted.stats().repair_passes, 1u);
+    if (SetToVector(faulted.set()) != SetToVector(clean.set())) {
+      stopped_short++;
+    }
+    // The fault was transient: the retry reads the frontier again.
+    ASSERT_OK(faulted.Repair());
+    EXPECT_EQ(faulted.stats().full_repair_passes, 1u);
+    EXPECT_EQ(SetToVector(faulted.set()), SetToVector(clean.set()));
+  }
+  // At least one fault stopped the repair before its last join, so the
+  // retry had work left to do.
+  EXPECT_GT(stopped_short, 0);
+}
+
+TEST_F(IncrementalStreamTest, ReinitializeRecoversFromWedge) {
+  // A failed flush wedges the maintainer; a second Initialize on the same
+  // store must start a clean session that accepts the batch again.
+  Graph base = GenerateErdosRenyi(60, 140, 12);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  const BitVector initial = RandomMaximalSet(base, 13);
+  const std::string wedged_root = NewPath("wedged.sadjs");
+  const std::string fresh_root = NewPath("fresh.sadjs");
+  ASSERT_OK(ShardAdjacencyFile(mono, wedged_root, 3));
+  ASSERT_OK(ShardAdjacencyFile(mono, fresh_root, 3));
+  std::vector<EdgeUpdate> batch;
+  Random rng(14);
+  while (batch.size() < 30) {
+    const auto u = static_cast<VertexId>(rng.Uniform(60));
+    const auto v = static_cast<VertexId>(rng.Uniform(60));
+    if (u == v) continue;
+    batch.push_back(rng.OneIn(0.4) ? EdgeUpdate::Delete(u, v)
+                                   : EdgeUpdate::Insert(u, v));
+  }
+
+  ShardedStreamingMis mis;
+  ASSERT_OK(mis.Initialize(wedged_root, initial, EnginePipelineOptions{}));
+  {
+    FaultSpec spec;
+    ASSERT_OK(FaultSpec::Parse("write:1:EIO:sticky", &spec));
+    FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+    ScopedFileSystem scoped(&fs);
+    EXPECT_TRUE(mis.ApplyBatch(batch).IsIOError());
+  }
+  EXPECT_TRUE(mis.ApplyBatch(batch).IsInvalidArgument()) << "not wedged";
+
+  ASSERT_OK(mis.Initialize(wedged_root, initial, EnginePipelineOptions{}));
+  EXPECT_EQ(mis.stats().updates_applied, 0u);
+  EXPECT_EQ(mis.stats().evictions, 0u);
+  ASSERT_OK(mis.ApplyBatch(batch));
+  ASSERT_OK(mis.Repair());
+  EXPECT_EQ(mis.stats().updates_applied, batch.size());
+  EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+
+  ShardedStreamingMis fresh;
+  ASSERT_OK(fresh.Initialize(fresh_root, initial, EnginePipelineOptions{}));
+  ASSERT_OK(fresh.ApplyBatch(batch));
+  ASSERT_OK(fresh.Repair());
+  EXPECT_EQ(SetToVector(mis.set()), SetToVector(fresh.set()));
+  EXPECT_EQ(mis.stats().evictions, fresh.stats().evictions);
 }
 
 }  // namespace

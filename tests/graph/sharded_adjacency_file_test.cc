@@ -580,5 +580,102 @@ TEST_F(ShardedAdjacencyFileTest, ShardReaderValidatesIndex) {
   EXPECT_TRUE(reader.Open(manifest, m, 2).IsInvalidArgument());
 }
 
+// Every record of shard `index`, with its byte offset, by a full scan.
+struct ScannedRecord {
+  VertexId id;
+  std::vector<VertexId> neighbors;
+  uint64_t offset;
+};
+std::vector<ScannedRecord> ScanShard(const std::string& manifest_path,
+                                     const ShardedAdjacencyManifest& m,
+                                     uint32_t index) {
+  std::vector<ScannedRecord> out;
+  AdjacencyShardReader reader;
+  EXPECT_OK(reader.Open(manifest_path, m, index));
+  uint64_t offset = kAdjacencyShardHeaderBytes;
+  VertexRecordView rec;
+  bool has_next = false;
+  while (reader.Next(&rec, &has_next).ok() && has_next) {
+    out.push_back({rec.id, {rec.begin(), rec.end()}, offset});
+    offset += AdjacencyRecordBytes(rec.degree);
+  }
+  EXPECT_OK(reader.Close());
+  return out;
+}
+
+TEST_F(ShardedAdjacencyFileTest, SparseRecordReaderMatchesTheScan) {
+  // Records reached from checkpoints (every 16th offset) and by stepping
+  // over headers are the records a full scan yields, and reading them
+  // counts decodes but no scan.
+  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), 33);
+  std::string mono = WriteGraphFile(&scratch_, g);
+  std::string manifest = NewPath("sparse");
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
+  ShardedAdjacencyManifest m;
+  ASSERT_OK(ReadShardedAdjacencyManifest(manifest, &m));
+  IoStats io;
+  uint64_t reads = 0;
+  for (uint32_t k = 0; k < m.num_shards(); ++k) {
+    const std::vector<ScannedRecord> scanned = ScanShard(manifest, m, k);
+    ASSERT_EQ(scanned.size(), m.shards[k].num_records);
+    AdjacencyShardRecordReader reader(&io);
+    ASSERT_OK(reader.Open(manifest, m, k));
+    // Gaps of 1..40 records: some stay inside one checkpoint block, some
+    // jump several.
+    uint64_t gap = 1;
+    for (uint64_t i = 0; i < scanned.size(); i += gap, gap = gap % 40 + 3) {
+      const uint64_t checkpoint = i / 16 * 16;
+      VertexRecordView view;
+      ASSERT_OK(reader.ReadRecord(i, checkpoint, scanned[checkpoint].offset,
+                                  scanned[i].id, &view));
+      EXPECT_EQ(view.id, scanned[i].id);
+      EXPECT_EQ(std::vector<VertexId>(view.begin(), view.end()),
+                scanned[i].neighbors)
+          << "shard " << k << " record " << i;
+      reads++;
+    }
+    ASSERT_OK(reader.Close());
+  }
+  EXPECT_EQ(io.records_decoded, reads);
+  EXPECT_EQ(io.sequential_scans, 0u);
+}
+
+TEST_F(ShardedAdjacencyFileTest, SparseRecordReaderRejectsAnotherVertex) {
+  Graph g = GenerateErdosRenyi(200, 600, 34);
+  std::string mono = WriteGraphFile(&scratch_, g);
+  std::string manifest = NewPath("sparse");
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 2));
+  ShardedAdjacencyManifest m;
+  ASSERT_OK(ReadShardedAdjacencyManifest(manifest, &m));
+  const std::vector<ScannedRecord> scanned = ScanShard(manifest, m, 0);
+  ASSERT_GT(scanned.size(), 20u);
+
+  // Vertex v is asked for at a position that holds another id.
+  AdjacencyShardRecordReader reader;
+  ASSERT_OK(reader.Open(manifest, m, 0));
+  VertexRecordView view;
+  Status s = reader.ReadRecord(5, 0, scanned[0].offset, scanned[6].id, &view);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  // The position is unknown after a failure, so the reader stays failed.
+  EXPECT_TRUE(
+      reader.ReadRecord(20, 16, scanned[16].offset, scanned[20].id, &view)
+          .IsCorruption());
+  ASSERT_OK(reader.Close());
+
+  // A checkpoint offset that belongs to another record is caught too.
+  ASSERT_OK(reader.Open(manifest, m, 0));
+  s = reader.ReadRecord(17, 16, scanned[15].offset, scanned[17].id, &view);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_OK(reader.Close());
+
+  // Reads only move forward.
+  ASSERT_OK(reader.Open(manifest, m, 0));
+  ASSERT_OK(reader.ReadRecord(10, 0, scanned[0].offset, scanned[10].id,
+                              &view));
+  EXPECT_TRUE(reader.ReadRecord(3, 0, scanned[0].offset, scanned[3].id, &view)
+                  .IsInvalidArgument());
+  ASSERT_OK(reader.Close());
+}
+
 }  // namespace
 }  // namespace semis

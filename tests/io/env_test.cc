@@ -270,6 +270,145 @@ TEST_F(EnvTest, ShortReadReturnsPartialBytesThenError) {
   EXPECT_EQ(std::string(buf, got), "0123");
 }
 
+// ------------------------------------------------------------ forward skip --
+
+// Forwards everything to a base file but keeps RawFile's default Skip,
+// like any wrapper written before Skip existed.
+class NoSkipFile : public RawFile {
+ public:
+  explicit NoSkipFile(std::unique_ptr<RawFile> base) : base_(std::move(base)) {}
+  Status Read(void* out, size_t n, size_t* out_n) override {
+    return base_->Read(out, n, out_n);
+  }
+  Status Write(const void* data, size_t n) override {
+    return base_->Write(data, n);
+  }
+  Status Sync() override { return base_->Sync(); }
+  Status Close() override { return base_->Close(); }
+
+ private:
+  std::unique_ptr<RawFile> base_;
+};
+
+// A pass-through FileSystem handing out NoSkipFile handles.
+class NoSkipFileSystem : public FileSystem {
+ public:
+  const char* Name() const override { return "no-skip"; }
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<RawFile>* out) override {
+    return Wrap(PosixFileSystem()->NewWritableFile(path, out), out);
+  }
+  Status NewAppendableFile(const std::string& path,
+                           std::unique_ptr<RawFile>* out) override {
+    return Wrap(PosixFileSystem()->NewAppendableFile(path, out), out);
+  }
+  Status NewReadableFile(const std::string& path,
+                         std::unique_ptr<RawFile>* out) override {
+    return Wrap(PosixFileSystem()->NewReadableFile(path, out), out);
+  }
+  Status GetFileSize(const std::string& path, uint64_t* size) override {
+    return PosixFileSystem()->GetFileSize(path, size);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return PosixFileSystem()->RemoveFile(path);
+  }
+  Status SyncFile(const std::string& path) override {
+    return PosixFileSystem()->SyncFile(path);
+  }
+  Status SyncDirectory(const std::string& dir) override {
+    return PosixFileSystem()->SyncDirectory(dir);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return PosixFileSystem()->RenameFile(from, to);
+  }
+  Status HardLinkFile(const std::string& src,
+                      const std::string& dst) override {
+    return PosixFileSystem()->HardLinkFile(src, dst);
+  }
+  Status CreateTempDir(const std::string& tmpl,
+                       std::string* out_path) override {
+    return PosixFileSystem()->CreateTempDir(tmpl, out_path);
+  }
+  Status RemoveTree(const std::string& path) override {
+    return PosixFileSystem()->RemoveTree(path);
+  }
+
+ private:
+  static Status Wrap(Status opened, std::unique_ptr<RawFile>* out) {
+    if (opened.ok()) *out = std::make_unique<NoSkipFile>(std::move(*out));
+    return opened;
+  }
+};
+
+std::string WriteSkipPattern(const std::string& path) {
+  std::vector<char> data(10000);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i % 251);
+  }
+  SequentialFileWriter w;
+  EXPECT_OK(w.Open(path));
+  EXPECT_OK(w.Append(data.data(), data.size()));
+  EXPECT_OK(w.Close());
+  return path;
+}
+
+// Reads a fixed mix of reads and skips (inside the 64-byte buffer,
+// across fills, past EOF) and returns every delivered byte.
+std::string SkipReadScript(const std::string& path) {
+  SequentialFileReader r(nullptr, /*buffer_bytes=*/64);
+  EXPECT_OK(r.Open(path));
+  std::string got;
+  char buf[8];
+  const uint64_t kSkips[] = {3, 40, 1000, 64, 0, 5000, 7};
+  for (uint64_t skip : kSkips) {
+    EXPECT_OK(r.ReadExact(buf, sizeof(buf)));
+    got.append(buf, sizeof(buf));
+    EXPECT_OK(r.Skip(skip));
+  }
+  EXPECT_OK(r.Skip(100000));
+  EXPECT_TRUE(r.ReadExact(buf, 1).IsCorruption());
+  return got;
+}
+
+TEST_F(EnvTest, WrapperWithoutSkipOverrideReturnsTheSameBytes) {
+  const std::string path = WriteSkipPattern(NewPath("noskip"));
+  const std::string posix = SkipReadScript(path);
+  EXPECT_EQ(posix.size(), 56u);
+  EXPECT_EQ(posix[8], static_cast<char>(11));  // after 8 read + 3 skipped
+  NoSkipFileSystem no_skip;
+  ScopedFileSystem scoped(&no_skip);
+  EXPECT_EQ(SkipReadScript(path), posix);
+}
+
+TEST_F(EnvTest, SkipThroughFaultInjectionIsAReadOp) {
+  const std::string path = WriteSkipPattern(NewPath("skipfault"));
+  const std::string posix = SkipReadScript(path);
+  {
+    // Not faulted: forwarded, same bytes as posix.
+    FaultInjectionFileSystem fs(PosixFileSystem(), MustParse("write:1"));
+    ScopedFileSystem scoped(&fs);
+    EXPECT_EQ(SkipReadScript(path), posix);
+  }
+  // read:2 -- fill #1 succeeds, the skip past the buffer is read op #2.
+  FaultInjectionFileSystem fs(PosixFileSystem(), MustParse("read:2:EIO"));
+  ScopedFileSystem scoped(&fs);
+  SequentialFileReader r(nullptr, /*buffer_bytes=*/64);
+  ASSERT_OK(r.Open(path));
+  char buf[8];
+  ASSERT_OK(r.ReadExact(buf, sizeof(buf)));
+  Status s = r.Skip(1000);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(fs.faults_injected(), 1u);
+  // Latched like a failed fill: the fault was transient, but the position
+  // is unknown, so nothing later may read on from it.
+  EXPECT_FALSE(r.AtEof());
+  size_t got = 0;
+  EXPECT_TRUE(r.Read(buf, sizeof(buf), &got).IsIOError());
+  EXPECT_EQ(got, 0u);
+  EXPECT_TRUE(r.Skip(1).IsIOError());
+  EXPECT_TRUE(r.Close().IsIOError());
+}
+
 // ----------------------------------------------------------- retry policy --
 
 TEST(RetryPolicyTest, TransientClassification) {

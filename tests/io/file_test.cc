@@ -306,6 +306,73 @@ TEST_F(FileTest, HelperFaultMatrix) {
   EXPECT_EQ(size, 1u);
 }
 
+// ------------------------------------------------------------ forward skip --
+
+// Writes bytes 0, 1, 2, ... (mod 251) so every position is recognizable.
+std::string WritePatternFile(const std::string& path, size_t n) {
+  std::vector<char> data(n);
+  for (size_t i = 0; i < n; ++i) data[i] = static_cast<char>(i % 251);
+  SequentialFileWriter w;
+  EXPECT_OK(w.Open(path));
+  EXPECT_OK(w.Append(data.data(), data.size()));
+  EXPECT_OK(w.Close());
+  return path;
+}
+
+char PatternAt(size_t i) { return static_cast<char>(i % 251); }
+
+TEST_F(FileTest, SkipWithinAndAcrossBufferFills) {
+  const std::string path = WritePatternFile(NewPath("skip"), 1000);
+  IoStats stats;
+  SequentialFileReader r(&stats, /*buffer_bytes=*/16);
+  ASSERT_OK(r.Open(path));
+  char buf[4];
+  ASSERT_OK(r.ReadExact(buf, 4));  // position 4; the buffer holds 0..15
+  ASSERT_OK(r.Skip(5));            // within the buffer
+  ASSERT_OK(r.ReadExact(buf, 1));
+  EXPECT_EQ(buf[0], PatternAt(9));
+  ASSERT_OK(r.Skip(0));
+  ASSERT_OK(r.Skip(100));  // past the buffer: dropped, the file skips
+  ASSERT_OK(r.ReadExact(buf, 2));
+  EXPECT_EQ(buf[0], PatternAt(110));
+  EXPECT_EQ(buf[1], PatternAt(111));
+  ASSERT_OK(r.Skip(6));  // exactly the rest of the refilled buffer
+  ASSERT_OK(r.ReadExact(buf, 1));
+  EXPECT_EQ(buf[0], PatternAt(118));
+  // Only delivered bytes are charged, never skipped ones.
+  EXPECT_EQ(stats.bytes_read, 4u + 1u + 2u + 1u);
+  EXPECT_EQ(r.BytesRead(), 8u);
+  ASSERT_OK(r.Close());
+}
+
+TEST_F(FileTest, SkipToAndPastEndOfFile) {
+  const std::string path = WritePatternFile(NewPath("skipeof"), 100);
+  char buf[1];
+  {
+    SequentialFileReader r(nullptr, /*buffer_bytes=*/16);
+    ASSERT_OK(r.Open(path));
+    ASSERT_OK(r.Skip(100));  // exactly to EOF
+    EXPECT_TRUE(r.AtEof());
+    EXPECT_TRUE(r.ReadExact(buf, 1).IsCorruption());
+  }
+  {
+    SequentialFileReader r(nullptr, /*buffer_bytes=*/16);
+    ASSERT_OK(r.Open(path));
+    ASSERT_OK(r.Skip(150));  // past EOF is not an error...
+    Status s = r.ReadExact(buf, 1);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();  // ...reading is
+  }
+  {
+    // The last fill already hit EOF: the skip runs off the buffered tail.
+    SequentialFileReader r(nullptr, /*buffer_bytes=*/256);
+    ASSERT_OK(r.Open(path));
+    ASSERT_OK(r.ReadExact(buf, 1));
+    ASSERT_OK(r.Skip(500));
+    EXPECT_TRUE(r.AtEof());
+    EXPECT_TRUE(r.ReadExact(buf, 1).IsCorruption());
+  }
+}
+
 TEST_F(FileTest, ScratchDirCleansUpOnDestruction) {
   std::string dir_path;
   {

@@ -860,9 +860,10 @@ int CmdUpdate(const Args& args) {
               static_cast<unsigned long long>(st.deletes),
               static_cast<unsigned long long>(st.redundant_updates),
               static_cast<unsigned long long>(st.evictions));
-  std::printf("  %llu repair passes re-added %llu vertices in %.2fs "
-              "(apply %.2fs)\n",
+  std::printf("  %llu repair passes (%llu full) re-added %llu vertices in "
+              "%.2fs (apply %.2fs)\n",
               static_cast<unsigned long long>(st.repair_passes),
+              static_cast<unsigned long long>(st.full_repair_passes),
               static_cast<unsigned long long>(st.repair_added),
               st.repair_seconds, st.apply_seconds);
   std::printf("  %llu compactions rewrote %llu shards in %.2fs; "

@@ -23,9 +23,9 @@ that contract, before they reach a differential test:
                        std::less<T*> in src/core or src/graph.  Pointer
                        values vary across runs (ASLR, allocator state);
                        they must never break ties.
-  raw-io               Direct OS file I/O (fopen/::open/fsync/rename/
-                       unlink/mkdtemp/std::filesystem, ...) anywhere under
-                       src/ except src/io/env.cc and src/io/file.cc.  All
+  raw-io               Direct OS file I/O (fopen/::open/::read/lseek/pread/
+                       mmap/fsync/rename/unlink/mkdtemp/std::filesystem,
+                       ...) anywhere under src/ except src/io/env.cc.  All
                        file-system access must route through the FileSystem
                        seam in io/env.h so fault injection (SEMIS_FAULT_SPEC)
                        and the retry policy see every operation.
@@ -61,9 +61,8 @@ CORE_ONLY_RULES = {"unordered-iteration", "wall-clock", "pointer-tiebreak"}
 CORE_DIRS = ("src/core", "src/graph")
 RANDOM_EXEMPT = "src/util/random.h"
 # The posix implementation of the FileSystem seam is the one place raw OS
-# calls are allowed (file.cc is exempt for historical call sites; it is
-# clean today and routes through io/env.h).
-RAW_IO_EXEMPT = ("src/io/env.cc", "src/io/file.cc")
+# calls are allowed.
+RAW_IO_EXEMPT = ("src/io/env.cc",)
 
 SUPPRESS_RE = re.compile(r"//\s*semis-lint:\s*allow\(([a-z-]+)\)")
 
@@ -94,14 +93,16 @@ RAW_IO_CALL_RE = re.compile(
     r"(?<![A-Za-z0-9_.>:])"
     r"(?:fopen|fdopen|freopen|open|openat|creat|fsync|fdatasync|"
     r"rename|renameat|link|linkat|unlink|unlinkat|remove|"
-    r"mkdtemp|mkstemp|mkdir|rmdir)"
+    r"mkdtemp|mkstemp|mkdir|rmdir|"
+    r"lseek(?:64)?|pread(?:64)?|pwrite(?:64)?|mmap(?:64)?)"
     r"\s*\("
 )
-# `::`-qualified forms (`::open(`, `std::rename(`) plus any use of
-# std::filesystem, which bypasses the seam wholesale.
+# `::`-qualified forms (`::open(`, `::read(`, `std::rename(`) plus any
+# use of std::filesystem, which bypasses the seam wholesale. Unqualified
+# read/write are left alone: too many methods share those names.
 RAW_IO_QUAL_RE = re.compile(
     r"::\s*(?:fopen|open|openat|fsync|fdatasync|rename|link|unlink|"
-    r"remove|mkdtemp|mkstemp)\s*\("
+    r"remove|mkdtemp|mkstemp|read|write|lseek|pread)\s*\("
     r"|::\s*filesystem\b"
 )
 

@@ -242,6 +242,33 @@ void F() {
         self.assertEqual(self.rules("src/util/foo.cc"),
                          ["raw-io", "raw-io"])
 
+    def test_seek_and_qualified_read_flagged(self):
+        # The forward skip's lseek, and positional or raw fd reads, stay
+        # inside src/io/env.cc.
+        self.write("src/io/file.cc", """
+#include <unistd.h>
+void F(int fd, char* buf) {
+  lseek(fd, 16, SEEK_CUR);
+  ::read(fd, buf, 8);
+  pread(fd, buf, 8, 0);
+}
+""")
+        self.assertEqual(self.rules("src/io/file.cc"),
+                         ["raw-io", "raw-io", "raw-io"])
+
+    def test_seek_through_the_seam_clean(self):
+        self.write("src/graph/foo.cc", """
+#include "io/file.h"
+semis::Status F(semis::SequentialFileReader* r, semis::RawFile* f) {
+  auto s = r->Skip(16);
+  if (!s.ok()) return s;
+  size_t n = 0;
+  char buf[8];
+  return f->Read(buf, sizeof(buf), &n);
+}
+""")
+        self.assertEqual(self.rules("src/graph/foo.cc"), [])
+
     def test_env_cc_exempt(self):
         self.write("src/io/env.cc",
                    '#include <cstdio>\nvoid F() { fopen("x", "r"); }\n')
