@@ -61,46 +61,47 @@ Status MisEngine::RunShardPipeline(const std::string& manifest_path,
   return Status::OK();
 }
 
-Status MisEngine::SplitMonolithic(const std::string& adjacency_path,
+Status MisEngine::BuildShardStore(const std::string& adjacency_path,
                                   SolveResult* res,
                                   std::string* manifest_path) {
   std::string dir;
   SEMIS_RETURN_IF_ERROR(IntermediateDir(&dir));
-  std::string source = adjacency_path;
-  if (options_.degree_sort &&
-      options_.pipeline.engine != SolveEngine::kRounds) {
-    // The probe reads only the header; it is closed before the (possibly
-    // hours-long) sort so no file handle dangles across the stage, and
-    // its I/O is charged to the aggregate like every other read.
-    bool input_sorted = false;
-    {
-      AdjacencyFileScanner probe(&res->io);
-      SEMIS_RETURN_IF_ERROR(probe.Open(adjacency_path));
-      input_sorted = probe.header().IsDegreeSorted();
-      SEMIS_RETURN_IF_ERROR(probe.Close());
-    }
-    if (!input_sorted) {
-      WallTimer sort_timer;
-      source = dir + "/sorted.sadj";
-      MemoryTracker sort_memory;
-      DegreeSortOptions sort_opts;
-      sort_opts.memory_budget_bytes = options_.sort_memory_budget_bytes;
-      sort_opts.fan_in = options_.sort_fan_in;
-      sort_opts.stats = &res->io;
-      sort_opts.memory = &sort_memory;
-      SEMIS_RETURN_IF_ERROR(
-          BuildDegreeSortedAdjacencyFile(adjacency_path, source, sort_opts));
-      res->sort_seconds = sort_timer.ElapsedSeconds();
-      res->peak_memory_bytes = sort_memory.PeakBytes();
-    }
-  }
-  // The split copies the header flags, so the store is degree-sorted
-  // exactly when the consumed records are.
-  WallTimer shard_timer;
   *manifest_path = dir + "/sharded.sadjs";
-  SEMIS_RETURN_IF_ERROR(ShardAdjacencyFile(
-      source, *manifest_path,
-      std::max<uint32_t>(1, options_.pipeline.num_shards), &res->io));
+  const uint32_t num_shards =
+      std::max<uint32_t>(1, options_.pipeline.num_shards);
+  WallTimer shard_timer;
+  AdjacencyFileScanner scanner(&res->io);
+  SEMIS_RETURN_IF_ERROR(scanner.Open(adjacency_path));
+  const AdjacencyFileHeader header = scanner.header();
+  if (!options_.degree_sort ||
+      options_.pipeline.engine == SolveEngine::kRounds ||
+      header.IsDegreeSorted()) {
+    // Consumed as-is: the split copies the header flags, so the store is
+    // degree-sorted exactly when the input is. The header probe is closed
+    // first and its I/O is charged to the aggregate like every other read.
+    SEMIS_RETURN_IF_ERROR(scanner.Close());
+    SEMIS_RETURN_IF_ERROR(ShardAdjacencyFile(adjacency_path, *manifest_path,
+                                             num_shards, &res->io));
+  } else {
+    // The degree sort writes the shards itself: no sorted intermediate.
+    WallTimer sort_timer;
+    MemoryTracker sort_memory;
+    DegreeSortOptions sort_opts;
+    sort_opts.memory_budget_bytes = options_.sort_memory_budget_bytes;
+    sort_opts.fan_in = options_.sort_fan_in;
+    sort_opts.stats = &res->io;
+    sort_opts.memory = &sort_memory;
+    DegreeSorter sorter(sort_opts);
+    SEMIS_RETURN_IF_ERROR(sorter.AddAll(&scanner));
+    ShardedAdjacencyFileWriter writer(&res->io);
+    SEMIS_RETURN_IF_ERROR(writer.Open(
+        *manifest_path, header.num_vertices, header.num_directed_edges,
+        header.max_degree, header.flags | kAdjFlagDegreeSorted, num_shards));
+    SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
+    SEMIS_RETURN_IF_ERROR(writer.Finish());
+    res->sort_seconds = sort_timer.ElapsedSeconds();
+    res->peak_memory_bytes = sort_memory.PeakBytes();
+  }
   res->shard_seconds = shard_timer.ElapsedSeconds();
   return Status::OK();
 }
@@ -129,7 +130,7 @@ Status MisEngine::Open(const std::string& path) {
   SolveResult res;
   std::string manifest_path = path;
   if (!IsShardStoreRoot(path)) {
-    SEMIS_RETURN_IF_ERROR(SplitMonolithic(path, &res, &manifest_path));
+    SEMIS_RETURN_IF_ERROR(BuildShardStore(path, &res, &manifest_path));
   }
   // `manifest_path` is the store ROOT: a plain SADM manifest or a SEPR
   // epoch root pointer. Resolve here for the direct manifest read, but

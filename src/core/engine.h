@@ -2,10 +2,11 @@
 // MisEngine: the resident form of the pipeline. One object owns the full
 // open -> serve -> mutate -> republish lifecycle over a graph snapshot:
 //
-//   Open()       loads a SADJS manifest, or splits a SADJ file into one
-//                in the engine's scratch dir (degree-sorting it first
-//                when needed), runs the solve pipeline over the shards
-//                (greedy -> swaps) and publishes the result as epoch 1.
+//   Open()       loads a SADJS manifest, or turns a SADJ file into one
+//                in the engine's scratch dir (the degree sort writes the
+//                shards when one is needed), runs the solve pipeline over
+//                the shards (greedy -> swaps) and publishes the result as
+//                epoch 1.
 //                Every open takes this one path; the paper's sequential
 //                RunGreedy/RunOneKSwap/RunTwoKSwap stay library
 //                algorithms and test oracles.
@@ -81,9 +82,10 @@ struct MisEngineOptions {
   size_t sort_memory_budget_bytes = 64ull << 20;
   /// Merge fan-in of the preprocessing sort.
   size_t sort_fan_in = 16;
-  /// Directory for intermediate artifacts of a monolithic open -- the
-  /// sorted copy (`sorted.sadj`) and the shard store (`sharded.sadjs`)
-  /// ("" = a private temp dir owned by the engine until Close).
+  /// Directory for the shard store a monolithic open builds
+  /// (`sharded.sadjs`; "" = a private temp dir owned by the engine until
+  /// Close). The degree sort writes its shards directly, so nothing else
+  /// is left there; its spills go to the sorter's own dir under $TMPDIR.
   std::string scratch_dir;
   /// Re-scan the graph after the open-time solve and fail on a
   /// non-independent or non-maximal result (paranoid mode).
@@ -108,8 +110,9 @@ struct SolveResult {
   AlgoResult swap;
   /// Seconds spent in the preprocessing sort (0 when skipped).
   double sort_seconds = 0.0;
-  /// Seconds spent splitting a monolithic input into shards (0 on a
-  /// manifest open).
+  /// Seconds spent turning a monolithic input into the shard store, a
+  /// needed sort included (> 0 on every monolithic open, 0 on a manifest
+  /// open).
   double shard_seconds = 0.0;
   /// Aggregated I/O over all stages (sort + shard + greedy + swaps).
   IoStats io;
@@ -119,11 +122,11 @@ struct SolveResult {
   /// Total wall-clock seconds.
   double seconds = 0.0;
   /// Whether the records actually consumed were degree-sorted: the flag
-  /// of the consumed manifest, which a monolithic input's split copies
-  /// from the (post-sort) file header. False means Algorithm 1 ran in
-  /// BASELINE order -- on a manifest this can happen silently after a
-  /// compaction cleared the flag, so callers surface it (semis_cli warns
-  /// on stderr).
+  /// of the consumed manifest, which a monolithic open sets when it sorts
+  /// and otherwise copies from the file header. False means Algorithm 1
+  /// ran in BASELINE order -- on a manifest this can happen silently
+  /// after a compaction cleared the flag, so callers surface it
+  /// (semis_cli warns on stderr).
   bool degree_sorted = false;
 };
 
@@ -308,11 +311,11 @@ class MisEngine {
   // swap executor.
   Status RunShardPipeline(const std::string& manifest_path,
                           SolveResult* res);
-  // Turns a SADJ file into the engine's shard store: degree-sorts it
-  // first when GREEDY order is configured and the header is not sorted,
-  // then splits it. Charges sort/split I/O, time and the sort's peak
-  // memory to `res`.
-  Status SplitMonolithic(const std::string& adjacency_path, SolveResult* res,
+  // Turns a SADJ file into the engine's shard store: the degree sort
+  // writes the shards when GREEDY order is configured and the header is
+  // not sorted, otherwise the file is split as-is. Charges sort/split
+  // I/O, time and the sort's peak memory to `res`.
+  Status BuildShardStore(const std::string& adjacency_path, SolveResult* res,
                          std::string* manifest_path);
   // Rejects a second open and clears the previous open's result.
   Status BeginOpen();
@@ -332,8 +335,8 @@ class MisEngine {
 
   MisEngineOptions options_;
   bool open_ = false;
-  // Intermediates (sorted copy, engine-side shards) live here so they
-  // outlive Open when the engine stays resident.
+  // The engine-side shard store of a monolithic open lives here so it
+  // outlives Open when the engine stays resident.
   ScratchDir scratch_;
   std::string inter_dir_;
   std::string manifest_path_;

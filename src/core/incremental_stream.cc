@@ -1,12 +1,11 @@
 #include "core/incremental_stream.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <memory>
-#include <queue>
 
+#include "graph/degree_sort.h"
 #include "io/epoch_journal.h"
 #include "util/crash_point.h"
+#include "util/memory_tracker.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -409,36 +408,6 @@ Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
   return Status::OK();
 }
 
-void ShardedStreamingMis::BuildShardDeltaView(uint32_t shard,
-                                              ShardDeltaView* view) const {
-  // Replay the shard's entries in sequence order. The final view is the
-  // shard-local restriction of the global delta state: every delta edge
-  // incident to a vertex whose record lives in `shard` was routed here.
-  for (const EdgeDeltaEntry& entry : pending_[shard]) {
-    const uint64_t key = EdgeKey(entry.u, entry.v);
-    if (entry.op == EdgeDeltaOp::kInsert) {
-      view->deleted.erase(key);
-      view->inserted_adj[entry.u].push_back(entry.v);
-      view->inserted_adj[entry.v].push_back(entry.u);
-    } else {
-      view->deleted.insert(key);
-      for (VertexId a : {entry.u, entry.v}) {
-        const VertexId b = (a == entry.u) ? entry.v : entry.u;
-        auto it = view->inserted_adj.find(a);
-        if (it == view->inserted_adj.end()) continue;
-        auto& vec = it->second;
-        for (size_t i = 0; i < vec.size(); ++i) {
-          if (vec[i] == b) {
-            vec[i] = vec.back();
-            vec.pop_back();
-            break;
-          }
-        }
-      }
-    }
-  }
-}
-
 bool ShardedStreamingMis::TryJoin(const VertexRecordView& rec) {
   // The exact sequential rule of IncrementalMis::Repair: a non-member
   // with no live set neighbor (base edges masked by deletes, plus
@@ -617,8 +586,21 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
                                          uint32_t* max_degree_seen,
                                          bool* records_changed,
                                          std::vector<uint64_t>* checkpoints) {
-  ShardDeltaView view;
-  BuildShardDeltaView(shard, &view);
+  // The global delta state gives every record of `shard` the same
+  // effective neighbors as the shard's own log: every entry touching an
+  // edge was routed to both endpoints' shards, and a compaction retires
+  // all of its shard's entries, so what stays pending in a shard is a
+  // suffix of that edge's entries. Where the shard holds none, its base
+  // record already reflects the last of them -- so only the records
+  // touched by the shard's pending entries are looked up, in rank order.
+  std::vector<VertexId> touched;
+  for (const EdgeDeltaEntry& entry : pending_[shard]) {
+    for (const VertexId x : {entry.u, entry.v}) {
+      if (ShardOf(x) == shard) touched.push_back(x);
+    }
+  }
+  SortByRank(&touched);
+  size_t next_touched = 0;
 
   AdjacencyShardReader reader(&stats_.io);
   SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
@@ -638,22 +620,22 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
     SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
     if (!has_next) break;
     const VertexId u = rec.id;
+    const bool fold =
+        next_touched < touched.size() && touched[next_touched] == u;
+    if (fold) next_touched++;
     neighbors.clear();
     // Base neighbors surviving the deletes, in base order.
     for (uint32_t i = 0; i < rec.degree; ++i) {
       const VertexId nb = rec.neighbors[i];
-      if (!view.deleted.empty() &&
-          view.deleted.find(EdgeKey(u, nb)) != view.deleted.end()) {
-        continue;
-      }
+      if (fold && deleted_.find(EdgeKey(u, nb)) != deleted_.end()) continue;
       neighbors.push_back(nb);
     }
     bool changed = neighbors.size() != rec.degree;
     // Inserted neighbors appended in ascending id order, deduplicated
     // against the surviving base list -- an insert may duplicate a base
     // edge, and folding it twice would corrupt the record.
-    auto it = view.inserted_adj.find(u);
-    if (it != view.inserted_adj.end() && !it->second.empty()) {
+    const auto it = fold ? inserted_adj_.find(u) : inserted_adj_.end();
+    if (it != inserted_adj_.end() && !it->second.empty()) {
       present.clear();
       present.insert(neighbors.begin(), neighbors.end());
       std::vector<VertexId> extra = it->second;
@@ -871,48 +853,6 @@ Status ShardedStreamingMis::Compact(bool force) {
   return Status::OK();
 }
 
-Status ShardedStreamingMis::BuildResortRun(uint32_t shard,
-                                           const std::string& run_path,
-                                           IoStats* io) {
-  // One shard's records, sorted by the degree-sort key
-  // (degree << 32 | id, ascending) -- the exact key of graph/degree_sort.
-  // Run format (private, staged, regenerated on any crash): per record
-  // u64 key, then (key >> 32) u32 neighbors.
-  AdjacencyShardReader reader(io);
-  SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
-  struct RecRef {
-    uint64_t key = 0;
-    uint64_t offset = 0;
-  };
-  std::vector<RecRef> recs;
-  recs.reserve(manifest_.shards[shard].num_records);
-  std::vector<VertexId> pool;
-  pool.reserve(manifest_.shards[shard].num_directed_edges);
-  VertexRecordView rec;
-  bool has_next = false;
-  while (true) {
-    SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
-    if (!has_next) break;
-    const uint64_t key = (static_cast<uint64_t>(rec.degree) << 32) | rec.id;
-    recs.push_back({key, pool.size()});
-    pool.insert(pool.end(), rec.neighbors, rec.neighbors + rec.degree);
-  }
-  SEMIS_RETURN_IF_ERROR(reader.Close());
-  std::sort(recs.begin(), recs.end(),
-            [](const RecRef& a, const RecRef& b) { return a.key < b.key; });
-  SequentialFileWriter writer(io);
-  SEMIS_RETURN_IF_ERROR(writer.Open(run_path));
-  for (const RecRef& r : recs) {
-    SEMIS_RETURN_IF_ERROR(writer.AppendU64(r.key));
-    const uint32_t degree = static_cast<uint32_t>(r.key >> 32);
-    if (degree > 0) {
-      SEMIS_RETURN_IF_ERROR(
-          writer.Append(pool.data() + r.offset, sizeof(VertexId) * degree));
-    }
-  }
-  return writer.Close();
-}
-
 Status ShardedStreamingMis::Resort() {
   if (!initialized_) {
     return Status::InvalidArgument("streaming maintainer not initialized");
@@ -950,111 +890,44 @@ Status ShardedStreamingMis::ResortInternal() {
   const std::string new_manifest = EpochManifestPath(root_path_, next_epoch);
   const std::string new_delta = EdgeDeltaManifestPath(new_manifest);
 
-  // Phase A: sort each shard into a run file, one shard per worker. The
-  // runs are staged under the next epoch's namespace so a crash leaves
-  // them as GC-able orphans.
-  std::vector<std::string> run_paths(num_shards);
-  for (uint32_t k = 0; k < num_shards; ++k) {
-    run_paths[k] = new_manifest + ".resort" + std::to_string(k);
-    SEMIS_RETURN_IF_ERROR(RemoveFileIfExists(run_paths[k]));
-  }
-  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
-  if (num_threads <= 1 || num_shards <= 1) {
-    for (uint32_t k = 0; k < num_shards; ++k) {
-      SEMIS_RETURN_IF_ERROR(BuildResortRun(k, run_paths[k], &stats_.io));
-    }
-  } else {
-    ThreadPool pool(num_threads);
-    std::vector<Status> shard_status(num_shards);
-    std::vector<IoStats> worker_io(pool.size());
-    pool.ParallelFor(num_shards, [&](size_t k, size_t worker) {
-      shard_status[k] = BuildResortRun(static_cast<uint32_t>(k),
-                                       run_paths[k], &worker_io[worker]);
-    });
-    for (const IoStats& io : worker_io) stats_.io.MergeFrom(io);
-    for (const Status& s : shard_status) {
-      SEMIS_RETURN_IF_ERROR(s);
-    }
-  }
-  // Phase A working set: one decoded shard per active worker.
-  uint64_t max_shard_bytes = 0;
-  for (const ShardInfo& s : manifest_.shards) {
-    max_shard_bytes =
-        std::max(max_shard_bytes, s.num_records * 2 * sizeof(uint64_t) +
-                                      s.num_directed_edges * sizeof(VertexId));
-  }
-  stats_.peak_memory_bytes = std::max(
-      stats_.peak_memory_bytes,
-      CurrentMemoryBytes() +
-          max_shard_bytes * std::min<uint64_t>(num_threads, num_shards));
-  SEMIS_CRASH_POINT("resort.runs-staged");
-
-  // Phase B: merge the runs (ascending key; keys are globally unique, id
-  // breaks degree ties) into a fresh sharded base under the next epoch's
+  // Sort the compacted base into fresh shards under the next epoch's
   // names. Totals, max_degree, and flags carry the current manifest's
   // values -- exactly what a fresh unshard -> degree-sort -> shard
   // rebuild would write -- so the published bytes are identical to that
-  // rebuild's, shard split included.
-  std::vector<std::string> staged_files;
-  staged_files.reserve(2 * num_shards + 2);
+  // rebuild's, shard split included. The sorter's budget is the largest
+  // shard's decoded bytes (16 B per record plus its neighbor words), the
+  // working set of sorting one shard in memory; the rest spills to the
+  // sorter's private scratch dir under $TMPDIR, which is removed before
+  // the epoch commits, so a crash leaves the store nothing to collect.
   {
-    struct RunCursor {
-      explicit RunCursor(IoStats* io) : reader(io) {}
-      SequentialFileReader reader;
-      uint64_t remaining = 0;
-      uint64_t key = 0;
-      std::vector<VertexId> neighbors;
-    };
-    std::vector<std::unique_ptr<RunCursor>> runs;
-    runs.reserve(num_shards);
-    const auto advance = [this](RunCursor* run) -> Status {
-      SEMIS_RETURN_IF_ERROR(run->reader.ReadU64(&run->key));
-      const uint32_t degree = static_cast<uint32_t>(run->key >> 32);
-      run->neighbors.resize(degree);
-      if (degree > 0) {
-        SEMIS_RETURN_IF_ERROR(run->reader.ReadExact(
-            run->neighbors.data(), sizeof(VertexId) * degree));
-      }
-      run->remaining--;
-      return Status::OK();
-    };
-    // Min-heap of (key, run index); unique keys make the pop order -- and
-    // therefore the output -- independent of shard and thread counts.
-    std::priority_queue<std::pair<uint64_t, uint32_t>,
-                        std::vector<std::pair<uint64_t, uint32_t>>,
-                        std::greater<std::pair<uint64_t, uint32_t>>>
-        heap;
-    for (uint32_t k = 0; k < num_shards; ++k) {
-      auto run = std::make_unique<RunCursor>(&stats_.io);
-      run->remaining = manifest_.shards[k].num_records;
-      if (run->remaining > 0) {
-        SEMIS_RETURN_IF_ERROR(run->reader.Open(run_paths[k]));
-        SEMIS_RETURN_IF_ERROR(advance(run.get()));
-        heap.emplace(run->key, k);
-      }
-      runs.push_back(std::move(run));
+    uint64_t max_shard_bytes = 0;
+    for (const ShardInfo& s : manifest_.shards) {
+      max_shard_bytes = std::max(
+          max_shard_bytes, s.num_records * 2 * sizeof(uint64_t) +
+                               s.num_directed_edges * sizeof(VertexId));
     }
+    MemoryTracker sort_memory;
+    DegreeSortOptions sort_options;
+    sort_options.memory_budget_bytes = std::max<uint64_t>(max_shard_bytes, 1);
+    sort_options.stats = &stats_.io;
+    sort_options.memory = &sort_memory;
+    DegreeSorter sorter(sort_options);
+    ShardedAdjacencyScanner base(&stats_.io);
+    SEMIS_RETURN_IF_ERROR(base.Open(manifest_path_));
+    SEMIS_RETURN_IF_ERROR(sorter.AddAll(&base));
     ShardedAdjacencyFileWriter writer(&stats_.io);
     SEMIS_RETURN_IF_ERROR(writer.Open(
         new_manifest, n_, manifest_.header.num_directed_edges,
         manifest_.header.max_degree,
         manifest_.header.flags | kAdjFlagDegreeSorted, num_shards));
-    while (!heap.empty()) {
-      const auto [key, k] = heap.top();
-      heap.pop();
-      RunCursor* run = runs[k].get();
-      SEMIS_RETURN_IF_ERROR(writer.AppendVertex(
-          static_cast<VertexId>(key & 0xFFFFFFFFull), run->neighbors.data(),
-          static_cast<uint32_t>(key >> 32)));
-      if (run->remaining > 0) {
-        SEMIS_RETURN_IF_ERROR(advance(run));
-        heap.emplace(run->key, k);
-      } else {
-        SEMIS_RETURN_IF_ERROR(run->reader.Close());
-      }
-    }
+    SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
     SEMIS_RETURN_IF_ERROR(writer.Finish());
+    stats_.peak_memory_bytes =
+        std::max(stats_.peak_memory_bytes,
+                 CurrentMemoryBytes() + sort_memory.PeakBytes());
   }
+  std::vector<std::string> staged_files;
+  staged_files.reserve(2 * num_shards + 2);
   for (uint32_t k = 0; k < num_shards; ++k) {
     staged_files.push_back(ShardFilePath(new_manifest, k));
   }
@@ -1074,11 +947,6 @@ Status ShardedStreamingMis::ResortInternal() {
   dm.shard_entries.assign(num_shards, 0);
   SEMIS_RETURN_IF_ERROR(WriteEdgeDeltaManifest(new_delta, dm, &stats_.io));
   staged_files.push_back(new_delta);
-  // The runs are consumed; drop them before the flip so a post-commit
-  // crash has nothing extra to GC.
-  for (uint32_t k = 0; k < num_shards; ++k) {
-    SEMIS_RETURN_IF_ERROR(RemoveFileIfExists(run_paths[k]));
-  }
   SEMIS_CRASH_POINT("resort.epoch-staged");
 
   SEMIS_RETURN_IF_ERROR(PublishEpoch(next_epoch, staged_files));

@@ -56,10 +56,12 @@
 //
 // Resort() restores the global (degree, id) record order that a
 // degree-changing compaction invalidated: pending deltas are folded in
-// (forced compaction), each shard is sorted into a run file by the
-// degree-sort key on the thread pool, and the runs are merged into a
-// fresh sharded file -- byte-identical to a fresh unshard -> degree-sort
-// -> shard rebuild -- then published through the same epoch commit.
+// (forced compaction), then one scan streams the base through the degree
+// sort of graph/degree_sort.h into fresh shards -- byte-identical to a
+// fresh unshard -> degree-sort -> shard rebuild -- published through the
+// same epoch commit. The sort runs on the calling thread and spills to
+// its private scratch dir under $TMPDIR, so a multi-shard re-sort needs
+// about one graph of free space there.
 #ifndef SEMIS_CORE_INCREMENTAL_STREAM_H_
 #define SEMIS_CORE_INCREMENTAL_STREAM_H_
 
@@ -232,13 +234,14 @@ class ShardedStreamingMis {
 
   /// Restores the global (degree, id) record order after degree-changing
   /// compactions cleared the degree-sorted flag. Folds pending deltas in
-  /// first (forced compaction), then sorts each shard into a run file (on
-  /// the thread pool; one shard per worker) and merges the runs into a
-  /// fresh sharded base published as a new epoch. The result is
-  /// byte-identical to a fresh unshard -> degree-sort -> shard rebuild of
-  /// the same store, for every shard/thread count. No-op when the base is
-  /// already degree-sorted. The effective graph and the maintained set
-  /// are unchanged.
+  /// first (forced compaction), then scans the base through one
+  /// DegreeSorter into a fresh sharded base published as a new epoch. The
+  /// sorter's memory budget is the largest shard's decoded bytes; it
+  /// spills the rest under $TMPDIR (about one graph of free space there),
+  /// never into the store. The result is byte-identical to a fresh
+  /// unshard -> degree-sort -> shard rebuild of the same store, for every
+  /// shard/thread count. No-op when the base is already degree-sorted.
+  /// The effective graph and the maintained set are unchanged.
   Status Resort();
 
   /// Current membership (independent w.r.t. the updated graph after every
@@ -277,15 +280,6 @@ class ShardedStreamingMis {
   // and calls `fn` once per update in stream order.
   template <typename Fn>
   Status ForEachMergedPendingEntry(Fn&& fn) const;
-  // Shard-local merged view of the pending delta, rebuilt per shard by
-  // CompactShard.
-  struct ShardDeltaView {
-    std::unordered_set<uint64_t> deleted;
-    // Flat inserted adjacency for the shard's records, built by replaying
-    // the shard's entries in sequence order.
-    std::unordered_map<VertexId, std::vector<VertexId>> inserted_adj;
-  };
-  void BuildShardDeltaView(uint32_t shard, ShardDeltaView* view) const;
   // The inserted-edge adjacency (global delta state). InsertDeltaEdge
   // returns false when the edge was already there.
   bool InsertDeltaEdge(VertexId u, VertexId v);
@@ -318,8 +312,9 @@ class ShardedStreamingMis {
   // The shard holding the record of manifest rank `rank`.
   uint32_t ShardOfRank(uint64_t rank) const;
   uint32_t ShardOf(VertexId v) const { return ShardOfRank(rank_[v]); }
-  // Writes shard `shard` with its delta folded in to `out_path` (a staged
-  // file of the next epoch), and its locator offsets to `checkpoints`.
+  // Writes shard `shard` with the global delta state folded in to
+  // `out_path` (a staged file of the next epoch), and its locator offsets
+  // to `checkpoints`.
   Status CompactShard(uint32_t shard, const std::string& out_path,
                       ShardInfo* new_info, uint32_t* max_degree_seen,
                       bool* records_changed,
@@ -338,10 +333,6 @@ class ShardedStreamingMis {
   // Epoch GC + orphan accounting (after a successful commit).
   Status CollectStoreGarbage();
   Status ResortInternal();
-  // Sorts shard `shard`'s records by the degree-sort key into the run
-  // file at `run_path` (u64 key + u32 neighbors per record).
-  Status BuildResortRun(uint32_t shard, const std::string& run_path,
-                        IoStats* io);
   // Rebuilds inserted_adj_/deleted_ from the pending per-shard entries
   // (after compaction retired some of them).
   Status RebuildDeltaState();
@@ -375,7 +366,7 @@ class ShardedStreamingMis {
   // Same conventions as IncrementalMis: inserted edges may overlap base
   // edges, deleted_ may hold keys the base never had. Both are global,
   // which for every record gives the same effective neighbors as the
-  // shard-local view of its own shard's log.
+  // replay of its own shard's log, so compaction folds a shard from them.
   std::unordered_map<VertexId, std::vector<VertexId>> inserted_adj_;
   uint64_t inserted_edges_ = 0;
   std::unordered_set<uint64_t> deleted_;

@@ -1,54 +1,58 @@
 #include "graph/degree_sort.h"
 
-#include <vector>
-
 #include "graph/adjacency_file.h"
-#include "io/external_sorter.h"
 
 namespace semis {
+
+namespace {
+
+ExternalSorterOptions SorterOptions(const DegreeSortOptions& options) {
+  ExternalSorterOptions sorter_opts;
+  sorter_opts.memory_budget_bytes = options.memory_budget_bytes;
+  sorter_opts.fan_in = options.fan_in;
+  sorter_opts.stats = options.stats;
+  sorter_opts.memory = options.memory;
+  return sorter_opts;
+}
+
+}  // namespace
+
+DegreeSorter::DegreeSorter(const DegreeSortOptions& options)
+    : sorter_(SorterOptions(options)) {}
+
+Status DegreeSorter::Add(const VertexRecordView& rec) {
+  // Key = (degree << 32) | id: ascending degree, ties by id. The id rides
+  // in the key's low bits so the payload is just the neighbor list.
+  const uint64_t key = (static_cast<uint64_t>(rec.degree) << 32) | rec.id;
+  return sorter_.Add(key, rec.neighbors, rec.degree);
+}
+
+Status DegreeSorter::Next(VertexRecordView* rec, bool* has_next) {
+  uint64_t key = 0;
+  *has_next = sorter_.Next(&key, &neighbors_);
+  if (!*has_next) return sorter_.status();
+  const auto degree = static_cast<uint32_t>(key >> 32);
+  if (degree != neighbors_.size()) {
+    return Status::Corruption("degree/payload mismatch during degree sort");
+  }
+  *rec = VertexRecordView{static_cast<VertexId>(key & 0xFFFFFFFFull), degree,
+                          neighbors_.data()};
+  return Status::OK();
+}
 
 Status BuildDegreeSortedAdjacencyFile(const std::string& input_path,
                                       const std::string& output_path,
                                       const DegreeSortOptions& options) {
   AdjacencyFileScanner scanner(options.stats);
   SEMIS_RETURN_IF_ERROR(scanner.Open(input_path));
-  const AdjacencyFileHeader header = scanner.header();
-
-  ExternalSorterOptions sorter_opts;
-  sorter_opts.memory_budget_bytes = options.memory_budget_bytes;
-  sorter_opts.fan_in = options.fan_in;
-  sorter_opts.stats = options.stats;
-  sorter_opts.memory = options.memory;
-  ExternalSorter sorter(sorter_opts);
-
-  // Key = (degree << 32) | id: ascending degree, ties by id. The id rides
-  // in the key's low bits so the payload is just the neighbor list.
-  VertexRecord rec;
-  bool has_next = false;
-  while (true) {
-    SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
-    if (!has_next) break;
-    uint64_t key =
-        (static_cast<uint64_t>(rec.degree) << 32) | static_cast<uint64_t>(rec.id);
-    SEMIS_RETURN_IF_ERROR(sorter.Add(key, rec.neighbors, rec.degree));
-  }
-  SEMIS_RETURN_IF_ERROR(sorter.Finish());
-
+  DegreeSorter sorter(options);
+  SEMIS_RETURN_IF_ERROR(sorter.AddAll(&scanner));
+  const AdjacencyFileHeader& h = scanner.header();
   AdjacencyFileWriter writer(options.stats);
-  SEMIS_RETURN_IF_ERROR(writer.Open(
-      output_path, header.num_vertices, header.num_directed_edges,
-      header.max_degree, header.flags | kAdjFlagDegreeSorted));
-  uint64_t key = 0;
-  std::vector<uint32_t> payload;
-  while (sorter.Next(&key, &payload)) {
-    VertexId id = static_cast<VertexId>(key & 0xFFFFFFFFull);
-    uint32_t degree = static_cast<uint32_t>(key >> 32);
-    if (degree != payload.size()) {
-      return Status::Corruption("degree/payload mismatch during degree sort");
-    }
-    SEMIS_RETURN_IF_ERROR(writer.AppendVertex(id, payload.data(), degree));
-  }
-  SEMIS_RETURN_IF_ERROR(sorter.status());
+  SEMIS_RETURN_IF_ERROR(writer.Open(output_path, h.num_vertices,
+                                    h.num_directed_edges, h.max_degree,
+                                    h.flags | kAdjFlagDegreeSorted));
+  SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
   return writer.Finish();
 }
 

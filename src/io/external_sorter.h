@@ -3,7 +3,10 @@
 // budget: classic run formation + k-way merge. This is the substrate for
 //   * converting raw edge lists into adjacency files (key = src vertex), and
 //   * the paper's preprocessing step that orders adjacency lists by
-//     ascending degree (key = (degree, id)), Section 4.1.
+//     ascending degree (key = (degree, id)), Section 4.1. That sort is
+//     graph/degree_sort.h's DegreeSorter, which writes every
+//     degree-sorted store: a sorted SADJ file, the shard store of a
+//     monolithic MisEngine::Open, and each ShardedStreamingMis::Resort.
 // The number of merge passes is log_{fan_in}(#runs), reproducing the
 // (|V|+|E|)/B * (log_{M/B} |V|/B + 2) I/O shape of the paper's Table 1.
 #ifndef SEMIS_IO_EXTERNAL_SORTER_H_

@@ -58,6 +58,20 @@ expect_flag_error avg-degree generate --vertices 10 --avg-degree 4x \
     --out "$none.adj"
 expect_flag_error beta generate --vertices 10 --beta "" --out "$none.adj"
 [ -e "$none.adj" ] && fail "generate wrote a graph despite a malformed flag"
+
+# A malformed line of an update stream or a session script exits 1 with
+# an error that names the file and the line number. (Called once `set -e`
+# is on, hence the `|| rc=$?`.)
+expect_line_error() {  # <file> <line> <semis_cli args...>
+  local file="$1" line="$2" err rc=0
+  shift 2
+  err="$("$CLI" "$@" 2>&1 >/dev/null)" || rc=$?
+  [ "$rc" -eq 1 ] || fail "'$*' exited $rc, want 1"
+  case "$err" in
+    *"'$file' line $line:"*) ;;
+    *) fail "'$*' did not name $file line $line: $err" ;;
+  esac
+}
 expect_flag_error memory-mb sort "$none.adj" "$none.sadj" --memory-mb 8MB
 expect_flag_error memory-mb convert "$none.txt" "$none.adj" --memory-mb -8
 expect_flag_error fan-in sort "$none.adj" "$none.sadj" --fan-in 1
@@ -313,6 +327,10 @@ if "$CLI" engine "$work/ge1.sadjs" --script "$work/badsession.txt" \
     >/dev/null 2>&1; then
   fail "malformed session script exited 0"
 fi
+printf 'query 0\n\n# queue updates\n+ 1 2\n- 4\napply\n' \
+    > "$work/badupdate_session.txt"
+expect_line_error "$work/badupdate_session.txt" 5 \
+    engine "$work/ge1.sadjs" --script "$work/badupdate_session.txt"
 # One open path: a session on a monolithic input (the engine splits it
 # into one shard in its scratch dir) equals the same session on a
 # 1-shard copy -- the same set and the same transcript, mutations and
@@ -342,6 +360,9 @@ printf 'x 1 2\n' > "$work/bad.txt"
 if "$CLI" update "$work/gb.sadjs" --stream "$work/bad.txt" >/dev/null 2>&1; then
   fail "malformed update stream exited 0"
 fi
+printf '+ 1 2\n# comment\n\n+ 3\n' > "$work/badline.txt"
+expect_line_error "$work/badline.txt" 4 \
+    update "$work/gb.sadjs" --stream "$work/badline.txt"
 
 # --- pipeline from a hand-written edge list --------------------------------
 printf '# toy graph\n0\t1\n1\t2\n2\t0\n2\t3\n3\t4\n4\t0\n' > "$work/edges.txt"

@@ -6,6 +6,9 @@
 //     reference) fed the same update script -- across the full
 //     1/3/7-shard x 1/2/8-thread matrix, so every combination publishes
 //     the identical epochs (the determinism contract);
+//   * an unsorted monolithic open sorts straight into its shard store,
+//     byte-identical to sorting to a file and splitting that, also when
+//     the sort spills and merges in several passes;
 //   * epoch snapshots are immutable: a reference held across later
 //     publications (and Close) keeps showing its own epoch's set;
 //   * Publish() is a no-op without mutation, per-epoch stats carry the
@@ -20,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -42,6 +46,7 @@ namespace semis {
 namespace {
 
 using testing_util::RandomMaximalSet;
+using testing_util::ReadAllBytes;
 using testing_util::ScratchTest;
 using testing_util::SetToVector;
 using testing_util::WriteGraphFile;
@@ -267,6 +272,68 @@ TEST_F(EngineTest, MonolithicOpenEqualsShardedManifestOpen) {
       ASSERT_OK(from_mono.Prepare());
       EXPECT_EQ(from_mono.open_result().io.bytes_written, written);
       ASSERT_NE(from_mono.streaming_stats(), nullptr);
+    }
+  }
+}
+
+TEST_F(EngineTest, UnsortedMonolithicOpenSortsStraightIntoShards) {
+  // An unsorted monolithic open degree-sorts the file straight into the
+  // shard store: the engine's scratch dir holds that store and nothing
+  // else, and its bytes equal sorting to a file and splitting that --
+  // also when a tiny budget and fan-in 2 make the sort spill and run
+  // intermediate merge passes.
+  Graph base = GeneratePlrg(PlrgSpec::ForVertexCount(2000, 1.9), 47);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  std::string sorted = NewPath("reference.sadj");
+  ASSERT_OK(BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{}));
+  for (bool spill : {false, true}) {
+    for (uint32_t shards : kShardCounts) {
+      SCOPED_TRACE(std::to_string(shards) + " shards" +
+                   (spill ? ", spilled" : ""));
+      const std::string reference = NewPath("reference.sadjs");
+      ASSERT_OK(ShardAdjacencyFile(sorted, reference, shards));
+      const std::string dir = NewPath("engine_scratch");
+      ASSERT_TRUE(std::filesystem::create_directory(dir));
+      MisEngineOptions opts;
+      opts.scratch_dir = dir;
+      opts.swap = SwapMode::kNone;
+      opts.pipeline.num_shards = shards;
+      if (spill) {
+        opts.sort_memory_budget_bytes = 4096;
+        opts.sort_fan_in = 2;
+      }
+      MisEngine engine(opts);
+      ASSERT_OK(engine.Open(mono));
+      const SolveResult& res = engine.open_result();
+      EXPECT_TRUE(res.degree_sorted);
+      EXPECT_GT(res.sort_seconds, 0.0);
+      EXPECT_GE(res.shard_seconds, res.sort_seconds);
+      if (spill) {
+        EXPECT_GE(res.io.sort_passes, 3u);  // two merge levels at least
+      } else {
+        EXPECT_EQ(res.io.sort_passes, 0u);  // sorted in memory
+      }
+
+      std::vector<std::string> left;
+      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        left.push_back(entry.path().filename().string());
+      }
+      std::sort(left.begin(), left.end());
+      std::vector<std::string> want{"sharded.sadjs"};
+      for (uint32_t k = 0; k < shards; ++k) {
+        want.push_back("sharded.sadjs.shard" + std::to_string(k));
+      }
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(left, want);
+
+      EXPECT_EQ(engine.manifest_path(), dir + "/sharded.sadjs");
+      EXPECT_EQ(ReadAllBytes(engine.manifest_path()), ReadAllBytes(reference));
+      for (uint32_t k = 0; k < shards; ++k) {
+        EXPECT_EQ(ReadAllBytes(ShardFilePath(engine.manifest_path(), k)),
+                  ReadAllBytes(ShardFilePath(reference, k)))
+            << "shard " << k;
+      }
+      ASSERT_OK(engine.Close());
     }
   }
 }

@@ -11,8 +11,8 @@
 //     identical across every tested shard/thread combination
 //     (1/2/8 threads x 1/3/7 shards) -- the determinism contract;
 //   * compaction never changes the effective graph or the maintained
-//     set, and a restarted session replays the on-disk delta back to the
-//     exact same state;
+//     set, also when shards compact at different times, and a restarted
+//     session replays the on-disk delta back to the exact same state;
 //   * after a session's first (full) repair, a repair reads only the
 //     frontier a batch can free, with no scan, and still gives the full
 //     pass's set -- also across re-sorts, and when retried after a read
@@ -386,6 +386,51 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   }
 }
 
+// Tracks a toggle stream over `base`: Toggle(u, v) deletes the edge when
+// it exists in the effective graph and inserts it otherwise, keeping the
+// net inserted and deleted sets ApplyDelta rebuilds that graph from.
+struct DeltaTracker {
+  explicit DeltaTracker(const Graph& g) : base(&g) {}
+
+  EdgeUpdate Toggle(VertexId u, VertexId v) {
+    const Edge e{std::min(u, v), std::max(u, v)};
+    const bool in_base = base->HasEdge(u, v);
+    if ((in_base && deleted.count(e) == 0) || inserted.count(e) > 0) {
+      inserted.erase(e);
+      if (in_base) deleted.insert(e);
+      return EdgeUpdate::Delete(u, v);
+    }
+    deleted.erase(e);
+    if (!in_base) inserted.insert(e);
+    return EdgeUpdate::Insert(u, v);
+  }
+  Graph Effective() const { return ApplyDelta(*base, inserted, deleted); }
+
+  const Graph* base;
+  std::set<Edge> inserted, deleted;
+};
+
+// Re-reads the store at `manifest` and checks it holds exactly `want`,
+// record by record.
+void ExpectStoreHoldsGraph(const std::string& manifest, const Graph& want) {
+  ShardedAdjacencyScanner scanner;
+  ASSERT_OK(scanner.Open(manifest));
+  EXPECT_EQ(scanner.header().num_directed_edges, want.NumDirectedEdges());
+  VertexRecord rec;
+  bool has_next = false;
+  uint64_t records = 0;
+  while (true) {
+    ASSERT_OK(scanner.Next(&rec, &has_next));
+    if (!has_next) break;
+    records++;
+    std::set<VertexId> got(rec.neighbors, rec.neighbors + rec.degree);
+    std::set<VertexId> expected(want.Neighbors(rec.id).begin(),
+                                want.Neighbors(rec.id).end());
+    ASSERT_EQ(got, expected) << "vertex " << rec.id;
+  }
+  EXPECT_EQ(records, want.NumVertices());
+}
+
 TEST_F(IncrementalStreamTest, CompactionFoldsDeltaAndPreservesAnswers) {
   Graph base = GenerateErdosRenyi(70, 150, 21);
   std::string mono = WriteGraphFile(&scratch_, base);
@@ -397,26 +442,14 @@ TEST_F(IncrementalStreamTest, CompactionFoldsDeltaAndPreservesAnswers) {
   opts.num_threads = 2;
   ASSERT_OK(mis.Initialize(manifest, initial, opts));
 
-  std::set<Edge> inserted, deleted;
+  DeltaTracker delta(base);
   Random rng(99);
   std::vector<EdgeUpdate> updates;
   for (int i = 0; i < 120; ++i) {
     VertexId u = static_cast<VertexId>(rng.Uniform(70));
     VertexId v = static_cast<VertexId>(rng.Uniform(70));
     if (u == v) continue;
-    Edge e{std::min(u, v), std::max(u, v)};
-    const bool in_base = base.HasEdge(u, v);
-    const bool exists = (in_base && deleted.find(e) == deleted.end()) ||
-                        inserted.find(e) != inserted.end();
-    if (exists) {
-      updates.push_back(EdgeUpdate::Delete(u, v));
-      inserted.erase(e);
-      if (in_base) deleted.insert(e);
-    } else {
-      updates.push_back(EdgeUpdate::Insert(u, v));
-      deleted.erase(e);
-      if (!in_base) inserted.insert(e);
-    }
+    updates.push_back(delta.Toggle(u, v));
   }
   ASSERT_OK(mis.ApplyBatch(updates));
   ASSERT_OK(mis.Repair());
@@ -432,24 +465,7 @@ TEST_F(IncrementalStreamTest, CompactionFoldsDeltaAndPreservesAnswers) {
 
   // The compacted base IS the updated graph: re-read it and compare
   // adjacency with the in-memory reference.
-  Graph updated = ApplyDelta(base, inserted, deleted);
-  ShardedAdjacencyScanner scanner;
-  ASSERT_OK(scanner.Open(manifest));
-  EXPECT_EQ(scanner.header().num_directed_edges,
-            updated.NumDirectedEdges());
-  VertexRecord rec;
-  bool has_next = false;
-  uint64_t records = 0;
-  while (true) {
-    ASSERT_OK(scanner.Next(&rec, &has_next));
-    if (!has_next) break;
-    records++;
-    std::set<VertexId> got(rec.neighbors, rec.neighbors + rec.degree);
-    std::set<VertexId> want(updated.Neighbors(rec.id).begin(),
-                            updated.Neighbors(rec.id).end());
-    ASSERT_EQ(got, want) << "vertex " << rec.id;
-  }
-  EXPECT_EQ(records, updated.NumVertices());
+  ExpectStoreHoldsGraph(manifest, delta.Effective());
 
   // The effective graph still matches a verification scan, and updates
   // keep flowing after the compaction.
@@ -460,6 +476,64 @@ TEST_F(IncrementalStreamTest, CompactionFoldsDeltaAndPreservesAnswers) {
   ASSERT_OK(mis.ApplyBatch({EdgeUpdate::Insert(
       SetToVector(mis.set())[0], SetToVector(mis.set())[1])}));
   ASSERT_OK(mis.Repair());
+}
+
+TEST_F(IncrementalStreamTest, ShardsCompactingAtDifferentTimesFoldOneGraph) {
+  // Compaction folds a shard from the global delta state. With a small
+  // threshold the shards compact at different times, and cross-shard
+  // edges keep being toggled after one endpoint's shard compacted, so a
+  // shard's log and the global state disagree about which entries are
+  // still pending. After a final forced compaction the store must still
+  // be the effective graph, record by record.
+  Graph base = GenerateErdosRenyi(90, 200, 27);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  std::string manifest = NewPath("stagger.sadjs");
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
+  ShardedStreamingMis mis;
+  EnginePipelineOptions opts;
+  opts.num_threads = 2;
+  opts.compact_threshold_entries = 7;
+  ASSERT_OK(mis.Initialize(manifest, RandomMaximalSet(base, 6), opts));
+
+  // Records are in id order, so ids 0..5 sit in the first shard and
+  // 84..89 in the last: a small pool of cross-shard edges, each toggled
+  // many times, plus extra first-shard traffic so the two end shards
+  // fill, and compact, at different rates.
+  DeltaTracker delta(base);
+  Random rng(31);
+  uint64_t staggered = 0;
+  for (int batch = 0; batch < 40; ++batch) {
+    std::vector<EdgeUpdate> updates;
+    for (int i = 0; i < 3; ++i) {
+      const auto u = static_cast<VertexId>(rng.Uniform(6));
+      const auto v = static_cast<VertexId>(84 + rng.Uniform(6));
+      updates.push_back(delta.Toggle(u, v));
+    }
+    const auto u = static_cast<VertexId>(rng.Uniform(10));
+    const auto v = static_cast<VertexId>((u + 1 + rng.Uniform(9)) % 10);
+    updates.push_back(delta.Toggle(u, v));
+    const uint64_t compactions = mis.stats().compactions;
+    ASSERT_OK(mis.ApplyBatch(updates));
+    ASSERT_OK(mis.Repair());
+    if (mis.stats().compactions == compactions) continue;
+    EdgeDeltaManifest dm;
+    ASSERT_OK(ReadEdgeDeltaManifest(
+        EdgeDeltaManifestPath(mis.store().manifest_path), &dm));
+    // One end shard compacted while the other still holds entries of
+    // the shared edges.
+    if ((dm.shard_entries[0] == 0) != (dm.shard_entries[2] == 0)) {
+      staggered++;
+    }
+  }
+  EXPECT_GT(staggered, 0u);
+
+  ASSERT_OK(mis.Compact(/*force=*/true));
+  EXPECT_EQ(mis.stats().pending_delta_entries, 0u);
+  ExpectStoreHoldsGraph(manifest, delta.Effective());
+  VerifyResult vr;
+  ASSERT_OK(VerifyIndependentSetShardedFile(manifest, mis.set(), &vr));
+  EXPECT_TRUE(vr.independent);
+  EXPECT_TRUE(vr.maximal);
 }
 
 TEST_F(IncrementalStreamTest, RestartReplaysTheOverlayExactly) {

@@ -80,17 +80,14 @@ TEST_F(SolverTest, AlreadySortedInputNotResorted) {
   ASSERT_OK(solver.SolveFile(path, &first));
   EXPECT_GT(first.sort_seconds, 0.0);
 
-  // Solve once with a persistent scratch dir to keep the sorted artifact,
-  // then feed that artifact back: its header flag must suppress the sort.
-  SolverOptions keep;
-  keep.scratch_dir = scratch_.path();
-  Solver solver2(keep);
-  SolveResult res2;
-  ASSERT_OK(solver2.SolveFile(path, &res2));
-  SolveResult res3;
-  ASSERT_OK(solver2.SolveFile(scratch_.path() + "/sorted.sadj", &res3));
-  EXPECT_EQ(res3.sort_seconds, 0.0);  // header says degree-sorted
-  EXPECT_EQ(res3.set_size, res2.set_size);
+  // Feed back the same graph, degree-sorted by the library call: its
+  // header flag must suppress the sort, and the solve must not change.
+  std::string sorted = NewPath("sorted.sadj");
+  ASSERT_OK(BuildDegreeSortedAdjacencyFile(path, sorted, DegreeSortOptions{}));
+  SolveResult res;
+  ASSERT_OK(solver.SolveFile(sorted, &res));
+  EXPECT_EQ(res.sort_seconds, 0.0);  // header says degree-sorted
+  EXPECT_EQ(res.set_size, first.set_size);
 }
 
 TEST_F(SolverTest, SolveGraphConvenience) {
@@ -139,13 +136,13 @@ TEST_F(SolverTest, HeaderProbeReadIsAccounted) {
   // exceeds the algorithm stages by the probe's header bytes.
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), 15);
   std::string path = WriteGraphFile(&scratch_, g);
-  SolverOptions keep;
-  keep.scratch_dir = scratch_.path();
-  Solver solver(keep);
+  std::string sorted = NewPath("sorted.sadj");
+  ASSERT_OK(BuildDegreeSortedAdjacencyFile(path, sorted, DegreeSortOptions{}));
+  Solver solver(SolverOptions{});
   SolveResult first;
   ASSERT_OK(solver.SolveFile(path, &first));
   SolveResult res;
-  ASSERT_OK(solver.SolveFile(scratch_.path() + "/sorted.sadj", &res));
+  ASSERT_OK(solver.SolveFile(sorted, &res));
   ASSERT_EQ(res.sort_seconds, 0.0);  // presorted: probe only, no sort
   EXPECT_GE(res.io.bytes_read,
             res.greedy.io.bytes_read + res.swap.io.bytes_read + 32);

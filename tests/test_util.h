@@ -11,6 +11,7 @@
 
 #include "graph/graph.h"
 #include "graph/graph_io.h"
+#include "io/file.h"
 #include "io/scratch.h"
 #include "util/bit_vector.h"
 #include "util/random.h"
@@ -105,6 +106,21 @@ inline uint64_t BruteForceAlpha(const Graph& graph) {
     }
   }
   return best;
+}
+
+/// The whole content of the file at `path` (for byte-identity checks).
+inline std::vector<char> ReadAllBytes(const std::string& path) {
+  std::vector<char> bytes;
+  SequentialFileReader r;
+  EXPECT_OK(r.Open(path));
+  char buf[1 << 16];
+  size_t n = 0;
+  do {
+    EXPECT_OK(r.Read(buf, sizeof(buf), &n));
+    bytes.insert(bytes.end(), buf, buf + n);
+  } while (n > 0);
+  EXPECT_OK(r.Close());
+  return bytes;
 }
 
 /// Converts a bit vector to a sorted id list (nicer gtest failure output).

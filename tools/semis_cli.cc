@@ -14,8 +14,10 @@
 //                      [--out set.txt] [--verify]
 //                      (the WHOLE pipeline -- greedy and the swap stage --
 //                       runs over shards with T threads: a monolithic
-//                       input is split into N shards first, 0 = 1; the
-//                       result is byte-identical for every thread count.
+//                       input becomes an N-shard store first, 0 = 1,
+//                       degree-sorted straight into the shards when
+//                       GREEDY order needs it; the result is
+//                       byte-identical for every thread count.
 //                       A SADJS manifest is consumed directly; when its
 //                       degree-sorted flag is cleared -- e.g. by a
 //                       compaction -- the sorted-order algorithms degrade
@@ -439,7 +441,7 @@ int CmdSolve(const Args& args) {
     return 1;
   }
   // A SADJS manifest is consumed directly (the file fixes the shard
-  // count); a monolithic file is split into --shards shards (0 = 1).
+  // count); a monolithic file becomes a --shards shard store (0 = 1).
   const bool is_manifest = IsShardStoreRoot(args.positional[0]);
   if (!ParseSolveFlags(args, is_manifest, &opts)) return 1;
   opts.verify = args.Has("verify");
@@ -463,7 +465,7 @@ int CmdSolve(const Args& args) {
               static_cast<unsigned long long>(res.io.sequential_scans),
               MemoryTracker::FormatBytes(res.io.bytes_read).c_str());
   if (!is_manifest) {
-    std::printf("  sharded pipeline: %u shards, %u threads, split in %.2fs\n",
+    std::printf("  sharded pipeline: %u shards, %u threads, built in %.2fs\n",
                 std::max<uint32_t>(1, opts.pipeline.num_shards),
                 opts.pipeline.num_threads, res.shard_seconds);
   }
@@ -578,82 +580,98 @@ int CmdColor(const Args& args) {
   return conflicts == 0 ? 0 : 1;
 }
 
-// Streaming parser of an update file (see the file comment for the
-// format). Forward-only and O(1) memory, so `update` can consume streams
-// far larger than RAM; errors carry the offending line number.
-class UpdateStreamReader {
+// Forward-only reader of the line-oriented text inputs: update streams
+// and engine session scripts (see the file comment for both formats).
+// Reads whole lines of any length, skips blank and '#' lines, parses the
+// `+ u v` / `- u v` updates both formats share, and names the file and
+// line number in every error. O(1) memory, so `update` can consume
+// streams far larger than RAM.
+class LineFileReader {
  public:
-  ~UpdateStreamReader() {
+  /// `kind` names the input in errors ("update stream").
+  explicit LineFileReader(std::string kind) : kind_(std::move(kind)) {}
+  ~LineFileReader() {
     if (f_ != nullptr) std::fclose(f_);
   }
+  LineFileReader(const LineFileReader&) = delete;
+  LineFileReader& operator=(const LineFileReader&) = delete;
 
   Status Open(const std::string& path) {
     f_ = std::fopen(path.c_str(), "r");
     if (f_ == nullptr) {
-      return Status::NotFound("cannot open update stream '" + path + "'");
+      return Status::NotFound("cannot open " + kind_ + " '" + path + "'");
     }
     path_ = path;
     return Status::OK();
   }
 
-  /// Parses the next update; `*has_next` is false at end of file.
-  Status Next(EdgeUpdate* update, bool* has_next) {
-    std::string line;
-    while (true) {
-      bool eof = false;
-      ReadLine(&line, &eof);
-      if (eof && line.empty()) {
-        *has_next = false;
-        return Status::OK();
-      }
+  /// Points `*p` at the next line that is neither blank nor a comment,
+  /// leading whitespace skipped. False at end of file.
+  bool NextLine(const char** p) {
+    while (ReadLine()) {
       line_no_++;
-      const char* p = line.c_str();
-      while (*p == ' ' || *p == '\t') p++;
-      if (*p == '\0' || *p == '#') continue;
-      const char op = *p++;
-      if (op != '+' && op != '-') {
-        return LineError("expected '+' or '-'");
-      }
-      char* end = nullptr;
-      unsigned long long u = std::strtoull(p, &end, 10);
-      if (end == p) return LineError("missing vertex ids");
-      p = end;
-      unsigned long long v = std::strtoull(p, &end, 10);
-      if (end == p) return LineError("missing second vertex id");
-      if (u > 0xFFFFFFFFull || v > 0xFFFFFFFFull) {
-        return LineError("vertex id does not fit 32 bits");
-      }
-      *update = (op == '+') ? EdgeUpdate::Insert(static_cast<VertexId>(u),
-                                                 static_cast<VertexId>(v))
-                            : EdgeUpdate::Delete(static_cast<VertexId>(u),
-                                                 static_cast<VertexId>(v));
-      *has_next = true;
-      return Status::OK();
+      const char* q = line_.c_str();
+      while (*q == ' ' || *q == '\t') q++;
+      if (*q == '\0' || *q == '#') continue;
+      *p = q;
+      return true;
     }
+    return false;
   }
 
- private:
-  // Reads one whole line of any length (newline stripped).
-  void ReadLine(std::string* line, bool* eof) {
-    line->clear();
-    char chunk[256];
-    while (std::fgets(chunk, sizeof(chunk), f_) != nullptr) {
-      line->append(chunk);
-      if (!line->empty() && line->back() == '\n') {
-        line->pop_back();
-        return;
-      }
-    }
-    *eof = true;
+  /// Parses the next update of an update stream; `*has_next` is false at
+  /// end of file.
+  Status NextUpdate(EdgeUpdate* update, bool* has_next) {
+    const char* p = nullptr;
+    *has_next = NextLine(&p);
+    return *has_next ? ParseUpdate(p, update) : Status::OK();
   }
 
+  /// Parses the update at `p` (the op character of the current line).
+  Status ParseUpdate(const char* p, EdgeUpdate* update) const {
+    const char op = *p++;
+    if (op != '+' && op != '-') return LineError("expected '+' or '-'");
+    char* end = nullptr;
+    unsigned long long u = std::strtoull(p, &end, 10);
+    if (end == p) return LineError("missing vertex ids");
+    p = end;
+    unsigned long long v = std::strtoull(p, &end, 10);
+    if (end == p) return LineError("missing second vertex id");
+    if (u > 0xFFFFFFFFull || v > 0xFFFFFFFFull) {
+      return LineError("vertex id does not fit 32 bits");
+    }
+    *update = (op == '+') ? EdgeUpdate::Insert(static_cast<VertexId>(u),
+                                               static_cast<VertexId>(v))
+                          : EdgeUpdate::Delete(static_cast<VertexId>(u),
+                                               static_cast<VertexId>(v));
+    return Status::OK();
+  }
+
+  /// InvalidArgument naming the file and the current line.
   Status LineError(const std::string& what) const {
-    return Status::InvalidArgument("update stream '" + path_ + "' line " +
+    return Status::InvalidArgument(kind_ + " '" + path_ + "' line " +
                                    std::to_string(line_no_) + ": " + what);
   }
 
+ private:
+  // Reads one whole line into line_ (newline stripped); false at EOF.
+  bool ReadLine() {
+    line_.clear();
+    char chunk[256];
+    while (std::fgets(chunk, sizeof(chunk), f_) != nullptr) {
+      line_.append(chunk);
+      if (!line_.empty() && line_.back() == '\n') {
+        line_.pop_back();
+        return true;
+      }
+    }
+    return !line_.empty();  // a last line without a newline
+  }
+
+  std::string kind_;
   std::FILE* f_ = nullptr;
   std::string path_;
+  std::string line_;
   uint64_t line_no_ = 0;
 };
 
@@ -779,7 +797,7 @@ int CmdUpdate(const Args& args) {
   Status s = engine.Prepare();
   if (!s.ok()) return Fail(s);
 
-  UpdateStreamReader stream;
+  LineFileReader stream("update stream");
   s = stream.Open(args.Get("stream"));
   if (!s.ok()) return Fail(s);
 
@@ -793,7 +811,7 @@ int CmdUpdate(const Args& args) {
     while (batch_updates.size() < batch) {
       EdgeUpdate update;
       bool has_next = false;
-      s = stream.Next(&update, &has_next);
+      s = stream.NextUpdate(&update, &has_next);
       if (!s.ok()) return Fail(s);
       if (!has_next) {
         drained = true;
@@ -939,60 +957,18 @@ int CmdEngine(const Args& args) {
                 static_cast<unsigned long long>(snap->set_size()));
   }
 
-  std::FILE* f = std::fopen(args.Get("script").c_str(), "r");
-  if (f == nullptr) {
-    return Fail(Status::NotFound("cannot open session script '" +
-                                 args.Get("script") + "'"));
-  }
-  auto script_error = [&](uint64_t line_no, const std::string& what) {
-    std::fclose(f);
-    return Fail(Status::InvalidArgument(
-        "session script '" + args.Get("script") + "' line " +
-        std::to_string(line_no) + ": " + what));
-  };
+  LineFileReader script("session script");
+  s = script.Open(args.Get("script"));
+  if (!s.ok()) return Fail(s);
 
   std::vector<EdgeUpdate> queued;
-  uint64_t line_no = 0;
-  std::string line;
-  bool eof = false;
-  while (!eof) {
-    // Read one whole line of any length (newline stripped).
-    line.clear();
-    char chunk[256];
-    bool got = false;
-    while (std::fgets(chunk, sizeof(chunk), f) != nullptr) {
-      got = true;
-      line.append(chunk);
-      if (!line.empty() && line.back() == '\n') {
-        line.pop_back();
-        break;
-      }
-    }
-    if (!got) {
-      eof = true;
-      if (line.empty()) break;
-    }
-    line_no++;
-    const char* p = line.c_str();
-    while (*p == ' ' || *p == '\t') p++;
-    if (*p == '\0' || *p == '#') continue;
-
+  const char* p = nullptr;
+  while (script.NextLine(&p)) {
     if (*p == '+' || *p == '-') {
-      const char op = *p++;
-      char* end = nullptr;
-      unsigned long long u = std::strtoull(p, &end, 10);
-      if (end == p) return script_error(line_no, "missing vertex ids");
-      p = end;
-      unsigned long long v = std::strtoull(p, &end, 10);
-      if (end == p) return script_error(line_no, "missing second vertex id");
-      if (u > 0xFFFFFFFFull || v > 0xFFFFFFFFull) {
-        return script_error(line_no, "vertex id does not fit 32 bits");
-      }
-      queued.push_back(op == '+'
-                           ? EdgeUpdate::Insert(static_cast<VertexId>(u),
-                                                static_cast<VertexId>(v))
-                           : EdgeUpdate::Delete(static_cast<VertexId>(u),
-                                                static_cast<VertexId>(v)));
+      EdgeUpdate update;
+      s = script.ParseUpdate(p, &update);
+      if (!s.ok()) return Fail(s);
+      queued.push_back(update);
       continue;
     }
 
@@ -1020,7 +996,6 @@ int CmdEngine(const Args& args) {
           queued.clear();
           continue;
         }
-        std::fclose(f);
         return Fail(s);
       }
       std::printf("applied %llu updates (staleness %llu)\n",
@@ -1031,7 +1006,6 @@ int CmdEngine(const Args& args) {
       s = engine.Repair();
       if (!s.ok()) {
         if (rejected_read_only(s)) continue;
-        std::fclose(f);
         return Fail(s);
       }
       std::printf("repaired successor state\n");
@@ -1039,7 +1013,6 @@ int CmdEngine(const Args& args) {
       s = engine.Compact(/*force=*/true);
       if (!s.ok()) {
         if (rejected_read_only(s)) continue;
-        std::fclose(f);
         return Fail(s);
       }
       std::printf("compacted pending delta\n");
@@ -1075,12 +1048,11 @@ int CmdEngine(const Args& args) {
         }
       }
       std::printf("\n");
-      if (!any) return script_error(line_no, "query needs vertex ids");
+      if (!any) return Fail(script.LineError("query needs vertex ids"));
     } else {
-      return script_error(line_no, "unknown verb '" + verb + "'");
+      return Fail(script.LineError("unknown verb '" + verb + "'"));
     }
   }
-  std::fclose(f);
   if (!queued.empty()) {
     std::fprintf(stderr,
                  "warning: %llu queued updates were never applied "
