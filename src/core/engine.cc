@@ -91,14 +91,8 @@ Status MisEngine::BuildShardStore(const std::string& adjacency_path,
     sort_opts.fan_in = options_.sort_fan_in;
     sort_opts.stats = &res->io;
     sort_opts.memory = &sort_memory;
-    DegreeSorter sorter(sort_opts);
-    SEMIS_RETURN_IF_ERROR(sorter.AddAll(&scanner));
-    ShardedAdjacencyFileWriter writer(&res->io);
-    SEMIS_RETURN_IF_ERROR(writer.Open(
-        *manifest_path, header.num_vertices, header.num_directed_edges,
-        header.max_degree, header.flags | kAdjFlagDegreeSorted, num_shards));
-    SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
-    SEMIS_RETURN_IF_ERROR(writer.Finish());
+    SEMIS_RETURN_IF_ERROR(BuildDegreeSortedShardStore(
+        &scanner, *manifest_path, num_shards, sort_opts));
     res->sort_seconds = sort_timer.ElapsedSeconds();
     res->peak_memory_bytes = sort_memory.PeakBytes();
   }

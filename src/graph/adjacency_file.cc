@@ -1,5 +1,7 @@
 #include "graph/adjacency_file.h"
 
+#include <algorithm>
+
 namespace semis {
 
 namespace {
@@ -13,12 +15,18 @@ Status AdjacencyFileWriter::Open(const std::string& path,
                                  uint64_t num_vertices,
                                  uint64_t num_directed_edges,
                                  uint32_t max_degree, uint32_t flags) {
+  if (num_vertices > kMaxAdjacencyVertices) {
+    return Status::InvalidArgument("vertex count " +
+                                   std::to_string(num_vertices) +
+                                   " exceeds the 32-bit id space");
+  }
   SEMIS_RETURN_IF_ERROR(writer_.Open(path));
   declared_vertices_ = num_vertices;
   declared_directed_edges_ = num_directed_edges;
   declared_max_degree_ = max_degree;
   appended_vertices_ = 0;
   appended_edges_ = 0;
+  seen_ = BitVector(num_vertices);
   SEMIS_RETURN_IF_ERROR(writer_.AppendU32(kMagic));
   SEMIS_RETURN_IF_ERROR(writer_.AppendU32(kVersion));
   SEMIS_RETURN_IF_ERROR(writer_.AppendU64(num_vertices));
@@ -39,15 +47,23 @@ Status AdjacencyFileWriter::AppendVertex(VertexId id,
     return Status::InvalidArgument(
         "vertex degree exceeds declared max_degree");
   }
-  SEMIS_RETURN_IF_ERROR(writer_.AppendU32(id));
-  SEMIS_RETURN_IF_ERROR(writer_.AppendU32(degree));
-  if (degree > 0) {
-    SEMIS_RETURN_IF_ERROR(
-        writer_.Append(neighbors, sizeof(VertexId) * degree));
+  if (seen_.Test(id)) {
+    return Status::InvalidArgument("vertex id " + std::to_string(id) +
+                                   " appended twice");
   }
+  seen_.Set(id);
+  SEMIS_RETURN_IF_ERROR(AppendAdjacencyRecord(&writer_, id, neighbors, degree));
   appended_vertices_++;
   appended_edges_ += degree;
   return Status::OK();
+}
+
+Status AppendAdjacencyRecord(SequentialFileWriter* writer, VertexId id,
+                             const VertexId* neighbors, uint32_t degree) {
+  const uint32_t head[2] = {id, degree};
+  SEMIS_RETURN_IF_ERROR(writer->Append(head, sizeof(head)));
+  if (degree == 0) return Status::OK();
+  return writer->Append(neighbors, sizeof(VertexId) * degree);
 }
 
 Status AdjacencyFileWriter::Finish() {
@@ -87,6 +103,7 @@ Status AdjacencyFileScanner::ReadHeader() {
   SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&header_.max_degree));
   records_seen_ = 0;
   edges_seen_ = 0;
+  decoder_.Reset(path_, header_.num_vertices, header_.max_degree);
   return Status::OK();
 }
 
@@ -106,7 +123,7 @@ Status AdjacencyFileScanner::Rewind() {
   return ReadHeader();
 }
 
-Status AdjacencyFileScanner::Next(VertexRecord* rec, bool* has_next) {
+Status AdjacencyFileScanner::Next(VertexRecordView* view, bool* has_next) {
   if (records_seen_ == header_.num_vertices) {
     if (!reader_.AtEof()) {
       return Status::Corruption("trailing bytes after last record in '" +
@@ -121,36 +138,84 @@ Status AdjacencyFileScanner::Next(VertexRecord* rec, bool* has_next) {
         std::to_string(header_.num_vertices) + " records, found " +
         std::to_string(records_seen_));
   }
-  uint32_t id = 0, degree = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&id));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&degree));
-  if (id >= header_.num_vertices) {
-    return Status::Corruption("record id out of range in '" + path_ + "'");
-  }
-  if (degree > header_.max_degree) {
-    return Status::Corruption("record degree exceeds header max_degree in '" +
-                              path_ + "'");
-  }
-  neighbor_buf_.resize(degree);
-  if (degree > 0) {
-    SEMIS_RETURN_IF_ERROR(
-        reader_.ReadExact(neighbor_buf_.data(), sizeof(VertexId) * degree));
-    for (VertexId nb : neighbor_buf_) {
-      if (nb >= header_.num_vertices) {
-        return Status::Corruption("neighbor id out of range in '" + path_ +
-                                  "'");
-      }
-    }
-  }
+  SEMIS_RETURN_IF_ERROR(decoder_.Decode(&reader_, view));
   records_seen_++;
-  edges_seen_ += degree;
+  edges_seen_ += view->degree;
   if (edges_seen_ > header_.num_directed_edges) {
     return Status::Corruption("more edges than declared in '" + path_ + "'");
   }
-  rec->id = id;
-  rec->degree = degree;
-  rec->neighbors = neighbor_buf_.data();
   *has_next = true;
+  return Status::OK();
+}
+
+void AdjacencyRecordDecoder::Reset(const std::string& path,
+                                   uint64_t num_vertices,
+                                   uint32_t max_degree) {
+  path_ = path;
+  num_vertices_ = num_vertices;
+  max_degree_ = max_degree;
+}
+
+Status AdjacencyRecordDecoder::CheckHeader(VertexId id,
+                                           uint32_t degree) const {
+  if (id >= num_vertices_) {
+    return Status::Corruption("record id out of range in '" + path_ + "'");
+  }
+  if (degree > max_degree_) {
+    return Status::Corruption("record degree exceeds header max_degree in '" +
+                              path_ + "'");
+  }
+  return Status::OK();
+}
+
+Status AdjacencyRecordDecoder::CheckNeighbors(const VertexId* neighbors,
+                                              uint32_t degree) const {
+  // One branch per record on the hot path: fold the range test over the
+  // list and only then look for the culprit.
+  VertexId max_neighbor = 0;
+  for (uint32_t i = 0; i < degree; ++i) {
+    max_neighbor = std::max(max_neighbor, neighbors[i]);
+  }
+  if (degree > 0 && max_neighbor >= num_vertices_) {
+    return Status::Corruption("neighbor id out of range in '" + path_ + "'");
+  }
+  return Status::OK();
+}
+
+Status AdjacencyRecordDecoder::Decode(SequentialFileReader* reader,
+                                      VertexRecordView* view) {
+  constexpr size_t kHeaderBytes = 2 * sizeof(uint32_t);
+  size_t buffered = 0;
+  const uint32_t* words = reader->PeekBuffered(&buffered);
+  VertexId id = 0;
+  uint32_t degree = 0;
+  if (buffered >= kHeaderBytes) {
+    id = words[0];
+    degree = words[1];
+    SEMIS_RETURN_IF_ERROR(CheckHeader(id, degree));
+    const uint64_t record_bytes =
+        kHeaderBytes + sizeof(VertexId) * uint64_t{degree};
+    if (record_bytes <= buffered) {
+      const VertexId* neighbors = words + 2;
+      SEMIS_RETURN_IF_ERROR(CheckNeighbors(neighbors, degree));
+      reader->ConsumeBuffered(static_cast<size_t>(record_bytes));
+      *view = VertexRecordView{id, degree, neighbors};
+      return Status::OK();
+    }
+    reader->ConsumeBuffered(kHeaderBytes);
+  } else {
+    SEMIS_RETURN_IF_ERROR(reader->ReadU32(&id));
+    SEMIS_RETURN_IF_ERROR(reader->ReadU32(&degree));
+    SEMIS_RETURN_IF_ERROR(CheckHeader(id, degree));
+  }
+  // The record crosses a buffer fill: read its neighbors into spill_.
+  spill_.resize(degree);
+  if (degree > 0) {
+    SEMIS_RETURN_IF_ERROR(
+        reader->ReadExact(spill_.data(), sizeof(VertexId) * degree));
+    SEMIS_RETURN_IF_ERROR(CheckNeighbors(spill_.data(), degree));
+  }
+  *view = VertexRecordView{id, degree, spill_.data()};
   return Status::OK();
 }
 

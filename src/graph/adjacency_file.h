@@ -22,6 +22,7 @@
 #include "graph/record_block.h"
 #include "io/file.h"
 #include "io/io_stats.h"
+#include "util/bit_vector.h"
 #include "util/common.h"
 #include "util/status.h"
 
@@ -31,6 +32,9 @@ namespace semis {
 /// the preprocessing sort (Section 4.1) and required by GREEDY for its
 /// approximation quality (BASELINE omits it).
 inline constexpr uint32_t kAdjFlagDegreeSorted = 1u << 0;
+
+/// Largest vertex count a file can declare: vertex ids are 32-bit.
+inline constexpr uint64_t kMaxAdjacencyVertices = uint64_t{1} << 32;
 
 /// Parsed header of an adjacency file.
 struct AdjacencyFileHeader {
@@ -50,13 +54,15 @@ class AdjacencyFileWriter {
   /// `stats` may be null.
   explicit AdjacencyFileWriter(IoStats* stats = nullptr);
 
-  /// Creates `path` and writes the header.
+  /// Creates `path` and writes the header. At most kMaxAdjacencyVertices
+  /// vertices.
   Status Open(const std::string& path, uint64_t num_vertices,
               uint64_t num_directed_edges, uint32_t max_degree,
               uint32_t flags);
 
   /// Appends the record for vertex `id`. Every vertex must be appended
-  /// exactly once (including degree-0 vertices).
+  /// exactly once (including degree-0 vertices); a repeated id is
+  /// InvalidArgument, and a missing one fails Finish's vertex count.
   Status AppendVertex(VertexId id, const VertexId* neighbors, uint32_t degree);
 
   /// Validates the declared totals and closes the file.
@@ -69,7 +75,13 @@ class AdjacencyFileWriter {
   uint32_t declared_max_degree_ = 0;
   uint64_t appended_vertices_ = 0;
   uint64_t appended_edges_ = 0;
+  BitVector seen_;  // one bit per vertex: appended already
 };
+
+/// Appends one record (id, degree, neighbor words) to `writer`: the
+/// record encoder of both the SADJ and the sharded writer.
+Status AppendAdjacencyRecord(SequentialFileWriter* writer, VertexId id,
+                             const VertexId* neighbors, uint32_t degree);
 
 /// One vertex record as exposed by the scanner. `neighbors` points into a
 /// scanner-owned buffer that is invalidated by the next call to Next().
@@ -96,6 +108,39 @@ Status NextRecordFromView(Source* source, VertexRecord* rec,
   return Status::OK();
 }
 
+/// Decodes the records of a SADJ record stream (u32 id, u32 degree,
+/// u32 neighbor[degree]; shard files carry the same records) and checks
+/// each against its header: the id and every neighbor below
+/// `num_vertices`, the degree at most `max_degree`. The one record
+/// decoder of AdjacencyFileScanner and AdjacencyShardReader, which keep
+/// the record-count and edge-total checks.
+///
+/// A record the reader holds whole is validated and consumed in place
+/// (SequentialFileReader::PeekBuffered/ConsumeBuffered), and its view
+/// points into the reader's buffer. A record that crosses a buffer fill,
+/// or is longer than the buffer, is read through ReadU32/ReadExact into
+/// the decoder's own buffer. Either way the view stays valid until the
+/// next call on the reader or the decoder.
+class AdjacencyRecordDecoder {
+ public:
+  /// Sets the header limits and the path named in error messages.
+  void Reset(const std::string& path, uint64_t num_vertices,
+             uint32_t max_degree);
+
+  /// Decodes the next record from `reader`. Corruption names the check
+  /// that failed; a short file fails in ReadExact.
+  Status Decode(SequentialFileReader* reader, VertexRecordView* view);
+
+ private:
+  Status CheckHeader(VertexId id, uint32_t degree) const;
+  Status CheckNeighbors(const VertexId* neighbors, uint32_t degree) const;
+
+  std::string path_;
+  uint64_t num_vertices_ = 0;
+  uint32_t max_degree_ = 0;
+  std::vector<VertexId> spill_;  // records read across a buffer fill
+};
+
 /// Forward-only reader of adjacency files. Rewind() restarts a scan (and
 /// bumps IoStats::sequential_scans): this is the only iteration primitive
 /// the semi-external algorithms get.
@@ -111,20 +156,18 @@ class AdjacencyFileScanner {
   /// Header of the open file.
   const AdjacencyFileHeader& header() const { return header_; }
 
-  /// Reads the next record. `*has_next` is false at end-of-file (in which
-  /// case `rec` is untouched). Validates ids, degrees and totals; a
-  /// truncated or inconsistent file yields Corruption.
-  Status Next(VertexRecord* rec, bool* has_next);
+  /// Reads the next record (graph/record_block.h's view API, so generic
+  /// scan code such as RunGreedyScan and the streaming RepairScan runs
+  /// unchanged over this scanner and the block-decode cursor).
+  /// `view->neighbors` points into a scanner-owned buffer until the next
+  /// call. `*has_next` is false at end-of-file (in which case `view` is
+  /// untouched). Validates ids, degrees and totals; a truncated or
+  /// inconsistent file yields Corruption.
+  Status Next(VertexRecordView* view, bool* has_next);
 
-  /// View-API flavor of Next (graph/record_block.h): identical semantics,
-  /// `view->neighbors` points into the scanner buffer until the next call.
-  /// Lets generic scan code (RunGreedyScan, the streaming RepairScan) run
-  /// unchanged over this scanner and the block-decode cursor.
-  Status Next(VertexRecordView* view, bool* has_next) {
-    VertexRecord rec;
-    SEMIS_RETURN_IF_ERROR(Next(&rec, has_next));
-    if (*has_next) *view = VertexRecordView{rec.id, rec.degree, rec.neighbors};
-    return Status::OK();
+  /// Compatibility flavor of Next for VertexRecord consumers.
+  Status Next(VertexRecord* rec, bool* has_next) {
+    return NextRecordFromView(this, rec, has_next);
   }
 
   /// Restarts the scan from the first record. Counts a sequential scan.
@@ -145,7 +188,7 @@ class AdjacencyFileScanner {
   SequentialFileReader reader_;
   AdjacencyFileHeader header_;
   std::string path_;
-  std::vector<VertexId> neighbor_buf_;
+  AdjacencyRecordDecoder decoder_;
   uint64_t records_seen_ = 0;
   uint64_t edges_seen_ = 0;
 };

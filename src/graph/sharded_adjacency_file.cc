@@ -1,5 +1,7 @@
 #include "graph/sharded_adjacency_file.h"
 
+#include <cstring>
+
 #include "graph/shard_store.h"
 
 namespace semis {
@@ -181,6 +183,11 @@ Status ShardedAdjacencyFileWriter::Open(const std::string& manifest_path,
         "num_shards " + std::to_string(num_shards) + " exceeds the limit of " +
         std::to_string(kMaxAdjacencyShards));
   }
+  if (num_vertices > kMaxAdjacencyVertices) {
+    return Status::InvalidArgument("vertex count " +
+                                   std::to_string(num_vertices) +
+                                   " exceeds the 32-bit id space");
+  }
   manifest_path_ = manifest_path;
   declared_vertices_ = num_vertices;
   declared_directed_edges_ = num_directed_edges;
@@ -194,6 +201,7 @@ Status ShardedAdjacencyFileWriter::Open(const std::string& manifest_path,
   finished_shards_.clear();
   appended_vertices_ = 0;
   appended_edges_ = 0;
+  seen_ = BitVector(num_vertices);
   return StartShard(0);
 }
 
@@ -222,6 +230,11 @@ Status ShardedAdjacencyFileWriter::AppendVertex(VertexId id,
     return Status::InvalidArgument(
         "vertex degree exceeds declared max_degree");
   }
+  if (seen_.Test(id)) {
+    return Status::InvalidArgument("vertex id " + std::to_string(id) +
+                                   " appended twice");
+  }
+  seen_.Set(id);
   const uint64_t words = RecordWords(degree);
   // Roll to the next shard when this record would overflow the budget --
   // but never roll an empty shard, and keep the last shard open for the
@@ -232,12 +245,7 @@ Status ShardedAdjacencyFileWriter::AppendVertex(VertexId id,
     SEMIS_RETURN_IF_ERROR(CloseShard());
     SEMIS_RETURN_IF_ERROR(StartShard(current_shard_ + 1));
   }
-  SEMIS_RETURN_IF_ERROR(writer_.AppendU32(id));
-  SEMIS_RETURN_IF_ERROR(writer_.AppendU32(degree));
-  if (degree > 0) {
-    SEMIS_RETURN_IF_ERROR(
-        writer_.Append(neighbors, sizeof(VertexId) * degree));
-  }
+  SEMIS_RETURN_IF_ERROR(AppendAdjacencyRecord(&writer_, id, neighbors, degree));
   shard_words_ += words;
   current_info_.num_records++;
   current_info_.num_directed_edges += degree;
@@ -285,16 +293,16 @@ Status AdjacencyShardReader::Open(const std::string& manifest_path,
   }
   path_ = ShardFilePath(manifest_path, index);
   num_vertices_ = manifest.header.num_vertices;
-  max_degree_ = manifest.header.max_degree;
   num_records_ = manifest.shards[index].num_records;
   num_edges_ = manifest.shards[index].num_directed_edges;
   records_seen_ = 0;
   edges_seen_ = 0;
+  decoder_.Reset(path_, num_vertices_, manifest.header.max_degree);
   SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
   return ReadShardHeader(&reader_, path_, index, num_vertices_);
 }
 
-Status AdjacencyShardReader::NextInto(RecordBlock* block, bool* has_next) {
+Status AdjacencyShardReader::Next(VertexRecordView* view, bool* has_next) {
   if (records_seen_ == num_records_) {
     if (!reader_.AtEof()) {
       return Status::Corruption("trailing bytes after last record in '" +
@@ -315,49 +323,28 @@ Status AdjacencyShardReader::NextInto(RecordBlock* block, bool* has_next) {
         std::to_string(num_records_) + " records, found " +
         std::to_string(records_seen_));
   }
-  uint32_t id = 0, degree = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&id));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&degree));
-  if (id >= num_vertices_) {
-    return Status::Corruption("record id out of range in '" + path_ + "'");
-  }
-  if (degree > max_degree_) {
-    return Status::Corruption("record degree exceeds header max_degree in '" +
-                              path_ + "'");
-  }
-  // Decode straight into the block arena; a failed read or a bad neighbor
-  // rolls the staged record back so the block never exposes a half-record.
-  VertexId* dst = block->BeginRecord(id, degree);
-  if (degree > 0) {
-    Status read = reader_.ReadExact(dst, sizeof(VertexId) * degree);
-    if (!read.ok()) {
-      block->AbandonRecord();
-      return read;
-    }
-    for (uint32_t i = 0; i < degree; ++i) {
-      if (dst[i] >= num_vertices_) {
-        block->AbandonRecord();
-        return Status::Corruption("neighbor id out of range in '" + path_ +
-                                  "'");
-      }
-    }
-  }
-  if (edges_seen_ + degree > num_edges_) {
-    block->AbandonRecord();
+  SEMIS_RETURN_IF_ERROR(decoder_.Decode(&reader_, view));
+  if (edges_seen_ + view->degree > num_edges_) {
     return Status::Corruption("more edges than declared in '" + path_ + "'");
   }
-  block->CommitRecord();
   records_seen_++;
-  edges_seen_ += degree;
+  edges_seen_ += view->degree;
   if (stats_ != nullptr) stats_->records_decoded++;
   *has_next = true;
   return Status::OK();
 }
 
-Status AdjacencyShardReader::Next(VertexRecordView* view, bool* has_next) {
-  scratch_block_.Clear();  // keeps its arena capacity across records
-  SEMIS_RETURN_IF_ERROR(NextInto(&scratch_block_, has_next));
-  if (*has_next) *view = scratch_block_.view(0);
+Status AdjacencyShardReader::NextInto(RecordBlock* block, bool* has_next) {
+  VertexRecordView view;
+  SEMIS_RETURN_IF_ERROR(Next(&view, has_next));
+  if (!*has_next) return Status::OK();
+  // The record is validated before it touches the block, so a failed
+  // decode never stages anything.
+  VertexId* dst = block->BeginRecord(view.id, view.degree);
+  if (view.degree > 0) {
+    std::memcpy(dst, view.neighbors, sizeof(VertexId) * view.degree);
+  }
+  block->CommitRecord();
   return Status::OK();
 }
 
@@ -378,6 +365,7 @@ Status AdjacencyShardRecordReader::Open(
   num_records_ = manifest.shards[index].num_records;
   next_record_ = 0;
   offset_ = kAdjacencyShardHeaderBytes;
+  decoder_.Reset(path_, num_vertices_, max_degree_);
   error_ = Status::OK();
   SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
   error_ = ReadShardHeader(&reader_, path_, index, num_vertices_);
@@ -423,8 +411,10 @@ Status AdjacencyShardRecordReader::ReadRecordInner(uint64_t record,
     offset_ = checkpoint_offset;
     next_record_ = checkpoint_record;
   }
-  uint32_t got_id = 0, degree = 0;
-  while (true) {
+  // Step over the records between the read position and the target,
+  // reading only their headers.
+  while (next_record_ < record) {
+    uint32_t got_id = 0, degree = 0;
     SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&got_id));
     SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&degree));
     if (got_id >= num_vertices_) {
@@ -434,40 +424,20 @@ Status AdjacencyShardRecordReader::ReadRecordInner(uint64_t record,
       return Status::Corruption(
           "record degree exceeds header max_degree in '" + path_ + "'");
     }
-    if (next_record_ == record) break;
-    // A record between the checkpoint and the target: step over its
-    // neighbor words.
     SEMIS_RETURN_IF_ERROR(reader_.Skip(sizeof(VertexId) * uint64_t{degree}));
     offset_ += AdjacencyRecordBytes(degree);
     next_record_++;
   }
-  if (got_id != id) {
+  SEMIS_RETURN_IF_ERROR(decoder_.Decode(&reader_, view));
+  if (view->id != id) {
     return Status::Corruption("record " + std::to_string(record) + " of '" +
                               path_ + "' holds vertex " +
-                              std::to_string(got_id) + ", not " +
+                              std::to_string(view->id) + ", not " +
                               std::to_string(id));
   }
-  block_.Clear();
-  VertexId* dst = block_.BeginRecord(id, degree);
-  if (degree > 0) {
-    Status read = reader_.ReadExact(dst, sizeof(VertexId) * degree);
-    if (!read.ok()) {
-      block_.AbandonRecord();
-      return read;
-    }
-    for (uint32_t i = 0; i < degree; ++i) {
-      if (dst[i] >= num_vertices_) {
-        block_.AbandonRecord();
-        return Status::Corruption("neighbor id out of range in '" + path_ +
-                                  "'");
-      }
-    }
-  }
-  block_.CommitRecord();
-  offset_ += AdjacencyRecordBytes(degree);
+  offset_ += AdjacencyRecordBytes(view->degree);
   next_record_++;
   if (stats_ != nullptr) stats_->records_decoded++;
-  *view = block_.view(0);
   return Status::OK();
 }
 

@@ -37,6 +37,7 @@
 #include "graph/record_block.h"
 #include "io/file.h"
 #include "io/io_stats.h"
+#include "util/bit_vector.h"
 #include "util/common.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -108,19 +109,28 @@ Status WriteAdjacencyShardHeader(SequentialFileWriter* writer, uint32_t index,
 /// the next shard when the current shard reaches its payload budget. All
 /// `num_shards` shard files exist after Finish() (trailing ones may be
 /// empty when the graph is small).
+///
+/// The split rule: each shard's budget is ceil((2|V| + |E|) / N) u32
+/// words of records (id, degree and neighbor words, which track both
+/// file bytes and scan work, so the heavy tail of a power-law graph does
+/// not pile into one shard). A record that would overflow its shard's
+/// budget starts the next shard, except that an empty shard never rolls
+/// and the last shard takes the rest.
 class ShardedAdjacencyFileWriter {
  public:
   /// `stats` may be null.
   explicit ShardedAdjacencyFileWriter(IoStats* stats = nullptr);
 
   /// Declares the totals (as in AdjacencyFileWriter::Open) and the shard
-  /// count; creates the first shard file. `num_shards` must be >= 1.
+  /// count; creates the first shard file. `num_shards` must be >= 1, and
+  /// `num_vertices` at most kMaxAdjacencyVertices.
   Status Open(const std::string& manifest_path, uint64_t num_vertices,
               uint64_t num_directed_edges, uint32_t max_degree, uint32_t flags,
               uint32_t num_shards);
 
   /// Appends the record for vertex `id` (global id). Records must arrive
-  /// in the intended global order; every vertex exactly once.
+  /// in the intended global order; every vertex exactly once (a repeated
+  /// id is InvalidArgument).
   Status AppendVertex(VertexId id, const VertexId* neighbors, uint32_t degree);
 
   /// Closes the last shard, creates any remaining empty shards, validates
@@ -146,6 +156,7 @@ class ShardedAdjacencyFileWriter {
   std::vector<ShardInfo> finished_shards_;
   uint64_t appended_vertices_ = 0;
   uint64_t appended_edges_ = 0;
+  BitVector seen_;  // one bit per vertex: appended already
 };
 
 /// Forward-only reader of one shard. Each worker of a parallel scan owns
@@ -162,15 +173,15 @@ class AdjacencyShardReader {
   Status Open(const std::string& manifest_path,
               const ShardedAdjacencyManifest& manifest, uint32_t index);
 
-  /// Decodes the next record straight into `block`'s arena (the zero-copy
-  /// hot path: no intermediate neighbor buffer). On success the record is
-  /// committed to the block; on any error the block is left exactly as it
-  /// was (a failed decode never publishes a half-record). `*has_next` is
-  /// false after the last record, with nothing appended.
-  /// Validation mirrors AdjacencyFileScanner::Next.
+  /// Decodes the next record and appends it to `block`'s arena. On
+  /// success the record is committed to the block; on any error the block
+  /// is left exactly as it was (a failed decode never publishes a
+  /// half-record). `*has_next` is false after the last record, with
+  /// nothing appended. Validation mirrors AdjacencyFileScanner::Next,
+  /// through the same AdjacencyRecordDecoder.
   Status NextInto(RecordBlock* block, bool* has_next);
 
-  /// Reads the next record as a view into a reader-owned block
+  /// Reads the next record as a view into the reader's buffer
   /// (invalidated by the next call); `*has_next` is false after the last
   /// record.
   Status Next(VertexRecordView* view, bool* has_next);
@@ -183,17 +194,19 @@ class AdjacencyShardReader {
   /// Closes the underlying file. Safe to call twice.
   Status Close();
 
+  /// Path of the open shard file.
+  const std::string& path() const { return path_; }
+
  private:
   IoStats* stats_;
   SequentialFileReader reader_;
   std::string path_;
   uint64_t num_vertices_ = 0;  // global, for id validation
-  uint32_t max_degree_ = 0;
   uint64_t num_records_ = 0;
   uint64_t num_edges_ = 0;
   uint64_t records_seen_ = 0;
   uint64_t edges_seen_ = 0;
-  RecordBlock scratch_block_;  // backs the per-record Next flavors
+  AdjacencyRecordDecoder decoder_;
 };
 
 /// Sparse forward reader of one shard: decodes single records at known
@@ -203,8 +216,8 @@ class AdjacencyShardReader {
 /// the records in between, reading only their 8-byte headers. Requests
 /// must move forward through the shard. Reads go through a small fixed
 /// window rather than the 1 MB scan buffer, because the records asked
-/// for are usually far apart. Validation mirrors NextInto, and the
-/// record must hold the vertex asked for.
+/// for are usually far apart. The record goes through the shard
+/// reader's AdjacencyRecordDecoder, and must hold the vertex asked for.
 class AdjacencyShardRecordReader {
  public:
   /// `stats` may be null. Decoded records count in records_decoded; the
@@ -245,7 +258,7 @@ class AdjacencyShardRecordReader {
   uint64_t next_record_ = 0;
   uint64_t offset_ = 0;
   Status error_;
-  RecordBlock block_;
+  AdjacencyRecordDecoder decoder_;
 };
 
 /// Forward-only reader over all shards in index order: yields exactly the
@@ -268,6 +281,9 @@ class ShardedAdjacencyScanner {
   Status Next(VertexRecord* rec, bool* has_next) {
     return NextRecordFromView(this, rec, has_next);
   }
+
+  /// Path of the shard file the last record came from.
+  const std::string& path() const { return reader_.path(); }
 
  private:
   IoStats* stats_;

@@ -2,11 +2,15 @@
 // External-memory sort of (key, payload) records with a bounded main-memory
 // budget: classic run formation + k-way merge. This is the substrate for
 //   * converting raw edge lists into adjacency files (key = src vertex), and
-//   * the paper's preprocessing step that orders adjacency lists by
-//     ascending degree (key = (degree, id)), Section 4.1. That sort is
-//     graph/degree_sort.h's DegreeSorter, which writes every
-//     degree-sorted store: a sorted SADJ file, the shard store of a
+//   * the merge regime of the paper's preprocessing step that orders
+//     adjacency lists by ascending degree (key = (degree, id)), Section
+//     4.1. That sort is graph/degree_sort.h's DegreeSorter, which writes
+//     every degree-sorted store: a sorted SADJ file, the shard store of a
 //     monolithic MisEngine::Open, and each ShardedStreamingMis::Resort.
+//     It has two regimes. Placement reads the input once and writes the
+//     output once, without this sorter; it applies when the whole graph
+//     fits the budget. The merge regime runs here and keeps the paper's
+//     Table 1 shape.
 // The number of merge passes is log_{fan_in}(#runs), reproducing the
 // (|V|+|E|)/B * (log_{M/B} |V|/B + 2) I/O shape of the paper's Table 1.
 #ifndef SEMIS_IO_EXTERNAL_SORTER_H_
@@ -69,6 +73,10 @@ class ExternalSorter {
   /// Convenience for payload-free keys.
   Status AddKey(uint64_t key) { return Add(key, nullptr, 0); }
 
+  /// InvalidArgument when the options are unusable (see
+  /// ExternalSorterOptions); Add checks this on every call.
+  Status ValidateOptions() const;
+
   /// Seals input, runs intermediate merge passes if the number of runs
   /// exceeds the fan-in, and prepares the output stream.
   Status Finish();
@@ -93,7 +101,6 @@ class ExternalSorter {
  private:
   struct RunCursor;
 
-  Status ValidateOptions() const;
   Status SpillRun();
   Status MergeRuns(const std::vector<std::string>& inputs,
                    const std::string& output);

@@ -108,7 +108,9 @@ Status SequentialFileWriter::Close() {
 // ---------------------------------------------------------------- reader --
 
 SequentialFileReader::SequentialFileReader(IoStats* stats, size_t buffer_bytes)
-    : stats_(stats), buffer_(buffer_bytes) {}
+    : stats_(stats),
+      buffer_((buffer_bytes + sizeof(uint32_t) - 1) / sizeof(uint32_t)),
+      buffer_size_(buffer_bytes) {}
 
 SequentialFileReader::~SequentialFileReader() { Close().IgnoreError(); }
 
@@ -128,7 +130,7 @@ Status SequentialFileReader::Open(const std::string& path) {
 Status SequentialFileReader::FillBuffer() {
   buf_pos_ = 0;
   buf_len_ = 0;
-  Status s = file_->Read(buffer_.data(), buffer_.size(), &buf_len_);
+  Status s = file_->Read(buffer_bytes(), buffer_size_, &buf_len_);
   if (!s.ok()) {
     // Latch: a failed fill must keep failing. Without this, a caller
     // probing AtEof() after the error would see an empty buffer and
@@ -138,7 +140,7 @@ Status SequentialFileReader::FillBuffer() {
     return s;
   }
   // RawFile::Read is short only at end of file.
-  if (buf_len_ < buffer_.size()) hit_eof_ = true;
+  if (buf_len_ < buffer_size_) hit_eof_ = true;
   return Status::OK();
 }
 
@@ -164,7 +166,7 @@ Status SequentialFileReader::Read(void* out, size_t n, size_t* out_n) {
     }
     size_t avail = buf_len_ - buf_pos_;
     size_t chunk = n < avail ? n : avail;
-    std::memcpy(dst, buffer_.data() + buf_pos_, chunk);
+    std::memcpy(dst, buffer_bytes() + buf_pos_, chunk);
     buf_pos_ += chunk;
     dst += chunk;
     got += chunk;

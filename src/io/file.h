@@ -113,6 +113,33 @@ class SequentialFileReader {
   /// Reads one little-endian u64.
   Status ReadU64(uint64_t* v) { return ReadExact(v, sizeof(*v)); }
 
+  /// The bytes already buffered from the read position on, without any
+  /// I/O, as u32 words: `*n` bytes start at the returned pointer. Null
+  /// with `*n` = 0 when the buffer is drained, an error is latched, or
+  /// the position is not on a word boundary (a reader that only moves in
+  /// whole words, like every graph file scan, always is). Valid until
+  /// the next call that reads, skips, consumes or closes.
+  const uint32_t* PeekBuffered(size_t* n) const {
+    if (!pending_error_.ok() || buf_pos_ == buf_len_ ||
+        buf_pos_ % sizeof(uint32_t) != 0) {
+      *n = 0;
+      return nullptr;
+    }
+    *n = buf_len_ - buf_pos_;
+    return buffer_.data() + buf_pos_ / sizeof(uint32_t);
+  }
+
+  /// Consumes `n` <= the PeekBuffered count bytes, charged to the
+  /// counters as one Read of `n` bytes.
+  void ConsumeBuffered(size_t n) {
+    buf_pos_ += n;
+    bytes_read_ += n;
+    if (stats_ != nullptr) {
+      stats_->bytes_read += n;
+      stats_->read_calls++;
+    }
+  }
+
   /// Moves `n` bytes forward without delivering them: consumed from the
   /// buffer when they are there, else the buffer is dropped and the file
   /// skips the rest (RawFile::Skip). Skipped bytes are not charged to
@@ -140,8 +167,13 @@ class SequentialFileReader {
  private:
   Status FillBuffer();
 
+  char* buffer_bytes() { return reinterpret_cast<char*>(buffer_.data()); }
+
   IoStats* stats_;
-  std::vector<char> buffer_;
+  // Word storage, so PeekBuffered's callers may read aligned u32 fields
+  // in place; buffer_size_ is the byte capacity actually filled.
+  std::vector<uint32_t> buffer_;
+  size_t buffer_size_ = 0;
   size_t buf_pos_ = 0;
   size_t buf_len_ = 0;
   bool hit_eof_ = false;

@@ -8,7 +8,10 @@
 //     the identical epochs (the determinism contract);
 //   * an unsorted monolithic open sorts straight into its shard store,
 //     byte-identical to sorting to a file and splitting that, also when
-//     the sort spills and merges in several passes;
+//     the sort spills and merges in several passes; a storage fault at
+//     any site of that open fails it cleanly, and a retry writes the
+//     same store; an input that repeats a vertex id fails at every
+//     entry point;
 //   * epoch snapshots are immutable: a reference held across later
 //     publications (and Close) keeps showing its own epoch's set;
 //   * Publish() is a no-op without mutation, per-epoch stats carry the
@@ -627,6 +630,182 @@ TEST_F(EngineTest, DegradedModeServesLastEpochAfterStorageFailure) {
   ASSERT_OK(engine.ApplyBatch(script[0]));
   ASSERT_OK(engine.Repair());
   EXPECT_EQ(engine.Publish()->epoch(), 2u);
+}
+
+// A SADJ file written raw, so that it can break the rules
+// AdjacencyFileWriter enforces: a header declaring `num_vertices`
+// vertices, 6 directed edges and max degree 2, then `records` as
+// (id, degree, neighbors...) words.
+std::string WriteRawAdjacencyFile(
+    ScratchDir* scratch, uint32_t flags, uint64_t num_vertices,
+    const std::vector<std::vector<uint32_t>>& records) {
+  const std::string path = scratch->NewFilePath("raw.adj");
+  SequentialFileWriter w;
+  EXPECT_OK(w.Open(path));
+  EXPECT_OK(w.AppendU32(0x4A444153u));  // magic
+  EXPECT_OK(w.AppendU32(1));            // version
+  EXPECT_OK(w.AppendU64(num_vertices));
+  EXPECT_OK(w.AppendU64(6));  // directed edges
+  EXPECT_OK(w.AppendU32(flags));
+  EXPECT_OK(w.AppendU32(2));  // max degree
+  for (const auto& rec : records) {
+    for (uint32_t word : rec) EXPECT_OK(w.AppendU32(word));
+  }
+  EXPECT_OK(w.Close());
+  return path;
+}
+
+// A 4-vertex file whose records carry ids 0, 1, 2, 1: id 3 has no record.
+std::string WriteRepeatedIdFile(ScratchDir* scratch, uint32_t flags) {
+  return WriteRawAdjacencyFile(
+      scratch, flags, 4, {{0, 1, 1}, {1, 2, 0, 2}, {2, 1, 1}, {1, 2, 0, 2}});
+}
+
+TEST_F(EngineTest, RepeatedVertexIdRejectedAtEveryEntryPoint) {
+  auto names_vertex_1 = [](const Status& s) {
+    return s.ToString().find("vertex id 1 ") != std::string::npos;
+  };
+  {
+    AdjacencyFileWriter w;
+    ASSERT_OK(w.Open(NewPath("direct.adj"), 4, 6, 2, 0));
+    const VertexId n0[] = {1}, n1[] = {0, 2}, n2[] = {1};
+    ASSERT_OK(w.AppendVertex(0, n0, 1));
+    ASSERT_OK(w.AppendVertex(1, n1, 2));
+    ASSERT_OK(w.AppendVertex(2, n2, 1));
+    Status s = w.AppendVertex(1, n1, 2);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_TRUE(names_vertex_1(s)) << s.ToString();
+  }
+  const std::string unsorted = WriteRepeatedIdFile(&scratch_, 0);
+  const std::string flagged =
+      WriteRepeatedIdFile(&scratch_, kAdjFlagDegreeSorted);
+  // The placement sees the repeat in its id -> offset table and names the
+  // file; the merge sorts it, and the writer's vertex bits catch it.
+  for (size_t budget : {size_t{64} << 20, size_t{16}}) {
+    SCOPED_TRACE("sort budget " + std::to_string(budget));
+    DegreeSortOptions sort_opts;
+    sort_opts.memory_budget_bytes = budget;
+    Status s = BuildDegreeSortedAdjacencyFile(unsorted, NewPath("sorted.adj"),
+                                              sort_opts);
+    EXPECT_FALSE(s.ok());
+    EXPECT_TRUE(names_vertex_1(s)) << s.ToString();
+    if (budget > 16) {
+      EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+      EXPECT_NE(s.ToString().find(unsorted), std::string::npos);
+    }
+    for (bool verify : {false, true}) {
+      MisEngineOptions opts;
+      opts.sort_memory_budget_bytes = budget;
+      opts.verify = verify;
+      opts.pipeline.num_shards = 3;
+      opts.pipeline.num_threads = 2;
+      MisEngine engine(opts);
+      s = engine.Open(unsorted);
+      EXPECT_FALSE(s.ok()) << "verify " << verify;
+      EXPECT_TRUE(names_vertex_1(s)) << s.ToString();
+      EXPECT_FALSE(engine.is_open());
+    }
+  }
+  // An input flagged sorted is split as it stands.
+  MisEngineOptions opts;
+  opts.verify = true;
+  opts.pipeline.num_shards = 3;
+  MisEngine engine(opts);
+  Status s = engine.Open(flagged);
+  EXPECT_FALSE(s.ok());
+  EXPECT_TRUE(names_vertex_1(s)) << s.ToString();
+}
+
+TEST_F(EngineTest, VertexCountPastTheIdSpaceIsCorruption) {
+  // The path 0-1-2-3 under a header whose vertex count has its top bit
+  // flipped: 2^63 + 4. No sort regime may size anything from that count;
+  // the records run out, and every entry point reports Corruption.
+  const std::string path =
+      WriteRawAdjacencyFile(&scratch_, 0, (uint64_t{1} << 63) + 4,
+                            {{0, 1, 1}, {1, 2, 0, 2}, {2, 2, 1, 3}, {3, 1, 2}});
+  for (size_t budget : {size_t{64} << 20, size_t{16}}) {
+    SCOPED_TRACE("sort budget " + std::to_string(budget));
+    DegreeSortOptions sort_opts;
+    sort_opts.memory_budget_bytes = budget;
+    Status s =
+        BuildDegreeSortedAdjacencyFile(path, NewPath("sorted.adj"), sort_opts);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    MisEngineOptions opts;
+    opts.sort_memory_budget_bytes = budget;
+    opts.pipeline.num_shards = 3;
+    MisEngine engine(opts);
+    s = engine.Open(path);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_FALSE(engine.is_open());
+  }
+}
+
+TEST_F(EngineTest, UnsortedOpenFaultSweepJoinsWorkersAndRetriesCleanly) {
+  // A sticky ENOSPC at every open, write and sync site of an unsorted open
+  // at 7 shards and 4 threads (the sort writes the shards, the greedy
+  // reads them on 4 workers): each faulted Open returns the error after
+  // its workers stopped (no I/O follows it), and a fault-free retry in the
+  // same directory writes the golden store byte for byte.
+  Graph base = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 1.9), 71);
+  const std::string mono = WriteGraphFile(&scratch_, base);
+  constexpr uint32_t kShards = 7;
+  auto options = [&](const std::string& dir) {
+    MisEngineOptions opts;
+    opts.scratch_dir = dir;
+    opts.swap = SwapMode::kNone;
+    opts.pipeline.num_shards = kShards;
+    opts.pipeline.num_threads = 4;
+    return opts;
+  };
+  auto store_bytes = [&](const std::string& dir) {
+    std::vector<std::vector<char>> files{ReadAllBytes(dir + "/sharded.sadjs")};
+    for (uint32_t k = 0; k < kShards; ++k) {
+      files.push_back(ReadAllBytes(ShardFilePath(dir + "/sharded.sadjs", k)));
+    }
+    return files;
+  };
+  const std::string golden_dir = NewPath("golden");
+  ASSERT_TRUE(std::filesystem::create_directory(golden_dir));
+  {
+    MisEngine engine(options(golden_dir));
+    ASSERT_OK(engine.Open(mono));
+    ASSERT_OK(engine.Close());
+  }
+  const auto golden = store_bytes(golden_dir);
+
+  for (const std::string op : {"open", "write", "sync"}) {
+    uint64_t faulted = 0;
+    for (uint64_t nth = 1;; ++nth) {
+      SCOPED_TRACE(op + ":" + std::to_string(nth));
+      const std::string dir = NewPath("faulted");
+      ASSERT_TRUE(std::filesystem::create_directory(dir));
+      FaultInjectionFileSystem fs(
+          PosixFileSystem(),
+          EngineFaultSpec(op + ":" + std::to_string(nth) + ":ENOSPC:sticky"));
+      Status s;
+      uint64_t ops_at_return = 0;
+      {
+        ScopedFileSystem scoped(&fs);
+        MisEngine engine(options(dir));
+        s = engine.Open(mono);
+        ops_at_return = fs.ops_matched();
+      }
+      if (fs.faults_injected() == 0) {
+        ASSERT_OK(s);  // past the last site
+        break;
+      }
+      faulted++;
+      EXPECT_TRUE(s.IsIOError()) << s.ToString();
+      EXPECT_EQ(fs.ops_matched(), ops_at_return);
+      MisEngine retry(options(dir));
+      ASSERT_OK(retry.Open(mono));
+      EXPECT_TRUE(store_bytes(dir) == golden);
+      ASSERT_OK(retry.Close());
+    }
+    if (op != "sync") {
+      EXPECT_GT(faulted, kShards) << op;
+    }
+  }
 }
 
 TEST_F(EngineTest, InvalidArgumentDoesNotLatchReadOnly) {

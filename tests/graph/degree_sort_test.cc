@@ -2,17 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "gen/generators.h"
 #include "gen/plrg.h"
 #include "graph/adjacency_file.h"
 #include "graph/graph_io.h"
+#include "graph/sharded_adjacency_file.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace semis {
 namespace {
 
+using testing_util::ReadAllBytes;
 using testing_util::ScratchTest;
 using testing_util::WriteGraphFile;
+using testing_util::WriteGraphFileInOrder;
 
 class DegreeSortTest : public ScratchTest {};
 
@@ -114,6 +122,122 @@ TEST_F(DegreeSortTest, EmptyGraph) {
   AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(output));
   EXPECT_EQ(scanner.header().num_vertices, 0u);
+}
+
+// Sorts the SADJ file `input` into a `shards`-shard store at `manifest`,
+// as MisEngine::Open does.
+Status SortIntoShards(const std::string& input, const std::string& manifest,
+                      uint32_t shards, const DegreeSortOptions& opts) {
+  AdjacencyFileScanner scanner(opts.stats);
+  SEMIS_RETURN_IF_ERROR(scanner.Open(input));
+  return BuildDegreeSortedShardStore(&scanner, manifest, shards, opts);
+}
+
+// The store's manifest followed by every shard file, for byte equality.
+std::vector<std::vector<char>> StoreBytes(const std::string& manifest,
+                                          uint32_t shards) {
+  std::vector<std::vector<char>> files{ReadAllBytes(manifest)};
+  for (uint32_t k = 0; k < shards; ++k) {
+    files.push_back(ReadAllBytes(ShardFilePath(manifest, k)));
+  }
+  return files;
+}
+
+TEST_F(DegreeSortTest, PlacementAndMergeWriteTheSameBytes) {
+  // The placement regime against the merge regime, forced by a budget one
+  // byte under the placement footprint: both writers, every shard count,
+  // byte for byte. Inputs come in a shuffled record order.
+  struct Case {
+    std::string name;
+    Graph graph;
+  };
+  std::vector<Case> cases;
+  cases.push_back(
+      {"plrg", GeneratePlrg(PlrgSpec::ForVertexCount(3000, 1.9), 61)});
+  cases.push_back({"er", GenerateErdosRenyi(1500, 6000, 62)});
+  cases.push_back({"empty", Graph::FromEdges(0, {})});
+  cases.push_back({"isolated", Graph::FromEdges(50, {})});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<VertexId> order(c.graph.NumVertices());
+    std::iota(order.begin(), order.end(), 0);
+    Random rng(63);
+    rng.Shuffle(order.data(), order.size());
+    const std::string input = WriteGraphFileInOrder(&scratch_, c.graph, order);
+    AdjacencyFileScanner probe;
+    ASSERT_OK(probe.Open(input));
+    const AdjacencyFileHeader h = probe.header();
+    const uint64_t footprint = DegreeSorter::PlacementBytes(
+        h.num_vertices, h.num_directed_edges, h.max_degree);
+    // Each sort gets its own tracker: the regime it ran in shows in its
+    // placement charge, the footprint when it placed and 0 when it merged.
+    MemoryTracker placement_memory;
+    DegreeSortOptions placement_opts;
+    placement_opts.memory_budget_bytes = footprint;
+    placement_opts.memory = &placement_memory;
+    MemoryTracker merge_memory;
+    DegreeSortOptions merge_opts;
+    merge_opts.memory_budget_bytes = footprint - 1;
+    merge_opts.fan_in = 2;
+    merge_opts.memory = &merge_memory;
+    auto expect_regimes = [&] {
+      EXPECT_EQ(placement_memory.CategoryPeakBytes("sort-placement"),
+                footprint);
+      EXPECT_EQ(merge_memory.CategoryPeakBytes("sort-placement"), 0u);
+      placement_memory = MemoryTracker();
+      merge_memory = MemoryTracker();
+    };
+
+    const std::string placed = NewPath("placed.sadj");
+    const std::string merged = NewPath("merged.sadj");
+    ASSERT_OK(BuildDegreeSortedAdjacencyFile(input, placed, placement_opts));
+    ASSERT_OK(BuildDegreeSortedAdjacencyFile(input, merged, merge_opts));
+    EXPECT_EQ(ReadAllBytes(placed), ReadAllBytes(merged));
+    expect_regimes();
+
+    for (uint32_t shards : {1u, 3u, 7u, 20u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
+      const std::string reference = NewPath("merged.sadjs");
+      ASSERT_OK(SortIntoShards(input, reference, shards, merge_opts));
+      const std::string manifest = NewPath("placed.sadjs");
+      ASSERT_OK(SortIntoShards(input, manifest, shards, placement_opts));
+      EXPECT_EQ(StoreBytes(manifest, shards), StoreBytes(reference, shards));
+      expect_regimes();
+    }
+  }
+}
+
+TEST_F(DegreeSortTest, PlacementReadsOnceWritesOnceAndChargesItsBuffers) {
+  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(4000, 2.0), 64);
+  const std::string input = WriteGraphFile(&scratch_, g);
+  uint64_t file_size = 0;
+  ASSERT_OK(GetFileSize(input, &file_size));
+  IoStats io;
+  MemoryTracker memory;
+  DegreeSortOptions opts;
+  opts.stats = &io;
+  opts.memory = &memory;
+  const std::string manifest = NewPath("sorted.sadjs");
+  ASSERT_OK(SortIntoShards(input, manifest, 7, opts));
+  EXPECT_EQ(io.sort_passes, 0u);
+  EXPECT_EQ(io.sequential_scans, 1u);
+  EXPECT_EQ(io.bytes_read, file_size);
+  uint64_t written = 0;
+  for (uint32_t k = 0; k < 7; ++k) {
+    uint64_t size = 0;
+    ASSERT_OK(GetFileSize(ShardFilePath(manifest, k), &size));
+    written += size;
+  }
+  uint64_t manifest_size = 0;
+  ASSERT_OK(GetFileSize(manifest, &manifest_size));
+  EXPECT_EQ(io.bytes_written, written + manifest_size);
+  AdjacencyFileScanner probe;
+  ASSERT_OK(probe.Open(input));
+  const AdjacencyFileHeader& h = probe.header();
+  EXPECT_EQ(memory.PeakBytes(),
+            DegreeSorter::PlacementBytes(h.num_vertices, h.num_directed_edges,
+                                         h.max_degree));
+  EXPECT_EQ(memory.CurrentBytes(), 0u);
 }
 
 }  // namespace

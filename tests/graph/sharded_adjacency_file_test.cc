@@ -164,6 +164,85 @@ TEST_F(ShardedAdjacencyFileTest, ShardCountOutOfRangeRejected) {
                   .IsInvalidArgument());
 }
 
+TEST_F(ShardedAdjacencyFileTest, SplitRuleAgreesWithTheWriter) {
+  // The split rule, restated here, against the shards AppendVertex rolls:
+  // budget ceil((2|V| + |E|) / N) words, an empty shard never rolls, the
+  // last shard takes the rest, trailing shards still get files. A star's
+  // hub record outweighs one shard's budget at 7 and 20 shards; three
+  // vertices leave trailing shards empty.
+  struct Case {
+    std::string name;
+    Graph graph;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"star", GenerateStar(200)});
+  cases.push_back({"tiny", GeneratePath(3)});
+  cases.push_back(
+      {"plrg", GeneratePlrg(PlrgSpec::ForVertexCount(3000, 1.9), 33)});
+  for (const Case& c : cases) {
+    const Graph& g = c.graph;
+    // Degree-sorted record order, as the sort emits it.
+    std::vector<VertexId> order(g.NumVertices());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+      return g.Degree(a) < g.Degree(b);
+    });
+    for (uint32_t shards : {1u, 3u, 7u, 20u}) {
+      SCOPED_TRACE(c.name + ", " + std::to_string(shards) + " shards");
+      const uint64_t budget = std::max<uint64_t>(
+          (2 * g.NumVertices() + g.NumDirectedEdges() + shards - 1) / shards,
+          1);
+      std::vector<ShardInfo> planned(shards);
+      uint32_t shard = 0;
+      uint64_t shard_words = 0;
+      for (VertexId v : order) {
+        const uint64_t words = 2 + g.Degree(v);
+        if (shard_words > 0 && shard_words + words > budget &&
+            shard + 1 < shards) {
+          shard++;
+          shard_words = 0;
+        }
+        shard_words += words;
+        planned[shard].num_records++;
+        planned[shard].num_directed_edges += g.Degree(v);
+      }
+      const std::string manifest = NewPath("appended");
+      ShardedAdjacencyFileWriter w;
+      ASSERT_OK(w.Open(manifest, g.NumVertices(), g.NumDirectedEdges(),
+                       g.MaxDegree(), 0, shards));
+      for (VertexId v : order) {
+        auto nbrs = g.Neighbors(v);
+        ASSERT_OK(w.AppendVertex(v, nbrs.data(),
+                                 static_cast<uint32_t>(nbrs.size())));
+      }
+      ASSERT_OK(w.Finish());
+      ShardedAdjacencyManifest m;
+      ASSERT_OK(ReadShardedAdjacencyManifest(manifest, &m));
+      ASSERT_EQ(m.num_shards(), shards);
+      for (uint32_t k = 0; k < shards; ++k) {
+        EXPECT_EQ(m.shards[k].num_records, planned[k].num_records) << k;
+        EXPECT_EQ(m.shards[k].num_directed_edges,
+                  planned[k].num_directed_edges)
+            << k;
+        EXPECT_TRUE(std::filesystem::exists(ShardFilePath(manifest, k))) << k;
+      }
+      if (c.name == "star" && shards >= 7) {
+        EXPECT_GT(2 + g.MaxDegree(), budget);
+      }
+      if (c.name == "tiny" && shards >= 7) {
+        EXPECT_EQ(m.shards.back().num_records, 0u);
+      }
+    }
+  }
+}
+
+TEST_F(ShardedAdjacencyFileTest, WriterRejectsRepeatedIds) {
+  ShardedAdjacencyFileWriter w;
+  ASSERT_OK(w.Open(NewPath("twice"), 3, 0, 1, 0, 2));
+  ASSERT_OK(w.AppendVertex(2, nullptr, 0));
+  EXPECT_TRUE(w.AppendVertex(2, nullptr, 0).IsInvalidArgument());
+}
+
 TEST_F(ShardedAdjacencyFileTest, CorruptManifestRejected) {
   // A monolithic adjacency file is not a manifest.
   Graph g = GenerateErdosRenyi(10, 9, 28);

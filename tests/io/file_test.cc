@@ -373,6 +373,40 @@ TEST_F(FileTest, SkipToAndPastEndOfFile) {
   }
 }
 
+TEST_F(FileTest, PeekAndConsumeBufferedWords) {
+  const std::string path = NewPath("words");
+  {
+    SequentialFileWriter w;
+    ASSERT_OK(w.Open(path));
+    for (uint32_t i = 0; i < 10; ++i) ASSERT_OK(w.AppendU32(100 + i));
+    ASSERT_OK(w.Close());
+  }
+  IoStats stats;
+  SequentialFileReader r(&stats, 16);  // a 16-byte buffer: four words
+  ASSERT_OK(r.Open(path));
+  size_t n = 0;
+  EXPECT_EQ(r.PeekBuffered(&n), nullptr);  // nothing buffered before a read
+  EXPECT_EQ(n, 0u);
+  uint32_t v = 0;
+  ASSERT_OK(r.ReadU32(&v));
+  EXPECT_EQ(v, 100u);
+  const uint32_t* words = r.PeekBuffered(&n);
+  ASSERT_NE(words, nullptr);
+  ASSERT_EQ(n, 12u);
+  EXPECT_EQ(words[0], 101u);
+  EXPECT_EQ(words[2], 103u);
+  r.ConsumeBuffered(8);
+  EXPECT_EQ(r.BytesRead(), 12u);
+  EXPECT_EQ(stats.bytes_read, 12u);
+  ASSERT_OK(r.ReadU32(&v));
+  EXPECT_EQ(v, 103u);
+  EXPECT_EQ(r.PeekBuffered(&n), nullptr);  // drained: the next fill is I/O
+  char byte = 0;
+  ASSERT_OK(r.ReadExact(&byte, 1));  // off the word grid
+  EXPECT_EQ(r.PeekBuffered(&n), nullptr);
+  EXPECT_EQ(n, 0u);
+}
+
 TEST_F(FileTest, ScratchDirCleansUpOnDestruction) {
   std::string dir_path;
   {
