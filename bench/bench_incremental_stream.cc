@@ -9,6 +9,9 @@
 // that makes the batch sweep a direct "repair latency vs delta size"
 // curve, and items/sec the sustained update throughput.
 //
+// BM_StreamCompact times the compaction of one saturated shard alone,
+// and checks every rewritten shard against a reference fold in the loop.
+//
 // Determinism is asserted inside the timing loop: a 1-thread mirror
 // instance consumes the same stream (outside the timing), and the
 // measured instance's set must match it byte for byte after every repair
@@ -25,12 +28,15 @@
 
 #include "bench_common.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/incremental_stream.h"
@@ -255,6 +261,165 @@ void BM_StreamApplyRepair(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamApplyRepair)
     ->ArgsProduct({{1024, 8192, 65536}, {1, 2, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// FNV-1a over `n` bytes, continuing from `h`.
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) h = (h ^ bytes[i]) * 1099511628211ull;
+  return h;
+}
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+// FNV-1a over the records of the shard file at `path` (its header
+// skipped).
+uint64_t ShardRecordsHash(const std::string& path) {
+  SequentialFileReader reader;
+  SEMIS_BENCH_CHECK_OK(reader.Open(path));
+  SEMIS_BENCH_CHECK_OK(reader.Skip(kAdjacencyShardHeaderBytes));
+  uint64_t h = kFnvOffset;
+  std::vector<char> buf(1 << 16);
+  size_t n = 0;
+  do {
+    SEMIS_BENCH_CHECK_OK(reader.Read(buf.data(), buf.size(), &n));
+    h = Fnv1a(h, buf.data(), n);
+  } while (n > 0);
+  return h;
+}
+
+// Compaction of one saturated shard: each iteration logs `batch` updates
+// whose endpoints all live in shard 0 (outside the timing), then times
+// Compact(force), which rewrites that shard alone and commits the epoch.
+// At the default size the shard holds about 6k records and a 256-update
+// batch names a few percent of them, about the share a perfbench
+// stream-update compaction sees. Inside the loop the rewritten shard is
+// hashed against a reference fold of its previous records and the batch
+// (surviving base neighbors in base order, then inserted partners the
+// record lacked, ascending); a mismatch fails the run.
+void BM_StreamCompact(benchmark::State& state) {
+  StreamEnv& env = Env();
+  const size_t batch = static_cast<size_t>(state.range(0));
+  std::string manifest;
+  BitVector initial;
+  if (!env.NewShardedCopy(&manifest, &initial)) {
+    state.SkipWithError("sharded copy setup failed");
+    return;
+  }
+  EnginePipelineOptions opts;
+  opts.num_threads = 1;
+  ShardedStreamingMis mis;
+  if (!mis.Initialize(manifest, initial, opts).ok()) {
+    state.SkipWithError("Initialize failed");
+    return;
+  }
+  // Shard 0's records, kept current by the reference fold.
+  std::vector<VertexId> ids;
+  std::vector<std::vector<VertexId>> adj;
+  {
+    AdjacencyShardReader reader;
+    SEMIS_BENCH_CHECK_OK(reader.Open(manifest, mis.manifest(), 0));
+    VertexRecordView rec;
+    bool has_next = false;
+    while (true) {
+      SEMIS_BENCH_CHECK_OK(reader.Next(&rec, &has_next));
+      if (!has_next) break;
+      ids.push_back(rec.id);
+      adj.emplace_back(rec.neighbors, rec.neighbors + rec.degree);
+    }
+  }
+  if (ids.size() < 2) {
+    state.SkipWithError("shard 0 holds fewer than two records");
+    return;
+  }
+  std::vector<size_t> index_of(env.num_vertices, ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) index_of[ids[i]] = i;
+
+  Random rng(4242);
+  std::vector<EdgeUpdate> updates;
+  std::vector<uint32_t> expected;
+  uint64_t records = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    // Random pairs inside the shard, inserted, or deleted when the pair
+    // is a base edge or was inserted before: the last update of a pair
+    // decides its fold.
+    updates.clear();
+    std::map<std::pair<VertexId, VertexId>, bool> last_is_delete;
+    for (size_t i = 0; i < batch; ++i) {
+      const VertexId u = ids[rng.Uniform(ids.size())];
+      VertexId v = ids[rng.Uniform(ids.size())];
+      if (u == v) continue;
+      const std::vector<VertexId>& nbrs = adj[index_of[u]];
+      const bool present =
+          std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end();
+      const bool del = present ? rng.OneIn(0.7) : rng.OneIn(0.1);
+      updates.push_back(del ? EdgeUpdate::Delete(u, v)
+                            : EdgeUpdate::Insert(u, v));
+      last_is_delete[{std::min(u, v), std::max(u, v)}] = del;
+    }
+    Status s = mis.ApplyBatch(updates);
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
+    // The reference fold, record by record.
+    std::vector<std::vector<VertexId>> inserted(ids.size());
+    for (const auto& [edge, del] : last_is_delete) {
+      if (del) continue;
+      inserted[index_of[edge.first]].push_back(edge.second);
+      inserted[index_of[edge.second]].push_back(edge.first);
+    }
+    expected.clear();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      std::vector<VertexId> folded;
+      for (VertexId nb : adj[i]) {
+        const auto it =
+            last_is_delete.find({std::min(ids[i], nb), std::max(ids[i], nb)});
+        if (it == last_is_delete.end() || !it->second) folded.push_back(nb);
+      }
+      std::sort(inserted[i].begin(), inserted[i].end());
+      for (VertexId nb : inserted[i]) {
+        if (std::find(adj[i].begin(), adj[i].end(), nb) == adj[i].end()) {
+          folded.push_back(nb);
+        }
+      }
+      adj[i] = std::move(folded);
+      expected.push_back(ids[i]);
+      expected.push_back(static_cast<uint32_t>(adj[i].size()));
+      expected.insert(expected.end(), adj[i].begin(), adj[i].end());
+    }
+    state.ResumeTiming();
+    s = mis.Compact(/*force=*/true);
+    state.PauseTiming();
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      state.ResumeTiming();
+      break;
+    }
+    if (mis.stats().shards_rewritten != mis.stats().compactions) {
+      state.SkipWithError("a compaction rewrote more than shard 0");
+      state.ResumeTiming();
+      break;
+    }
+    const uint64_t want = Fnv1a(kFnvOffset, expected.data(),
+                                expected.size() * sizeof(uint32_t));
+    if (ShardRecordsHash(ShardFilePath(mis.store().manifest_path, 0)) !=
+        want) {
+      state.SkipWithError("compacted shard differs from the reference fold");
+      state.ResumeTiming();
+      break;
+    }
+    records += ids.size();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(records));
+  state.counters["shard_records"] = static_cast<double>(ids.size());
+  state.counters["updates"] = static_cast<double>(batch);
+}
+BENCHMARK(BM_StreamCompact)
+    ->Arg(256)
+    ->Arg(4096)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -11,14 +11,6 @@
 
 namespace semis {
 
-namespace {
-
-// Approximate heap bytes of one hash-set slot holding a u64 key (bucket
-// pointer + node). Accounting, not allocation truth.
-constexpr size_t kHashSlotBytes = 4 * sizeof(uint64_t);
-
-}  // namespace
-
 Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
                                        const BitVector& initial_set,
                                        const EnginePipelineOptions& options) {
@@ -50,9 +42,7 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
   n_ = manifest_.header.num_vertices;
   set_ = initial_set;
   set_size_ = set_.Count();
-  inserted_adj_.clear();
-  inserted_edges_ = 0;
-  deleted_.clear();
+  ClearDeltaState();
   pending_.assign(manifest_.num_shards(), {});
   next_sequence_ = 0;
 
@@ -127,34 +117,6 @@ uint32_t ShardedStreamingMis::ShardOfRank(uint64_t rank) const {
   return static_cast<uint32_t>(it - shard_first_rank_.begin() - 1);
 }
 
-template <typename Fn>
-Status ShardedStreamingMis::ForEachMergedPendingEntry(Fn&& fn) const {
-  // Merge the routed copies back into the global stream: sort by sequence
-  // number and drop (after cross-checking) the second copy of cross-shard
-  // updates.
-  std::vector<EdgeDeltaEntry> merged;
-  for (const auto& shard_entries : pending_) {
-    merged.insert(merged.end(), shard_entries.begin(), shard_entries.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const EdgeDeltaEntry& a, const EdgeDeltaEntry& b) {
-              return a.seq < b.seq;
-            });
-  for (size_t i = 0; i < merged.size(); ++i) {
-    if (i > 0 && merged[i].seq == merged[i - 1].seq) {
-      const EdgeDeltaEntry& a = merged[i - 1];
-      const EdgeDeltaEntry& b = merged[i];
-      if (a.op != b.op || a.u != b.u || a.v != b.v) {
-        return Status::Corruption("routed delta copies with the same "
-                                  "sequence number disagree");
-      }
-      continue;  // second routed copy of a cross-shard update
-    }
-    fn(merged[i]);
-  }
-  return Status::OK();
-}
-
 Status ShardedStreamingMis::RewriteShardLog(uint32_t shard) {
   // Write-new + rename rather than truncate in place: the live log may be
   // hard-linked into the previous epoch's namespace, and truncating the
@@ -206,13 +168,32 @@ Status ShardedStreamingMis::ReplayExistingDelta() {
     }
     pending_total += pending_[k].size();
   }
-  // Replay in stream order. Replay reproduces the original apply
-  // decisions exactly -- every logged entry changed state when it was
-  // applied, so it changes state again here.
-  SEMIS_RETURN_IF_ERROR(ForEachMergedPendingEntry(
-      [this](const EdgeDeltaEntry& entry) {
-        (void)ApplyToState(EdgeUpdate{entry.op, entry.u, entry.v});
-      }));
+  // Merge the routed copies back into the global stream: sort by sequence
+  // number and drop (after cross-checking) the second copy of cross-shard
+  // updates. Then replay in stream order. Replay reproduces the original
+  // apply decisions exactly -- every logged entry changed state when it
+  // was applied, so it changes state again here.
+  std::vector<EdgeDeltaEntry> merged;
+  merged.reserve(pending_total);
+  for (const auto& shard_entries : pending_) {
+    merged.insert(merged.end(), shard_entries.begin(), shard_entries.end());
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const EdgeDeltaEntry& a, const EdgeDeltaEntry& b) {
+              return a.seq < b.seq;
+            });
+  for (size_t i = 0; i < merged.size(); ++i) {
+    const EdgeDeltaEntry& entry = merged[i];
+    if (i > 0 && entry.seq == merged[i - 1].seq) {
+      const EdgeDeltaEntry& first = merged[i - 1];
+      if (first.op != entry.op || first.u != entry.u || first.v != entry.v) {
+        return Status::Corruption("routed delta copies with the same "
+                                  "sequence number disagree");
+      }
+      continue;  // second routed copy of a cross-shard update
+    }
+    (void)ApplyToState(EdgeUpdate{entry.op, entry.u, entry.v});
+  }
   next_sequence_ = dm.next_sequence;
   stats_.pending_delta_entries = pending_total;
   return Status::OK();
@@ -231,46 +212,56 @@ Status ShardedStreamingMis::ValidateUpdate(const EdgeUpdate& update) const {
   return Status::OK();
 }
 
+void ShardedStreamingMis::ClearDeltaState() {
+  inserted_keys_.Clear();
+  deleted_keys_.Clear();
+  inserted_head_.assign(n_, kNoNode);
+  inserted_pool_.clear();
+  free_node_ = kNoNode;
+}
+
 bool ShardedStreamingMis::InsertDeltaEdge(VertexId u, VertexId v) {
-  // References, not iterators: they survive the rehash that creating the
-  // second entry may cause.
-  std::vector<VertexId>& list_u = inserted_adj_[u];
-  std::vector<VertexId>& list_v = inserted_adj_[v];
-  // Scan the shorter list: a hub's list can be long, its partner's not.
-  const bool u_shorter = list_u.size() <= list_v.size();
-  const std::vector<VertexId>& shorter = u_shorter ? list_u : list_v;
-  if (std::find(shorter.begin(), shorter.end(), u_shorter ? v : u) !=
-      shorter.end()) {
-    return false;
-  }
-  list_u.push_back(v);
-  list_v.push_back(u);
-  inserted_edges_++;
+  if (!inserted_keys_.Insert(EdgeKey(u, v))) return false;
+  LinkInserted(u, v);
+  LinkInserted(v, u);
   return true;
 }
 
 void ShardedStreamingMis::EraseDeltaEdge(VertexId u, VertexId v) {
-  // Emptied lists stay (with their capacity) until the next rebuild, so a
-  // vertex whose edges come and go does not churn the allocator.
-  const auto swap_erase = [this](VertexId a, VertexId b) {
-    const auto it = inserted_adj_.find(a);
-    if (it == inserted_adj_.end()) return false;
-    std::vector<VertexId>& list = it->second;
-    const auto pos = std::find(list.begin(), list.end(), b);
-    if (pos == list.end()) return false;
-    *pos = list.back();
-    list.pop_back();
-    return true;
-  };
-  if (swap_erase(u, v) && swap_erase(v, u)) inserted_edges_--;
+  if (!inserted_keys_.Erase(EdgeKey(u, v))) return;
+  UnlinkInserted(u, v);
+  UnlinkInserted(v, u);
+}
+
+void ShardedStreamingMis::LinkInserted(VertexId u, VertexId v) {
+  // Freed nodes are reused first, so the pool never outgrows the most
+  // inserted edges live at once.
+  uint32_t node = free_node_;
+  if (node != kNoNode) {
+    free_node_ = inserted_pool_[node].next;
+  } else {
+    node = static_cast<uint32_t>(inserted_pool_.size());
+    inserted_pool_.emplace_back();
+  }
+  inserted_pool_[node] = InsertedNode{v, inserted_head_[u]};
+  inserted_head_[u] = node;
+}
+
+void ShardedStreamingMis::UnlinkInserted(VertexId u, VertexId v) {
+  uint32_t* link = &inserted_head_[u];
+  while (inserted_pool_[*link].neighbor != v) {
+    link = &inserted_pool_[*link].next;
+  }
+  const uint32_t node = *link;
+  *link = inserted_pool_[node].next;
+  inserted_pool_[node].next = free_node_;
+  free_node_ = node;
 }
 
 bool ShardedStreamingMis::HasInsertedSetNeighbor(VertexId u) const {
-  if (inserted_adj_.empty()) return false;
-  const auto it = inserted_adj_.find(u);
-  if (it == inserted_adj_.end()) return false;
-  for (VertexId nb : it->second) {
-    if (set_.Test(nb)) return true;
+  for (uint32_t node = inserted_head_[u]; node != kNoNode;
+       node = inserted_pool_[node].next) {
+    if (set_.Test(inserted_pool_[node].neighbor)) return true;
   }
   return false;
 }
@@ -279,7 +270,7 @@ bool ShardedStreamingMis::ApplyToState(const EdgeUpdate& update) {
   const uint64_t key = EdgeKey(update.u, update.v);
   if (update.op == EdgeDeltaOp::kInsert) {
     if (!InsertDeltaEdge(update.u, update.v)) return false;  // live in delta
-    deleted_.erase(key);
+    deleted_keys_.Erase(key);
     // Eager independence maintenance: the larger id leaves, as in
     // IncrementalMis (and the lowest-id-wins rule of the swap executor).
     if (set_.Test(update.u) && set_.Test(update.v)) {
@@ -293,7 +284,7 @@ bool ShardedStreamingMis::ApplyToState(const EdgeUpdate& update) {
     }
     return true;
   }
-  if (!deleted_.insert(key).second) return false;  // already deleted
+  if (!deleted_keys_.Insert(key)) return false;  // already deleted
   EraseDeltaEdge(update.u, update.v);
   // A deletion can only open a maximality gap, at one of its endpoints;
   // Repair() closes it.
@@ -417,8 +408,7 @@ bool ShardedStreamingMis::TryJoin(const VertexRecordView& rec) {
   if (set_.Test(u)) return false;
   for (uint32_t i = 0; i < rec.degree; ++i) {
     const VertexId nb = rec.neighbors[i];
-    if (set_.Test(nb) &&
-        (deleted_.empty() || deleted_.find(EdgeKey(u, nb)) == deleted_.end())) {
+    if (set_.Test(nb) && !deleted_keys_.Contains(EdgeKey(u, nb))) {
       return false;
     }
   }
@@ -527,9 +517,10 @@ Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
           for (uint32_t i = 0; i < rec.degree; ++i) {
             AddToFrontier(rec.neighbors[i]);
           }
-          const auto it = inserted_adj_.find(rec.id);
-          if (it == inserted_adj_.end()) return;
-          for (VertexId nb : it->second) AddToFrontier(nb);
+          for (uint32_t node = inserted_head_[rec.id]; node != kNoNode;
+               node = inserted_pool_[node].next) {
+            AddToFrontier(inserted_pool_[node].neighbor);
+          }
         });
     if (!expanded.ok()) {
       if (frontier_known_) evicted_.swap(evicted);  // retry reads them
@@ -586,21 +577,43 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
                                          uint32_t* max_degree_seen,
                                          bool* records_changed,
                                          std::vector<uint64_t>* checkpoints) {
-  // The global delta state gives every record of `shard` the same
-  // effective neighbors as the shard's own log: every entry touching an
-  // edge was routed to both endpoints' shards, and a compaction retires
-  // all of its shard's entries, so what stays pending in a shard is a
-  // suffix of that edge's entries. Where the shard holds none, its base
-  // record already reflects the last of them -- so only the records
-  // touched by the shard's pending entries are looked up, in rank order.
-  std::vector<VertexId> touched;
+  // The fold list: one (rank, partner, deleted) per edge that a pending
+  // entry of this shard names at one of its records, sorted by rank and
+  // partner. Every entry touching an edge was routed to both endpoints'
+  // shards, and a compaction retires all of its shard's entries, so what
+  // this shard holds of an edge is a suffix of the edge's entries, the
+  // newest included, and where it holds none its base record already
+  // reflects the newest. The delta state keeps each edge as its newest
+  // entry left it, so one lookup per entry says what the fold does.
+  struct Fold {
+    uint32_t rank;
+    VertexId partner;
+    bool deleted;
+    bool in_base;  // an inserted partner the base record already lists
+  };
+  const uint64_t first_rank = shard_first_rank_[shard];
+  const uint64_t end_rank = shard_first_rank_[shard + 1];
+  std::vector<Fold> folds;
+  folds.reserve(2 * pending_[shard].size());
   for (const EdgeDeltaEntry& entry : pending_[shard]) {
-    for (const VertexId x : {entry.u, entry.v}) {
-      if (ShardOf(x) == shard) touched.push_back(x);
-    }
+    const bool deleted = deleted_keys_.Contains(EdgeKey(entry.u, entry.v));
+    const auto add = [&](VertexId x, VertexId partner) {
+      const uint32_t rank = rank_[x];
+      if (rank >= first_rank && rank < end_rank) {
+        folds.push_back(Fold{rank, partner, deleted, false});
+      }
+    };
+    add(entry.u, entry.v);
+    add(entry.v, entry.u);
   }
-  SortByRank(&touched);
-  size_t next_touched = 0;
+  std::sort(folds.begin(), folds.end(), [](const Fold& a, const Fold& b) {
+    return a.rank != b.rank ? a.rank < b.rank : a.partner < b.partner;
+  });
+  folds.erase(std::unique(folds.begin(), folds.end(),
+                          [](const Fold& a, const Fold& b) {
+                            return a.rank == b.rank && a.partner == b.partner;
+                          }),
+              folds.end());
 
   AdjacencyShardReader reader(&stats_.io);
   SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
@@ -608,60 +621,82 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
   SEMIS_RETURN_IF_ERROR(writer.Open(out_path));
   SEMIS_RETURN_IF_ERROR(WriteAdjacencyShardHeader(&writer, shard, n_));
 
+  // Records no fold names go out verbatim, a run of consecutive ones per
+  // Append: their bytes lie back to back in the reader's buffer until it
+  // refills, so the run goes out before any Next that is not served from
+  // the buffer (a refill, or the end) and before a folded record. Every
+  // record is still decoded and validated by Next.
+  const char* run = nullptr;
+  size_t run_bytes = 0;
+  const auto flush_run = [&]() -> Status {
+    const size_t bytes = run_bytes;
+    run_bytes = 0;
+    return bytes == 0 ? Status::OK() : writer.Append(run, bytes);
+  };
   std::vector<VertexId> neighbors;
-  std::unordered_set<VertexId> present;
   // Records keep their order, so ranks do not move; only the byte
   // offsets of the rewritten records do.
   checkpoints->clear();
   uint64_t offset = kAdjacencyShardHeaderBytes;
+  uint64_t rank = first_rank;
+  size_t next_fold = 0;
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
+    const bool buffered = reader.NextIsBuffered();
+    if (!buffered) SEMIS_RETURN_IF_ERROR(flush_run());
     SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
     if (!has_next) break;
-    const VertexId u = rec.id;
-    const bool fold =
-        next_touched < touched.size() && touched[next_touched] == u;
-    if (fold) next_touched++;
-    neighbors.clear();
-    // Base neighbors surviving the deletes, in base order.
-    for (uint32_t i = 0; i < rec.degree; ++i) {
-      const VertexId nb = rec.neighbors[i];
-      if (fold && deleted_.find(EdgeKey(u, nb)) != deleted_.end()) continue;
-      neighbors.push_back(nb);
-    }
-    bool changed = neighbors.size() != rec.degree;
-    // Inserted neighbors appended in ascending id order, deduplicated
-    // against the surviving base list -- an insert may duplicate a base
-    // edge, and folding it twice would corrupt the record.
-    const auto it = fold ? inserted_adj_.find(u) : inserted_adj_.end();
-    if (it != inserted_adj_.end() && !it->second.empty()) {
-      present.clear();
-      present.insert(neighbors.begin(), neighbors.end());
-      std::vector<VertexId> extra = it->second;
-      std::sort(extra.begin(), extra.end());
-      for (VertexId nb : extra) {
-        if (present.insert(nb).second) {
-          neighbors.push_back(nb);
-          changed = true;
-        }
-      }
-    }
-    const uint32_t degree = static_cast<uint32_t>(neighbors.size());
     if (new_info->num_records % kRepairCheckpointStride == 0) {
       checkpoints->push_back(offset);
     }
-    offset += AdjacencyRecordBytes(degree);
-    SEMIS_RETURN_IF_ERROR(writer.AppendU32(u));
-    SEMIS_RETURN_IF_ERROR(writer.AppendU32(degree));
-    if (degree > 0) {
+    uint32_t degree = rec.degree;
+    if (next_fold == folds.size() || folds[next_fold].rank != rank) {
+      // The decoder keeps the header words in front of the neighbors.
+      const char* bytes = reinterpret_cast<const char*>(rec.neighbors - 2);
+      if (run_bytes == 0) run = bytes;
+      run_bytes += AdjacencyRecordBytes(degree);
+      // A record read across a refill sits alone in the decoder's spill
+      // buffer, which the next Next may reuse.
+      if (!buffered) SEMIS_RETURN_IF_ERROR(flush_run());
+    } else {
+      SEMIS_RETURN_IF_ERROR(flush_run());
+      Fold* first = folds.data() + next_fold;
+      Fold* last = first;
+      while (last != folds.data() + folds.size() && last->rank == rank) last++;
+      next_fold = static_cast<size_t>(last - folds.data());
+      // Base neighbors that are not deleted keep their base order, then
+      // inserted partners follow in ascending id order, skipping those
+      // the base record already lists -- an insert may duplicate a base
+      // edge, and folding it twice would corrupt the record.
+      neighbors.clear();
+      for (uint32_t i = 0; i < rec.degree; ++i) {
+        const VertexId nb = rec.neighbors[i];
+        Fold* fold = std::lower_bound(
+            first, last, nb,
+            [](const Fold& f, VertexId v) { return f.partner < v; });
+        if (fold != last && fold->partner == nb) {
+          if (fold->deleted) continue;
+          fold->in_base = true;
+        }
+        neighbors.push_back(nb);
+      }
+      bool changed = neighbors.size() != rec.degree;
+      for (const Fold* fold = first; fold != last; ++fold) {
+        if (fold->deleted || fold->in_base) continue;
+        neighbors.push_back(fold->partner);
+        changed = true;
+      }
+      degree = static_cast<uint32_t>(neighbors.size());
       SEMIS_RETURN_IF_ERROR(
-          writer.Append(neighbors.data(), sizeof(VertexId) * degree));
+          AppendAdjacencyRecord(&writer, rec.id, neighbors.data(), degree));
+      if (changed) *records_changed = true;
     }
+    offset += AdjacencyRecordBytes(degree);
     new_info->num_records++;
     new_info->num_directed_edges += degree;
     *max_degree_seen = std::max(*max_degree_seen, degree);
-    if (changed) *records_changed = true;
+    rank++;
   }
   SEMIS_RETURN_IF_ERROR(reader.Close());
   return writer.Close();
@@ -704,22 +739,44 @@ Status ShardedStreamingMis::CollectStoreGarbage() {
   return Status::OK();
 }
 
-Status ShardedStreamingMis::RebuildDeltaState() {
-  // Compaction retired some entries; the global delta state is the replay
-  // of what is still pending, merged across shards by sequence number.
-  inserted_adj_.clear();
-  inserted_edges_ = 0;
-  deleted_.clear();
-  return ForEachMergedPendingEntry([this](const EdgeDeltaEntry& entry) {
-    const uint64_t key = EdgeKey(entry.u, entry.v);
-    if (entry.op == EdgeDeltaOp::kInsert) {
-      InsertDeltaEdge(entry.u, entry.v);
-      deleted_.erase(key);
-    } else {
-      deleted_.insert(key);
-      EraseDeltaEdge(entry.u, entry.v);
+void ShardedStreamingMis::RetireCompactedEntries(
+    const std::vector<bool>& compacted) {
+  // The delta state must become the replay of the entries that stay
+  // pending. An edge keeps its state exactly when a shard outside the
+  // compacted set still holds a pending entry for it: that shard holds
+  // the edge's newest entry then, and the newest entry alone sets an
+  // edge's state. Shard j holds an entry routed to it iff the entry came
+  // after j's last compaction, i.e. iff j's oldest pending entry is no
+  // newer. Walking each compacted shard newest first decides every edge
+  // at its newest entry; `visited` skips the older ones.
+  size_t retiring = 0;
+  for (uint32_t k = 0; k < pending_.size(); ++k) {
+    if (compacted[k]) retiring += pending_[k].size();
+  }
+  FlatKeySet visited;
+  visited.Reserve(retiring);
+  const auto held_outside = [&](VertexId x, uint64_t seq) {
+    const uint32_t j = ShardOf(x);
+    return !compacted[j] && !pending_[j].empty() &&
+           pending_[j].front().seq <= seq;
+  };
+  for (uint32_t k = 0; k < pending_.size(); ++k) {
+    if (!compacted[k]) continue;
+    for (auto it = pending_[k].rbegin(); it != pending_[k].rend(); ++it) {
+      const uint64_t key = EdgeKey(it->u, it->v);
+      if (!visited.Insert(key)) continue;
+      if (held_outside(it->u, it->seq) || held_outside(it->v, it->seq)) {
+        continue;
+      }
+      EraseDeltaEdge(it->u, it->v);
+      deleted_keys_.Erase(key);
     }
-  });
+  }
+  for (uint32_t k = 0; k < pending_.size(); ++k) {
+    if (!compacted[k]) continue;
+    pending_[k].clear();
+    pending_[k].shrink_to_fit();
+  }
 }
 
 Status ShardedStreamingMis::Compact(bool force) {
@@ -832,10 +889,8 @@ Status ShardedStreamingMis::Compact(bool force) {
   manifest_ = staged;
   for (uint32_t k : saturated) {
     checkpoints_[k] = std::move(staged_checkpoints[k]);
-    pending_[k].clear();
-    pending_[k].shrink_to_fit();
   }
-  SEMIS_RETURN_IF_ERROR(RebuildDeltaState());
+  RetireCompactedEntries(is_saturated);
   uint64_t pending_total = 0;
   for (const auto& shard_entries : pending_) {
     pending_total += shard_entries.size();
@@ -956,9 +1011,7 @@ Status ShardedStreamingMis::ResortInternal() {
   // already serves the new epoch, so if that fails memory can no longer
   // route updates or locate records: wedge, as a failed flip does.
   pending_.assign(num_shards, {});
-  inserted_adj_.clear();
-  inserted_edges_ = 0;
-  deleted_.clear();
+  ClearDeltaState();
   stats_.pending_delta_entries = 0;
   Status relocated =
       ReadShardedAdjacencyManifest(manifest_path_, &manifest_, &stats_.io);
@@ -973,9 +1026,10 @@ Status ShardedStreamingMis::ResortInternal() {
 size_t ShardedStreamingMis::CurrentMemoryBytes() const {
   size_t bytes = rank_.capacity() * sizeof(uint32_t) +
                  shard_first_rank_.capacity() * sizeof(uint64_t) +
-                 set_.MemoryBytes() +
-                 (inserted_adj_.size() + deleted_.size()) * kHashSlotBytes +
-                 2 * inserted_edges_ * sizeof(VertexId) +
+                 set_.MemoryBytes() + inserted_keys_.MemoryBytes() +
+                 deleted_keys_.MemoryBytes() +
+                 inserted_head_.capacity() * sizeof(uint32_t) +
+                 inserted_pool_.capacity() * sizeof(InsertedNode) +
                  (frontier_.capacity() + evicted_.capacity()) *
                      sizeof(VertexId);
   for (const auto& offsets : checkpoints_) {

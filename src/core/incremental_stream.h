@@ -42,7 +42,10 @@
 // shard is rewritten with deletions dropped and insertions appended to
 // its records. A cross-shard edge compacts independently on each side --
 // the routed log copies make that safe. Compaction never changes the
-// effective graph, only where it is stored.
+// effective graph, only where it is stored. Its work follows what
+// changed: the records no pending entry names are validated and copied
+// as byte runs, the ones it names fold from the shard's own entries, and
+// the delta state drops only the edges no other shard still holds.
 //
 // Durability: every multi-file mutation (compaction, re-sort) is an epoch
 // commit of the journaled store layout (graph/shard_store.h): the new
@@ -67,8 +70,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -79,6 +80,7 @@
 #include "io/io_stats.h"
 #include "util/bit_vector.h"
 #include "util/common.h"
+#include "util/flat_key_set.h"
 #include "util/status.h"
 
 namespace semis {
@@ -227,9 +229,11 @@ class ShardedStreamingMis {
   /// legacy store on its first commit). Clears the degree-sorted flag
   /// when a rewrite changed any record, since the global (degree, id)
   /// order can no longer be guaranteed -- then runs Resort() when
-  /// `options.auto_resort` is set. A failure before the root flip leaves
-  /// both the store and the maintainer untouched (the staged files are
-  /// orphans for GC); only a failure in the flip itself wedges.
+  /// `options.auto_resort` is set. Every record read is validated, also
+  /// the ones copied unchanged, so a corrupt base fails with Corruption
+  /// before the flip. A failure before the root flip leaves both the
+  /// store and the maintainer untouched (the staged files are orphans for
+  /// GC); only a failure in the flip itself wedges.
   Status Compact(bool force = false);
 
   /// Restores the global (degree, id) record order after degree-changing
@@ -266,25 +270,37 @@ class ShardedStreamingMis {
     return (static_cast<uint64_t>(u) << 32) | v;
   }
 
+  // One node of the inserted-neighbor pool: a neighbor and the pool
+  // index of the next node of the same vertex's list.
+  struct InsertedNode {
+    VertexId neighbor = 0;
+    uint32_t next = 0;
+  };
+  static constexpr uint32_t kNoNode = ~uint32_t{0};
+
   Status ValidateUpdate(const EdgeUpdate& update) const;
   // Applies one validated update to the in-memory state; returns true if
   // it changed the delta state (and must be logged). Records what the
   // update may free in the repair frontier.
   bool ApplyToState(const EdgeUpdate& update);
-  // Replays existing delta logs on top of the initial set (restart path).
+  // Replays existing delta logs on top of the initial set (restart path):
+  // merges the routed copies by sequence number, checking that the two
+  // copies of a cross-shard update agree.
   Status ReplayExistingDelta();
   // Rewrites shard `shard`'s log from pending_[shard] (header + entries).
   Status RewriteShardLog(uint32_t shard);
-  // Merges pending_ across shards by sequence number, dropping the second
-  // routed copy of cross-shard updates (and validating the copies agree),
-  // and calls `fn` once per update in stream order.
-  template <typename Fn>
-  Status ForEachMergedPendingEntry(Fn&& fn) const;
-  // The inserted-edge adjacency (global delta state). InsertDeltaEdge
-  // returns false when the edge was already there.
+  // The inserted edges (global delta state). InsertDeltaEdge returns
+  // false when the edge was already there; EraseDeltaEdge is a no-op for
+  // an edge that is not.
   bool InsertDeltaEdge(VertexId u, VertexId v);
   void EraseDeltaEdge(VertexId u, VertexId v);
+  // Pool list maintenance of one direction of an inserted edge. Unlink
+  // requires the node to be there.
+  void LinkInserted(VertexId u, VertexId v);
+  void UnlinkInserted(VertexId u, VertexId v);
   bool HasInsertedSetNeighbor(VertexId u) const;
+  // Empties the delta state for `n_` vertices (keeps the tables' memory).
+  void ClearDeltaState();
   // The Repair commit rule for one base record: a non-member with no
   // live set neighbor joins. Returns true when `rec.id` joined.
   bool TryJoin(const VertexRecordView& rec);
@@ -312,13 +328,18 @@ class ShardedStreamingMis {
   // The shard holding the record of manifest rank `rank`.
   uint32_t ShardOfRank(uint64_t rank) const;
   uint32_t ShardOf(VertexId v) const { return ShardOfRank(rank_[v]); }
-  // Writes shard `shard` with the global delta state folded in to
+  // Writes shard `shard` with its pending entries folded in to
   // `out_path` (a staged file of the next epoch), and its locator offsets
-  // to `checkpoints`.
+  // to `checkpoints`. Records no entry names go out as validated byte
+  // runs.
   Status CompactShard(uint32_t shard, const std::string& out_path,
                       ShardInfo* new_info, uint32_t* max_degree_seen,
                       bool* records_changed,
                       std::vector<uint64_t>* checkpoints);
+  // After a compaction of the shards flagged in `compacted` committed:
+  // drops from the delta state every edge their entries name that no
+  // other shard still holds a pending copy of, then drops the entries.
+  void RetireCompactedEntries(const std::vector<bool>& compacted);
   // Rebuilds the record locator (rank_, shard_first_rank_, checkpoints_)
   // by scanning the shards.
   Status BuildRouteMap();
@@ -333,9 +354,6 @@ class ShardedStreamingMis {
   // Epoch GC + orphan accounting (after a successful commit).
   Status CollectStoreGarbage();
   Status ResortInternal();
-  // Rebuilds inserted_adj_/deleted_ from the pending per-shard entries
-  // (after compaction retired some of them).
-  Status RebuildDeltaState();
   size_t CurrentMemoryBytes() const;
   void AccountMemory();
 
@@ -360,16 +378,20 @@ class ShardedStreamingMis {
   std::vector<std::vector<uint64_t>> checkpoints_;
   BitVector set_;
   uint64_t set_size_ = 0;
-  // Global delta state (the CURRENT effective delta, deduplicated):
-  // effective edges = (base \ deleted_) + inserted edges, kept as the
-  // adjacency inserted_adj_ (both directions; a list may be empty).
-  // Same conventions as IncrementalMis: inserted edges may overlap base
-  // edges, deleted_ may hold keys the base never had. Both are global,
-  // which for every record gives the same effective neighbors as the
-  // replay of its own shard's log, so compaction folds a shard from them.
-  std::unordered_map<VertexId, std::vector<VertexId>> inserted_adj_;
-  uint64_t inserted_edges_ = 0;
-  std::unordered_set<uint64_t> deleted_;
+  // Global delta state (the CURRENT effective delta, deduplicated): the
+  // replay of every pending entry, in sequence order. Effective edges =
+  // (base \ deleted_keys_) + inserted_keys_. Same conventions as
+  // IncrementalMis: inserted edges may overlap base edges, deleted_keys_
+  // may hold keys the base never had. An edge is in one of the two sets
+  // exactly when some shard holds a pending entry for it, and which one
+  // its newest entry says. The inserted edges are also kept as adjacency
+  // lists in a node pool: inserted_head_[v] starts v's list (kNoNode when
+  // empty) and free_node_ the list of recycled nodes.
+  FlatKeySet inserted_keys_;
+  FlatKeySet deleted_keys_;
+  std::vector<uint32_t> inserted_head_;
+  std::vector<InsertedNode> inserted_pool_;
+  uint32_t free_node_ = kNoNode;
   // The repair frontier. While known, every non-member outside
   // frontier_ and outside the neighborhoods of evicted_ has a live set
   // neighbor, so a repair need only re-check those. Entries may repeat.

@@ -7,6 +7,7 @@ namespace semis {
 namespace {
 constexpr uint32_t kMagic = 0x4A444153u;  // 'SADJ' little-endian
 constexpr uint32_t kVersion = 1;
+constexpr size_t kHeaderBytes = 2 * sizeof(uint32_t);  // of a record
 }  // namespace
 
 AdjacencyFileWriter::AdjacencyFileWriter(IoStats* stats) : writer_(stats) {}
@@ -182,9 +183,16 @@ Status AdjacencyRecordDecoder::CheckNeighbors(const VertexId* neighbors,
   return Status::OK();
 }
 
+bool AdjacencyRecordDecoder::NextIsBuffered(
+    const SequentialFileReader& reader) {
+  size_t buffered = 0;
+  const uint32_t* words = reader.PeekBuffered(&buffered);
+  return buffered >= kHeaderBytes &&
+         AdjacencyRecordBytes(words[1]) <= buffered;
+}
+
 Status AdjacencyRecordDecoder::Decode(SequentialFileReader* reader,
                                       VertexRecordView* view) {
-  constexpr size_t kHeaderBytes = 2 * sizeof(uint32_t);
   size_t buffered = 0;
   const uint32_t* words = reader->PeekBuffered(&buffered);
   VertexId id = 0;
@@ -193,8 +201,7 @@ Status AdjacencyRecordDecoder::Decode(SequentialFileReader* reader,
     id = words[0];
     degree = words[1];
     SEMIS_RETURN_IF_ERROR(CheckHeader(id, degree));
-    const uint64_t record_bytes =
-        kHeaderBytes + sizeof(VertexId) * uint64_t{degree};
+    const uint64_t record_bytes = AdjacencyRecordBytes(degree);
     if (record_bytes <= buffered) {
       const VertexId* neighbors = words + 2;
       SEMIS_RETURN_IF_ERROR(CheckNeighbors(neighbors, degree));
@@ -208,14 +215,18 @@ Status AdjacencyRecordDecoder::Decode(SequentialFileReader* reader,
     SEMIS_RETURN_IF_ERROR(reader->ReadU32(&degree));
     SEMIS_RETURN_IF_ERROR(CheckHeader(id, degree));
   }
-  // The record crosses a buffer fill: read its neighbors into spill_.
-  spill_.resize(degree);
+  // The record crosses a buffer fill: read it into spill_, laid out as
+  // in the file, header words first.
+  spill_.resize(2 + uint64_t{degree});
+  spill_[0] = id;
+  spill_[1] = degree;
+  VertexId* neighbors = spill_.data() + 2;
   if (degree > 0) {
     SEMIS_RETURN_IF_ERROR(
-        reader->ReadExact(spill_.data(), sizeof(VertexId) * degree));
-    SEMIS_RETURN_IF_ERROR(CheckNeighbors(spill_.data(), degree));
+        reader->ReadExact(neighbors, sizeof(VertexId) * degree));
+    SEMIS_RETURN_IF_ERROR(CheckNeighbors(neighbors, degree));
   }
-  *view = VertexRecordView{id, degree, spill_.data()};
+  *view = VertexRecordView{id, degree, neighbors};
   return Status::OK();
 }
 

@@ -78,6 +78,12 @@ class AdjacencyFileWriter {
   BitVector seen_;  // one bit per vertex: appended already
 };
 
+/// Encoded size of one record with `degree` neighbors (id, degree,
+/// neighbor words).
+inline constexpr uint64_t AdjacencyRecordBytes(uint32_t degree) {
+  return 2 * sizeof(uint32_t) + sizeof(VertexId) * uint64_t{degree};
+}
+
 /// Appends one record (id, degree, neighbor words) to `writer`: the
 /// record encoder of both the SADJ and the sharded writer.
 Status AppendAdjacencyRecord(SequentialFileWriter* writer, VertexId id,
@@ -120,7 +126,10 @@ Status NextRecordFromView(Source* source, VertexRecord* rec,
 /// points into the reader's buffer. A record that crosses a buffer fill,
 /// or is longer than the buffer, is read through ReadU32/ReadExact into
 /// the decoder's own buffer. Either way the view stays valid until the
-/// next call on the reader or the decoder.
+/// next call on the reader or the decoder, and the record's two header
+/// words sit directly in front of `view->neighbors`: the record's
+/// encoded bytes are the 8 + 4 * degree bytes from `view->neighbors - 2`
+/// on, which lets a copier move records it does not change verbatim.
 class AdjacencyRecordDecoder {
  public:
   /// Sets the header limits and the path named in error messages.
@@ -131,6 +140,11 @@ class AdjacencyRecordDecoder {
   /// that failed; a short file fails in ReadExact.
   Status Decode(SequentialFileReader* reader, VertexRecordView* view);
 
+  /// True when the next record, as far as its degree word says, lies
+  /// whole in `reader`'s buffer, so Decode takes the in-place path and
+  /// does no I/O.
+  static bool NextIsBuffered(const SequentialFileReader& reader);
+
  private:
   Status CheckHeader(VertexId id, uint32_t degree) const;
   Status CheckNeighbors(const VertexId* neighbors, uint32_t degree) const;
@@ -138,7 +152,9 @@ class AdjacencyRecordDecoder {
   std::string path_;
   uint64_t num_vertices_ = 0;
   uint32_t max_degree_ = 0;
-  std::vector<VertexId> spill_;  // records read across a buffer fill
+  // A record read across a buffer fill: its header words, then its
+  // neighbors.
+  std::vector<VertexId> spill_;
 };
 
 /// Forward-only reader of adjacency files. Rewind() restarts a scan (and

@@ -60,12 +60,6 @@ inline constexpr uint32_t kShardManifestMagic = 0x4D444153u;  // 'SADM'
 /// record.
 inline constexpr uint64_t kAdjacencyShardHeaderBytes = 40;
 
-/// Encoded size of one record with `degree` neighbors (id, degree,
-/// neighbor words).
-inline constexpr uint64_t AdjacencyRecordBytes(uint32_t degree) {
-  return 2 * sizeof(uint32_t) + sizeof(VertexId) * uint64_t{degree};
-}
-
 /// Per-shard totals recorded in the manifest.
 struct ShardInfo {
   uint64_t num_records = 0;
@@ -183,8 +177,17 @@ class AdjacencyShardReader {
 
   /// Reads the next record as a view into the reader's buffer
   /// (invalidated by the next call); `*has_next` is false after the last
-  /// record.
+  /// record. The record's encoded bytes start two words before
+  /// `view->neighbors` (see AdjacencyRecordDecoder).
   Status Next(VertexRecordView* view, bool* has_next);
+
+  /// True when a next record exists and already lies whole in the read
+  /// buffer, so Next neither refills the buffer nor moves earlier views'
+  /// bytes: views of consecutive buffered records are consecutive bytes.
+  bool NextIsBuffered() const {
+    return records_seen_ < num_records_ &&
+           AdjacencyRecordDecoder::NextIsBuffered(reader_);
+  }
 
   /// Compatibility flavor of Next for VertexRecord consumers.
   Status Next(VertexRecord* rec, bool* has_next) {

@@ -19,6 +19,8 @@
 //     fault.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,9 +33,11 @@
 #include "gen/paper_figures.h"
 #include "gen/plrg.h"
 #include "graph/graph_io.h"
+#include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/edge_delta_file.h"
 #include "io/env.h"
+#include "io/file.h"
 #include "test_util.h"
 
 namespace semis {
@@ -536,6 +540,118 @@ TEST_F(IncrementalStreamTest, ShardsCompactingAtDifferentTimesFoldOneGraph) {
   EXPECT_TRUE(vr.maximal);
 }
 
+// The whole content of the file at `path`.
+std::string ReadFileBytes(const std::string& path) {
+  SequentialFileReader reader;
+  EXPECT_OK(reader.Open(path));
+  std::string bytes;
+  std::vector<char> chunk(1 << 16);
+  size_t n = 0;
+  do {
+    EXPECT_OK(reader.Read(chunk.data(), chunk.size(), &n));
+    bytes.append(chunk.data(), n);
+  } while (n > 0);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  SequentialFileWriter writer;
+  ASSERT_OK(writer.Open(path));
+  ASSERT_OK(writer.Append(bytes.data(), bytes.size()));
+  ASSERT_OK(writer.Close());
+}
+
+// One record of a shard file and the byte offset it starts at.
+struct ShardRecord {
+  VertexId id = 0;
+  uint64_t offset = 0;
+  std::vector<VertexId> neighbors;
+};
+
+// The records of shard `shard` of the store at `root`, in file order.
+std::vector<ShardRecord> ReadShardRecords(const std::string& root,
+                                          uint32_t shard) {
+  std::vector<ShardRecord> records;
+  ResolvedShardStore store;
+  EXPECT_OK(ResolveShardStore(root, &store));
+  ShardedAdjacencyManifest manifest;
+  EXPECT_OK(ReadShardedAdjacencyManifest(store.manifest_path, &manifest));
+  AdjacencyShardReader reader;
+  EXPECT_OK(reader.Open(store.manifest_path, manifest, shard));
+  uint64_t offset = kAdjacencyShardHeaderBytes;
+  VertexRecordView rec;
+  bool has_next = false;
+  while (true) {
+    EXPECT_OK(reader.Next(&rec, &has_next));
+    if (!has_next) break;
+    records.push_back(ShardRecord{
+        rec.id, offset, {rec.neighbors, rec.neighbors + rec.degree}});
+    offset += AdjacencyRecordBytes(rec.degree);
+  }
+  EXPECT_OK(reader.Close());
+  return records;
+}
+
+// The bytes compaction must write for shard `shard` whose records were
+// `base`, with `effective` the graph after the delta, written record by
+// record at `path`: each record keeps its base neighbors that survive in
+// base order, then gains the effective neighbors it lacked, ascending.
+std::string ReferenceShardBytes(const std::string& path, uint32_t shard,
+                                const std::vector<ShardRecord>& base,
+                                const Graph& effective) {
+  SequentialFileWriter writer;
+  EXPECT_OK(writer.Open(path));
+  EXPECT_OK(WriteAdjacencyShardHeader(&writer, shard, effective.NumVertices()));
+  std::vector<VertexId> folded;
+  for (const ShardRecord& rec : base) {
+    folded.clear();
+    for (VertexId nb : rec.neighbors) {
+      if (effective.HasEdge(rec.id, nb)) folded.push_back(nb);
+    }
+    const std::set<VertexId> in_base(rec.neighbors.begin(),
+                                     rec.neighbors.end());
+    std::vector<VertexId> now(effective.Neighbors(rec.id).begin(),
+                              effective.Neighbors(rec.id).end());
+    std::sort(now.begin(), now.end());
+    for (VertexId nb : now) {
+      if (in_base.count(nb) == 0) folded.push_back(nb);
+    }
+    EXPECT_OK(AppendAdjacencyRecord(&writer, rec.id, folded.data(),
+                                    static_cast<uint32_t>(folded.size())));
+  }
+  EXPECT_OK(writer.Close());
+  return ReadFileBytes(path);
+}
+
+// A graph whose shards outgrow the 1 MB read buffer at 1 and 3 shards: a
+// path over every vertex, and a hub early in the first shard whose record
+// is longer than the buffer, so a scan reads it across a buffer fill.
+constexpr VertexId kBufferGraphVertices = 280000;
+constexpr VertexId kHub = 1000;
+constexpr VertexId kHubChords = 270000;
+constexpr uint64_t kReadBufferBytes = uint64_t{1} << 20;
+
+Graph MakeBufferGraph() {
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v + 1 < kBufferGraphVertices; ++v) {
+    edges.emplace_back(v, v + 1);
+  }
+  for (VertexId i = 0; i < kHubChords; ++i) {
+    edges.emplace_back(kHub, kHub + 2 + i);
+  }
+  return Graph::FromEdges(kBufferGraphVertices, std::move(edges));
+}
+
+// A non-edge partner for `x`, far from it and never the hub.
+VertexId FarPartner(VertexId x) {
+  VertexId y = static_cast<VertexId>(
+      (uint64_t{x} * 7919 + kBufferGraphVertices / 2) % kBufferGraphVertices);
+  while (y == x || y == kHub || y + 1 == x || x + 1 == y) {
+    y = (y + 3) % kBufferGraphVertices;
+  }
+  return y;
+}
+
 TEST_F(IncrementalStreamTest, RestartReplaysTheOverlayExactly) {
   Graph base = GenerateErdosRenyi(60, 130, 8);
   std::string mono = WriteGraphFile(&scratch_, base);
@@ -990,6 +1106,302 @@ TEST_F(IncrementalStreamTest, ReinitializeRecoversFromWedge) {
   ASSERT_OK(fresh.Repair());
   EXPECT_EQ(SetToVector(mis.set()), SetToVector(fresh.set()));
   EXPECT_EQ(mis.stats().evictions, fresh.stats().evictions);
+}
+
+TEST_F(IncrementalStreamTest, CompactionCopiesRunsAcrossBufferRefills) {
+  // Compaction copies the records no pending entry names as byte runs out
+  // of the read buffer and must flush a run before the buffer refills.
+  // Touched records sit just before and just after refills, at a refill
+  // boundary itself, and nowhere near others, so untouched runs cross
+  // refills; the hub is an untouched record longer than the buffer.
+  // Every compacted shard must equal a reference written record by record
+  // from the effective graph, and frontier repairs afterwards read
+  // through the new offsets.
+  const Graph base = MakeBufferGraph();
+  const std::string mono = WriteGraphFile(&scratch_, base);
+  const BitVector initial = RandomMaximalSet(base, 5);
+  for (uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    const std::string root =
+        NewPath("refill" + std::to_string(shards) + ".sadjs");
+    ASSERT_OK(ShardAdjacencyFile(mono, root, shards));
+    std::vector<std::vector<ShardRecord>> before(shards);
+    for (uint32_t k = 0; k < shards; ++k) {
+      before[k] = ReadShardRecords(root, k);
+      ASSERT_GT(before[k].back().offset, kReadBufferBytes) << "shard " << k;
+    }
+    EnginePipelineOptions opts;
+    opts.num_threads = 2;
+    ShardedStreamingMis mis;
+    ASSERT_OK(mis.Initialize(root, initial, opts));
+    IncrementalMis reference;
+    ASSERT_OK(reference.Initialize(mono, initial));
+    ASSERT_OK(mis.Repair());
+    ASSERT_OK(reference.Repair());
+
+    // Around each refill of each shard: the last record before it and the
+    // first after it, the record across it, or nothing.
+    DeltaTracker delta(base);
+    std::vector<EdgeUpdate> batch;
+    std::vector<VertexId> near_refills;
+    const auto touch = [&](VertexId x) {
+      if (x == kHub) return;
+      near_refills.push_back(x);
+      batch.push_back(delta.Toggle(x, FarPartner(x)));
+      if (x + 1 < kBufferGraphVertices && x + 1 != kHub) {
+        batch.push_back(delta.Toggle(x, x + 1));
+      }
+    };
+    int spilled_untouched = 0;
+    for (uint32_t k = 0; k < shards; ++k) {
+      const std::vector<ShardRecord>& recs = before[k];
+      size_t i = 0;
+      for (uint64_t j = 1; j * kReadBufferBytes < recs.back().offset; ++j) {
+        const uint64_t refill = j * kReadBufferBytes;
+        while (recs[i + 1].offset <= refill) ++i;
+        // recs[i] starts at or before the refill; it crosses it unless it
+        // ends there.
+        const uint64_t end =
+            recs[i].offset + AdjacencyRecordBytes(static_cast<uint32_t>(
+                                 recs[i].neighbors.size()));
+        switch ((k + j) % 3) {
+          case 1:
+            touch(end <= refill ? recs[i].id : recs[i - 1].id);
+            touch(recs[i + 1].id);
+            break;
+          case 2:
+            if (end > refill) spilled_untouched++;
+            break;
+          default:
+            touch(recs[i].id);
+        }
+      }
+    }
+    ASSERT_GT(spilled_untouched, 0);
+    ASSERT_OK(mis.ApplyBatch(batch));
+    ApplyToReference(&reference, batch);
+    ASSERT_OK(mis.Compact(/*force=*/true));
+    const Graph effective = delta.Effective();
+    for (uint32_t k = 0; k < shards; ++k) {
+      const std::string want = ReferenceShardBytes(
+          NewPath("reference.shard"), k, before[k], effective);
+      const std::string got =
+          ReadFileBytes(ShardFilePath(mis.store().manifest_path, k));
+      EXPECT_TRUE(got == want) << "shard " << k << ": " << got.size()
+                               << " bytes, reference " << want.size();
+    }
+    ExpectStoreHoldsGraph(root, effective);
+
+    // The batch's frontier, then a second batch that frees the vertices
+    // next to the refills and evicts some, all read through the offsets
+    // the compaction wrote.
+    ASSERT_OK(mis.Repair());
+    ASSERT_OK(reference.Repair());
+    ASSERT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+    std::vector<EdgeUpdate> frees;
+    for (VertexId x : near_refills) {
+      if (!mis.set().Test(x)) {
+        for (VertexId y : effective.Neighbors(x)) {
+          if (mis.set().Test(y)) frees.push_back(delta.Toggle(x, y));
+        }
+        continue;
+      }
+      // An insert to a member with a smaller id evicts x.
+      for (VertexId z = 0; z < x; ++z) {
+        if (mis.set().Test(z) && !effective.HasEdge(z, x)) {
+          frees.push_back(delta.Toggle(z, x));
+          break;
+        }
+      }
+    }
+    ASSERT_FALSE(frees.empty());
+    const uint64_t decoded = mis.stats().io.records_decoded;
+    ASSERT_OK(mis.ApplyBatch(frees));
+    ApplyToReference(&reference, frees);
+    ASSERT_OK(mis.Repair());
+    ASSERT_OK(reference.Repair());
+    EXPECT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+    EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+    EXPECT_LT(mis.stats().io.records_decoded - decoded,
+              uint64_t{kBufferGraphVertices} / 50);
+    VerifyResult vr = VerifyIndependentSet(delta.Effective(), mis.set());
+    EXPECT_TRUE(vr.independent && vr.maximal);
+  }
+}
+
+TEST_F(IncrementalStreamTest, CompactionValidatesRecordsItCopies) {
+  // Records no pending entry names are copied as bytes, but still decoded
+  // and checked first: a corrupt one fails the compaction with Corruption
+  // naming the shard file, before the root flips, and leaves the
+  // maintainer able to compact once the file is whole again. The record
+  // is a small one read in place, or the hub, read across a refill.
+  const Graph base = MakeBufferGraph();
+  const std::string mono = WriteGraphFile(&scratch_, base);
+  const BitVector initial = RandomMaximalSet(base, 7);
+  struct Case {
+    const char* name;
+    VertexId record;
+    bool degree;  // corrupt the degree word, else a neighbor word
+    const char* check;  // what the error must say failed
+  };
+  const char* kNeighborCheck = "neighbor id out of range";
+  const char* kDegreeCheck = "degree exceeds header max_degree";
+  for (const Case& c : {Case{"buffered neighbor", 500, false, kNeighborCheck},
+                        Case{"buffered degree", 500, true, kDegreeCheck},
+                        Case{"spilled neighbor", kHub, false, kNeighborCheck},
+                        Case{"spilled degree", kHub, true, kDegreeCheck}}) {
+    SCOPED_TRACE(c.name);
+    const std::string root = NewPath("corrupt.sadjs");
+    ASSERT_OK(ShardAdjacencyFile(mono, root, 3));
+    ShardedStreamingMis mis;
+    ASSERT_OK(mis.Initialize(root, initial, EnginePipelineOptions{}));
+    DeltaTracker delta(base);
+    // Touch two records near the start of shard 0, next to neither.
+    ASSERT_OK(mis.ApplyBatch({delta.Toggle(10, 20)}));
+
+    const ResolvedShardStore before = mis.store();
+    const std::string shard_path = ShardFilePath(before.manifest_path, 0);
+    const std::string intact = ReadFileBytes(shard_path);
+    uint64_t word = 0;  // byte offset of the word to corrupt
+    uint32_t value = 0;
+    for (const ShardRecord& rec : ReadShardRecords(root, 0)) {
+      if (rec.id != c.record) continue;
+      const size_t index = rec.neighbors.size() / 2;
+      word = c.degree ? rec.offset + 4 : rec.offset + 8 + 4 * index;
+      value = c.degree ? mis.manifest().header.max_degree + 1
+                       : kBufferGraphVertices + 7;
+    }
+    ASSERT_GT(word, 0u);
+    std::string corrupt = intact;
+    std::memcpy(&corrupt[word], &value, sizeof(value));
+    WriteFileBytes(shard_path, corrupt);
+
+    Status s = mis.Compact(/*force=*/true);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find(c.check), std::string::npos) << s.ToString();
+    EXPECT_NE(s.ToString().find(shard_path), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(mis.store().current_epoch, before.current_epoch);
+    ResolvedShardStore on_disk;
+    ASSERT_OK(ResolveShardStore(root, &on_disk));
+    EXPECT_EQ(on_disk.manifest_path, before.manifest_path);
+    EXPECT_EQ(on_disk.current_epoch, before.current_epoch);
+
+    // Not wedged: with the file whole again, updates and the compaction
+    // go through.
+    WriteFileBytes(shard_path, intact);
+    ASSERT_OK(mis.ApplyBatch({delta.Toggle(30, 40)}));
+    ASSERT_OK(mis.Compact(/*force=*/true));
+    EXPECT_EQ(mis.stats().compactions, 1u);
+    ExpectStoreHoldsGraph(root, delta.Effective());
+  }
+}
+
+TEST_F(IncrementalStreamTest, RetiredDeltaStateEqualsReplay) {
+  // After a compaction the maintainer drops from its delta state only the
+  // edges no other shard still holds an entry for. Its twin, on an
+  // identical store, is re-initialized from disk after every compaction,
+  // so its delta state is the replay of the entries left pending. With a
+  // threshold of 7 the shards compact at staggered times; the two must
+  // then log the same entries byte for byte, count the same redundant
+  // updates and keep the same set. The stream repairs only at the end:
+  // replaying a log on top of a set that only lost vertices since evicts
+  // nothing, so the twin starts each round from the maintainer's set.
+  Graph base = GenerateErdosRenyi(90, 200, 41);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    const std::string live_root =
+        NewPath("live" + std::to_string(shards) + ".sadjs");
+    const std::string twin_root =
+        NewPath("twin" + std::to_string(shards) + ".sadjs");
+    ASSERT_OK(ShardAdjacencyFile(mono, live_root, shards));
+    ASSERT_OK(ShardAdjacencyFile(mono, twin_root, shards));
+    EnginePipelineOptions opts;
+    opts.num_threads = 2;
+    opts.compact_threshold_entries = 7;
+    const BitVector initial = RandomMaximalSet(base, 42);
+    ShardedStreamingMis live, twin;
+    ASSERT_OK(live.Initialize(live_root, initial, opts));
+    ASSERT_OK(twin.Initialize(twin_root, initial, opts));
+
+    // Edges between the first and the last ids cross shards; each is
+    // toggled many times, and resent unchanged now and then (a no-op the
+    // delta state must recognize).
+    DeltaTracker delta(base);
+    Random rng(43 + shards);
+    std::vector<EdgeUpdate> sent;
+    uint64_t twin_redundant = 0;
+    int reinitialized = 0;
+    int staggered = 0;  // compactions that left other shards' logs pending
+    for (int b = 0; b < 80; ++b) {
+      std::vector<EdgeUpdate> batch;
+      for (int i = 0; i < 4; ++i) {
+        if (!sent.empty() && rng.OneIn(0.2)) {
+          const EdgeUpdate& old = sent[rng.Uniform(sent.size())];
+          const bool live_edge = delta.Effective().HasEdge(old.u, old.v);
+          batch.push_back(live_edge ? EdgeUpdate::Insert(old.u, old.v)
+                                    : EdgeUpdate::Delete(old.u, old.v));
+          continue;
+        }
+        VertexId u = static_cast<VertexId>(rng.Uniform(8));
+        VertexId v = static_cast<VertexId>(82 + rng.Uniform(8));
+        if (rng.OneIn(0.3)) {
+          u = static_cast<VertexId>(rng.Uniform(90));
+          v = static_cast<VertexId>((u + 1 + rng.Uniform(89)) % 90);
+        }
+        batch.push_back(delta.Toggle(u, v));
+        sent.push_back(batch.back());
+      }
+      const uint64_t compactions = live.stats().compactions;
+      const uint64_t twin_before = twin.stats().redundant_updates;
+      ASSERT_OK(live.ApplyBatch(batch));
+      ASSERT_OK(twin.ApplyBatch(batch));
+      twin_redundant += twin.stats().redundant_updates - twin_before;
+      ASSERT_EQ(live.stats().redundant_updates, twin_redundant)
+          << "batch " << b;
+      ASSERT_EQ(SetToVector(live.set()), SetToVector(twin.set()))
+          << "batch " << b;
+      const std::string live_delta =
+          EdgeDeltaManifestPath(live.store().manifest_path);
+      const std::string twin_delta =
+          EdgeDeltaManifestPath(twin.store().manifest_path);
+      ASSERT_EQ(ReadFileBytes(live_delta), ReadFileBytes(twin_delta))
+          << "batch " << b;
+      for (uint32_t k = 0; k < shards; ++k) {
+        ASSERT_EQ(ReadFileBytes(EdgeDeltaShardPath(live_delta, k)),
+                  ReadFileBytes(EdgeDeltaShardPath(twin_delta, k)))
+            << "batch " << b << " shard " << k;
+      }
+      if (live.stats().compactions == compactions) continue;
+      EdgeDeltaManifest dm;
+      ASSERT_OK(ReadEdgeDeltaManifest(live_delta, &dm));
+      const auto empty_logs = static_cast<uint32_t>(
+          std::count(dm.shard_entries.begin(), dm.shard_entries.end(),
+                     uint64_t{0}));
+      if (empty_logs > 0 && empty_logs < shards) staggered++;
+      // The twin compacted too; replace its delta state by the replay.
+      const BitVector kept = twin.set();
+      ASSERT_OK(twin.Initialize(twin_root, kept, opts));
+      ASSERT_EQ(SetToVector(live.set()), SetToVector(twin.set()));
+      reinitialized++;
+    }
+    EXPECT_GT(reinitialized, 3);
+    if (shards > 1) {
+      EXPECT_GT(staggered, 0);
+    }
+    ASSERT_OK(live.Repair());
+    ASSERT_OK(twin.Repair());
+    EXPECT_EQ(SetToVector(live.set()), SetToVector(twin.set()));
+    ASSERT_OK(live.Compact(/*force=*/true));
+    ASSERT_OK(twin.Compact(/*force=*/true));
+    for (uint32_t k = 0; k < shards; ++k) {
+      EXPECT_EQ(ReadFileBytes(ShardFilePath(live.store().manifest_path, k)),
+                ReadFileBytes(ShardFilePath(twin.store().manifest_path, k)))
+          << "shard " << k;
+    }
+    ExpectStoreHoldsGraph(live_root, delta.Effective());
+  }
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // AdjacencyShardReader (SADS shard files). A record the reader holds whole
 // is decoded in place; one that crosses a buffer fill, or is longer than
 // the buffer, falls back to ReadU32/ReadExact. Every case runs on both
-// formats, and every corruption is hit on both paths.
+// formats, and every corruption is hit on both paths. On both paths a
+// view has the record's header words right in front of its neighbors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,7 +136,8 @@ std::string WriteStream(ScratchDir* scratch, Format f, const Stream& s,
 }
 
 // Every record of the file at `path`, as (id, neighbors) pairs, through
-// the reader of format `f`; the first error is returned.
+// the reader of format `f`; the first error is returned. Views the
+// decoder hands out must carry the record's bytes, header words first.
 Status Drain(Format f, const std::string& path,
              std::vector<std::vector<uint32_t>>* out) {
   out->clear();
@@ -143,6 +145,11 @@ Status Drain(Format f, const std::string& path,
     std::vector<uint32_t> rec{v.id};
     rec.insert(rec.end(), v.begin(), v.end());
     out->push_back(std::move(rec));
+  };
+  auto take_decoded = [&take](const VertexRecordView& v) {
+    EXPECT_EQ(v.neighbors[-2], v.id);
+    EXPECT_EQ(v.neighbors[-1], v.degree);
+    take(v);
   };
   VertexRecordView view;
   bool has_next = false;
@@ -152,7 +159,7 @@ Status Drain(Format f, const std::string& path,
     while (true) {
       SEMIS_RETURN_IF_ERROR(scanner.Next(&view, &has_next));
       if (!has_next) return Status::OK();
-      take(view);
+      take_decoded(view);
     }
   }
   ShardedAdjacencyManifest manifest;
@@ -165,7 +172,7 @@ Status Drain(Format f, const std::string& path,
     if (i % 2 == 0) {
       SEMIS_RETURN_IF_ERROR(reader.Next(&view, &has_next));
       if (!has_next) break;
-      take(view);
+      take_decoded(view);
     } else {
       block.Clear();
       SEMIS_RETURN_IF_ERROR(reader.NextInto(&block, &has_next));
