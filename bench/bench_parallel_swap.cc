@@ -8,6 +8,9 @@
 // BM_SequentialTwoKSwap's (the paper's reference implementation) in the
 // same process; it is left out when a filter skipped that benchmark.
 //
+// Each run also reports its scans, bytes read and accounted peak memory
+// (`peak_memory_bytes`, and `sc_peak_bytes` for the SC tables alone).
+//
 // Two properties are measured/checked:
 //   * correctness: every thread count must produce a byte-identical
 //     independent set (the executor's determinism contract); the bench
@@ -23,6 +26,7 @@
 
 #include <cstdio>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/greedy.h"
@@ -111,12 +115,17 @@ ParallelEnv& Env() {
   return env;
 }
 
-// Full passes over the input and megabytes read by one run. Every
-// iteration does the same I/O, so the last one's figures stand for all.
-void SetIoCounters(benchmark::State& state, const IoStats& io) {
-  state.counters["scans"] = static_cast<double>(io.sequential_scans);
+// Full passes over the input, megabytes read, and the accounted peak
+// memory of one run, in total and of the SC tables alone. Every iteration
+// does the same work, so the last one's figures stand for all.
+void SetRunCounters(benchmark::State& state, const AlgoResult& res) {
+  state.counters["scans"] = static_cast<double>(res.io.sequential_scans);
   state.counters["read_mb"] =
-      static_cast<double>(io.bytes_read) / (1024.0 * 1024.0);
+      static_cast<double>(res.io.bytes_read) / (1024.0 * 1024.0);
+  state.counters["peak_memory_bytes"] =
+      static_cast<double>(res.peak_memory_bytes);
+  state.counters["sc_peak_bytes"] =
+      static_cast<double>(res.memory.CategoryPeakBytes("sc"));
 }
 
 bool SameSet(const BitVector& a, const BitVector& b) {
@@ -143,7 +152,7 @@ double RunParallelTwoKSwap(benchmark::State& state,
                            uint64_t reference_size) {
   ParallelEnv& env = Env();
   double rounds = 0;
-  IoStats io;
+  AlgoResult last;
   WallTimer timer;
   for (auto _ : state) {
     AlgoResult res;
@@ -159,15 +168,15 @@ double RunParallelTwoKSwap(benchmark::State& state,
       break;
     }
     rounds += static_cast<double>(res.rounds);
-    io = res.io;
     benchmark::DoNotOptimize(res.set_size);
+    last = std::move(res);
   }
   const double seconds = SecondsPerRun(state, timer);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(env.directed_edges));
   state.counters["threads"] = threads;
   state.counters["set_size"] = static_cast<double>(reference_size);
-  SetIoCounters(state, io);
+  SetRunCounters(state, last);
   if (state.iterations() > 0) {
     state.counters["rounds"] = rounds / static_cast<double>(state.iterations());
   }
@@ -192,7 +201,7 @@ BENCHMARK(BM_ParallelTwoKSwap)
 // input, for the "parallel executor vs paper implementation" column.
 void BM_SequentialTwoKSwap(benchmark::State& state) {
   ParallelEnv& env = Env();
-  IoStats io;
+  AlgoResult last;
   WallTimer timer;
   for (auto _ : state) {
     AlgoResult res;
@@ -202,13 +211,13 @@ void BM_SequentialTwoKSwap(benchmark::State& state) {
       state.SkipWithError(s.ToString().c_str());
       break;
     }
-    io = res.io;
     benchmark::DoNotOptimize(res.set_size);
+    last = std::move(res);
   }
   env.sequential_seconds = SecondsPerRun(state, timer);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(env.directed_edges));
-  SetIoCounters(state, io);
+  SetRunCounters(state, last);
 }
 BENCHMARK(BM_SequentialTwoKSwap)->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -227,8 +227,10 @@ class MisEngine {
   Status Prepare() EXCLUDES(publish_mu_);
 
   /// Applies one batch of edge updates to the private successor state
-  /// (eager eviction + durable delta logging, ShardedStreamingMis
-  /// semantics). Published epochs are unaffected until Publish().
+  /// (eager eviction + delta logging, ShardedStreamingMis semantics).
+  /// Once it returns, the batch survives a process crash; the delta
+  /// flush issues no fsync, so power-loss durability comes at the next
+  /// epoch commit. Published epochs are unaffected until Publish().
   Status ApplyBatch(const std::vector<EdgeUpdate>& updates)
       EXCLUDES(publish_mu_);
 

@@ -11,7 +11,7 @@
 //     IncrementalMis), and
 //   * routed to the SDELTA log of every shard holding an endpoint's base
 //     record, so each shard log carries the full delta incident to its
-//     records and the logs double as a durable redo stream.
+//     records and the logs double as a redo stream (see Durability).
 //
 // Repair() restores maximality. The first Repair() of a session is ONE
 // pass over the base shards merged with the delta: it commits the exact
@@ -55,7 +55,10 @@
 // point leaves the store resolvable to a consistent epoch; Initialize
 // recovers it (falling back one epoch when the current one is torn) and
 // garbage-collects orphans. A legacy store (SADM manifest at the root)
-// converts to the journaled layout on its first commit.
+// converts to the journaled layout on its first commit. A batch's log
+// appends and manifest rename issue no fsync: the batch survives a
+// process crash once ApplyBatch returns, and a power loss from the next
+// epoch commit on.
 //
 // Resort() restores the global (degree, id) record order that a
 // degree-changing compaction invalidated: pending deltas are folded in

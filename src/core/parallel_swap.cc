@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
+#include "util/flat_key_set.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -25,6 +24,11 @@ uint64_t PairKey(VertexId a, VertexId b) {
 VertexId PairFirst(uint64_t key) { return static_cast<VertexId>(key >> 32); }
 VertexId PairSecond(uint64_t key) {
   return static_cast<VertexId>(key & 0xFFFFFFFFull);
+}
+// Key of IS vertex w's key list, in the table that also holds pair keys.
+// Its high word is kInvalidVertex, which no pair key's lower id can be.
+uint64_t VertexKey(VertexId w) {
+  return (static_cast<uint64_t>(kInvalidVertex) << 32) | w;
 }
 
 // Per-vertex commit decision of one round, written only by the worker
@@ -90,39 +94,76 @@ class ParallelSwapRun {
                  const std::vector<VState>* initial_states, AlgoResult* res);
 
  private:
-  // Shard-local SC structures of the 2<->k discovery (Algorithm 4),
-  // reset for every shard so discovery never depends on which worker
-  // scans which shard.
+  // Shard-local SC structures of the 2<->k discovery (Algorithm 4), built
+  // for every shard and freed at its end, so discovery never depends on
+  // which worker scans which shard. One flat table finds a bucket by its
+  // pair key and an IS vertex's key list by VertexKey; anchors, pairs and
+  // key lists are index-linked lists in pools that keep insertion order,
+  // so every walk visits entries in the order the scan added them.
   struct ShardContext {
+    static constexpr uint32_t kNil = ~uint32_t{0};
+    struct List {
+      uint32_t first = kNil;
+      uint32_t last = kNil;
+    };
     struct Bucket {
-      std::vector<VertexId> anchors;
-      std::vector<std::pair<VertexId, VertexId>> pairs;
+      explicit Bucket(uint64_t pair_key) : key(pair_key) {}
+      uint64_t key;       // PairKey of the bucket's IS pair
+      List anchors;       // into `links`: anchor vertex ids
+      List pairs;         // into `pairs`
+      uint32_t num_pairs = 0;
       bool freed = false;
     };
-    std::unordered_map<uint64_t, Bucket> buckets;
-    std::unordered_map<VertexId, std::vector<uint64_t>> keys_with_w;
+    // A list node: an anchor id in a bucket's list, or a bucket index in
+    // an IS vertex's key list.
+    struct Link {
+      uint32_t item;
+      uint32_t next = kNil;
+    };
+    struct Pair {
+      VertexId v1, v2;
+      uint32_t next = kNil;
+    };
+
+    template <typename Node>
+    static void Append(std::vector<Node>* pool, List* list, Node node) {
+      const uint32_t at = static_cast<uint32_t>(pool->size());
+      pool->push_back(node);
+      if (list->last == kNil) {
+        list->first = at;
+      } else {
+        (*pool)[list->last].next = at;
+      }
+      list->last = at;
+    }
+
+    // Appends bucket `b` to IS vertex w's key list, creating the list.
+    void AddToKeyList(VertexId w, uint32_t b) {
+      bool inserted = false;
+      const uint32_t list = index.FindOrInsert(
+          VertexKey(w), static_cast<uint32_t>(key_lists.size()), &inserted);
+      if (inserted) key_lists.emplace_back();
+      Append(&links, &key_lists[list], Link{b});
+    }
+
+    // Heap bytes of every table and pool, exactly.
+    size_t MemoryBytes() const {
+      return index.MemoryBytes() + removed.MemoryBytes() + used.MemoryBytes() +
+             buckets.capacity() * sizeof(Bucket) +
+             key_lists.capacity() * sizeof(List) +
+             links.capacity() * sizeof(Link) + pairs.capacity() * sizeof(Pair);
+    }
+
+    FlatKeyMap index;  // PairKey -> bucket, VertexKey(w) -> key list
+    std::vector<Bucket> buckets;
+    std::vector<List> key_lists;
+    std::vector<Link> links;
+    std::vector<Pair> pairs;
     // IS vertices this shard already marked for removal, and non-IS
     // vertices already consumed by a fired skeleton.
-    std::unordered_set<VertexId> removed;
-    std::unordered_set<VertexId> used;
+    FlatKeySet removed;
+    FlatKeySet used;
     uint64_t sc_vertices = 0;
-
-    size_t ApproxBytes() const {
-      size_t bytes = 0;
-      // Order-insensitive sums for memory accounting.
-      // semis-lint: allow(unordered-iteration)
-      for (const auto& kv : buckets) {
-        bytes += sizeof(kv) + kv.second.anchors.capacity() * sizeof(VertexId) +
-                 kv.second.pairs.capacity() *
-                     sizeof(std::pair<VertexId, VertexId>);
-      }
-      // semis-lint: allow(unordered-iteration)
-      for (const auto& kv : keys_with_w) {
-        bytes += sizeof(kv) + kv.second.capacity() * sizeof(uint64_t);
-      }
-      bytes += (removed.size() + used.size()) * 2 * sizeof(VertexId);
-      return bytes;
-    }
   };
 
   // Everything one worker owns, on cache lines no other worker writes.
@@ -205,16 +246,21 @@ class ParallelSwapRun {
 
   // --- proposal-scan helpers (shard-local, snapshot state only) ---
   bool IsLive(VertexId w, const ShardContext& ctx) const {
-    return State(w) == VState::kI && ctx.removed.count(w) == 0;
+    return State(w) == VState::kI && !ctx.removed.Contains(w);
   }
   void MarkRemove(VertexId w, ShardContext* ctx) {
     mark_r_[w].store(1, std::memory_order_relaxed);
-    ctx->removed.insert(w);
+    ctx->removed.Insert(w);
   }
   void ProposalVertex(const VertexRecordView& rec, WorkerScratch* scratch,
                       ShardContext* ctx, RoundStats* round);
   void TryTwoKSwap(const VertexRecordView& rec, WorkerScratch* scratch,
                    ShardContext* ctx, RoundStats* round);
+  static VertexId FindPartner(const ShardContext& ctx,
+                              const ShardContext::Bucket& bucket, VertexId u,
+                              RecordNeighbors* adjacent);
+  bool FireSkeleton(uint32_t b, VertexId u, RecordNeighbors* adjacent,
+                    ShardContext* ctx, RoundStats* round);
 
   const ParallelSwapOptions& options_;
   const std::string manifest_path_;
@@ -298,6 +344,49 @@ Status ParallelSwapRun::LabelScan(uint64_t* free_count) {
   return Status::OK();
 }
 
+// The first anchor of `bucket`, in arrival order, that is not u, not
+// consumed by a fired skeleton and not adjacent to u; kInvalidVertex if
+// there is none.
+VertexId ParallelSwapRun::FindPartner(const ShardContext& ctx,
+                                      const ShardContext::Bucket& bucket,
+                                      VertexId u, RecordNeighbors* adjacent) {
+  for (uint32_t i = bucket.anchors.first; i != ShardContext::kNil;
+       i = ctx.links[i].next) {
+    const VertexId v = ctx.links[i].item;
+    if (v != u && !ctx.used.Contains(v) && !adjacent->Contains(v)) return v;
+  }
+  return kInvalidVertex;
+}
+
+// 2-3 skeleton with u as the third vertex: fires the first pair of bucket
+// `b`, in arrival order, that u completes. Returns whether it fired.
+bool ParallelSwapRun::FireSkeleton(uint32_t b, VertexId u,
+                                   RecordNeighbors* adjacent,
+                                   ShardContext* ctx, RoundStats* round) {
+  ShardContext::Bucket& bucket = ctx->buckets[b];
+  if (bucket.freed) return false;
+  const VertexId kw1 = PairFirst(bucket.key), kw2 = PairSecond(bucket.key);
+  if (!IsLive(kw1, *ctx) || !IsLive(kw2, *ctx)) return false;
+  for (uint32_t i = bucket.pairs.first; i != ShardContext::kNil;
+       i = ctx->pairs[i].next) {
+    const VertexId v1 = ctx->pairs[i].v1, v2 = ctx->pairs[i].v2;
+    if (v1 == u || v2 == u) continue;
+    if (ctx->used.Contains(v1) || ctx->used.Contains(v2)) continue;
+    if (adjacent->Contains(v1) || adjacent->Contains(v2)) continue;
+    // Fire: (v1, v2, u) replace (kw1, kw2). The entering trio joins the
+    // wave via the all-ISN-removed rule at the swap scan.
+    ctx->used.Insert(u);
+    ctx->used.Insert(v1);
+    ctx->used.Insert(v2);
+    MarkRemove(kw1, ctx);
+    MarkRemove(kw2, ctx);
+    bucket.freed = true;
+    round->two_k_swaps++;  // per-round totals aggregated via atomics below
+    return true;
+  }
+  return false;
+}
+
 void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec,
                                   WorkerScratch* scratch, ShardContext* ctx,
                                   RoundStats* round) {
@@ -305,87 +394,60 @@ void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec,
   // earlier compatible anchor, and fire the 2-3 skeleton when u is the
   // third mutually non-adjacent vertex. `ctx` carries the scan-order
   // context; it never leaves the shard, so discovery is identical no
-  // matter which worker runs it.
+  // matter which worker runs it. Every bucket u can reach holds w1, so
+  // nothing happens while w1 (or an anchor's w2) has left.
   const VertexId u = rec.id;
-  const bool anchor = IsAnchor(u);
   const VertexId w1 = isn1_[u];
   const VertexId w2 = isn2_[u];
   RecordNeighbors adjacent(rec, &scratch->sorted_neighbors);
+  const uint32_t cap = options_.max_pairs_per_bucket;
 
-  if (anchor && IsLive(w1, *ctx) && IsLive(w2, *ctx)) {
+  if (IsAnchor(u)) {
+    if (!IsLive(w1, *ctx) || !IsLive(w2, *ctx)) return;
     const uint64_t key = PairKey(w1, w2);
-    auto [it, inserted] = ctx->buckets.try_emplace(key);
-    ShardContext::Bucket& bucket = it->second;
+    bool inserted = false;
+    const uint32_t b = ctx->index.FindOrInsert(
+        key, static_cast<uint32_t>(ctx->buckets.size()), &inserted);
     if (inserted) {
-      ctx->keys_with_w[w1].push_back(key);
-      ctx->keys_with_w[w2].push_back(key);
+      ctx->buckets.emplace_back(key);
+      ctx->AddToKeyList(w1, b);
+      ctx->AddToKeyList(w2, b);
     }
-    if (bucket.pairs.size() < options_.max_pairs_per_bucket) {
-      VertexId partner = kInvalidVertex;
-      for (VertexId v : bucket.anchors) {
-        if (v != u && ctx->used.count(v) == 0 && !adjacent.Contains(v)) {
-          partner = v;
-          break;
-        }
+    ShardContext::Bucket& bucket = ctx->buckets[b];
+    if (bucket.num_pairs < cap) {
+      const VertexId partner = FindPartner(*ctx, bucket, u, &adjacent);
+      if (partner != kInvalidVertex) {
+        ShardContext::Append(&ctx->pairs, &bucket.pairs,
+                             ShardContext::Pair{u, partner});
+        bucket.num_pairs++;
       }
-      if (partner != kInvalidVertex) bucket.pairs.emplace_back(u, partner);
     }
-    bucket.anchors.push_back(u);
+    ShardContext::Append(&ctx->links, &bucket.anchors, ShardContext::Link{u});
     ctx->sc_vertices++;
-  } else if (!anchor && IsLive(w1, *ctx)) {
-    auto kit = ctx->keys_with_w.find(w1);
-    if (kit != ctx->keys_with_w.end()) {
-      for (uint64_t key : kit->second) {
-        ShardContext::Bucket& bucket = ctx->buckets[key];
-        if (bucket.freed ||
-            bucket.pairs.size() >= options_.max_pairs_per_bucket) {
-          continue;
-        }
-        VertexId partner = kInvalidVertex;
-        for (VertexId v : bucket.anchors) {
-          if (v != u && ctx->used.count(v) == 0 && !adjacent.Contains(v)) {
-            partner = v;
-            break;
-          }
-        }
-        if (partner != kInvalidVertex) {
-          bucket.pairs.emplace_back(partner, u);  // anchor first
-          ctx->sc_vertices++;
-          break;
-        }
-      }
-    }
+    FireSkeleton(b, u, &adjacent, ctx, round);
+    return;
   }
 
-  // 2-3 skeleton with u as the third vertex.
-  const uint64_t single_key = anchor ? PairKey(w1, w2) : 0;
-  std::span<const uint64_t> keys;
-  if (anchor) {
-    if (IsLive(w1, *ctx) && IsLive(w2, *ctx)) keys = {&single_key, 1};
-  } else {
-    auto kit = ctx->keys_with_w.find(w1);
-    if (kit != ctx->keys_with_w.end()) keys = kit->second;
-  }
-  for (uint64_t key : keys) {
-    auto bit = ctx->buckets.find(key);
-    if (bit == ctx->buckets.end() || bit->second.freed) continue;
-    const VertexId kw1 = PairFirst(key), kw2 = PairSecond(key);
-    if (!IsLive(kw1, *ctx) || !IsLive(kw2, *ctx)) continue;
-    for (const auto& [v1, v2] : bit->second.pairs) {
-      if (v1 == u || v2 == u) continue;
-      if (ctx->used.count(v1) != 0 || ctx->used.count(v2) != 0) continue;
-      if (adjacent.Contains(v1) || adjacent.Contains(v2)) continue;
-      // Fire: (v1, v2, u) replace (kw1, kw2). The entering trio joins the
-      // wave via the all-ISN-removed rule at the swap scan.
-      ctx->used.insert(u);
-      ctx->used.insert(v1);
-      ctx->used.insert(v2);
-      MarkRemove(kw1, ctx);
-      MarkRemove(kw2, ctx);
-      bit->second.freed = true;
-      round->two_k_swaps++;  // per-round totals aggregated via atomics below
-      return;
+  if (!IsLive(w1, *ctx)) return;
+  uint32_t list = 0;
+  if (!ctx->index.Find(VertexKey(w1), &list)) return;
+  const ShardContext::List keys = ctx->key_lists[list];
+  for (uint32_t i = keys.first; i != ShardContext::kNil;
+       i = ctx->links[i].next) {
+    ShardContext::Bucket& bucket = ctx->buckets[ctx->links[i].item];
+    if (bucket.freed || bucket.num_pairs >= cap) continue;
+    const VertexId partner = FindPartner(*ctx, bucket, u, &adjacent);
+    if (partner != kInvalidVertex) {
+      ShardContext::Append(&ctx->pairs, &bucket.pairs,
+                           ShardContext::Pair{partner, u});  // anchor first
+      bucket.num_pairs++;
+      ctx->sc_vertices++;
+      break;
     }
+  }
+  for (uint32_t i = keys.first; i != ShardContext::kNil;
+       i = ctx->links[i].next) {
+    if (FireSkeleton(ctx->links[i].item, u, &adjacent, ctx, round)) return;
   }
 }
 
@@ -394,11 +456,11 @@ void ParallelSwapRun::ProposalVertex(const VertexRecordView& rec,
                                      RoundStats* round) {
   const VertexId u = rec.id;
   if (State(u) != VState::kA) return;
-  if (ctx->used.count(u) != 0) return;  // already entering via a skeleton
+  if (ctx->used.Contains(u)) return;  // already entering via a skeleton
 
   if (options_.enable_two_k) {
     TryTwoKSwap(rec, scratch, ctx, round);
-    if (ctx->used.count(u) != 0) return;
+    if (ctx->used.Contains(u)) return;
   }
 
   // 1-2 swap skeleton via the ISN^-1 counting trick (Section 5.4): u has
@@ -432,7 +494,7 @@ Status ParallelSwapRun::ProposalScan(RoundStats* round, AlgoResult* res) {
     one_k.fetch_add(local.one_k_swaps, std::memory_order_relaxed);
     two_k.fetch_add(local.two_k_swaps, std::memory_order_relaxed);
     sc_vertices.fetch_add(ctx.sc_vertices, std::memory_order_relaxed);
-    sc_bytes.fetch_add(ctx.ApproxBytes(), std::memory_order_relaxed);
+    sc_bytes.fetch_add(ctx.MemoryBytes(), std::memory_order_relaxed);
     return s;
   }));
   round->one_k_swaps = one_k.load();
@@ -564,8 +626,12 @@ Status ParallelSwapRun::Execute(const BitVector* initial_set,
     const uint64_t size_before = is_size_;
     RoundStats round;
     SEMIS_RETURN_IF_ERROR(ProposalScan(&round, res));
-    SEMIS_RETURN_IF_ERROR(SwapScan());
-    ApplySwaps(&round);
+    // A pass that marked no IS vertex leaves every decision kNone and
+    // every mark clear, so its commit would move nobody.
+    if (round.one_k_swaps + round.two_k_swaps > 0) {
+      SEMIS_RETURN_IF_ERROR(SwapScan());
+      ApplySwaps(&round);
+    }
     if (round.removed_is_vertices + round.new_is_vertices > 0) {
       SEMIS_RETURN_IF_ERROR(LabelScan(&free_count));
     }

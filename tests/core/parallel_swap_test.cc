@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/greedy.h"
@@ -142,6 +143,8 @@ struct DigestCase {
   uint32_t max_rounds;
   Expect expect;
   uint64_t digest[3];  // at 1, 3 and 7 shards
+  // SC bucket pair cap (ParallelSwapOptions::max_pairs_per_bucket).
+  uint32_t max_pairs = ParallelSwapOptions{}.max_pairs_per_bucket;
 };
 
 constexpr uint32_t kDigestShards[3] = {1, 3, 7};
@@ -163,6 +166,11 @@ const DigestCase kDigestCases[] = {
     {"er-onek-holes-1round", CorpusGraph::kEr, false, 3, 1,
      Expect::kFinalLoopJoins,
      {0xd47d3a604a75f693ull, 0x625648c9a2f32a2full, 0x21e44990d3efdcf2ull}},
+    // The cap never binds on this corpus: these equal plrg-twok's digests.
+    // PairCapBoundsEachBucket below is a graph on which it does.
+    {"plrg-twok-pair-cap-1", CorpusGraph::kPlrg, true, 0, 0, Expect::kNoJoins,
+     {0x582a1d54a2e7ad17ull, 0x1b1435d399ea82b2ull, 0x66f3ed49dd07dbe3ull},
+     1},
 };
 
 TEST_F(ParallelSwapTest, PinnedDigestsAcrossShardAndThreadCounts) {
@@ -189,6 +197,9 @@ TEST_F(ParallelSwapTest, PinnedDigestsAcrossShardAndThreadCounts) {
             initial.Clear(v);
           }
         }
+        // The 1-thread run's charge: every shard's SC tables are counted as
+        // if live at once, so the figure must not move with the threads.
+        uint64_t peak_at_one = 0, sc_at_one = 0;
         for (uint32_t threads : {1u, 8u}) {
           SCOPED_TRACE(std::string(c.name) + " at " +
                        std::to_string(kDigestShards[s]) + " shards, " +
@@ -196,6 +207,7 @@ TEST_F(ParallelSwapTest, PinnedDigestsAcrossShardAndThreadCounts) {
           ParallelSwapOptions opts;
           opts.enable_two_k = c.two_k;
           opts.max_rounds = c.max_rounds;
+          opts.max_pairs_per_bucket = c.max_pairs;
           opts.num_threads = threads;
           AlgoResult res;
           ASSERT_OK(RunParallelSwap(manifest, initial, opts, &res));
@@ -220,10 +232,60 @@ TEST_F(ParallelSwapTest, PinnedDigestsAcrossShardAndThreadCounts) {
           }
           EXPECT_EQ(ResultDigest(res), c.digest[s])
               << "0x" << std::hex << ResultDigest(res);
+          const uint64_t sc_peak = res.memory.CategoryPeakBytes("sc");
+          if (threads == 1) {
+            peak_at_one = res.peak_memory_bytes;
+            sc_at_one = sc_peak;
+          } else {
+            EXPECT_EQ(res.peak_memory_bytes, peak_at_one);
+            EXPECT_EQ(sc_peak, sc_at_one);
+          }
         }
       }
     }
   }
+}
+
+TEST_F(ParallelSwapTest, PairCapBoundsEachBucket) {
+  // IS {w1, w2, w3}; a1..a4 each see exactly w1 and w2, so they share the
+  // SC bucket {w1, w2}, and the degree sort scans them a1, a2, a3, a4
+  // (degrees 4, 5, 6, 6). a2 pairs with a1. a3 and a4 are adjacent to a1,
+  // so (a2, a1) never completes a skeleton, and a3 pairs with the second
+  // anchor, a2. Only that second pair lets a4 fire (a3, a2, a4) for
+  // (w1, w2); a1 then loses its promotion to the lower ids a3 and a4.
+  // z1..z3 see three IS vertices and only lift the degrees of a2..a4.
+  enum : VertexId { a3, a4, a1, a2, w1, w2, w3, z1, z2, z3, kCount };
+  std::vector<Edge> edges = {{a1, w1}, {a1, w2}, {a1, a3}, {a1, a4},
+                             {a2, w1}, {a2, w2}, {a3, w1}, {a3, w2},
+                             {a4, w1}, {a4, w2}};
+  for (VertexId z : {z1, z2, z3}) {
+    for (VertexId v : {w1, w2, w3, a2, a3, a4}) edges.emplace_back(z, v);
+  }
+  const Graph g = Graph::FromEdges(kCount, std::move(edges));
+  const std::string mono = WriteGraphFile(&scratch_, g);
+  const std::string sorted = NewPath("sorted");
+  ASSERT_OK(BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{}));
+  const std::string manifest = NewPath("sharded");
+  ASSERT_OK(ShardAdjacencyFile(sorted, manifest, 1));
+  BitVector initial(kCount);
+  for (VertexId w : {w1, w2, w3}) initial.Set(w);
+
+  AlgoResult uncapped;
+  ASSERT_OK(RunParallelSwap(manifest, initial, ParallelSwapOptions{},
+                            &uncapped));
+  EXPECT_EQ(SetToVector(uncapped.in_set),
+            (std::vector<VertexId>{a3, a4, a2, w3}));
+  ASSERT_FALSE(uncapped.round_stats.empty());
+  EXPECT_EQ(uncapped.round_stats[0].two_k_swaps, 1u);
+  EXPECT_EQ(uncapped.round_stats[0].denied_promotions, 1u);
+
+  ParallelSwapOptions capped;
+  capped.max_pairs_per_bucket = 1;
+  AlgoResult one_pair;
+  ASSERT_OK(RunParallelSwap(manifest, initial, capped, &one_pair));
+  EXPECT_EQ(SetToVector(one_pair.in_set), (std::vector<VertexId>{w1, w2, w3}));
+  EXPECT_EQ(one_pair.rounds, 1u);
+  EXPECT_EQ(one_pair.round_stats[0].two_k_swaps, 0u);
 }
 
 TEST_F(ParallelSwapTest, ResultIsIndependentAndMaximal) {
@@ -299,11 +361,15 @@ TEST_F(ParallelSwapTest, MergesPerThreadIoIntoAggregate) {
     ASSERT_EQ(r.zero_one_swaps, 0u) << "the schedule below assumes no joins";
   }
   // With no joins a run is one label pass up front, then propose, commit
-  // and relabel per round, except that the last round moves nobody and
-  // skips its relabel: three full passes per round, and every byte of
-  // them must land in the merged counters.
+  // and relabel per round, except that the last round proposes nothing
+  // and so skips its commit and relabel: 3R - 1 full passes for R rounds,
+  // and every byte of them must land in the merged counters.
+  ASSERT_GT(res.rounds, 0u);
+  EXPECT_EQ(res.round_stats.back().one_k_swaps +
+                res.round_stats.back().two_k_swaps,
+            0u);
   EXPECT_GT(res.io.bytes_read, 0u);
-  EXPECT_EQ(res.io.sequential_scans, 3u * res.rounds);
+  EXPECT_EQ(res.io.sequential_scans, 3u * res.rounds - 1);
   EXPECT_GT(res.io.files_opened, 0u);
   EXPECT_GT(res.peak_memory_bytes, 0u);
 }

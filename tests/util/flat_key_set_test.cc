@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -103,6 +104,68 @@ TEST(FlatKeySetTest, ReserveClearAndMemoryCharge) {
   EXPECT_FALSE(set.Contains(3));
   EXPECT_EQ(set.MemoryBytes(), 2 * bytes);
   EXPECT_TRUE(set.Insert(3));
+}
+
+TEST(FlatKeyMapTest, FindOrInsertKeepsTheFirstValue) {
+  FlatKeyMap map;
+  uint32_t value = 0;
+  EXPECT_FALSE(map.Find(5, &value));
+  EXPECT_EQ(map.MemoryBytes(), 0u);
+  bool inserted = false;
+  EXPECT_EQ(map.FindOrInsert(5, 10, &inserted), 10u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(map.FindOrInsert(5, 11, &inserted), 10u);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(map.FindOrInsert(FlatKeyMap::kEmptyKey - 1, 0, &inserted), 0u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(map.size(), 2u);
+  ASSERT_TRUE(map.Find(5, &value));
+  EXPECT_EQ(value, 10u);
+  EXPECT_FALSE(map.Find(6, &value));
+}
+
+TEST(FlatKeyMapTest, AgreesWithStdMapAcrossGrowth) {
+  // Clustered edge keys inserted and looked up while the table doubles
+  // many times: every value must follow its key through each rehash.
+  FlatKeyMap map;
+  std::map<uint64_t, uint32_t> model;
+  Random rng(17);
+  for (int step = 0; step < 100000; ++step) {
+    const uint64_t key = EdgeKey(static_cast<uint32_t>(rng.Uniform(300)),
+                                 static_cast<uint32_t>(rng.Uniform(300)));
+    if (rng.Uniform(2) == 0) {
+      bool inserted = false;
+      const auto [it, added] = model.emplace(key, static_cast<uint32_t>(step));
+      ASSERT_EQ(map.FindOrInsert(key, static_cast<uint32_t>(step), &inserted),
+                it->second)
+          << step;
+      ASSERT_EQ(inserted, added) << step;
+    } else {
+      uint32_t value = 0;
+      const auto it = model.find(key);
+      ASSERT_EQ(map.Find(key, &value), it != model.end()) << step;
+      if (it != model.end()) {
+        ASSERT_EQ(value, it->second) << step;
+      }
+    }
+    ASSERT_EQ(map.size(), model.size());
+  }
+  for (const auto& [key, expected] : model) {
+    uint32_t value = 0;
+    ASSERT_TRUE(map.Find(key, &value));
+    ASSERT_EQ(value, expected);
+  }
+}
+
+TEST(FlatKeyMapTest, MemoryChargeIsBothArrays) {
+  // At most half full, like the set: 1024 keys fit 2048 slots, each an
+  // 8-byte key and a 4-byte value; the 1025th doubles both arrays.
+  FlatKeyMap map;
+  bool inserted = false;
+  for (uint64_t key = 0; key < 1024; ++key) map.FindOrInsert(key, 0, &inserted);
+  EXPECT_EQ(map.MemoryBytes(), 2048 * (sizeof(uint64_t) + sizeof(uint32_t)));
+  map.FindOrInsert(1024, 0, &inserted);
+  EXPECT_EQ(map.MemoryBytes(), 4096 * (sizeof(uint64_t) + sizeof(uint32_t)));
 }
 
 }  // namespace
