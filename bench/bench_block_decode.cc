@@ -1,21 +1,20 @@
-// Decode-path benchmark of the zero-copy block pipeline (ISSUE 5): how
-// fast a sharded file streams through ManifestOrderedShardCursor's
-// arena-backed block ring, and -- the point of the refactor -- how much
+// Decode-path benchmark of the block pipeline: how fast a sharded file
+// streams through ManifestOrderedShardCursor's block ring, and how much
 // heap allocation the decode hot path performs.
 //
 // Three decode strategies over the same sharded PLRG:
-//   * BM_BlockCursorDecode/T: the block ring with T decoder threads and a
-//     persistent RecordBlockPool, i.e. the steady state of a long-running
-//     pipeline. Reports records/s plus the ring counters and
+//   * BM_BlockCursorDecode/T: the block ring with T decoder threads, one
+//     cursor per scan. Reports records/s plus the ring counters and
 //     allocs_per_record.
 //   * BM_WholeShardDecode: the RETIRED pre-block strategy (each shard
 //     decoded into one freshly allocated flat vector), kept here as the
 //     old-vs-new allocation baseline.
 //   * BM_SequentialShardDecode: the plain per-record sequential scanner.
-// Plus BM_BlockAppendSteadyState, which isolates the block layer and
-// aborts (SkipWithError -> nightly gate failure) if a steady-state append
-// pass allocates at all: the "zero heap allocations per record" claim,
-// enforced in the timing loop.
+// Plus BM_BlockAppendSteadyState, which isolates a decoder's inner loop
+// (AdjacencyShardReader::Next, then the record's words appended to a
+// block) and aborts (SkipWithError -> nightly gate failure) if a
+// steady-state pass allocates at all: the "zero heap allocations per
+// record" claim, enforced in the timing loop.
 //
 // Allocation counts come from global operator new/delete overrides local
 // to this binary; they count every allocation on the calling thread AND
@@ -35,7 +34,6 @@
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
 #include "graph/graph_io.h"
-#include "graph/record_block.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/env.h"
 #include "io/file.h"
@@ -133,19 +131,16 @@ BlockDecodeEnv& Env() {
   return env;
 }
 
-// The new path: record-granular block ring, persistent block pool.
+// The block ring, one cursor per scan as the executors use it.
 void BM_BlockCursorDecode(benchmark::State& state) {
   BlockDecodeEnv& env = Env();
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  RecordBlockPool block_pool;  // shared across iterations: steady state
   uint64_t allocs = 0;
   IoStats io;
   for (auto _ : state) {
     ThreadPool pool(threads);
     ManifestOrderedShardCursor cursor(&io);
-    BlockRingOptions ring;
-    ring.pool = &block_pool;
-    Status s = cursor.Open(env.manifest, &pool, ring);
+    Status s = cursor.Open(env.manifest, &pool);
     uint64_t checksum = 0, position = 0;
     if (s.ok()) {
       const uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -284,48 +279,64 @@ BENCHMARK(BM_SequentialShardDecode)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The block layer in isolation: appending records to a pooled block must
-// allocate NOTHING once the arena has grown to size. The assertion runs
-// inside the timing loop, so a regression fails the nightly gate.
+// A decoder's inner loop in isolation: Next on an open shard reader, then
+// the record's words appended to a block, which is handed over and
+// recycled once full. One reader and one block serve every pass, as they
+// serve a decoder: after a warm-up pass has grown the reader's spill
+// buffer and the block to their capacity, a pass must allocate NOTHING.
+// The assertion runs inside the timing loop, so a regression fails the
+// nightly gate.
 void BM_BlockAppendSteadyState(benchmark::State& state) {
-  constexpr uint32_t kRecords = 4096;
-  constexpr uint32_t kDegree = 8;
-  RecordBlockPool pool;
-  {
-    // Warm-up pass grows the arena to its steady-state capacity.
-    RecordBlock block = pool.Acquire();
-    for (uint32_t r = 0; r < kRecords; ++r) {
-      VertexId* dst = block.BeginRecord(r, kDegree);
-      for (uint32_t j = 0; j < kDegree; ++j) dst[j] = r + j;
-      block.CommitRecord();
-    }
-    pool.Release(std::move(block));
-  }
-  for (auto _ : state) {
+  constexpr size_t kBlockWords = kDefaultDecodeBlockBytes / sizeof(VertexId);
+  BlockDecodeEnv& env = Env();
+  ShardedAdjacencyManifest manifest;
+  SEMIS_BENCH_CHECK_OK(ReadShardedAdjacencyManifest(env.manifest, &manifest));
+  AdjacencyShardReader reader;
+  std::vector<VertexId> block;
+  uint64_t records = 0;
+  // Decodes shard 0 into the block; `*allocs` counts the heap
+  // allocations between Open and Close.
+  auto pass = [&](uint64_t* allocs) -> Status {
+    SEMIS_RETURN_IF_ERROR(reader.Open(env.manifest, manifest, 0));
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    RecordBlock block = pool.Acquire();
-    uint64_t checksum = 0;
-    for (uint32_t r = 0; r < kRecords; ++r) {
-      VertexId* dst = block.BeginRecord(r, kDegree);
-      for (uint32_t j = 0; j < kDegree; ++j) dst[j] = r + j;
-      block.CommitRecord();
-      checksum += block.view(r).neighbor(0);
+    VertexRecordView view;
+    bool has_next = false;
+    while (true) {
+      SEMIS_RETURN_IF_ERROR(reader.Next(&view, &has_next));
+      if (!has_next) break;
+      const size_t words = 2 + size_t{view.degree};
+      if (!block.empty() && block.size() + words > kBlockWords) {
+        benchmark::DoNotOptimize(block.data());
+        benchmark::ClobberMemory();
+        block.clear();  // handed over and recycled: the capacity stays
+      }
+      if (block.empty()) block.reserve(kBlockWords);
+      block.insert(block.end(), view.neighbors - 2, view.end());
+      records++;
     }
-    benchmark::DoNotOptimize(checksum);
-    pool.Release(std::move(block));
-    const uint64_t allocs =
-        g_allocations.load(std::memory_order_relaxed) - before;
+    *allocs = g_allocations.load(std::memory_order_relaxed) - before;
+    return reader.Close();
+  };
+  uint64_t allocs = 0;
+  SEMIS_BENCH_CHECK_OK(pass(&allocs));  // warm-up
+  records = 0;
+  for (auto _ : state) {
+    Status s = pass(&allocs);
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
     if (allocs != 0) {
       state.SkipWithError("steady-state block append allocated");
       break;
     }
   }
-  state.SetItemsProcessed(state.iterations() * kRecords);
+  state.SetItemsProcessed(static_cast<int64_t>(records));
   state.counters["allocs_per_record"] = 0.0;
 }
 BENCHMARK(BM_BlockAppendSteadyState)->Unit(benchmark::kMicrosecond);
 
-// The I/O seam in isolation (ISSUE 10): streaming a shard through
+// The I/O seam in isolation: streaming a shard through
 // SequentialFileReader -- now one virtual FileSystem dispatch per buffer
 // fill -- must stay allocation-free in steady state. The seam may cost a
 // branch and an indirect call, never a heap allocation; the assertion

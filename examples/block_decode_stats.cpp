@@ -1,15 +1,17 @@
 // Block-decode pipeline tour: open a sharded (SADJS) file with the
-// manifest-ordered cursor and stream every record through the zero-copy
-// view API, then read back the ring's counters -- living documentation of
-// the decode layer under every parallel executor (RunParallelGreedy,
-// RunParallelSwap, ShardedStreamingMis::Repair).
+// manifest-ordered cursor and stream every record through the view API,
+// then read back the ring's counters -- living documentation of the
+// decode layer under the sequential commit scans (RunParallelGreedy and
+// the full ShardedStreamingMis::Repair pass; the swap and the rounds
+// engine give each worker its own AdjacencyShardReader instead).
 //
 //   1. generate a graph, degree-sort it, split it into shards,
 //   2. drain ManifestOrderedShardCursor via VertexRecordView,
 //   3. print records/sec, blocks decoded, arena + peak buffered bytes.
 //
 // The interesting part is what does NOT happen: no per-record allocation
-// (views are spans into pooled arenas) and no per-shard buffering (the
+// (decoders copy records into blocks that are recycled once drained, and
+// each view points into its block) and no per-shard buffering (the
 // ring's byte budget, not the largest shard, bounds memory).
 //
 // Build & run:  ./build/examples/block_decode_stats
@@ -52,14 +54,14 @@ int main() {
     return 1;
   }
 
-  // Drain the cursor: decoder threads fill arena-backed blocks ahead of
-  // this loop; each view is a span into the current block -- read it, use
-  // it, move on. Exactly what the commit scans of the executors do.
+  // Drain the cursor: decoder threads fill blocks ahead of this loop;
+  // each view is a span into the current block -- read it, use it, move
+  // on. Exactly what the commit scans of the executors do. The ring runs
+  // at its defaults: 256 KiB blocks, a budget of 2 * (threads + 1) blocks.
   IoStats io;
   ThreadPool pool(/*num_threads=*/4);
   ManifestOrderedShardCursor cursor(&io);
-  BlockRingOptions ring;  // defaults: 256 KiB blocks, 2*(threads+1) blocks
-  status = cursor.Open(manifest, &pool, ring);
+  status = cursor.Open(manifest, &pool);
   if (!status.ok()) {
     std::fprintf(stderr, "open failed: %s\n", status.ToString().c_str());
     return 1;
@@ -92,7 +94,7 @@ int main() {
               seconds > 0 ? static_cast<double>(records) / seconds : 0.0);
   std::printf("  blocks decoded: %llu\n",
               static_cast<unsigned long long>(io.blocks_decoded));
-  std::printf("  arena bytes   : %s (pooled, reused across blocks)\n",
+  std::printf("  arena bytes   : %s (blocks recycled once drained)\n",
               MemoryTracker::FormatBytes(io.arena_bytes).c_str());
   std::printf("  peak buffered : %s (bounded by the ring budget, "
               "not the largest shard)\n",

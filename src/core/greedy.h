@@ -46,7 +46,7 @@ inline void GreedyCommitRecord(const VertexRecordView& rec,
 /// degree-sorted gate (one error text everywhere), the O(|V|) state-array
 /// init (lines 1-2), and one pass applying GreedyCommitRecord to every
 /// record. `Source` is any open record source exposing header() and the
-/// view-API Next(&view, &has_next) (graph/record_block.h) -- the paths
+/// view-API Next(&view, &has_next) (graph/adjacency_file.h) -- the paths
 /// differ only in where records come from: the monolithic scanner, the
 /// sequential sharded scanner, or the block-decode cursor. `path` is
 /// quoted in the rejection error.

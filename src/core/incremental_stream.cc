@@ -443,10 +443,7 @@ Status ShardedStreamingMis::RepairFull(uint64_t* added) {
   // sequence is identical to the sequential path by construction.
   ThreadPool pool(num_threads);
   ManifestOrderedShardCursor cursor(&stats_.io);
-  BlockRingOptions ring;
-  ring.block_bytes = options_.decode_block_bytes;
-  ring.max_buffered_bytes = options_.max_buffered_bytes;
-  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, &pool, ring));
+  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, &pool));
   Status scan = RepairScan(&cursor, added);
   Status close = cursor.Close();
   SEMIS_RETURN_IF_ERROR(scan);

@@ -138,7 +138,7 @@ struct StreamingMisStats {
   /// I/O of the whole session (routing, repair scans, compaction).
   IoStats io;
   /// Peak logical bytes of the maintainer's in-memory structures,
-  /// including the repair pipeline's decoded-shard buffer high-water mark.
+  /// including the high-water mark of the full repair's block ring.
   size_t peak_memory_bytes = 0;
   /// Wall-clock seconds by stage.
   double apply_seconds = 0.0;
@@ -196,11 +196,10 @@ class ShardedStreamingMis {
   /// evicts), so the next Repair() is a full pass.
   ///
   /// `options` is the shared pipeline struct: this layer reads
-  /// `num_threads` / `decode_block_bytes` / `max_buffered_bytes` (the
-  /// full Repair pipeline, as in ParallelGreedyOptions -- the repaired
-  /// set is independent of all three by construction) and
-  /// `compact_threshold_entries`; `num_shards` is ignored (the manifest
-  /// fixes it).
+  /// `num_threads` (the decoder threads of the full Repair pipeline, as
+  /// in ParallelGreedyOptions -- the repaired set is independent of it by
+  /// construction) and `compact_threshold_entries`; `num_shards` is
+  /// ignored (the manifest fixes it).
   Status Initialize(const std::string& manifest_path,
                     const BitVector& initial_set,
                     const EnginePipelineOptions& options);

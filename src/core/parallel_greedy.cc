@@ -26,15 +26,12 @@ Status RunParallelGreedyWithStates(const std::string& manifest_path,
   } else {
     ThreadPool pool(num_threads);
     ManifestOrderedShardCursor cursor(&res.io);
-    BlockRingOptions ring;
-    ring.block_bytes = options.pipeline.decode_block_bytes;
-    ring.max_buffered_bytes = options.pipeline.max_buffered_bytes;
-    SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path, &pool, ring));
+    SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path, &pool));
     SEMIS_RETURN_IF_ERROR(
         RunGreedyScan(&cursor, manifest_path, options.greedy, &res, &state));
     SEMIS_RETURN_IF_ERROR(cursor.Close());
-    // The prefetch window's decoded shards are pipeline memory on top of
-    // the O(|V|) state array; Set-then-zero records the peak.
+    // The ring's decoded-but-unconsumed blocks are pipeline memory on top
+    // of the O(|V|) state array; Set-then-zero records the peak.
     res.memory.Set("shard-buffers", cursor.peak_buffered_bytes());
     res.memory.Set("shard-buffers", 0);
   }

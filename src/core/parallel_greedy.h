@@ -7,8 +7,8 @@
 // commits records strictly in global manifest order.
 //
 // Concurrency contract: no mutex of its own -- all shared state is
-// inside ManifestOrderedShardCursor's annotated block ring; the commit
-// loop runs single-threaded on the calling thread. See
+// inside ManifestOrderedShardCursor's block ring, under its one mutex;
+// the commit loop runs single-threaded on the calling thread. See
 // docs/architecture.md ("Static analysis") for the conventions.
 //
 // Determinism contract: the commit order equals the manifest order for
@@ -36,10 +36,9 @@ struct ParallelGreedyOptions {
   /// enforced against the SADJS manifest flags, with the same error as
   /// the monolithic path).
   GreedyOptions greedy;
-  /// Shared pipeline knobs. This executor reads `num_threads` (decoder
-  /// threads prefetching shards), `decode_block_bytes`, and
-  /// `max_buffered_bytes`; the manifest fixes the shard count, so
-  /// `num_shards` is ignored.
+  /// Shared pipeline knobs. This executor reads only `num_threads`
+  /// (decoder threads prefetching shards); the manifest fixes the shard
+  /// count, so `num_shards` is ignored.
   EnginePipelineOptions pipeline;
 };
 

@@ -31,6 +31,10 @@ uint64_t VertexKey(VertexId w) {
   return (static_cast<uint64_t>(kInvalidVertex) << 32) | w;
 }
 
+// Rounds in a row without net set growth after which the swap stops,
+// as in the sequential executors' default stall guard.
+constexpr uint64_t kStallRoundLimit = 3;
+
 // Per-vertex commit decision of one round, written only by the worker
 // scanning the vertex's record.
 enum class Decision : uint8_t { kNone = 0, kEnter, kLeave, kDenied };
@@ -648,18 +652,14 @@ Status ParallelSwapRun::Execute(const BitVector* initial_set,
     res->rounds++;
     progress = round.removed_is_vertices + round.new_is_vertices > 0;
     stalled_rounds = is_size_ > size_before ? 0 : stalled_rounds + 1;
-    if (options_.stall_round_limit > 0 &&
-        stalled_rounds >= options_.stall_round_limit) {
-      break;
-    }
+    if (stalled_rounds >= kStallRoundLimit) break;
   }
 
-  if (options_.final_maximality_pass) {
-    while (free_count > 0) {
-      SEMIS_RETURN_IF_ERROR(JoinScan());
-      if (ApplyJoins(nullptr) == 0) break;
-      SEMIS_RETURN_IF_ERROR(LabelScan(&free_count));
-    }
+  // The final maximality loop: join free vertices until none is left.
+  while (free_count > 0) {
+    SEMIS_RETURN_IF_ERROR(JoinScan());
+    if (ApplyJoins(nullptr) == 0) break;
+    SEMIS_RETURN_IF_ERROR(LabelScan(&free_count));
   }
 
   res->in_set = BitVector(n_);

@@ -16,7 +16,9 @@
 // The join pass runs only when the last label pass found a free vertex,
 // and the final maximality loop starts from that count. So a run that
 // joins nobody and stops because a round proposed nothing costs 3R - 1
-// scans for R rounds.
+// scans for R rounds. Rounds also stop after max_rounds, or after three
+// rounds in a row without net set growth; the final maximality loop then
+// always runs.
 //
 // Determinism contract (the reason results are byte-identical for every
 // thread count, including one):
@@ -36,8 +38,8 @@
 // Its result generally differs from RunOneKSwap/RunTwoKSwap, the paper's
 // reference implementations over one monolithic file, which resolve
 // conflicts by file position rather than vertex id; both satisfy the
-// same invariants: the returned set is independent and, with the final
-// maximality pass, maximal.
+// same invariants: the returned set is independent and, after the final
+// maximality loop, maximal.
 //
 // Concurrency contract: no mutex -- shared per-vertex state is atomics
 // with the ownership/commutativity rules above, per-worker scratch is
@@ -74,14 +76,9 @@ struct ParallelSwapOptions {
   /// Enable 2<->k swap skeleton discovery (shard-local SC buckets) in
   /// addition to 1<->k swaps. Off reproduces one-k-swap semantics.
   bool enable_two_k = true;
-  /// Final join loop guaranteeing maximality (see OneKSwapOptions).
-  bool final_maximality_pass = true;
   /// Safety valve carried over from TwoKSwapOptions: max pairs per SC
   /// bucket during one shard scan.
   uint32_t max_pairs_per_bucket = 64;
-  /// Stop after this many consecutive rounds without net set growth
-  /// (0 = never; mirrors the sequential stall guard).
-  uint32_t stall_round_limit = 3;
 };
 
 /// Runs parallel swap rounds on the sharded adjacency file rooted at

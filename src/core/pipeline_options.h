@@ -1,17 +1,13 @@
 // Copyright (c) the semis authors.
 // The one knob struct shared by every layer that drives the sharded
 // execution pipeline: the solver facade, the engine, the shard-pipelined
-// greedy executor, and the streaming maintainer. Before this header each
-// layer carried its own copy of the same fields (num_shards here,
-// num_threads there, block-ring geometry in two places), which meant a
-// caller threading a configuration through the stack had to re-plumb it
-// at every boundary. Each consumer documents which fields it reads;
-// unread fields are ignored, never an error, so one filled-in struct can
-// travel the whole stack.
+// greedy executor, and the streaming maintainer. A caller fills it once
+// and hands it down the stack. Each consumer documents which fields it
+// reads; unread fields are ignored, never an error, so one filled-in
+// struct can travel the whole stack.
 #ifndef SEMIS_CORE_PIPELINE_OPTIONS_H_
 #define SEMIS_CORE_PIPELINE_OPTIONS_H_
 
-#include <cstddef>
 #include <cstdint>
 
 namespace semis {
@@ -34,8 +30,8 @@ enum class SolveEngine : uint8_t {
 
 /// Execution-pipeline configuration shared across layers. Every knob
 /// except `engine` preserves the byte-identical determinism contract: no
-/// other field changes WHAT is computed, only how it is scheduled,
-/// buffered, or stored. `engine` selects WHICH deterministic pipeline
+/// other field changes WHAT is computed, only how it is scheduled or
+/// stored. `engine` selects WHICH deterministic pipeline
 /// runs -- each engine then holds the contract on its own output.
 struct EnginePipelineOptions {
   /// The solve engine behind Solver/MisEngine opens (and `semis_cli
@@ -53,17 +49,6 @@ struct EnginePipelineOptions {
   /// (0 = hardware concurrency). <= 1 runs the plain sequential scan.
   /// The result is independent of this value by construction.
   uint32_t num_threads = 1;
-
-  /// Payload bytes per decode block of the block ring feeding the
-  /// manifest-ordered commit scans (0 = kDefaultDecodeBlockBytes). The
-  /// result is independent of this value by construction.
-  size_t decode_block_bytes = 0;
-
-  /// Byte budget of decoded-but-unconsumed records buffered ahead of a
-  /// commit scan (0 = 2 * block bytes * (threads + 1)). Bounds the
-  /// pipeline's extra memory regardless of shard sizes; the result is
-  /// independent of this value by construction.
-  size_t max_buffered_bytes = 0;
 
   /// Streaming maintenance only: a shard whose delta log reaches this
   /// many live entries is saturated and compacted by the next Compact()

@@ -33,7 +33,7 @@
 
 #include "core/mis_common.h"
 #include "core/pipeline_options.h"
-#include "graph/record_block.h"
+#include "graph/adjacency_file.h"
 #include "util/status.h"
 
 namespace semis {

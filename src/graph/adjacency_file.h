@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/record_block.h"
 #include "io/file.h"
 #include "io/io_stats.h"
 #include "util/bit_vector.h"
@@ -88,6 +87,20 @@ inline constexpr uint64_t AdjacencyRecordBytes(uint32_t degree) {
 /// record encoder of both the SADJ and the sharded writer.
 Status AppendAdjacencyRecord(SequentialFileWriter* writer, VertexId id,
                              const VertexId* neighbors, uint32_t degree);
+
+/// One vertex record as the readers hand it out: `neighbors` points into
+/// the reader's buffer (or the cursor's block) and stays valid until the
+/// reader moves on. Field names match VertexRecord so generic scan code
+/// accepts either.
+struct VertexRecordView {
+  VertexId id = 0;
+  uint32_t degree = 0;
+  const VertexId* neighbors = nullptr;
+
+  const VertexId* begin() const { return neighbors; }
+  const VertexId* end() const { return neighbors + degree; }
+  VertexId neighbor(uint32_t i) const { return neighbors[i]; }
+};
 
 /// One vertex record as exposed by the scanner. `neighbors` points into a
 /// scanner-owned buffer that is invalidated by the next call to Next().
@@ -172,9 +185,9 @@ class AdjacencyFileScanner {
   /// Header of the open file.
   const AdjacencyFileHeader& header() const { return header_; }
 
-  /// Reads the next record (graph/record_block.h's view API, so generic
-  /// scan code such as RunGreedyScan and the streaming RepairScan runs
-  /// unchanged over this scanner and the block-decode cursor).
+  /// Reads the next record (the view API, so generic scan code such as
+  /// RunGreedyScan and the streaming RepairScan runs unchanged over this
+  /// scanner and the block-decode cursor).
   /// `view->neighbors` points into a scanner-owned buffer until the next
   /// call. `*has_next` is false at end-of-file (in which case `view` is
   /// untouched). Validates ids, degrees and totals; a truncated or

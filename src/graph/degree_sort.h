@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "graph/adjacency_file.h"
-#include "graph/record_block.h"
 #include "io/external_sorter.h"
 #include "io/io_stats.h"
 #include "util/common.h"

@@ -1,6 +1,6 @@
 #include "graph/sharded_adjacency_file.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "graph/shard_store.h"
 
@@ -334,20 +334,6 @@ Status AdjacencyShardReader::Next(VertexRecordView* view, bool* has_next) {
   return Status::OK();
 }
 
-Status AdjacencyShardReader::NextInto(RecordBlock* block, bool* has_next) {
-  VertexRecordView view;
-  SEMIS_RETURN_IF_ERROR(Next(&view, has_next));
-  if (!*has_next) return Status::OK();
-  // The record is validated before it touches the block, so a failed
-  // decode never stages anything.
-  VertexId* dst = block->BeginRecord(view.id, view.degree);
-  if (view.degree > 0) {
-    std::memcpy(dst, view.neighbors, sizeof(VertexId) * view.degree);
-  }
-  block->CommitRecord();
-  return Status::OK();
-}
-
 Status AdjacencyShardReader::Close() { return reader_.Close(); }
 
 AdjacencyShardRecordReader::AdjacencyShardRecordReader(IoStats* stats)
@@ -489,19 +475,6 @@ ManifestOrderedShardCursor::ManifestOrderedShardCursor(IoStats* stats)
 
 ManifestOrderedShardCursor::~ManifestOrderedShardCursor() {
   Close().IgnoreError();  // a destructor cannot propagate
-  ReleaseCurrentBlock();
-}
-
-// Returns the consumer's block (left alone by Close, which may race a
-// concurrent Next) to the pool, so an abandoned scan does not strand a
-// warmed arena -- that would quietly erode an external pool's
-// steady-state zero-allocation property. Only called from contexts where
-// no consumer can legitimately hold the block: Open and the destructor.
-void ManifestOrderedShardCursor::ReleaseCurrentBlock() {
-  if (current_loaded_ && blocks_ != nullptr) {
-    current_loaded_ = false;
-    blocks_->Release(std::move(current_));
-  }
 }
 
 Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
@@ -511,7 +484,7 @@ Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
     return Status::InvalidArgument(
         "manifest-ordered cursor requires a thread pool");
   }
-  if (open_.load(std::memory_order_acquire)) {
+  if (pool_ != nullptr) {
     return Status::InvalidArgument("cursor is already open");
   }
   // Resolve a possible journaled-store root to its current epoch manifest
@@ -522,19 +495,14 @@ Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
   SEMIS_RETURN_IF_ERROR(
       ReadShardedAdjacencyManifest(manifest_path_, &manifest_, stats_));
   if (stats_ != nullptr) stats_->sequential_scans++;
-  pool_ = pool;
-  block_bytes_ = ring.block_bytes != 0 ? ring.block_bytes
-                                       : kDefaultDecodeBlockBytes;
+  const size_t block_bytes = ring.block_bytes != 0 ? ring.block_bytes
+                                                   : kDefaultDecodeBlockBytes;
+  block_words_ = block_bytes / sizeof(VertexId);
   // Default byte budget: double buffering per decoder plus the consumer's
-  // block -- the record-granular analogue of the old "pool size + 1
-  // shards" window, but independent of shard sizes.
+  // block.
   max_buffered_bytes_ = ring.max_buffered_bytes != 0
                             ? ring.max_buffered_bytes
-                            : 2 * block_bytes_ * (pool->size() + 1);
-  // A block abandoned by a previous scan goes back to ITS pool before the
-  // pool pointer moves on.
-  ReleaseCurrentBlock();
-  blocks_ = ring.pool != nullptr ? ring.pool : &own_blocks_;
+                            : 2 * block_bytes * (pool->size() + 1);
   {
     // No decoder is running yet, but the ring state is guarded by mu_ and
     // the lock is uncontended here -- take it so the discipline holds on
@@ -547,13 +515,11 @@ Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
     cancel_ = false;
     buffered_bytes_ = 0;
     peak_buffered_bytes_ = 0;
+    blocks_decoded_ = 0;
   }
   worker_io_.assign(pool->size(), IoStats());
-  blocks_decoded_.store(0, std::memory_order_relaxed);
   current_pos_ = 0;
-  current_bytes_ = 0;
-  current_loaded_ = false;
-  open_.store(true, std::memory_order_release);
+  pool_ = pool;
   pool_->BeginParallelFor(manifest_.num_shards(), [this](size_t shard,
                                                          size_t worker) {
     DecodeShard(static_cast<uint32_t>(shard), worker);
@@ -561,126 +527,119 @@ Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
   return Status::OK();
 }
 
-bool ManifestOrderedShardCursor::PublishBlock(uint32_t shard,
-                                              RecordBlock* block) {
-  const size_t bytes = block->payload_bytes();
-  bool published = false;
-  {
-    MutexLock lock(&mu_);
-    // Byte back-pressure with a starvation override: the shard the
-    // consumer is waiting on (its queue is empty) may always publish, so
-    // the consumer can make progress for ANY geometry -- even a budget
-    // smaller than one block. Workers claim shards in ascending order, so
-    // the consumer's shard is always either finished or owned by a worker
-    // this override lets through; the ring cannot deadlock.
-    while (!(cancel_ || buffered_bytes_ + bytes <= max_buffered_bytes_ ||
-             (shard == consume_shard_ && streams_[shard].blocks.empty()))) {
-      space_cv_.Wait(&mu_);
-    }
-    if (!cancel_) {
-      buffered_bytes_ += bytes;
-      if (buffered_bytes_ > peak_buffered_bytes_) {
-        peak_buffered_bytes_ = buffered_bytes_;
-      }
-      streams_[shard].blocks.push_back(std::move(*block));
-      blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
-      ready_cv_.NotifyAll();
-      published = true;
-    }
-  }
-  if (published) {
-    // Refill outside mu_: the replacement block is thread-local until
-    // the next publish, and Acquire takes the pool mutex (and may grow
-    // an arena) -- no reason to stall the consumer or other decoders.
-    *block = blocks_->Acquire();
-    return true;
-  }
-  blocks_->Release(std::move(*block));
-  return false;
+void ManifestOrderedShardCursor::RecycleBlock(Block block) {
+  block.clear();  // keeps capacity
+  free_blocks_.push_back(std::move(block));
 }
 
-void ManifestOrderedShardCursor::FinishShard(uint32_t shard, Status status) {
+ManifestOrderedShardCursor::Block ManifestOrderedShardCursor::TakeFreeBlock() {
+  if (free_blocks_.empty()) return Block();
+  Block block = std::move(free_blocks_.back());
+  free_blocks_.pop_back();
+  return block;
+}
+
+bool ManifestOrderedShardCursor::PublishBlock(uint32_t shard, Block* block) {
+  const size_t bytes = block->size() * sizeof(VertexId);
+  MutexLock lock(&mu_);
+  // Byte back-pressure with a starvation override: the shard the
+  // consumer is waiting on (its queue is empty) may always publish, so
+  // the consumer can make progress for ANY geometry -- even a budget
+  // smaller than one block. Workers claim shards in ascending order, so
+  // the consumer's shard is always either finished or owned by a worker
+  // this override lets through; the ring cannot deadlock.
+  while (!(cancel_ || buffered_bytes_ + bytes <= max_buffered_bytes_ ||
+           (shard == consume_shard_ && streams_[shard].blocks.empty()))) {
+    space_cv_.Wait(&mu_);
+  }
+  if (cancel_) {
+    RecycleBlock(std::move(*block));
+    return false;
+  }
+  buffered_bytes_ += bytes;
+  peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
+  streams_[shard].blocks.push_back(std::move(*block));
+  blocks_decoded_++;
+  ready_cv_.NotifyAll();
+  *block = TakeFreeBlock();
+  return true;
+}
+
+void ManifestOrderedShardCursor::FinishShard(uint32_t shard, Status status,
+                                             Block block) {
   MutexLock lock(&mu_);
   streams_[shard].status = std::move(status);
   streams_[shard].finished = true;
+  if (block.capacity() > 0) RecycleBlock(std::move(block));
   ready_cv_.NotifyAll();
 }
 
 void ManifestOrderedShardCursor::DecodeShard(uint32_t shard, size_t worker) {
+  Block block;
   {
     MutexLock lock(&mu_);
     if (cancel_) return;  // Close raced ahead; skip the file entirely
+    block = TakeFreeBlock();
   }
+  // A block never needs more room than its shard's records take.
+  const ShardInfo& info = manifest_.shards[shard];
+  const size_t reserve_words = static_cast<size_t>(std::min<uint64_t>(
+      block_words_, 2 * info.num_records + info.num_directed_edges));
   AdjacencyShardReader reader(&worker_io_[worker]);
   Status status = reader.Open(manifest_path_, manifest_, shard);
-  if (status.ok()) {
-    RecordBlock block = blocks_->Acquire();
-    bool has_next = false;
-    while (true) {
-      status = reader.NextInto(&block, &has_next);
-      if (!status.ok() || !has_next) break;
-      if (block.payload_bytes() >= block_bytes_) {
-        if (!PublishBlock(shard, &block)) return;  // cancelled
-      }
+  VertexRecordView view;
+  bool has_next = false;
+  while (status.ok()) {
+    status = reader.Next(&view, &has_next);
+    if (!status.ok() || !has_next) break;
+    // Next validated the record, and its id and degree words sit right in
+    // front of its neighbors, so the record is appended as the words it
+    // was read as; nothing that fails validation reaches a block.
+    const size_t words = 2 + size_t{view.degree};
+    if (!block.empty() && block.size() + words > block_words_ &&
+        !PublishBlock(shard, &block)) {
+      return;  // cancelled
     }
-    Status close_status = reader.Close();
-    if (status.ok()) status = close_status;
-    if (!block.empty()) {
-      if (!PublishBlock(shard, &block)) return;  // cancelled
-    }
-    blocks_->Release(std::move(block));
+    // Outside the lock; a no-op for a block from the free list that
+    // already has the room.
+    if (block.empty()) block.reserve(reserve_words);
+    block.insert(block.end(), view.neighbors - 2, view.end());
   }
-  FinishShard(shard, std::move(status));
+  Status close_status = reader.Close();
+  if (status.ok()) status = close_status;
+  if (!block.empty() && !PublishBlock(shard, &block)) return;  // cancelled
+  FinishShard(shard, std::move(status), std::move(block));
 }
 
 Status ManifestOrderedShardCursor::Next(VertexRecordView* view,
                                         bool* has_next) {
-  if (!open_.load(std::memory_order_acquire)) {
+  if (pool_ == nullptr) {
     return Status::InvalidArgument("cursor is not open");
   }
-  while (true) {
-    // Fast path: serve the next record straight out of the current block,
-    // no lock, no copy, no allocation.
-    if (current_loaded_ && current_pos_ < current_.num_records()) {
-      *view = current_.view(current_pos_++);
-      *has_next = true;
-      return Status::OK();
-    }
-    if (current_loaded_) {
-      // Drained a block: uncharge its bytes and recycle it. The bytes
-      // stayed charged while the consumer held it, so peak_buffered_bytes
-      // covers the consumer's block like the old shard window did. The
-      // pool Release happens outside mu_ (it takes the pool's own mutex).
-      current_loaded_ = false;
-      {
-        MutexLock lock(&mu_);
-        buffered_bytes_ -= current_bytes_;
-        space_cv_.NotifyAll();
-      }
-      blocks_->Release(std::move(current_));
-    }
+  if (current_pos_ == current_.size()) {
     MutexLock lock(&mu_);
+    if (!current_.empty()) {
+      // Drained a block: uncharge its bytes and recycle it. The bytes
+      // stayed charged while the consumer held it, so
+      // peak_buffered_bytes covers the consumer's block.
+      buffered_bytes_ -= current_.size() * sizeof(VertexId);
+      RecycleBlock(std::move(current_));
+      current_ = Block();
+      space_cv_.NotifyAll();
+    }
+    current_pos_ = 0;
     while (true) {
-      if (cancel_) {
-        return Status::InvalidArgument("cursor was closed during the scan");
-      }
       if (consume_shard_ >= manifest_.num_shards()) {
         *has_next = false;
         return Status::OK();
       }
       ShardStream& stream = streams_[consume_shard_];
-      while (!cancel_ && stream.blocks.empty() && !stream.finished) {
+      while (stream.blocks.empty() && !stream.finished) {
         ready_cv_.Wait(&mu_);
-      }
-      if (cancel_) {
-        return Status::InvalidArgument("cursor was closed during the scan");
       }
       if (!stream.blocks.empty()) {
         current_ = std::move(stream.blocks.front());
         stream.blocks.pop_front();
-        current_pos_ = 0;
-        current_bytes_ = current_.payload_bytes();
-        current_loaded_ = true;
         break;
       }
       // Shard finished with nothing queued: surface its error here (the
@@ -690,64 +649,64 @@ Status ManifestOrderedShardCursor::Next(VertexRecordView* view,
       space_cv_.NotifyAll();
     }
   }
+  // Serve the next record straight out of the current block: no lock, no
+  // copy, no allocation.
+  const VertexId* words = current_.data() + current_pos_;
+  view->id = words[0];
+  view->degree = words[1];
+  view->neighbors = words + 2;
+  current_pos_ += 2 + size_t{view->degree};
+  *has_next = true;
+  return Status::OK();
 }
 
 Status ManifestOrderedShardCursor::Close() {
-  // Serialized so a destructor-driven Close and an explicit one (possibly
-  // from another thread, while Next blocks) cannot interleave teardown.
-  // Lock order close_mu_ -> mu_ (ACQUIRED_AFTER on mu_); nothing takes
-  // them the other way around.
-  MutexLock close_lock(&close_mu_);
-  if (!open_.load(std::memory_order_acquire)) return Status::OK();
+  if (pool_ == nullptr) return Status::OK();
   {
     MutexLock lock(&mu_);
     cancel_ = true;
-    // Wake BOTH sides: decoders blocked on byte headroom and a consumer
-    // blocked in Next (which then fails instead of hanging forever).
-    space_cv_.NotifyAll();
-    ready_cv_.NotifyAll();
+    space_cv_.NotifyAll();  // wake decoders parked on the byte budget
   }
   pool_->WaitForCompletion();
+  pool_ = nullptr;
   // A shard can finish with an I/O error (including a failed reader
   // Close) that the consumer never reached -- either it stopped at an
   // earlier shard's error or the caller abandoned the scan. A fully
   // drained scan surfaced every status through Next already; otherwise
   // report the first one here instead of dropping it.
   Status first_error;
+  size_t arena_bytes = 0;
+  size_t peak_buffered_bytes = 0;
+  uint64_t blocks_decoded = 0;
   {
     MutexLock lock(&mu_);
-    const bool fully_drained = consume_shard_ >= manifest_.num_shards();
-    uint32_t shard = 0;
-    for (ShardStream& stream : streams_) {
-      if (!fully_drained && first_error.ok() && shard >= consume_shard_ &&
-          stream.finished && !stream.status.ok()) {
+    for (uint32_t shard = consume_shard_; shard < streams_.size(); ++shard) {
+      const ShardStream& stream = streams_[shard];
+      if (stream.finished && !stream.status.ok()) {
         first_error = stream.status;
+        break;
       }
-      while (!stream.blocks.empty()) {
-        buffered_bytes_ -= stream.blocks.front().payload_bytes();
-        blocks_->Release(std::move(stream.blocks.front()));
-        stream.blocks.pop_front();
-      }
-      shard++;
+    }
+    for (ShardStream& stream : streams_) {
+      for (Block& block : stream.blocks) RecycleBlock(std::move(block));
     }
     streams_.clear();
-    if (stats_ != nullptr) {
-      if (peak_buffered_bytes_ > stats_->peak_buffered_bytes) {
-        stats_->peak_buffered_bytes = peak_buffered_bytes_;
-      }
+    if (!current_.empty()) RecycleBlock(std::move(current_));
+    current_ = Block();
+    for (const Block& block : free_blocks_) {
+      arena_bytes += block.capacity() * sizeof(VertexId);
     }
+    peak_buffered_bytes = peak_buffered_bytes_;
+    blocks_decoded = blocks_decoded_;
   }
   if (stats_ != nullptr) {
     for (const IoStats& io : worker_io_) stats_->MergeFrom(io);
-    stats_->blocks_decoded += blocks_decoded_.load(std::memory_order_relaxed);
-    const size_t arena = blocks_->pooled_capacity_bytes();
-    if (arena > stats_->arena_bytes) stats_->arena_bytes = arena;
+    stats_->blocks_decoded += blocks_decoded;
+    stats_->arena_bytes = std::max<uint64_t>(stats_->arena_bytes, arena_bytes);
+    stats_->peak_buffered_bytes = std::max<uint64_t>(
+        stats_->peak_buffered_bytes, peak_buffered_bytes);
   }
   worker_io_.clear();
-  // The consumer's current block (if any) is consumer-owned; leave it for
-  // the next Open/destruction rather than racing a concurrent Next.
-  open_.store(false, std::memory_order_release);
-  pool_ = nullptr;
   return first_error;
 }
 

@@ -27,14 +27,13 @@
 #ifndef SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
 
 #include "graph/adjacency_file.h"
-#include "graph/record_block.h"
 #include "io/file.h"
 #include "io/io_stats.h"
 #include "util/bit_vector.h"
@@ -167,18 +166,11 @@ class AdjacencyShardReader {
   Status Open(const std::string& manifest_path,
               const ShardedAdjacencyManifest& manifest, uint32_t index);
 
-  /// Decodes the next record and appends it to `block`'s arena. On
-  /// success the record is committed to the block; on any error the block
-  /// is left exactly as it was (a failed decode never publishes a
-  /// half-record). `*has_next` is false after the last record, with
-  /// nothing appended. Validation mirrors AdjacencyFileScanner::Next,
-  /// through the same AdjacencyRecordDecoder.
-  Status NextInto(RecordBlock* block, bool* has_next);
-
   /// Reads the next record as a view into the reader's buffer
   /// (invalidated by the next call); `*has_next` is false after the last
   /// record. The record's encoded bytes start two words before
-  /// `view->neighbors` (see AdjacencyRecordDecoder).
+  /// `view->neighbors` (see AdjacencyRecordDecoder). Validation mirrors
+  /// AdjacencyFileScanner::Next, through the same AdjacencyRecordDecoder.
   Status Next(VertexRecordView* view, bool* has_next);
 
   /// True when a next record exists and already lies whole in the read
@@ -297,12 +289,17 @@ class ShardedAdjacencyScanner {
   bool shard_open_ = false;
 };
 
-/// Geometry and budget of the cursor's record-granular block ring.
+/// Default payload capacity of one decode block (see BlockRingOptions).
+inline constexpr size_t kDefaultDecodeBlockBytes = 256 * 1024;
+
+/// Geometry and budget of the cursor's block ring. Callers leave both at
+/// 0; the fields exist so tests can reach the ring's corner cases with
+/// small inputs.
 struct BlockRingOptions {
-  /// Target payload bytes of one decode block: a decoder publishes its
-  /// block as soon as the payload reaches this size. A single record
-  /// larger than the block still fits (the block grows for it), so any
-  /// geometry decodes any file. 0 = kDefaultDecodeBlockBytes.
+  /// Payload bytes of one decode block: a decoder publishes its block
+  /// before a record would take it past this size. A record larger than a
+  /// block travels alone in a block grown for it, so any geometry decodes
+  /// any file. 0 = kDefaultDecodeBlockBytes.
   size_t block_bytes = 0;
   /// Back-pressure budget: decoders stall once this many payload bytes
   /// sit decoded-but-unconsumed in the ring. The consumer's current shard
@@ -312,20 +309,18 @@ struct BlockRingOptions {
   /// one in-flight block per decoder, independent of shard sizes.
   /// 0 = 2 * block_bytes * (pool size + 1).
   size_t max_buffered_bytes = 0;
-  /// Optional external block pool, letting callers reuse arena capacity
-  /// across cursors (e.g. repeated scans in a bench loop). nullptr = the
-  /// cursor owns a private pool. Must outlive the cursor.
-  RecordBlockPool* pool = nullptr;
 };
 
 /// Manifest-ordered multi-shard cursor: yields exactly the record stream
 /// of the equivalent monolithic file (like ShardedAdjacencyScanner), but
 /// decodes shards ahead of the consumer on a caller-provided thread pool
-/// through a record-granular, double-buffered block ring: decoder threads
-/// fill fixed-size arena-backed RecordBlocks (graph/record_block.h) and
-/// publish each block the moment it is full, so the consumer starts
-/// draining a shard long before it is fully decoded and peak memory is
-/// bounded by the ring's byte budget, not by the largest shard.
+/// through a block ring: each decoder thread copies the records its
+/// AdjacencyShardReader validated, as their encoded words
+/// [id, degree, neighbors...], into a block and publishes the block once
+/// it is full, so the consumer starts draining a shard long before it is
+/// fully decoded and peak memory is bounded by the ring's byte budget,
+/// not by the largest shard. The consumer reads each record in place in
+/// its block.
 ///
 /// Contract (see docs/formats.md):
 ///   * records are delivered strictly in global manifest order, crossing
@@ -338,8 +333,8 @@ struct BlockRingOptions {
 ///     for the consumer's current shard that rules out deadlock for any
 ///     geometry -- including a budget smaller than one block and a block
 ///     smaller than one record;
-///   * blocks recycle through a RecordBlockPool, so steady-state decode
-///     performs no per-record heap allocation;
+///   * drained blocks go back to a free list and keep their capacity, so
+///     steady-state decode performs no per-record heap allocation;
 ///   * each worker decodes with a private AdjacencyShardReader and
 ///     IoStats; per-worker I/O plus the ring counters (blocks_decoded,
 ///     arena_bytes, peak_buffered_bytes) merge into the caller's stats at
@@ -350,10 +345,8 @@ struct BlockRingOptions {
 ///
 /// The cursor owns the pool's work queue from Open to Close (the pool's
 /// one-job-at-a-time rule); callers reusing a pool across stages must
-/// Close the cursor before submitting other work. Close may be called
-/// from a thread other than the consumer's (and concurrently with a
-/// blocked Next), which then fails with InvalidArgument instead of
-/// hanging.
+/// Close the cursor before submitting other work. Every call, Close
+/// included, runs on the consumer's thread (or in the destructor).
 class ManifestOrderedShardCursor {
  public:
   /// `stats` may be null. Counts the manifest read and one sequential
@@ -368,14 +361,15 @@ class ManifestOrderedShardCursor {
   /// Opens the manifest and starts decoding on `pool` (required, must
   /// outlive the cursor). `ring` configures block size and byte budget.
   Status Open(const std::string& manifest_path, ThreadPool* pool,
-              const BlockRingOptions& ring = BlockRingOptions());
+              const BlockRingOptions& ring = BlockRingOptions()) EXCLUDES(mu_);
 
   const ShardedAdjacencyManifest& manifest() const { return manifest_; }
   const AdjacencyFileHeader& header() const { return manifest_.header; }
 
   /// Next record in global order. The view points into the current block
-  /// and stays valid until the next call that crosses a block boundary;
-  /// like every scanner in this library, consume it before advancing.
+  /// and stays valid until the next call that crosses a block boundary,
+  /// or Close; like every scanner in this library, consume it before
+  /// advancing.
   Status Next(VertexRecordView* view, bool* has_next) EXCLUDES(mu_);
 
   /// Compatibility flavor of Next for VertexRecord consumers (tests and
@@ -384,14 +378,13 @@ class ManifestOrderedShardCursor {
     return NextRecordFromView(this, rec, has_next);
   }
 
-  /// Cancels outstanding decodes, drains the pool job and merges
-  /// per-worker IoStats plus the ring counters into the caller's stats.
-  /// Safe to call twice, from the destructor, and from a different thread
-  /// than the consumer's (a concurrently blocked Next wakes with an
-  /// error). When the scan was abandoned before the last record, returns
-  /// the first decode error of a shard the consumer never reached (a
-  /// fully drained scan has already surfaced every error through Next).
-  Status Close() EXCLUDES(close_mu_, mu_);
+  /// Cancels outstanding decodes (waking decoders parked on the byte
+  /// budget), drains the pool job and merges per-worker IoStats plus the
+  /// ring counters into the caller's stats. Safe to call twice and from
+  /// the destructor. When the scan was abandoned before the last record,
+  /// returns the first decode error of a shard the consumer never reached
+  /// (a fully drained scan has already surfaced every error through Next).
+  Status Close() EXCLUDES(mu_);
 
   /// Largest total of decoded-but-unconsumed payload bytes held at any
   /// point (for the memory accounting of algorithms driven by the
@@ -402,42 +395,50 @@ class ManifestOrderedShardCursor {
   }
 
   /// Blocks published by the decoders so far.
-  uint64_t blocks_decoded() const { return blocks_decoded_; }
+  uint64_t blocks_decoded() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return blocks_decoded_;
+  }
 
  private:
+  // A block: records as their encoded words [id, degree, neighbors...],
+  // back to back.
+  using Block = std::vector<VertexId>;
+
   // Per-shard stream of published blocks, drained in shard index order.
   struct ShardStream {
-    std::deque<RecordBlock> blocks;
+    std::deque<Block> blocks;
     Status status;
     bool finished = false;  // decoder is done (status is final)
   };
 
   void DecodeShard(uint32_t shard, size_t worker) EXCLUDES(mu_);
   // Publishes `*block` to the ring (blocking on the byte budget) and
-  // replaces it with a fresh block from the pool. Returns false when the
-  // cursor was cancelled (the block is released, decode must stop).
-  bool PublishBlock(uint32_t shard, RecordBlock* block) EXCLUDES(mu_);
-  void FinishShard(uint32_t shard, Status status) EXCLUDES(mu_);
-  void ReleaseCurrentBlock();
+  // swaps in a block from the free list (an empty one when it is dry).
+  // Returns false when the cursor was cancelled (the block goes back to
+  // the free list, decode must stop).
+  bool PublishBlock(uint32_t shard, Block* block) EXCLUDES(mu_);
+  void FinishShard(uint32_t shard, Status status, Block block) EXCLUDES(mu_);
+  // Clears `block` and puts it on the free list.
+  void RecycleBlock(Block block) REQUIRES(mu_);
+  // Pops a block from the free list, or returns an empty one.
+  Block TakeFreeBlock() REQUIRES(mu_);
 
   IoStats* stats_;
   std::string manifest_path_;
   ShardedAdjacencyManifest manifest_;
+  // Set from Open to Close: non-null while the cursor is open. Read and
+  // written on the consumer's thread only.
   ThreadPool* pool_ = nullptr;
-  size_t block_bytes_ = kDefaultDecodeBlockBytes;
+  size_t block_words_ = 0;
   size_t max_buffered_bytes_ = 0;
-  RecordBlockPool own_blocks_;
-  RecordBlockPool* blocks_ = nullptr;
-  std::atomic<bool> open_{false};
 
-  // Lock hierarchy (docs/architecture.md): close_mu_ -> mu_. Close takes
-  // close_mu_ first to serialize concurrent closers, then mu_ for the
-  // cancel flag and teardown; no path ever takes them the other way
-  // around. Decoders and the consumer take only mu_.
-  mutable Mutex mu_ ACQUIRED_AFTER(close_mu_);
+  mutable Mutex mu_;
   CondVar ready_cv_;  // consumer waits for a block / eof
   CondVar space_cv_;  // decoders wait for byte headroom
   std::vector<ShardStream> streams_ GUARDED_BY(mu_);
+  // Drained blocks, capacity kept, for the decoders to refill.
+  std::vector<Block> free_blocks_ GUARDED_BY(mu_);
   // Per-worker I/O counters: worker `w` writes only worker_io_[w] while
   // the decode job runs; Close reads them only after WaitForCompletion,
   // so the vector needs no lock (the pool barrier is the happens-before
@@ -447,15 +448,12 @@ class ManifestOrderedShardCursor {
   bool cancel_ GUARDED_BY(mu_) = false;
   size_t buffered_bytes_ GUARDED_BY(mu_) = 0;
   size_t peak_buffered_bytes_ GUARDED_BY(mu_) = 0;
-  std::atomic<uint64_t> blocks_decoded_{0};
+  uint64_t blocks_decoded_ GUARDED_BY(mu_) = 0;
 
-  Mutex close_mu_;  // serializes concurrent Close calls; see mu_ above
-
-  // Consumer-side walk state of the current block (consumer thread only).
-  RecordBlock current_;
+  // Consumer-side walk state (consumer thread only): the block being
+  // read and the word index of its next record.
+  Block current_;
   size_t current_pos_ = 0;
-  size_t current_bytes_ = 0;
-  bool current_loaded_ = false;
 };
 
 /// Splits the monolithic adjacency file at `input_path` into `num_shards`

@@ -36,8 +36,9 @@ struct IoStats {
   /// Record blocks published by the block-decode pipeline
   /// (ManifestOrderedShardCursor).
   uint64_t blocks_decoded = 0;
-  /// Peak allocated arena capacity of one block ring's pool (high-water
-  /// mark; merged with max, not sum).
+  /// Allocated capacity of one block ring's blocks, taken at Close when
+  /// every block is back on its free list (high-water mark; merged with
+  /// max, not sum).
   uint64_t arena_bytes = 0;
   /// Peak decoded-but-unconsumed payload bytes buffered in the block ring
   /// (high-water mark; merged with max, not sum).

@@ -117,6 +117,26 @@ grep -q "^  sort           : skipped" "$work/solve_par.log" \
     || fail "solve --stats did not report the skipped sort of sorted input"
 grep -q "^  block ring     : not used" "$work/solve_seq.log" \
     || fail "1-thread solve --stats did not report the block ring as unused"
+# --threads 0 runs one thread per CPU: the summary names the count the
+# run used, and the ring line agrees with it (one thread runs the plain
+# scanner, more run the ring).
+"$CLI" solve "$work/g.sadj" --algo twok --shards 4 --threads 0 --stats \
+    --out "$work/set_auto.txt" > "$work/solve_auto.log" \
+    || fail "--threads 0 solve exited non-zero"
+cmp -s "$work/set_auto.txt" "$work/set_seq.txt" \
+    || fail "--threads 0 result differs from the 1-thread result"
+auto_threads="$(sed -n 's/^  sharded pipeline: [0-9]* shards, \([0-9]*\) threads,.*/\1/p' \
+    "$work/solve_auto.log")"
+[ -n "$auto_threads" ] || fail "--threads 0 solve printed no thread count"
+[ "$auto_threads" -ge 1 ] \
+    || fail "--threads 0 solve reported $auto_threads threads"
+if [ "$auto_threads" -eq 1 ]; then
+  grep -q "^  block ring     : not used" "$work/solve_auto.log" \
+      || fail "1-thread --threads 0 solve reported a block ring"
+else
+  grep -q "^  block ring     : [1-9][0-9]* blocks" "$work/solve_auto.log" \
+      || fail "$auto_threads-thread --threads 0 solve reported no decoded blocks"
+fi
 
 # Sharded GREEDY contract: with no swap stage the sharded, multi-threaded
 # pipeline must reproduce the plain sequential solve byte for byte, for

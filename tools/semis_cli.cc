@@ -95,6 +95,7 @@
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
 #include "util/memory_tracker.h"
+#include "util/thread_pool.h"
 
 namespace semis {
 namespace cli {
@@ -464,10 +465,12 @@ int CmdSolve(const Args& args) {
               MemoryTracker::FormatBytes(res.peak_memory_bytes).c_str(),
               static_cast<unsigned long long>(res.io.sequential_scans),
               MemoryTracker::FormatBytes(res.io.bytes_read).c_str());
+  // The thread count the run used: --threads 0 means one per CPU.
+  const uint32_t threads = ResolveThreadCount(opts.pipeline.num_threads);
   if (!is_manifest) {
     std::printf("  sharded pipeline: %u shards, %u threads, built in %.2fs\n",
-                std::max<uint32_t>(1, opts.pipeline.num_shards),
-                opts.pipeline.num_threads, res.shard_seconds);
+                std::max<uint32_t>(1, opts.pipeline.num_shards), threads,
+                res.shard_seconds);
   }
   if (args.Has("stats")) {
     // Whether the consumed records were degree-sorted (GREEDY order) --
@@ -522,7 +525,7 @@ int CmdSolve(const Args& args) {
     // Only the greedy engine's multi-threaded scan decodes through the
     // block ring; the 1-thread and rounds-engine paths read records
     // directly. On the ring path a zero count means a broken run.
-    const bool ring_path = !rounds_engine && opts.pipeline.num_threads != 1;
+    const bool ring_path = !rounds_engine && threads > 1;
     if (!ring_path) {
       std::printf("  block ring     : not used\n");
     } else {
