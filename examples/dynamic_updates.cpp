@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/incremental.h"
-#include "core/solver.h"
 #include "gen/plrg.h"
 #include "graph/graph_io.h"
 #include "io/scratch.h"
@@ -30,9 +30,9 @@ int main() {
   std::printf("base graph: %u users, %llu friendships\n", base.NumVertices(),
               static_cast<unsigned long long>(base.NumEdges()));
 
-  Solver solver(SolverOptions{});
-  SolveResult solved;
-  if (!solver.SolveFile(path, &solved).ok()) return 1;
+  MisEngine engine(MisEngineOptions{});
+  if (!engine.Open(path).ok()) return 1;
+  const SolveResult& solved = engine.open_result();
   std::printf("initial solve: %llu-vertex independent set (%.2fs)\n",
               static_cast<unsigned long long>(solved.set_size),
               solved.seconds);

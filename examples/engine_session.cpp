@@ -32,8 +32,8 @@ int main() {
   std::string path = scratch.NewFilePath("base.adj");
   if (!WriteGraphToAdjacencyFile(base, path).ok()) return 1;
 
-  // Open = solve + publish epoch 1. The engine stays resident; all the
-  // one-shot Solver knobs apply (this is the same pipeline).
+  // Open = solve + publish epoch 1. The engine stays resident; the same
+  // options drive a one-shot solve (Open, then read open_result()).
   MisEngineOptions options;
   options.pipeline.num_shards = 4;
   options.pipeline.num_threads = 2;

@@ -5,12 +5,12 @@
 //       --(greedy + two-k-swap)-->  independent set
 //
 // Everything runs with bounded main memory: the edge list is converted
-// without ever materializing the graph, and the solver holds O(|V|)
+// without ever materializing the graph, and the engine holds O(|V|)
 // bytes. This is the workflow for a graph that does NOT fit in RAM --
 // the paper's motivating scenario.
 #include <cstdio>
 
-#include "core/solver.h"
+#include "core/engine.h"
 #include "gen/plrg.h"
 #include "graph/graph_io.h"
 #include "io/scratch.h"
@@ -57,19 +57,19 @@ int main() {
               static_cast<double>(convert_io.bytes_written) / (1 << 20),
               static_cast<unsigned long long>(convert_io.sort_passes));
 
-  // Step 2+3: the Solver performs the degree sort, the greedy scan and
-  // the two-k swaps, all against the on-disk file.
+  // Step 2+3: opening a MisEngine on the file runs the degree sort, the
+  // greedy scan and the two-k swaps, all against the on-disk file.
   std::printf("[2] degree sort + greedy + two-k-swap (16MB sort budget)...\n");
-  SolverOptions options;
+  MisEngineOptions options;
   options.sort_memory_budget_bytes = 16u << 20;
   options.verify = true;
-  Solver solver(options);
-  SolveResult result;
-  s = solver.SolveFile(adjacency, &result);
+  MisEngine engine(options);
+  s = engine.Open(adjacency);
   if (!s.ok()) {
     std::fprintf(stderr, "solve failed: %s\n", s.ToString().c_str());
     return 1;
   }
+  const SolveResult& result = engine.open_result();
 
   uint64_t disk = 0;
   GetFileSize(adjacency, &disk).IgnoreError();  // display only

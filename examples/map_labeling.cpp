@@ -6,12 +6,16 @@
 //
 // This example synthesizes candidate labels around random points of
 // interest (4 anchor positions per POI, the classical 4-position model),
-// builds the intersection graph, and labels the map with the Solver.
+// builds the intersection graph, writes it to an adjacency file in a
+// scratch directory, and labels the map with a MisEngine opened on it.
 #include <cstdio>
+#include <string>
 #include <vector>
 
-#include "core/solver.h"
+#include "core/engine.h"
 #include "core/verify.h"
+#include "graph/graph_io.h"
+#include "io/scratch.h"
 #include "util/random.h"
 
 namespace {
@@ -88,13 +92,17 @@ int main() {
               static_cast<unsigned long long>(conflict_graph.NumEdges()));
 
   // Largest consistent labeling = maximum independent set.
-  Solver solver(SolverOptions{});
-  SolveResult result;
-  Status status = solver.SolveGraph(conflict_graph, &result);
+  ScratchDir scratch;
+  Status status = ScratchDir::Create("semis-map-labeling", &scratch);
+  const std::string path = scratch.NewFilePath("conflicts.adj");
+  if (status.ok()) status = WriteGraphToAdjacencyFile(conflict_graph, path);
+  MisEngine engine(MisEngineOptions{});
+  if (status.ok()) status = engine.Open(path);
   if (!status.ok()) {
     std::fprintf(stderr, "solve failed: %s\n", status.ToString().c_str());
     return 1;
   }
+  const SolveResult& result = engine.open_result();
   VerifyResult vr = VerifyIndependentSet(conflict_graph, result.set);
   std::printf("placed %llu labels (%.1f%% of POIs), overlap-free: %s\n",
               static_cast<unsigned long long>(result.set_size),

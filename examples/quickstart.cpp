@@ -1,15 +1,20 @@
 // Quickstart: the 60-second tour of the semis public API.
 //
-//   1. generate (or load) a graph,
-//   2. hand it to the Solver,
+//   1. generate (or load) a graph and write it to an adjacency file,
+//   2. open a MisEngine on the file (the engine solves at Open),
 //   3. read back a large maximal independent set + the run's statistics.
+//
+// The engine is semi-external: it reads the graph from disk, so an
+// in-memory graph goes through a file in a scratch directory first.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <string>
 
-#include "core/solver.h"
-#include "core/verify.h"
+#include "core/engine.h"
 #include "gen/plrg.h"
+#include "graph/graph_io.h"
+#include "io/scratch.h"
 #include "util/memory_tracker.h"
 
 int main() {
@@ -26,16 +31,20 @@ int main() {
 
   // Default pipeline = the paper's best configuration:
   // degree-sort preprocessing + greedy + two-k-swap.
-  SolverOptions options;
+  MisEngineOptions options;
   options.verify = true;  // paranoid re-scan at the end
-  Solver solver(options);
 
-  SolveResult result;
-  Status status = solver.SolveGraph(graph, &result);
+  ScratchDir scratch;
+  Status status = ScratchDir::Create("semis-quickstart", &scratch);
+  const std::string path = scratch.NewFilePath("graph.adj");
+  if (status.ok()) status = WriteGraphToAdjacencyFile(graph, path);
+  MisEngine engine(options);
+  if (status.ok()) status = engine.Open(path);
   if (!status.ok()) {
     std::fprintf(stderr, "solve failed: %s\n", status.ToString().c_str());
     return 1;
   }
+  const SolveResult& result = engine.open_result();
 
   std::printf("independent set: %llu vertices\n",
               static_cast<unsigned long long>(result.set_size));

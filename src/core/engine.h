@@ -21,8 +21,9 @@
 //   Publish()    freezes the successor into a new epoch and atomically
 //                swaps it in as the current snapshot.
 //
-// Solver::SolveFile is a thin wrapper over Open() + open_result();
-// semis_cli's `update` and `engine` subcommands drive the full lifecycle.
+// A one-shot solve is Open() + open_result() (semis_cli `solve` and
+// `cover`, ComputeVertexCoverFile); semis_cli's `update` and `engine`
+// subcommands drive the full lifecycle.
 //
 // Threading contract: Snapshot() (and the views it returns) may be used
 // concurrently from any number of threads. The mutating calls -- Open,
@@ -63,8 +64,7 @@ enum class SwapMode {
   kTwoK,  // Algorithms 3-4
 };
 
-/// Configuration of a MisEngine (and, via the SolverOptions alias, of a
-/// Solver -- the solver facade is a one-shot view of the same pipeline).
+/// Configuration of a MisEngine.
 struct MisEngineOptions {
   /// Degree-sort a monolithic input before the greedy scan (paper
   /// GREEDY). When false the file is consumed as-is (paper BASELINE).
@@ -94,8 +94,7 @@ struct MisEngineOptions {
   EnginePipelineOptions pipeline;
 };
 
-/// Everything the open-time solve produced (identical to what the
-/// one-shot Solver returns -- the solver IS this pipeline).
+/// Everything the open-time solve produced (MisEngine::open_result()).
 struct SolveResult {
   /// The independent set (bit per vertex id).
   BitVector set;
@@ -277,7 +276,8 @@ class MisEngine {
   /// The storage failure that tripped read-only mode (OK when healthy).
   const Status& degraded_reason() const { return degraded_; }
 
-  /// What the open-time solve produced (Solver's result object).
+  /// What the open-time solve produced. A one-shot solve reads it and
+  /// drops the engine.
   const SolveResult& open_result() const { return open_result_; }
 
   /// Cumulative streaming-session stats, or null before the mutation arm

@@ -43,7 +43,7 @@ class IncrementalMis {
   IncrementalMis() = default;
 
   /// Binds the maintainer to a base file and a starting independent set
-  /// over it (e.g. a Solver result). The set is copied.
+  /// over it (e.g. MisEngine::open_result().set). The set is copied.
   Status Initialize(const std::string& adjacency_path,
                     const BitVector& initial_set);
 

@@ -51,7 +51,7 @@ Status RunParallelGreedy(const std::string& manifest_path,
                          AlgoResult* result);
 
 /// As RunParallelGreedy, but additionally exposes the final state array
-/// (kI / kN per vertex) so the solver can hand it straight to the
+/// (kI / kN per vertex) so the engine can hand it straight to the
 /// parallel swap executor without re-deriving it from the bit vector.
 Status RunParallelGreedyWithStates(const std::string& manifest_path,
                                    const ParallelGreedyOptions& options,

@@ -690,13 +690,10 @@ Status RunParallelSwapImpl(const std::string& manifest_path,
                            AlgoResult* result) {
   WallTimer timer;
   AlgoResult res;
-  // Resolve a journaled-store root so the per-worker shard readers open
-  // the current epoch's files.
-  ResolvedShardStore resolved;
-  SEMIS_RETURN_IF_ERROR(ResolveShardStore(manifest_path, &resolved, &res.io));
   ShardedAdjacencyManifest manifest;
-  SEMIS_RETURN_IF_ERROR(
-      ReadShardedAdjacencyManifest(resolved.manifest_path, &manifest, &res.io));
+  std::string resolved_path;
+  SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest,
+                                               &res.io, &resolved_path));
   const uint64_t initial_size = initial_set != nullptr
                                     ? initial_set->size()
                                     : initial_states->size();
@@ -704,7 +701,7 @@ Status RunParallelSwapImpl(const std::string& manifest_path,
     return Status::InvalidArgument(
         "initial set size does not match graph vertex count");
   }
-  ParallelSwapRun run(resolved.manifest_path, std::move(manifest), options);
+  ParallelSwapRun run(resolved_path, std::move(manifest), options);
   SEMIS_RETURN_IF_ERROR(run.Execute(initial_set, initial_states, &res));
   res.seconds = timer.ElapsedSeconds();
   *result = std::move(res);

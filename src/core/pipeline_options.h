@@ -1,7 +1,7 @@
 // Copyright (c) the semis authors.
 // The one knob struct shared by every layer that drives the sharded
-// execution pipeline: the solver facade, the engine, the shard-pipelined
-// greedy executor, and the streaming maintainer. A caller fills it once
+// execution pipeline: the engine, the shard-pipelined greedy executor,
+// and the streaming maintainer. A caller fills it once
 // and hands it down the stack. Each consumer documents which fields it
 // reads; unread fields are ignored, never an error, so one filled-in
 // struct can travel the whole stack.
@@ -34,13 +34,13 @@ enum class SolveEngine : uint8_t {
 /// stored. `engine` selects WHICH deterministic pipeline
 /// runs -- each engine then holds the contract on its own output.
 struct EnginePipelineOptions {
-  /// The solve engine behind Solver/MisEngine opens (and `semis_cli
-  /// solve --engine`). Executors that implement a single engine
+  /// The solve engine behind MisEngine opens (and `semis_cli solve
+  /// --engine`). Executors that implement a single engine
   /// (RunParallelGreedy, RunMinIdRounds) ignore it.
   SolveEngine engine = SolveEngine::kGreedySwap;
 
   /// Number of adjacency shards a monolithic input is split into before
-  /// the solve (Solver/MisEngine monolithic opens); 0 and 1 both mean
+  /// the solve (MisEngine monolithic opens); 0 and 1 both mean
   /// one shard. Ignored by consumers whose input is already sharded --
   /// the file fixes the shard count.
   uint32_t num_shards = 0;

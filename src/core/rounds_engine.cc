@@ -288,23 +288,20 @@ Status RunMinIdRoundsImpl(const std::string& manifest_path,
                           std::vector<VState>* states) {
   WallTimer timer;
   AlgoResult res;
-  // Resolve a journaled-store root so the shard readers open the current
-  // epoch's files (same move as the other executors).
-  ResolvedShardStore resolved;
-  SEMIS_RETURN_IF_ERROR(ResolveShardStore(manifest_path, &resolved, &res.io));
   ShardedAdjacencyManifest manifest;
-  SEMIS_RETURN_IF_ERROR(
-      ReadShardedAdjacencyManifest(resolved.manifest_path, &manifest, &res.io));
+  std::string resolved_path;
+  SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest,
+                                               &res.io, &resolved_path));
 
   const uint32_t num_threads = ResolveThreadCount(options.pipeline.num_threads);
 
   if (force_reference || num_threads <= 1) {
     // 1 thread IS the sequential reference, not a 1-worker pool.
-    SEMIS_RETURN_IF_ERROR(RunReferenceRounds(resolved.manifest_path,
+    SEMIS_RETURN_IF_ERROR(RunReferenceRounds(resolved_path,
                                              manifest.header.num_vertices,
                                              options, &res, states));
   } else {
-    MinIdRoundsRun run(resolved.manifest_path, std::move(manifest), options,
+    MinIdRoundsRun run(resolved_path, std::move(manifest), options,
                        num_threads);
     SEMIS_RETURN_IF_ERROR(run.Execute(&res));
     if (states != nullptr) *states = run.TakeStates();

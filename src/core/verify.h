@@ -1,7 +1,7 @@
 // Copyright (c) the semis authors.
 // Streaming verification of independence and maximality. Used by tests,
-// by examples, and (optionally) by the Solver as a final self-check --
-// the same discipline a storage engine applies with paranoid checks.
+// by examples, and (optionally) by MisEngine::Open as a final self-check
+// -- the same discipline a storage engine applies with paranoid checks.
 #ifndef SEMIS_CORE_VERIFY_H_
 #define SEMIS_CORE_VERIFY_H_
 

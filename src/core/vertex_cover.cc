@@ -5,11 +5,12 @@
 namespace semis {
 
 Status ComputeVertexCoverFile(const std::string& adjacency_path,
-                              const SolverOptions& options,
+                              const MisEngineOptions& options,
                               VertexCoverResult* result) {
   VertexCoverResult res;
-  Solver solver(options);
-  SEMIS_RETURN_IF_ERROR(solver.SolveFile(adjacency_path, &res.mis));
+  MisEngine engine(options);
+  SEMIS_RETURN_IF_ERROR(engine.Open(adjacency_path));
+  res.mis = engine.open_result();
   const size_t n = res.mis.set.size();
   res.cover.Resize(n);
   for (size_t v = 0; v < n; ++v) {
@@ -29,7 +30,7 @@ Status VerifyVertexCoverFile(const std::string& adjacency_path,
     return Status::InvalidArgument("cover size != graph vertex count");
   }
   uint64_t violations = 0;
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

@@ -8,7 +8,7 @@
 
 #include <string>
 
-#include "core/solver.h"
+#include "core/engine.h"
 #include "io/io_stats.h"
 #include "util/bit_vector.h"
 #include "util/status.h"
@@ -26,9 +26,9 @@ struct VertexCoverResult {
 };
 
 /// Computes a small vertex cover of the graph at `adjacency_path` as the
-/// complement of the Solver's independent set.
+/// complement of the independent set a MisEngine opens with.
 Status ComputeVertexCoverFile(const std::string& adjacency_path,
-                              const SolverOptions& options,
+                              const MisEngineOptions& options,
                               VertexCoverResult* result);
 
 /// Verifies with one sequential scan that every edge has at least one

@@ -102,6 +102,13 @@ Status AdjacencyFileScanner::ReadHeader() {
   SEMIS_RETURN_IF_ERROR(reader_.ReadU64(&header_.num_directed_edges));
   SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&header_.flags));
   SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&header_.max_degree));
+  // Callers size per-vertex arrays from this count before they read a
+  // record, so a count the writer would refuse stops here.
+  if (header_.num_vertices > kMaxAdjacencyVertices) {
+    return Status::Corruption(
+        "'" + path_ + "' declares " + std::to_string(header_.num_vertices) +
+        " vertices, past the 32-bit id space");
+  }
   records_seen_ = 0;
   edges_seen_ = 0;
   decoder_.Reset(path_, header_.num_vertices, header_.max_degree);

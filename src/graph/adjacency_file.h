@@ -90,8 +90,7 @@ Status AppendAdjacencyRecord(SequentialFileWriter* writer, VertexId id,
 
 /// One vertex record as the readers hand it out: `neighbors` points into
 /// the reader's buffer (or the cursor's block) and stays valid until the
-/// reader moves on. Field names match VertexRecord so generic scan code
-/// accepts either.
+/// reader moves on.
 struct VertexRecordView {
   VertexId id = 0;
   uint32_t degree = 0;
@@ -101,31 +100,6 @@ struct VertexRecordView {
   const VertexId* end() const { return neighbors + degree; }
   VertexId neighbor(uint32_t i) const { return neighbors[i]; }
 };
-
-/// One vertex record as exposed by the scanner. `neighbors` points into a
-/// scanner-owned buffer that is invalidated by the next call to Next().
-struct VertexRecord {
-  VertexId id = 0;
-  uint32_t degree = 0;
-  const VertexId* neighbors = nullptr;
-};
-
-/// Shared shim behind every reader's VertexRecord-compat Next overload:
-/// drives the source's view-API Next and repackages the view (same
-/// lifetime rules). One definition so the field mapping cannot diverge
-/// between readers.
-template <typename Source>
-Status NextRecordFromView(Source* source, VertexRecord* rec,
-                          bool* has_next) {
-  VertexRecordView view;
-  SEMIS_RETURN_IF_ERROR(source->Next(&view, has_next));
-  if (*has_next) {
-    rec->id = view.id;
-    rec->degree = view.degree;
-    rec->neighbors = view.neighbors;
-  }
-  return Status::OK();
-}
 
 /// Decodes the records of a SADJ record stream (u32 id, u32 degree,
 /// u32 neighbor[degree]; shard files carry the same records) and checks
@@ -178,8 +152,9 @@ class AdjacencyFileScanner {
   /// `stats` may be null.
   explicit AdjacencyFileScanner(IoStats* stats = nullptr);
 
-  /// Opens the file and parses/validates the header. Counts one
-  /// sequential scan.
+  /// Opens the file and parses/validates the header: a vertex count past
+  /// kMaxAdjacencyVertices is Corruption, before anything is sized from
+  /// it. Counts one sequential scan.
   Status Open(const std::string& path);
 
   /// Header of the open file.
@@ -194,17 +169,13 @@ class AdjacencyFileScanner {
   /// inconsistent file yields Corruption.
   Status Next(VertexRecordView* view, bool* has_next);
 
-  /// Compatibility flavor of Next for VertexRecord consumers.
-  Status Next(VertexRecord* rec, bool* has_next) {
-    return NextRecordFromView(this, rec, has_next);
-  }
-
   /// Restarts the scan from the first record. Counts a sequential scan.
   Status Rewind();
 
   /// Closes the underlying file without waiting for the destructor. Used
-  /// by callers (e.g. the Solver's header probe) that must not keep the
-  /// file handle open across a long downstream stage. Safe to call twice.
+  /// by callers (e.g. MisEngine's header probe before the shard split)
+  /// that must not keep the file handle open across a long downstream
+  /// stage. Safe to call twice.
   Status Close();
 
   /// Path of the open file.

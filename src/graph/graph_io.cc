@@ -51,7 +51,7 @@ Status ReadGraphFromAdjacencyFile(const std::string& path, Graph* graph,
   const AdjacencyFileHeader& h = scanner.header();
   std::vector<Edge> edges;
   edges.reserve(h.num_directed_edges / 2);
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

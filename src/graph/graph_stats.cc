@@ -82,7 +82,7 @@ Status ComputeGraphStatsFromFile(const std::string& path, GraphStats* stats,
   s.num_edges = h.num_directed_edges / 2;
   s.max_degree = h.max_degree;
   s.degree_histogram.assign(static_cast<size_t>(h.max_degree) + 1, 0);
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

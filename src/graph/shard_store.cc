@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "io/edge_delta_file.h"
 #include "io/epoch_journal.h"
@@ -276,10 +277,16 @@ bool IsShardStoreRoot(const std::string& path) {
 }
 
 Status ReadShardStoreManifest(const std::string& root_path,
-                              ShardedAdjacencyManifest* out, IoStats* stats) {
+                              ShardedAdjacencyManifest* out, IoStats* stats,
+                              std::string* manifest_path) {
   ResolvedShardStore resolved;
   SEMIS_RETURN_IF_ERROR(ResolveShardStore(root_path, &resolved, stats));
-  return ReadShardedAdjacencyManifest(resolved.manifest_path, out, stats);
+  SEMIS_RETURN_IF_ERROR(
+      ReadShardedAdjacencyManifest(resolved.manifest_path, out, stats));
+  if (manifest_path != nullptr) {
+    *manifest_path = std::move(resolved.manifest_path);
+  }
+  return Status::OK();
 }
 
 }  // namespace semis

@@ -108,10 +108,13 @@ Status GarbageCollectShardStore(const ResolvedShardStore& resolved,
 bool IsShardStoreRoot(const std::string& path);
 
 /// Resolves `root_path` read-only and reads the serving SADM manifest.
-/// Convenience for callers that only need totals/flags.
+/// `manifest_path`, when non-null, receives that manifest's path. Every
+/// reader that opens shard files takes their paths from it: for a
+/// journaled root they are the current epoch's files, not `root_path`'s.
 Status ReadShardStoreManifest(const std::string& root_path,
                               ShardedAdjacencyManifest* out,
-                              IoStats* stats = nullptr);
+                              IoStats* stats = nullptr,
+                              std::string* manifest_path = nullptr);
 
 }  // namespace semis
 

@@ -83,6 +83,14 @@ Status ReadShardedAdjacencyManifest(const std::string& path,
   SEMIS_RETURN_IF_ERROR(reader.ReadU32(&m.header.max_degree));
   SEMIS_RETURN_IF_ERROR(reader.ReadU32(&num_shards));
   SEMIS_RETURN_IF_ERROR(reader.ReadU32(&reserved));
+  // As in the SADJ header: callers size per-vertex arrays from the count
+  // before they read a record.
+  if (m.header.num_vertices > kMaxAdjacencyVertices) {
+    return Status::Corruption(
+        "manifest '" + path + "' declares " +
+        std::to_string(m.header.num_vertices) +
+        " vertices, past the 32-bit id space");
+  }
   if (num_shards == 0) {
     return Status::Corruption("manifest '" + path + "' declares zero shards");
   }
@@ -433,13 +441,8 @@ ShardedAdjacencyScanner::ShardedAdjacencyScanner(IoStats* stats)
     : stats_(stats), reader_(stats) {}
 
 Status ShardedAdjacencyScanner::Open(const std::string& manifest_path) {
-  // The path may be a journaled store root (SEPR); shard paths must then
-  // derive from the resolved epoch manifest, not the root.
-  ResolvedShardStore resolved;
-  SEMIS_RETURN_IF_ERROR(ResolveShardStore(manifest_path, &resolved, stats_));
-  manifest_path_ = resolved.manifest_path;
-  SEMIS_RETURN_IF_ERROR(
-      ReadShardedAdjacencyManifest(manifest_path_, &manifest_, stats_));
+  SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest_,
+                                               stats_, &manifest_path_));
   if (stats_ != nullptr) stats_->sequential_scans++;
   current_shard_ = 0;
   SEMIS_RETURN_IF_ERROR(reader_.Open(manifest_path_, manifest_, 0));
@@ -487,13 +490,8 @@ Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
   if (pool_ != nullptr) {
     return Status::InvalidArgument("cursor is already open");
   }
-  // Resolve a possible journaled-store root to its current epoch manifest
-  // so the decoder threads open the epoch's shard files.
-  ResolvedShardStore resolved;
-  SEMIS_RETURN_IF_ERROR(ResolveShardStore(manifest_path, &resolved, stats_));
-  manifest_path_ = resolved.manifest_path;
-  SEMIS_RETURN_IF_ERROR(
-      ReadShardedAdjacencyManifest(manifest_path_, &manifest_, stats_));
+  SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest_,
+                                               stats_, &manifest_path_));
   if (stats_ != nullptr) stats_->sequential_scans++;
   const size_t block_bytes = ring.block_bytes != 0 ? ring.block_bytes
                                                    : kDefaultDecodeBlockBytes;
@@ -720,7 +718,7 @@ Status ShardAdjacencyFile(const std::string& input_path,
   SEMIS_RETURN_IF_ERROR(writer.Open(manifest_path, h.num_vertices,
                                     h.num_directed_edges, h.max_degree,
                                     h.flags, num_shards));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

@@ -78,7 +78,8 @@ struct ShardedAdjacencyManifest {
 /// Path of shard `index` of the sharded file rooted at `manifest_path`.
 std::string ShardFilePath(const std::string& manifest_path, uint32_t index);
 
-/// Reads and validates the manifest at `path`.
+/// Reads and validates the manifest at `path`. A vertex count past
+/// kMaxAdjacencyVertices is Corruption, as in the SADJ header.
 Status ReadShardedAdjacencyManifest(const std::string& path,
                                     ShardedAdjacencyManifest* out,
                                     IoStats* stats = nullptr);
@@ -181,11 +182,6 @@ class AdjacencyShardReader {
            AdjacencyRecordDecoder::NextIsBuffered(reader_);
   }
 
-  /// Compatibility flavor of Next for VertexRecord consumers.
-  Status Next(VertexRecord* rec, bool* has_next) {
-    return NextRecordFromView(this, rec, has_next);
-  }
-
   /// Closes the underlying file. Safe to call twice.
   Status Close();
 
@@ -271,11 +267,6 @@ class ShardedAdjacencyScanner {
 
   /// Next record in global order, crossing shard boundaries transparently.
   Status Next(VertexRecordView* view, bool* has_next);
-
-  /// Compatibility flavor of Next for VertexRecord consumers.
-  Status Next(VertexRecord* rec, bool* has_next) {
-    return NextRecordFromView(this, rec, has_next);
-  }
 
   /// Path of the shard file the last record came from.
   const std::string& path() const { return reader_.path(); }
@@ -371,12 +362,6 @@ class ManifestOrderedShardCursor {
   /// or Close; like every scanner in this library, consume it before
   /// advancing.
   Status Next(VertexRecordView* view, bool* has_next) EXCLUDES(mu_);
-
-  /// Compatibility flavor of Next for VertexRecord consumers (tests and
-  /// generic drains); same lifetime rules.
-  Status Next(VertexRecord* rec, bool* has_next) {
-    return NextRecordFromView(this, rec, has_next);
-  }
 
   /// Cancels outstanding decodes (waking decoders parked on the byte
   /// budget), drains the pool job and merges per-worker IoStats plus the

@@ -9,8 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "util/common.h"
-
 namespace semis {
 
 /// Counters shared by all file-layer objects of one experiment. Plain
@@ -43,15 +41,6 @@ struct IoStats {
   /// Peak decoded-but-unconsumed payload bytes buffered in the block ring
   /// (high-water mark; merged with max, not sum).
   uint64_t peak_buffered_bytes = 0;
-
-  /// Logical blocks read given `block_size` (the paper's B).
-  uint64_t BlocksRead(uint64_t block_size = kDefaultBlockSize) const {
-    return (bytes_read + block_size - 1) / block_size;
-  }
-  /// Logical blocks written given `block_size`.
-  uint64_t BlocksWritten(uint64_t block_size = kDefaultBlockSize) const {
-    return (bytes_written + block_size - 1) / block_size;
-  }
 
   /// Accumulates another counter set into this one.
   void MergeFrom(const IoStats& other) {

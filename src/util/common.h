@@ -16,10 +16,6 @@ using VertexId = uint32_t;
 /// Sentinel for "no vertex" (used for unset ISN entries and the like).
 inline constexpr VertexId kInvalidVertex = 0xFFFFFFFFu;
 
-/// Default logical block size used by the buffered file layer when counting
-/// block I/Os. 64 KiB mirrors a commodity HDD-friendly transfer unit.
-inline constexpr size_t kDefaultBlockSize = 64 * 1024;
-
 }  // namespace semis
 
 #endif  // SEMIS_UTIL_COMMON_H_

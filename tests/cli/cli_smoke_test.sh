@@ -390,4 +390,53 @@ printf '# toy graph\n0\t1\n1\t2\n2\t0\n2\t3\n3\t4\n4\t0\n' > "$work/edges.txt"
 "$CLI" sort "$work/e.adj" "$work/e.sadj" --memory-mb 8
 "$CLI" solve "$work/e.sadj" --algo onek --verify
 
+# --- vertex counts past the 32-bit id space ---------------------------------
+# The path 0-1-2-3 under headers that declare 2^63 + 4 vertices, a count
+# both writers refuse: a SADJ file and a one-shard store whose manifest is
+# flagged degree-sorted. Every command that reads one fails with exit 1
+# and names the count; none aborts (exit 134) sizing a per-vertex array
+# from it.
+le32() {  # <value>: its four little-endian bytes
+  printf "$(printf '\\x%02x\\x%02x\\x%02x\\x%02x' $(($1 & 255)) \
+      $(($1 >> 8 & 255)) $(($1 >> 16 & 255)) $(($1 >> 24 & 255)))"
+}
+words() { for w in "$@"; do le32 "$w"; done; }
+huge="4 2147483648"  # 2^63 + 4 as the low and high words of a u64
+path_records="0 1 1  1 2 0 2  2 2 1 3  3 1 2"
+# The layouts of graph/adjacency_file.h and graph/sharded_adjacency_file.h,
+# word by word after the magic (the unquoted lists split on purpose).
+{ printf 'SADJ'; words 1 $huge 6 0 0 2 $path_records; } > "$work/huge.sadj"
+{ printf 'SADM'; words 1 $huge 6 0 1 2 1 0 $huge 6 0; } > "$work/huge.sadjs"
+{ printf 'SADS'; words 1 0 0 0 0 0 0 $huge $path_records; } \
+    > "$work/huge.sadjs.shard0"
+[ "$(wc -c < "$work/huge.sadj")" -eq 88 ] || fail "huge.sadj has the wrong size"
+[ "$(wc -c < "$work/huge.sadjs")" -eq 56 ] || fail "huge.sadjs has the wrong size"
+expect_vertex_count_error() {  # <semis_cli args...>
+  local err rc=0
+  err="$("$CLI" "$@" 2>&1 >/dev/null)" || rc=$?
+  [ "$rc" -eq 1 ] || fail "'$*' exited $rc, want 1"
+  case "$err" in
+    *"Corruption: "*"9223372036854775812 vertices, past the 32-bit id space"*) ;;
+    *) fail "'$*' did not reject the vertex count: $err" ;;
+  esac
+}
+for cmd in stats bound color cover solve; do
+  expect_vertex_count_error "$cmd" "$work/huge.sadj"
+done
+expect_vertex_count_error sort "$work/huge.sadj" "$work/huge_sorted.sadj"
+expect_vertex_count_error shard "$work/huge.sadj" "$work/huge_split.sadjs" \
+    --shards 2
+printf '+ 0 2\n' > "$work/huge_updates.txt"
+printf 'publish\n' > "$work/huge_session.txt"
+for flags in "" "--algo twok" "--engine rounds" "--threads 4"; do
+  expect_vertex_count_error solve "$work/huge.sadjs" $flags
+done
+expect_vertex_count_error update "$work/huge.sadjs" \
+    --stream "$work/huge_updates.txt"
+expect_vertex_count_error engine "$work/huge.sadjs" \
+    --script "$work/huge_session.txt"
+expect_vertex_count_error fsck "$work/huge.sadjs"
+expect_vertex_count_error cover "$work/huge.sadjs"
+expect_vertex_count_error unshard "$work/huge.sadjs" "$work/huge_joined.sadj"
+
 echo "PASS"

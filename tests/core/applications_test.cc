@@ -23,7 +23,7 @@ TEST_F(VertexCoverTest, CoverIsComplementOfSet) {
   Graph g = GenerateErdosRenyi(300, 900, 3);
   std::string path = WriteGraphFile(&scratch_, g);
   VertexCoverResult res;
-  ASSERT_OK(ComputeVertexCoverFile(path, SolverOptions{}, &res));
+  ASSERT_OK(ComputeVertexCoverFile(path, MisEngineOptions{}, &res));
   EXPECT_EQ(res.cover_size + res.mis.set_size, g.NumVertices());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     EXPECT_NE(res.cover.Test(v), res.mis.set.Test(v));
@@ -35,7 +35,7 @@ TEST_F(VertexCoverTest, CoverCoversEveryEdge) {
     Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), seed);
     std::string path = WriteGraphFile(&scratch_, g);
     VertexCoverResult res;
-    ASSERT_OK(ComputeVertexCoverFile(path, SolverOptions{}, &res));
+    ASSERT_OK(ComputeVertexCoverFile(path, MisEngineOptions{}, &res));
     uint64_t uncovered = 0;
     ASSERT_OK(VerifyVertexCoverFile(path, res.cover, &uncovered));
     EXPECT_EQ(uncovered, 0u) << "seed " << seed;
@@ -48,7 +48,7 @@ TEST_F(VertexCoverTest, NearOptimalOnTinyGraphs) {
     Graph g = GenerateErdosRenyi(20, 50, seed);
     std::string path = WriteGraphFile(&scratch_, g);
     VertexCoverResult res;
-    ASSERT_OK(ComputeVertexCoverFile(path, SolverOptions{}, &res));
+    ASSERT_OK(ComputeVertexCoverFile(path, MisEngineOptions{}, &res));
     ExactResult exact;
     ASSERT_OK(ExactMaxIndependentSet(g, &exact));
     const uint64_t optimal = g.NumVertices() - exact.alpha;

@@ -14,9 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/parallel_greedy.h"
 #include "core/rounds_engine.h"
-#include "core/solver.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/plrg.h"
@@ -80,16 +80,14 @@ std::vector<EngineSpec> Engines() {
     engines.push_back({name, false,
                        [engine](const std::string& manifest,
                                       uint32_t threads, BitVector* set) {
-                         SolverOptions opts;
+                         MisEngineOptions opts;
                          opts.degree_sort = false;  // corpus is id-ordered
                          opts.swap = SwapMode::kTwoK;
                          opts.pipeline.engine = engine;
                          opts.pipeline.num_threads = threads;
-                         Solver solver(opts);
-                         SolveResult res;
-                         SEMIS_RETURN_IF_ERROR(
-                             solver.SolveFile(manifest, &res));
-                         *set = std::move(res.set);
+                         MisEngine mis(opts);
+                         SEMIS_RETURN_IF_ERROR(mis.Open(manifest));
+                         *set = mis.open_result().set;
                          return Status::OK();
                        }});
   }

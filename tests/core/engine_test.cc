@@ -32,10 +32,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/coloring.h"
 #include "core/engine.h"
+#include "core/greedy.h"
 #include "core/incremental.h"
 #include "core/incremental_stream.h"
-#include "core/solver.h"
+#include "core/upper_bound.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/plrg.h"
@@ -216,11 +218,11 @@ TEST_F(EngineTest, OpenSolvesAndPublishesEpochOne) {
   EXPECT_EQ(snap->stats().batches, 0u);
   EXPECT_EQ(snap->stats().updates, 0u);
 
-  // The one-shot Solver facade must produce the identical result.
-  Solver solver(opts);
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(mono, &res));
-  EXPECT_EQ(SetToVector(res.set), SetToVector(snap->set()));
+  // A second engine opened on the same file -- a one-shot solve -- must
+  // produce the identical result.
+  MisEngine one_shot(opts);
+  ASSERT_OK(one_shot.Open(mono));
+  EXPECT_EQ(SetToVector(one_shot.open_result().set), SetToVector(snap->set()));
 }
 
 // Every counter the swap stage reports: its round count and each
@@ -655,6 +657,37 @@ std::string WriteRawAdjacencyFile(
   return path;
 }
 
+// A one-shard store of `records` whose manifest and shard header declare
+// `num_vertices` vertices (and the shard as many records), 6 directed
+// edges and max degree 2. The manifest is flagged degree-sorted, so the
+// greedy engine takes it as-is.
+std::string WriteRawOneShardStore(
+    ScratchDir* scratch, uint64_t num_vertices,
+    const std::vector<std::vector<uint32_t>>& records) {
+  const std::string manifest = scratch->NewFilePath("raw.sadjs");
+  SequentialFileWriter w;
+  EXPECT_OK(w.Open(manifest));
+  EXPECT_OK(w.AppendU32(kShardManifestMagic));
+  EXPECT_OK(w.AppendU32(1));  // version
+  EXPECT_OK(w.AppendU64(num_vertices));
+  EXPECT_OK(w.AppendU64(6));  // directed edges
+  EXPECT_OK(w.AppendU32(kAdjFlagDegreeSorted));
+  EXPECT_OK(w.AppendU32(2));             // max degree
+  EXPECT_OK(w.AppendU32(1));             // shards
+  EXPECT_OK(w.AppendU32(0));             // reserved
+  EXPECT_OK(w.AppendU64(num_vertices));  // shard 0 records
+  EXPECT_OK(w.AppendU64(6));             // shard 0 directed edges
+  EXPECT_OK(w.Close());
+  SequentialFileWriter shard;
+  EXPECT_OK(shard.Open(ShardFilePath(manifest, 0)));
+  EXPECT_OK(WriteAdjacencyShardHeader(&shard, 0, num_vertices));
+  for (const auto& rec : records) {
+    for (uint32_t word : rec) EXPECT_OK(shard.AppendU32(word));
+  }
+  EXPECT_OK(shard.Close());
+  return manifest;
+}
+
 // A 4-vertex file whose records carry ids 0, 1, 2, 1: id 3 has no record.
 std::string WriteRepeatedIdFile(ScratchDir* scratch, uint32_t flags) {
   return WriteRawAdjacencyFile(
@@ -718,17 +751,33 @@ TEST_F(EngineTest, RepeatedVertexIdRejectedAtEveryEntryPoint) {
 
 TEST_F(EngineTest, VertexCountPastTheIdSpaceIsCorruption) {
   // The path 0-1-2-3 under a header whose vertex count has its top bit
-  // flipped: 2^63 + 4. No sort regime may size anything from that count;
-  // the records run out, and every entry point reports Corruption.
+  // flipped: 2^63 + 4, a count both writers refuse. The SADJ scanner and
+  // the manifest reader refuse it too, naming the file, before any entry
+  // point sizes a per-vertex array from it: every entry point reports
+  // Corruption.
+  const uint64_t num_vertices = (uint64_t{1} << 63) + 4;
+  const std::vector<std::vector<uint32_t>> records = {
+      {0, 1, 1}, {1, 2, 0, 2}, {2, 2, 1, 3}, {3, 1, 2}};
   const std::string path =
-      WriteRawAdjacencyFile(&scratch_, 0, (uint64_t{1} << 63) + 4,
-                            {{0, 1, 1}, {1, 2, 0, 2}, {2, 2, 1, 3}, {3, 1, 2}});
+      WriteRawAdjacencyFile(&scratch_, 0, num_vertices, records);
+  AdjacencyFileScanner scanner;
+  Status s = scanner.Open(path);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find(path), std::string::npos) << s.ToString();
+  AlgoResult greedy;
+  s = RunGreedy(path, GreedyOptions{}, &greedy);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  uint64_t bound = 0;
+  s = ComputeIndependenceUpperBoundFile(path, &bound);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ColoringResult coloring;
+  s = ComputeGreedyColoringFile(path, ColoringOptions{}, &coloring);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   for (size_t budget : {size_t{64} << 20, size_t{16}}) {
     SCOPED_TRACE("sort budget " + std::to_string(budget));
     DegreeSortOptions sort_opts;
     sort_opts.memory_budget_bytes = budget;
-    Status s =
-        BuildDegreeSortedAdjacencyFile(path, NewPath("sorted.adj"), sort_opts);
+    s = BuildDegreeSortedAdjacencyFile(path, NewPath("sorted.adj"), sort_opts);
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
     MisEngineOptions opts;
     opts.sort_memory_budget_bytes = budget;
@@ -737,6 +786,28 @@ TEST_F(EngineTest, VertexCountPastTheIdSpaceIsCorruption) {
     s = engine.Open(path);
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
     EXPECT_FALSE(engine.is_open());
+  }
+
+  // The same records in a one-shard store whose manifest declares that
+  // count.
+  const std::string manifest =
+      WriteRawOneShardStore(&scratch_, num_vertices, records);
+  ShardedAdjacencyManifest parsed;
+  s = ReadShardedAdjacencyManifest(manifest, &parsed);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find(manifest), std::string::npos) << s.ToString();
+  for (SolveEngine solve_engine :
+       {SolveEngine::kGreedySwap, SolveEngine::kRounds}) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      MisEngineOptions opts;
+      opts.pipeline.engine = solve_engine;
+      opts.pipeline.num_threads = threads;
+      MisEngine engine(opts);
+      s = engine.Open(manifest);
+      EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+      EXPECT_FALSE(engine.is_open());
+    }
   }
 }
 

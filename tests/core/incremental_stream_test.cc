@@ -25,9 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/incremental.h"
 #include "core/incremental_stream.h"
-#include "core/solver.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/paper_figures.h"
@@ -361,7 +361,7 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   ShardedAdjacencyScanner scanner;
   ASSERT_OK(scanner.Open(manifest));
   EXPECT_EQ(scanner.header().num_directed_edges, 0u);
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   uint64_t records = 0;
   while (true) {
@@ -420,7 +420,7 @@ void ExpectStoreHoldsGraph(const std::string& manifest, const Graph& want) {
   ShardedAdjacencyScanner scanner;
   ASSERT_OK(scanner.Open(manifest));
   EXPECT_EQ(scanner.header().num_directed_edges, want.NumDirectedEdges());
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   uint64_t records = 0;
   while (true) {
@@ -765,14 +765,13 @@ TEST_F(IncrementalStreamTest, StreamQualityTracksFromScratchSolve) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("q.sadjs");
   {
-    Solver solver(SolverOptions{});
-    SolveResult solved;
-    ASSERT_OK(solver.SolveFile(mono, &solved));
+    MisEngine engine(MisEngineOptions{});
+    ASSERT_OK(engine.Open(mono));
     ASSERT_OK(ShardAdjacencyFile(mono, manifest, 5));
     ShardedStreamingMis mis;
     EnginePipelineOptions opts;
     opts.num_threads = 2;
-    ASSERT_OK(mis.Initialize(manifest, solved.set, opts));
+    ASSERT_OK(mis.Initialize(manifest, engine.open_result().set, opts));
 
     Random rng(17);
     std::vector<EdgeUpdate> updates;
@@ -786,13 +785,13 @@ TEST_F(IncrementalStreamTest, StreamQualityTracksFromScratchSolve) {
     ASSERT_OK(mis.Compact(/*force=*/true));
 
     // From-scratch: solve the compacted graph directly from the shards.
-    SolverOptions sopts;
+    MisEngineOptions sopts;
     sopts.degree_sort = false;  // compaction cleared the sorted flag
     sopts.swap = SwapMode::kNone;
     sopts.pipeline.num_threads = 2;
-    Solver fresh(sopts);
-    SolveResult from_scratch;
-    ASSERT_OK(fresh.SolveFile(manifest, &from_scratch));
+    MisEngine fresh(sopts);
+    ASSERT_OK(fresh.Open(manifest));
+    const SolveResult& from_scratch = fresh.open_result();
     EXPECT_GT(mis.set_size(), from_scratch.set_size * 85 / 100);
     // Both satisfy the same invariants on the same graph.
     VerifyResult vr;

@@ -6,8 +6,8 @@
 
 #include <set>
 
+#include "core/engine.h"
 #include "core/incremental.h"
-#include "core/solver.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/plrg.h"
@@ -223,9 +223,9 @@ TEST_F(IncrementalTest, RandomUpdateStormKeepsInvariants) {
 TEST_F(IncrementalTest, StartsFromSolverResult) {
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(5000, 2.0), 3);
   std::string path = WriteGraphFile(&scratch_, g);
-  Solver solver(SolverOptions{});
-  SolveResult solved;
-  ASSERT_OK(solver.SolveFile(path, &solved));
+  MisEngine engine(MisEngineOptions{});
+  ASSERT_OK(engine.Open(path));
+  const SolveResult& solved = engine.open_result();
   IncrementalMis inc;
   ASSERT_OK(inc.Initialize(path, solved.set));
   EXPECT_EQ(inc.set_size(), solved.set_size);

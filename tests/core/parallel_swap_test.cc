@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/greedy.h"
-#include "core/solver.h"
 #include "core/two_k_swap.h"
 #include "core/verify.h"
 #include "gen/generators.h"
@@ -384,27 +384,26 @@ TEST_F(ParallelSwapTest, InitialSetSizeMismatchRejected) {
 }
 
 TEST_F(ParallelSwapTest, SolverIntegrationEndToEnd) {
-  // SolveFile runs the swap stage on the parallel executor at every
+  // MisEngine::Open runs the swap stage on the parallel executor at every
   // shard count; the result must verify and the thread count must not
   // change it.
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(15000, 2.0), 38);
   std::string path = WriteGraphFile(&scratch_, g);
-  SolverOptions opts;
+  MisEngineOptions opts;
   opts.pipeline.num_shards = 4;
   opts.pipeline.num_threads = 2;
   opts.verify = true;
-  Solver solver(opts);
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(path, &res));
+  MisEngine engine(opts);
+  ASSERT_OK(engine.Open(path));
+  const SolveResult& res = engine.open_result();
   EXPECT_GE(res.set_size, res.greedy.set_size);
   EXPECT_GT(res.shard_seconds, 0.0);
 
-  SolverOptions opts1 = opts;
+  MisEngineOptions opts1 = opts;
   opts1.pipeline.num_threads = 1;
-  Solver solver1(opts1);
-  SolveResult res1;
-  ASSERT_OK(solver1.SolveFile(path, &res1));
-  EXPECT_EQ(SetToVector(res1.set), SetToVector(res.set));
+  MisEngine engine1(opts1);
+  ASSERT_OK(engine1.Open(path));
+  EXPECT_EQ(SetToVector(engine1.open_result().set), SetToVector(res.set));
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/incremental_stream.h"
-#include "core/solver.h"
 #include "core/verify.h"
 #include "gen/plrg.h"
 #include "graph/adjacency_file.h"
@@ -185,15 +185,14 @@ TEST_F(ResortTest, RestoresSortByteIdenticalToFreshRebuildEverywhere) {
       VerifyResult verified;
       ASSERT_OK(VerifyIndependentSetShardedFile(root, mis.set(), &verified));
       EXPECT_TRUE(verified.independent && verified.maximal);
-      SolverOptions solver_options;
-      solver_options.pipeline.num_threads = num_threads;
-      Solver solver{solver_options};
-      SolveResult result;
-      ASSERT_OK(solver.SolveFile(root, &result));
-      SolveResult fresh;
-      ASSERT_OK(solver.SolveFile(reference, &fresh));
-      std::vector<uint32_t> members = ToVector(result.set);
-      EXPECT_EQ(members, ToVector(fresh.set));
+      MisEngineOptions engine_options;
+      engine_options.pipeline.num_threads = num_threads;
+      MisEngine engine(engine_options);
+      ASSERT_OK(engine.Open(root));
+      MisEngine fresh(engine_options);
+      ASSERT_OK(fresh.Open(reference));
+      std::vector<uint32_t> members = ToVector(engine.open_result().set);
+      EXPECT_EQ(members, ToVector(fresh.open_result().set));
       if (solve_reference.empty()) {
         solve_reference = members;
       } else {

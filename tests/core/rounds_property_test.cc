@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "core/solver.h"
+#include "core/engine.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/plrg.h"
@@ -238,32 +238,31 @@ TEST_F(RoundsPropertyTest, InteriorEmptyShards) {
   }
 }
 
-// The rounds engine through the full solver pipeline at 8 threads, swap
+// The rounds engine through the full MisEngine pipeline at 8 threads, swap
 // stage included: the set stays the 1-thread reference one.
 TEST_F(RoundsPropertyTest, HostilePipelineKnobsThroughSolver) {
   Graph g = GenerateErdosRenyi(1500, 4500, 77);
   std::string manifest = Shard(WriteGraphFile(&scratch_, g), 5);
   BitVector reference;
   {
-    SolverOptions opts;
+    MisEngineOptions opts;
     opts.degree_sort = false;
     opts.swap = SwapMode::kTwoK;
     opts.pipeline.engine = SolveEngine::kRounds;
     opts.pipeline.num_threads = 1;
-    Solver solver(opts);
-    SolveResult res;
-    ASSERT_OK(solver.SolveFile(manifest, &res));
-    reference = std::move(res.set);
+    MisEngine engine(opts);
+    ASSERT_OK(engine.Open(manifest));
+    reference = engine.open_result().set;
   }
-  SolverOptions opts;
+  MisEngineOptions opts;
   opts.degree_sort = false;
   opts.swap = SwapMode::kTwoK;
   opts.verify = true;
   opts.pipeline.engine = SolveEngine::kRounds;
   opts.pipeline.num_threads = 8;
-  Solver solver(opts);
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(manifest, &res));
+  MisEngine engine(opts);
+  ASSERT_OK(engine.Open(manifest));
+  const SolveResult& res = engine.open_result();
   EXPECT_EQ(SetToVector(res.set), SetToVector(reference));
   EXPECT_GT(res.rounds.rounds, 0u);
   EXPECT_EQ(res.rounds.round_stats.back().frontier_after, 0u);

@@ -1,15 +1,16 @@
-#include "core/solver.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "core/engine.h"
 #include "core/greedy.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
+#include "graph/graph_io.h"
 #include "graph/sharded_adjacency_file.h"
+#include "io/scratch.h"
 #include "test_util.h"
 
 namespace semis {
@@ -18,16 +19,18 @@ namespace {
 using testing_util::ScratchTest;
 using testing_util::WriteGraphFile;
 
+// A one-shot solve is MisEngine::Open plus open_result(); these cases
+// hold the engine for as long as they read its result.
 class SolverTest : public ScratchTest {};
 
 TEST_F(SolverTest, FullPipelineOnPowerLawGraph) {
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(20000, 2.0), 8);
   std::string path = WriteGraphFile(&scratch_, g);
-  SolverOptions opts;
+  MisEngineOptions opts;
   opts.verify = true;  // paranoid self-check must pass
-  Solver solver(opts);
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(path, &res));
+  MisEngine engine(opts);
+  ASSERT_OK(engine.Open(path));
+  const SolveResult& res = engine.open_result();
   EXPECT_GT(res.set_size, 0u);
   EXPECT_EQ(res.set.Count(), res.set_size);
   EXPECT_GE(res.set_size, res.greedy.set_size);
@@ -41,13 +44,12 @@ TEST_F(SolverTest, SwapModesOrdering) {
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(10000, 2.0), 9);
   std::string path = WriteGraphFile(&scratch_, g);
   auto run = [&](SwapMode mode) {
-    SolverOptions opts;
+    MisEngineOptions opts;
     opts.swap = mode;
-    Solver solver(opts);
-    SolveResult res;
-    Status s = solver.SolveFile(path, &res);
+    MisEngine engine(opts);
+    Status s = engine.Open(path);
     EXPECT_TRUE(s.ok()) << s.ToString();
-    return res.set_size;
+    return engine.open_result().set_size;
   };
   uint64_t none = run(SwapMode::kNone);
   uint64_t one_k = run(SwapMode::kOneK);
@@ -61,12 +63,12 @@ TEST_F(SolverTest, SwapModesOrdering) {
 TEST_F(SolverTest, BaselineModeSkipsSorting) {
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(5000, 2.0), 10);
   std::string path = WriteGraphFile(&scratch_, g);
-  SolverOptions opts;
+  MisEngineOptions opts;
   opts.degree_sort = false;
   opts.swap = SwapMode::kNone;
-  Solver solver(opts);
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(path, &res));
+  MisEngine engine(opts);
+  ASSERT_OK(engine.Open(path));
+  const SolveResult& res = engine.open_result();
   EXPECT_EQ(res.sort_seconds, 0.0);
   EXPECT_EQ(res.io.sort_passes, 0u);
 }
@@ -74,56 +76,66 @@ TEST_F(SolverTest, BaselineModeSkipsSorting) {
 TEST_F(SolverTest, AlreadySortedInputNotResorted) {
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(5000, 2.0), 11);
   std::string path = WriteGraphFile(&scratch_, g);
-  SolverOptions opts;
-  Solver solver(opts);
-  SolveResult first;
-  ASSERT_OK(solver.SolveFile(path, &first));
+  MisEngine first_engine(MisEngineOptions{});
+  ASSERT_OK(first_engine.Open(path));
+  const SolveResult& first = first_engine.open_result();
   EXPECT_GT(first.sort_seconds, 0.0);
 
   // Feed back the same graph, degree-sorted by the library call: its
   // header flag must suppress the sort, and the solve must not change.
   std::string sorted = NewPath("sorted.sadj");
   ASSERT_OK(BuildDegreeSortedAdjacencyFile(path, sorted, DegreeSortOptions{}));
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(sorted, &res));
+  MisEngine engine(MisEngineOptions{});
+  ASSERT_OK(engine.Open(sorted));
+  const SolveResult& res = engine.open_result();
   EXPECT_EQ(res.sort_seconds, 0.0);  // header says degree-sorted
   EXPECT_EQ(res.set_size, first.set_size);
 }
 
 TEST_F(SolverTest, SolveGraphConvenience) {
+  // The pattern of the examples for an in-memory graph: write it with
+  // WriteGraphToAdjacencyFile into a ScratchDir and open an engine on the
+  // file. The set must equal the solve of the same graph's test file.
   Graph g = GenerateErdosRenyi(500, 1500, 12);
-  Solver solver(SolverOptions{});
-  SolveResult res;
-  ASSERT_OK(solver.SolveGraph(g, &res));
+  ScratchDir scratch;
+  ASSERT_OK(ScratchDir::Create("semis-solveg", &scratch));
+  const std::string path = scratch.NewFilePath("graph.adj");
+  ASSERT_OK(WriteGraphToAdjacencyFile(g, path));
+  MisEngine engine(MisEngineOptions{});
+  ASSERT_OK(engine.Open(path));
+  const SolveResult& res = engine.open_result();
   VerifyResult vr = VerifyIndependentSet(g, res.set);
   EXPECT_TRUE(vr.independent);
   EXPECT_TRUE(vr.maximal);
+
+  MisEngine file_engine(MisEngineOptions{});
+  ASSERT_OK(file_engine.Open(WriteGraphFile(&scratch_, g)));
+  EXPECT_EQ(testing_util::SetToVector(res.set),
+            testing_util::SetToVector(file_engine.open_result().set));
 }
 
 TEST_F(SolverTest, MissingFileSurfacesError) {
-  Solver solver(SolverOptions{});
-  SolveResult res;
-  Status s = solver.SolveFile(NewPath("nope"), &res);
+  MisEngine engine(MisEngineOptions{});
+  Status s = engine.Open(NewPath("nope"));
   EXPECT_FALSE(s.ok());
 }
 
 TEST_F(SolverTest, EarlyStopOptionPropagates) {
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(10000, 1.9), 13);
   std::string path = WriteGraphFile(&scratch_, g);
-  SolverOptions opts;
+  MisEngineOptions opts;
   opts.max_swap_rounds = 1;
-  Solver solver(opts);
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(path, &res));
-  EXPECT_LE(res.swap.rounds, 1u);
+  MisEngine engine(opts);
+  ASSERT_OK(engine.Open(path));
+  EXPECT_LE(engine.open_result().swap.rounds, 1u);
 }
 
 TEST_F(SolverTest, AggregatedIoCoversAllStages) {
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(5000, 2.0), 14);
   std::string path = WriteGraphFile(&scratch_, g);
-  Solver solver(SolverOptions{});
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(path, &res));
+  MisEngine engine(MisEngineOptions{});
+  ASSERT_OK(engine.Open(path));
+  const SolveResult& res = engine.open_result();
   EXPECT_GE(res.io.sequential_scans,
             res.greedy.io.sequential_scans + res.swap.io.sequential_scans);
   EXPECT_GT(res.io.bytes_read, 0u);
@@ -138,11 +150,11 @@ TEST_F(SolverTest, HeaderProbeReadIsAccounted) {
   std::string path = WriteGraphFile(&scratch_, g);
   std::string sorted = NewPath("sorted.sadj");
   ASSERT_OK(BuildDegreeSortedAdjacencyFile(path, sorted, DegreeSortOptions{}));
-  Solver solver(SolverOptions{});
-  SolveResult first;
-  ASSERT_OK(solver.SolveFile(path, &first));
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(sorted, &res));
+  MisEngine first_engine(MisEngineOptions{});
+  ASSERT_OK(first_engine.Open(path));
+  MisEngine engine(MisEngineOptions{});
+  ASSERT_OK(engine.Open(sorted));
+  const SolveResult& res = engine.open_result();
   ASSERT_EQ(res.sort_seconds, 0.0);  // presorted: probe only, no sort
   EXPECT_GE(res.io.bytes_read,
             res.greedy.io.bytes_read + res.swap.io.bytes_read + 32);
@@ -165,13 +177,13 @@ TEST_F(SolverTest, ShardedGreedySolveMatchesSequentialSolve) {
 
   for (uint32_t shards : {0u, 1u, 3u, 5u}) {
     for (uint32_t threads : {1u, 2u, 4u}) {
-      SolverOptions opts;
+      MisEngineOptions opts;
       opts.swap = SwapMode::kNone;
       opts.pipeline.num_shards = shards;
       opts.pipeline.num_threads = threads;
-      Solver solver(opts);
-      SolveResult res;
-      ASSERT_OK(solver.SolveFile(path, &res));
+      MisEngine engine(opts);
+      ASSERT_OK(engine.Open(path));
+      const SolveResult& res = engine.open_result();
       EXPECT_EQ(testing_util::SetToVector(res.set),
                 testing_util::SetToVector(oracle.in_set))
           << shards << " shards, " << threads << " threads";
@@ -186,21 +198,21 @@ TEST_F(SolverTest, ShardedFullPipelineDeterministicAcrossThreads) {
   // it must be byte-identical across thread counts and verify maximal.
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(12000, 2.0), 18);
   std::string path = WriteGraphFile(&scratch_, g);
-  SolverOptions opts;
+  MisEngineOptions opts;
   opts.pipeline.num_shards = 4;
   opts.pipeline.num_threads = 1;
   opts.verify = true;
-  Solver solver1(opts);
-  SolveResult res1;
-  ASSERT_OK(solver1.SolveFile(path, &res1));
+  MisEngine engine1(opts);
+  ASSERT_OK(engine1.Open(path));
+  const SolveResult& res1 = engine1.open_result();
   EXPECT_GE(res1.set_size, res1.greedy.set_size);
 
   for (uint32_t threads : {2u, 8u}) {
-    SolverOptions optsN = opts;
+    MisEngineOptions optsN = opts;
     optsN.pipeline.num_threads = threads;
-    Solver solverN(optsN);
-    SolveResult resN;
-    ASSERT_OK(solverN.SolveFile(path, &resN));
+    MisEngine engineN(optsN);
+    ASSERT_OK(engineN.Open(path));
+    const SolveResult& resN = engineN.open_result();
     EXPECT_EQ(testing_util::SetToVector(resN.set),
               testing_util::SetToVector(res1.set))
         << threads << " threads";
@@ -208,7 +220,7 @@ TEST_F(SolverTest, ShardedFullPipelineDeterministicAcrossThreads) {
 }
 
 TEST_F(SolverTest, ManifestSolveMatchesMonolithicSolve) {
-  // SolveFile consumes an existing SADJS manifest directly and must
+  // Open consumes an existing SADJS manifest directly and must
   // reproduce the solve of the monolithic file split into the same
   // shards -- it is the re-solve entry point of the streaming update
   // path (e.g. after a compaction).
@@ -220,16 +232,17 @@ TEST_F(SolverTest, ManifestSolveMatchesMonolithicSolve) {
   std::string manifest = NewPath("sharded.sadjs");
   ASSERT_OK(ShardAdjacencyFile(sorted, manifest, 4));
 
-  SolverOptions opts;
+  MisEngineOptions opts;
   opts.pipeline.num_shards = 4;
   opts.pipeline.num_threads = 2;
   opts.verify = true;
-  Solver ref_solver(opts);
-  SolveResult ref;
-  ASSERT_OK(ref_solver.SolveFile(mono, &ref));
+  MisEngine ref_engine(opts);
+  ASSERT_OK(ref_engine.Open(mono));
+  const SolveResult& ref = ref_engine.open_result();
 
-  SolveResult direct;
-  ASSERT_OK(ref_solver.SolveFile(manifest, &direct));
+  MisEngine direct_engine(opts);
+  ASSERT_OK(direct_engine.Open(manifest));
+  const SolveResult& direct = direct_engine.open_result();
   EXPECT_EQ(testing_util::SetToVector(direct.set),
             testing_util::SetToVector(ref.set));
   EXPECT_EQ(direct.set_size, ref.set_size);
@@ -239,15 +252,14 @@ TEST_F(SolverTest, ManifestSolveMatchesMonolithicSolve) {
   // be sorted in place)...
   std::string unsorted_manifest = NewPath("unsorted.sadjs");
   ASSERT_OK(ShardAdjacencyFile(mono, unsorted_manifest, 4));
-  SolveResult rejected;
-  EXPECT_TRUE(ref_solver.SolveFile(unsorted_manifest, &rejected)
-                  .IsInvalidArgument());
+  MisEngine rejecting_engine(opts);
+  EXPECT_TRUE(rejecting_engine.Open(unsorted_manifest).IsInvalidArgument());
   // ...while degree_sort = false consumes the records as-is.
-  SolverOptions baseline = opts;
+  MisEngineOptions baseline = opts;
   baseline.degree_sort = false;
-  Solver baseline_solver(baseline);
-  ASSERT_OK(baseline_solver.SolveFile(unsorted_manifest, &rejected));
-  EXPECT_GT(rejected.set_size, 0u);
+  MisEngine baseline_engine(baseline);
+  ASSERT_OK(baseline_engine.Open(unsorted_manifest));
+  EXPECT_GT(baseline_engine.open_result().set_size, 0u);
 }
 
 TEST_F(SolverTest, ShardedGreedyCountersFoldIntoSolveResult) {
@@ -255,12 +267,12 @@ TEST_F(SolverTest, ShardedGreedyCountersFoldIntoSolveResult) {
   // SolveResult exactly like the sequential stage's counters do.
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(8000, 2.0), 19);
   std::string path = WriteGraphFile(&scratch_, g);
-  SolverOptions opts;
+  MisEngineOptions opts;
   opts.pipeline.num_shards = 4;
   opts.pipeline.num_threads = 3;
-  Solver solver(opts);
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(path, &res));
+  MisEngine engine(opts);
+  ASSERT_OK(engine.Open(path));
+  const SolveResult& res = engine.open_result();
   EXPECT_GT(res.greedy.io.bytes_read, 0u);
   EXPECT_EQ(res.greedy.io.sequential_scans, 1u);
   EXPECT_GE(res.io.sequential_scans,
@@ -278,9 +290,9 @@ TEST_F(SolverTest, PeakMemoryIncludesSortStage) {
   // the sort stage would be several times smaller.
   Graph g = GenerateErdosRenyi(2000, 40000, 16);
   std::string path = WriteGraphFile(&scratch_, g);
-  Solver solver(SolverOptions{});
-  SolveResult res;
-  ASSERT_OK(solver.SolveFile(path, &res));
+  MisEngine engine(MisEngineOptions{});
+  ASSERT_OK(engine.Open(path));
+  const SolveResult& res = engine.open_result();
   EXPECT_GT(res.sort_seconds, 0.0);
   EXPECT_GT(res.peak_memory_bytes,
             std::max(res.greedy.peak_memory_bytes,

@@ -34,7 +34,7 @@ TEST_F(AdjacencyFileTest, WriteAndScanRoundtrip) {
   EXPECT_EQ(scanner.header().max_degree, 2u);
   EXPECT_TRUE(scanner.header().IsDegreeSorted());
 
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   ASSERT_OK(scanner.Next(&rec, &has_next));
   ASSERT_TRUE(has_next);
@@ -65,7 +65,7 @@ TEST_F(AdjacencyFileTest, RewindCountsScan) {
   ASSERT_OK(scanner.Rewind());
   ASSERT_OK(scanner.Rewind());
   EXPECT_EQ(stats.sequential_scans, 3u);
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   ASSERT_OK(scanner.Next(&rec, &has_next));
   EXPECT_TRUE(has_next);
@@ -137,7 +137,7 @@ TEST_F(AdjacencyFileTest, TruncatedFileDetected) {
   }
   AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(truncated));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   Status s = scanner.Next(&rec, &has_next);  // first record is intact
   if (s.ok()) s = scanner.Next(&rec, &has_next);
@@ -165,7 +165,7 @@ TEST_F(AdjacencyFileTest, OutOfRangeNeighborDetected) {
   }
   AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(path));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   EXPECT_TRUE(scanner.Next(&rec, &has_next).IsCorruption());
 }
@@ -197,7 +197,7 @@ TEST_F(AdjacencyFileTest, EmptyGraphFile) {
   }
   AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(path));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = true;
   ASSERT_OK(scanner.Next(&rec, &has_next));
   EXPECT_FALSE(has_next);

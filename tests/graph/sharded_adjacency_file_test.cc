@@ -29,7 +29,7 @@ std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainSharded(
   Status s = scanner.Open(manifest_path);
   EXPECT_TRUE(s.ok()) << s.ToString();
   if (!s.ok()) return out;
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (scanner.Next(&rec, &has_next).ok() && has_next) {
     out.emplace_back(rec.id, std::vector<VertexId>(
@@ -45,7 +45,7 @@ std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainMonolithic(
   Status s = scanner.Open(path);
   EXPECT_TRUE(s.ok()) << s.ToString();
   if (!s.ok()) return out;
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (scanner.Next(&rec, &has_next).ok() && has_next) {
     out.emplace_back(rec.id, std::vector<VertexId>(
@@ -116,7 +116,7 @@ TEST_F(ShardedAdjacencyFileTest, DegreeSortedFlagSurvivesSharding) {
   ASSERT_OK(scanner.Open(manifest));
   EXPECT_TRUE(scanner.header().IsDegreeSorted());
   // And the records really are in ascending (degree, id) order globally.
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   uint64_t prev_key = 0;
   while (true) {
@@ -279,7 +279,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorYieldsManifestOrderAtEveryPoolSize) {
     ManifestOrderedShardCursor cursor;
     ASSERT_OK(cursor.Open(manifest, &pool, geo.ring));
     std::vector<std::pair<VertexId, std::vector<VertexId>>> got;
-    VertexRecord rec;
+    VertexRecordView rec;
     bool has_next = false;
     while (true) {
       ASSERT_OK(cursor.Next(&rec, &has_next));
@@ -311,7 +311,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorBoundedWindowAndEarlyClose) {
     ring.max_buffered_bytes = 1;
     ASSERT_OK(cursor.Open(manifest, &pool, ring));
     uint64_t records = 0;
-    VertexRecord rec;
+    VertexRecordView rec;
     bool has_next = false;
     while (true) {
       ASSERT_OK(cursor.Next(&rec, &has_next));
@@ -329,7 +329,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorBoundedWindowAndEarlyClose) {
     BlockRingOptions ring;
     ring.max_buffered_bytes = 1;
     ASSERT_OK(cursor.Open(manifest, &pool, ring));
-    VertexRecord rec;
+    VertexRecordView rec;
     bool has_next = false;
     ASSERT_OK(cursor.Next(&rec, &has_next));
     EXPECT_TRUE(has_next);
@@ -345,7 +345,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorMergesWorkerIoAndCountsOneScan) {
   ThreadPool pool(3);
   ManifestOrderedShardCursor cursor(&io);
   ASSERT_OK(cursor.Open(manifest, &pool));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     ASSERT_OK(cursor.Next(&rec, &has_next));

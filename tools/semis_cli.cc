@@ -84,7 +84,6 @@
 #include "core/coloring.h"
 #include "core/engine.h"
 #include "core/incremental_stream.h"
-#include "core/solver.h"
 #include "core/upper_bound.h"
 #include "core/verify.h"
 #include "core/vertex_cover.h"
@@ -427,18 +426,18 @@ int CmdBound(const Args& args) {
 
 int CmdSolve(const Args& args) {
   if (args.positional.size() != 1) return Usage();
-  SolverOptions opts;
+  MisEngineOptions opts;
   // --engine picks the initial-set engine; --algo keeps selecting the
   // swap stage (and, for the greedy engine, GREEDY vs BASELINE order).
-  const std::string engine = args.Get("engine", "greedy");
-  if (engine == "rounds") {
+  const std::string engine_name = args.Get("engine", "greedy");
+  if (engine_name == "rounds") {
     opts.pipeline.engine = SolveEngine::kRounds;
     // Min-id rounds are record-order-free: never sort a monolithic
     // input, never demand (or warn about) a sorted manifest.
     opts.degree_sort = false;
-  } else if (engine != "greedy") {
+  } else if (engine_name != "greedy") {
     std::fprintf(stderr, "error: unknown --engine '%s' (greedy|rounds)\n",
-                 engine.c_str());
+                 engine_name.c_str());
     return 1;
   }
   // A SADJS manifest is consumed directly (the file fixes the shard
@@ -446,10 +445,10 @@ int CmdSolve(const Args& args) {
   const bool is_manifest = IsShardStoreRoot(args.positional[0]);
   if (!ParseSolveFlags(args, is_manifest, &opts)) return 1;
   opts.verify = args.Has("verify");
-  Solver solver(opts);
-  SolveResult res;
-  Status s = solver.SolveFile(args.positional[0], &res);
+  MisEngine engine(opts);
+  Status s = engine.Open(args.positional[0]);
   if (!s.ok()) return Fail(s);
+  const SolveResult& res = engine.open_result();
   const bool rounds_engine = opts.pipeline.engine == SolveEngine::kRounds;
   const AlgoResult& first_stage = rounds_engine ? res.rounds : res.greedy;
   std::printf("independent set: %llu vertices\n",
@@ -549,7 +548,7 @@ int CmdCover(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   VertexCoverResult res;
   Status s =
-      ComputeVertexCoverFile(args.positional[0], SolverOptions{}, &res);
+      ComputeVertexCoverFile(args.positional[0], MisEngineOptions{}, &res);
   if (!s.ok()) return Fail(s);
   std::printf("vertex cover: %llu vertices (complement of a %llu-vertex "
               "independent set)\n",
