@@ -5,29 +5,19 @@
 // exactly the application the paper cites [22].
 //
 // This example synthesizes candidate labels around random points of
-// interest (4 anchor positions per POI, the classical 4-position model),
-// builds the intersection graph, writes it to an adjacency file in a
-// scratch directory, and labels the map with a MisEngine opened on it.
+// interest (4 anchor positions per POI, the classical 4-position model;
+// GenerateMapLabels in gen/generators.h), writes the conflict graph to an
+// adjacency file in a scratch directory, and labels the map with a
+// MisEngine opened on it.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/verify.h"
+#include "gen/generators.h"
 #include "graph/graph_io.h"
 #include "io/scratch.h"
-#include "util/random.h"
-
-namespace {
-
-struct Rect {
-  double x0, y0, x1, y1;
-  bool Intersects(const Rect& o) const {
-    return x0 < o.x1 && o.x0 < x1 && y0 < o.y1 && o.y0 < y1;
-  }
-};
-
-}  // namespace
 
 int main() {
   using namespace semis;
@@ -35,60 +25,11 @@ int main() {
   const double kWidth = 0.022;     // label width  (map units)
   const double kHeight = 0.008;    // label height
 
-  // 4 candidate positions per POI: label anchored at each corner.
-  Random rng(7);
-  std::vector<Rect> candidates;
-  candidates.reserve(kPois * 4);
-  for (int p = 0; p < kPois; ++p) {
-    double x = rng.NextDouble();
-    double y = rng.NextDouble();
-    candidates.push_back({x, y, x + kWidth, y + kHeight});           // NE
-    candidates.push_back({x - kWidth, y, x, y + kHeight});           // NW
-    candidates.push_back({x, y - kHeight, x + kWidth, y});           // SE
-    candidates.push_back({x - kWidth, y - kHeight, x, y});           // SW
-  }
-
-  // Intersection graph via a uniform grid (avoid O(n^2) pair tests).
-  const int kGrid = 64;
-  std::vector<std::vector<VertexId>> cells(kGrid * kGrid);
-  auto cell_of = [&](double v) {
-    int c = static_cast<int>(v * kGrid);
-    if (c < 0) c = 0;
-    if (c >= kGrid) c = kGrid - 1;
-    return c;
-  };
-  for (VertexId i = 0; i < candidates.size(); ++i) {
-    const Rect& r = candidates[i];
-    for (int cx = cell_of(r.x0); cx <= cell_of(r.x1); ++cx) {
-      for (int cy = cell_of(r.y0); cy <= cell_of(r.y1); ++cy) {
-        cells[cx * kGrid + cy].push_back(i);
-      }
-    }
-  }
-  std::vector<Edge> conflicts;
-  // A POI gets at most one label: its four candidates are mutually
-  // exclusive (they only touch at the anchor, so geometry alone would
-  // allow several).
-  for (VertexId p = 0; p < static_cast<VertexId>(kPois); ++p) {
-    for (VertexId a = 0; a < 4; ++a) {
-      for (VertexId b = a + 1; b < 4; ++b) {
-        conflicts.emplace_back(4 * p + a, 4 * p + b);
-      }
-    }
-  }
-  for (const auto& cell : cells) {
-    for (size_t a = 0; a < cell.size(); ++a) {
-      for (size_t b = a + 1; b < cell.size(); ++b) {
-        if (candidates[cell[a]].Intersects(candidates[cell[b]])) {
-          conflicts.emplace_back(cell[a], cell[b]);
-        }
-      }
-    }
-  }
-  Graph conflict_graph = Graph::FromEdges(
-      static_cast<VertexId>(candidates.size()), std::move(conflicts));
-  std::printf("map: %d POIs, %zu candidate labels, %llu conflicts\n", kPois,
-              candidates.size(),
+  // Candidate 4p + k is POI p's label anchored at its k-th corner; two
+  // candidates conflict when they overlap or share their POI.
+  Graph conflict_graph = GenerateMapLabels(kPois, kWidth, kHeight, 7);
+  std::printf("map: %d POIs, %llu candidate labels, %llu conflicts\n", kPois,
+              static_cast<unsigned long long>(conflict_graph.NumVertices()),
               static_cast<unsigned long long>(conflict_graph.NumEdges()));
 
   // Largest consistent labeling = maximum independent set.
@@ -115,7 +56,7 @@ int main() {
 
   // How many POIs got at least one of their four candidates?
   std::vector<uint8_t> labeled(kPois, 0);
-  for (VertexId i = 0; i < candidates.size(); ++i) {
+  for (VertexId i = 0; i < conflict_graph.NumVertices(); ++i) {
     if (result.set.Test(i)) labeled[i / 4] = 1;
   }
   int covered = 0;

@@ -1,6 +1,7 @@
 #include "core/incremental_stream.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "graph/degree_sort.h"
 #include "io/epoch_journal.h"
@@ -39,6 +40,12 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
   }
   delta_path_ = EdgeDeltaManifestPath(manifest_path_);
   options_ = options;
+  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
+  if (num_threads <= 1) {
+    pool_.reset();
+  } else if (pool_ == nullptr || pool_->size() != num_threads) {
+    pool_ = std::make_unique<ThreadPool>(num_threads);
+  }
   n_ = manifest_.header.num_vertices;
   set_ = initial_set;
   set_size_ = set_.Count();
@@ -46,7 +53,7 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
   pending_.assign(manifest_.num_shards(), {});
   next_sequence_ = 0;
 
-  SEMIS_RETURN_IF_ERROR(BuildRouteMap());
+  SEMIS_RETURN_IF_ERROR(locator_.Build(manifest_path_, manifest_, &stats_.io));
 
   // Resume from an existing overlay, or start a fresh (empty) one.
   uint64_t size = 0;
@@ -70,53 +77,6 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
   return Status::OK();
 }
 
-Status ShardedStreamingMis::BuildRouteMap() {
-  // Records are permuted by the degree sort, so where a vertex's record
-  // sits is only discoverable by scanning. One pass over the shards
-  // fills every rank and checkpoint; the result is swapped in whole, so
-  // a failed scan leaves the previous locator as it was.
-  const uint32_t num_shards = manifest_.num_shards();
-  std::vector<uint32_t> rank(n_, 0);
-  std::vector<uint64_t> first_rank(num_shards + 1, 0);
-  std::vector<std::vector<uint64_t>> checkpoints(num_shards);
-  stats_.io.sequential_scans++;
-  uint64_t next_rank = 0;
-  for (uint32_t k = 0; k < num_shards; ++k) {
-    first_rank[k] = next_rank;
-    checkpoints[k].reserve(
-        (manifest_.shards[k].num_records + kRepairCheckpointStride - 1) /
-        kRepairCheckpointStride);
-    AdjacencyShardReader reader(&stats_.io);
-    SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, k));
-    uint64_t offset = kAdjacencyShardHeaderBytes;
-    VertexRecordView rec;
-    bool has_next = false;
-    while (true) {
-      SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
-      if (!has_next) break;
-      if ((next_rank - first_rank[k]) % kRepairCheckpointStride == 0) {
-        checkpoints[k].push_back(offset);
-      }
-      rank[rec.id] = static_cast<uint32_t>(next_rank++);
-      offset += AdjacencyRecordBytes(rec.degree);
-    }
-    SEMIS_RETURN_IF_ERROR(reader.Close());
-  }
-  first_rank[num_shards] = next_rank;
-  rank_ = std::move(rank);
-  shard_first_rank_ = std::move(first_rank);
-  checkpoints_ = std::move(checkpoints);
-  return Status::OK();
-}
-
-uint32_t ShardedStreamingMis::ShardOfRank(uint64_t rank) const {
-  // The last shard starting at or before `rank`; empty shards share
-  // their successor's start, and upper_bound skips past them.
-  const auto it = std::upper_bound(shard_first_rank_.begin(),
-                                   shard_first_rank_.end(), rank);
-  return static_cast<uint32_t>(it - shard_first_rank_.begin() - 1);
-}
-
 Status ShardedStreamingMis::RewriteShardLog(uint32_t shard) {
   // Write-new + rename rather than truncate in place: the live log may be
   // hard-linked into the previous epoch's namespace, and truncating the
@@ -126,7 +86,7 @@ Status ShardedStreamingMis::RewriteShardLog(uint32_t shard) {
   SEMIS_RETURN_IF_ERROR(
       CreateEdgeDeltaShardLogAtPath(tmp_path, shard, n_, &stats_.io));
   if (!pending_[shard].empty()) {
-    EdgeDeltaShardWriter writer(&stats_.io);
+    EdgeDeltaShardWriter writer(&stats_.io, pending_[shard].size());
     SEMIS_RETURN_IF_ERROR(writer.OpenAtPath(tmp_path, n_));
     for (const EdgeDeltaEntry& entry : pending_[shard]) {
       SEMIS_RETURN_IF_ERROR(writer.Append(entry));
@@ -348,8 +308,8 @@ Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
       continue;
     }
     EdgeDeltaEntry entry{next_sequence_++, update.op, update.u, update.v};
-    const uint32_t su = ShardOf(update.u);
-    const uint32_t sv = ShardOf(update.v);
+    const uint32_t su = locator_.ShardOf(update.u);
+    const uint32_t sv = locator_.ShardOf(update.v);
     fresh[su].push_back(entry);
     pending_[su].push_back(entry);
     if (sv != su) {
@@ -370,7 +330,7 @@ Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
     dm.shard_entries.resize(manifest_.num_shards());
     for (uint32_t k = 0; k < manifest_.num_shards(); ++k) {
       if (!fresh[k].empty()) {
-        EdgeDeltaShardWriter writer(&stats_.io);
+        EdgeDeltaShardWriter writer(&stats_.io, fresh[k].size());
         SEMIS_RETURN_IF_ERROR(writer.Open(delta_path_, k, n_));
         for (const EdgeDeltaEntry& entry : fresh[k]) {
           SEMIS_RETURN_IF_ERROR(writer.Append(entry));
@@ -431,8 +391,7 @@ Status ShardedStreamingMis::RepairScan(Source* source, uint64_t* added) {
 }
 
 Status ShardedStreamingMis::RepairFull(uint64_t* added) {
-  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
-  if (num_threads <= 1) {
+  if (pool_ == nullptr) {
     // The sequential reference path: a plain forward scan over the shards.
     ShardedAdjacencyScanner scanner(&stats_.io);
     SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path_));
@@ -441,53 +400,16 @@ Status ShardedStreamingMis::RepairFull(uint64_t* added) {
   // Decoder threads prefetch shards while this thread commits in
   // manifest order -- the RunParallelGreedy pipeline. The commit
   // sequence is identical to the sequential path by construction.
-  ThreadPool pool(num_threads);
   ManifestOrderedShardCursor cursor(&stats_.io);
-  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, &pool));
+  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, pool_.get()));
   Status scan = RepairScan(&cursor, added);
   Status close = cursor.Close();
   SEMIS_RETURN_IF_ERROR(scan);
   SEMIS_RETURN_IF_ERROR(close);
   // The pipeline's decoded-shard buffer rides on top of the maintainer's
   // own state.
-  stats_.peak_memory_bytes =
-      std::max(stats_.peak_memory_bytes,
-               CurrentMemoryBytes() + cursor.peak_buffered_bytes());
+  AccountTransientMemory(cursor.peak_buffered_bytes());
   return Status::OK();
-}
-
-void ShardedStreamingMis::SortByRank(std::vector<VertexId>* ids) const {
-  std::sort(ids->begin(), ids->end(), [this](VertexId a, VertexId b) {
-    return rank_[a] < rank_[b];
-  });
-  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
-}
-
-template <typename Wanted, typename Visit>
-Status ShardedStreamingMis::ReadBaseRecords(const std::vector<VertexId>& ids,
-                                            Wanted&& wanted, Visit&& visit) {
-  AdjacencyShardRecordReader reader(&stats_.io);
-  bool open = false;
-  uint32_t open_shard = 0;
-  VertexRecordView rec;
-  for (VertexId v : ids) {
-    if (!wanted(v)) continue;
-    const uint64_t rank = rank_[v];
-    const uint32_t shard = ShardOfRank(rank);
-    if (!open || shard != open_shard) {
-      if (open) SEMIS_RETURN_IF_ERROR(reader.Close());
-      SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
-      open = true;
-      open_shard = shard;
-    }
-    const uint64_t record = rank - shard_first_rank_[shard];
-    const uint64_t checkpoint = record / kRepairCheckpointStride;
-    SEMIS_RETURN_IF_ERROR(reader.ReadRecord(
-        record, checkpoint * kRepairCheckpointStride,
-        checkpoints_[shard][checkpoint], v, &rec));
-    visit(rec);
-  }
-  return open ? reader.Close() : Status::OK();
 }
 
 Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
@@ -500,49 +422,137 @@ Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
     DropFrontier();
     return Status::OK();
   }
-  // An evicted vertex's neighbors may have lost their only set neighbor:
-  // read its record and move them into the frontier. Once that
-  // succeeded the evictions are accounted for, so a retry after a later
-  // failure does not read them again.
+  const ShardFrontierReader reader(manifest_path_, manifest_, locator_,
+                                   pool_.get());
   if (!evicted_.empty()) {
-    std::vector<VertexId> evicted;
-    evicted.swap(evicted_);
-    SortByRank(&evicted);
-    Status expanded = ReadBaseRecords(
-        evicted, [this](VertexId) { return frontier_known_; },
-        [this](const VertexRecordView& rec) {
-          for (uint32_t i = 0; i < rec.degree; ++i) {
-            AddToFrontier(rec.neighbors[i]);
-          }
-          for (uint32_t node = inserted_head_[rec.id]; node != kNoNode;
-               node = inserted_pool_[node].next) {
-            AddToFrontier(inserted_pool_[node].neighbor);
-          }
-        });
-    if (!expanded.ok()) {
-      if (frontier_known_) evicted_.swap(evicted);  // retry reads them
-      return expanded;
-    }
+    SEMIS_RETURN_IF_ERROR(ExpandEvictions(reader));
     if (!frontier_known_) return Status::OK();  // overflowed: full pass
   }
-  // Re-check the frontier's non-members in manifest order. A candidate
-  // with an inserted edge to a member stays out without a read; one that
-  // a candidate before it joined next to is rejected by the rule itself.
+  // Re-check the frontier's non-members in manifest order. One with an
+  // inserted edge to a member stays out without a read: the set only
+  // grows during a repair.
   std::vector<VertexId> candidates;
   candidates.reserve(frontier_.size());
   for (VertexId v : frontier_) {
-    if (!set_.Test(v)) candidates.push_back(v);
+    if (!set_.Test(v) && !HasInsertedSetNeighbor(v)) candidates.push_back(v);
   }
-  SortByRank(&candidates);
-  stats_.peak_memory_bytes =
-      std::max(stats_.peak_memory_bytes,
-               CurrentMemoryBytes() + candidates.capacity() * sizeof(VertexId));
-  return ReadBaseRecords(
-      candidates,
-      [this](VertexId v) { return !HasInsertedSetNeighbor(v); },
-      [this, added](const VertexRecordView& rec) {
-        if (TryJoin(rec)) (*added)++;
-      });
+  locator_.SortByRank(&candidates);
+  if (pool_ != nullptr) return CommitOnPool(reader, candidates, added);
+  // The sequential pass: the commit rule at each candidate's turn, so a
+  // candidate that one before it joined next to is rejected by the rule.
+  AccountTransientMemory(candidates.capacity() * sizeof(VertexId));
+  return reader.Read(candidates, &stats_.io,
+                     [this, added](uint32_t, const VertexRecordView& rec) {
+                       if (TryJoin(rec)) (*added)++;
+                     });
+}
+
+Status ShardedStreamingMis::ExpandEvictions(const ShardFrontierReader& reader) {
+  // An evicted vertex's neighbors may have lost their only set neighbor:
+  // read its record and collect its base and inserted neighbors, one
+  // list per shard, in rank order. Nothing shared is written until every
+  // read succeeded.
+  std::vector<VertexId> evicted = evicted_;
+  locator_.SortByRank(&evicted);
+  // Feeding more than `room` ids overflows the frontier, whatever else
+  // is read. A visitor that sees more collected stops collecting; that
+  // bounds the lists and leaves the overflow as certain as before.
+  const uint64_t limit = FrontierLimit();
+  const uint64_t room = limit > frontier_.size() ? limit - frontier_.size() : 0;
+  std::atomic<uint64_t> collected{0};
+  std::vector<std::vector<VertexId>> freed(manifest_.num_shards());
+  SEMIS_RETURN_IF_ERROR(reader.Read(
+      evicted, &stats_.io, [&](uint32_t shard, const VertexRecordView& rec) {
+        if (collected > room) return;
+        std::vector<VertexId>& out = freed[shard];
+        const size_t before = out.size();
+        out.insert(out.end(), rec.neighbors, rec.neighbors + rec.degree);
+        for (uint32_t node = inserted_head_[rec.id]; node != kNoNode;
+             node = inserted_pool_[node].next) {
+          out.push_back(inserted_pool_[node].neighbor);
+        }
+        collected += out.size() - before;
+      }));
+  size_t bytes = evicted.capacity() * sizeof(VertexId);
+  for (const std::vector<VertexId>& ids : freed) {
+    bytes += ids.capacity() * sizeof(VertexId);
+  }
+  AccountTransientMemory(bytes);
+  // Fed in shard order, the ids arrive in the evictions' rank order, and
+  // whether the frontier overflows depends only on their count. From
+  // here the evictions are accounted for, so a retry after a later
+  // failure does not read them again.
+  evicted_.clear();
+  for (const std::vector<VertexId>& ids : freed) {
+    for (VertexId v : ids) AddToFrontier(v);
+  }
+  return Status::OK();
+}
+
+Status ShardedStreamingMis::CommitOnPool(
+    const ShardFrontierReader& reader, const std::vector<VertexId>& candidates,
+    uint64_t* added) {
+  // Phase 1, on the pool, read-only. The set only grows during a repair,
+  // so a candidate with a live set neighbor now stays out, and the pool
+  // drops it. A survivor can be blocked later only by a candidate ranked
+  // before it that joins first, so it keeps its live base neighbors
+  // among those.
+  struct Survivors {
+    std::vector<VertexId> ids;  // in rank order
+    // ids[i]'s kept neighbors are kept[kept_end[i - 1], kept_end[i]).
+    std::vector<size_t> kept_end;
+    std::vector<VertexId> kept;
+  };
+  std::vector<Survivors> survivors(manifest_.num_shards());
+  std::vector<VertexId> by_id = candidates;
+  std::sort(by_id.begin(), by_id.end());
+  SEMIS_RETURN_IF_ERROR(reader.Read(
+      candidates, &stats_.io, [&](uint32_t shard, const VertexRecordView& rec) {
+        const VertexId u = rec.id;
+        const uint32_t rank = locator_.rank(u);
+        Survivors& out = survivors[shard];
+        const size_t mark = out.kept.size();
+        for (uint32_t i = 0; i < rec.degree; ++i) {
+          const VertexId nb = rec.neighbors[i];
+          const bool member = set_.Test(nb);
+          if (!member &&
+              !(std::binary_search(by_id.begin(), by_id.end(), nb) &&
+                locator_.rank(nb) < rank)) {
+            continue;
+          }
+          if (deleted_keys_.Contains(EdgeKey(u, nb))) continue;
+          if (member) {
+            out.kept.resize(mark);
+            return;
+          }
+          out.kept.push_back(nb);
+        }
+        out.ids.push_back(u);
+        out.kept_end.push_back(out.kept.size());
+      }));
+  size_t bytes = (candidates.capacity() + by_id.capacity()) * sizeof(VertexId);
+  for (const Survivors& s : survivors) {
+    bytes += (s.ids.capacity() + s.kept.capacity()) * sizeof(VertexId) +
+             s.kept_end.capacity() * sizeof(size_t);
+  }
+  AccountTransientMemory(bytes);
+  // Phase 2, on this thread, in rank order: a survivor joins unless a
+  // kept neighbor or an inserted edge now reaches a member -- the commit
+  // rule, at the same point of the same sequence as the sequential pass.
+  const auto is_member = [this](VertexId v) { return set_.Test(v); };
+  for (const Survivors& s : survivors) {
+    auto kept = s.kept.begin();
+    for (size_t i = 0; i < s.ids.size(); ++i) {
+      const auto kept_end = s.kept.begin() + s.kept_end[i];
+      const bool blocked = std::any_of(kept, kept_end, is_member);
+      kept = kept_end;
+      if (blocked || HasInsertedSetNeighbor(s.ids[i])) continue;
+      set_.Set(s.ids[i]);
+      set_size_++;
+      (*added)++;
+    }
+  }
+  return Status::OK();
 }
 
 Status ShardedStreamingMis::Repair() {
@@ -588,14 +598,14 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
     bool deleted;
     bool in_base;  // an inserted partner the base record already lists
   };
-  const uint64_t first_rank = shard_first_rank_[shard];
-  const uint64_t end_rank = shard_first_rank_[shard + 1];
+  const uint64_t first_rank = locator_.first_rank(shard);
+  const uint64_t end_rank = locator_.first_rank(shard + 1);
   std::vector<Fold> folds;
   folds.reserve(2 * pending_[shard].size());
   for (const EdgeDeltaEntry& entry : pending_[shard]) {
     const bool deleted = deleted_keys_.Contains(EdgeKey(entry.u, entry.v));
     const auto add = [&](VertexId x, VertexId partner) {
-      const uint32_t rank = rank_[x];
+      const uint32_t rank = locator_.rank(x);
       if (rank >= first_rank && rank < end_rank) {
         folds.push_back(Fold{rank, partner, deleted, false});
       }
@@ -644,7 +654,7 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
     if (!buffered) SEMIS_RETURN_IF_ERROR(flush_run());
     SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
     if (!has_next) break;
-    if (new_info->num_records % kRepairCheckpointStride == 0) {
+    if (new_info->num_records % kLocatorCheckpointStride == 0) {
       checkpoints->push_back(offset);
     }
     uint32_t degree = rec.degree;
@@ -753,7 +763,7 @@ void ShardedStreamingMis::RetireCompactedEntries(
   FlatKeySet visited;
   visited.Reserve(retiring);
   const auto held_outside = [&](VertexId x, uint64_t seq) {
-    const uint32_t j = ShardOf(x);
+    const uint32_t j = locator_.ShardOf(x);
     return !compacted[j] && !pending_[j].empty() &&
            pending_[j].front().seq <= seq;
   };
@@ -885,7 +895,7 @@ Status ShardedStreamingMis::Compact(bool force) {
   // offsets replace the old ones.
   manifest_ = staged;
   for (uint32_t k : saturated) {
-    checkpoints_[k] = std::move(staged_checkpoints[k]);
+    locator_.ReplaceCheckpoints(k, std::move(staged_checkpoints[k]));
   }
   RetireCompactedEntries(is_saturated);
   uint64_t pending_total = 0;
@@ -974,9 +984,7 @@ Status ShardedStreamingMis::ResortInternal() {
         manifest_.header.flags | kAdjFlagDegreeSorted, num_shards));
     SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
     SEMIS_RETURN_IF_ERROR(writer.Finish());
-    stats_.peak_memory_bytes =
-        std::max(stats_.peak_memory_bytes,
-                 CurrentMemoryBytes() + sort_memory.PeakBytes());
+    AccountTransientMemory(sort_memory.PeakBytes());
   }
   std::vector<std::string> staged_files;
   staged_files.reserve(2 * num_shards + 2);
@@ -1012,7 +1020,9 @@ Status ShardedStreamingMis::ResortInternal() {
   stats_.pending_delta_entries = 0;
   Status relocated =
       ReadShardedAdjacencyManifest(manifest_path_, &manifest_, &stats_.io);
-  if (relocated.ok()) relocated = BuildRouteMap();
+  if (relocated.ok()) {
+    relocated = locator_.Build(manifest_path_, manifest_, &stats_.io);
+  }
   if (!relocated.ok()) {
     wedged_ = true;
     return relocated;
@@ -1021,26 +1031,24 @@ Status ShardedStreamingMis::ResortInternal() {
 }
 
 size_t ShardedStreamingMis::CurrentMemoryBytes() const {
-  size_t bytes = rank_.capacity() * sizeof(uint32_t) +
-                 shard_first_rank_.capacity() * sizeof(uint64_t) +
-                 set_.MemoryBytes() + inserted_keys_.MemoryBytes() +
+  size_t bytes = locator_.MemoryBytes() + set_.MemoryBytes() +
+                 inserted_keys_.MemoryBytes() +
                  deleted_keys_.MemoryBytes() +
                  inserted_head_.capacity() * sizeof(uint32_t) +
                  inserted_pool_.capacity() * sizeof(InsertedNode) +
                  (frontier_.capacity() + evicted_.capacity()) *
                      sizeof(VertexId);
-  for (const auto& offsets : checkpoints_) {
-    bytes += offsets.capacity() * sizeof(uint64_t);
-  }
   for (const auto& shard_entries : pending_) {
     bytes += shard_entries.capacity() * sizeof(EdgeDeltaEntry);
   }
   return bytes;
 }
 
-void ShardedStreamingMis::AccountMemory() {
+void ShardedStreamingMis::AccountMemory() { AccountTransientMemory(0); }
+
+void ShardedStreamingMis::AccountTransientMemory(size_t transient) {
   stats_.peak_memory_bytes =
-      std::max(stats_.peak_memory_bytes, CurrentMemoryBytes());
+      std::max(stats_.peak_memory_bytes, CurrentMemoryBytes() + transient);
 }
 
 }  // namespace semis

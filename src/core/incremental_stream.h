@@ -24,14 +24,19 @@
 // changes state and every evicted vertex, and later repairs read the
 // evicted vertices' records to add their neighbors, then re-check only
 // that frontier's non-members with the same rule, in manifest order,
-// reading each record through a sparse forward reader. Every vertex
-// outside the frontier still has a set neighbor and the set only grows
-// during a repair, so the result equals the full pass's:
+// reading their records through graph/shard_record_locator.h's frontier
+// reader, one forward reader per shard. Every vertex outside the
+// frontier still has a set neighbor and the set only grows during a
+// repair, so the result equals the full pass's. With more than one
+// thread the frontier pass runs in two phases: the maintainer's pool
+// reads the records and drops every candidate that the set at the start
+// of the pass already blocks, then the calling thread commits the
+// survivors in manifest order with the same rule.
 //
 //   the repaired set is byte-identical for EVERY shard/thread count, and
 //   equal to sequential IncrementalMis::Repair on the equivalent
-//   monolithic file; on the full pass num_threads <= 1 is the plain
-//   sequential scan, and the frontier pass is sequential at any count.
+//   monolithic file; num_threads <= 1 is the plain sequential pass, both
+//   for the full pass and for the frontier pass.
 //
 // A frontier with more than max(n / kRepairFrontierDivisor,
 // kRepairFrontierFloor) entries takes the full pass instead, which also
@@ -72,11 +77,13 @@
 #define SEMIS_CORE_INCREMENTAL_STREAM_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/pipeline_options.h"
+#include "graph/shard_record_locator.h"
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/edge_delta_file.h"
@@ -85,6 +92,7 @@
 #include "util/common.h"
 #include "util/flat_key_set.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace semis {
 
@@ -147,19 +155,20 @@ struct StreamingMisStats {
   double resort_seconds = 0.0;
 };
 
-/// Locator checkpoint stride: the maintainer keeps the byte offset of
-/// every kRepairCheckpointStride-th record of each shard, so a sparse
-/// record read steps over at most this many record headers. 16 costs
-/// 0.5 B per vertex.
-inline constexpr uint32_t kRepairCheckpointStride = 16;
-
 /// Repair crossover: a frontier with more than max(n / divisor, floor)
 /// entries takes the full pass instead. On a 4-vCPU VM with 16-shard
-/// PLRGs the frontier pass beat the full pass up to about 30% of the
-/// records at 100k vertices (1 and 4 threads) and 18% at 1M vertices (4
-/// threads), and lost beyond; 1/8 keeps a margin on both. The same bound
-/// caps the frontier's memory at n/8 ids. Below the floor either pass
-/// takes well under a millisecond.
+/// PLRGs the sequential frontier pass beat the full pass up to about 30%
+/// of the records at 100k vertices (1 and 4 threads) and 18% at 1M
+/// vertices (4 threads), and lost beyond; 1/8 keeps a margin on both.
+/// Re-measured with the frontier read on the pool (BM_StreamApplyRepair,
+/// 100k vertices, ms per 8 192-update batch at 1 / 4 threads, two runs
+/// each): divisor 8, a full pass every batch, 12.3-12.5 / 10.5-11.0;
+/// divisor 4, a mix, 10.1-10.8 / 9.2-10.6; divisor 2, a frontier pass of
+/// about 9 000 records every batch, 11.7-12.0 / 11.0-12.8. The pool did
+/// not move the crossover beyond the noise, so 1/8 stays. 65 536-update
+/// batches take the full pass at all three. The same bound caps the
+/// frontier's memory at n/8 ids. Below the floor either pass takes well
+/// under a millisecond.
 inline constexpr uint64_t kRepairFrontierDivisor = 8;
 inline constexpr uint64_t kRepairFrontierFloor = 256;
 
@@ -169,8 +178,9 @@ inline constexpr uint64_t kRepairFrontierFloor = 256;
 /// public methods are externally serialized per object (MisEngine is the
 /// one concurrent caller and serializes them); Repair's internal
 /// parallelism hands each worker a private slice and merges after the
-/// thread-pool barrier, which is the happens-before edge. See
-/// docs/architecture.md ("Static analysis") for the conventions.
+/// thread-pool barrier, which is the happens-before edge. Workers only
+/// read the set and the delta state. See docs/architecture.md ("Static
+/// analysis") for the conventions.
 class ShardedStreamingMis {
  public:
   ShardedStreamingMis() = default;
@@ -196,10 +206,11 @@ class ShardedStreamingMis {
   /// evicts), so the next Repair() is a full pass.
   ///
   /// `options` is the shared pipeline struct: this layer reads
-  /// `num_threads` (the decoder threads of the full Repair pipeline, as
-  /// in ParallelGreedyOptions -- the repaired set is independent of it by
-  /// construction) and `compact_threshold_entries`; `num_shards` is
-  /// ignored (the manifest fixes it).
+  /// `num_threads` (the size of the maintainer's thread pool, created
+  /// here when it is above 1 and kept for the session: the full repair's
+  /// decoders and the frontier repair's readers run on it -- the repaired
+  /// set is independent of it by construction), `compact_threshold_entries`
+  /// and `auto_resort`; `num_shards` is ignored (the manifest fixes it).
   Status Initialize(const std::string& manifest_path,
                     const BitVector& initial_set,
                     const EnginePipelineOptions& options);
@@ -217,9 +228,10 @@ class ShardedStreamingMis {
   /// Restores maximality (see the file comment for the determinism
   /// contract). A full merged pass over base shards + delta when the
   /// frontier is unknown (the first repair of a session) or too large;
-  /// otherwise a sequential pass over the frontier's records only, with
-  /// no scan. The frontier is cleared only when the repair succeeds, so
-  /// a failed repair can be retried. Safe to call at any time.
+  /// otherwise a pass over the frontier's records only, with no scan.
+  /// The frontier is cleared only when the repair succeeds, so a failed
+  /// repair can be retried; with more than one thread a failed frontier
+  /// repair also leaves the set as it was. Safe to call at any time.
   Status Repair();
 
   /// Rewrites every saturated shard (every shard with a non-empty log
@@ -314,22 +326,20 @@ class ShardedStreamingMis {
   // The frontier pass; drops the frontier (leaving the work to the full
   // pass) when expanding the evictions overflows it.
   Status RepairFrontier(uint64_t* added);
-  // Reads the base records of `ids` (sorted by rank) forward through a
-  // sparse reader per shard, skipping ids `wanted` rejects at their turn,
-  // and hands each record to `visit`.
-  template <typename Wanted, typename Visit>
-  Status ReadBaseRecords(const std::vector<VertexId>& ids, Wanted&& wanted,
-                         Visit&& visit);
-  // Sorts `ids` by manifest rank and drops duplicates.
-  void SortByRank(std::vector<VertexId>* ids) const;
+  // Reads the evicted vertices' records and moves their neighbors into
+  // the frontier. A failed read leaves the evictions pending.
+  Status ExpandEvictions(const ShardFrontierReader& reader);
+  // The two-phase commit of `candidates` (sorted by rank): the pool
+  // drops the candidates the current set blocks, this thread commits the
+  // rest in rank order. A failed read changes nothing.
+  Status CommitOnPool(const ShardFrontierReader& reader,
+                      const std::vector<VertexId>& candidates,
+                      uint64_t* added);
   // Frontier bookkeeping (no-ops while the frontier is unknown).
   void AddToFrontier(VertexId v);
   void NoteEviction(VertexId v);
   void DropFrontier();
   uint64_t FrontierLimit() const;
-  // The shard holding the record of manifest rank `rank`.
-  uint32_t ShardOfRank(uint64_t rank) const;
-  uint32_t ShardOf(VertexId v) const { return ShardOfRank(rank_[v]); }
   // Writes shard `shard` with its pending entries folded in to
   // `out_path` (a staged file of the next epoch), and its locator offsets
   // to `checkpoints`. Records no entry names go out as validated byte
@@ -342,9 +352,6 @@ class ShardedStreamingMis {
   // drops from the delta state every edge their entries name that no
   // other shard still holds a pending copy of, then drops the entries.
   void RetireCompactedEntries(const std::vector<bool>& compacted);
-  // Rebuilds the record locator (rank_, shard_first_rank_, checkpoints_)
-  // by scanning the shards.
-  Status BuildRouteMap();
   // The commit point of an epoch transaction: fsyncs the staged files of
   // epoch `next_epoch`, atomically flips the root pointer, and updates
   // store_/manifest_path_/delta_path_. Every staged path must be in
@@ -358,6 +365,9 @@ class ShardedStreamingMis {
   Status ResortInternal();
   size_t CurrentMemoryBytes() const;
   void AccountMemory();
+  // Raises the peak to the current state plus `transient` bytes a pass
+  // holds on top of it.
+  void AccountTransientMemory(size_t transient);
 
   // The store root as given to Initialize (SEPR pointer or legacy SADM).
   std::string root_path_;
@@ -369,15 +379,12 @@ class ShardedStreamingMis {
   ShardedAdjacencyManifest manifest_;
   EnginePipelineOptions options_;
   uint64_t n_ = 0;
-  // The record locator. rank_[v] is the manifest rank (global record
-  // position) of v's base record -- records are permuted by the degree
-  // sort, so it is only discoverable by scanning. shard_first_rank_[k] is
-  // the rank of shard k's first record, with the total at the end, so a
-  // rank's shard is a binary search. checkpoints_[k][j] is the byte
-  // offset of record j * kRepairCheckpointStride of shard k.
-  std::vector<uint32_t> rank_;
-  std::vector<uint64_t> shard_first_rank_;
-  std::vector<std::vector<uint64_t>> checkpoints_;
+  // Where each vertex's base record sits: built by one scan at Initialize
+  // and after a re-sort; a compaction replaces the offsets of the shards
+  // it rewrote.
+  ShardRecordLocator locator_;
+  // The session's workers when num_threads > 1, else null.
+  std::unique_ptr<ThreadPool> pool_;
   BitVector set_;
   uint64_t set_size_ = 0;
   // Global delta state (the CURRENT effective delta, deduplicated): the

@@ -31,8 +31,9 @@ uint64_t VertexKey(VertexId w) {
   return (static_cast<uint64_t>(kInvalidVertex) << 32) | w;
 }
 
-// Rounds in a row without net set growth after which the swap stops,
-// as in the sequential executors' default stall guard.
+// Rounds in a row that do not beat the largest set seen, after which the
+// swap stops. The limit is the sequential executors' default stall guard
+// (which counts against the previous round).
 constexpr uint64_t kStallRoundLimit = 3;
 
 // Per-vertex commit decision of one round, written only by the worker
@@ -285,6 +286,9 @@ class ParallelSwapRun {
   std::vector<std::atomic<uint8_t>> mark_r_;
   std::vector<Decision> decision_;
   std::vector<uint8_t> free_;  // 1 = not in IS and no IS neighbor
+  // The vertices the current round moved in or out of the IS, one entry
+  // per move: flipping each entry's membership undoes the round.
+  std::vector<VertexId> moved_;
 
   uint64_t is_size_ = 0;
   uint64_t sc_peak_vertices_ = 0;
@@ -545,11 +549,13 @@ void ParallelSwapRun::ApplySwaps(RoundStats* round) {
     switch (decision_[v]) {
       case Decision::kLeave:
         SetState(static_cast<VertexId>(v), VState::kN);
+        moved_.push_back(static_cast<VertexId>(v));
         round->removed_is_vertices++;
         is_size_--;
         break;
       case Decision::kEnter:
         SetState(static_cast<VertexId>(v), VState::kI);
+        moved_.push_back(static_cast<VertexId>(v));
         round->new_is_vertices++;
         is_size_++;
         break;
@@ -585,6 +591,8 @@ uint64_t ParallelSwapRun::ApplyJoins(RoundStats* round) {
   for (uint64_t v = 0; v < n_; ++v) {
     if (decision_[v] == Decision::kEnter) {
       SetState(static_cast<VertexId>(v), VState::kI);
+      // The final maximality loop (no round) is never undone.
+      if (round != nullptr) moved_.push_back(static_cast<VertexId>(v));
       joined++;
       is_size_++;
     }
@@ -623,12 +631,20 @@ Status ParallelSwapRun::Execute(const BitVector* initial_set,
   WallTimer round_timer;
   uint64_t free_count = 0;
   SEMIS_RETURN_IF_ERROR(LabelScan(&free_count));
+  // A round can shrink the set, so the loop keeps the latest set of the
+  // largest size seen and counts stalled rounds against that size (see
+  // parallel_swap.h for why this terminates). That set is the current
+  // state until a round ends below it; only then is it copied into
+  // `best`, from the state with that round's moves flipped back.
+  uint64_t best_size = is_size_;
+  bool best_is_current = true;
+  BitVector best;
   uint64_t stalled_rounds = 0;
   bool progress = true;
   while (progress &&
          (options_.max_rounds == 0 || res->rounds < options_.max_rounds)) {
-    const uint64_t size_before = is_size_;
     RoundStats round;
+    moved_.clear();
     SEMIS_RETURN_IF_ERROR(ProposalScan(&round, res));
     // A pass that marked no IS vertex leaves every decision kNone and
     // every mark clear, so its commit would move nobody.
@@ -651,9 +667,41 @@ Status ParallelSwapRun::Execute(const BitVector* initial_set,
     res->round_stats.push_back(round);
     res->rounds++;
     progress = round.removed_is_vertices + round.new_is_vertices > 0;
-    stalled_rounds = is_size_ > size_before ? 0 : stalled_rounds + 1;
+    res->memory.Set("moves", moved_.capacity() * sizeof(VertexId));
+    stalled_rounds = is_size_ > best_size ? 0 : stalled_rounds + 1;
+    if (is_size_ >= best_size) {
+      best_size = is_size_;
+      best_is_current = true;
+    } else if (best_is_current) {
+      best = BitVector(n_);
+      res->memory.Set("best-set", best.MemoryBytes());
+      for (uint64_t v = 0; v < n_; ++v) {
+        if (State(static_cast<VertexId>(v)) == VState::kI) best.Set(v);
+      }
+      for (VertexId v : moved_) {
+        if (best.Test(v)) {
+          best.Clear(v);
+        } else {
+          best.Set(v);
+        }
+      }
+      best_is_current = false;
+    }
     if (stalled_rounds >= kStallRoundLimit) break;
   }
+  if (!best_is_current) {
+    // The rounds ended below the best set: go back to it. Its labels and
+    // free flags are gone, so one label pass recomputes them.
+    for (uint64_t v = 0; v < n_; ++v) {
+      SetState(static_cast<VertexId>(v),
+               best.Test(v) ? VState::kI : VState::kN);
+    }
+    is_size_ = best_size;
+    SEMIS_RETURN_IF_ERROR(LabelScan(&free_count));
+  }
+  res->memory.Set("best-set", 0);
+  res->memory.Set("moves", 0);
+  moved_ = {};
 
   // The final maximality loop: join free vertices until none is left.
   while (free_count > 0) {

@@ -17,8 +17,23 @@
 // and the final maximality loop starts from that count. So a run that
 // joins nobody and stops because a round proposed nothing costs 3R - 1
 // scans for R rounds. Rounds also stop after max_rounds, or after three
-// rounds in a row without net set growth; the final maximality loop then
-// always runs.
+// rounds in a row that do not beat the largest set seen; the final
+// maximality loop then always runs.
+//
+// A round can shrink the set: its removals commit even when the entrants
+// that would replace them lose their conflicts. So the executor keeps the
+// latest set of the largest size seen and, when the rounds end below it,
+// goes back to it before the final maximality loop. That set is the
+// current state until a round ends below it; only then is it copied into
+// a bit vector (|V|/8 bytes, charged as "best-set"), rebuilt from the
+// state by flipping back the round's moves (one u32 per move, "moves").
+// The result is never smaller than any round's set, and a run whose
+// rounds never shrink the set copies nothing. Termination: the largest
+// size seen only grows and never passes |V|, so the stall counter resets
+// at most |V| times, and between two resets at most three rounds run --
+// at most 3(|V| + 1) rounds in all, without max_rounds. Counting stalls
+// against the previous round instead lets a set that swings between two
+// sizes run forever.
 //
 // Determinism contract (the reason results are byte-identical for every
 // thread count, including one):

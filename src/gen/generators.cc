@@ -102,4 +102,61 @@ Graph GenerateCaterpillar(VertexId spine, VertexId legs) {
   return Graph::FromEdges(spine * (legs + 1), std::move(edges));
 }
 
+Graph GenerateMapLabels(VertexId pois, double width, double height,
+                        uint64_t seed) {
+  struct Rect {
+    double x0, y0, x1, y1;
+    bool Overlaps(const Rect& o) const {
+      return x0 < o.x1 && o.x0 < x1 && y0 < o.y1 && o.y0 < y1;
+    }
+  };
+  Random rng(seed);
+  std::vector<Rect> labels;
+  labels.reserve(static_cast<size_t>(pois) * 4);
+  for (VertexId p = 0; p < pois; ++p) {
+    const double x = rng.NextDouble();
+    const double y = rng.NextDouble();
+    labels.push_back({x, y, x + width, y + height});            // NE
+    labels.push_back({x - width, y, x, y + height});            // NW
+    labels.push_back({x, y - height, x + width, y});            // SE
+    labels.push_back({x - width, y - height, x, y});            // SW
+  }
+  std::vector<Edge> edges;
+  for (VertexId p = 0; p < pois; ++p) {
+    for (VertexId a = 0; a < 4; ++a) {
+      for (VertexId b = a + 1; b < 4; ++b) {
+        edges.emplace_back(4 * p + a, 4 * p + b);
+      }
+    }
+  }
+  // Overlap tests only between labels that share a cell of a uniform
+  // grid; a pair sharing several cells repeats, and FromEdges drops the
+  // repeats.
+  constexpr int kGrid = 64;
+  const auto cell_of = [](double v) {
+    const int c = static_cast<int>(v * kGrid);
+    return c < 0 ? 0 : (c >= kGrid ? kGrid - 1 : c);
+  };
+  std::vector<std::vector<VertexId>> cells(kGrid * kGrid);
+  for (VertexId i = 0; i < labels.size(); ++i) {
+    const Rect& r = labels[i];
+    for (int cx = cell_of(r.x0); cx <= cell_of(r.x1); ++cx) {
+      for (int cy = cell_of(r.y0); cy <= cell_of(r.y1); ++cy) {
+        cells[cx * kGrid + cy].push_back(i);
+      }
+    }
+  }
+  for (const std::vector<VertexId>& cell : cells) {
+    for (size_t a = 0; a < cell.size(); ++a) {
+      for (size_t b = a + 1; b < cell.size(); ++b) {
+        if (labels[cell[a]].Overlaps(labels[cell[b]])) {
+          edges.emplace_back(cell[a], cell[b]);
+        }
+      }
+    }
+  }
+  return Graph::FromEdges(static_cast<VertexId>(labels.size()),
+                          std::move(edges));
+}
+
 }  // namespace semis

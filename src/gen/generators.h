@@ -48,6 +48,18 @@ Graph GenerateCascadeSwap(VertexId k);
 /// spine vertex. Greedy-friendly family with known alpha.
 Graph GenerateCaterpillar(VertexId spine, VertexId legs);
 
+/// Map-labeling conflict graph (the paper's Section 1 application): `pois`
+/// points of interest drawn uniformly from the unit square, each with four
+/// candidate labels of `width` x `height` anchored at its corners (the
+/// classical 4-position model). Candidate 4p + k belongs to point p. The
+/// four candidates of a point conflict with each other (a point carries at
+/// most one label), and two candidates conflict when their rectangles
+/// overlap. An independent set is an overlap-free labeling. With 4000
+/// points, 0.022 x 0.008 labels and seed 7 (examples/map_labeling) the
+/// graph has 16 000 vertices and 112 312 edges.
+Graph GenerateMapLabels(VertexId pois, double width, double height,
+                        uint64_t seed);
+
 }  // namespace semis
 
 #endif  // SEMIS_GEN_GENERATORS_H_

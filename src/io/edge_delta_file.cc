@@ -1,5 +1,8 @@
 #include "io/edge_delta_file.h"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "graph/sharded_adjacency_file.h"
 
 namespace semis {
@@ -8,6 +11,15 @@ namespace {
 constexpr uint32_t kDeltaManifestMagic = 0x4D4C4453u;  // 'SDLM' little-endian
 constexpr uint32_t kDeltaShardMagic = 0x534C4453u;     // 'SDLS' little-endian
 constexpr uint32_t kVersion = 1;
+// Encoded sizes: the delta manifest's fixed header and per-shard count,
+// a shard log's header, and one log entry (u64 seq, u32 op, u32 u, u32 v).
+// The writers' buffers are sized to what they write: these files are
+// rewritten or appended after every batch, a few entries at a time.
+constexpr size_t kManifestHeaderBytes = 32;
+constexpr size_t kManifestShardBytes = 8;
+constexpr size_t kShardLogHeaderBytes = 24;
+constexpr size_t kEntryBytes = 20;
+constexpr size_t kMaxBufferedEntries = (size_t{1} << 20) / kEntryBytes;
 
 Status ValidateEntry(const EdgeDeltaEntry& entry, uint64_t num_vertices,
                      const std::string& context) {
@@ -93,7 +105,9 @@ Status WriteEdgeDeltaManifest(const std::string& path,
   // Write-then-rename so a crash mid-write never leaves a half manifest
   // (the manifest is rewritten after every flushed batch).
   const std::string tmp = path + ".tmp";
-  SequentialFileWriter writer(stats);
+  SequentialFileWriter writer(stats, kManifestHeaderBytes +
+                                         kManifestShardBytes *
+                                             manifest.num_shards());
   SEMIS_RETURN_IF_ERROR(writer.Open(tmp));
   SEMIS_RETURN_IF_ERROR(writer.AppendU32(kDeltaManifestMagic));
   SEMIS_RETURN_IF_ERROR(writer.AppendU32(kVersion));
@@ -118,7 +132,7 @@ Status CreateEdgeDeltaShardLog(const std::string& delta_path, uint32_t index,
 Status CreateEdgeDeltaShardLogAtPath(const std::string& log_path,
                                      uint32_t index, uint64_t num_vertices,
                                      IoStats* stats) {
-  SequentialFileWriter writer(stats);
+  SequentialFileWriter writer(stats, kShardLogHeaderBytes);
   SEMIS_RETURN_IF_ERROR(writer.Open(log_path));
   SEMIS_RETURN_IF_ERROR(writer.AppendU32(kDeltaShardMagic));
   SEMIS_RETURN_IF_ERROR(writer.AppendU32(kVersion));
@@ -128,7 +142,10 @@ Status CreateEdgeDeltaShardLogAtPath(const std::string& log_path,
   return writer.Close();
 }
 
-EdgeDeltaShardWriter::EdgeDeltaShardWriter(IoStats* stats) : writer_(stats) {}
+EdgeDeltaShardWriter::EdgeDeltaShardWriter(IoStats* stats,
+                                           size_t expected_entries)
+    : writer_(stats, kEntryBytes * std::clamp<size_t>(expected_entries, 1,
+                                                      kMaxBufferedEntries)) {}
 
 Status EdgeDeltaShardWriter::Open(const std::string& delta_path,
                                   uint32_t index, uint64_t num_vertices) {

@@ -119,8 +119,11 @@ Status CreateEdgeDeltaShardLogAtPath(const std::string& log_path,
 /// the caller's contract.
 class EdgeDeltaShardWriter {
  public:
-  /// `stats` may be null.
-  explicit EdgeDeltaShardWriter(IoStats* stats = nullptr);
+  /// `stats` may be null. `expected_entries` sizes the write buffer
+  /// (capped at 1 MiB): a batch's append of a few entries allocates a
+  /// buffer for those entries, not a zero-filled 1 MiB one.
+  explicit EdgeDeltaShardWriter(IoStats* stats = nullptr,
+                                size_t expected_entries = SIZE_MAX);
 
   /// Opens shard `index`'s log of the delta rooted at `delta_path` for
   /// appending.

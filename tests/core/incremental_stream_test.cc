@@ -1001,63 +1001,192 @@ TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {
   // the other's frontier repair hits a transient read fault part-way
   // through its shard reads, and its retry must land on the twin's set.
   // The fault lands early (while the evictions' records are read) and
-  // late (while candidates join), each on a fresh twin.
+  // late (while the candidates' records are read), each on a fresh twin.
+  // At 1 thread a late fault stops the pass after some joins; at 4 the
+  // reads run on the pool before anything is committed, so a failed
+  // repair leaves the set as it was.
   const FrontierFixture f = MakeFrontierFixture(&scratch_, 8000, 81);
-  EnginePipelineOptions opts;
-  opts.num_threads = 2;
-  ShardedStreamingMis clean;
-  ASSERT_OK(clean.Initialize(ShardCopy(&scratch_, f.mono, "clean"), f.initial,
-                             opts));
-  ASSERT_OK(clean.Repair());
-  const std::vector<EdgeUpdate> batch =
-      SmallFrontierBatch(f.graph, clean.set(), 24, 82);
-  ASSERT_OK(clean.ApplyBatch(batch));
-  const uint64_t added_before = clean.stats().repair_added;
-
-  // Count the shard reads of a clean frontier repair (the spec's index is
-  // never reached).
-  uint64_t shard_reads = 0;
-  {
-    FaultSpec never;
-    ASSERT_OK(FaultSpec::Parse("read:1000000000@.shard", &never));
-    FaultInjectionFileSystem fs(PosixFileSystem(), never);
-    ScopedFileSystem scoped(&fs);
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    EnginePipelineOptions opts;
+    opts.num_threads = threads;
+    const std::string tag = "t" + std::to_string(threads);
+    ShardedStreamingMis clean;
+    ASSERT_OK(clean.Initialize(ShardCopy(&scratch_, f.mono, "clean" + tag),
+                               f.initial, opts));
     ASSERT_OK(clean.Repair());
-    shard_reads = fs.ops_matched();
-  }
-  ASSERT_GE(shard_reads, 4u);
-  ASSERT_GT(clean.stats().repair_added, added_before);
-  EXPECT_EQ(clean.stats().full_repair_passes, 1u);
+    const std::vector<EdgeUpdate> batch =
+        SmallFrontierBatch(f.graph, clean.set(), 24, 82);
+    ASSERT_OK(clean.ApplyBatch(batch));
+    const uint64_t added_before = clean.stats().repair_added;
 
-  int stopped_short = 0;
-  for (uint64_t nth : {uint64_t{2}, shard_reads - 1}) {
-    SCOPED_TRACE("fault at shard read " + std::to_string(nth));
-    ShardedStreamingMis faulted;
-    ASSERT_OK(faulted.Initialize(
-        ShardCopy(&scratch_, f.mono, "faulted" + std::to_string(nth)),
-        f.initial, opts));
-    ASSERT_OK(faulted.Repair());
-    ASSERT_OK(faulted.ApplyBatch(batch));
-    FaultSpec spec;
-    ASSERT_OK(FaultSpec::Parse("read:" + std::to_string(nth) + "@.shard",
-                               &spec));
-    FaultInjectionFileSystem fs(PosixFileSystem(), spec);
-    ScopedFileSystem scoped(&fs);
-    Status s = faulted.Repair();
-    EXPECT_TRUE(s.IsIOError()) << s.ToString();
-    EXPECT_EQ(fs.faults_injected(), 1u);
-    EXPECT_EQ(faulted.stats().repair_passes, 1u);
-    if (SetToVector(faulted.set()) != SetToVector(clean.set())) {
-      stopped_short++;
+    // Count the shard reads of a clean frontier repair (the spec's index
+    // is never reached).
+    uint64_t shard_reads = 0;
+    {
+      FaultSpec never;
+      ASSERT_OK(FaultSpec::Parse("read:1000000000@.shard", &never));
+      FaultInjectionFileSystem fs(PosixFileSystem(), never);
+      ScopedFileSystem scoped(&fs);
+      ASSERT_OK(clean.Repair());
+      shard_reads = fs.ops_matched();
     }
-    // The fault was transient: the retry reads the frontier again.
-    ASSERT_OK(faulted.Repair());
-    EXPECT_EQ(faulted.stats().full_repair_passes, 1u);
-    EXPECT_EQ(SetToVector(faulted.set()), SetToVector(clean.set()));
+    ASSERT_GE(shard_reads, 4u);
+    ASSERT_GT(clean.stats().repair_added, added_before);
+    EXPECT_EQ(clean.stats().full_repair_passes, 1u);
+
+    int stopped_short = 0;
+    for (uint64_t nth : {uint64_t{2}, shard_reads - 1}) {
+      SCOPED_TRACE("fault at shard read " + std::to_string(nth));
+      ShardedStreamingMis faulted;
+      ASSERT_OK(faulted.Initialize(
+          ShardCopy(&scratch_, f.mono,
+                    "faulted" + tag + "_" + std::to_string(nth)),
+          f.initial, opts));
+      ASSERT_OK(faulted.Repair());
+      ASSERT_OK(faulted.ApplyBatch(batch));
+      const std::vector<VertexId> before = SetToVector(faulted.set());
+      FaultSpec spec;
+      ASSERT_OK(FaultSpec::Parse("read:" + std::to_string(nth) + "@.shard",
+                                 &spec));
+      FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+      ScopedFileSystem scoped(&fs);
+      Status s = faulted.Repair();
+      EXPECT_TRUE(s.IsIOError()) << s.ToString();
+      EXPECT_EQ(fs.faults_injected(), 1u);
+      EXPECT_EQ(faulted.stats().repair_passes, 1u);
+      if (threads > 1) {
+        EXPECT_EQ(SetToVector(faulted.set()), before);
+        EXPECT_EQ(faulted.set_size(), before.size());
+      }
+      if (SetToVector(faulted.set()) != SetToVector(clean.set())) {
+        stopped_short++;
+      }
+      // The fault was transient: the retry reads the frontier again.
+      ASSERT_OK(faulted.Repair());
+      EXPECT_EQ(faulted.stats().full_repair_passes, 1u);
+      EXPECT_EQ(SetToVector(faulted.set()), SetToVector(clean.set()));
+    }
+    // At least one fault stopped the repair before its last join, so the
+    // retry had work left to do.
+    EXPECT_GT(stopped_short, 0);
   }
-  // At least one fault stopped the repair before its last join, so the
-  // retry had work left to do.
-  EXPECT_GT(stopped_short, 0);
+}
+
+// A path a - u - v - b (base edges, or with u - v an inserted edge) among
+// disjoint padding edges, a and b members: deleting (a, u) and (v, b) in
+// one batch frees both u and v. Neither has a set neighbor when the
+// repair starts, so both survive the pool's read-only phase; only the
+// lower-ranked one may join, and the other must see it.
+void RunTwoFreedNeighbors(ScratchDir* scratch, bool inserted_blocker) {
+  constexpr VertexId kN = 40;
+  constexpr VertexId a = 10, u = 11, v = 28, b = 29;
+  std::vector<Edge> edges = {{a, u}, {v, b}};
+  if (!inserted_blocker) edges.emplace_back(u, v);
+  for (VertexId x = 0; x < kN; x += 2) {
+    if (x != a && x != v) edges.emplace_back(x, x + 1);
+  }
+  const Graph g = Graph::FromEdges(kN, std::move(edges));
+  const std::string mono = WriteGraphFile(scratch, g);
+  BitVector initial(kN);
+  for (VertexId x = 0; x < kN; x += 2) initial.Set(x);  // a included
+  initial.Clear(v);
+  initial.Set(b);
+  std::vector<EdgeUpdate> batch;
+  if (inserted_blocker) batch.push_back(EdgeUpdate::Insert(u, v));
+  batch.push_back(EdgeUpdate::Delete(a, u));
+  batch.push_back(EdgeUpdate::Delete(v, b));
+
+  IncrementalMis reference;
+  ASSERT_OK(reference.Initialize(mono, initial));
+  ASSERT_OK(reference.Repair());
+  ApplyToReference(&reference, batch);
+  ASSERT_OK(reference.Repair());
+  ASSERT_TRUE(reference.set().Test(u));
+  ASSERT_FALSE(reference.set().Test(v));
+
+  for (uint32_t shards : {1u, 3u}) {
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      const std::string manifest = scratch->NewFilePath(
+          "path_s" + std::to_string(shards) + "_t" + std::to_string(threads) +
+          ".sadjs");
+      ASSERT_OK(ShardAdjacencyFile(mono, manifest, shards));
+      EnginePipelineOptions opts;
+      opts.num_threads = threads;
+      ShardedStreamingMis mis;
+      ASSERT_OK(mis.Initialize(manifest, initial, opts));
+      ASSERT_OK(mis.Repair());
+      ASSERT_OK(mis.ApplyBatch(batch));
+      ASSERT_OK(mis.Repair());
+      EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+      EXPECT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+      EXPECT_EQ(mis.set_size(), mis.set().Count());
+    }
+  }
+}
+
+TEST_F(IncrementalStreamTest, AdjacentFreedVerticesOnlyLowerRankJoins) {
+  RunTwoFreedNeighbors(&scratch_, /*inserted_blocker=*/false);
+}
+
+TEST_F(IncrementalStreamTest, FreedVerticesJoinedByInsertOnlyLowerRankJoins) {
+  RunTwoFreedNeighbors(&scratch_, /*inserted_blocker=*/true);
+}
+
+TEST_F(IncrementalStreamTest, ExpansionOverflowFallsBackToOneFullPass) {
+  // Twelve stars of 150 leaves, centers in the set. Inserting edges
+  // between centers evicts four of them: four evictions times the
+  // average degree (1) pass the crossover check, but their 600 freed
+  // leaves overflow the 256-entry frontier while the records are read,
+  // so the repair runs one more full pass -- with the same set.
+  constexpr VertexId kStars = 12, kLeaves = 150, kSize = kLeaves + 1;
+  std::vector<Edge> edges;
+  for (VertexId c = 0; c < kStars * kSize; c += kSize) {
+    for (VertexId leaf = c + 1; leaf <= c + kLeaves; ++leaf) {
+      edges.emplace_back(c, leaf);
+    }
+  }
+  const Graph g = Graph::FromEdges(kStars * kSize, std::move(edges));
+  const std::string mono = WriteGraphFile(&scratch_, g);
+  BitVector initial(g.NumVertices());
+  for (VertexId c = 0; c < kStars * kSize; c += kSize) initial.Set(c);
+  std::vector<EdgeUpdate> batch;
+  for (VertexId c = 0; c < 8 * kSize; c += 2 * kSize) {
+    batch.push_back(EdgeUpdate::Insert(c, c + kSize));
+  }
+  IncrementalMis reference;
+  ASSERT_OK(reference.Initialize(mono, initial));
+  ApplyToReference(&reference, batch);
+  ASSERT_OK(reference.Repair());
+
+  for (uint32_t shards : {1u, 3u}) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      const std::string manifest = scratch_.NewFilePath(
+          "stars_s" + std::to_string(shards) + "_t" + std::to_string(threads) +
+          ".sadjs");
+      ASSERT_OK(ShardAdjacencyFile(mono, manifest, shards));
+      EnginePipelineOptions opts;
+      opts.num_threads = threads;
+      ShardedStreamingMis mis;
+      ASSERT_OK(mis.Initialize(manifest, initial, opts));
+      ASSERT_OK(mis.Repair());
+      ASSERT_OK(mis.ApplyBatch(batch));
+      EXPECT_EQ(mis.stats().evictions, 4u);
+      ASSERT_OK(mis.Repair());
+      EXPECT_EQ(mis.stats().full_repair_passes, 2u);
+      EXPECT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+      // The full pass left the set maximal: the next repair is a frontier
+      // pass again.
+      ASSERT_OK(mis.ApplyBatch({EdgeUpdate::Delete(0, 1)}));
+      ASSERT_OK(mis.Repair());
+      EXPECT_EQ(mis.stats().full_repair_passes, 2u);
+      EXPECT_TRUE(mis.set().Test(1));
+    }
+  }
 }
 
 TEST_F(IncrementalStreamTest, ReinitializeRecoversFromWedge) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -372,6 +373,49 @@ TEST_F(ParallelSwapTest, MergesPerThreadIoIntoAggregate) {
   EXPECT_EQ(res.io.sequential_scans, 3u * res.rounds - 1);
   EXPECT_GT(res.io.files_opened, 0u);
   EXPECT_GT(res.peak_memory_bytes, 0u);
+}
+
+TEST_F(ParallelSwapTest, TerminatesOnMapLabelsAtTheBestRoundsSet) {
+  // examples/map_labeling's conflict graph. Its rounds are not monotone:
+  // from round 5 on the set swings between two sizes, so a stall counter
+  // that compares a round with the one before never fires and the stage
+  // runs forever. Counted against the largest size seen, it stops, and
+  // the result is the best round's set made maximal.
+  const Graph g = GenerateMapLabels(4000, 0.022, 0.008, 7);
+  ASSERT_EQ(g.NumVertices(), 16000u);
+  ASSERT_EQ(g.NumEdges(), 112312u);
+  for (uint32_t shards : {1u, 3u}) {
+    const std::string manifest = Prepare(g, shards);
+    std::vector<VertexId> at_one_thread;
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      ParallelSwapOptions opts;
+      opts.num_threads = threads;
+      AlgoResult res;
+      ASSERT_OK(RunParallelSwap(manifest, greedy_.in_set, opts, &res));
+      uint64_t best_round = 0;
+      bool shrank = false;
+      uint64_t before = greedy_.set_size;
+      for (const RoundStats& r : res.round_stats) {
+        best_round = std::max(best_round, r.is_size_after);
+        shrank = shrank || r.is_size_after < before;
+        before = r.is_size_after;
+      }
+      EXPECT_GE(res.set_size, best_round);
+      EXPECT_GE(res.set_size, greedy_.set_size);
+      EXPECT_EQ(res.set_size, res.in_set.Count());
+      VerifyResult vr = VerifyIndependentSet(g, res.in_set);
+      EXPECT_TRUE(vr.independent && vr.maximal);
+      if (threads == 1) {
+        // The graph still exercises the case this test is about.
+        EXPECT_TRUE(shrank) << "no round shrank the set";
+        at_one_thread = SetToVector(res.in_set);
+      } else {
+        EXPECT_EQ(SetToVector(res.in_set), at_one_thread);
+      }
+    }
+  }
 }
 
 TEST_F(ParallelSwapTest, InitialSetSizeMismatchRejected) {
