@@ -40,12 +40,7 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
   }
   delta_path_ = EdgeDeltaManifestPath(manifest_path_);
   options_ = options;
-  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
-  if (num_threads <= 1) {
-    pool_.reset();
-  } else if (pool_ == nullptr || pool_->size() != num_threads) {
-    pool_ = std::make_unique<ThreadPool>(num_threads);
-  }
+  pool_ = MakeShardPool(options_.num_threads, manifest_.num_shards());
   n_ = manifest_.header.num_vertices;
   set_ = initial_set;
   set_size_ = set_.Count();
@@ -278,15 +273,20 @@ void ShardedStreamingMis::DropFrontier() {
   evicted_.clear();
 }
 
-Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
+Status ShardedStreamingMis::CheckUsable() const {
   if (!initialized_) {
     return Status::InvalidArgument("streaming maintainer not initialized");
   }
   if (wedged_) {
     return Status::InvalidArgument(
-        "streaming maintainer wedged by an earlier flush failure; "
-        "re-Initialize to recover from the on-disk overlay");
+        "streaming maintainer wedged by an earlier flush, epoch flip or "
+        "post-resort reload failure; re-Initialize to recover from disk");
   }
+  return Status::OK();
+}
+
+Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
+  SEMIS_RETURN_IF_ERROR(CheckUsable());
   WallTimer timer;
   // Validate everything up front: a bad update fails the whole batch
   // before any state or log is touched, so callers never see a partially
@@ -437,14 +437,7 @@ Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
     if (!set_.Test(v) && !HasInsertedSetNeighbor(v)) candidates.push_back(v);
   }
   locator_.SortByRank(&candidates);
-  if (pool_ != nullptr) return CommitOnPool(reader, candidates, added);
-  // The sequential pass: the commit rule at each candidate's turn, so a
-  // candidate that one before it joined next to is rejected by the rule.
-  AccountTransientMemory(candidates.capacity() * sizeof(VertexId));
-  return reader.Read(candidates, &stats_.io,
-                     [this, added](uint32_t, const VertexRecordView& rec) {
-                       if (TryJoin(rec)) (*added)++;
-                     });
+  return CommitCandidates(reader, candidates, added);
 }
 
 Status ShardedStreamingMis::ExpandEvictions(const ShardFrontierReader& reader) {
@@ -489,76 +482,49 @@ Status ShardedStreamingMis::ExpandEvictions(const ShardFrontierReader& reader) {
   return Status::OK();
 }
 
-Status ShardedStreamingMis::CommitOnPool(
+Status ShardedStreamingMis::CommitCandidates(
     const ShardFrontierReader& reader, const std::vector<VertexId>& candidates,
     uint64_t* added) {
-  // Phase 1, on the pool, read-only. The set only grows during a repair,
-  // so a candidate with a live set neighbor now stays out, and the pool
-  // drops it. A survivor can be blocked later only by a candidate ranked
-  // before it that joins first, so it keeps its live base neighbors
-  // among those.
-  struct Survivors {
-    std::vector<VertexId> ids;  // in rank order
-    // ids[i]'s kept neighbors are kept[kept_end[i - 1], kept_end[i]).
-    std::vector<size_t> kept_end;
-    std::vector<VertexId> kept;
-  };
-  std::vector<Survivors> survivors(manifest_.num_shards());
-  std::vector<VertexId> by_id = candidates;
-  std::sort(by_id.begin(), by_id.end());
+  // Phase 1, read-only, through the reader (on the pool when there is
+  // one). The set only grows during a repair, so a candidate with a live
+  // set neighbor now stays out, and phase 1 drops it. A survivor can be
+  // blocked later only by a candidate that joins before its turn, so it
+  // keeps its record, per shard in rank order, as the words
+  // [id, degree, neighbors...]. Nothing is committed until every read
+  // succeeded, so a failed read changes nothing.
+  std::vector<std::vector<VertexId>> survivors(manifest_.num_shards());
   SEMIS_RETURN_IF_ERROR(reader.Read(
       candidates, &stats_.io, [&](uint32_t shard, const VertexRecordView& rec) {
-        const VertexId u = rec.id;
-        const uint32_t rank = locator_.rank(u);
-        Survivors& out = survivors[shard];
-        const size_t mark = out.kept.size();
-        for (uint32_t i = 0; i < rec.degree; ++i) {
-          const VertexId nb = rec.neighbors[i];
-          const bool member = set_.Test(nb);
-          if (!member &&
-              !(std::binary_search(by_id.begin(), by_id.end(), nb) &&
-                locator_.rank(nb) < rank)) {
-            continue;
-          }
-          if (deleted_keys_.Contains(EdgeKey(u, nb))) continue;
-          if (member) {
-            out.kept.resize(mark);
+        for (const VertexId nb : rec) {
+          if (set_.Test(nb) && !deleted_keys_.Contains(EdgeKey(rec.id, nb))) {
             return;
           }
-          out.kept.push_back(nb);
         }
-        out.ids.push_back(u);
-        out.kept_end.push_back(out.kept.size());
+        std::vector<VertexId>& out = survivors[shard];
+        out.push_back(rec.id);
+        out.push_back(rec.degree);
+        out.insert(out.end(), rec.begin(), rec.end());
       }));
-  size_t bytes = (candidates.capacity() + by_id.capacity()) * sizeof(VertexId);
-  for (const Survivors& s : survivors) {
-    bytes += (s.ids.capacity() + s.kept.capacity()) * sizeof(VertexId) +
-             s.kept_end.capacity() * sizeof(size_t);
+  size_t bytes = candidates.capacity() * sizeof(VertexId);
+  for (const std::vector<VertexId>& words : survivors) {
+    bytes += words.capacity() * sizeof(VertexId);
   }
   AccountTransientMemory(bytes);
-  // Phase 2, on this thread, in rank order: a survivor joins unless a
-  // kept neighbor or an inserted edge now reaches a member -- the commit
-  // rule, at the same point of the same sequence as the sequential pass.
-  const auto is_member = [this](VertexId v) { return set_.Test(v); };
-  for (const Survivors& s : survivors) {
-    auto kept = s.kept.begin();
-    for (size_t i = 0; i < s.ids.size(); ++i) {
-      const auto kept_end = s.kept.begin() + s.kept_end[i];
-      const bool blocked = std::any_of(kept, kept_end, is_member);
-      kept = kept_end;
-      if (blocked || HasInsertedSetNeighbor(s.ids[i])) continue;
-      set_.Set(s.ids[i]);
-      set_size_++;
-      (*added)++;
+  // Phase 2, on this thread, in rank order: TryJoin on each survivor's
+  // record, at the same point of the same sequence as the full pass.
+  for (const std::vector<VertexId>& words : survivors) {
+    for (size_t at = 0; at < words.size(); at += 2 + words[at + 1]) {
+      if (TryJoin(VertexRecordView{words[at], words[at + 1],
+                                   words.data() + at + 2})) {
+        (*added)++;
+      }
     }
   }
   return Status::OK();
 }
 
 Status ShardedStreamingMis::Repair() {
-  if (!initialized_) {
-    return Status::InvalidArgument("streaming maintainer not initialized");
-  }
+  SEMIS_RETURN_IF_ERROR(CheckUsable());
   WallTimer timer;
   uint64_t added = 0;
   if (frontier_known_) SEMIS_RETURN_IF_ERROR(RepairFrontier(&added));
@@ -787,14 +753,7 @@ void ShardedStreamingMis::RetireCompactedEntries(
 }
 
 Status ShardedStreamingMis::Compact(bool force) {
-  if (!initialized_) {
-    return Status::InvalidArgument("streaming maintainer not initialized");
-  }
-  if (wedged_) {
-    return Status::InvalidArgument(
-        "streaming maintainer wedged by an earlier flush failure; "
-        "re-Initialize to recover from the on-disk overlay");
-  }
+  SEMIS_RETURN_IF_ERROR(CheckUsable());
   WallTimer timer;
   std::vector<uint32_t> saturated;
   for (uint32_t k = 0; k < manifest_.num_shards(); ++k) {
@@ -916,14 +875,7 @@ Status ShardedStreamingMis::Compact(bool force) {
 }
 
 Status ShardedStreamingMis::Resort() {
-  if (!initialized_) {
-    return Status::InvalidArgument("streaming maintainer not initialized");
-  }
-  if (wedged_) {
-    return Status::InvalidArgument(
-        "streaming maintainer wedged by an earlier flush failure; "
-        "re-Initialize to recover from the on-disk overlay");
-  }
+  SEMIS_RETURN_IF_ERROR(CheckUsable());
   if (manifest_.header.IsDegreeSorted()) return Status::OK();
   WallTimer timer;
   in_resort_ = true;

@@ -27,16 +27,16 @@
 // reading their records through graph/shard_record_locator.h's frontier
 // reader, one forward reader per shard. Every vertex outside the
 // frontier still has a set neighbor and the set only grows during a
-// repair, so the result equals the full pass's. With more than one
-// thread the frontier pass runs in two phases: the maintainer's pool
-// reads the records and drops every candidate that the set at the start
-// of the pass already blocks, then the calling thread commits the
-// survivors in manifest order with the same rule.
+// repair, so the result equals the full pass's. The frontier pass runs
+// in two phases at every thread count: the frontier reader (on the
+// maintainer's pool when there is one) reads the records and drops every
+// candidate that the set at the start of the pass already blocks, then
+// the calling thread commits the survivors in manifest order with the
+// same rule. A failed read therefore commits nothing.
 //
 //   the repaired set is byte-identical for EVERY shard/thread count, and
 //   equal to sequential IncrementalMis::Repair on the equivalent
-//   monolithic file; num_threads <= 1 is the plain sequential pass, both
-//   for the full pass and for the frontier pass.
+//   monolithic file; without a pool the full pass is the plain scan.
 //
 // A frontier with more than max(n / kRepairFrontierDivisor,
 // kRepairFrontierFloor) entries takes the full pass instead, which also
@@ -206,11 +206,11 @@ class ShardedStreamingMis {
   /// evicts), so the next Repair() is a full pass.
   ///
   /// `options` is the shared pipeline struct: this layer reads
-  /// `num_threads` (the size of the maintainer's thread pool, created
-  /// here when it is above 1 and kept for the session: the full repair's
-  /// decoders and the frontier repair's readers run on it -- the repaired
-  /// set is independent of it by construction), `compact_threshold_entries`
-  /// and `auto_resort`; `num_shards` is ignored (the manifest fixes it).
+  /// `num_threads` (the maintainer's MakeShardPool pool, kept for the
+  /// session: the full repair's decoders and the frontier repair's
+  /// readers run on it; the repaired set is independent of it by
+  /// construction), `compact_threshold_entries` and `auto_resort`;
+  /// `num_shards` is ignored (the manifest fixes it).
   Status Initialize(const std::string& manifest_path,
                     const BitVector& initial_set,
                     const EnginePipelineOptions& options);
@@ -230,8 +230,9 @@ class ShardedStreamingMis {
   /// frontier is unknown (the first repair of a session) or too large;
   /// otherwise a pass over the frontier's records only, with no scan.
   /// The frontier is cleared only when the repair succeeds, so a failed
-  /// repair can be retried; with more than one thread a failed frontier
-  /// repair also leaves the set as it was. Safe to call at any time.
+  /// repair can be retried, and a failed frontier repair leaves the set
+  /// as it was. InvalidArgument before Initialize and on a wedged
+  /// maintainer, like every mutating call.
   Status Repair();
 
   /// Rewrites every saturated shard (every shard with a non-empty log
@@ -292,6 +293,9 @@ class ShardedStreamingMis {
   };
   static constexpr uint32_t kNoNode = ~uint32_t{0};
 
+  // InvalidArgument unless Initialize succeeded and nothing has wedged
+  // the maintainer since: the check every mutating call starts with.
+  Status CheckUsable() const;
   Status ValidateUpdate(const EdgeUpdate& update) const;
   // Applies one validated update to the in-memory state; returns true if
   // it changed the delta state (and must be logged). Records what the
@@ -329,12 +333,12 @@ class ShardedStreamingMis {
   // Reads the evicted vertices' records and moves their neighbors into
   // the frontier. A failed read leaves the evictions pending.
   Status ExpandEvictions(const ShardFrontierReader& reader);
-  // The two-phase commit of `candidates` (sorted by rank): the pool
-  // drops the candidates the current set blocks, this thread commits the
-  // rest in rank order. A failed read changes nothing.
-  Status CommitOnPool(const ShardFrontierReader& reader,
-                      const std::vector<VertexId>& candidates,
-                      uint64_t* added);
+  // The two-phase commit of `candidates` (sorted by rank): the reader's
+  // items drop the candidates the current set blocks, this thread runs
+  // TryJoin on the rest in rank order. A failed read changes nothing.
+  Status CommitCandidates(const ShardFrontierReader& reader,
+                          const std::vector<VertexId>& candidates,
+                          uint64_t* added);
   // Frontier bookkeeping (no-ops while the frontier is unknown).
   void AddToFrontier(VertexId v);
   void NoteEviction(VertexId v);
@@ -383,7 +387,7 @@ class ShardedStreamingMis {
   // and after a re-sort; a compaction replaces the offsets of the shards
   // it rewrote.
   ShardRecordLocator locator_;
-  // The session's workers when num_threads > 1, else null.
+  // The session's workers (MakeShardPool), or null.
   std::unique_ptr<ThreadPool> pool_;
   BitVector set_;
   uint64_t set_size_ = 0;

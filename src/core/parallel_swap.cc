@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -79,12 +80,8 @@ class ParallelSwapRun {
         manifest_path_(manifest_path),
         manifest_(std::move(manifest)),
         n_(manifest_.header.num_vertices),
-        // Workers beyond the shard count add no parallelism to a pass;
-        // they only spread freed shard contexts over more per-thread
-        // malloc arenas, which stay resident. Manifests hold >= 1 shard.
-        pool_(std::min<size_t>(ResolveThreadCount(options.num_threads),
-                               manifest_.num_shards())),
-        workers_(pool_.size()),
+        pool_(MakeShardPool(options.num_threads, manifest_.num_shards())),
+        workers_(pool_ == nullptr ? 1 : pool_->size()),
         state_(n_),
         isn1_(n_, kInvalidVertex),
         isn2_(n_, kInvalidVertex),
@@ -199,22 +196,15 @@ class ParallelSwapRun {
   }
 
   // One full pass over the file: runs `per_shard(shard, worker)` for every
-  // shard, distributed over the pool, short-circuiting a worker after its
-  // first error. Returns the first per-worker error.
+  // shard through ForEachItem and returns the first error in shard order.
   template <typename PerShard>
   Status RunShardPass(PerShard&& per_shard) {
-    std::vector<Status> worker_status(pool_.size());
-    pool_.ParallelFor(
-        manifest_.num_shards(), [&](size_t shard, size_t worker) {
-          if (!worker_status[worker].ok()) return;
-          worker_status[worker] =
-              per_shard(static_cast<uint32_t>(shard), worker);
-        });
     scans_started_++;
-    for (const Status& s : worker_status) {
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
+    return ForEachItem(pool_.get(), manifest_.num_shards(),
+                       [&](size_t shard, size_t worker) {
+                         return per_shard(static_cast<uint32_t>(shard),
+                                          worker);
+                       });
   }
 
   // Runs `fn(rec, worker)` over every record of every shard.
@@ -229,16 +219,8 @@ class ParallelSwapRun {
 
   template <typename RecordFn>
   Status ScanOneShard(uint32_t shard, size_t worker, RecordFn&& fn) {
-    AdjacencyShardReader reader(&workers_[worker].io);
-    SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
-    VertexRecordView rec;
-    bool has_next = false;
-    while (true) {
-      SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
-      if (!has_next) break;
-      fn(rec);
-    }
-    return reader.Close();
+    return ForEachShardRecord(manifest_path_, manifest_, shard,
+                              &workers_[worker].io, fn);
   }
 
   Status LabelScan(uint64_t* free_count);
@@ -271,7 +253,8 @@ class ParallelSwapRun {
   const std::string manifest_path_;
   const ShardedAdjacencyManifest manifest_;
   const uint64_t n_;
-  ThreadPool pool_;
+  // Null when one thread or one shard: the calling thread runs every pass.
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<WorkerScratch> workers_;
   uint64_t scans_started_ = 0;
 

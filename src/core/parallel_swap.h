@@ -47,8 +47,9 @@
 //     are fixed by the file, not by the thread count;
 //   * conflicting promotions are resolved by a fixed priority: the lowest
 //     vertex id wins, evaluated independently per vertex.
-// Consequently the executor with num_threads == 1 IS the sequential path;
-// any other thread count reproduces its output bit for bit. This is the
+// Consequently the run without a pool (one thread or one shard) is the
+// sequential path, and every other thread count reproduces its output
+// and its first error in shard order bit for bit. This is the
 // only swap stage MisEngine runs, at every shard count including one.
 // Its result generally differs from RunOneKSwap/RunTwoKSwap, the paper's
 // reference implementations over one monolithic file, which resolve
@@ -85,7 +86,8 @@ struct ParallelSwapOptions {
   /// Stop after this many rounds (0 = until no proposals fire).
   uint32_t max_rounds = 0;
   /// Worker threads scanning shards (0 = hardware concurrency), capped
-  /// at the shard count. The result is independent of this value by
+  /// at the shard count (MakeShardPool); at one, the calling thread runs
+  /// every pass. The result is independent of this value by
   /// construction.
   uint32_t num_threads = 1;
   /// Enable 2<->k swap skeleton discovery (shard-local SC buckets) in

@@ -46,8 +46,9 @@ struct EnginePipelineOptions {
   uint32_t num_shards = 0;
 
   /// Worker threads of the parallel executors and of the repair pipeline
-  /// (0 = hardware concurrency). <= 1 runs the plain sequential scan.
-  /// The result is independent of this value by construction.
+  /// (0 = hardware concurrency), capped at the shard count by
+  /// MakeShardPool; at one, every pass runs on the calling thread. The
+  /// result is independent of this value by construction.
   uint32_t num_threads = 1;
 
   /// Streaming maintenance only: a shard whose delta log reaches this

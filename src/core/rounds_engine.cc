@@ -1,5 +1,6 @@
 #include "core/rounds_engine.h"
 
+#include <memory>
 #include <utility>
 
 #include "graph/shard_store.h"
@@ -11,8 +12,8 @@ namespace semis {
 
 namespace {
 
-// The parallel executor. Per round, two shard passes with a pool barrier
-// between them:
+// The executor, at every thread count. Per round, two shard passes with
+// a barrier between them:
 //
 //   propose  writes winner_round_[v] only from the worker scanning v's
 //            record, reading state_ frozen at the round's entry barrier;
@@ -26,17 +27,20 @@ namespace {
 // only across a barrier, so plain (non-atomic) arrays are race-free.
 // Shards whose frontier count dropped to zero are skipped in both
 // passes; the counts are per-shard slots under the same one-writer rule.
+// Without a pool (one thread or one shard) the calling thread runs both
+// passes in shard order, skipping the same shards.
 class MinIdRoundsRun {
  public:
   MinIdRoundsRun(const std::string& manifest_path,
                  ShardedAdjacencyManifest manifest,
-                 const MinIdRoundsOptions& options, uint32_t num_threads)
+                 const MinIdRoundsOptions& options)
       : options_(options),
         manifest_path_(manifest_path),
         manifest_(std::move(manifest)),
         n_(manifest_.header.num_vertices),
-        pool_(num_threads),
-        worker_io_(pool_.size()),
+        pool_(MakeShardPool(options.pipeline.num_threads,
+                            manifest_.num_shards())),
+        worker_io_(pool_ == nullptr ? 1 : pool_->size()),
         state_(n_, VState::kInitial),
         winner_round_(n_, 0),
         shard_frontier_(manifest_.num_shards(), 0),
@@ -47,48 +51,33 @@ class MinIdRoundsRun {
   std::vector<VState> TakeStates() { return std::move(state_); }
 
  private:
-  // One pass over the shards that still hold undecided vertices,
-  // distributed over the pool; a worker short-circuits after its first
-  // error and the first per-worker error (in worker order) is returned.
+  // One pass over the shards that still hold undecided vertices, through
+  // ForEachItem; returns the first error in shard order.
   template <typename PerShard>
   Status RunFrontierPass(PerShard&& per_shard) {
-    std::vector<Status> worker_status(pool_.size());
-    pool_.ParallelFor(
-        manifest_.num_shards(), [&](size_t shard, size_t worker) {
-          if (!worker_status[worker].ok()) return;
-          if (shard_frontier_[shard] == 0) return;  // settled shard
-          worker_status[worker] =
-              per_shard(static_cast<uint32_t>(shard), worker);
-        });
     scans_started_++;
-    for (const Status& s : worker_status) {
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
+    return ForEachItem(pool_.get(), manifest_.num_shards(),
+                       [&](size_t shard, size_t worker) {
+                         if (shard_frontier_[shard] == 0) {
+                           return Status::OK();  // settled shard
+                         }
+                         return per_shard(static_cast<uint32_t>(shard),
+                                          worker);
+                       });
   }
 
   template <typename RecordFn>
   Status ScanOneShard(uint32_t shard, size_t worker, RecordFn&& fn) {
-    AdjacencyShardReader reader(&worker_io_[worker]);
-    SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
-    VertexRecordView rec;
-    bool has_next = false;
-    while (true) {
-      SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
-      if (!has_next) break;
-      fn(rec);
-    }
-    return reader.Close();
+    return ForEachShardRecord(manifest_path_, manifest_, shard,
+                              &worker_io_[worker], fn);
   }
-
-  void Observe(uint32_t round, uint64_t round_winners,
-               uint64_t frontier) const;
 
   const MinIdRoundsOptions& options_;
   const std::string manifest_path_;
   const ShardedAdjacencyManifest manifest_;
   const uint64_t n_;
-  ThreadPool pool_;
+  // Null when one thread or one shard: the calling thread runs every pass.
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<IoStats> worker_io_;
   uint64_t scans_started_ = 0;
 
@@ -101,18 +90,20 @@ class MinIdRoundsRun {
   std::vector<uint64_t> shard_winners_;
 };
 
-void MinIdRoundsRun::Observe(uint32_t round, uint64_t round_winners,
-                             uint64_t frontier) const {
+// Hands `options.observer` the round's winners and surviving frontier.
+void ObserveRound(const MinIdRoundsOptions& options,
+                  const std::vector<uint32_t>& winner_round, uint32_t round,
+                  uint64_t round_winners, uint64_t frontier) {
   RoundObservation obs;
   obs.round = round;
   obs.frontier_after = frontier;
   obs.winners.reserve(round_winners);
-  for (uint64_t v = 0; v < n_; ++v) {
-    if (winner_round_[v] == round) {
+  for (uint64_t v = 0; v < winner_round.size(); ++v) {
+    if (winner_round[v] == round) {
       obs.winners.push_back(static_cast<VertexId>(v));
     }
   }
-  options_.observer(obs);
+  options.observer(obs);
 }
 
 Status MinIdRoundsRun::Execute(AlgoResult* res) {
@@ -186,7 +177,9 @@ Status MinIdRoundsRun::Execute(AlgoResult* res) {
     stats.seconds = round_timer.ElapsedSeconds();
     res->round_stats.push_back(stats);
     res->rounds++;
-    if (options_.observer) Observe(round, round_winners, frontier);
+    if (options_.observer) {
+      ObserveRound(options_, winner_round_, round, round_winners, frontier);
+    }
   }
 
   ExtractIndependentSet(state_, &res->in_set, &res->set_size);
@@ -199,7 +192,8 @@ Status MinIdRoundsRun::Execute(AlgoResult* res) {
 
 // The sequential reference loop: the same two per-record rules, applied
 // in one thread over full passes of the whole file (no pool, no frontier
-// skipping). The parallel executor must match this bit for bit.
+// skipping). The executor must match this bit for bit; only
+// RunMinIdRoundsReference runs it.
 Status RunReferenceRounds(const std::string& manifest_path, uint64_t n,
                           const MinIdRoundsOptions& options, AlgoResult* res,
                           std::vector<VState>* states) {
@@ -207,6 +201,18 @@ Status RunReferenceRounds(const std::string& manifest_path, uint64_t n,
   std::vector<uint32_t> winner_round(n, 0);
   res->memory.Add("state", n * sizeof(VState));
   res->memory.Add("winner-rounds", n * sizeof(uint32_t));
+  // One scan of the whole file, in manifest order.
+  const auto full_pass = [&](auto&& visit) -> Status {
+    ShardedAdjacencyScanner scanner(&res->io);
+    SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path));
+    VertexRecordView rec;
+    bool has_next = false;
+    while (true) {
+      SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
+      if (!has_next) return Status::OK();
+      visit(rec);
+    }
+  };
 
   uint64_t frontier = n;
   uint64_t is_size = 0;
@@ -215,37 +221,21 @@ Status RunReferenceRounds(const std::string& manifest_path, uint64_t n,
          (options.max_rounds == 0 || round < options.max_rounds)) {
     ++round;
     WallTimer round_timer;
-    {
-      ShardedAdjacencyScanner scanner(&res->io);
-      SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path));
-      VertexRecordView rec;
-      bool has_next = false;
-      while (true) {
-        SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
-        if (!has_next) break;
-        if (MinIdProposeRecord(rec, state)) winner_round[rec.id] = round;
-      }
-    }
+    SEMIS_RETURN_IF_ERROR(full_pass([&](const VertexRecordView& rec) {
+      if (MinIdProposeRecord(rec, state)) winner_round[rec.id] = round;
+    }));
     uint64_t round_winners = 0;
     uint64_t survivors = 0;
-    {
-      ShardedAdjacencyScanner scanner(&res->io);
-      SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path));
-      VertexRecordView rec;
-      bool has_next = false;
-      while (true) {
-        SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
-        if (!has_next) break;
-        if (state[rec.id] != VState::kInitial) continue;
-        const VState next = MinIdCommitRecord(rec, round, winner_round);
-        state[rec.id] = next;
-        if (next == VState::kI) {
-          round_winners++;
-        } else if (next == VState::kInitial) {
-          survivors++;
-        }
+    SEMIS_RETURN_IF_ERROR(full_pass([&](const VertexRecordView& rec) {
+      if (state[rec.id] != VState::kInitial) return;
+      const VState next = MinIdCommitRecord(rec, round, winner_round);
+      state[rec.id] = next;
+      if (next == VState::kI) {
+        round_winners++;
+      } else if (next == VState::kInitial) {
+        survivors++;
       }
-    }
+    }));
     if (round_winners == 0) {
       return Status::Corruption(
           "min-id round decided no vertex; the sharded file is missing "
@@ -262,16 +252,7 @@ Status RunReferenceRounds(const std::string& manifest_path, uint64_t n,
     res->round_stats.push_back(stats);
     res->rounds++;
     if (options.observer) {
-      RoundObservation obs;
-      obs.round = round;
-      obs.frontier_after = frontier;
-      obs.winners.reserve(round_winners);
-      for (uint64_t v = 0; v < n; ++v) {
-        if (winner_round[v] == round) {
-          obs.winners.push_back(static_cast<VertexId>(v));
-        }
-      }
-      options.observer(obs);
+      ObserveRound(options, winner_round, round, round_winners, frontier);
     }
   }
 
@@ -293,16 +274,12 @@ Status RunMinIdRoundsImpl(const std::string& manifest_path,
   SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest,
                                                &res.io, &resolved_path));
 
-  const uint32_t num_threads = ResolveThreadCount(options.pipeline.num_threads);
-
-  if (force_reference || num_threads <= 1) {
-    // 1 thread IS the sequential reference, not a 1-worker pool.
+  if (force_reference) {
     SEMIS_RETURN_IF_ERROR(RunReferenceRounds(resolved_path,
                                              manifest.header.num_vertices,
                                              options, &res, states));
   } else {
-    MinIdRoundsRun run(resolved_path, std::move(manifest), options,
-                       num_threads);
+    MinIdRoundsRun run(resolved_path, std::move(manifest), options);
     SEMIS_RETURN_IF_ERROR(run.Execute(&res));
     if (states != nullptr) *states = run.TakeStates();
   }

@@ -48,10 +48,11 @@ struct RoundObservation {
 };
 
 struct MinIdRoundsOptions {
-  /// num_threads drives the per-round shard fan-out (<= 1 runs the
-  /// sequential reference loop -- the same rules, one thread, no pool).
-  /// The other pipeline knobs are accepted for uniformity and ignored:
-  /// rounds re-scan shards every round, so there is no prefetch ring.
+  /// num_threads drives the per-round shard fan-out, capped at the shard
+  /// count (MakeShardPool); at one, the calling thread runs both passes
+  /// in shard order, skipping settled shards as the pooled run does. The
+  /// other pipeline knobs are accepted for uniformity and ignored: rounds
+  /// re-scan shards every round, so there is no prefetch ring.
   EnginePipelineOptions pipeline;
   /// Safety cap on rounds (0 = run until the frontier is empty). A capped
   /// run returns with undecided vertices still in the frontier; the
@@ -64,9 +65,9 @@ struct MinIdRoundsOptions {
   std::function<void(const RoundObservation&)> observer;
 };
 
-/// The per-record round rules, shared verbatim by the parallel executor
-/// and the sequential reference below so "1 thread == reference" is an
-/// identity by construction (the same move greedy.h makes with
+/// The per-record round rules, shared verbatim by the executor and the
+/// sequential reference below, so the executor equals the reference by
+/// construction at every thread count (the same move greedy.h makes with
 /// GreedyCommitRecord).
 ///
 /// Propose: an undecided vertex wins iff no undecided neighbor has a
@@ -96,7 +97,9 @@ inline VState MinIdCommitRecord(const VertexRecordView& rec, uint32_t round,
 
 /// Runs min-id rounds over the SADJS manifest (or journaled store root)
 /// at `manifest_path`. Shards are scanned in parallel within each round;
-/// shards whose frontier count dropped to zero are skipped entirely.
+/// shards whose frontier count dropped to zero are skipped entirely, at
+/// every thread count. A failed pass returns the first error in shard
+/// order.
 /// `result->rounds` counts executed rounds and `round_stats` carries
 /// per-round winner/frontier counters (new_is_vertices, is_size_after,
 /// frontier_after). Record order inside the file is irrelevant -- the
@@ -113,8 +116,9 @@ Status RunMinIdRoundsWithStates(const std::string& manifest_path,
                                 std::vector<VState>* states);
 
 /// The sequential reference: the textbook round loop, one thread, one
-/// full pass over all shards per phase, no frontier skipping. The
-/// parallel executor must match it bit for bit at every geometry; the
+/// full pass over all shards per phase, no frontier skipping. It is a
+/// test and bench oracle, not an engine path: RunMinIdRounds must match
+/// it bit for bit at every geometry and thread count, one included; the
 /// conformance suite holds both to that.
 Status RunMinIdRoundsReference(const std::string& manifest_path,
                                const MinIdRoundsOptions& options,

@@ -19,21 +19,15 @@ Status ShardRecordLocator::Build(const std::string& manifest_path,
     checkpoints[k].reserve(
         (manifest.shards[k].num_records + kLocatorCheckpointStride - 1) /
         kLocatorCheckpointStride);
-    AdjacencyShardReader reader(stats);
-    SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path, manifest, k));
     uint64_t offset = kAdjacencyShardHeaderBytes;
-    VertexRecordView rec;
-    bool has_next = false;
-    while (true) {
-      SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
-      if (!has_next) break;
-      if ((next_rank - first_rank[k]) % kLocatorCheckpointStride == 0) {
-        checkpoints[k].push_back(offset);
-      }
-      rank[rec.id] = static_cast<uint32_t>(next_rank++);
-      offset += AdjacencyRecordBytes(rec.degree);
-    }
-    SEMIS_RETURN_IF_ERROR(reader.Close());
+    SEMIS_RETURN_IF_ERROR(ForEachShardRecord(
+        manifest_path, manifest, k, stats, [&](const VertexRecordView& rec) {
+          if ((next_rank - first_rank[k]) % kLocatorCheckpointStride == 0) {
+            checkpoints[k].push_back(offset);
+          }
+          rank[rec.id] = static_cast<uint32_t>(next_rank++);
+          offset += AdjacencyRecordBytes(rec.degree);
+        }));
   }
   first_rank[num_shards] = next_rank;
   rank_ = std::move(rank);

@@ -97,10 +97,10 @@ class ShardRecordLocator {
 /// Reads the records of a frontier: vertex ids sorted by manifest rank,
 /// without duplicates. Each shard that holds frontier ids is one work
 /// item, read forward by its own AdjacencyShardRecordReader. The items
-/// run on `pool` when one is given (at most one job in flight, as the
-/// pool requires) and sequentially on the calling thread, in shard
-/// order, otherwise. An id behind its shard's read position -- ids out of
-/// rank order -- fails with InvalidArgument.
+/// run through ForEachItem: on `pool` when one is given (at most one job
+/// in flight, as the pool requires), else on the calling thread in shard
+/// order. An id behind its shard's read position -- ids out of rank
+/// order -- fails with InvalidArgument.
 class ShardFrontierReader {
  public:
   /// All references must outlive the reader. `pool` may be null.
@@ -116,9 +116,8 @@ class ShardFrontierReader {
   /// rank order within each shard; on a pool, different shards' visits
   /// run concurrently, so a visitor writes only per-shard state. Each
   /// item's IoStats merge into `stats` (may be null) after the barrier.
-  /// On a pool every item runs to its end or its first error, and the
-  /// first error in shard order is returned; sequentially, the read stops
-  /// at the first error, so no later id is visited.
+  /// Every item runs to its end or its first error, and the first error
+  /// in shard order is returned, with or without a pool.
   template <typename Visit>
   Status Read(const std::vector<VertexId>& ids, IoStats* stats,
               Visit&& visit) const;
@@ -169,22 +168,14 @@ Status ShardFrontierReader::Read(const std::vector<VertexId>& ids,
       return Status::InvalidArgument("frontier ids are not sorted by rank");
     }
   }
-  if (pool_ == nullptr || items.size() <= 1) {
-    for (const Item& item : items) {
-      SEMIS_RETURN_IF_ERROR(ReadItem(ids, item, stats, visit));
-    }
-    return Status::OK();
-  }
-  std::vector<Status> status(items.size());
   std::vector<IoStats> io(items.size());
-  pool_->ParallelFor(items.size(), [&](size_t i, size_t /*worker*/) {
-    status[i] = ReadItem(ids, items[i], &io[i], visit);
+  Status read = ForEachItem(pool_, items.size(), [&](size_t i, size_t) {
+    return ReadItem(ids, items[i], &io[i], visit);
   });
   if (stats != nullptr) {
     for (const IoStats& item_io : io) stats->MergeFrom(item_io);
   }
-  for (const Status& s : status) SEMIS_RETURN_IF_ERROR(s);
-  return Status::OK();
+  return read;
 }
 
 }  // namespace semis

@@ -200,6 +200,25 @@ class AdjacencyShardReader {
   AdjacencyRecordDecoder decoder_;
 };
 
+/// The one open-decode-close loop over a shard: calls `visit(record)` for
+/// each record of shard `shard` in file order, through an
+/// AdjacencyShardReader charging `stats` (may be null). Stops at the
+/// first error; counts no scan.
+template <typename Visit>
+Status ForEachShardRecord(const std::string& manifest_path,
+                          const ShardedAdjacencyManifest& manifest,
+                          uint32_t shard, IoStats* stats, Visit&& visit) {
+  AdjacencyShardReader reader(stats);
+  SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path, manifest, shard));
+  VertexRecordView rec;
+  bool has_next = false;
+  while (true) {
+    SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
+    if (!has_next) return reader.Close();
+    visit(rec);
+  }
+}
+
 /// Sparse forward reader of one shard: decodes single records at known
 /// positions and skips what lies between them. A position is a record
 /// index within the shard, reached from a checkpoint -- the byte offset

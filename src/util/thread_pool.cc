@@ -11,6 +11,14 @@ uint32_t ResolveThreadCount(uint32_t num_threads) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+std::unique_ptr<ThreadPool> MakeShardPool(uint32_t num_threads,
+                                          uint64_t num_shards) {
+  const uint64_t workers =
+      std::min<uint64_t>(ResolveThreadCount(num_threads), num_shards);
+  if (workers <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(workers);
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = ResolveThreadCount(0);
   threads_.reserve(num_threads);

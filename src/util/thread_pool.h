@@ -1,17 +1,16 @@
 // Copyright (c) the semis authors.
-// A minimal fixed-size thread pool for the parallel executors (swap rounds
-// and the sharded greedy prefetcher). Its primitive is a parallel-for over
-// an index range: workers pull indices from a shared atomic counter, so
-// work items of uneven cost (adjacency shards) balance automatically. With
-// one worker the items are processed strictly in ascending order, which
-// makes the single-threaded execution the sequential reference path of
-// every algorithm built on top.
+// A minimal fixed-size thread pool, and the one rule for how a pass over
+// shards uses it: MakeShardPool sizes the pool and ForEachItem runs the
+// pass's items. Workers pull indices from a shared atomic counter, so
+// items of uneven cost (adjacency shards) balance automatically. Without
+// a pool, ForEachItem runs the items in order on the calling thread: the
+// sequential reference path of every algorithm built on top. Either way
+// it returns the first error in item order, whatever the schedule.
 //
-// The parallel-for comes in two flavors sharing one work queue: the
-// blocking ParallelFor, and a BeginParallelFor/WaitForCompletion split for
-// producer-consumer pipelines where the submitting thread keeps consuming
-// results (e.g. the manifest-ordered shard cursor commits records while
-// the pool decodes shards ahead of it).
+// The parallel-for also comes as a BeginParallelFor/WaitForCompletion
+// split for producer-consumer pipelines where the submitting thread keeps
+// consuming results (e.g. the manifest-ordered shard cursor commits
+// records while the pool decodes shards ahead of it).
 #ifndef SEMIS_UTIL_THREAD_POOL_H_
 #define SEMIS_UTIL_THREAD_POOL_H_
 
@@ -19,9 +18,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace semis {
@@ -47,7 +49,7 @@ class ThreadPool {
   /// items over the workers, and returns when all items are done. `worker`
   /// is a stable index in [0, size()) identifying the executing thread, so
   /// callers can keep per-worker scratch state without synchronization.
-  /// Not reentrant: one job at a time.
+  /// Not reentrant: one job at a time. Passes call ForEachItem instead.
   void ParallelFor(size_t num_items,
                    const std::function<void(size_t item, size_t worker)>& fn)
       EXCLUDES(mu_);
@@ -83,6 +85,39 @@ class ThreadPool {
   uint64_t epoch_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
 };
+
+/// The pool of a pass over `num_shards` shards: null when
+/// min(ResolveThreadCount(num_threads), num_shards) <= 1, else a pool of
+/// that many workers. Workers beyond the shard count add no parallelism;
+/// they only spread freed memory over more malloc arenas, which stay
+/// resident.
+std::unique_ptr<ThreadPool> MakeShardPool(uint32_t num_threads,
+                                          uint64_t num_shards);
+
+/// Runs `fn(item, worker)`, which returns a Status, for every item in
+/// [0, num_items): on `pool`, or in item order on the calling thread as
+/// worker 0 when `pool` is null or there is at most one item. Every item
+/// runs to its end or its first error; the first error in item order is
+/// returned, whichever worker ran which item.
+template <typename Fn>
+Status ForEachItem(ThreadPool* pool, size_t num_items, Fn&& fn) {
+  if (pool == nullptr || num_items <= 1) {
+    Status first;
+    for (size_t item = 0; item < num_items; ++item) {
+      Status s = fn(item, size_t{0});
+      if (first.ok()) first = std::move(s);
+    }
+    return first;
+  }
+  std::vector<Status> status(num_items);
+  pool->ParallelFor(num_items, [&](size_t item, size_t worker) {
+    status[item] = fn(item, worker);
+  });
+  for (Status& s : status) {
+    if (!s.ok()) return std::move(s);
+  }
+  return Status::OK();
+}
 
 }  // namespace semis
 

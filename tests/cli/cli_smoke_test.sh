@@ -31,11 +31,11 @@ fail() {
 
 # Malformed numeric flags exit 1 with an error that names the flag,
 # before any I/O: no garbage read as 0, no negative wrapped to 2^32-1.
+# (Also called once `set -e` is on, hence the `|| rc=$?`.)
 expect_flag_error() {  # <flag> <semis_cli args...>
-  local flag="$1" err rc
+  local flag="$1" err rc=0
   shift
-  err="$("$CLI" "$@" 2>&1 >/dev/null)"
-  rc=$?
+  err="$("$CLI" "$@" 2>&1 >/dev/null)" || rc=$?
   [ "$rc" -eq 1 ] || fail "'$*' exited $rc, want 1"
   case "$err" in
     *"--$flag"*) ;;
@@ -81,8 +81,14 @@ expect_flag_error mis-rounds color "$none.sadj" --mis-rounds -3
 set -e
 "$CLI" generate --vertices 2000 --avg-degree 4 --seed 7 --out "$work/g.adj"
 "$CLI" stats "$work/g.adj"
-"$CLI" bound "$work/g.adj"
+# bound's stars follow record order: it warns (and still succeeds) on a
+# file not flagged degree-sorted, and is silent on a sorted one.
+"$CLI" bound "$work/g.adj" 2> "$work/bound.err"
+grep -q "g.adj is not flagged degree-sorted" "$work/bound.err" \
+    || fail "bound printed no warning for an unsorted input"
 "$CLI" sort "$work/g.adj" "$work/g.sadj" --memory-mb 8
+"$CLI" bound "$work/g.sadj" 2> "$work/bound_sorted.err"
+[ -s "$work/bound_sorted.err" ] && fail "bound warned about a sorted input"
 "$CLI" solve "$work/g.sadj" --algo twok --verify --out "$work/set.txt"
 [ -s "$work/set.txt" ] || fail "solve --out produced an empty member list"
 
@@ -214,6 +220,21 @@ done
 # Determinism contract: thread count must not change the maintained set.
 cmp -s "$work/upd1.txt" "$work/upd2.txt" \
     || fail "update result differs between 1 and 2 threads"
+
+# --- each command reads only the flags it declares -------------------------
+# Any other flag exits 1 with an error naming the flag and the command,
+# before any I/O. Each of these used to exit 0 and ignore its flag; the
+# --shard typo (for --shards) solved on one shard.
+expect_flag_error shard solve "$work/g.adj" --shard 8 --threads 4
+expect_flag_error memory-mb solve "$work/g.adj" --memory-mb 64
+expect_flag_error algo update "$work/gu1.sadjs" --stream "$work/updates.txt" \
+    --algo twok
+expect_flag_error threads cover "$work/g.adj" --threads 4
+expect_flag_error shards stats "$work/g.adj" --shards 4
+expect_flag_error shards fsck "$work/gu1.sadjs" --shards 3
+"$CLI" solve "$work/g.adj" --shard 8 2>&1 >/dev/null \
+    | grep -q "unknown flag --shard for command 'solve'" \
+    || fail "the unknown-flag error did not name the flag and the command"
 
 # Round trip: compact folds the delta into the shards; unshard + sort +
 # solve consume the updated graph end to end.

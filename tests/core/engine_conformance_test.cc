@@ -10,12 +10,14 @@
 // picks it up.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/parallel_greedy.h"
+#include "core/parallel_swap.h"
 #include "core/rounds_engine.h"
 #include "core/verify.h"
 #include "gen/generators.h"
@@ -212,6 +214,66 @@ TEST_F(EngineConformanceTest, RoundsMatchSequentialReference) {
               << gadget.name << " round " << r;
         }
       }
+    }
+  }
+}
+
+// Overwrites the first neighbor id of the first record with neighbors in
+// shard file `path` with `bad_id`; the file keeps its size.
+void CorruptFirstNeighbor(const std::string& path, VertexId bad_id) {
+  std::vector<char> bytes = testing_util::ReadAllBytes(path);
+  size_t at = kAdjacencyShardHeaderBytes;
+  while (at + 8 <= bytes.size()) {
+    uint32_t degree = 0;
+    std::memcpy(&degree, bytes.data() + at + 4, sizeof(degree));
+    if (degree > 0) {
+      std::memcpy(bytes.data() + at + 8, &bad_id, sizeof(bad_id));
+      SequentialFileWriter w;
+      ASSERT_OK(w.Open(path));
+      ASSERT_OK(w.Append(bytes.data(), bytes.size()));
+      ASSERT_OK(w.Close());
+      return;
+    }
+    at += AdjacencyRecordBytes(degree);
+  }
+  FAIL() << "no record with neighbors in " << path;
+}
+
+// A failed pass reports its first failing shard, whichever worker read
+// which shard: with a record of shards 1 and 5 of 8 corrupt, the swap
+// stage and the rounds engine return shard 1's Corruption at every
+// thread count, every time.
+TEST_F(EngineConformanceTest, FirstFailingShardReportedAtEveryThreadCount) {
+  const Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(4000, 2.2), 5);
+  const std::string manifest =
+      Shard(WriteGraphFile(&scratch_, g), 8, "corrupt");
+  const auto bad_id = static_cast<VertexId>(g.NumVertices());
+  CorruptFirstNeighbor(ShardFilePath(manifest, 1), bad_id);
+  CorruptFirstNeighbor(ShardFilePath(manifest, 5), bad_id);
+  const std::string shard1 = '\'' + ShardFilePath(manifest, 1) + '\'';
+  std::string swap_error, rounds_error;
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, repeat " +
+                   std::to_string(repeat));
+      ParallelSwapOptions swap_opts;
+      swap_opts.num_threads = threads;
+      AlgoResult swap;
+      Status s = RunParallelSwap(manifest, BitVector(g.NumVertices()),
+                                 swap_opts, &swap);
+      ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+      EXPECT_NE(s.message().find(shard1), std::string::npos) << s.ToString();
+      if (swap_error.empty()) swap_error = s.ToString();
+      EXPECT_EQ(s.ToString(), swap_error);
+
+      MinIdRoundsOptions rounds_opts;
+      rounds_opts.pipeline.num_threads = threads;
+      AlgoResult rounds;
+      s = RunMinIdRounds(manifest, rounds_opts, &rounds);
+      ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+      EXPECT_NE(s.message().find(shard1), std::string::npos) << s.ToString();
+      if (rounds_error.empty()) rounds_error = s.ToString();
+      EXPECT_EQ(s.ToString(), rounds_error);
     }
   }
 }

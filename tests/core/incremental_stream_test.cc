@@ -1002,9 +1002,8 @@ TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {
   // through its shard reads, and its retry must land on the twin's set.
   // The fault lands early (while the evictions' records are read) and
   // late (while the candidates' records are read), each on a fresh twin.
-  // At 1 thread a late fault stops the pass after some joins; at 4 the
-  // reads run on the pool before anything is committed, so a failed
-  // repair leaves the set as it was.
+  // At every thread count the reads finish before anything is committed,
+  // so a failed repair leaves the set as it was.
   const FrontierFixture f = MakeFrontierFixture(&scratch_, 8000, 81);
   for (uint32_t threads : {1u, 4u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
@@ -1055,10 +1054,8 @@ TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {
       EXPECT_TRUE(s.IsIOError()) << s.ToString();
       EXPECT_EQ(fs.faults_injected(), 1u);
       EXPECT_EQ(faulted.stats().repair_passes, 1u);
-      if (threads > 1) {
-        EXPECT_EQ(SetToVector(faulted.set()), before);
-        EXPECT_EQ(faulted.set_size(), before.size());
-      }
+      EXPECT_EQ(SetToVector(faulted.set()), before);
+      EXPECT_EQ(faulted.set_size(), before.size());
       if (SetToVector(faulted.set()) != SetToVector(clean.set())) {
         stopped_short++;
       }
@@ -1219,6 +1216,10 @@ TEST_F(IncrementalStreamTest, ReinitializeRecoversFromWedge) {
     EXPECT_TRUE(mis.ApplyBatch(batch).IsIOError());
   }
   EXPECT_TRUE(mis.ApplyBatch(batch).IsInvalidArgument()) << "not wedged";
+  // A wedged maintainer refuses every mutating call, a repair included.
+  EXPECT_TRUE(mis.Repair().IsInvalidArgument());
+  EXPECT_TRUE(mis.Compact(/*force=*/true).IsInvalidArgument());
+  EXPECT_TRUE(mis.Resort().IsInvalidArgument());
 
   ASSERT_OK(mis.Initialize(wedged_root, initial, EnginePipelineOptions{}));
   EXPECT_EQ(mis.stats().updates_applied, 0u);

@@ -51,7 +51,7 @@ class RoundsPropertyTest : public ScratchTest {
   }
 
   // Checks every per-round invariant of one run and returns the result.
-  // `threads` > 1 exercises the parallel executor, <= 1 the reference.
+  // `threads` sizes the executor's pool; at one, no pool is made.
   AlgoResult CheckedRun(const Graph& g, const std::string& manifest,
                         uint32_t threads, const std::string& tag) {
     const uint64_t n = g.NumVertices();
@@ -266,6 +266,43 @@ TEST_F(RoundsPropertyTest, HostilePipelineKnobsThroughSolver) {
   EXPECT_EQ(SetToVector(res.set), SetToVector(reference));
   EXPECT_GT(res.rounds.rounds, 0u);
   EXPECT_EQ(res.rounds.round_stats.back().frontier_after, 0u);
+}
+
+// The work of a run is a function of the graph and its shard layout,
+// never of the thread count: one thread skips the shards whose frontier
+// is empty like every pooled run, so it reads the same bytes, decodes
+// the same records, counts the same scans and charges the same peak.
+TEST_F(RoundsPropertyTest, WorkCountersIdenticalAtEveryThreadCount) {
+  const Graph g =
+      GeneratePlrg(PlrgSpec::ForVerticesAndAvgDegree(20000, 8.0), 42);
+  const std::string mono = WriteGraphFile(&scratch_, g);
+  for (uint32_t shards : {1u, 3u, 7u}) {
+    const std::string manifest = Shard(mono, shards);
+    MinIdRoundsOptions opts;
+    opts.pipeline.num_threads = 1;
+    AlgoResult one;
+    ASSERT_OK(RunMinIdRounds(manifest, opts, &one));
+    for (uint32_t threads : {2u, 8u}) {
+      const std::string tag = std::to_string(shards) + " shards, " +
+                              std::to_string(threads) + " threads";
+      opts.pipeline.num_threads = threads;
+      AlgoResult res;
+      ASSERT_OK(RunMinIdRounds(manifest, opts, &res));
+      EXPECT_EQ(SetToVector(res.in_set), SetToVector(one.in_set)) << tag;
+      EXPECT_EQ(res.io.records_decoded, one.io.records_decoded) << tag;
+      EXPECT_EQ(res.io.bytes_read, one.io.bytes_read) << tag;
+      EXPECT_EQ(res.io.sequential_scans, one.io.sequential_scans) << tag;
+      EXPECT_EQ(res.peak_memory_bytes, one.peak_memory_bytes) << tag;
+    }
+    if (shards == 7) {
+      // The reference reads every shard in every pass; one thread skips
+      // the settled ones.
+      AlgoResult ref;
+      ASSERT_OK(RunMinIdRoundsReference(manifest, {}, &ref, nullptr));
+      EXPECT_EQ(SetToVector(ref.in_set), SetToVector(one.in_set));
+      EXPECT_LT(one.io.records_decoded, ref.io.records_decoded);
+    }
+  }
 }
 
 // A capped run (max_rounds) must stop early, stay independent, and

@@ -79,6 +79,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/coloring.h"
@@ -88,6 +89,7 @@
 #include "core/verify.h"
 #include "core/vertex_cover.h"
 #include "gen/plrg.h"
+#include "graph/adjacency_file.h"
 #include "graph/degree_sort.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
@@ -100,31 +102,109 @@ namespace semis {
 namespace cli {
 namespace {
 
+// One flag a command reads: its name without the dashes, the placeholder
+// the usage line prints for its value (null for a flag that takes no
+// value), and whether the command requires it.
+struct FlagSpec {
+  const char* name;
+  const char* value = nullptr;
+  bool required = false;
+};
+
+// One command: its positional arguments as the usage line prints them and
+// every flag it reads. Args::Parse rejects any other flag, and PrintUsage
+// prints from the same declarations.
+struct CommandSpec {
+  const char* name;
+  const char* positional;
+  std::vector<FlagSpec> flags;
+};
+
+// The solve flags `solve` and `engine` share (see ParseSolveFlags).
+const FlagSpec kAlgoFlag{"algo", "baseline|greedy|onek|twok"};
+const FlagSpec kRoundsFlag{"rounds", "R"};
+const FlagSpec kShardsFlag{"shards", "N"};
+const FlagSpec kThreadsFlag{"threads", "T"};
+
+const std::vector<CommandSpec>& Commands() {
+  static const std::vector<CommandSpec> commands = {
+      {"generate",
+       "",
+       {{"vertices", "N", true},
+        {"beta", "B"},
+        {"avg-degree", "D"},
+        {"seed", "S"},
+        {"out", "F", true}}},
+      {"convert", "<edges.txt> <graph.adj>", {{"memory-mb", "M"}}},
+      {"sort",
+       "<graph.adj> <graph.sadj>",
+       {{"memory-mb", "M"}, {"fan-in", "K"}}},
+      {"shard", "<graph.adj> <graph.sadjs>", {kShardsFlag}},
+      {"stats", "<graph.adj>", {}},
+      {"bound", "<graph.adj>", {}},
+      {"solve",
+       "<graph.adj|graph.sadjs>",
+       {{"engine", "greedy|rounds"},
+        kAlgoFlag,
+        kRoundsFlag,
+        kShardsFlag,
+        kThreadsFlag,
+        {"out", "set.txt"},
+        {"verify"},
+        {"stats"}}},
+      {"cover", "<graph.adj>", {{"out", "cover.txt"}}},
+      {"color", "<graph.sadj>", {{"mis-rounds", "R"}}},
+      {"update",
+       "<graph.adj|graph.sadjs>",
+       {{"stream", "<updates.txt>", true},
+        kShardsFlag,
+        kThreadsFlag,
+        {"batch", "B"},
+        {"compact-threshold", "E"},
+        {"compact"},
+        {"resort"},
+        {"set", "set.txt"},
+        {"out", "set.txt"},
+        {"verify"},
+        {"stats"}}},
+      {"engine",
+       "<graph.adj|graph.sadjs>",
+       {{"script", "<session.txt>", true},
+        kAlgoFlag,
+        kRoundsFlag,
+        kShardsFlag,
+        kThreadsFlag,
+        {"compact-threshold", "E"},
+        {"out", "set.txt"},
+        {"stats"}}},
+      {"unshard", "<graph.sadjs> <graph.adj>", {}},
+      {"fsck", "<graph.sadjs>", {{"gc"}}},
+  };
+  return commands;
+}
+
+const CommandSpec* FindCommand(const std::string& name) {
+  for (const CommandSpec& command : Commands()) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
 void PrintUsage(std::FILE* to) {
-  std::fprintf(
-      to,
-      "usage: semis_cli <command> [args]\n"
-      "  generate --vertices N [--beta B | --avg-degree D] [--seed S] "
-      "--out F\n"
-      "  convert  <edges.txt> <graph.adj> [--memory-mb M]\n"
-      "  sort     <graph.adj> <graph.sadj> [--memory-mb M] [--fan-in K]\n"
-      "  shard    <graph.adj> <graph.sadjs> [--shards N]\n"
-      "  stats    <graph.adj>\n"
-      "  bound    <graph.adj>\n"
-      "  solve    <graph.adj|graph.sadjs> [--engine greedy|rounds] "
-      "[--algo baseline|greedy|onek|twok] [--rounds R] [--shards N] "
-      "[--threads T] [--out set.txt] [--verify] [--stats]\n"
-      "  cover    <graph.adj> [--out cover.txt]\n"
-      "  color    <graph.sadj> [--mis-rounds R]\n"
-      "  update   <graph.adj|graph.sadjs> --stream <updates.txt> "
-      "[--shards N] [--threads T] [--batch B] [--compact-threshold E] "
-      "[--compact] [--resort] [--set set.txt] [--out set.txt] [--verify] "
-      "[--stats]\n"
-      "  engine   <graph.adj|graph.sadjs> --script <session.txt> "
-      "[--algo baseline|greedy|onek|twok] [--rounds R] [--shards N] "
-      "[--threads T] [--compact-threshold E] [--out set.txt] [--stats]\n"
-      "  unshard  <graph.sadjs> <graph.adj>\n"
-      "  fsck     <graph.sadjs> [--gc]\n");
+  std::fprintf(to, "usage: semis_cli <command> [args]\n");
+  for (const CommandSpec& command : Commands()) {
+    std::string line = "  " + std::string(command.name);
+    line.resize(11, ' ');
+    line += command.positional;
+    for (const FlagSpec& flag : command.flags) {
+      if (line.back() != ' ') line += ' ';
+      if (!flag.required) line += '[';
+      line.append("--").append(flag.name);
+      if (flag.value != nullptr) line.append(" ").append(flag.value);
+      if (!flag.required) line += ']';
+    }
+    std::fprintf(to, "%s\n", line.c_str());
+  }
 }
 
 // Bad usage (missing/unknown command or arguments) is an error: print the
@@ -135,35 +215,52 @@ int Usage() {
   return 1;
 }
 
-// Tiny flag parser: positional args + --key value pairs. A --help/-h in
-// flag position (not consumed as the value of a preceding --key) requests
-// usage output.
+// Tiny flag parser: positional args + the --key [value] flags the command
+// declares. A --help/-h in flag position (not consumed as the value of a
+// preceding --key) requests usage output.
 struct Args {
   std::vector<std::string> positional;
   std::vector<std::pair<std::string, std::string>> flags;
   bool help = false;
 
-  static Args Parse(int argc, char** argv, int start) {
-    Args a;
+  // False, after printing an error that names the flag and `command`,
+  // when a flag is not one `command` reads or lacks its value; a help
+  // request anywhere still wins.
+  static bool Parse(int argc, char** argv, int start,
+                    const CommandSpec& command, Args* a) {
+    std::string error;
     for (int i = start; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg == "--help" || arg == "-h") {
-        a.help = true;
+        a->help = true;
       } else if (arg.rfind("--", 0) == 0) {
         std::string key = arg.substr(2);
-        std::string value;
-        if (key == "verify" || key == "compact" || key == "stats" ||
-            key == "resort" || key == "gc") {  // boolean flags
-          value = "1";
-        } else if (i + 1 < argc) {
-          value = argv[++i];
+        const auto spec = std::find_if(
+            command.flags.begin(), command.flags.end(),
+            [&](const FlagSpec& f) { return key == f.name; });
+        std::string value = "1";
+        if (spec == command.flags.end()) {
+          if (error.empty()) {
+            error = "unknown flag " + arg + " for command '" +
+                    command.name + "'";
+          }
+        } else if (spec->value != nullptr) {
+          if (i + 1 < argc) {
+            value = argv[++i];
+          } else if (error.empty()) {
+            error = "flag " + arg + " of command '" + command.name +
+                    "' needs a value";
+          }
         }
-        a.flags.emplace_back(key, value);
+        a->flags.emplace_back(key, value);
       } else {
-        a.positional.push_back(arg);
+        a->positional.push_back(arg);
       }
     }
-    return a;
+    if (a->help || error.empty()) return true;
+    std::fprintf(stderr, "error: %s (see `semis_cli help`)\n",
+                 error.c_str());
+    return false;
   }
 
   std::string Get(const std::string& key, const std::string& def = "") const {
@@ -421,6 +518,17 @@ int CmdBound(const Args& args) {
   std::printf("independence number <= %llu (1 scan, %s read)\n",
               static_cast<unsigned long long>(bound),
               MemoryTracker::FormatBytes(io.bytes_read).c_str());
+  // Algorithm 5's stars follow record order, so the bound is only as
+  // tight as the paper's on a degree-sorted file.
+  AdjacencyFileScanner header;
+  if (header.Open(args.positional[0]).ok() &&
+      !header.header().IsDegreeSorted()) {
+    std::fprintf(stderr,
+                 "warning: %s is not flagged degree-sorted; the bound "
+                 "depends on record order and is tightest on a "
+                 "degree-sorted file (`semis_cli sort` writes one)\n",
+                 args.positional[0].c_str());
+  }
   return 0;
 }
 
@@ -1194,7 +1302,10 @@ int Main(int argc, char** argv) {
     PrintUsage(stdout);
     return 0;
   }
-  Args args = Args::Parse(argc, argv, 2);
+  const CommandSpec* command = FindCommand(cmd);
+  if (command == nullptr) return Usage();
+  Args args;
+  if (!Args::Parse(argc, argv, 2, *command, &args)) return 1;
   if (args.help) {
     PrintUsage(stdout);
     return 0;

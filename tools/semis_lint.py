@@ -23,6 +23,13 @@ that contract, before they reach a differential test:
                        std::less<T*> in src/core or src/graph.  Pointer
                        values vary across runs (ASLR, allocator state);
                        they must never break ties.
+  raw-parallel-for     A ParallelFor( call in src/core or src/graph.  A
+                       pass over shards runs through ForEachItem
+                       (util/thread_pool.h), which returns the first error
+                       in item order; a hand-rolled status loop on the
+                       pool lets the schedule pick which error a failed
+                       pass reports.  BeginParallelFor (the cursor's
+                       producer-consumer split) is not matched.
   raw-io               Direct OS file I/O (fopen/::open/::read/lseek/pread/
                        mmap/fsync/rename/unlink/mkdtemp/std::filesystem,
                        ...) anywhere under src/ except src/io/env.cc.  All
@@ -51,13 +58,15 @@ RULES = (
     "raw-random",
     "wall-clock",
     "pointer-tiebreak",
+    "raw-parallel-for",
     "raw-io",
 )
 
 # Rules that only apply inside the deterministic core.  raw-random and
 # raw-io apply to all of src/ (a seeded run must be reproducible end to
 # end, and every file-system call must be fault-injectable).
-CORE_ONLY_RULES = {"unordered-iteration", "wall-clock", "pointer-tiebreak"}
+CORE_ONLY_RULES = {"unordered-iteration", "wall-clock", "pointer-tiebreak",
+                   "raw-parallel-for"}
 CORE_DIRS = ("src/core", "src/graph")
 RANDOM_EXEMPT = "src/util/random.h"
 # The posix implementation of the FileSystem seam is the one place raw OS
@@ -83,6 +92,9 @@ POINTER_TIEBREAK_RE = re.compile(
     r"\breinterpret_cast\s*<\s*(?:std::)?(?:u?intptr_t|size_t)\s*>"
     r"|\bstd::less\s*<[^<>;]*\*\s*>"
 )
+# `ParallelFor(` as a whole name: `pool.ParallelFor(`, `pool->ParallelFor(`
+# and `ThreadPool::ParallelFor(` match, `BeginParallelFor(` does not.
+RAW_PARALLEL_FOR_RE = re.compile(r"(?<![A-Za-z0-9_])ParallelFor\s*\(")
 
 # Unqualified C-library / posix calls.  The lookbehind rejects member calls
 # (`f.open(`, `f->open(`), identifiers that merely end in a name
@@ -286,6 +298,11 @@ def lint_file(abs_path, rel_path):
             rel_path, code, "pointer-tiebreak", POINTER_TIEBREAK_RE,
             "pointer value used as an ordering key; pointer values vary "
             "across runs", findings)
+        check_regex_rule(
+            rel_path, code, "raw-parallel-for", RAW_PARALLEL_FOR_RE,
+            "raw ParallelFor over a pass; run the items through "
+            "ForEachItem (util/thread_pool.h) so a failed pass returns "
+            "the first error in item order", findings)
     if rel_path.replace(os.sep, "/") != RANDOM_EXEMPT:
         check_regex_rule(
             rel_path, code, "raw-random", RAW_RANDOM_RE,

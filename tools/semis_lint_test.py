@@ -212,6 +212,47 @@ uint64_t F(double d) { return static_cast<uint64_t>(d); }
         self.assertEqual(self.rules("src/core/foo.cc"), [])
 
 
+class RawParallelForTest(LintTestBase):
+    CODE = """
+#include "util/thread_pool.h"
+void Pass(semis::ThreadPool* pool, int* out) {
+  pool->ParallelFor(8, [&](size_t item, size_t) { out[item] = 1; });
+}
+"""
+
+    def test_flags_parallel_for_in_core_and_graph(self):
+        for rel in ("src/core/foo.cc", "src/graph/foo.h"):
+            self.write(rel, self.CODE)
+            findings = self.lint(rel)
+            self.assertEqual([f.rule for f in findings],
+                             ["raw-parallel-for"])
+            self.assertEqual(findings[0].line, 4)
+
+    def test_suppression_applies(self):
+        self.write("src/core/foo.cc", """
+void Pass(semis::ThreadPool& pool) {
+  // semis-lint: allow(raw-parallel-for) -- no status to lose here
+  pool.ParallelFor(8, [](size_t, size_t) {});
+}
+""")
+        self.assertEqual(self.rules("src/core/foo.cc"), [])
+
+    def test_begin_parallel_for_clean(self):
+        # The cursor's producer-consumer split is not a pass.
+        self.write("src/graph/foo.cc", """
+void Open(semis::ThreadPool* pool) {
+  pool->BeginParallelFor(8, [](size_t, size_t) {});
+  pool->WaitForCompletion();
+}
+""")
+        self.assertEqual(self.rules("src/graph/foo.cc"), [])
+
+    def test_not_flagged_outside_core(self):
+        # ForEachItem in src/util is the one caller.
+        self.write("src/util/foo.h", self.CODE)
+        self.assertEqual(self.rules("src/util/foo.h"), [])
+
+
 class RawIoTest(LintTestBase):
     def test_fopen_flagged_anywhere_in_src(self):
         self.write("src/core/foo.cc",
