@@ -9,11 +9,12 @@
 //   * BM_WholeShardDecode: the RETIRED pre-block strategy (each shard
 //     decoded into one freshly allocated flat vector), kept here as the
 //     old-vs-new allocation baseline.
-//   * BM_SequentialShardDecode: the plain per-record sequential scanner.
+//   * BM_SequentialShardDecode: the cursor without a pool, reading the
+//     shards on the calling thread, one scanner record at a time.
 // Plus BM_BlockAppendSteadyState, which isolates a decoder's inner loop
-// (AdjacencyShardReader::Next, then the record's words appended to a
-// block) and aborts (SkipWithError -> nightly gate failure) if a
-// steady-state pass allocates at all: the "zero heap allocations per
+// (AdjacencyFileScanner::Next on a shard, then the record's words
+// appended to a block) and aborts (SkipWithError -> nightly gate failure)
+// if a steady-state pass allocates at all: the "zero heap allocations per
 // record" claim, enforced in the timing loop.
 //
 // Allocation counts come from global operator new/delete overrides local
@@ -99,12 +100,13 @@ struct BlockDecodeEnv {
         BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{}));
     manifest = scratch.NewFilePath("sharded.sadjs");
     SEMIS_BENCH_CHECK_OK(ShardAdjacencyFile(sorted, manifest, kNumShards));
-    // Order-sensitive checksum of the reference stream: every strategy
-    // below must reproduce it, so a reordering/dropping bug aborts the
-    // timing loop instead of producing a fast wrong number.
+    // Order-sensitive checksum of the reference stream, the sorted SADJ
+    // file: every strategy below must reproduce it, so a
+    // reordering/dropping bug aborts the timing loop instead of producing
+    // a fast wrong number.
     reference_checksum = 0;
-    ShardedAdjacencyScanner scanner;
-    SEMIS_BENCH_CHECK_OK(scanner.Open(manifest));
+    AdjacencyFileScanner scanner;
+    SEMIS_BENCH_CHECK_OK(scanner.Open(sorted));
     VertexRecordView view;
     bool has_next = false;
     uint64_t position = 0;
@@ -160,8 +162,8 @@ void BM_BlockCursorDecode(benchmark::State& state) {
       break;
     }
     if (checksum != env.reference_checksum) {
-      state.SkipWithError("block cursor stream differs from the sequential "
-                          "sharded scan");
+      state.SkipWithError("block cursor stream differs from the sorted "
+                          "SADJ file");
       break;
     }
   }
@@ -199,8 +201,8 @@ void BM_WholeShardDecode(benchmark::State& state) {
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);
     for (uint32_t k = 0; s.ok() && k < manifest.num_shards(); ++k) {
       std::vector<VertexId> words;  // fresh per shard, like the old slots
-      AdjacencyShardReader reader;
-      s = reader.Open(env.manifest, manifest, k);
+      AdjacencyFileScanner reader;
+      s = reader.OpenShard(env.manifest, manifest, k);
       VertexRecordView view;
       bool has_next = false;
       while (s.ok()) {
@@ -226,8 +228,8 @@ void BM_WholeShardDecode(benchmark::State& state) {
       break;
     }
     if (checksum != env.reference_checksum) {
-      state.SkipWithError("whole-shard decode differs from the sequential "
-                          "sharded scan");
+      state.SkipWithError("whole-shard decode differs from the sorted "
+                          "SADJ file");
       break;
     }
   }
@@ -241,20 +243,20 @@ void BM_WholeShardDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_WholeShardDecode)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The plain per-record sequential scanner, for the throughput column.
+// The cursor without a pool, for the throughput column.
 void BM_SequentialShardDecode(benchmark::State& state) {
   BlockDecodeEnv& env = Env();
   uint64_t allocs = 0;
   for (auto _ : state) {
-    ShardedAdjacencyScanner scanner;
-    Status s = scanner.Open(env.manifest);
+    ManifestOrderedShardCursor cursor;
+    Status s = cursor.Open(env.manifest, /*pool=*/nullptr);
     uint64_t checksum = 0, position = 0;
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);
     if (s.ok()) {
       VertexRecordView view;
       bool has_next = false;
       while (true) {
-        s = scanner.Next(&view, &has_next);
+        s = cursor.Next(&view, &has_next);
         if (!s.ok() || !has_next) break;
         FoldRecord(view.id, view.begin(), view.end(), &position, &checksum);
       }
@@ -265,7 +267,8 @@ void BM_SequentialShardDecode(benchmark::State& state) {
       break;
     }
     if (checksum != env.reference_checksum) {
-      state.SkipWithError("sequential scan checksum unstable across runs");
+      state.SkipWithError("pool-less cursor stream differs from the sorted "
+                          "SADJ file");
       break;
     }
   }
@@ -279,8 +282,8 @@ BENCHMARK(BM_SequentialShardDecode)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// A decoder's inner loop in isolation: Next on an open shard reader, then
-// the record's words appended to a block, which is handed over and
+// A decoder's inner loop in isolation: Next on a scanner open on a shard,
+// then the record's words appended to a block, which is handed over and
 // recycled once full. One reader and one block serve every pass, as they
 // serve a decoder: after a warm-up pass has grown the reader's spill
 // buffer and the block to their capacity, a pass must allocate NOTHING.
@@ -291,13 +294,13 @@ void BM_BlockAppendSteadyState(benchmark::State& state) {
   BlockDecodeEnv& env = Env();
   ShardedAdjacencyManifest manifest;
   SEMIS_BENCH_CHECK_OK(ReadShardedAdjacencyManifest(env.manifest, &manifest));
-  AdjacencyShardReader reader;
+  AdjacencyFileScanner reader;
   std::vector<VertexId> block;
   uint64_t records = 0;
   // Decodes shard 0 into the block; `*allocs` counts the heap
   // allocations between Open and Close.
   auto pass = [&](uint64_t* allocs) -> Status {
-    SEMIS_RETURN_IF_ERROR(reader.Open(env.manifest, manifest, 0));
+    SEMIS_RETURN_IF_ERROR(reader.OpenShard(env.manifest, manifest, 0));
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);
     VertexRecordView view;
     bool has_next = false;

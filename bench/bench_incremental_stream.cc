@@ -317,12 +317,12 @@ void BM_StreamCompact(benchmark::State& state) {
   std::vector<VertexId> ids;
   std::vector<std::vector<VertexId>> adj;
   {
-    AdjacencyShardReader reader;
-    SEMIS_BENCH_CHECK_OK(reader.Open(manifest, mis.manifest(), 0));
+    AdjacencyFileScanner scanner;
+    SEMIS_BENCH_CHECK_OK(scanner.OpenShard(manifest, mis.manifest(), 0));
     VertexRecordView rec;
     bool has_next = false;
     while (true) {
-      SEMIS_BENCH_CHECK_OK(reader.Next(&rec, &has_next));
+      SEMIS_BENCH_CHECK_OK(scanner.Next(&rec, &has_next));
       if (!has_next) break;
       ids.push_back(rec.id);
       adj.emplace_back(rec.neighbors, rec.neighbors + rec.degree);

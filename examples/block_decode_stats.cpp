@@ -2,12 +2,14 @@
 // manifest-ordered cursor and stream every record through the view API,
 // then read back the ring's counters -- living documentation of the
 // decode layer under the sequential commit scans (RunParallelGreedy and
-// the full ShardedStreamingMis::Repair pass; the swap and the rounds
-// engine give each worker its own AdjacencyShardReader instead).
+// the full ShardedStreamingMis::Repair pass, which open the cursor
+// without a pool at one thread; the swap and the rounds engine give each
+// worker its own AdjacencyFileScanner instead).
 //
 //   1. generate a graph, degree-sort it, split it into shards,
 //   2. drain ManifestOrderedShardCursor via VertexRecordView,
-//   3. print records/sec, blocks decoded, arena + peak buffered bytes.
+//   3. print records/sec, blocks decoded, arena + peak buffered bytes,
+//      and the ring's bound, the figure the commit scans charge.
 //
 // The interesting part is what does NOT happen: no per-record allocation
 // (decoders copy records into blocks that are recycled once drained, and
@@ -99,6 +101,9 @@ int main() {
   std::printf("  peak buffered : %s (bounded by the ring budget, "
               "not the largest shard)\n",
               MemoryTracker::FormatBytes(io.peak_buffered_bytes).c_str());
+  std::printf("  buffer bound  : %s (the ring's contract, whatever the "
+              "schedule)\n",
+              MemoryTracker::FormatBytes(cursor.buffer_bound_bytes()).c_str());
   std::printf("  bytes read    : %s over %llu files\n",
               MemoryTracker::FormatBytes(io.bytes_read).c_str(),
               static_cast<unsigned long long>(io.files_opened));

@@ -378,37 +378,23 @@ bool ShardedStreamingMis::TryJoin(const VertexRecordView& rec) {
   return true;
 }
 
-template <typename Source>
-Status ShardedStreamingMis::RepairScan(Source* source, uint64_t* added) {
+Status ShardedStreamingMis::RepairFull(uint64_t* added) {
+  // With the maintainer's pool, decoder threads prefetch shards while
+  // this thread commits in manifest order -- the RunParallelGreedy
+  // pipeline; without one the cursor reads them on this thread. The
+  // commit sequence is the same either way.
+  ManifestOrderedShardCursor cursor(&stats_.io);
+  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, pool_.get()));
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    SEMIS_RETURN_IF_ERROR(source->Next(&rec, &has_next));
+    SEMIS_RETURN_IF_ERROR(cursor.Next(&rec, &has_next));
     if (!has_next) break;
     if (TryJoin(rec)) (*added)++;
   }
-  return Status::OK();
-}
-
-Status ShardedStreamingMis::RepairFull(uint64_t* added) {
-  if (pool_ == nullptr) {
-    // The sequential reference path: a plain forward scan over the shards.
-    ShardedAdjacencyScanner scanner(&stats_.io);
-    SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path_));
-    return RepairScan(&scanner, added);
-  }
-  // Decoder threads prefetch shards while this thread commits in
-  // manifest order -- the RunParallelGreedy pipeline. The commit
-  // sequence is identical to the sequential path by construction.
-  ManifestOrderedShardCursor cursor(&stats_.io);
-  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, pool_.get()));
-  Status scan = RepairScan(&cursor, added);
-  Status close = cursor.Close();
-  SEMIS_RETURN_IF_ERROR(scan);
-  SEMIS_RETURN_IF_ERROR(close);
-  // The pipeline's decoded-shard buffer rides on top of the maintainer's
-  // own state.
-  AccountTransientMemory(cursor.peak_buffered_bytes());
+  SEMIS_RETURN_IF_ERROR(cursor.Close());
+  // The ring's blocks ride on top of the maintainer's own state.
+  AccountTransientMemory(cursor.buffer_bound_bytes());
   return Status::OK();
 }
 
@@ -588,8 +574,8 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
                           }),
               folds.end());
 
-  AdjacencyShardReader reader(&stats_.io);
-  SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
+  AdjacencyFileScanner reader(&stats_.io);
+  SEMIS_RETURN_IF_ERROR(reader.OpenShard(manifest_path_, manifest_, shard));
   SequentialFileWriter writer(&stats_.io);
   SEMIS_RETURN_IF_ERROR(writer.Open(out_path));
   SEMIS_RETURN_IF_ERROR(WriteAdjacencyShardHeader(&writer, shard, n_));
@@ -904,15 +890,17 @@ Status ShardedStreamingMis::ResortInternal() {
   const std::string new_manifest = EpochManifestPath(root_path_, next_epoch);
   const std::string new_delta = EdgeDeltaManifestPath(new_manifest);
 
-  // Sort the compacted base into fresh shards under the next epoch's
-  // names. Totals, max_degree, and flags carry the current manifest's
-  // values -- exactly what a fresh unshard -> degree-sort -> shard
-  // rebuild would write -- so the published bytes are identical to that
-  // rebuild's, shard split included. The sorter's budget is the largest
-  // shard's decoded bytes (16 B per record plus its neighbor words), the
-  // working set of sorting one shard in memory; the rest spills to the
-  // sorter's private scratch dir under $TMPDIR, which is removed before
-  // the epoch commits, so a crash leaves the store nothing to collect.
+  // Sort the compacted base, read in manifest order on this thread, into
+  // fresh shards under the next epoch's names, through the sorted-store
+  // builder of a monolithic open. Totals, max_degree, and flags carry the
+  // current manifest's values -- exactly what a fresh unshard ->
+  // degree-sort -> shard rebuild would write -- so the published bytes
+  // are identical to that rebuild's, shard split included. The sorter's
+  // budget is the largest shard's decoded bytes (16 B per record plus its
+  // neighbor words), the working set of sorting one shard in memory; the
+  // rest spills to the sorter's private scratch dir under $TMPDIR, which
+  // is removed before the epoch commits, so a crash leaves the store
+  // nothing to collect.
   {
     uint64_t max_shard_bytes = 0;
     for (const ShardInfo& s : manifest_.shards) {
@@ -925,17 +913,10 @@ Status ShardedStreamingMis::ResortInternal() {
     sort_options.memory_budget_bytes = std::max<uint64_t>(max_shard_bytes, 1);
     sort_options.stats = &stats_.io;
     sort_options.memory = &sort_memory;
-    DegreeSorter sorter(sort_options);
-    ShardedAdjacencyScanner base(&stats_.io);
-    SEMIS_RETURN_IF_ERROR(base.Open(manifest_path_));
-    SEMIS_RETURN_IF_ERROR(sorter.AddAll(&base));
-    ShardedAdjacencyFileWriter writer(&stats_.io);
-    SEMIS_RETURN_IF_ERROR(writer.Open(
-        new_manifest, n_, manifest_.header.num_directed_edges,
-        manifest_.header.max_degree,
-        manifest_.header.flags | kAdjFlagDegreeSorted, num_shards));
-    SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
-    SEMIS_RETURN_IF_ERROR(writer.Finish());
+    ManifestOrderedShardCursor base(&stats_.io);
+    SEMIS_RETURN_IF_ERROR(base.Open(manifest_path_, /*pool=*/nullptr));
+    SEMIS_RETURN_IF_ERROR(BuildDegreeSortedShardStore(
+        &base, new_manifest, num_shards, sort_options));
     AccountTransientMemory(sort_memory.PeakBytes());
   }
   std::vector<std::string> staged_files;

@@ -36,7 +36,8 @@
 //
 //   the repaired set is byte-identical for EVERY shard/thread count, and
 //   equal to sequential IncrementalMis::Repair on the equivalent
-//   monolithic file; without a pool the full pass is the plain scan.
+//   monolithic file; without a pool the cursor reads the shards on the
+//   calling thread.
 //
 // A frontier with more than max(n / kRepairFrontierDivisor,
 // kRepairFrontierFloor) entries takes the full pass instead, which also
@@ -323,9 +324,7 @@ class ShardedStreamingMis {
   // live set neighbor joins. Returns true when `rec.id` joined.
   bool TryJoin(const VertexRecordView& rec);
   // The full pass: the commit rule over every record, strictly in
-  // manifest order. `Source` exposes the view-API Next(&view, &has_next).
-  template <typename Source>
-  Status RepairScan(Source* source, uint64_t* added);
+  // manifest order.
   Status RepairFull(uint64_t* added);
   // The frontier pass; drops the frontier (leaving the work to the full
   // pass) when expanding the evictions overflows it.

@@ -14,9 +14,8 @@
 // Determinism contract: the commit order equals the manifest order for
 // every shard/thread count, so the final state array (and therefore the
 // independent set) is byte-identical to sequential RunGreedy on the
-// equivalent monolithic file. num_threads <= 1 runs the plain sequential
-// scan over the shards (no pool, no buffering): it IS the existing
-// sequential path, merely reading sharded input.
+// equivalent monolithic file. At num_threads <= 1 the cursor has no pool
+// and reads the shards on the calling thread, with no ring.
 #ifndef SEMIS_CORE_PARALLEL_GREEDY_H_
 #define SEMIS_CORE_PARALLEL_GREEDY_H_
 

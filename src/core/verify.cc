@@ -8,9 +8,9 @@ namespace semis {
 namespace {
 
 // One streaming verification pass; `Source` is any open record source
-// exposing header() and the view-API Next(&view, &has_next) -- the
-// monolithic and the sharded scanner yield the same record stream, so the
-// check is shared.
+// exposing header() and the view-API Next(&view, &has_next) -- the SADJ
+// scanner and the manifest-order cursor yield the same record stream, so
+// the check is shared.
 template <typename Source>
 Status VerifyScan(Source* scanner, const BitVector& set,
                   VerifyResult* result) {
@@ -59,9 +59,9 @@ Status VerifyIndependentSetFile(const std::string& adjacency_path,
 Status VerifyIndependentSetShardedFile(const std::string& manifest_path,
                                        const BitVector& set,
                                        VerifyResult* result, IoStats* stats) {
-  ShardedAdjacencyScanner scanner(stats);
-  SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path));
-  return VerifyScan(&scanner, set, result);
+  ManifestOrderedShardCursor cursor(stats);
+  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path, /*pool=*/nullptr));
+  return VerifyScan(&cursor, set, result);
 }
 
 VerifyResult VerifyIndependentSet(const Graph& graph, const BitVector& set) {

@@ -1,5 +1,7 @@
 #include "gen/generators.h"
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <utility>
 #include <vector>
@@ -157,6 +159,49 @@ Graph GenerateMapLabels(VertexId pois, double width, double height,
   }
   return Graph::FromEdges(static_cast<VertexId>(labels.size()),
                           std::move(edges));
+}
+
+Graph GenerateUnitDisk(VertexId n, double avg_degree, uint64_t seed) {
+  Random rng(seed);
+  std::vector<double> x(n), y(n);
+  for (VertexId v = 0; v < n; ++v) {
+    x[v] = rng.NextDouble();
+    y[v] = rng.NextDouble();
+  }
+  std::vector<Edge> edges;
+  if (n < 2 || !(avg_degree > 0.0)) {
+    return Graph::FromEdges(n, std::move(edges));
+  }
+  const double pi = std::acos(-1.0);
+  const double radius = std::sqrt(avg_degree / (pi * (n - 1)));
+  // Cells of side at least the radius, so a point's neighbors lie in its
+  // own cell and the eight around it; at most about n cells.
+  const double cells_per_side = std::min(
+      std::floor(1.0 / radius), std::ceil(std::sqrt(static_cast<double>(n))));
+  const int grid = std::max(1, static_cast<int>(cells_per_side));
+  const auto cell_of = [grid](double v) {
+    return std::min(grid - 1, static_cast<int>(v * grid));
+  };
+  std::vector<std::vector<VertexId>> cells(size_t{1} * grid * grid);
+  for (VertexId v = 0; v < n; ++v) {
+    cells[size_t{1} * cell_of(x[v]) * grid + cell_of(y[v])].push_back(v);
+  }
+  const double r2 = radius * radius;
+  for (VertexId u = 0; u < n; ++u) {
+    const int cx = cell_of(x[u]);
+    const int cy = cell_of(y[u]);
+    for (int nx = std::max(0, cx - 1); nx <= std::min(grid - 1, cx + 1); ++nx) {
+      for (int ny = std::max(0, cy - 1); ny <= std::min(grid - 1, cy + 1);
+           ++ny) {
+        for (VertexId v : cells[size_t{1} * nx * grid + ny]) {
+          const double dx = x[u] - x[v];
+          const double dy = y[u] - y[v];
+          if (u < v && dx * dx + dy * dy <= r2) edges.emplace_back(u, v);
+        }
+      }
+    }
+  }
+  return Graph::FromEdges(n, std::move(edges));
 }
 
 }  // namespace semis

@@ -60,6 +60,13 @@ Graph GenerateCaterpillar(VertexId spine, VertexId legs);
 Graph GenerateMapLabels(VertexId pois, double width, double height,
                         uint64_t seed);
 
+/// Unit-disk graph (random geometric graph): `n` points drawn uniformly
+/// from the unit square, vertex v being the v-th point, and two points
+/// joined when they lie within the radius r at which (n - 1) pi r^2 =
+/// `avg_degree`. Points near the square's sides reach less area, so the
+/// realized average degree falls slightly short of `avg_degree`.
+Graph GenerateUnitDisk(VertexId n, double avg_degree, uint64_t seed);
+
 }  // namespace semis
 
 #endif  // SEMIS_GEN_GENERATORS_H_

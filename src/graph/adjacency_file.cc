@@ -109,6 +109,8 @@ Status AdjacencyFileScanner::ReadHeader() {
         "'" + path_ + "' declares " + std::to_string(header_.num_vertices) +
         " vertices, past the 32-bit id space");
   }
+  num_records_ = header_.num_vertices;
+  num_edges_ = header_.num_directed_edges;
   records_seen_ = 0;
   edges_seen_ = 0;
   decoder_.Reset(path_, header_.num_vertices, header_.max_degree);
@@ -132,26 +134,33 @@ Status AdjacencyFileScanner::Rewind() {
 }
 
 Status AdjacencyFileScanner::Next(VertexRecordView* view, bool* has_next) {
-  if (records_seen_ == header_.num_vertices) {
+  if (records_seen_ == num_records_) {
     if (!reader_.AtEof()) {
       return Status::Corruption("trailing bytes after last record in '" +
                                 path_ + "'");
+    }
+    if (edges_seen_ != num_edges_) {
+      return Status::Corruption(
+          "edge count mismatch in '" + path_ + "': declared " +
+          std::to_string(num_edges_) + ", read " +
+          std::to_string(edges_seen_));
     }
     *has_next = false;
     return Status::OK();
   }
   if (reader_.AtEof()) {
     return Status::Corruption(
-        "file '" + path_ + "' truncated: expected " +
-        std::to_string(header_.num_vertices) + " records, found " +
+        "'" + path_ + "' truncated: expected " +
+        std::to_string(num_records_) + " records, found " +
         std::to_string(records_seen_));
   }
   SEMIS_RETURN_IF_ERROR(decoder_.Decode(&reader_, view));
   records_seen_++;
   edges_seen_ += view->degree;
-  if (edges_seen_ > header_.num_directed_edges) {
+  if (edges_seen_ > num_edges_) {
     return Status::Corruption("more edges than declared in '" + path_ + "'");
   }
+  if (stats_ != nullptr) stats_->records_decoded++;
   *has_next = true;
   return Status::OK();
 }

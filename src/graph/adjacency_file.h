@@ -11,7 +11,9 @@
 //     u32 id  u32 degree  u32 neighbor[degree]
 //
 // The scanner exposes records strictly in file order; there is no random
-// access, matching the paper's semi-external model.
+// access, matching the paper's semi-external model. Shard files of a
+// sharded store (graph/sharded_adjacency_file.h) carry the same records
+// under their own header, and the scanner reads them too.
 #ifndef SEMIS_GRAPH_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_ADJACENCY_FILE_H_
 
@@ -26,6 +28,8 @@
 #include "util/status.h"
 
 namespace semis {
+
+struct ShardedAdjacencyManifest;
 
 /// Flag: records appear in ascending order of (degree, id). Produced by
 /// the preprocessing sort (Section 4.1) and required by GREEDY for its
@@ -105,8 +109,8 @@ struct VertexRecordView {
 /// u32 neighbor[degree]; shard files carry the same records) and checks
 /// each against its header: the id and every neighbor below
 /// `num_vertices`, the degree at most `max_degree`. The one record
-/// decoder of AdjacencyFileScanner and AdjacencyShardReader, which keep
-/// the record-count and edge-total checks.
+/// decoder of AdjacencyFileScanner, which keeps the record-count and
+/// edge-total checks, and of the sparse AdjacencyShardRecordReader.
 ///
 /// A record the reader holds whole is validated and consumed in place
 /// (SequentialFileReader::PeekBuffered/ConsumeBuffered), and its view
@@ -144,9 +148,10 @@ class AdjacencyRecordDecoder {
   std::vector<VertexId> spill_;
 };
 
-/// Forward-only reader of adjacency files. Rewind() restarts a scan (and
-/// bumps IoStats::sequential_scans): this is the only iteration primitive
-/// the semi-external algorithms get.
+/// Forward-only reader of one record stream: a SADJ file (Open) or one
+/// shard of a sharded store (OpenShard). Rewind() restarts a SADJ scan
+/// (and bumps IoStats::sequential_scans): this is the only iteration
+/// primitive the semi-external algorithms get.
 class AdjacencyFileScanner {
  public:
   /// `stats` may be null.
@@ -157,19 +162,39 @@ class AdjacencyFileScanner {
   /// it. Counts one sequential scan.
   Status Open(const std::string& path);
 
-  /// Header of the open file.
+  /// Opens shard `index` of the store rooted at `manifest_path`,
+  /// validating the index and the shard header against `manifest`. The
+  /// record and edge totals are the shard's manifest entry; the id bound,
+  /// max_degree and header() are the store's. Counts no scan: a scan of a
+  /// store is one pass over every shard, counted by whoever makes it.
+  /// Defined with the shard format in sharded_adjacency_file.cc.
+  Status OpenShard(const std::string& manifest_path,
+                   const ShardedAdjacencyManifest& manifest, uint32_t index);
+
+  /// Header of the open file (of the store, for a shard).
   const AdjacencyFileHeader& header() const { return header_; }
 
   /// Reads the next record (the view API, so generic scan code such as
-  /// RunGreedyScan and the streaming RepairScan runs unchanged over this
-  /// scanner and the block-decode cursor).
-  /// `view->neighbors` points into a scanner-owned buffer until the next
-  /// call. `*has_next` is false at end-of-file (in which case `view` is
-  /// untouched). Validates ids, degrees and totals; a truncated or
-  /// inconsistent file yields Corruption.
+  /// RunGreedyScan and the degree sort runs unchanged over this scanner
+  /// and the manifest-order cursor) and counts it in
+  /// IoStats::records_decoded. `view->neighbors` points into a
+  /// scanner-owned buffer until the next call, with the record's id and
+  /// degree words right in front of it (see AdjacencyRecordDecoder).
+  /// `*has_next` is false after the last record (in which case `view` is
+  /// untouched). A truncated stream, trailing bytes, or an edge count
+  /// other than the declared total is Corruption naming the file.
   Status Next(VertexRecordView* view, bool* has_next);
 
-  /// Restarts the scan from the first record. Counts a sequential scan.
+  /// True when a next record exists and already lies whole in the read
+  /// buffer, so Next neither refills the buffer nor moves earlier views'
+  /// bytes: views of consecutive buffered records are consecutive bytes.
+  bool NextIsBuffered() const {
+    return records_seen_ < num_records_ &&
+           AdjacencyRecordDecoder::NextIsBuffered(reader_);
+  }
+
+  /// Restarts the scan of a SADJ file from the first record. Counts a
+  /// sequential scan.
   Status Rewind();
 
   /// Closes the underlying file without waiting for the destructor. Used
@@ -189,6 +214,10 @@ class AdjacencyFileScanner {
   AdjacencyFileHeader header_;
   std::string path_;
   AdjacencyRecordDecoder decoder_;
+  // The stream's declared totals: the SADJ header's, or the shard's
+  // manifest entry.
+  uint64_t num_records_ = 0;
+  uint64_t num_edges_ = 0;
   uint64_t records_seen_ = 0;
   uint64_t edges_seen_ = 0;
 };

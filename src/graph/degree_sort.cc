@@ -3,8 +3,6 @@
 #include <cstring>
 #include <limits>
 
-#include "graph/sharded_adjacency_file.h"
-
 namespace semis {
 
 namespace {
@@ -166,22 +164,6 @@ Status BuildDegreeSortedAdjacencyFile(const std::string& input_path,
   SEMIS_RETURN_IF_ERROR(writer.Open(output_path, h.num_vertices,
                                     h.num_directed_edges, h.max_degree,
                                     h.flags | kAdjFlagDegreeSorted));
-  SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
-  return writer.Finish();
-}
-
-Status BuildDegreeSortedShardStore(AdjacencyFileScanner* input,
-                                   const std::string& manifest_path,
-                                   uint32_t num_shards,
-                                   const DegreeSortOptions& options) {
-  DegreeSorter sorter(options);
-  SEMIS_RETURN_IF_ERROR(sorter.AddAll(input));
-  const AdjacencyFileHeader& h = input->header();
-  ShardedAdjacencyFileWriter writer(options.stats);
-  SEMIS_RETURN_IF_ERROR(writer.Open(manifest_path, h.num_vertices,
-                                    h.num_directed_edges, h.max_degree,
-                                    h.flags | kAdjFlagDegreeSorted,
-                                    num_shards));
   SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
   return writer.Finish();
 }

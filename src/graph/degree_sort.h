@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "graph/adjacency_file.h"
+#include "graph/sharded_adjacency_file.h"
 #include "io/external_sorter.h"
 #include "io/io_stats.h"
 #include "util/common.h"
@@ -77,10 +78,10 @@ class DegreeSorter {
                                  uint64_t num_directed_edges,
                                  uint32_t max_degree);
 
-  /// Reads every record `source` yields (any reader with header(),
-  /// path() and the view-API Next, e.g. AdjacencyFileScanner or
-  /// ShardedAdjacencyScanner). The regime is chosen from the header
-  /// first. A vertex id that appears twice is Corruption.
+  /// Reads every record `source` yields: an AdjacencyFileScanner or a
+  /// ManifestOrderedShardCursor, or any reader with header(), path() and
+  /// the view-API Next. The regime is chosen from the header first. A
+  /// vertex id that appears twice is Corruption naming the source's path.
   template <typename Source>
   Status AddAll(Source* source) {
     SEMIS_RETURN_IF_ERROR(Begin(source->header()));
@@ -172,15 +173,32 @@ Status BuildDegreeSortedAdjacencyFile(const std::string& input_path,
                                       const std::string& output_path,
                                       const DegreeSortOptions& options);
 
-/// Sorts the records of `input`, an open scanner that has read no record
-/// yet, into a new degree-sorted store of `num_shards` shards at
-/// `manifest_path` (the header flags plus kAdjFlagDegreeSorted). The
-/// scanner is the caller's so that a header probe can decide whether to
-/// sort without a second open of the input.
-Status BuildDegreeSortedShardStore(AdjacencyFileScanner* input,
+/// Sorts the records of `input`, an open record source (as for
+/// DegreeSorter::AddAll) that has read no record yet, into a new
+/// degree-sorted store of `num_shards` shards at `manifest_path` with the
+/// input's totals and header flags plus kAdjFlagDegreeSorted, and closes
+/// the input. The source is the caller's, so that a header probe can
+/// decide whether to sort without a second open of the input:
+/// MisEngine::Open hands over its SADJ scanner, and
+/// ShardedStreamingMis::Resort a pool-less cursor over the compacted
+/// base.
+template <typename Source>
+Status BuildDegreeSortedShardStore(Source* input,
                                    const std::string& manifest_path,
                                    uint32_t num_shards,
-                                   const DegreeSortOptions& options);
+                                   const DegreeSortOptions& options) {
+  DegreeSorter sorter(options);
+  SEMIS_RETURN_IF_ERROR(sorter.AddAll(input));
+  SEMIS_RETURN_IF_ERROR(input->Close());
+  const AdjacencyFileHeader& h = input->header();
+  ShardedAdjacencyFileWriter writer(options.stats);
+  SEMIS_RETURN_IF_ERROR(writer.Open(manifest_path, h.num_vertices,
+                                    h.num_directed_edges, h.max_degree,
+                                    h.flags | kAdjFlagDegreeSorted,
+                                    num_shards));
+  SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
+  return writer.Finish();
+}
 
 }  // namespace semis
 

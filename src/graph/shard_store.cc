@@ -16,17 +16,15 @@ namespace semis {
 
 namespace {
 
-// On-disk byte sizes implied by the formats (sharded_adjacency_file.h,
-// edge_delta_file.h). Shard files are written in full and append-only, so
-// their size is exact; delta logs may carry a crash-torn tail past the
-// declared entry count, so only a lower bound holds.
-constexpr uint64_t kShardHeaderBytes = 4 * 4 + 3 * 8;
-constexpr uint64_t kDeltaLogHeaderBytes = 4 * 4 + 8;
-constexpr uint64_t kDeltaEntryBytes = 8 + 3 * 4;
-
+// On-disk byte size a shard's manifest entry implies: its header, then a
+// record header per record and a word per edge. Shard files are written
+// in full and append-only, so the size is exact; delta logs may carry a
+// crash-torn tail past the declared entry count, so only a lower bound
+// holds for them.
 uint64_t ExpectedShardBytes(const ShardInfo& info) {
-  return kShardHeaderBytes + 8 * info.num_records +
-         4 * info.num_directed_edges;
+  return kAdjacencyShardHeaderBytes +
+         AdjacencyRecordBytes(0) * info.num_records +
+         sizeof(VertexId) * info.num_directed_edges;
 }
 
 // Splits `path` into directory (without trailing '/') and base name.
@@ -140,7 +138,8 @@ Status ValidateShardStoreEpoch(const std::string& manifest_path,
     uint64_t size = 0;
     SEMIS_RETURN_IF_ERROR(GetFileSize(log_path, &size));
     const uint64_t min_bytes =
-        kDeltaLogHeaderBytes + kDeltaEntryBytes * delta.shard_entries[k];
+        kEdgeDeltaLogHeaderBytes +
+        kEdgeDeltaEntryBytes * delta.shard_entries[k];
     if (size < min_bytes) {
       return Status::Corruption(
           "delta log '" + log_path + "' is " + std::to_string(size) +

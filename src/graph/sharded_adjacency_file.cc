@@ -290,59 +290,22 @@ Status ShardedAdjacencyFileWriter::Finish() {
   return WriteShardedAdjacencyManifest(manifest_path_, manifest, stats_);
 }
 
-AdjacencyShardReader::AdjacencyShardReader(IoStats* stats)
-    : stats_(stats), reader_(stats) {}
-
-Status AdjacencyShardReader::Open(const std::string& manifest_path,
-                                  const ShardedAdjacencyManifest& manifest,
-                                  uint32_t index) {
+Status AdjacencyFileScanner::OpenShard(
+    const std::string& manifest_path, const ShardedAdjacencyManifest& manifest,
+    uint32_t index) {
   if (index >= manifest.num_shards()) {
     return Status::InvalidArgument("shard index out of range");
   }
   path_ = ShardFilePath(manifest_path, index);
-  num_vertices_ = manifest.header.num_vertices;
+  header_ = manifest.header;
   num_records_ = manifest.shards[index].num_records;
   num_edges_ = manifest.shards[index].num_directed_edges;
   records_seen_ = 0;
   edges_seen_ = 0;
-  decoder_.Reset(path_, num_vertices_, manifest.header.max_degree);
+  decoder_.Reset(path_, header_.num_vertices, header_.max_degree);
   SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
-  return ReadShardHeader(&reader_, path_, index, num_vertices_);
+  return ReadShardHeader(&reader_, path_, index, header_.num_vertices);
 }
-
-Status AdjacencyShardReader::Next(VertexRecordView* view, bool* has_next) {
-  if (records_seen_ == num_records_) {
-    if (!reader_.AtEof()) {
-      return Status::Corruption("trailing bytes after last record in '" +
-                                path_ + "'");
-    }
-    if (edges_seen_ != num_edges_) {
-      return Status::Corruption(
-          "shard '" + path_ + "' holds " + std::to_string(edges_seen_) +
-          " directed edges but the manifest declares " +
-          std::to_string(num_edges_));
-    }
-    *has_next = false;
-    return Status::OK();
-  }
-  if (reader_.AtEof()) {
-    return Status::Corruption(
-        "shard '" + path_ + "' truncated: expected " +
-        std::to_string(num_records_) + " records, found " +
-        std::to_string(records_seen_));
-  }
-  SEMIS_RETURN_IF_ERROR(decoder_.Decode(&reader_, view));
-  if (edges_seen_ + view->degree > num_edges_) {
-    return Status::Corruption("more edges than declared in '" + path_ + "'");
-  }
-  records_seen_++;
-  edges_seen_ += view->degree;
-  if (stats_ != nullptr) stats_->records_decoded++;
-  *has_next = true;
-  return Status::OK();
-}
-
-Status AdjacencyShardReader::Close() { return reader_.Close(); }
 
 AdjacencyShardRecordReader::AdjacencyShardRecordReader(IoStats* stats)
     : stats_(stats), reader_(stats, kSparseReadWindowBytes) {}
@@ -437,42 +400,6 @@ Status AdjacencyShardRecordReader::ReadRecordInner(uint64_t record,
 
 Status AdjacencyShardRecordReader::Close() { return reader_.Close(); }
 
-ShardedAdjacencyScanner::ShardedAdjacencyScanner(IoStats* stats)
-    : stats_(stats), reader_(stats) {}
-
-Status ShardedAdjacencyScanner::Open(const std::string& manifest_path) {
-  SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest_,
-                                               stats_, &manifest_path_));
-  if (stats_ != nullptr) stats_->sequential_scans++;
-  current_shard_ = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.Open(manifest_path_, manifest_, 0));
-  shard_open_ = true;
-  return Status::OK();
-}
-
-Status ShardedAdjacencyScanner::Next(VertexRecordView* view, bool* has_next) {
-  while (true) {
-    if (!shard_open_) {
-      *has_next = false;
-      return Status::OK();
-    }
-    bool shard_has_next = false;
-    SEMIS_RETURN_IF_ERROR(reader_.Next(view, &shard_has_next));
-    if (shard_has_next) {
-      *has_next = true;
-      return Status::OK();
-    }
-    SEMIS_RETURN_IF_ERROR(reader_.Close());
-    shard_open_ = false;
-    if (current_shard_ + 1 < manifest_.num_shards()) {
-      current_shard_++;
-      SEMIS_RETURN_IF_ERROR(
-          reader_.Open(manifest_path_, manifest_, current_shard_));
-      shard_open_ = true;
-    }
-  }
-}
-
 ManifestOrderedShardCursor::ManifestOrderedShardCursor(IoStats* stats)
     : stats_(stats) {}
 
@@ -483,16 +410,23 @@ ManifestOrderedShardCursor::~ManifestOrderedShardCursor() {
 Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
                                         ThreadPool* pool,
                                         const BlockRingOptions& ring) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument(
-        "manifest-ordered cursor requires a thread pool");
-  }
-  if (pool_ != nullptr) {
+  if (open_) {
     return Status::InvalidArgument("cursor is already open");
   }
   SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest_,
                                                stats_, &manifest_path_));
   if (stats_ != nullptr) stats_->sequential_scans++;
+  open_ = true;
+  pool_ = pool;
+  buffer_bound_bytes_ = 0;
+  if (pool == nullptr) {
+    if (scanner_ == nullptr) {
+      scanner_ = std::make_unique<AdjacencyFileScanner>(stats_);
+    }
+    scan_shard_ = 0;
+    scan_error_ = Status::OK();
+    return Status::OK();
+  }
   const size_t block_bytes = ring.block_bytes != 0 ? ring.block_bytes
                                                    : kDefaultDecodeBlockBytes;
   block_words_ = block_bytes / sizeof(VertexId);
@@ -501,6 +435,16 @@ Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
   max_buffered_bytes_ = ring.max_buffered_bytes != 0
                             ? ring.max_buffered_bytes
                             : 2 * block_bytes * (pool->size() + 1);
+  // A block holds at most block_bytes of records, or one record larger
+  // than that. The blocks PublishBlock admits within the budget never sum
+  // past it; its starvation override adds at most two blocks of the
+  // consumer's shard, the one it reads and one queued, and a single
+  // decoder queues nothing else while it overrides. Buffering thus stays
+  // within budget + 2 blocks, or max(budget, 2 blocks) at one decoder.
+  const size_t largest_block = static_cast<size_t>(std::max<uint64_t>(
+      block_bytes, AdjacencyRecordBytes(manifest_.header.max_degree)));
+  buffer_bound_bytes_ = std::max(max_buffered_bytes_, largest_block) +
+                        pool->size() * largest_block;
   {
     // No decoder is running yet, but the ring state is guarded by mu_ and
     // the lock is uncontended here -- take it so the discipline holds on
@@ -517,7 +461,6 @@ Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
   }
   worker_io_.assign(pool->size(), IoStats());
   current_pos_ = 0;
-  pool_ = pool;
   pool_->BeginParallelFor(manifest_.num_shards(), [this](size_t shard,
                                                          size_t worker) {
     DecodeShard(static_cast<uint32_t>(shard), worker);
@@ -583,8 +526,8 @@ void ManifestOrderedShardCursor::DecodeShard(uint32_t shard, size_t worker) {
   const ShardInfo& info = manifest_.shards[shard];
   const size_t reserve_words = static_cast<size_t>(std::min<uint64_t>(
       block_words_, 2 * info.num_records + info.num_directed_edges));
-  AdjacencyShardReader reader(&worker_io_[worker]);
-  Status status = reader.Open(manifest_path_, manifest_, shard);
+  AdjacencyFileScanner reader(&worker_io_[worker]);
+  Status status = reader.OpenShard(manifest_path_, manifest_, shard);
   VertexRecordView view;
   bool has_next = false;
   while (status.ok()) {
@@ -609,10 +552,22 @@ void ManifestOrderedShardCursor::DecodeShard(uint32_t shard, size_t worker) {
   FinishShard(shard, std::move(status), std::move(block));
 }
 
-Status ManifestOrderedShardCursor::Next(VertexRecordView* view,
-                                        bool* has_next) {
-  if (pool_ == nullptr) {
+Status ManifestOrderedShardCursor::NextSlow(VertexRecordView* view,
+                                            bool* has_next) {
+  if (!open_) {
     return Status::InvalidArgument("cursor is not open");
+  }
+  if (pool_ == nullptr) {
+    while (scan_error_.ok()) {
+      if (scan_shard_ == manifest_.num_shards()) {
+        *has_next = false;
+        return Status::OK();
+      }
+      scan_error_ = scanner_->OpenShard(manifest_path_, manifest_, scan_shard_);
+      shard_open_ = scan_error_.ok();
+      if (shard_open_ && ReadOpenShard(view, has_next)) return Status::OK();
+    }
+    return scan_error_;
   }
   if (current_pos_ == current_.size()) {
     MutexLock lock(&mu_);
@@ -659,7 +614,13 @@ Status ManifestOrderedShardCursor::Next(VertexRecordView* view,
 }
 
 Status ManifestOrderedShardCursor::Close() {
-  if (pool_ == nullptr) return Status::OK();
+  if (!open_) return Status::OK();
+  open_ = false;
+  if (pool_ == nullptr) {
+    shard_open_ = false;
+    Status closed = scanner_->Close();
+    return scan_error_.ok() ? closed : scan_error_;
+  }
   {
     MutexLock lock(&mu_);
     cancel_ = true;

@@ -21,16 +21,20 @@
 //   u64 num_vertices  (global; record ids are global ids)
 //   then records exactly as in SADJ: u32 id  u32 degree  u32 neighbor[deg]
 //
-// Every reader below is forward-only, matching the semi-external model;
-// the parallel swap executor hands each worker its own AdjacencyShardReader
-// so shards can be scanned concurrently without shared reader state.
+// Every reader is forward-only, matching the semi-external model. One
+// shard is read by AdjacencyFileScanner::OpenShard (adjacency_file.h); a
+// parallel pass hands each worker its own scanner, so shards are scanned
+// concurrently without shared reader state. The whole store is read in
+// manifest order by ManifestOrderedShardCursor, with or without a pool.
 #ifndef SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/adjacency_file.h"
@@ -153,68 +157,21 @@ class ShardedAdjacencyFileWriter {
   BitVector seen_;  // one bit per vertex: appended already
 };
 
-/// Forward-only reader of one shard. Each worker of a parallel scan owns
-/// one reader (and one IoStats) so no reader state is shared.
-class AdjacencyShardReader {
- public:
-  /// `stats` may be null.
-  explicit AdjacencyShardReader(IoStats* stats = nullptr);
-
-  /// Opens shard `index` of the sharded file rooted at `manifest_path`,
-  /// validating the shard header against `manifest`. Does not bump
-  /// IoStats::sequential_scans -- a "scan" of a sharded file is one pass
-  /// over all shards and is counted by the caller.
-  Status Open(const std::string& manifest_path,
-              const ShardedAdjacencyManifest& manifest, uint32_t index);
-
-  /// Reads the next record as a view into the reader's buffer
-  /// (invalidated by the next call); `*has_next` is false after the last
-  /// record. The record's encoded bytes start two words before
-  /// `view->neighbors` (see AdjacencyRecordDecoder). Validation mirrors
-  /// AdjacencyFileScanner::Next, through the same AdjacencyRecordDecoder.
-  Status Next(VertexRecordView* view, bool* has_next);
-
-  /// True when a next record exists and already lies whole in the read
-  /// buffer, so Next neither refills the buffer nor moves earlier views'
-  /// bytes: views of consecutive buffered records are consecutive bytes.
-  bool NextIsBuffered() const {
-    return records_seen_ < num_records_ &&
-           AdjacencyRecordDecoder::NextIsBuffered(reader_);
-  }
-
-  /// Closes the underlying file. Safe to call twice.
-  Status Close();
-
-  /// Path of the open shard file.
-  const std::string& path() const { return path_; }
-
- private:
-  IoStats* stats_;
-  SequentialFileReader reader_;
-  std::string path_;
-  uint64_t num_vertices_ = 0;  // global, for id validation
-  uint64_t num_records_ = 0;
-  uint64_t num_edges_ = 0;
-  uint64_t records_seen_ = 0;
-  uint64_t edges_seen_ = 0;
-  AdjacencyRecordDecoder decoder_;
-};
-
 /// The one open-decode-close loop over a shard: calls `visit(record)` for
 /// each record of shard `shard` in file order, through an
-/// AdjacencyShardReader charging `stats` (may be null). Stops at the
+/// AdjacencyFileScanner charging `stats` (may be null). Stops at the
 /// first error; counts no scan.
 template <typename Visit>
 Status ForEachShardRecord(const std::string& manifest_path,
                           const ShardedAdjacencyManifest& manifest,
                           uint32_t shard, IoStats* stats, Visit&& visit) {
-  AdjacencyShardReader reader(stats);
-  SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path, manifest, shard));
+  AdjacencyFileScanner scanner(stats);
+  SEMIS_RETURN_IF_ERROR(scanner.OpenShard(manifest_path, manifest, shard));
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
-    if (!has_next) return reader.Close();
+    SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
+    if (!has_next) return scanner.Close();
     visit(rec);
   }
 }
@@ -226,16 +183,16 @@ Status ForEachShardRecord(const std::string& manifest_path,
 /// the records in between, reading only their 8-byte headers. Requests
 /// must move forward through the shard. Reads go through a small fixed
 /// window rather than the 1 MB scan buffer, because the records asked
-/// for are usually far apart. The record goes through the shard
-/// reader's AdjacencyRecordDecoder, and must hold the vertex asked for.
+/// for are usually far apart. The record goes through the scanner's
+/// AdjacencyRecordDecoder, and must hold the vertex asked for.
 class AdjacencyShardRecordReader {
  public:
   /// `stats` may be null. Decoded records count in records_decoded; the
   /// skipped bytes are not charged to bytes_read.
   explicit AdjacencyShardRecordReader(IoStats* stats = nullptr);
 
-  /// Opens shard `index` like AdjacencyShardReader::Open (no scan is
-  /// counted).
+  /// Opens shard `index` like AdjacencyFileScanner::OpenShard (no scan
+  /// is counted).
   Status Open(const std::string& manifest_path,
               const ShardedAdjacencyManifest& manifest, uint32_t index);
 
@@ -271,34 +228,6 @@ class AdjacencyShardRecordReader {
   AdjacencyRecordDecoder decoder_;
 };
 
-/// Forward-only reader over all shards in index order: yields exactly the
-/// record stream of the equivalent monolithic file. Used by tests and by
-/// sequential consumers that receive a sharded input.
-class ShardedAdjacencyScanner {
- public:
-  explicit ShardedAdjacencyScanner(IoStats* stats = nullptr);
-
-  /// Opens the manifest. Counts one sequential scan.
-  Status Open(const std::string& manifest_path);
-
-  const ShardedAdjacencyManifest& manifest() const { return manifest_; }
-  const AdjacencyFileHeader& header() const { return manifest_.header; }
-
-  /// Next record in global order, crossing shard boundaries transparently.
-  Status Next(VertexRecordView* view, bool* has_next);
-
-  /// Path of the shard file the last record came from.
-  const std::string& path() const { return reader_.path(); }
-
- private:
-  IoStats* stats_;
-  std::string manifest_path_;
-  ShardedAdjacencyManifest manifest_;
-  AdjacencyShardReader reader_;
-  uint32_t current_shard_ = 0;
-  bool shard_open_ = false;
-};
-
 /// Default payload capacity of one decode block (see BlockRingOptions).
 inline constexpr size_t kDefaultDecodeBlockBytes = 256 * 1024;
 
@@ -316,21 +245,22 @@ struct BlockRingOptions {
   /// may always publish one block past the budget when the consumer is
   /// starved (the progress guarantee), so the ring can never deadlock --
   /// peak buffering is bounded by `max(budget, one block)` plus at most
-  /// one in-flight block per decoder, independent of shard sizes.
+  /// one in-flight block per decoder, independent of shard sizes (see
+  /// ManifestOrderedShardCursor::buffer_bound_bytes).
   /// 0 = 2 * block_bytes * (pool size + 1).
   size_t max_buffered_bytes = 0;
 };
 
 /// Manifest-ordered multi-shard cursor: yields exactly the record stream
-/// of the equivalent monolithic file (like ShardedAdjacencyScanner), but
-/// decodes shards ahead of the consumer on a caller-provided thread pool
-/// through a block ring: each decoder thread copies the records its
-/// AdjacencyShardReader validated, as their encoded words
-/// [id, degree, neighbors...], into a block and publishes the block once
-/// it is full, so the consumer starts draining a shard long before it is
-/// fully decoded and peak memory is bounded by the ring's byte budget,
-/// not by the largest shard. The consumer reads each record in place in
-/// its block.
+/// of the equivalent monolithic file. Without a pool the calling thread
+/// reads the shards in order through one AdjacencyFileScanner. With a
+/// pool, shards are decoded ahead of the consumer through a block ring:
+/// each decoder thread copies the records its scanner validated, as their
+/// encoded words [id, degree, neighbors...], into a block and publishes
+/// the block once it is full, so the consumer starts draining a shard
+/// long before it is fully decoded and peak memory is bounded by the
+/// ring's byte budget, not by the largest shard. The consumer reads each
+/// record in place in its block.
 ///
 /// Contract (see docs/formats.md):
 ///   * records are delivered strictly in global manifest order, crossing
@@ -345,22 +275,24 @@ struct BlockRingOptions {
 ///     smaller than one record;
 ///   * drained blocks go back to a free list and keep their capacity, so
 ///     steady-state decode performs no per-record heap allocation;
-///   * each worker decodes with a private AdjacencyShardReader and
+///   * each worker decodes with a private AdjacencyFileScanner and
 ///     IoStats; per-worker I/O plus the ring counters (blocks_decoded,
 ///     arena_bytes, peak_buffered_bytes) merge into the caller's stats at
 ///     Close;
 ///   * a decode error in shard K surfaces from a Next() call within
 ///     shard K, after every record of shards 0..K-1 and every valid
-///     record decoded before the error was yielded.
+///     record decoded before the error was yielded, and every later
+///     Next() returns it again.
 ///
-/// The cursor owns the pool's work queue from Open to Close (the pool's
-/// one-job-at-a-time rule); callers reusing a pool across stages must
-/// Close the cursor before submitting other work. Every call, Close
-/// included, runs on the consumer's thread (or in the destructor).
+/// With a pool the cursor owns the pool's work queue from Open to Close
+/// (the pool's one-job-at-a-time rule); callers reusing a pool across
+/// stages must Close the cursor before submitting other work. Every call,
+/// Close included, runs on the consumer's thread (or in the destructor).
 class ManifestOrderedShardCursor {
  public:
   /// `stats` may be null. Counts the manifest read and one sequential
-  /// scan; per-worker shard I/O folds in at Close.
+  /// scan at Open; shard I/O is charged as read without a pool, and
+  /// folds in per worker at Close with one.
   explicit ManifestOrderedShardCursor(IoStats* stats = nullptr);
   ~ManifestOrderedShardCursor();
 
@@ -368,41 +300,46 @@ class ManifestOrderedShardCursor {
   ManifestOrderedShardCursor& operator=(const ManifestOrderedShardCursor&) =
       delete;
 
-  /// Opens the manifest and starts decoding on `pool` (required, must
-  /// outlive the cursor). `ring` configures block size and byte budget.
+  /// Opens the manifest (a store root or a plain manifest) and, given a
+  /// `pool` (which must outlive the cursor), starts decoding on it; with
+  /// none, Next reads the shards itself. `ring` configures the block
+  /// size and byte budget of the pool's ring.
   Status Open(const std::string& manifest_path, ThreadPool* pool,
               const BlockRingOptions& ring = BlockRingOptions()) EXCLUDES(mu_);
 
   const ShardedAdjacencyManifest& manifest() const { return manifest_; }
   const AdjacencyFileHeader& header() const { return manifest_.header; }
+  /// The store's manifest path, for error messages.
+  const std::string& path() const { return manifest_path_; }
 
-  /// Next record in global order. The view points into the current block
-  /// and stays valid until the next call that crosses a block boundary,
-  /// or Close; like every scanner in this library, consume it before
-  /// advancing.
-  Status Next(VertexRecordView* view, bool* has_next) EXCLUDES(mu_);
+  /// Next record in global order. The view stays valid until the next
+  /// call, or Close; like every scanner in this library, consume it
+  /// before advancing.
+  Status Next(VertexRecordView* view, bool* has_next) EXCLUDES(mu_) {
+    // Without a pool, a record of the open shard comes straight from the
+    // scanner, inline: this is every record of a pool-less scan.
+    if (shard_open_ && ReadOpenShard(view, has_next)) return Status::OK();
+    return NextSlow(view, has_next);
+  }
 
-  /// Cancels outstanding decodes (waking decoders parked on the byte
-  /// budget), drains the pool job and merges per-worker IoStats plus the
-  /// ring counters into the caller's stats. Safe to call twice and from
-  /// the destructor. When the scan was abandoned before the last record,
-  /// returns the first decode error of a shard the consumer never reached
-  /// (a fully drained scan has already surfaced every error through Next).
+  /// Ends the scan: closes the shard being read, or cancels outstanding
+  /// decodes (waking decoders parked on the byte budget), drains the pool
+  /// job and merges per-worker IoStats plus the ring counters into the
+  /// caller's stats. Safe to call twice and from the destructor. When the
+  /// scan was abandoned before the last record, returns the error that
+  /// stopped it, or the first decode error of a shard the consumer never
+  /// reached (a fully drained scan has already surfaced every error
+  /// through Next).
   Status Close() EXCLUDES(mu_);
 
-  /// Largest total of decoded-but-unconsumed payload bytes held at any
-  /// point (for the memory accounting of algorithms driven by the
-  /// cursor). Bounded by the ring budget, not by shard sizes.
-  size_t peak_buffered_bytes() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return peak_buffered_bytes_;
-  }
-
-  /// Blocks published by the decoders so far.
-  uint64_t blocks_decoded() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return blocks_decoded_;
-  }
+  /// The bound that the ring's contract states, fixed at Open:
+  /// max(budget, B) + pool size * B, where a block B is the larger of the
+  /// block size and the largest record the manifest's max_degree allows;
+  /// 0 without a pool. No schedule buffers more decoded-but-unconsumed
+  /// bytes, so algorithms driven by the cursor charge it as their
+  /// pipeline memory: unlike IoStats::peak_buffered_bytes, the high-water
+  /// mark one schedule reached, it repeats from run to run.
+  size_t buffer_bound_bytes() const { return buffer_bound_bytes_; }
 
  private:
   // A block: records as their encoded words [id, degree, neighbors...],
@@ -428,12 +365,37 @@ class ManifestOrderedShardCursor {
   // Pops a block from the free list, or returns an empty one.
   Block TakeFreeBlock() REQUIRES(mu_);
 
+  // Without a pool: reads the open shard's next record. At the shard's
+  // end, or an error, closes the shard and returns false; an error stops
+  // the scan in its shard, kept in scan_error_ for every later call.
+  bool ReadOpenShard(VertexRecordView* view, bool* has_next) {
+    Status read = scanner_->Next(view, has_next);
+    if (read.ok() && *has_next) return true;
+    shard_open_ = false;
+    scan_error_ = read.ok() ? scanner_->Close() : std::move(read);
+    scan_shard_++;
+    return false;
+  }
+  // Next past the open shard: the next shard without a pool, else the
+  // ring.
+  Status NextSlow(VertexRecordView* view, bool* has_next) EXCLUDES(mu_);
+
   IoStats* stats_;
   std::string manifest_path_;
   ShardedAdjacencyManifest manifest_;
-  // Set from Open to Close: non-null while the cursor is open. Read and
-  // written on the consumer's thread only.
+  // Consumer-thread state, set from Open to Close.
+  bool open_ = false;
   ThreadPool* pool_ = nullptr;
+  size_t buffer_bound_bytes_ = 0;
+
+  // Without a pool: the scanner (made at the first such Open), the shard
+  // it reads next or reads now, and the error that stopped the scan.
+  std::unique_ptr<AdjacencyFileScanner> scanner_;
+  uint32_t scan_shard_ = 0;
+  bool shard_open_ = false;
+  Status scan_error_;
+
+  // With a pool: the ring.
   size_t block_words_ = 0;
   size_t max_buffered_bytes_ = 0;
 

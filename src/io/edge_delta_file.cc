@@ -11,15 +11,14 @@ namespace {
 constexpr uint32_t kDeltaManifestMagic = 0x4D4C4453u;  // 'SDLM' little-endian
 constexpr uint32_t kDeltaShardMagic = 0x534C4453u;     // 'SDLS' little-endian
 constexpr uint32_t kVersion = 1;
-// Encoded sizes: the delta manifest's fixed header and per-shard count,
-// a shard log's header, and one log entry (u64 seq, u32 op, u32 u, u32 v).
-// The writers' buffers are sized to what they write: these files are
-// rewritten or appended after every batch, a few entries at a time.
+// Encoded sizes: the delta manifest's fixed header and per-shard count
+// (a shard log's header and entry sizes are in the header). The writers'
+// buffers are sized to what they write: these files are rewritten or
+// appended after every batch, a few entries at a time.
 constexpr size_t kManifestHeaderBytes = 32;
 constexpr size_t kManifestShardBytes = 8;
-constexpr size_t kShardLogHeaderBytes = 24;
-constexpr size_t kEntryBytes = 20;
-constexpr size_t kMaxBufferedEntries = (size_t{1} << 20) / kEntryBytes;
+constexpr size_t kMaxBufferedEntries =
+    (size_t{1} << 20) / kEdgeDeltaEntryBytes;
 
 Status ValidateEntry(const EdgeDeltaEntry& entry, uint64_t num_vertices,
                      const std::string& context) {
@@ -132,7 +131,7 @@ Status CreateEdgeDeltaShardLog(const std::string& delta_path, uint32_t index,
 Status CreateEdgeDeltaShardLogAtPath(const std::string& log_path,
                                      uint32_t index, uint64_t num_vertices,
                                      IoStats* stats) {
-  SequentialFileWriter writer(stats, kShardLogHeaderBytes);
+  SequentialFileWriter writer(stats, kEdgeDeltaLogHeaderBytes);
   SEMIS_RETURN_IF_ERROR(writer.Open(log_path));
   SEMIS_RETURN_IF_ERROR(writer.AppendU32(kDeltaShardMagic));
   SEMIS_RETURN_IF_ERROR(writer.AppendU32(kVersion));
@@ -144,8 +143,9 @@ Status CreateEdgeDeltaShardLogAtPath(const std::string& log_path,
 
 EdgeDeltaShardWriter::EdgeDeltaShardWriter(IoStats* stats,
                                            size_t expected_entries)
-    : writer_(stats, kEntryBytes * std::clamp<size_t>(expected_entries, 1,
-                                                      kMaxBufferedEntries)) {}
+    : writer_(stats, kEdgeDeltaEntryBytes *
+                         std::clamp<size_t>(expected_entries, 1,
+                                            kMaxBufferedEntries)) {}
 
 Status EdgeDeltaShardWriter::Open(const std::string& delta_path,
                                   uint32_t index, uint64_t num_vertices) {

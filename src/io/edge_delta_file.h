@@ -53,6 +53,13 @@
 
 namespace semis {
 
+/// Encoded size of a shard delta log's header: the byte offset of its
+/// first entry.
+inline constexpr uint64_t kEdgeDeltaLogHeaderBytes = 24;
+
+/// Encoded size of one log entry (u64 seq, u32 op, u32 u, u32 v).
+inline constexpr uint64_t kEdgeDeltaEntryBytes = 20;
+
 /// Update kind of one delta entry.
 enum class EdgeDeltaOp : uint32_t {
   kInsert = 0,

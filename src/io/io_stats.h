@@ -28,8 +28,9 @@ struct IoStats {
   uint64_t sequential_scans = 0;
   /// Number of external-sort merge passes executed.
   uint64_t sort_passes = 0;
-  /// Shard records decoded (every AdjacencyShardReader record; one
-  /// logical pass over a sharded file decodes each record once).
+  /// Records decoded: every record an AdjacencyFileScanner yields, from a
+  /// SADJ file or a shard, plus every sparse record read (one logical
+  /// pass over a graph decodes each record once).
   uint64_t records_decoded = 0;
   /// Record blocks published by the block-decode pipeline
   /// (ManifestOrderedShardCursor).

@@ -460,4 +460,62 @@ expect_vertex_count_error fsck "$work/huge.sadjs"
 expect_vertex_count_error cover "$work/huge.sadjs"
 expect_vertex_count_error unshard "$work/huge.sadjs" "$work/huge_joined.sadj"
 
+# --- a header that declares more edges than its records hold ----------------
+# A 2000-vertex PLRG (5871 edges) whose SADJ header declares 12742 directed
+# edges instead of 11742. Every command that reads it exits 1 with a
+# Corruption naming the file, raised by the reader at the end of the
+# records, not by a writer downstream.
+"$CLI" generate --vertices 2000 --avg-degree 6 --seed 3 \
+    --out "$work/edges.adj" >/dev/null
+[ "$(od -An -t u8 -j 16 -N 8 "$work/edges.adj" | tr -d ' ')" = 11742 ] \
+    || fail "edges.adj does not declare 11742 directed edges"
+{ head -c 16 "$work/edges.adj"; words 12742 0; tail -c +25 "$work/edges.adj"; } \
+    > "$work/inflated.adj"
+expect_edge_total_error() {  # <semis_cli args...>
+  local err rc=0
+  err="$("$CLI" "$@" 2>&1 >/dev/null)" || rc=$?
+  [ "$rc" -eq 1 ] || fail "'$*' exited $rc, want 1"
+  case "$err" in
+    *"Corruption: "*"$work/inflated.adj"*) ;;
+    *) fail "'$*' did not report the edge total of inflated.adj: $err" ;;
+  esac
+}
+for cmd in stats bound color cover solve; do
+  expect_edge_total_error "$cmd" "$work/inflated.adj"
+done
+expect_edge_total_error sort "$work/inflated.adj" "$work/inflated_sorted.sadj"
+expect_edge_total_error shard "$work/inflated.adj" \
+    "$work/inflated_split.sadjs" --shards 2
+
+# --- memory figures that repeat ----------------------------------------------
+# The greedy and the full repair charge the block ring's bound, fixed when
+# the cursor opens, not the peak one schedule of the decoder threads
+# reached: three runs of each command print the same lines once the
+# wall-clock fields (seconds and rates) are masked.
+mask_clock() {  # <log>
+  sed -e 's/[0-9][0-9.]*s\b/<t>s/g' -e 's/[0-9]* records\/s/<r> records\/s/' \
+      "$1"
+}
+for i in 1 2 3; do
+  "$CLI" solve "$work/g.sadj" --threads 8 --shards 3 --stats \
+      > "$work/repeat_solve.log" || fail "solve run $i exited non-zero"
+  mask_clock "$work/repeat_solve.log" > "$work/repeat_solve$i.norm"
+  rm -rf "$work"/repeat.sadj*
+  cp "$work/g.sadj" "$work/repeat.sadj"
+  "$CLI" update "$work/repeat.sadj" --stream "$work/updates.txt" \
+      --threads 2 --shards 7 --batch 3 --compact --stats \
+      > "$work/repeat_update.log" 2>/dev/null \
+      || fail "update run $i exited non-zero"
+  mask_clock "$work/repeat_update.log" > "$work/repeat_update$i.norm"
+done
+grep -q "^  block ring     : [1-9][0-9]* blocks, buffer bound " \
+    "$work/repeat_solve1.norm" \
+    || fail "solve --stats printed no block count and buffer bound"
+for i in 2 3; do
+  cmp -s "$work/repeat_solve1.norm" "$work/repeat_solve$i.norm" \
+      || fail "solve --stats output differs between runs 1 and $i"
+  cmp -s "$work/repeat_update1.norm" "$work/repeat_update$i.norm" \
+      || fail "update --stats output differs between runs 1 and $i"
+done
+
 echo "PASS"

@@ -106,9 +106,9 @@ void MakeInstances(ScratchDir* scratch, const std::string& mono_path,
 // Writes the effective graph of the store at `root` (no pending delta)
 // as a monolithic file in the store's record order.
 std::string UnshardStore(ScratchDir* scratch, const std::string& root) {
-  ShardedAdjacencyScanner scanner;
-  EXPECT_OK(scanner.Open(root));
-  const AdjacencyFileHeader& h = scanner.header();
+  ManifestOrderedShardCursor cursor;
+  EXPECT_OK(cursor.Open(root, /*pool=*/nullptr));
+  const AdjacencyFileHeader& h = cursor.header();
   const std::string path = scratch->NewFilePath("unsharded.adj");
   AdjacencyFileWriter writer;
   EXPECT_OK(writer.Open(path, h.num_vertices, h.num_directed_edges,
@@ -116,7 +116,7 @@ std::string UnshardStore(ScratchDir* scratch, const std::string& root) {
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    EXPECT_OK(scanner.Next(&rec, &has_next));
+    EXPECT_OK(cursor.Next(&rec, &has_next));
     if (!has_next) break;
     EXPECT_OK(writer.AppendVertex(rec.id, rec.neighbors, rec.degree));
   }
@@ -358,14 +358,14 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   EXPECT_TRUE(mis.set().Test(1)) << "base copy survived its deletion";
   EXPECT_EQ(mis.set_size(), 2u);
   ASSERT_OK(mis.Compact(/*force=*/true));
-  ShardedAdjacencyScanner scanner;
-  ASSERT_OK(scanner.Open(manifest));
-  EXPECT_EQ(scanner.header().num_directed_edges, 0u);
+  ManifestOrderedShardCursor cursor;
+  ASSERT_OK(cursor.Open(manifest, /*pool=*/nullptr));
+  EXPECT_EQ(cursor.header().num_directed_edges, 0u);
   VertexRecordView rec;
   bool has_next = false;
   uint64_t records = 0;
   while (true) {
-    ASSERT_OK(scanner.Next(&rec, &has_next));
+    ASSERT_OK(cursor.Next(&rec, &has_next));
     if (!has_next) break;
     EXPECT_EQ(rec.degree, 0u);
     records++;
@@ -380,11 +380,11 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   ASSERT_OK(mis2.Initialize(manifest2, set, EnginePipelineOptions{}));
   ASSERT_OK(mis2.ApplyBatch({EdgeUpdate::Insert(0, 1)}));
   ASSERT_OK(mis2.Compact(/*force=*/true));
-  ShardedAdjacencyScanner scanner2;
-  ASSERT_OK(scanner2.Open(manifest2));
-  EXPECT_EQ(scanner2.header().num_directed_edges, 2u);  // one edge, not two
+  ManifestOrderedShardCursor cursor2;
+  ASSERT_OK(cursor2.Open(manifest2, /*pool=*/nullptr));
+  EXPECT_EQ(cursor2.header().num_directed_edges, 2u);  // one edge, not two
   while (true) {
-    ASSERT_OK(scanner2.Next(&rec, &has_next));
+    ASSERT_OK(cursor2.Next(&rec, &has_next));
     if (!has_next) break;
     EXPECT_EQ(rec.degree, 1u);
   }
@@ -417,14 +417,14 @@ struct DeltaTracker {
 // Re-reads the store at `manifest` and checks it holds exactly `want`,
 // record by record.
 void ExpectStoreHoldsGraph(const std::string& manifest, const Graph& want) {
-  ShardedAdjacencyScanner scanner;
-  ASSERT_OK(scanner.Open(manifest));
-  EXPECT_EQ(scanner.header().num_directed_edges, want.NumDirectedEdges());
+  ManifestOrderedShardCursor cursor;
+  ASSERT_OK(cursor.Open(manifest, /*pool=*/nullptr));
+  EXPECT_EQ(cursor.header().num_directed_edges, want.NumDirectedEdges());
   VertexRecordView rec;
   bool has_next = false;
   uint64_t records = 0;
   while (true) {
-    ASSERT_OK(scanner.Next(&rec, &has_next));
+    ASSERT_OK(cursor.Next(&rec, &has_next));
     if (!has_next) break;
     records++;
     std::set<VertexId> got(rec.neighbors, rec.neighbors + rec.degree);
@@ -576,19 +576,19 @@ std::vector<ShardRecord> ReadShardRecords(const std::string& root,
   EXPECT_OK(ResolveShardStore(root, &store));
   ShardedAdjacencyManifest manifest;
   EXPECT_OK(ReadShardedAdjacencyManifest(store.manifest_path, &manifest));
-  AdjacencyShardReader reader;
-  EXPECT_OK(reader.Open(store.manifest_path, manifest, shard));
+  AdjacencyFileScanner scanner;
+  EXPECT_OK(scanner.OpenShard(store.manifest_path, manifest, shard));
   uint64_t offset = kAdjacencyShardHeaderBytes;
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    EXPECT_OK(reader.Next(&rec, &has_next));
+    EXPECT_OK(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     records.push_back(ShardRecord{
         rec.id, offset, {rec.neighbors, rec.neighbors + rec.degree}});
     offset += AdjacencyRecordBytes(rec.degree);
   }
-  EXPECT_OK(reader.Close());
+  EXPECT_OK(scanner.Close());
   return records;
 }
 

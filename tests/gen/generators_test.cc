@@ -80,6 +80,18 @@ TEST(GeneratorsTest, CaterpillarShape) {
   EXPECT_EQ(g.Degree(1), 5u);  // middle spine: 2 + 3
 }
 
+TEST(GeneratorsTest, UnitDiskIsSeededAndNearItsDegree) {
+  Graph g = GenerateUnitDisk(6000, 6.0, 3);
+  EXPECT_EQ(g.NumVertices(), 6000u);
+  const double avg = 2.0 * static_cast<double>(g.NumEdges()) / 6000.0;
+  // Points near the sides reach less area: a little short of 6.
+  EXPECT_GT(avg, 5.5);
+  EXPECT_LE(avg, 6.0);
+  EXPECT_EQ(GenerateUnitDisk(6000, 6.0, 3).NumEdges(), g.NumEdges());
+  EXPECT_NE(GenerateUnitDisk(6000, 6.0, 4).NumEdges(), g.NumEdges());
+  EXPECT_EQ(GenerateUnitDisk(1, 6.0, 3).NumEdges(), 0u);
+}
+
 TEST(PaperFiguresTest, Figure1Shape) {
   PaperExample ex = Figure1Example();
   EXPECT_EQ(ex.graph.NumVertices(), 5u);

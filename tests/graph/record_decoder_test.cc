@@ -1,11 +1,12 @@
-// The record decoder shared by AdjacencyFileScanner (SADJ files) and
-// AdjacencyShardReader (SADS shard files). A record the reader holds whole
-// is decoded in place; one that crosses a buffer fill, or is longer than
-// the buffer, falls back to ReadU32/ReadExact. Every case runs on both
-// formats, and every corruption is hit on both paths. On both paths a
-// view has the record's header words right in front of its neighbors,
-// which is what lets the block ring copy a record as one word run: every
-// shard is also drained through ManifestOrderedShardCursor.
+// The record decoder and stream checks of AdjacencyFileScanner, which
+// reads SADJ files (Open) and SADS shard files (OpenShard) alike. A record
+// the reader holds whole is decoded in place; one that crosses a buffer
+// fill, or is longer than the buffer, falls back to ReadU32/ReadExact.
+// Every case runs on both formats, and every corruption is hit on both
+// paths. On both paths a view has the record's header words right in
+// front of its neighbors, which is what lets the block ring copy a record
+// as one word run: every shard is also drained through
+// ManifestOrderedShardCursor, with and without a pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,35 +159,38 @@ Status DrainSource(Source* source, Records* out) {
   }
 }
 
-// Every record of the file at `path` through the reader of format `f`;
-// the first error is returned. A shard is read twice: by its reader, and
-// through the block ring, which copies each record from two words before
-// its neighbors. The ring must yield what the reader yielded and fail
-// where the reader failed.
+// Every record of the file at `path` through the scanner, opened on the
+// SADJ file or on the shard; the first error is returned. A shard is read
+// twice more, through the cursor without a pool and through the block
+// ring, which copies each record from two words before its neighbors.
+// Both must yield what the scanner yielded and fail where it failed.
 Status Drain(Format f, const std::string& path, Records* out) {
   out->clear();
+  AdjacencyFileScanner scanner;
   if (f == Format::kSadj) {
-    AdjacencyFileScanner scanner;
     SEMIS_RETURN_IF_ERROR(scanner.Open(path));
     return DrainSource(&scanner, out);
   }
   ShardedAdjacencyManifest manifest;
   SEMIS_RETURN_IF_ERROR(ReadShardedAdjacencyManifest(path, &manifest));
-  AdjacencyShardReader reader;
-  SEMIS_RETURN_IF_ERROR(reader.Open(path, manifest, 0));
-  Status read = DrainSource(&reader, out);
-  if (read.ok()) read = reader.Close();
+  SEMIS_RETURN_IF_ERROR(scanner.OpenShard(path, manifest, 0));
+  Status read = DrainSource(&scanner, out);
+  if (read.ok()) read = scanner.Close();
 
-  ThreadPool pool(2);
-  ManifestOrderedShardCursor cursor;
-  SEMIS_RETURN_IF_ERROR(cursor.Open(path, &pool));
-  Records ring;
-  Status ringed = DrainSource(&cursor, &ring);
-  Status closed = cursor.Close();
-  if (ringed.ok()) ringed = closed;
-  EXPECT_EQ(ring, *out);
-  EXPECT_EQ(ringed.code(), read.code())
-      << "ring: " << ringed.ToString() << ", reader: " << read.ToString();
+  ThreadPool two(2);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two}) {
+    ManifestOrderedShardCursor cursor;
+    SEMIS_RETURN_IF_ERROR(cursor.Open(path, pool));
+    Records got;
+    Status drained = DrainSource(&cursor, &got);
+    Status closed = cursor.Close();
+    if (drained.ok()) drained = closed;
+    const std::string name = pool == nullptr ? "cursor" : "ring";
+    EXPECT_EQ(got, *out) << name;
+    EXPECT_EQ(drained.code(), read.code())
+        << name << ": " << drained.ToString()
+        << ", scanner: " << read.ToString();
+  }
   return read;
 }
 
@@ -271,6 +275,12 @@ TEST_F(RecordDecoderTest, EveryCorruptionOnBothPaths) {
        }},
       {"trailing bytes", [](Stream*, size_t, bool) {
          return std::make_pair(size_t{4}, size_t{0});
+       }},
+      {"edge total", [](Stream* s, size_t, bool) {
+         // The header (SADJ) or the shard's manifest entry declares more
+         // edges than the records hold: the stream ends short of them.
+         s->num_edges += 1000;
+         return std::make_pair(size_t{0}, size_t{0});
        }},
   };
   for (Format f : kFormats) {

@@ -46,18 +46,18 @@ class ShardRecordLocatorTest : public ScratchTest {
     ASSERT_OK(ReadShardedAdjacencyManifest(manifest_path_, &manifest_));
     scanned_.assign(shards, {});
     for (uint32_t k = 0; k < shards; ++k) {
-      AdjacencyShardReader reader;
-      ASSERT_OK(reader.Open(manifest_path_, manifest_, k));
+      AdjacencyFileScanner scanner;
+      ASSERT_OK(scanner.OpenShard(manifest_path_, manifest_, k));
       uint64_t offset = kAdjacencyShardHeaderBytes;
       VertexRecordView rec;
       bool has_next = false;
       while (true) {
-        ASSERT_OK(reader.Next(&rec, &has_next));
+        ASSERT_OK(scanner.Next(&rec, &has_next));
         if (!has_next) break;
         scanned_[k].push_back({rec.id, {rec.begin(), rec.end()}, offset});
         offset += AdjacencyRecordBytes(rec.degree);
       }
-      ASSERT_OK(reader.Close());
+      ASSERT_OK(scanner.Close());
     }
   }
 

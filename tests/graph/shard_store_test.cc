@@ -163,9 +163,9 @@ TEST_F(ShardStoreTest, ReaderHoldingOldEpochSurvivesOneCommit) {
 
   // The reader resolves the store at epoch 1 and starts scanning.
   IoStats io;
-  ShardedAdjacencyScanner scanner(&io);
-  ASSERT_OK(scanner.Open(root));
-  const uint64_t expected = scanner.header().num_vertices;
+  ManifestOrderedShardCursor cursor(&io);
+  ASSERT_OK(cursor.Open(root, /*pool=*/nullptr));
+  const uint64_t expected = cursor.header().num_vertices;
 
   // A commit happens underneath it: epoch 2 is published and GC runs.
   ASSERT_OK(mis.ApplyBatch(SomeUpdates(2)));
@@ -177,7 +177,7 @@ TEST_F(ShardStoreTest, ReaderHoldingOldEpochSurvivesOneCommit) {
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    ASSERT_OK(scanner.Next(&rec, &has_next));
+    ASSERT_OK(cursor.Next(&rec, &has_next));
     if (!has_next) break;
     records++;
   }

@@ -11,6 +11,7 @@
 #include "gen/generators.h"
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
+#include "graph/shard_store.h"
 #include "test_util.h"
 
 namespace semis {
@@ -21,20 +22,23 @@ using testing_util::WriteGraphFile;
 
 class ShardedAdjacencyFileTest : public ScratchTest {};
 
-// Reads every record of every shard in index order into (id, neighbors).
+// Reads every record of every shard in index order into (id, neighbors),
+// through the cursor without a pool.
 std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainSharded(
     const std::string& manifest_path) {
   std::vector<std::pair<VertexId, std::vector<VertexId>>> out;
-  ShardedAdjacencyScanner scanner;
-  Status s = scanner.Open(manifest_path);
+  ManifestOrderedShardCursor cursor;
+  Status s = cursor.Open(manifest_path, /*pool=*/nullptr);
   EXPECT_TRUE(s.ok()) << s.ToString();
   if (!s.ok()) return out;
   VertexRecordView rec;
   bool has_next = false;
-  while (scanner.Next(&rec, &has_next).ok() && has_next) {
+  while ((s = cursor.Next(&rec, &has_next)).ok() && has_next) {
     out.emplace_back(rec.id, std::vector<VertexId>(
                                  rec.neighbors, rec.neighbors + rec.degree));
   }
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_OK(cursor.Close());
   return out;
 }
 
@@ -52,6 +56,19 @@ std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainMonolithic(
                                  rec.neighbors, rec.neighbors + rec.degree));
   }
   return out;
+}
+
+// Drains `cursor` through the view API into (id, neighbors).
+std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainCursor(
+    ManifestOrderedShardCursor* cursor) {
+  std::vector<std::pair<VertexId, std::vector<VertexId>>> got;
+  VertexRecordView view;
+  bool has_next = false;
+  while (cursor->Next(&view, &has_next).ok() && has_next) {
+    got.emplace_back(view.id,
+                     std::vector<VertexId>(view.begin(), view.end()));
+  }
+  return got;
 }
 
 TEST_F(ShardedAdjacencyFileTest, RoundtripPreservesGlobalOrder) {
@@ -112,15 +129,15 @@ TEST_F(ShardedAdjacencyFileTest, DegreeSortedFlagSurvivesSharding) {
   ASSERT_OK(BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{}));
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(sorted, manifest, 3));
-  ShardedAdjacencyScanner scanner;
-  ASSERT_OK(scanner.Open(manifest));
-  EXPECT_TRUE(scanner.header().IsDegreeSorted());
+  ManifestOrderedShardCursor cursor;
+  ASSERT_OK(cursor.Open(manifest, /*pool=*/nullptr));
+  EXPECT_TRUE(cursor.header().IsDegreeSorted());
   // And the records really are in ascending (degree, id) order globally.
   VertexRecordView rec;
   bool has_next = false;
   uint64_t prev_key = 0;
   while (true) {
-    ASSERT_OK(scanner.Next(&rec, &has_next));
+    ASSERT_OK(cursor.Next(&rec, &has_next));
     if (!has_next) break;
     uint64_t key = (static_cast<uint64_t>(rec.degree) << 32) | rec.id;
     EXPECT_GE(key, prev_key);
@@ -259,7 +276,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorYieldsManifestOrderAtEveryPoolSize) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 5));
-  auto expected = DrainSharded(manifest);
+  auto expected = DrainMonolithic(mono);
 
   struct Geometry {
     size_t pool_size;
@@ -276,7 +293,8 @@ TEST_F(ShardedAdjacencyFileTest, CursorYieldsManifestOrderAtEveryPoolSize) {
   }
   for (const Geometry& geo : geometries) {
     ThreadPool pool(geo.pool_size);
-    ManifestOrderedShardCursor cursor;
+    IoStats io;
+    ManifestOrderedShardCursor cursor(&io);
     ASSERT_OK(cursor.Open(manifest, &pool, geo.ring));
     std::vector<std::pair<VertexId, std::vector<VertexId>>> got;
     VertexRecordView rec;
@@ -292,7 +310,8 @@ TEST_F(ShardedAdjacencyFileTest, CursorYieldsManifestOrderAtEveryPoolSize) {
         << "pool size " << geo.pool_size << ", block "
         << geo.ring.block_bytes << " B, budget "
         << geo.ring.max_buffered_bytes << " B";
-    EXPECT_GT(cursor.peak_buffered_bytes(), 0u);
+    EXPECT_GT(io.peak_buffered_bytes, 0u);
+    EXPECT_LE(io.peak_buffered_bytes, cursor.buffer_bound_bytes());
   }
 }
 
@@ -360,30 +379,34 @@ TEST_F(ShardedAdjacencyFileTest, CursorMergesWorkerIoAndCountsOneScan) {
   EXPECT_GT(io.bytes_read, manifest_size + shard0_size);
 }
 
-TEST_F(ShardedAdjacencyFileTest, CursorRequiresPoolAndRejectsDoubleOpen) {
-  Graph g = GenerateErdosRenyi(10, 9, 33);
+TEST_F(ShardedAdjacencyFileTest, CursorWithoutPoolAndRejectsDoubleOpen) {
+  // Without a pool the cursor reads the shards on the calling thread:
+  // the same stream, charged as one scan of the store, with no ring.
+  Graph g = GenerateErdosRenyi(200, 600, 33);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 2));
-  ManifestOrderedShardCursor cursor;
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
+  IoStats io;
+  ManifestOrderedShardCursor cursor(&io);
+  ASSERT_OK(cursor.Open(manifest, /*pool=*/nullptr));
+  EXPECT_EQ(cursor.path(), manifest);
+  EXPECT_EQ(DrainCursor(&cursor), DrainMonolithic(mono));
   EXPECT_TRUE(cursor.Open(manifest, nullptr).IsInvalidArgument());
+  ASSERT_OK(cursor.Close());
+  IoStats manifest_io;
+  ShardedAdjacencyManifest m;
+  ASSERT_OK(ReadShardStoreManifest(manifest, &m, &manifest_io));
+  EXPECT_EQ(io.sequential_scans, 1u);
+  EXPECT_EQ(io.files_opened, manifest_io.files_opened + 3);  // + 3 shards
+  EXPECT_EQ(io.records_decoded, g.NumVertices());
+  EXPECT_EQ(io.blocks_decoded, 0u);
+  EXPECT_EQ(cursor.buffer_bound_bytes(), 0u);
+  // Reopened, with a pool this time; a second Open is rejected too.
   ThreadPool pool(2);
   ASSERT_OK(cursor.Open(manifest, &pool));
   EXPECT_TRUE(cursor.Open(manifest, &pool).IsInvalidArgument());
+  EXPECT_EQ(DrainCursor(&cursor), DrainMonolithic(mono));
   ASSERT_OK(cursor.Close());
-}
-
-// Drains `cursor` through the view API into (id, neighbors).
-std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainCursor(
-    ManifestOrderedShardCursor* cursor) {
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> got;
-  VertexRecordView view;
-  bool has_next = false;
-  while (cursor->Next(&view, &has_next).ok() && has_next) {
-    got.emplace_back(view.id,
-                     std::vector<VertexId>(view.begin(), view.end()));
-  }
-  return got;
 }
 
 // Degenerate block geometry: a block capacity smaller than one record's
@@ -394,7 +417,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorBlockSmallerThanOneRecord) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
-  auto expected = DrainSharded(manifest);
+  auto expected = DrainMonolithic(mono);
   for (size_t budget : {size_t{1}, size_t{1} << 20}) {
     ThreadPool pool(4);
     ManifestOrderedShardCursor cursor;
@@ -415,16 +438,60 @@ TEST_F(ShardedAdjacencyFileTest, CursorSingleBlockRing) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 6));
-  auto expected = DrainSharded(manifest);
+  auto expected = DrainMonolithic(mono);
   ThreadPool pool(3);
-  ManifestOrderedShardCursor cursor;
+  IoStats io;
+  ManifestOrderedShardCursor cursor(&io);
   BlockRingOptions ring;
   ring.block_bytes = 512;
   ring.max_buffered_bytes = 512;  // one block in flight
   ASSERT_OK(cursor.Open(manifest, &pool, ring));
   EXPECT_EQ(DrainCursor(&cursor), expected);
   ASSERT_OK(cursor.Close());
-  EXPECT_GT(cursor.blocks_decoded(), 1u);
+  EXPECT_GT(io.blocks_decoded, 1u);
+}
+
+// The memory figure the greedy and the full repair charge: the bound of
+// the ring's contract, max(budget, B) + pool size * B with B the larger
+// of the block size and the largest record max_degree allows, fixed at
+// Open whatever the schedule, and never below the peak one schedule
+// reached. A star's hub record outgrows a 512-byte block.
+TEST_F(ShardedAdjacencyFileTest, CursorBufferBoundMatchesTheContract) {
+  struct Input {
+    Graph graph;
+    BlockRingOptions ring;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({GeneratePlrg(PlrgSpec::ForVertexCount(20000, 2.0), 39),
+                    BlockRingOptions{}});
+  inputs.push_back({GenerateStar(3000), BlockRingOptions{512, 1024}});
+  for (const Input& in : inputs) {
+    std::string mono = WriteGraphFile(&scratch_, in.graph);
+    std::string manifest = NewPath("sharded");
+    ASSERT_OK(ShardAdjacencyFile(mono, manifest, 5));
+    const uint64_t block_bytes = in.ring.block_bytes != 0
+                                     ? in.ring.block_bytes
+                                     : kDefaultDecodeBlockBytes;
+    const uint64_t largest_block = std::max<uint64_t>(
+        block_bytes, AdjacencyRecordBytes(in.graph.MaxDegree()));
+    for (size_t pool_size : {1u, 2u, 8u}) {
+      SCOPED_TRACE("max degree " + std::to_string(in.graph.MaxDegree()) +
+                   ", pool " + std::to_string(pool_size));
+      const uint64_t budget = in.ring.max_buffered_bytes != 0
+                                  ? in.ring.max_buffered_bytes
+                                  : 2 * block_bytes * (pool_size + 1);
+      ThreadPool pool(pool_size);
+      IoStats io;
+      ManifestOrderedShardCursor cursor(&io);
+      ASSERT_OK(cursor.Open(manifest, &pool, in.ring));
+      EXPECT_EQ(cursor.buffer_bound_bytes(),
+                std::max(budget, largest_block) + pool_size * largest_block);
+      EXPECT_EQ(DrainCursor(&cursor), DrainMonolithic(mono));
+      ASSERT_OK(cursor.Close());
+      EXPECT_GT(io.peak_buffered_bytes, 0u);
+      EXPECT_GE(cursor.buffer_bound_bytes(), io.peak_buffered_bytes);
+    }
+  }
 }
 
 // Empty shards in the MIDDLE of the manifest (the sharding writer only
@@ -535,7 +602,6 @@ TEST_F(ShardedAdjacencyFileTest, CursorCountersSurfaceInIoStats) {
   EXPECT_EQ(records, g.NumVertices());
   EXPECT_EQ(io.records_decoded, g.NumVertices());
   EXPECT_GT(io.blocks_decoded, 0u);
-  EXPECT_EQ(io.blocks_decoded, cursor.blocks_decoded());
   EXPECT_GT(io.arena_bytes, 0u);
   EXPECT_GT(io.peak_buffered_bytes, 0u);
   // The ring budget, not the largest shard, bounds the buffering: with
@@ -620,8 +686,8 @@ TEST_F(ShardedAdjacencyFileTest, ShardReaderValidatesIndex) {
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 2));
   ShardedAdjacencyManifest m;
   ASSERT_OK(ReadShardedAdjacencyManifest(manifest, &m));
-  AdjacencyShardReader reader;
-  EXPECT_TRUE(reader.Open(manifest, m, 2).IsInvalidArgument());
+  AdjacencyFileScanner scanner;
+  EXPECT_TRUE(scanner.OpenShard(manifest, m, 2).IsInvalidArgument());
 }
 
 // Every record of shard `index`, with its byte offset, by a full scan.
@@ -634,16 +700,16 @@ std::vector<ScannedRecord> ScanShard(const std::string& manifest_path,
                                      const ShardedAdjacencyManifest& m,
                                      uint32_t index) {
   std::vector<ScannedRecord> out;
-  AdjacencyShardReader reader;
-  EXPECT_OK(reader.Open(manifest_path, m, index));
+  AdjacencyFileScanner scanner;
+  EXPECT_OK(scanner.OpenShard(manifest_path, m, index));
   uint64_t offset = kAdjacencyShardHeaderBytes;
   VertexRecordView rec;
   bool has_next = false;
-  while (reader.Next(&rec, &has_next).ok() && has_next) {
+  while (scanner.Next(&rec, &has_next).ok() && has_next) {
     out.push_back({rec.id, {rec.begin(), rec.end()}, offset});
     offset += AdjacencyRecordBytes(rec.degree);
   }
-  EXPECT_OK(reader.Close());
+  EXPECT_OK(scanner.Close());
   return out;
 }
 

@@ -630,18 +630,20 @@ int CmdSolve(const Args& args) {
                 static_cast<unsigned long long>(res.io.records_decoded),
                 records_per_sec);
     // Only the greedy engine's multi-threaded scan decodes through the
-    // block ring; the 1-thread and rounds-engine paths read records
-    // directly. On the ring path a zero count means a broken run.
+    // block ring; at one thread its cursor reads records directly, and
+    // the rounds engine has no commit scan. On the ring path a zero count
+    // means a broken run. Both figures repeat from run to run: a shard's
+    // blocks depend only on its records, and the greedy charges the
+    // ring's bound, not the peak one schedule reached.
     const bool ring_path = !rounds_engine && threads > 1;
     if (!ring_path) {
       std::printf("  block ring     : not used\n");
     } else {
-      std::printf("  block ring     : %llu blocks, arena %s, "
-                  "peak buffered %s\n",
+      std::printf("  block ring     : %llu blocks, buffer bound %s\n",
                   static_cast<unsigned long long>(res.io.blocks_decoded),
-                  MemoryTracker::FormatBytes(res.io.arena_bytes).c_str(),
                   MemoryTracker::FormatBytes(
-                      res.io.peak_buffered_bytes).c_str());
+                      res.greedy.memory.CategoryPeakBytes("shard-buffers"))
+                      .c_str());
     }
   }
   if (args.Has("out")) {
@@ -1269,10 +1271,10 @@ int CmdFsck(const Args& args) {
 int CmdUnshard(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   IoStats io;
-  ShardedAdjacencyScanner scanner(&io);
-  Status s = scanner.Open(args.positional[0]);
+  ManifestOrderedShardCursor cursor(&io);
+  Status s = cursor.Open(args.positional[0], /*pool=*/nullptr);
   if (!s.ok()) return Fail(s);
-  const AdjacencyFileHeader& h = scanner.header();
+  const AdjacencyFileHeader& h = cursor.header();
   AdjacencyFileWriter writer(&io);
   s = writer.Open(args.positional[1], h.num_vertices, h.num_directed_edges,
                   h.max_degree, h.flags);
@@ -1280,7 +1282,7 @@ int CmdUnshard(const Args& args) {
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    s = scanner.Next(&rec, &has_next);
+    s = cursor.Next(&rec, &has_next);
     if (!s.ok()) return Fail(s);
     if (!has_next) break;
     s = writer.AppendVertex(rec.id, rec.neighbors, rec.degree);
