@@ -1,30 +1,23 @@
-// Decode-path benchmark of the block pipeline: how fast a sharded file
-// streams through ManifestOrderedShardCursor's block ring, and how much
-// heap allocation the decode hot path performs.
+// Decode-path benchmark: how fast a sharded file streams through
+// ManifestOrderedShardCursor, and how much heap allocation the decode hot
+// path performs.
 //
-// Three decode strategies over the same sharded PLRG:
-//   * BM_BlockCursorDecode/T: the block ring with T decoder threads, one
-//     cursor per scan. Reports records/s plus the ring counters and
-//     allocs_per_record.
-//   * BM_WholeShardDecode: the RETIRED pre-block strategy (each shard
-//     decoded into one freshly allocated flat vector), kept here as the
-//     old-vs-new allocation baseline.
-//   * BM_SequentialShardDecode: the cursor without a pool, reading the
-//     shards on the calling thread, one scanner record at a time.
-// Plus BM_BlockAppendSteadyState, which isolates a decoder's inner loop
-// (AdjacencyFileScanner::Next on a shard, then the record's words
-// appended to a block) and aborts (SkipWithError -> nightly gate failure)
-// if a steady-state pass allocates at all: the "zero heap allocations per
-// record" claim, enforced in the timing loop.
+//   * BM_SequentialShardDecode: the cursor reading the shards in manifest
+//     order on the calling thread, one scanner record at a time. Reports
+//     records/s and allocs_per_record.
+//   * BM_ShardScanSteadyState: a scanner's inner loop in isolation
+//     (AdjacencyFileScanner::Next over a shard) aborts (SkipWithError ->
+//     nightly gate failure) if a warm pass allocates at all: the "zero
+//     heap allocations per record" claim, enforced in the timing loop.
+//   * BM_SeamReadSteadyState: the same claim for SequentialFileReader
+//     behind the FileSystem seam.
 //
 // Allocation counts come from global operator new/delete overrides local
-// to this binary; they count every allocation on the calling thread AND
-// the decoder threads, so the cursor cannot hide traffic in its workers.
+// to this binary.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +32,6 @@
 #include "io/env.h"
 #include "io/file.h"
 #include "io/scratch.h"
-#include "util/thread_pool.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -133,123 +125,13 @@ BlockDecodeEnv& Env() {
   return env;
 }
 
-// The block ring, one cursor per scan as the executors use it.
-void BM_BlockCursorDecode(benchmark::State& state) {
-  BlockDecodeEnv& env = Env();
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  uint64_t allocs = 0;
-  IoStats io;
-  for (auto _ : state) {
-    ThreadPool pool(threads);
-    ManifestOrderedShardCursor cursor(&io);
-    Status s = cursor.Open(env.manifest, &pool);
-    uint64_t checksum = 0, position = 0;
-    if (s.ok()) {
-      const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-      VertexRecordView view;
-      bool has_next = false;
-      while (true) {
-        s = cursor.Next(&view, &has_next);
-        if (!s.ok() || !has_next) break;
-        FoldRecord(view.id, view.begin(), view.end(), &position, &checksum);
-      }
-      allocs += g_allocations.load(std::memory_order_relaxed) - before;
-      Status close = cursor.Close();
-      if (s.ok()) s = close;
-    }
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      break;
-    }
-    if (checksum != env.reference_checksum) {
-      state.SkipWithError("block cursor stream differs from the sorted "
-                          "SADJ file");
-      break;
-    }
-  }
-  const double records = static_cast<double>(state.iterations()) *
-                         static_cast<double>(env.num_vertices);
-  state.SetItemsProcessed(static_cast<int64_t>(records));
-  state.counters["threads"] = threads;
-  state.counters["allocs_per_record"] =
-      records > 0 ? static_cast<double>(allocs) / records : 0.0;
-  state.counters["blocks_decoded"] =
-      static_cast<double>(io.blocks_decoded) /
-      std::max<int64_t>(state.iterations(), 1);
-  state.counters["peak_buffered_bytes"] =
-      static_cast<double>(io.peak_buffered_bytes);
-  state.counters["arena_bytes"] = static_cast<double>(io.arena_bytes);
-}
-BENCHMARK(BM_BlockCursorDecode)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// The retired pre-block strategy: every shard decoded into one freshly
-// allocated flat word vector before the consumer sees a record. Kept as
-// the allocation/memory baseline the block ring is diffed against.
-void BM_WholeShardDecode(benchmark::State& state) {
-  BlockDecodeEnv& env = Env();
-  uint64_t allocs = 0;
-  size_t peak_shard_bytes = 0;
-  for (auto _ : state) {
-    ShardedAdjacencyManifest manifest;
-    Status s = ReadShardedAdjacencyManifest(env.manifest, &manifest);
-    uint64_t checksum = 0, position = 0;
-    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    for (uint32_t k = 0; s.ok() && k < manifest.num_shards(); ++k) {
-      std::vector<VertexId> words;  // fresh per shard, like the old slots
-      AdjacencyFileScanner reader;
-      s = reader.OpenShard(env.manifest, manifest, k);
-      VertexRecordView view;
-      bool has_next = false;
-      while (s.ok()) {
-        s = reader.Next(&view, &has_next);
-        if (!s.ok() || !has_next) break;
-        words.push_back(view.id);
-        words.push_back(view.degree);
-        words.insert(words.end(), view.begin(), view.end());
-      }
-      if (s.ok()) s = reader.Close();
-      peak_shard_bytes =
-          std::max(peak_shard_bytes, words.size() * sizeof(VertexId));
-      for (size_t i = 0; i < words.size();) {
-        const uint32_t degree = words[i + 1];
-        FoldRecord(words[i], words.data() + i + 2,
-                   words.data() + i + 2 + degree, &position, &checksum);
-        i += 2 + degree;
-      }
-    }
-    allocs += g_allocations.load(std::memory_order_relaxed) - before;
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      break;
-    }
-    if (checksum != env.reference_checksum) {
-      state.SkipWithError("whole-shard decode differs from the sorted "
-                          "SADJ file");
-      break;
-    }
-  }
-  const double records = static_cast<double>(state.iterations()) *
-                         static_cast<double>(env.num_vertices);
-  state.SetItemsProcessed(static_cast<int64_t>(records));
-  state.counters["allocs_per_record"] =
-      records > 0 ? static_cast<double>(allocs) / records : 0.0;
-  state.counters["peak_buffered_bytes"] =
-      static_cast<double>(peak_shard_bytes);
-}
-BENCHMARK(BM_WholeShardDecode)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// The cursor without a pool, for the throughput column.
+// The cursor, one per scan as the greedy uses it.
 void BM_SequentialShardDecode(benchmark::State& state) {
   BlockDecodeEnv& env = Env();
   uint64_t allocs = 0;
   for (auto _ : state) {
     ManifestOrderedShardCursor cursor;
-    Status s = cursor.Open(env.manifest, /*pool=*/nullptr);
+    Status s = cursor.Open(env.manifest);
     uint64_t checksum = 0, position = 0;
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);
     if (s.ok()) {
@@ -267,8 +149,8 @@ void BM_SequentialShardDecode(benchmark::State& state) {
       break;
     }
     if (checksum != env.reference_checksum) {
-      state.SkipWithError("pool-less cursor stream differs from the sorted "
-                          "SADJ file");
+      state.SkipWithError("cursor stream differs from the sorted SADJ "
+                          "file");
       break;
     }
   }
@@ -282,41 +164,33 @@ BENCHMARK(BM_SequentialShardDecode)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// A decoder's inner loop in isolation: Next on a scanner open on a shard,
-// then the record's words appended to a block, which is handed over and
-// recycled once full. One reader and one block serve every pass, as they
-// serve a decoder: after a warm-up pass has grown the reader's spill
-// buffer and the block to their capacity, a pass must allocate NOTHING.
+// A scanner's inner loop in isolation: Next on a scanner open on a
+// shard, folding every record. One scanner serves every pass, as the
+// cursor's serves every shard: after a warm-up pass has grown the
+// decoder's spill buffer to its capacity, a pass must allocate NOTHING.
 // The assertion runs inside the timing loop, so a regression fails the
 // nightly gate.
-void BM_BlockAppendSteadyState(benchmark::State& state) {
-  constexpr size_t kBlockWords = kDefaultDecodeBlockBytes / sizeof(VertexId);
+void BM_ShardScanSteadyState(benchmark::State& state) {
   BlockDecodeEnv& env = Env();
   ShardedAdjacencyManifest manifest;
   SEMIS_BENCH_CHECK_OK(ReadShardedAdjacencyManifest(env.manifest, &manifest));
   AdjacencyFileScanner reader;
-  std::vector<VertexId> block;
   uint64_t records = 0;
-  // Decodes shard 0 into the block; `*allocs` counts the heap
-  // allocations between Open and Close.
+  // Scans shard 0; `*allocs` counts the heap allocations between Open and
+  // Close.
   auto pass = [&](uint64_t* allocs) -> Status {
     SEMIS_RETURN_IF_ERROR(reader.OpenShard(env.manifest, manifest, 0));
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    uint64_t checksum = 0, position = 0;
     VertexRecordView view;
     bool has_next = false;
     while (true) {
       SEMIS_RETURN_IF_ERROR(reader.Next(&view, &has_next));
       if (!has_next) break;
-      const size_t words = 2 + size_t{view.degree};
-      if (!block.empty() && block.size() + words > kBlockWords) {
-        benchmark::DoNotOptimize(block.data());
-        benchmark::ClobberMemory();
-        block.clear();  // handed over and recycled: the capacity stays
-      }
-      if (block.empty()) block.reserve(kBlockWords);
-      block.insert(block.end(), view.neighbors - 2, view.end());
+      FoldRecord(view.id, view.begin(), view.end(), &position, &checksum);
       records++;
     }
+    benchmark::DoNotOptimize(checksum);
     *allocs = g_allocations.load(std::memory_order_relaxed) - before;
     return reader.Close();
   };
@@ -330,20 +204,20 @@ void BM_BlockAppendSteadyState(benchmark::State& state) {
       break;
     }
     if (allocs != 0) {
-      state.SkipWithError("steady-state block append allocated");
+      state.SkipWithError("steady-state shard scan allocated");
       break;
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(records));
   state.counters["allocs_per_record"] = 0.0;
 }
-BENCHMARK(BM_BlockAppendSteadyState)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ShardScanSteadyState)->Unit(benchmark::kMicrosecond);
 
 // The I/O seam in isolation: streaming a shard through
 // SequentialFileReader -- now one virtual FileSystem dispatch per buffer
 // fill -- must stay allocation-free in steady state. The seam may cost a
 // branch and an indirect call, never a heap allocation; the assertion
-// runs inside the timing loop like BM_BlockAppendSteadyState above.
+// runs inside the timing loop like BM_ShardScanSteadyState above.
 void BM_SeamReadSteadyState(benchmark::State& state) {
   BlockDecodeEnv& env = Env();
   const std::string shard0 = env.manifest + ".shard0";

@@ -309,7 +309,7 @@ class MisEngine {
   // FailedPrecondition naming `verb` when the engine is read-only.
   Status GuardMutable(const char* verb) const;
   // The solve pipeline of every open: the configured engine
-  // (shard-pipelined greedy or min-id rounds) seeded into the parallel
+  // (sharded greedy or min-id rounds) seeded into the parallel
   // swap executor.
   Status RunShardPipeline(const std::string& manifest_path,
                           SolveResult* res);

@@ -24,7 +24,7 @@ struct GreedyOptions {
 };
 
 /// Lines 3-8 of Algorithm 1 -- THE commit rule, shared by the sequential
-/// scan and the shard-pipelined executor (core/parallel_greedy.h) so the
+/// scan and the sharded executor (core/parallel_greedy.h) so the
 /// byte-identical contract between them is enforced by construction: a
 /// still-INITIAL vertex joins the set and its INITIAL neighbors become
 /// non-IS. (The paper's pseudo-code types line 8 as "IS"; the

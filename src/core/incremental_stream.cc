@@ -379,12 +379,8 @@ bool ShardedStreamingMis::TryJoin(const VertexRecordView& rec) {
 }
 
 Status ShardedStreamingMis::RepairFull(uint64_t* added) {
-  // With the maintainer's pool, decoder threads prefetch shards while
-  // this thread commits in manifest order -- the RunParallelGreedy
-  // pipeline; without one the cursor reads them on this thread. The
-  // commit sequence is the same either way.
   ManifestOrderedShardCursor cursor(&stats_.io);
-  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, pool_.get()));
+  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_));
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
@@ -392,10 +388,7 @@ Status ShardedStreamingMis::RepairFull(uint64_t* added) {
     if (!has_next) break;
     if (TryJoin(rec)) (*added)++;
   }
-  SEMIS_RETURN_IF_ERROR(cursor.Close());
-  // The ring's blocks ride on top of the maintainer's own state.
-  AccountTransientMemory(cursor.buffer_bound_bytes());
-  return Status::OK();
+  return cursor.Close();
 }
 
 Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
@@ -914,7 +907,7 @@ Status ShardedStreamingMis::ResortInternal() {
     sort_options.stats = &stats_.io;
     sort_options.memory = &sort_memory;
     ManifestOrderedShardCursor base(&stats_.io);
-    SEMIS_RETURN_IF_ERROR(base.Open(manifest_path_, /*pool=*/nullptr));
+    SEMIS_RETURN_IF_ERROR(base.Open(manifest_path_));
     SEMIS_RETURN_IF_ERROR(BuildDegreeSortedShardStore(
         &base, new_manifest, num_shards, sort_options));
     AccountTransientMemory(sort_memory.PeakBytes());

@@ -16,9 +16,9 @@
 // Repair() restores maximality. The first Repair() of a session is ONE
 // pass over the base shards merged with the delta: it commits the exact
 // sequential rule of IncrementalMis::Repair strictly in global manifest
-// order while worker threads prefetch and decode shards ahead of it
-// through ManifestOrderedShardCursor -- the same pipeline (and the same
-// determinism contract) as RunParallelGreedy. After it the set is
+// order, reading the shards on the calling thread through
+// ManifestOrderedShardCursor -- the same scan (and the same determinism
+// contract) as RunParallelGreedy. After it the set is
 // maximal, so a non-member can only become free by losing its set
 // neighbor: ApplyBatch records the endpoints of every delete that
 // changes state and every evicted vertex, and later repairs read the
@@ -36,8 +36,7 @@
 //
 //   the repaired set is byte-identical for EVERY shard/thread count, and
 //   equal to sequential IncrementalMis::Repair on the equivalent
-//   monolithic file; without a pool the cursor reads the shards on the
-//   calling thread.
+//   monolithic file.
 //
 // A frontier with more than max(n / kRepairFrontierDivisor,
 // kRepairFrontierFloor) entries takes the full pass instead, which also
@@ -147,7 +146,8 @@ struct StreamingMisStats {
   /// I/O of the whole session (routing, repair scans, compaction).
   IoStats io;
   /// Peak logical bytes of the maintainer's in-memory structures,
-  /// including the high-water mark of the full repair's block ring.
+  /// including the frontier repair's read buffers and a re-sort's sort
+  /// memory.
   size_t peak_memory_bytes = 0;
   /// Wall-clock seconds by stage.
   double apply_seconds = 0.0;
@@ -208,9 +208,9 @@ class ShardedStreamingMis {
   ///
   /// `options` is the shared pipeline struct: this layer reads
   /// `num_threads` (the maintainer's MakeShardPool pool, kept for the
-  /// session: the full repair's decoders and the frontier repair's
-  /// readers run on it; the repaired set is independent of it by
-  /// construction), `compact_threshold_entries` and `auto_resort`;
+  /// session: the frontier repair's reads run on it; the repaired set is
+  /// independent of it by construction), `compact_threshold_entries` and
+  /// `auto_resort`;
   /// `num_shards` is ignored (the manifest fixes it).
   Status Initialize(const std::string& manifest_path,
                     const BitVector& initial_set,

@@ -1,9 +1,8 @@
 #include "core/parallel_greedy.h"
 
-#include <memory>
+#include <utility>
 
 #include "graph/sharded_adjacency_file.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace semis {
@@ -15,21 +14,12 @@ Status RunParallelGreedyWithStates(const std::string& manifest_path,
   WallTimer timer;
   AlgoResult res;
 
-  // Above one thread, decoder threads prefetch shards ahead of the
-  // commit loop; at one the cursor reads them on this thread.
-  const uint32_t num_threads = ResolveThreadCount(options.pipeline.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
   ManifestOrderedShardCursor cursor(&res.io);
-  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path, pool.get()));
+  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path));
   std::vector<VState> state;
   SEMIS_RETURN_IF_ERROR(
       RunGreedyScan(&cursor, manifest_path, options.greedy, &res, &state));
   SEMIS_RETURN_IF_ERROR(cursor.Close());
-  // The ring's blocks are pipeline memory on top of the O(|V|) state
-  // array; Set-then-zero records the cursor's bound as the peak.
-  res.memory.Set("shard-buffers", cursor.buffer_bound_bytes());
-  res.memory.Set("shard-buffers", 0);
 
   ExtractIndependentSet(state, &res.in_set, &res.set_size);
   res.memory.Add("result-bitset", res.in_set.MemoryBytes());

@@ -2,20 +2,14 @@
 // Sharded executor for Algorithm 1 (GREEDY) over a SADJS file
 // (graph/sharded_adjacency_file.h). The greedy scan is inherently
 // sequential -- each record's outcome depends on every earlier record --
-// so the parallelism is a pipeline, not a fan-out: worker threads
-// prefetch and decode shards ahead of the scan while the calling thread
-// commits records strictly in global manifest order.
-//
-// Concurrency contract: no mutex of its own -- all shared state is
-// inside ManifestOrderedShardCursor's block ring, under its one mutex;
-// the commit loop runs single-threaded on the calling thread. See
-// docs/architecture.md ("Static analysis") for the conventions.
+// so it runs on the calling thread, reading the shards in manifest order
+// through ManifestOrderedShardCursor: one scan, and O(|V|) memory at
+// every thread count.
 //
 // Determinism contract: the commit order equals the manifest order for
-// every shard/thread count, so the final state array (and therefore the
+// every shard count, so the final state array (and therefore the
 // independent set) is byte-identical to sequential RunGreedy on the
-// equivalent monolithic file. At num_threads <= 1 the cursor has no pool
-// and reads the shards on the calling thread, with no ring.
+// equivalent monolithic file.
 #ifndef SEMIS_CORE_PARALLEL_GREEDY_H_
 #define SEMIS_CORE_PARALLEL_GREEDY_H_
 
@@ -35,9 +29,8 @@ struct ParallelGreedyOptions {
   /// enforced against the SADJS manifest flags, with the same error as
   /// the monolithic path).
   GreedyOptions greedy;
-  /// Shared pipeline knobs. This executor reads only `num_threads`
-  /// (decoder threads prefetching shards); the manifest fixes the shard
-  /// count, so `num_shards` is ignored.
+  /// Shared pipeline knobs. This executor reads none of them: the scan
+  /// runs on the calling thread and the manifest fixes the shard count.
   EnginePipelineOptions pipeline;
 };
 

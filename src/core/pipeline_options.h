@@ -1,7 +1,7 @@
 // Copyright (c) the semis authors.
 // The one knob struct shared by every layer that drives the sharded
-// execution pipeline: the engine, the shard-pipelined greedy executor,
-// and the streaming maintainer. A caller fills it once
+// execution pipeline: the engine, the sharded greedy executor, and the
+// streaming maintainer. A caller fills it once
 // and hands it down the stack. Each consumer documents which fields it
 // reads; unread fields are ignored, never an error, so one filled-in
 // struct can travel the whole stack.
@@ -19,7 +19,7 @@ namespace semis {
 /// docs/architecture.md "Engines" for the trade-off.
 enum class SolveEngine : uint8_t {
   /// The paper's pipeline: Algorithm 1's strictly-ordered greedy commit
-  /// scan (degree order when sorted), shard-pipelined for I/O overlap.
+  /// scan (degree order when sorted), over the shards in manifest order.
   kGreedySwap = 0,
   /// Min-id rounds (core/rounds_engine.h): synchronous rounds of
   /// "lowest-id active neighbor wins", fully parallel within a round.
@@ -45,10 +45,12 @@ struct EnginePipelineOptions {
   /// the file fixes the shard count.
   uint32_t num_shards = 0;
 
-  /// Worker threads of the parallel executors and of the repair pipeline
-  /// (0 = hardware concurrency), capped at the shard count by
-  /// MakeShardPool; at one, every pass runs on the calling thread. The
-  /// result is independent of this value by construction.
+  /// Worker threads of the swap stage, the rounds engine and the
+  /// streaming maintainer's frontier repair (0 = hardware concurrency),
+  /// capped at the shard count by MakeShardPool; at one, every pass runs
+  /// on the calling thread. The greedy and the full repair read none: a
+  /// scan in manifest order runs on the calling thread. The result is
+  /// independent of this value by construction.
   uint32_t num_threads = 1;
 
   /// Streaming maintenance only: a shard whose delta log reaches this

@@ -204,7 +204,7 @@ Status RunReferenceRounds(const std::string& manifest_path, uint64_t n,
   // One scan of the whole file, in manifest order.
   const auto full_pass = [&](auto&& visit) -> Status {
     ManifestOrderedShardCursor cursor(&res->io);
-    SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path, /*pool=*/nullptr));
+    SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path));
     VertexRecordView rec;
     bool has_next = false;
     while (true) {

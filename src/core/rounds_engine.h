@@ -51,8 +51,7 @@ struct MinIdRoundsOptions {
   /// num_threads drives the per-round shard fan-out, capped at the shard
   /// count (MakeShardPool); at one, the calling thread runs both passes
   /// in shard order, skipping settled shards as the pooled run does. The
-  /// other pipeline knobs are accepted for uniformity and ignored: rounds
-  /// re-scan shards every round, so there is no prefetch ring.
+  /// other pipeline knobs are accepted for uniformity and ignored.
   EnginePipelineOptions pipeline;
   /// Safety cap on rounds (0 = run until the frontier is empty). A capped
   /// run returns with undecided vertices still in the frontier; the

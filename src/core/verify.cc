@@ -60,7 +60,7 @@ Status VerifyIndependentSetShardedFile(const std::string& manifest_path,
                                        const BitVector& set,
                                        VerifyResult* result, IoStats* stats) {
   ManifestOrderedShardCursor cursor(stats);
-  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path, /*pool=*/nullptr));
+  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path));
   return VerifyScan(&cursor, set, result);
 }
 

@@ -407,9 +407,7 @@ ManifestOrderedShardCursor::~ManifestOrderedShardCursor() {
   Close().IgnoreError();  // a destructor cannot propagate
 }
 
-Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
-                                        ThreadPool* pool,
-                                        const BlockRingOptions& ring) {
+Status ManifestOrderedShardCursor::Open(const std::string& manifest_path) {
   if (open_) {
     return Status::InvalidArgument("cursor is already open");
   }
@@ -417,139 +415,12 @@ Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
                                                stats_, &manifest_path_));
   if (stats_ != nullptr) stats_->sequential_scans++;
   open_ = true;
-  pool_ = pool;
-  buffer_bound_bytes_ = 0;
-  if (pool == nullptr) {
-    if (scanner_ == nullptr) {
-      scanner_ = std::make_unique<AdjacencyFileScanner>(stats_);
-    }
-    scan_shard_ = 0;
-    scan_error_ = Status::OK();
-    return Status::OK();
+  if (scanner_ == nullptr) {
+    scanner_ = std::make_unique<AdjacencyFileScanner>(stats_);
   }
-  const size_t block_bytes = ring.block_bytes != 0 ? ring.block_bytes
-                                                   : kDefaultDecodeBlockBytes;
-  block_words_ = block_bytes / sizeof(VertexId);
-  // Default byte budget: double buffering per decoder plus the consumer's
-  // block.
-  max_buffered_bytes_ = ring.max_buffered_bytes != 0
-                            ? ring.max_buffered_bytes
-                            : 2 * block_bytes * (pool->size() + 1);
-  // A block holds at most block_bytes of records, or one record larger
-  // than that. The blocks PublishBlock admits within the budget never sum
-  // past it; its starvation override adds at most two blocks of the
-  // consumer's shard, the one it reads and one queued, and a single
-  // decoder queues nothing else while it overrides. Buffering thus stays
-  // within budget + 2 blocks, or max(budget, 2 blocks) at one decoder.
-  const size_t largest_block = static_cast<size_t>(std::max<uint64_t>(
-      block_bytes, AdjacencyRecordBytes(manifest_.header.max_degree)));
-  buffer_bound_bytes_ = std::max(max_buffered_bytes_, largest_block) +
-                        pool->size() * largest_block;
-  {
-    // No decoder is running yet, but the ring state is guarded by mu_ and
-    // the lock is uncontended here -- take it so the discipline holds on
-    // every write path.
-    MutexLock lock(&mu_);
-    // Fresh vector rather than resize: resize would move-or-copy existing
-    // elements, and ShardStream is move-only with a non-noexcept move.
-    streams_ = std::vector<ShardStream>(manifest_.num_shards());
-    consume_shard_ = 0;
-    cancel_ = false;
-    buffered_bytes_ = 0;
-    peak_buffered_bytes_ = 0;
-    blocks_decoded_ = 0;
-  }
-  worker_io_.assign(pool->size(), IoStats());
-  current_pos_ = 0;
-  pool_->BeginParallelFor(manifest_.num_shards(), [this](size_t shard,
-                                                         size_t worker) {
-    DecodeShard(static_cast<uint32_t>(shard), worker);
-  });
+  scan_shard_ = 0;
+  scan_error_ = Status::OK();
   return Status::OK();
-}
-
-void ManifestOrderedShardCursor::RecycleBlock(Block block) {
-  block.clear();  // keeps capacity
-  free_blocks_.push_back(std::move(block));
-}
-
-ManifestOrderedShardCursor::Block ManifestOrderedShardCursor::TakeFreeBlock() {
-  if (free_blocks_.empty()) return Block();
-  Block block = std::move(free_blocks_.back());
-  free_blocks_.pop_back();
-  return block;
-}
-
-bool ManifestOrderedShardCursor::PublishBlock(uint32_t shard, Block* block) {
-  const size_t bytes = block->size() * sizeof(VertexId);
-  MutexLock lock(&mu_);
-  // Byte back-pressure with a starvation override: the shard the
-  // consumer is waiting on (its queue is empty) may always publish, so
-  // the consumer can make progress for ANY geometry -- even a budget
-  // smaller than one block. Workers claim shards in ascending order, so
-  // the consumer's shard is always either finished or owned by a worker
-  // this override lets through; the ring cannot deadlock.
-  while (!(cancel_ || buffered_bytes_ + bytes <= max_buffered_bytes_ ||
-           (shard == consume_shard_ && streams_[shard].blocks.empty()))) {
-    space_cv_.Wait(&mu_);
-  }
-  if (cancel_) {
-    RecycleBlock(std::move(*block));
-    return false;
-  }
-  buffered_bytes_ += bytes;
-  peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
-  streams_[shard].blocks.push_back(std::move(*block));
-  blocks_decoded_++;
-  ready_cv_.NotifyAll();
-  *block = TakeFreeBlock();
-  return true;
-}
-
-void ManifestOrderedShardCursor::FinishShard(uint32_t shard, Status status,
-                                             Block block) {
-  MutexLock lock(&mu_);
-  streams_[shard].status = std::move(status);
-  streams_[shard].finished = true;
-  if (block.capacity() > 0) RecycleBlock(std::move(block));
-  ready_cv_.NotifyAll();
-}
-
-void ManifestOrderedShardCursor::DecodeShard(uint32_t shard, size_t worker) {
-  Block block;
-  {
-    MutexLock lock(&mu_);
-    if (cancel_) return;  // Close raced ahead; skip the file entirely
-    block = TakeFreeBlock();
-  }
-  // A block never needs more room than its shard's records take.
-  const ShardInfo& info = manifest_.shards[shard];
-  const size_t reserve_words = static_cast<size_t>(std::min<uint64_t>(
-      block_words_, 2 * info.num_records + info.num_directed_edges));
-  AdjacencyFileScanner reader(&worker_io_[worker]);
-  Status status = reader.OpenShard(manifest_path_, manifest_, shard);
-  VertexRecordView view;
-  bool has_next = false;
-  while (status.ok()) {
-    status = reader.Next(&view, &has_next);
-    if (!status.ok() || !has_next) break;
-    // Next validated the record, and its id and degree words sit right in
-    // front of its neighbors, so the record is appended as the words it
-    // was read as; nothing that fails validation reaches a block.
-    const size_t words = 2 + size_t{view.degree};
-    if (!block.empty() && block.size() + words > block_words_ &&
-        !PublishBlock(shard, &block)) {
-      return;  // cancelled
-    }
-    // Outside the lock; a no-op for a block from the free list that
-    // already has the room.
-    if (block.empty()) block.reserve(reserve_words);
-    block.insert(block.end(), view.neighbors - 2, view.end());
-  }
-  Status close_status = reader.Close();
-  if (status.ok()) status = close_status;
-  if (!block.empty() && !PublishBlock(shard, &block)) return;  // cancelled
-  FinishShard(shard, std::move(status), std::move(block));
 }
 
 Status ManifestOrderedShardCursor::NextSlow(VertexRecordView* view,
@@ -557,116 +428,24 @@ Status ManifestOrderedShardCursor::NextSlow(VertexRecordView* view,
   if (!open_) {
     return Status::InvalidArgument("cursor is not open");
   }
-  if (pool_ == nullptr) {
-    while (scan_error_.ok()) {
-      if (scan_shard_ == manifest_.num_shards()) {
-        *has_next = false;
-        return Status::OK();
-      }
-      scan_error_ = scanner_->OpenShard(manifest_path_, manifest_, scan_shard_);
-      shard_open_ = scan_error_.ok();
-      if (shard_open_ && ReadOpenShard(view, has_next)) return Status::OK();
+  while (scan_error_.ok()) {
+    if (scan_shard_ == manifest_.num_shards()) {
+      *has_next = false;
+      return Status::OK();
     }
-    return scan_error_;
+    scan_error_ = scanner_->OpenShard(manifest_path_, manifest_, scan_shard_);
+    shard_open_ = scan_error_.ok();
+    if (shard_open_ && ReadOpenShard(view, has_next)) return Status::OK();
   }
-  if (current_pos_ == current_.size()) {
-    MutexLock lock(&mu_);
-    if (!current_.empty()) {
-      // Drained a block: uncharge its bytes and recycle it. The bytes
-      // stayed charged while the consumer held it, so
-      // peak_buffered_bytes covers the consumer's block.
-      buffered_bytes_ -= current_.size() * sizeof(VertexId);
-      RecycleBlock(std::move(current_));
-      current_ = Block();
-      space_cv_.NotifyAll();
-    }
-    current_pos_ = 0;
-    while (true) {
-      if (consume_shard_ >= manifest_.num_shards()) {
-        *has_next = false;
-        return Status::OK();
-      }
-      ShardStream& stream = streams_[consume_shard_];
-      while (stream.blocks.empty() && !stream.finished) {
-        ready_cv_.Wait(&mu_);
-      }
-      if (!stream.blocks.empty()) {
-        current_ = std::move(stream.blocks.front());
-        stream.blocks.pop_front();
-        break;
-      }
-      // Shard finished with nothing queued: surface its error here (the
-      // manifest-order point where the failure sits) or advance.
-      if (!stream.status.ok()) return stream.status;
-      consume_shard_++;
-      space_cv_.NotifyAll();
-    }
-  }
-  // Serve the next record straight out of the current block: no lock, no
-  // copy, no allocation.
-  const VertexId* words = current_.data() + current_pos_;
-  view->id = words[0];
-  view->degree = words[1];
-  view->neighbors = words + 2;
-  current_pos_ += 2 + size_t{view->degree};
-  *has_next = true;
-  return Status::OK();
+  return scan_error_;
 }
 
 Status ManifestOrderedShardCursor::Close() {
   if (!open_) return Status::OK();
   open_ = false;
-  if (pool_ == nullptr) {
-    shard_open_ = false;
-    Status closed = scanner_->Close();
-    return scan_error_.ok() ? closed : scan_error_;
-  }
-  {
-    MutexLock lock(&mu_);
-    cancel_ = true;
-    space_cv_.NotifyAll();  // wake decoders parked on the byte budget
-  }
-  pool_->WaitForCompletion();
-  pool_ = nullptr;
-  // A shard can finish with an I/O error (including a failed reader
-  // Close) that the consumer never reached -- either it stopped at an
-  // earlier shard's error or the caller abandoned the scan. A fully
-  // drained scan surfaced every status through Next already; otherwise
-  // report the first one here instead of dropping it.
-  Status first_error;
-  size_t arena_bytes = 0;
-  size_t peak_buffered_bytes = 0;
-  uint64_t blocks_decoded = 0;
-  {
-    MutexLock lock(&mu_);
-    for (uint32_t shard = consume_shard_; shard < streams_.size(); ++shard) {
-      const ShardStream& stream = streams_[shard];
-      if (stream.finished && !stream.status.ok()) {
-        first_error = stream.status;
-        break;
-      }
-    }
-    for (ShardStream& stream : streams_) {
-      for (Block& block : stream.blocks) RecycleBlock(std::move(block));
-    }
-    streams_.clear();
-    if (!current_.empty()) RecycleBlock(std::move(current_));
-    current_ = Block();
-    for (const Block& block : free_blocks_) {
-      arena_bytes += block.capacity() * sizeof(VertexId);
-    }
-    peak_buffered_bytes = peak_buffered_bytes_;
-    blocks_decoded = blocks_decoded_;
-  }
-  if (stats_ != nullptr) {
-    for (const IoStats& io : worker_io_) stats_->MergeFrom(io);
-    stats_->blocks_decoded += blocks_decoded;
-    stats_->arena_bytes = std::max<uint64_t>(stats_->arena_bytes, arena_bytes);
-    stats_->peak_buffered_bytes = std::max<uint64_t>(
-        stats_->peak_buffered_bytes, peak_buffered_bytes);
-  }
-  worker_io_.clear();
-  return first_error;
+  shard_open_ = false;
+  Status closed = scanner_->Close();
+  return scan_error_.ok() ? closed : scan_error_;
 }
 
 Status ShardAdjacencyFile(const std::string& input_path,

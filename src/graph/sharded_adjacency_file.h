@@ -25,13 +25,12 @@
 // shard is read by AdjacencyFileScanner::OpenShard (adjacency_file.h); a
 // parallel pass hands each worker its own scanner, so shards are scanned
 // concurrently without shared reader state. The whole store is read in
-// manifest order by ManifestOrderedShardCursor, with or without a pool.
+// manifest order by ManifestOrderedShardCursor, on the calling thread.
 #ifndef SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -43,8 +42,6 @@
 #include "util/bit_vector.h"
 #include "util/common.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace semis {
 
@@ -228,71 +225,23 @@ class AdjacencyShardRecordReader {
   AdjacencyRecordDecoder decoder_;
 };
 
-/// Default payload capacity of one decode block (see BlockRingOptions).
-inline constexpr size_t kDefaultDecodeBlockBytes = 256 * 1024;
-
-/// Geometry and budget of the cursor's block ring. Callers leave both at
-/// 0; the fields exist so tests can reach the ring's corner cases with
-/// small inputs.
-struct BlockRingOptions {
-  /// Payload bytes of one decode block: a decoder publishes its block
-  /// before a record would take it past this size. A record larger than a
-  /// block travels alone in a block grown for it, so any geometry decodes
-  /// any file. 0 = kDefaultDecodeBlockBytes.
-  size_t block_bytes = 0;
-  /// Back-pressure budget: decoders stall once this many payload bytes
-  /// sit decoded-but-unconsumed in the ring. The consumer's current shard
-  /// may always publish one block past the budget when the consumer is
-  /// starved (the progress guarantee), so the ring can never deadlock --
-  /// peak buffering is bounded by `max(budget, one block)` plus at most
-  /// one in-flight block per decoder, independent of shard sizes (see
-  /// ManifestOrderedShardCursor::buffer_bound_bytes).
-  /// 0 = 2 * block_bytes * (pool size + 1).
-  size_t max_buffered_bytes = 0;
-};
-
 /// Manifest-ordered multi-shard cursor: yields exactly the record stream
-/// of the equivalent monolithic file. Without a pool the calling thread
-/// reads the shards in order through one AdjacencyFileScanner. With a
-/// pool, shards are decoded ahead of the consumer through a block ring:
-/// each decoder thread copies the records its scanner validated, as their
-/// encoded words [id, degree, neighbors...], into a block and publishes
-/// the block once it is full, so the consumer starts draining a shard
-/// long before it is fully decoded and peak memory is bounded by the
-/// ring's byte budget, not by the largest shard. The consumer reads each
-/// record in place in its block.
+/// of the equivalent monolithic file, reading the shards in manifest
+/// order on the calling thread through one AdjacencyFileScanner.
 ///
 /// Contract (see docs/formats.md):
 ///   * records are delivered strictly in global manifest order, crossing
-///     shard boundaries transparently -- the pipelining never reorders,
-///     drops, or duplicates a record, so any sequential algorithm driven
-///     by this cursor produces output byte-identical to a run over the
-///     monolithic file, at every pool size and block geometry;
-///   * back-pressure is measured in buffered payload BYTES
-///     (BlockRingOptions::max_buffered_bytes), with a starvation override
-///     for the consumer's current shard that rules out deadlock for any
-///     geometry -- including a budget smaller than one block and a block
-///     smaller than one record;
-///   * drained blocks go back to a free list and keep their capacity, so
-///     steady-state decode performs no per-record heap allocation;
-///   * each worker decodes with a private AdjacencyFileScanner and
-///     IoStats; per-worker I/O plus the ring counters (blocks_decoded,
-///     arena_bytes, peak_buffered_bytes) merge into the caller's stats at
-///     Close;
-///   * a decode error in shard K surfaces from a Next() call within
-///     shard K, after every record of shards 0..K-1 and every valid
-///     record decoded before the error was yielded, and every later
-///     Next() returns it again.
-///
-/// With a pool the cursor owns the pool's work queue from Open to Close
-/// (the pool's one-job-at-a-time rule); callers reusing a pool across
-/// stages must Close the cursor before submitting other work. Every call,
-/// Close included, runs on the consumer's thread (or in the destructor).
+///     shard boundaries (empty ones included) transparently, so any
+///     sequential algorithm driven by this cursor produces output
+///     byte-identical to a run over the monolithic file;
+///   * a shard is opened only when the scan reaches it, so a shard the
+///     scan never reaches is never read;
+///   * an error stops the scan in its shard, after every record before
+///     it was yielded; every later Next and Close returns it.
 class ManifestOrderedShardCursor {
  public:
   /// `stats` may be null. Counts the manifest read and one sequential
-  /// scan at Open; shard I/O is charged as read without a pool, and
-  /// folds in per worker at Close with one.
+  /// scan at Open; shard bytes are charged as they are read.
   explicit ManifestOrderedShardCursor(IoStats* stats = nullptr);
   ~ManifestOrderedShardCursor();
 
@@ -300,12 +249,9 @@ class ManifestOrderedShardCursor {
   ManifestOrderedShardCursor& operator=(const ManifestOrderedShardCursor&) =
       delete;
 
-  /// Opens the manifest (a store root or a plain manifest) and, given a
-  /// `pool` (which must outlive the cursor), starts decoding on it; with
-  /// none, Next reads the shards itself. `ring` configures the block
-  /// size and byte budget of the pool's ring.
-  Status Open(const std::string& manifest_path, ThreadPool* pool,
-              const BlockRingOptions& ring = BlockRingOptions()) EXCLUDES(mu_);
+  /// Opens the manifest (a store root or a plain manifest). A second Open
+  /// before Close is InvalidArgument.
+  Status Open(const std::string& manifest_path);
 
   const ShardedAdjacencyManifest& manifest() const { return manifest_; }
   const AdjacencyFileHeader& header() const { return manifest_.header; }
@@ -315,59 +261,22 @@ class ManifestOrderedShardCursor {
   /// Next record in global order. The view stays valid until the next
   /// call, or Close; like every scanner in this library, consume it
   /// before advancing.
-  Status Next(VertexRecordView* view, bool* has_next) EXCLUDES(mu_) {
-    // Without a pool, a record of the open shard comes straight from the
-    // scanner, inline: this is every record of a pool-less scan.
+  Status Next(VertexRecordView* view, bool* has_next) {
+    // A record of the open shard comes straight from the scanner, inline:
+    // this is every record but a shard's first.
     if (shard_open_ && ReadOpenShard(view, has_next)) return Status::OK();
     return NextSlow(view, has_next);
   }
 
-  /// Ends the scan: closes the shard being read, or cancels outstanding
-  /// decodes (waking decoders parked on the byte budget), drains the pool
-  /// job and merges per-worker IoStats plus the ring counters into the
-  /// caller's stats. Safe to call twice and from the destructor. When the
-  /// scan was abandoned before the last record, returns the error that
-  /// stopped it, or the first decode error of a shard the consumer never
-  /// reached (a fully drained scan has already surfaced every error
-  /// through Next).
-  Status Close() EXCLUDES(mu_);
-
-  /// The bound that the ring's contract states, fixed at Open:
-  /// max(budget, B) + pool size * B, where a block B is the larger of the
-  /// block size and the largest record the manifest's max_degree allows;
-  /// 0 without a pool. No schedule buffers more decoded-but-unconsumed
-  /// bytes, so algorithms driven by the cursor charge it as their
-  /// pipeline memory: unlike IoStats::peak_buffered_bytes, the high-water
-  /// mark one schedule reached, it repeats from run to run.
-  size_t buffer_bound_bytes() const { return buffer_bound_bytes_; }
+  /// Ends the scan: closes the shard being read. Safe to call twice and
+  /// from the destructor. Returns the error that stopped the scan, if
+  /// one did.
+  Status Close();
 
  private:
-  // A block: records as their encoded words [id, degree, neighbors...],
-  // back to back.
-  using Block = std::vector<VertexId>;
-
-  // Per-shard stream of published blocks, drained in shard index order.
-  struct ShardStream {
-    std::deque<Block> blocks;
-    Status status;
-    bool finished = false;  // decoder is done (status is final)
-  };
-
-  void DecodeShard(uint32_t shard, size_t worker) EXCLUDES(mu_);
-  // Publishes `*block` to the ring (blocking on the byte budget) and
-  // swaps in a block from the free list (an empty one when it is dry).
-  // Returns false when the cursor was cancelled (the block goes back to
-  // the free list, decode must stop).
-  bool PublishBlock(uint32_t shard, Block* block) EXCLUDES(mu_);
-  void FinishShard(uint32_t shard, Status status, Block block) EXCLUDES(mu_);
-  // Clears `block` and puts it on the free list.
-  void RecycleBlock(Block block) REQUIRES(mu_);
-  // Pops a block from the free list, or returns an empty one.
-  Block TakeFreeBlock() REQUIRES(mu_);
-
-  // Without a pool: reads the open shard's next record. At the shard's
-  // end, or an error, closes the shard and returns false; an error stops
-  // the scan in its shard, kept in scan_error_ for every later call.
+  // Reads the open shard's next record. At the shard's end, or an error,
+  // closes the shard and returns false; an error stops the scan in its
+  // shard, kept in scan_error_ for every later call.
   bool ReadOpenShard(VertexRecordView* view, bool* has_next) {
     Status read = scanner_->Next(view, has_next);
     if (read.ok() && *has_next) return true;
@@ -376,50 +285,19 @@ class ManifestOrderedShardCursor {
     scan_shard_++;
     return false;
   }
-  // Next past the open shard: the next shard without a pool, else the
-  // ring.
-  Status NextSlow(VertexRecordView* view, bool* has_next) EXCLUDES(mu_);
+  // Next past the open shard: opens the next one.
+  Status NextSlow(VertexRecordView* view, bool* has_next);
 
   IoStats* stats_;
   std::string manifest_path_;
   ShardedAdjacencyManifest manifest_;
-  // Consumer-thread state, set from Open to Close.
   bool open_ = false;
-  ThreadPool* pool_ = nullptr;
-  size_t buffer_bound_bytes_ = 0;
-
-  // Without a pool: the scanner (made at the first such Open), the shard
-  // it reads next or reads now, and the error that stopped the scan.
+  // The scanner (made at the first Open), the shard it reads next or
+  // reads now, and the error that stopped the scan.
   std::unique_ptr<AdjacencyFileScanner> scanner_;
   uint32_t scan_shard_ = 0;
   bool shard_open_ = false;
   Status scan_error_;
-
-  // With a pool: the ring.
-  size_t block_words_ = 0;
-  size_t max_buffered_bytes_ = 0;
-
-  mutable Mutex mu_;
-  CondVar ready_cv_;  // consumer waits for a block / eof
-  CondVar space_cv_;  // decoders wait for byte headroom
-  std::vector<ShardStream> streams_ GUARDED_BY(mu_);
-  // Drained blocks, capacity kept, for the decoders to refill.
-  std::vector<Block> free_blocks_ GUARDED_BY(mu_);
-  // Per-worker I/O counters: worker `w` writes only worker_io_[w] while
-  // the decode job runs; Close reads them only after WaitForCompletion,
-  // so the vector needs no lock (the pool barrier is the happens-before
-  // edge).
-  std::vector<IoStats> worker_io_;
-  uint32_t consume_shard_ GUARDED_BY(mu_) = 0;  // shard being consumed
-  bool cancel_ GUARDED_BY(mu_) = false;
-  size_t buffered_bytes_ GUARDED_BY(mu_) = 0;
-  size_t peak_buffered_bytes_ GUARDED_BY(mu_) = 0;
-  uint64_t blocks_decoded_ GUARDED_BY(mu_) = 0;
-
-  // Consumer-side walk state (consumer thread only): the block being
-  // read and the word index of its next record.
-  Block current_;
-  size_t current_pos_ = 0;
 };
 
 /// Splits the monolithic adjacency file at `input_path` into `num_shards`

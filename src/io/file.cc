@@ -109,7 +109,8 @@ Status SequentialFileWriter::Close() {
 
 SequentialFileReader::SequentialFileReader(IoStats* stats, size_t buffer_bytes)
     : stats_(stats),
-      buffer_((buffer_bytes + sizeof(uint32_t) - 1) / sizeof(uint32_t)),
+      buffer_(std::make_unique_for_overwrite<uint32_t[]>(
+          (buffer_bytes + sizeof(uint32_t) - 1) / sizeof(uint32_t))),
       buffer_size_(buffer_bytes) {}
 
 SequentialFileReader::~SequentialFileReader() { Close().IgnoreError(); }

@@ -32,15 +32,14 @@ struct IoStats {
   /// SADJ file or a shard, plus every sparse record read (one logical
   /// pass over a graph decodes each record once).
   uint64_t records_decoded = 0;
-  /// Record blocks published by the block-decode pipeline
-  /// (ManifestOrderedShardCursor).
+  /// blocks_decoded, arena_bytes and peak_buffered_bytes are set by no
+  /// reader: they stay declared, and read 0, only because the end-to-end
+  /// benchmark reports them (perfbench's core.greedy layer metrics).
+  /// Delete them with the next change to that benchmark.
   uint64_t blocks_decoded = 0;
-  /// Allocated capacity of one block ring's blocks, taken at Close when
-  /// every block is back on its free list (high-water mark; merged with
-  /// max, not sum).
+  /// High-water mark: merged with max, not sum.
   uint64_t arena_bytes = 0;
-  /// Peak decoded-but-unconsumed payload bytes buffered in the block ring
-  /// (high-water mark; merged with max, not sum).
+  /// High-water mark: merged with max, not sum.
   uint64_t peak_buffered_bytes = 0;
 
   /// Accumulates another counter set into this one.
@@ -64,6 +63,9 @@ struct IoStats {
 
   /// Resets all counters to zero.
   void Reset() { *this = IoStats(); }
+
+  /// True when every counter is equal.
+  bool operator==(const IoStats&) const = default;
 };
 
 }  // namespace semis

@@ -1,7 +1,7 @@
 // Copyright (c) the semis authors.
 // Clang Thread Safety Analysis: macros plus annotated Mutex / MutexLock /
 // CondVar wrappers over the std primitives, so the locking discipline of
-// every concurrent subsystem (thread pool, block ring, engine RCU) is a
+// every concurrent subsystem (thread pool, engine RCU) is a
 // compile-time contract instead of a TSan-time observation.
 //
 // Under clang, `-Wthread-safety -Werror` (the `clang-tsa` preset, enforced

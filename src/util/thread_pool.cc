@@ -38,35 +38,23 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::ParallelFor(
     size_t num_items, const std::function<void(size_t, size_t)>& fn) {
-  BeginParallelFor(num_items, fn);
-  WaitForCompletion();
-}
-
-void ThreadPool::BeginParallelFor(size_t num_items,
-                                  std::function<void(size_t, size_t)> fn) {
-  if (num_items == 0) return;  // job_active_ stays false; Wait is a no-op
+  if (num_items == 0) return;
   MutexLock lock(&mu_);
-  // One job at a time: overlapping Begins would reset the completion
-  // barrier mid-job and re-issue in-flight items under the new fn. Abort
+  // One job at a time: a second job would reset the completion barrier
+  // mid-job and re-issue in-flight items under the new fn. Abort
   // unconditionally (not assert) so the contract holds under NDEBUG too.
   if (job_active_) {
     std::fprintf(stderr,
-                 "ThreadPool::BeginParallelFor called while a job is in "
-                 "flight; call WaitForCompletion first\n");
+                 "ThreadPool::ParallelFor called while a job is in flight\n");
     std::abort();
   }
-  job_fn_ = std::move(fn);
+  job_fn_ = &fn;
   job_items_ = num_items;
   next_item_.store(0, std::memory_order_relaxed);
   workers_done_ = 0;
   job_active_ = true;
   epoch_++;
   job_cv_.NotifyAll();
-}
-
-void ThreadPool::WaitForCompletion() {
-  MutexLock lock(&mu_);
-  if (!job_active_) return;
   while (workers_done_ != threads_.size()) done_cv_.Wait(&mu_);
   job_active_ = false;
   job_fn_ = nullptr;
@@ -84,10 +72,10 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       seen_epoch = epoch_;
       items = job_items_;
       // The pointer (not the guarded member) crosses the lock boundary:
-      // job_fn_ stays valid until WaitForCompletion clears it, which
-      // cannot happen before every worker has passed the workers_done_
-      // barrier below, so invoking through `fn` unlocked is safe.
-      fn = &job_fn_;
+      // the job's fn stays alive until ParallelFor returns, which cannot
+      // happen before every worker has passed the workers_done_ barrier
+      // below, so invoking through `fn` unlocked is safe.
+      fn = job_fn_;
     }
     while (true) {
       const size_t item = next_item_.fetch_add(1, std::memory_order_relaxed);

@@ -6,11 +6,6 @@
 // a pool, ForEachItem runs the items in order on the calling thread: the
 // sequential reference path of every algorithm built on top. Either way
 // it returns the first error in item order, whatever the schedule.
-//
-// The parallel-for also comes as a BeginParallelFor/WaitForCompletion
-// split for producer-consumer pipelines where the submitting thread keeps
-// consuming results (e.g. the manifest-ordered shard cursor commits
-// records while the pool decodes shards ahead of it).
 #ifndef SEMIS_UTIL_THREAD_POOL_H_
 #define SEMIS_UTIL_THREAD_POOL_H_
 
@@ -49,23 +44,11 @@ class ThreadPool {
   /// items over the workers, and returns when all items are done. `worker`
   /// is a stable index in [0, size()) identifying the executing thread, so
   /// callers can keep per-worker scratch state without synchronization.
-  /// Not reentrant: one job at a time. Passes call ForEachItem instead.
+  /// Not reentrant: one job at a time, and a second job started while one
+  /// runs aborts the program. Passes call ForEachItem instead.
   void ParallelFor(size_t num_items,
                    const std::function<void(size_t item, size_t worker)>& fn)
       EXCLUDES(mu_);
-
-  /// Non-blocking half of ParallelFor: hands the job to the workers and
-  /// returns immediately, so the calling thread can consume what the
-  /// workers produce. The pool keeps its own copy of `fn`. Exactly one
-  /// job may be in flight; every Begin must be paired with a
-  /// WaitForCompletion before the next Begin (or destruction).
-  void BeginParallelFor(size_t num_items,
-                        std::function<void(size_t item, size_t worker)> fn)
-      EXCLUDES(mu_);
-
-  /// Blocks until the job started by BeginParallelFor has finished (all
-  /// items processed by all workers). No-op when no job is in flight.
-  void WaitForCompletion() EXCLUDES(mu_);
 
  private:
   void WorkerLoop(size_t worker_index) EXCLUDES(mu_);
@@ -73,11 +56,13 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   Mutex mu_;
   CondVar job_cv_;   // workers wait for a new job epoch
-  CondVar done_cv_;  // WaitForCompletion waits here
-  // Written under mu_ by Begin/Wait; workers invoke it OUTSIDE mu_ via a
-  // pointer taken under the lock. Safe because Wait cannot clear it until
-  // every worker has passed the workers_done_ barrier (see WorkerLoop).
-  std::function<void(size_t, size_t)> job_fn_ GUARDED_BY(mu_);
+  CondVar done_cv_;  // ParallelFor waits here for the workers
+  // Set under mu_ by ParallelFor; workers invoke it OUTSIDE mu_ via a
+  // pointer taken under the lock. Safe because ParallelFor does not
+  // return, and so cannot end `fn`'s lifetime, until every worker has
+  // passed the workers_done_ barrier (see WorkerLoop).
+  const std::function<void(size_t, size_t)>* job_fn_ GUARDED_BY(mu_) =
+      nullptr;
   bool job_active_ GUARDED_BY(mu_) = false;
   size_t job_items_ GUARDED_BY(mu_) = 0;
   std::atomic<size_t> next_item_{0};

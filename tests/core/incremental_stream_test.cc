@@ -107,7 +107,7 @@ void MakeInstances(ScratchDir* scratch, const std::string& mono_path,
 // as a monolithic file in the store's record order.
 std::string UnshardStore(ScratchDir* scratch, const std::string& root) {
   ManifestOrderedShardCursor cursor;
-  EXPECT_OK(cursor.Open(root, /*pool=*/nullptr));
+  EXPECT_OK(cursor.Open(root));
   const AdjacencyFileHeader& h = cursor.header();
   const std::string path = scratch->NewFilePath("unsharded.adj");
   AdjacencyFileWriter writer;
@@ -359,7 +359,7 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   EXPECT_EQ(mis.set_size(), 2u);
   ASSERT_OK(mis.Compact(/*force=*/true));
   ManifestOrderedShardCursor cursor;
-  ASSERT_OK(cursor.Open(manifest, /*pool=*/nullptr));
+  ASSERT_OK(cursor.Open(manifest));
   EXPECT_EQ(cursor.header().num_directed_edges, 0u);
   VertexRecordView rec;
   bool has_next = false;
@@ -381,7 +381,7 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   ASSERT_OK(mis2.ApplyBatch({EdgeUpdate::Insert(0, 1)}));
   ASSERT_OK(mis2.Compact(/*force=*/true));
   ManifestOrderedShardCursor cursor2;
-  ASSERT_OK(cursor2.Open(manifest2, /*pool=*/nullptr));
+  ASSERT_OK(cursor2.Open(manifest2));
   EXPECT_EQ(cursor2.header().num_directed_edges, 2u);  // one edge, not two
   while (true) {
     ASSERT_OK(cursor2.Next(&rec, &has_next));
@@ -418,7 +418,7 @@ struct DeltaTracker {
 // record by record.
 void ExpectStoreHoldsGraph(const std::string& manifest, const Graph& want) {
   ManifestOrderedShardCursor cursor;
-  ASSERT_OK(cursor.Open(manifest, /*pool=*/nullptr));
+  ASSERT_OK(cursor.Open(manifest));
   EXPECT_EQ(cursor.header().num_directed_edges, want.NumDirectedEdges());
   VertexRecordView rec;
   bool has_next = false;
@@ -994,6 +994,35 @@ TEST_F(IncrementalStreamTest, FirstRepairAfterInitializeIsFull) {
   ASSERT_OK(reference.Repair());
   EXPECT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
   EXPECT_EQ(mis.stats().repair_added, reference.set_size());
+}
+
+TEST_F(IncrementalStreamTest, FullRepairCountersAndMemoryIgnoreThreads) {
+  // The full repair scans on the calling thread whatever the thread
+  // count, so after Initialize and one full Repair the I/O counters and
+  // the peak memory are those of one thread.
+  const FrontierFixture f = MakeFrontierFixture(&scratch_, 3000, 73);
+  const BitVector empty(f.graph.NumVertices());
+  IoStats one_io;
+  size_t one_peak = 0;
+  for (uint32_t threads : kThreadCounts) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const std::string manifest =
+        NewPath("threads" + std::to_string(threads) + ".sadjs");
+    ASSERT_OK(ShardAdjacencyFile(f.mono, manifest, 7));
+    EnginePipelineOptions opts;
+    opts.num_threads = threads;
+    ShardedStreamingMis mis;
+    ASSERT_OK(mis.Initialize(manifest, empty, opts));
+    ASSERT_OK(mis.Repair());
+    ASSERT_EQ(mis.stats().full_repair_passes, 1u);
+    if (threads == 1) {
+      one_io = mis.stats().io;
+      one_peak = mis.stats().peak_memory_bytes;
+      continue;
+    }
+    EXPECT_EQ(mis.stats().io, one_io);
+    EXPECT_EQ(mis.stats().peak_memory_bytes, one_peak);
+  }
 }
 
 TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {

@@ -90,7 +90,7 @@ class ResortTest : public ScratchTest {
                                uint32_t num_shards) {
     IoStats io;
     ManifestOrderedShardCursor cursor(&io);
-    EXPECT_OK(cursor.Open(root, /*pool=*/nullptr));
+    EXPECT_OK(cursor.Open(root));
     const AdjacencyFileHeader& h = cursor.header();
     const std::string unsharded = NewPath(tag + ".ref.adj");
     AdjacencyFileWriter writer(&io);

@@ -280,7 +280,7 @@ TEST_F(SolverTest, ShardedGreedyCountersFoldIntoSolveResult) {
   EXPECT_GE(res.io.bytes_read,
             res.greedy.io.bytes_read + res.swap.io.bytes_read);
   EXPECT_GE(res.peak_memory_bytes, res.greedy.peak_memory_bytes);
-  // state array + pipeline shard buffers
+  // state array + result bitset
   EXPECT_GT(res.greedy.peak_memory_bytes, g.NumVertices());
 }
 

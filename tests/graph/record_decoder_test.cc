@@ -4,9 +4,10 @@
 // fill, or is longer than the buffer, falls back to ReadU32/ReadExact.
 // Every case runs on both formats, and every corruption is hit on both
 // paths. On both paths a view has the record's header words right in
-// front of its neighbors, which is what lets the block ring copy a record
-// as one word run: every shard is also drained through
-// ManifestOrderedShardCursor, with and without a pool.
+// front of its neighbors, which is what lets compaction copy a record as
+// one byte run. Every shard is also drained through
+// ManifestOrderedShardCursor, which must yield what the scanner yields
+// and fail where it fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +20,6 @@
 #include "graph/adjacency_file.h"
 #include "graph/sharded_adjacency_file.h"
 #include "test_util.h"
-#include "util/thread_pool.h"
 
 namespace semis {
 namespace {
@@ -161,9 +161,8 @@ Status DrainSource(Source* source, Records* out) {
 
 // Every record of the file at `path` through the scanner, opened on the
 // SADJ file or on the shard; the first error is returned. A shard is read
-// twice more, through the cursor without a pool and through the block
-// ring, which copies each record from two words before its neighbors.
-// Both must yield what the scanner yielded and fail where it failed.
+// once more, through the cursor, which must yield what the scanner
+// yielded and fail where it failed.
 Status Drain(Format f, const std::string& path, Records* out) {
   out->clear();
   AdjacencyFileScanner scanner;
@@ -177,20 +176,15 @@ Status Drain(Format f, const std::string& path, Records* out) {
   Status read = DrainSource(&scanner, out);
   if (read.ok()) read = scanner.Close();
 
-  ThreadPool two(2);
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two}) {
-    ManifestOrderedShardCursor cursor;
-    SEMIS_RETURN_IF_ERROR(cursor.Open(path, pool));
-    Records got;
-    Status drained = DrainSource(&cursor, &got);
-    Status closed = cursor.Close();
-    if (drained.ok()) drained = closed;
-    const std::string name = pool == nullptr ? "cursor" : "ring";
-    EXPECT_EQ(got, *out) << name;
-    EXPECT_EQ(drained.code(), read.code())
-        << name << ": " << drained.ToString()
-        << ", scanner: " << read.ToString();
-  }
+  ManifestOrderedShardCursor cursor;
+  SEMIS_RETURN_IF_ERROR(cursor.Open(path));
+  Records got;
+  Status drained = DrainSource(&cursor, &got);
+  Status closed = cursor.Close();
+  if (drained.ok()) drained = closed;
+  EXPECT_EQ(got, *out);
+  EXPECT_EQ(drained.code(), read.code())
+      << "cursor: " << drained.ToString() << ", scanner: " << read.ToString();
   return read;
 }
 

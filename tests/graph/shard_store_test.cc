@@ -164,7 +164,7 @@ TEST_F(ShardStoreTest, ReaderHoldingOldEpochSurvivesOneCommit) {
   // The reader resolves the store at epoch 1 and starts scanning.
   IoStats io;
   ManifestOrderedShardCursor cursor(&io);
-  ASSERT_OK(cursor.Open(root, /*pool=*/nullptr));
+  ASSERT_OK(cursor.Open(root));
   const uint64_t expected = cursor.header().num_vertices;
 
   // A commit happens underneath it: epoch 2 is published and GC runs.

@@ -52,45 +52,6 @@ TEST(ThreadPoolTest, EmptyJobReturnsImmediately) {
   EXPECT_FALSE(ran);
 }
 
-TEST(ThreadPoolTest, BeginWaitSplitAllowsProducerConsumer) {
-  // The submitting thread keeps running between Begin and Wait -- the
-  // pipeline shape the manifest-ordered shard cursor is built on.
-  ThreadPool pool(2);
-  constexpr size_t kItems = 64;
-  std::vector<std::atomic<int>> produced(kItems);
-  for (auto& p : produced) p.store(0);
-  pool.BeginParallelFor(kItems,
-                        [&](size_t item, size_t) { produced[item].store(1); });
-  // Consume from the submitting thread while workers produce.
-  size_t seen = 0;
-  while (seen < kItems) {
-    seen = 0;
-    for (auto& p : produced) seen += static_cast<size_t>(p.load());
-  }
-  pool.WaitForCompletion();
-  for (auto& p : produced) EXPECT_EQ(p.load(), 1);
-}
-
-TEST(ThreadPoolTest, WaitWithoutBeginIsNoOp) {
-  ThreadPool pool(2);
-  pool.WaitForCompletion();
-  pool.BeginParallelFor(0, [&](size_t, size_t) {});
-  pool.WaitForCompletion();  // empty job never became active
-  std::atomic<size_t> count{0};
-  pool.ParallelFor(5, [&](size_t, size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 5u);
-}
-
-TEST(ThreadPoolTest, BeginWaitReusableAcrossJobs) {
-  ThreadPool pool(3);
-  std::atomic<size_t> total{0};
-  for (int job = 0; job < 20; ++job) {
-    pool.BeginParallelFor(11, [&](size_t, size_t) { total.fetch_add(1); });
-    pool.WaitForCompletion();
-  }
-  EXPECT_EQ(total.load(), 20u * 11u);
-}
-
 TEST(ThreadPoolTest, ZeroThreadsMeansHardwareConcurrency) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);

@@ -11,13 +11,13 @@ bench/BENCH_baseline.json seed, in advisory mode).
 
 PATH may be a single JSON file or a directory; directories are searched
 recursively for *.json files and every file's "benchmarks" array is
-pooled. Benchmarks are keyed by run name (e.g. "BM_ParallelGreedy/4/
+pooled. Benchmarks are keyed by run name (e.g. "BM_ParallelTwoKSwap/4/
 real_time"); when a capture was taken with --benchmark_repetitions the
 median aggregate is preferred, then the mean, then the raw iteration.
 
 Besides real_time, memory/allocation counters attached to a benchmark
-(names ending in "_bytes" -- peak_buffered_bytes, arena_bytes,
-peak_memory_bytes -- or starting with "allocs") are diffed with their own
+(names ending in "_bytes" -- sc_peak_bytes, peak_memory_bytes -- or
+starting with "allocs") are diffed with their own
 ADVISORY threshold (--mem-threshold): growth past it emits a ::warning
 annotation and a summary row but never fails the gate, since byte
 high-water marks are configuration-sensitive in a way wall time is not.
@@ -187,7 +187,7 @@ def main():
               f"({format_ms(current[name])}, no baseline to diff against)")
 
     # Memory/allocation counters: advisory only. Byte high-water marks and
-    # allocation counts move with configuration (ring budgets, pool sizes)
+    # allocation counts move with configuration (pool sizes, graph scale)
     # rather than hardware noise, so growth is worth a loud warning -- but
     # they must not wedge the nightly gate the way a timing regression
     # does.

@@ -614,9 +614,7 @@ int CmdSolve(const Args& args) {
                   static_cast<unsigned long long>(final_frontier));
     }
     // Shard-decode counters. records_decoded spans EVERY shard scan (the
-    // initial engine's passes plus each swap round's rescans); the
-    // block-ring line covers only the cursor-driven stages, which is why
-    // records per block don't divide.
+    // initial engine's passes plus each swap round's rescans).
     const double decode_seconds =
         res.greedy.seconds + res.rounds.seconds + res.swap.seconds > 0.0
             ? res.greedy.seconds + res.rounds.seconds + res.swap.seconds
@@ -629,22 +627,6 @@ int CmdSolve(const Args& args) {
                 "(%.0f records/s)\n",
                 static_cast<unsigned long long>(res.io.records_decoded),
                 records_per_sec);
-    // Only the greedy engine's multi-threaded scan decodes through the
-    // block ring; at one thread its cursor reads records directly, and
-    // the rounds engine has no commit scan. On the ring path a zero count
-    // means a broken run. Both figures repeat from run to run: a shard's
-    // blocks depend only on its records, and the greedy charges the
-    // ring's bound, not the peak one schedule reached.
-    const bool ring_path = !rounds_engine && threads > 1;
-    if (!ring_path) {
-      std::printf("  block ring     : not used\n");
-    } else {
-      std::printf("  block ring     : %llu blocks, buffer bound %s\n",
-                  static_cast<unsigned long long>(res.io.blocks_decoded),
-                  MemoryTracker::FormatBytes(
-                      res.greedy.memory.CategoryPeakBytes("shard-buffers"))
-                      .c_str());
-    }
   }
   if (args.Has("out")) {
     s = WriteSetText(res.set, args.Get("out"));
@@ -1272,7 +1254,7 @@ int CmdUnshard(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   IoStats io;
   ManifestOrderedShardCursor cursor(&io);
-  Status s = cursor.Open(args.positional[0], /*pool=*/nullptr);
+  Status s = cursor.Open(args.positional[0]);
   if (!s.ok()) return Fail(s);
   const AdjacencyFileHeader& h = cursor.header();
   AdjacencyFileWriter writer(&io);

@@ -28,8 +28,7 @@ that contract, before they reach a differential test:
                        (util/thread_pool.h), which returns the first error
                        in item order; a hand-rolled status loop on the
                        pool lets the schedule pick which error a failed
-                       pass reports.  BeginParallelFor (the cursor's
-                       producer-consumer split) is not matched.
+                       pass reports.
   raw-io               Direct OS file I/O (fopen/::open/::read/lseek/pread/
                        mmap/fsync/rename/unlink/mkdtemp/std::filesystem,
                        ...) anywhere under src/ except src/io/env.cc.  All
@@ -93,7 +92,7 @@ POINTER_TIEBREAK_RE = re.compile(
     r"|\bstd::less\s*<[^<>;]*\*\s*>"
 )
 # `ParallelFor(` as a whole name: `pool.ParallelFor(`, `pool->ParallelFor(`
-# and `ThreadPool::ParallelFor(` match, `BeginParallelFor(` does not.
+# and `ThreadPool::ParallelFor(` match.
 RAW_PARALLEL_FOR_RE = re.compile(r"(?<![A-Za-z0-9_])ParallelFor\s*\(")
 
 # Unqualified C-library / posix calls.  The lookbehind rejects member calls

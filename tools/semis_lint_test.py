@@ -237,16 +237,6 @@ void Pass(semis::ThreadPool& pool) {
 """)
         self.assertEqual(self.rules("src/core/foo.cc"), [])
 
-    def test_begin_parallel_for_clean(self):
-        # The cursor's producer-consumer split is not a pass.
-        self.write("src/graph/foo.cc", """
-void Open(semis::ThreadPool* pool) {
-  pool->BeginParallelFor(8, [](size_t, size_t) {});
-  pool->WaitForCompletion();
-}
-""")
-        self.assertEqual(self.rules("src/graph/foo.cc"), [])
-
     def test_not_flagged_outside_core(self):
         # ForEachItem in src/util is the one caller.
         self.write("src/util/foo.h", self.CODE)
