@@ -7,7 +7,7 @@
 //     reference loop bit for bit (the engine's determinism-by-
 //     construction claim); the bench aborts the timing loop if not;
 //   * scaling: rounds/sec and edge throughput should grow with threads,
-//     because every pass fans the shards out over the pool. Two full
+//     because every pass fans the shards out over its workers. Two full
 //     passes per round put the ceiling at roughly half the greedy
 //     executor's single-pass decode rate;
 //   * quality: min-id ignores degrees, so its set trails degree-greedy.

@@ -6,8 +6,8 @@
 #include "graph/degree_sort.h"
 #include "io/epoch_journal.h"
 #include "util/crash_point.h"
+#include "util/fan_out.h"
 #include "util/memory_tracker.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace semis {
@@ -40,7 +40,6 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
   }
   delta_path_ = EdgeDeltaManifestPath(manifest_path_);
   options_ = options;
-  pool_ = MakeShardPool(options_.num_threads, manifest_.num_shards());
   n_ = manifest_.header.num_vertices;
   set_ = initial_set;
   set_size_ = set_.Count();
@@ -61,8 +60,8 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
     dm.next_sequence = 0;
     dm.shard_entries.assign(manifest_.num_shards(), 0);
     for (uint32_t k = 0; k < manifest_.num_shards(); ++k) {
-      SEMIS_RETURN_IF_ERROR(
-          CreateEdgeDeltaShardLog(delta_path_, k, n_, &stats_.io));
+      SEMIS_RETURN_IF_ERROR(CreateEdgeDeltaShardLog(
+          EdgeDeltaShardPath(delta_path_, k), k, n_, &stats_.io));
     }
     SEMIS_RETURN_IF_ERROR(
         WriteEdgeDeltaManifest(delta_path_, dm, &stats_.io));
@@ -79,10 +78,10 @@ Status ShardedStreamingMis::RewriteShardLog(uint32_t shard) {
   const std::string log_path = EdgeDeltaShardPath(delta_path_, shard);
   const std::string tmp_path = log_path + ".tmp";
   SEMIS_RETURN_IF_ERROR(
-      CreateEdgeDeltaShardLogAtPath(tmp_path, shard, n_, &stats_.io));
+      CreateEdgeDeltaShardLog(tmp_path, shard, n_, &stats_.io));
   if (!pending_[shard].empty()) {
     EdgeDeltaShardWriter writer(&stats_.io, pending_[shard].size());
-    SEMIS_RETURN_IF_ERROR(writer.OpenAtPath(tmp_path, n_));
+    SEMIS_RETURN_IF_ERROR(writer.Open(tmp_path, n_));
     for (const EdgeDeltaEntry& entry : pending_[shard]) {
       SEMIS_RETURN_IF_ERROR(writer.Append(entry));
     }
@@ -331,7 +330,8 @@ Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
     for (uint32_t k = 0; k < manifest_.num_shards(); ++k) {
       if (!fresh[k].empty()) {
         EdgeDeltaShardWriter writer(&stats_.io, fresh[k].size());
-        SEMIS_RETURN_IF_ERROR(writer.Open(delta_path_, k, n_));
+        SEMIS_RETURN_IF_ERROR(
+            writer.Open(EdgeDeltaShardPath(delta_path_, k), n_));
         for (const EdgeDeltaEntry& entry : fresh[k]) {
           SEMIS_RETURN_IF_ERROR(writer.Append(entry));
         }
@@ -401,8 +401,9 @@ Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
     DropFrontier();
     return Status::OK();
   }
-  const ShardFrontierReader reader(manifest_path_, manifest_, locator_,
-                                   pool_.get());
+  const ShardFrontierReader reader(
+      manifest_path_, manifest_, locator_,
+      ShardWorkers(options_.num_threads, manifest_.num_shards()));
   if (!evicted_.empty()) {
     SEMIS_RETURN_IF_ERROR(ExpandEvictions(reader));
     if (!frontier_known_) return Status::OK();  // overflowed: full pass
@@ -464,7 +465,7 @@ Status ShardedStreamingMis::ExpandEvictions(const ShardFrontierReader& reader) {
 Status ShardedStreamingMis::CommitCandidates(
     const ShardFrontierReader& reader, const std::vector<VertexId>& candidates,
     uint64_t* added) {
-  // Phase 1, read-only, through the reader (on the pool when there is
+  // Phase 1, read-only, through the reader (on forked workers above
   // one). The set only grows during a repair, so a candidate with a live
   // set neighbor now stays out, and phase 1 drops it. A survivor can be
   // blocked later only by a candidate that joins before its turn, so it
@@ -788,7 +789,7 @@ Status ShardedStreamingMis::Compact(bool force) {
     if (is_saturated[k]) {
       // The compacted shard's delta is folded in; its log restarts empty.
       SEMIS_RETURN_IF_ERROR(
-          CreateEdgeDeltaShardLogAtPath(out_log, k, n_, &stats_.io));
+          CreateEdgeDeltaShardLog(out_log, k, n_, &stats_.io));
     } else {
       SEMIS_RETURN_IF_ERROR(
           HardLinkFile(EdgeDeltaShardPath(delta_path_, k), out_log));
@@ -924,7 +925,7 @@ Status ShardedStreamingMis::ResortInternal() {
     const std::string out_log = EdgeDeltaShardPath(new_delta, k);
     SEMIS_RETURN_IF_ERROR(RemoveFileIfExists(out_log));
     SEMIS_RETURN_IF_ERROR(
-        CreateEdgeDeltaShardLogAtPath(out_log, k, n_, &stats_.io));
+        CreateEdgeDeltaShardLog(out_log, k, n_, &stats_.io));
     staged_files.push_back(out_log);
   }
   EdgeDeltaManifest dm;

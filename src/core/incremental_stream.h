@@ -29,7 +29,7 @@
 // frontier still has a set neighbor and the set only grows during a
 // repair, so the result equals the full pass's. The frontier pass runs
 // in two phases at every thread count: the frontier reader (on the
-// maintainer's pool when there is one) reads the records and drops every
+// repair's forked workers above one) reads the records and drops every
 // candidate that the set at the start of the pass already blocks, then
 // the calling thread commits the survivors in manifest order with the
 // same rule. A failed read therefore commits nothing.
@@ -77,7 +77,6 @@
 #define SEMIS_CORE_INCREMENTAL_STREAM_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,7 +91,6 @@
 #include "util/common.h"
 #include "util/flat_key_set.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace semis {
 
@@ -161,15 +159,15 @@ struct StreamingMisStats {
 /// PLRGs the sequential frontier pass beat the full pass up to about 30%
 /// of the records at 100k vertices (1 and 4 threads) and 18% at 1M
 /// vertices (4 threads), and lost beyond; 1/8 keeps a margin on both.
-/// Re-measured with the frontier read on the pool (BM_StreamApplyRepair,
+/// Re-measured with the frontier read in parallel (BM_StreamApplyRepair,
 /// 100k vertices, ms per 8 192-update batch at 1 / 4 threads, two runs
 /// each): divisor 8, a full pass every batch, 12.3-12.5 / 10.5-11.0;
 /// divisor 4, a mix, 10.1-10.8 / 9.2-10.6; divisor 2, a frontier pass of
-/// about 9 000 records every batch, 11.7-12.0 / 11.0-12.8. The pool did
-/// not move the crossover beyond the noise, so 1/8 stays. 65 536-update
-/// batches take the full pass at all three. The same bound caps the
-/// frontier's memory at n/8 ids. Below the floor either pass takes well
-/// under a millisecond.
+/// about 9 000 records every batch, 11.7-12.0 / 11.0-12.8. The parallel
+/// read did not move the crossover beyond the noise, so 1/8 stays.
+/// 65 536-update batches take the full pass at all three. The same bound
+/// caps the frontier's memory at n/8 ids. Below the floor either pass
+/// takes well under a millisecond.
 inline constexpr uint64_t kRepairFrontierDivisor = 8;
 inline constexpr uint64_t kRepairFrontierFloor = 256;
 
@@ -179,7 +177,7 @@ inline constexpr uint64_t kRepairFrontierFloor = 256;
 /// public methods are externally serialized per object (MisEngine is the
 /// one concurrent caller and serializes them); Repair's internal
 /// parallelism hands each worker a private slice and merges after the
-/// thread-pool barrier, which is the happens-before edge. Workers only
+/// workers are joined, which is the happens-before edge. Workers only
 /// read the set and the delta state. See docs/architecture.md ("Static
 /// analysis") for the conventions.
 class ShardedStreamingMis {
@@ -207,10 +205,10 @@ class ShardedStreamingMis {
   /// evicts), so the next Repair() is a full pass.
   ///
   /// `options` is the shared pipeline struct: this layer reads
-  /// `num_threads` (the maintainer's MakeShardPool pool, kept for the
-  /// session: the frontier repair's reads run on it; the repaired set is
-  /// independent of it by construction), `compact_threshold_entries` and
-  /// `auto_resort`;
+  /// `num_threads` (each frontier repair reads on ShardWorkers of it,
+  /// started and joined within the read, so no thread outlives a call;
+  /// the repaired set is independent of it by construction),
+  /// `compact_threshold_entries` and `auto_resort`;
   /// `num_shards` is ignored (the manifest fixes it).
   Status Initialize(const std::string& manifest_path,
                     const BitVector& initial_set,
@@ -386,8 +384,6 @@ class ShardedStreamingMis {
   // and after a re-sort; a compaction replaces the offsets of the shards
   // it rewrote.
   ShardRecordLocator locator_;
-  // The session's workers (MakeShardPool), or null.
-  std::unique_ptr<ThreadPool> pool_;
   BitVector set_;
   uint64_t set_size_ = 0;
   // Global delta state (the CURRENT effective delta, deduplicated): the

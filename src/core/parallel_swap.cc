@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
+#include "util/fan_out.h"
 #include "util/flat_key_set.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace semis {
@@ -80,8 +79,7 @@ class ParallelSwapRun {
         manifest_path_(manifest_path),
         manifest_(std::move(manifest)),
         n_(manifest_.header.num_vertices),
-        pool_(MakeShardPool(options.num_threads, manifest_.num_shards())),
-        workers_(pool_ == nullptr ? 1 : pool_->size()),
+        workers_(ShardWorkers(options.num_threads, manifest_.num_shards())),
         state_(n_),
         isn1_(n_, kInvalidVertex),
         isn2_(n_, kInvalidVertex),
@@ -200,7 +198,7 @@ class ParallelSwapRun {
   template <typename PerShard>
   Status RunShardPass(PerShard&& per_shard) {
     scans_started_++;
-    return ForEachItem(pool_.get(), manifest_.num_shards(),
+    return ForEachItem(workers_.size(), manifest_.num_shards(),
                        [&](size_t shard, size_t worker) {
                          return per_shard(static_cast<uint32_t>(shard),
                                           worker);
@@ -253,8 +251,8 @@ class ParallelSwapRun {
   const std::string manifest_path_;
   const ShardedAdjacencyManifest manifest_;
   const uint64_t n_;
-  // Null when one thread or one shard: the calling thread runs every pass.
-  std::unique_ptr<ThreadPool> pool_;
+  // One scratch per worker of a pass (ShardWorkers); one worker means
+  // the calling thread runs every pass.
   std::vector<WorkerScratch> workers_;
   uint64_t scans_started_ = 0;
 

@@ -1,7 +1,7 @@
 // Copyright (c) the semis authors.
 // Parallel round executor for the swap algorithms over a *sharded*
 // adjacency file (graph/sharded_adjacency_file.h): every scan phase of a
-// round fans the shards out over a thread pool, each worker scanning its
+// round fans the shards out over forked workers, each worker scanning its
 // shard with a private reader and proposing swaps against shared
 // vertex-state tables.
 //
@@ -47,7 +47,7 @@
 //     are fixed by the file, not by the thread count;
 //   * conflicting promotions are resolved by a fixed priority: the lowest
 //     vertex id wins, evaluated independently per vertex.
-// Consequently the run without a pool (one thread or one shard) is the
+// Consequently the one-worker run (one thread or one shard) is the
 // sequential path, and every other thread count reproduces its output
 // and its first error in shard order bit for bit. This is the
 // only swap stage MisEngine runs, at every shard count including one.
@@ -59,7 +59,7 @@
 //
 // Concurrency contract: no mutex -- shared per-vertex state is atomics
 // with the ownership/commutativity rules above, per-worker scratch is
-// indexed by worker id, and the phase barrier (ThreadPool completion) is
+// indexed by worker id, and the phase barrier (ForEachItem's join) is
 // the happens-before edge for everything a later phase reads. See
 // docs/architecture.md ("Static analysis") for the conventions.
 //
@@ -86,7 +86,7 @@ struct ParallelSwapOptions {
   /// Stop after this many rounds (0 = until no proposals fire).
   uint32_t max_rounds = 0;
   /// Worker threads scanning shards (0 = hardware concurrency), capped
-  /// at the shard count (MakeShardPool); at one, the calling thread runs
+  /// at the shard count (ShardWorkers); at one, the calling thread runs
   /// every pass. The result is independent of this value by
   /// construction.
   uint32_t num_threads = 1;

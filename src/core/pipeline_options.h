@@ -47,10 +47,11 @@ struct EnginePipelineOptions {
 
   /// Worker threads of the swap stage, the rounds engine and the
   /// streaming maintainer's frontier repair (0 = hardware concurrency),
-  /// capped at the shard count by MakeShardPool; at one, every pass runs
-  /// on the calling thread. The greedy and the full repair read none: a
-  /// scan in manifest order runs on the calling thread. The result is
-  /// independent of this value by construction.
+  /// capped at the shard count by ShardWorkers; above one, each pass
+  /// forks its workers and joins them before it returns, and at one it
+  /// runs on the calling thread. The greedy and the full repair read
+  /// none: a scan in manifest order runs on the calling thread. The
+  /// result is independent of this value by construction.
   uint32_t num_threads = 1;
 
   /// Streaming maintenance only: a shard whose delta log reaches this

@@ -1,11 +1,10 @@
 #include "core/rounds_engine.h"
 
-#include <memory>
 #include <utility>
 
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
-#include "util/thread_pool.h"
+#include "util/fan_out.h"
 #include "util/timer.h"
 
 namespace semis {
@@ -27,7 +26,7 @@ namespace {
 // only across a barrier, so plain (non-atomic) arrays are race-free.
 // Shards whose frontier count dropped to zero are skipped in both
 // passes; the counts are per-shard slots under the same one-writer rule.
-// Without a pool (one thread or one shard) the calling thread runs both
+// With one worker (one thread or one shard) the calling thread runs both
 // passes in shard order, skipping the same shards.
 class MinIdRoundsRun {
  public:
@@ -38,9 +37,8 @@ class MinIdRoundsRun {
         manifest_path_(manifest_path),
         manifest_(std::move(manifest)),
         n_(manifest_.header.num_vertices),
-        pool_(MakeShardPool(options.pipeline.num_threads,
-                            manifest_.num_shards())),
-        worker_io_(pool_ == nullptr ? 1 : pool_->size()),
+        worker_io_(ShardWorkers(options.pipeline.num_threads,
+                                manifest_.num_shards())),
         state_(n_, VState::kInitial),
         winner_round_(n_, 0),
         shard_frontier_(manifest_.num_shards(), 0),
@@ -56,7 +54,7 @@ class MinIdRoundsRun {
   template <typename PerShard>
   Status RunFrontierPass(PerShard&& per_shard) {
     scans_started_++;
-    return ForEachItem(pool_.get(), manifest_.num_shards(),
+    return ForEachItem(worker_io_.size(), manifest_.num_shards(),
                        [&](size_t shard, size_t worker) {
                          if (shard_frontier_[shard] == 0) {
                            return Status::OK();  // settled shard
@@ -76,8 +74,8 @@ class MinIdRoundsRun {
   const std::string manifest_path_;
   const ShardedAdjacencyManifest manifest_;
   const uint64_t n_;
-  // Null when one thread or one shard: the calling thread runs every pass.
-  std::unique_ptr<ThreadPool> pool_;
+  // One IoStats per worker of a pass (ShardWorkers); one worker means
+  // the calling thread runs every pass.
   std::vector<IoStats> worker_io_;
   uint64_t scans_started_ = 0;
 
@@ -191,7 +189,7 @@ Status MinIdRoundsRun::Execute(AlgoResult* res) {
 }
 
 // The sequential reference loop: the same two per-record rules, applied
-// in one thread over full passes of the whole file (no pool, no frontier
+// in one thread over full passes of the whole file (no fan-out, no frontier
 // skipping). The executor must match this bit for bit; only
 // RunMinIdRoundsReference runs it.
 Status RunReferenceRounds(const std::string& manifest_path, uint64_t n,

@@ -180,8 +180,7 @@ Status BuildDegreeSortedAdjacencyFile(const std::string& input_path,
 /// the input. The source is the caller's, so that a header probe can
 /// decide whether to sort without a second open of the input:
 /// MisEngine::Open hands over its SADJ scanner, and
-/// ShardedStreamingMis::Resort a pool-less cursor over the compacted
-/// base.
+/// ShardedStreamingMis::Resort a cursor over the compacted base.
 template <typename Source>
 Status BuildDegreeSortedShardStore(Source* input,
                                    const std::string& manifest_path,

@@ -12,9 +12,9 @@
 //
 // Concurrency contract: no mutex. The locator is read-only during a
 // frontier read. Each work item of a read owns its reader and IoStats,
-// which merge on the calling thread after the thread-pool barrier (the
-// happens-before edge); a visitor must write only state private to its
-// item. See docs/architecture.md ("Static analysis").
+// which merge on the calling thread after ForEachItem joins the read's
+// workers (the happens-before edge); a visitor must write only state
+// private to its item. See docs/architecture.md ("Static analysis").
 #ifndef SEMIS_GRAPH_SHARD_RECORD_LOCATOR_H_
 #define SEMIS_GRAPH_SHARD_RECORD_LOCATOR_H_
 
@@ -27,8 +27,8 @@
 #include "graph/sharded_adjacency_file.h"
 #include "io/io_stats.h"
 #include "util/common.h"
+#include "util/fan_out.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace semis {
 
@@ -97,27 +97,26 @@ class ShardRecordLocator {
 /// Reads the records of a frontier: vertex ids sorted by manifest rank,
 /// without duplicates. Each shard that holds frontier ids is one work
 /// item, read forward by its own AdjacencyShardRecordReader. The items
-/// run through ForEachItem: on `pool` when one is given (at most one job
-/// in flight, as the pool requires), else on the calling thread in shard
-/// order. An id behind its shard's read position -- ids out of rank
-/// order -- fails with InvalidArgument.
+/// run through ForEachItem on `workers` workers (ShardWorkers); at one,
+/// on the calling thread in shard order. An id behind its shard's read
+/// position -- ids out of rank order -- fails with InvalidArgument.
 class ShardFrontierReader {
  public:
-  /// All references must outlive the reader. `pool` may be null.
+  /// All references must outlive the reader.
   ShardFrontierReader(const std::string& manifest_path,
                       const ShardedAdjacencyManifest& manifest,
-                      const ShardRecordLocator& locator, ThreadPool* pool)
+                      const ShardRecordLocator& locator, size_t workers)
       : manifest_path_(manifest_path),
         manifest_(manifest),
         locator_(locator),
-        pool_(pool) {}
+        workers_(workers) {}
 
   /// Calls `visit(shard, record)` for the record of every id in `ids`, in
-  /// rank order within each shard; on a pool, different shards' visits
-  /// run concurrently, so a visitor writes only per-shard state. Each
-  /// item's IoStats merge into `stats` (may be null) after the barrier.
-  /// Every item runs to its end or its first error, and the first error
-  /// in shard order is returned, with or without a pool.
+  /// rank order within each shard; with more than one worker, different
+  /// shards' visits run concurrently, so a visitor writes only per-shard
+  /// state. Each item's IoStats merge into `stats` (may be null) after
+  /// the join. Every item runs to its end or its first error, and the
+  /// first error in shard order is returned, at every worker count.
   template <typename Visit>
   Status Read(const std::vector<VertexId>& ids, IoStats* stats,
               Visit&& visit) const;
@@ -139,7 +138,7 @@ class ShardFrontierReader {
   const std::string& manifest_path_;
   const ShardedAdjacencyManifest& manifest_;
   const ShardRecordLocator& locator_;
-  ThreadPool* pool_;
+  const size_t workers_;
 };
 
 template <typename Visit>
@@ -169,7 +168,7 @@ Status ShardFrontierReader::Read(const std::vector<VertexId>& ids,
     }
   }
   std::vector<IoStats> io(items.size());
-  Status read = ForEachItem(pool_, items.size(), [&](size_t i, size_t) {
+  Status read = ForEachItem(workers_, items.size(), [&](size_t i, size_t) {
     return ReadItem(ids, items[i], &io[i], visit);
   });
   if (stats != nullptr) {

@@ -122,15 +122,8 @@ Status WriteEdgeDeltaManifest(const std::string& path,
   return Status::OK();
 }
 
-Status CreateEdgeDeltaShardLog(const std::string& delta_path, uint32_t index,
+Status CreateEdgeDeltaShardLog(const std::string& log_path, uint32_t index,
                                uint64_t num_vertices, IoStats* stats) {
-  return CreateEdgeDeltaShardLogAtPath(EdgeDeltaShardPath(delta_path, index),
-                                       index, num_vertices, stats);
-}
-
-Status CreateEdgeDeltaShardLogAtPath(const std::string& log_path,
-                                     uint32_t index, uint64_t num_vertices,
-                                     IoStats* stats) {
   SequentialFileWriter writer(stats, kEdgeDeltaLogHeaderBytes);
   SEMIS_RETURN_IF_ERROR(writer.Open(log_path));
   SEMIS_RETURN_IF_ERROR(writer.AppendU32(kDeltaShardMagic));
@@ -147,13 +140,8 @@ EdgeDeltaShardWriter::EdgeDeltaShardWriter(IoStats* stats,
                          std::clamp<size_t>(expected_entries, 1,
                                             kMaxBufferedEntries)) {}
 
-Status EdgeDeltaShardWriter::Open(const std::string& delta_path,
-                                  uint32_t index, uint64_t num_vertices) {
-  return OpenAtPath(EdgeDeltaShardPath(delta_path, index), num_vertices);
-}
-
-Status EdgeDeltaShardWriter::OpenAtPath(const std::string& log_path,
-                                        uint64_t num_vertices) {
+Status EdgeDeltaShardWriter::Open(const std::string& log_path,
+                                  uint64_t num_vertices) {
   num_vertices_ = num_vertices;
   return writer_.OpenAppend(log_path);
 }
@@ -280,15 +268,6 @@ Status ReadEdgeDeltaShardLog(const std::string& delta_path,
     *had_trailing_bytes = reader.had_trailing_bytes();
   }
   return reader.Close();
-}
-
-Status RemoveEdgeDelta(const std::string& delta_path, uint32_t num_shards) {
-  SEMIS_RETURN_IF_ERROR(RemoveFileIfExists(delta_path));
-  for (uint32_t i = 0; i < num_shards; ++i) {
-    SEMIS_RETURN_IF_ERROR(
-        RemoveFileIfExists(EdgeDeltaShardPath(delta_path, i)));
-  }
-  return Status::OK();
 }
 
 }  // namespace semis

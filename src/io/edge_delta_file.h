@@ -105,19 +105,15 @@ Status WriteEdgeDeltaManifest(const std::string& path,
                               const EdgeDeltaManifest& manifest,
                               IoStats* stats = nullptr);
 
-/// Creates an empty delta log for shard `index` (header only).
-Status CreateEdgeDeltaShardLog(const std::string& delta_path, uint32_t index,
+/// Creates an empty delta log for shard `index` (header only) at
+/// `log_path`: EdgeDeltaShardPath(delta_path, index) for a live log, or a
+/// temporary name when the epoch journal stages a rewrite (write-new +
+/// rename), because a live log may be hard-linked into the previous
+/// epoch's namespace, and truncating the shared inode in place would
+/// corrupt the fallback epoch.
+Status CreateEdgeDeltaShardLog(const std::string& log_path, uint32_t index,
                                uint64_t num_vertices,
                                IoStats* stats = nullptr);
-
-/// As CreateEdgeDeltaShardLog, but at an explicit path instead of the
-/// derived one. The epoch journal stages logs under temporary names
-/// (write-new + rename) because a live log may be hard-linked into the
-/// previous epoch's namespace, and truncating the shared inode in place
-/// would corrupt the fallback epoch.
-Status CreateEdgeDeltaShardLogAtPath(const std::string& log_path,
-                                     uint32_t index, uint64_t num_vertices,
-                                     IoStats* stats = nullptr);
 
 /// Append-only writer for one shard's delta log. The log file must exist
 /// (CreateEdgeDeltaShardLog); entries must arrive in strictly increasing
@@ -132,13 +128,9 @@ class EdgeDeltaShardWriter {
   explicit EdgeDeltaShardWriter(IoStats* stats = nullptr,
                                 size_t expected_entries = SIZE_MAX);
 
-  /// Opens shard `index`'s log of the delta rooted at `delta_path` for
-  /// appending.
-  Status Open(const std::string& delta_path, uint32_t index,
-              uint64_t num_vertices);
-
-  /// Opens the log at an explicit path for appending (staging rewrites).
-  Status OpenAtPath(const std::string& log_path, uint64_t num_vertices);
+  /// Opens the shard log at `log_path` (EdgeDeltaShardPath, or a staged
+  /// rewrite's temporary name) for appending.
+  Status Open(const std::string& log_path, uint64_t num_vertices);
 
   /// Appends one entry.
   Status Append(const EdgeDeltaEntry& entry);
@@ -202,10 +194,6 @@ Status ReadEdgeDeltaShardLog(const std::string& delta_path,
                              IoStats* stats = nullptr,
                              bool tolerate_trailing_bytes = false,
                              bool* had_trailing_bytes = nullptr);
-
-/// Removes the delta manifest and every shard log of a `num_shards`-wide
-/// delta rooted at `delta_path` (missing files are fine).
-Status RemoveEdgeDelta(const std::string& delta_path, uint32_t num_shards);
 
 }  // namespace semis
 

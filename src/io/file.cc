@@ -10,7 +10,9 @@ namespace semis {
 // ---------------------------------------------------------------- writer --
 
 SequentialFileWriter::SequentialFileWriter(IoStats* stats, size_t buffer_bytes)
-    : stats_(stats), buffer_(buffer_bytes) {}
+    : stats_(stats),
+      buffer_(std::make_unique_for_overwrite<char[]>(buffer_bytes)),
+      buffer_size_(buffer_bytes) {}
 
 SequentialFileWriter::~SequentialFileWriter() { Close().IgnoreError(); }
 
@@ -51,13 +53,13 @@ Status SequentialFileWriter::Append(const void* data, size_t n) {
     stats_->write_calls++;
   }
   while (n > 0) {
-    size_t space = buffer_.size() - buffered_;
+    size_t space = buffer_size_ - buffered_;
     if (space == 0) {
       SEMIS_RETURN_IF_ERROR(Flush());
-      space = buffer_.size();
+      space = buffer_size_;
     }
     size_t chunk = n < space ? n : space;
-    std::memcpy(buffer_.data() + buffered_, src, chunk);
+    std::memcpy(buffer_.get() + buffered_, src, chunk);
     buffered_ += chunk;
     src += chunk;
     n -= chunk;
@@ -69,7 +71,7 @@ Status SequentialFileWriter::Flush() {
   if (file_ == nullptr) return Status::InvalidArgument("writer not open");
   if (!deferred_error_.ok()) return deferred_error_;
   if (buffered_ > 0) {
-    Status s = file_->Write(buffer_.data(), buffered_);
+    Status s = file_->Write(buffer_.get(), buffered_);
     if (!s.ok()) {
       // Poison the writer: the kernel may have accepted part of the
       // buffer, so re-flushing would duplicate bytes. The error (which

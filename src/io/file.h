@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "io/env.h"
 #include "io/io_stats.h"
@@ -75,7 +74,10 @@ class SequentialFileWriter {
 
  private:
   IoStats* stats_;
-  std::vector<char> buffer_;
+  // Left uninitialized: Append copies bytes in before Flush writes the
+  // first buffered_ of them, so nothing past buffered_ is ever read.
+  std::unique_ptr<char[]> buffer_;
+  size_t buffer_size_ = 0;
   size_t buffered_ = 0;
   std::unique_ptr<RawFile> file_;
   // First write/sync failure; sticky until Close (see Flush()).

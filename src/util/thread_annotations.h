@@ -1,8 +1,8 @@
 // Copyright (c) the semis authors.
-// Clang Thread Safety Analysis: macros plus annotated Mutex / MutexLock /
-// CondVar wrappers over the std primitives, so the locking discipline of
-// every concurrent subsystem (thread pool, engine RCU) is a
-// compile-time contract instead of a TSan-time observation.
+// Clang Thread Safety Analysis: macros plus annotated Mutex / MutexLock
+// wrappers over the std primitives, so the locking discipline of the
+// engine's publication mutex (the RCU snapshot swap) is a compile-time
+// contract instead of a TSan-time observation.
 //
 // Under clang, `-Wthread-safety -Werror` (the `clang-tsa` preset, enforced
 // in CI) rejects any access to a GUARDED_BY member without its mutex and
@@ -20,7 +20,6 @@
 #ifndef SEMIS_UTIL_THREAD_ANNOTATIONS_H_
 #define SEMIS_UTIL_THREAD_ANNOTATIONS_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
@@ -52,11 +51,6 @@
 #define RELEASE(...) \
   SEMIS_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 
-/// The annotated function tries to acquire the mutex(es); the first
-/// argument is the return value that means success.
-#define TRY_ACQUIRE(...) \
-  SEMIS_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-
 /// Declares a lock-ordering edge: this mutex is always taken before `x`.
 #define ACQUIRED_BEFORE(...) \
   SEMIS_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
@@ -83,9 +77,7 @@
 
 namespace semis {
 
-/// std::mutex with thread-safety-analysis annotations. Satisfies
-/// BasicLockable (lowercase lock/unlock), so CondVar can wait on it
-/// directly and std RAII types accept it.
+/// std::mutex with thread-safety-analysis annotations.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -94,15 +86,8 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  // BasicLockable spelling for std facilities (condition_variable_any,
-  // std::scoped_lock). Same annotations as the PascalCase flavors.
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -117,33 +102,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// Condition variable paired with Mutex. Wait() takes the Mutex directly
-/// (condition_variable_any over the BasicLockable wrapper); the analysis
-/// treats the mutex as held across the wait -- which is exactly the
-/// caller-visible contract, since Wait reacquires before returning.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `*mu`, waits, and reacquires before returning.
-  void Wait(Mutex* mu) REQUIRES(mu) { cv_.wait(*mu); }
-
-  /// Predicate flavor: waits until `pred()` holds. `pred` runs with the
-  /// mutex held, so it may read GUARDED_BY(*mu) members freely.
-  template <typename Pred>
-  void Wait(Mutex* mu, Pred pred) REQUIRES(mu) {
-    cv_.wait(*mu, std::move(pred));
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace semis

@@ -20,13 +20,16 @@
 //   * reader/mutator stress: reader threads snapshotting concurrently
 //     with apply/repair/publish only ever observe fully-published epochs
 //     (every observed (epoch, checksum) pair matches the publisher's
-//     record of that epoch).
+//     record of that epoch);
+//   * a resident engine holds no thread between calls: every pass joins
+//     the workers it started.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -886,6 +889,50 @@ TEST_F(EngineTest, InvalidArgumentDoesNotLatchReadOnly) {
   Status s = engine.ApplyBatch({EdgeUpdate::Insert(0, 1)});
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_FALSE(engine.read_only());
+}
+
+// The `Threads:` line of /proc/self/status: this process's thread count.
+int ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST_F(EngineTest, ResidentEngineHoldsNoThreadBetweenCalls) {
+  // 4 threads x 8 shards: the open-time swap, the first (full) repair and
+  // the later frontier repairs all fan out, and each pass joins its
+  // workers before it returns, so the engine keeps no thread alive while
+  // it waits for the next call.
+  Graph base = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), 61);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  // ThreadSanitizer's runtime starts a helper thread of its own when the
+  // process creates its first thread: create one first, so `before`
+  // counts the helper too.
+  std::thread([] {}).join();
+  const int before = ProcessThreadCount();
+  ASSERT_GT(before, 0);
+
+  MisEngineOptions opts;
+  opts.pipeline.num_shards = 8;
+  opts.pipeline.num_threads = 4;
+  MisEngine engine(opts);
+  ASSERT_OK(engine.Open(mono));
+  EXPECT_EQ(ProcessThreadCount(), before);
+  ASSERT_OK(engine.Prepare());
+  EXPECT_EQ(ProcessThreadCount(), before);
+  for (const auto& updates : MakeScript(/*seed=*/5, base.NumVertices(), 3,
+                                        40)) {
+    ASSERT_OK(engine.ApplyBatch(updates));
+    ASSERT_OK(engine.Repair());
+    EXPECT_EQ(ProcessThreadCount(), before);
+  }
+  // Past the first repair, the frontier reads ran on forked workers.
+  const StreamingMisStats& stats = *engine.streaming_stats();
+  EXPECT_GT(stats.repair_passes, stats.full_repair_passes);
+  ASSERT_OK(engine.Close());
 }
 
 TEST_F(EngineTest, SnapshotDoesNotWaitOnInFlightRepair) {

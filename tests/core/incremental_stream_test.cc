@@ -730,7 +730,7 @@ TEST_F(IncrementalStreamTest, RestartDropsCrashTornLogTail) {
   const std::string delta = EdgeDeltaManifestPath(manifest);
   {
     EdgeDeltaShardWriter writer;
-    ASSERT_OK(writer.Open(delta, 0, base.NumVertices()));
+    ASSERT_OK(writer.Open(EdgeDeltaShardPath(delta, 0), base.NumVertices()));
     ASSERT_OK(writer.Append({99, EdgeDeltaOp::kInsert, 5, 6}));
     ASSERT_OK(writer.Close());
   }
@@ -1102,7 +1102,7 @@ TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {
 // A path a - u - v - b (base edges, or with u - v an inserted edge) among
 // disjoint padding edges, a and b members: deleting (a, u) and (v, b) in
 // one batch frees both u and v. Neither has a set neighbor when the
-// repair starts, so both survive the pool's read-only phase; only the
+// repair starts, so both survive the read-only phase; only the
 // lower-ranked one may join, and the other must see it.
 void RunTwoFreedNeighbors(ScratchDir* scratch, bool inserted_blocker) {
   constexpr VertexId kN = 40;

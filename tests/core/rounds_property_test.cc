@@ -51,7 +51,8 @@ class RoundsPropertyTest : public ScratchTest {
   }
 
   // Checks every per-round invariant of one run and returns the result.
-  // `threads` sizes the executor's pool; at one, no pool is made.
+  // `threads` sizes the executor's workers; at one, the calling thread
+  // runs every pass.
   AlgoResult CheckedRun(const Graph& g, const std::string& manifest,
                         uint32_t threads, const std::string& tag) {
     const uint64_t n = g.NumVertices();
@@ -270,8 +271,9 @@ TEST_F(RoundsPropertyTest, HostilePipelineKnobsThroughSolver) {
 
 // The work of a run is a function of the graph and its shard layout,
 // never of the thread count: one thread skips the shards whose frontier
-// is empty like every pooled run, so it reads the same bytes, decodes
-// the same records, counts the same scans and charges the same peak.
+// is empty like every multi-threaded run, so it reads the same bytes,
+// decodes the same records, counts the same scans and charges the same
+// peak.
 TEST_F(RoundsPropertyTest, WorkCountersIdenticalAtEveryThreadCount) {
   const Graph g =
       GeneratePlrg(PlrgSpec::ForVerticesAndAvgDegree(20000, 8.0), 42);

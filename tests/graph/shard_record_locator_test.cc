@@ -1,12 +1,11 @@
 // ShardRecordLocator and ShardFrontierReader (graph/shard_record_locator.h):
 // the locator agrees with a full scan, a frontier read yields exactly the
-// records a scan yields for the ids asked for, at every pool size and
-// without a pool, and the reader's forward-only and identity checks hold.
+// records a scan yields for the ids asked for, at every worker count, and
+// the reader's forward-only and identity checks hold.
 #include "graph/shard_record_locator.h"
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "graph/sharded_adjacency_file.h"
 #include "io/io_stats.h"
 #include "test_util.h"
-#include "util/thread_pool.h"
 
 namespace semis {
 namespace {
@@ -109,12 +107,10 @@ TEST_F(ShardRecordLocatorTest, FrontierReadMatchesTheScanAtEveryPoolSize) {
   }
   ASSERT_GT(ids.size(), 100u);
 
-  for (size_t pool_size : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
-    SCOPED_TRACE("pool size " + std::to_string(pool_size));
-    std::unique_ptr<ThreadPool> pool;
-    if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
     const ShardFrontierReader reader(manifest_path_, manifest_, locator,
-                                     pool.get());
+                                     workers);
     std::vector<std::vector<ScannedRecord>> got(manifest_.num_shards());
     IoStats io;
     ASSERT_OK(reader.Read(ids, &io,
@@ -142,9 +138,9 @@ TEST_F(ShardRecordLocatorTest, IdsOutOfRankOrderAreInvalidArgument) {
   MakeStore(3);
   ShardRecordLocator locator;
   ASSERT_OK(locator.Build(manifest_path_, manifest_, nullptr));
-  ThreadPool pool(2);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    const ShardFrontierReader reader(manifest_path_, manifest_, locator, p);
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    const ShardFrontierReader reader(manifest_path_, manifest_, locator,
+                                     workers);
     const auto ignore = [](uint32_t, const VertexRecordView&) {};
     // An id behind its shard's read position.
     const std::vector<VertexId> behind = {scanned_[1][20].id,
@@ -169,9 +165,9 @@ TEST_F(ShardRecordLocatorTest, CheckpointNamingTheWrongRecordIsCorruption) {
     shifted.push_back(shard[std::min(i + 1, shard.size() - 1)].offset);
   }
   locator.ReplaceCheckpoints(1, std::move(shifted));
-  ThreadPool pool(2);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    const ShardFrontierReader reader(manifest_path_, manifest_, locator, p);
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    const ShardFrontierReader reader(manifest_path_, manifest_, locator,
+                                     workers);
     const std::vector<VertexId> ids = {scanned_[0][2].id, shard[40].id,
                                        scanned_[2][2].id};
     std::vector<VertexId> visited;

@@ -268,7 +268,7 @@ TEST_F(ShardedAdjacencyFileTest, CorruptManifestRejected) {
 
 TEST_F(ShardedAdjacencyFileTest, CursorYieldsManifestOrderAtEveryPoolSize) {
   // The manifest-ordered cursor contract: the record stream of the
-  // monolithic file. The cursor takes no pool; it reads the shards on the
+  // monolithic file. The cursor starts no worker; it reads the shards on the
   // calling thread, so every thread count gets this one stream.
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(5000, 2.0), 30);
   std::string mono = WriteGraphFile(&scratch_, g);

@@ -31,11 +31,13 @@ EdgeDeltaManifest WriteValidDelta(const std::string& delta_path) {
   m.num_vertices = kVertices;
   m.next_sequence = 4;
   m.shard_entries = {3, 2};
-  EXPECT_OK(CreateEdgeDeltaShardLog(delta_path, 0, kVertices));
-  EXPECT_OK(CreateEdgeDeltaShardLog(delta_path, 1, kVertices));
+  EXPECT_OK(
+      CreateEdgeDeltaShardLog(EdgeDeltaShardPath(delta_path, 0), 0, kVertices));
+  EXPECT_OK(
+      CreateEdgeDeltaShardLog(EdgeDeltaShardPath(delta_path, 1), 1, kVertices));
   {
     EdgeDeltaShardWriter w;
-    EXPECT_OK(w.Open(delta_path, 0, kVertices));
+    EXPECT_OK(w.Open(EdgeDeltaShardPath(delta_path, 0), kVertices));
     EXPECT_OK(w.Append({0, EdgeDeltaOp::kInsert, 1, 2}));
     EXPECT_OK(w.Append({1, EdgeDeltaOp::kInsert, 3, 50}));
     EXPECT_OK(w.Append({3, EdgeDeltaOp::kDelete, 1, 2}));
@@ -43,7 +45,7 @@ EdgeDeltaManifest WriteValidDelta(const std::string& delta_path) {
   }
   {
     EdgeDeltaShardWriter w;
-    EXPECT_OK(w.Open(delta_path, 1, kVertices));
+    EXPECT_OK(w.Open(EdgeDeltaShardPath(delta_path, 1), kVertices));
     EXPECT_OK(w.Append({1, EdgeDeltaOp::kInsert, 3, 50}));
     EXPECT_OK(w.Append({2, EdgeDeltaOp::kDelete, 60, 61}));
     EXPECT_OK(w.Close());
@@ -106,9 +108,10 @@ TEST_F(EdgeDeltaFileTest, RoundTrip) {
 
 TEST_F(EdgeDeltaFileTest, WriterRejectsInvalidEntries) {
   const std::string delta = NewPath("w.delta");
-  ASSERT_OK(CreateEdgeDeltaShardLog(delta, 0, kVertices));
+  const std::string log0 = EdgeDeltaShardPath(delta, 0);
+  ASSERT_OK(CreateEdgeDeltaShardLog(log0, 0, kVertices));
   EdgeDeltaShardWriter w;
-  ASSERT_OK(w.Open(delta, 0, kVertices));
+  ASSERT_OK(w.Open(log0, kVertices));
   EXPECT_TRUE(w.Append({0, EdgeDeltaOp::kInsert, 5, 5}).IsInvalidArgument());
   EXPECT_TRUE(w.Append({0, EdgeDeltaOp::kInsert, 5, kVertices})
                   .IsInvalidArgument());
@@ -117,7 +120,9 @@ TEST_F(EdgeDeltaFileTest, WriterRejectsInvalidEntries) {
 
 TEST_F(EdgeDeltaFileTest, AppendToMissingLogIsNotFound) {
   EdgeDeltaShardWriter w;
-  EXPECT_TRUE(w.Open(NewPath("nope.delta"), 0, kVertices).IsNotFound());
+  EXPECT_TRUE(
+      w.Open(EdgeDeltaShardPath(NewPath("nope.delta"), 0), kVertices)
+          .IsNotFound());
 }
 
 TEST_F(EdgeDeltaFileTest, MissingFilesAreCleanErrors) {
@@ -318,18 +323,6 @@ TEST_F(EdgeDeltaFileTest, ByteFlipFuzzNeverCrashes) {
     }
   }
   ASSERT_OK(DrainShardLog(delta, m, 0));
-}
-
-TEST_F(EdgeDeltaFileTest, RemoveEdgeDeltaClearsEverything) {
-  const std::string delta = NewPath("r.delta");
-  WriteValidDelta(delta);
-  ASSERT_OK(RemoveEdgeDelta(delta, 2));
-  uint64_t size = 0;
-  EXPECT_FALSE(GetFileSize(delta, &size).ok());
-  EXPECT_FALSE(GetFileSize(EdgeDeltaShardPath(delta, 0), &size).ok());
-  EXPECT_FALSE(GetFileSize(EdgeDeltaShardPath(delta, 1), &size).ok());
-  // Removing an already-absent overlay is fine.
-  ASSERT_OK(RemoveEdgeDelta(delta, 2));
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ def main():
               f"({format_ms(current[name])}, no baseline to diff against)")
 
     # Memory/allocation counters: advisory only. Byte high-water marks and
-    # allocation counts move with configuration (pool sizes, graph scale)
+    # allocation counts move with configuration (thread counts, graph scale)
     # rather than hardware noise, so growth is worth a loud warning -- but
     # they must not wedge the nightly gate the way a timing regression
     # does.

@@ -95,8 +95,8 @@
 #include "graph/graph_stats.h"
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
+#include "util/fan_out.h"
 #include "util/memory_tracker.h"
-#include "util/thread_pool.h"
 
 namespace semis {
 namespace cli {

@@ -23,12 +23,13 @@ that contract, before they reach a differential test:
                        std::less<T*> in src/core or src/graph.  Pointer
                        values vary across runs (ASLR, allocator state);
                        they must never break ties.
-  raw-parallel-for     A ParallelFor( call in src/core or src/graph.  A
-                       pass over shards runs through ForEachItem
-                       (util/thread_pool.h), which returns the first error
-                       in item order; a hand-rolled status loop on the
-                       pool lets the schedule pick which error a failed
-                       pass reports.
+  raw-parallel-for     A std::thread or std::jthread in src/core or
+                       src/graph.  A pass over shards starts its workers
+                       only through ForEachItem (util/fan_out.h), which
+                       joins them before it returns and reports the first
+                       error in item order; a hand-rolled thread lets the
+                       schedule pick which error a failed pass reports, or
+                       outlive its pass.
   raw-io               Direct OS file I/O (fopen/::open/::read/lseek/pread/
                        mmap/fsync/rename/unlink/mkdtemp/std::filesystem,
                        ...) anywhere under src/ except src/io/env.cc.  All
@@ -91,9 +92,11 @@ POINTER_TIEBREAK_RE = re.compile(
     r"\breinterpret_cast\s*<\s*(?:std::)?(?:u?intptr_t|size_t)\s*>"
     r"|\bstd::less\s*<[^<>;]*\*\s*>"
 )
-# `ParallelFor(` as a whole name: `pool.ParallelFor(`, `pool->ParallelFor(`
-# and `ThreadPool::ParallelFor(` match.
-RAW_PARALLEL_FOR_RE = re.compile(r"(?<![A-Za-z0-9_])ParallelFor\s*\(")
+# The thread types themselves, wherever they are named: `std::thread t(`,
+# `std::jthread{`, `std::vector<std::thread>`. Their static members
+# (`std::thread::hardware_concurrency()`, `std::thread::id`) and
+# `std::this_thread` start no thread and do not match.
+RAW_PARALLEL_FOR_RE = re.compile(r"\bstd\s*::\s*j?thread\b(?!\s*::)")
 
 # Unqualified C-library / posix calls.  The lookbehind rejects member calls
 # (`f.open(`, `f->open(`), identifiers that merely end in a name
@@ -299,9 +302,10 @@ def lint_file(abs_path, rel_path):
             "across runs", findings)
         check_regex_rule(
             rel_path, code, "raw-parallel-for", RAW_PARALLEL_FOR_RE,
-            "raw ParallelFor over a pass; run the items through "
-            "ForEachItem (util/thread_pool.h) so a failed pass returns "
-            "the first error in item order", findings)
+            "raw std::thread in a pass; run the items through "
+            "ForEachItem (util/fan_out.h) so the workers are joined and "
+            "a failed pass returns the first error in item order",
+            findings)
     if rel_path.replace(os.sep, "/") != RANDOM_EXEMPT:
         check_regex_rule(
             rel_path, code, "raw-random", RAW_RANDOM_RE,

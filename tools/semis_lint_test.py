@@ -214,13 +214,14 @@ uint64_t F(double d) { return static_cast<uint64_t>(d); }
 
 class RawParallelForTest(LintTestBase):
     CODE = """
-#include "util/thread_pool.h"
-void Pass(semis::ThreadPool* pool, int* out) {
-  pool->ParallelFor(8, [&](size_t item, size_t) { out[item] = 1; });
+#include <thread>
+void Pass(int* out) {
+  std::thread worker([out] { out[1] = 1; });
+  worker.join();
 }
 """
 
-    def test_flags_parallel_for_in_core_and_graph(self):
+    def test_flags_thread_in_core_and_graph(self):
         for rel in ("src/core/foo.cc", "src/graph/foo.h"):
             self.write(rel, self.CODE)
             findings = self.lint(rel)
@@ -228,17 +229,40 @@ void Pass(semis::ThreadPool* pool, int* out) {
                              ["raw-parallel-for"])
             self.assertEqual(findings[0].line, 4)
 
+    def test_flags_jthread_and_thread_vectors(self):
+        self.write("src/core/foo.cc", """
+#include <thread>
+#include <vector>
+void Pass() {
+  std::vector<std::thread> workers;
+  std::jthread one([] {});
+}
+""")
+        findings = self.lint("src/core/foo.cc")
+        self.assertEqual([(f.rule, f.line) for f in findings],
+                         [("raw-parallel-for", 5), ("raw-parallel-for", 6)])
+
+    def test_static_members_and_this_thread_clean(self):
+        self.write("src/core/foo.cc", """
+#include <thread>
+unsigned Cores() { return std::thread::hardware_concurrency(); }
+std::thread::id Me() { return std::this_thread::get_id(); }
+""")
+        self.assertEqual(self.rules("src/core/foo.cc"), [])
+
     def test_suppression_applies(self):
         self.write("src/core/foo.cc", """
-void Pass(semis::ThreadPool& pool) {
-  // semis-lint: allow(raw-parallel-for) -- no status to lose here
-  pool.ParallelFor(8, [](size_t, size_t) {});
+#include <thread>
+void Pass() {
+  // semis-lint: allow(raw-parallel-for) -- joined on the next line
+  std::thread worker([] {});
+  worker.join();
 }
 """)
         self.assertEqual(self.rules("src/core/foo.cc"), [])
 
     def test_not_flagged_outside_core(self):
-        # ForEachItem in src/util is the one caller.
+        # ForEachItem in src/util is the one place a pass starts threads.
         self.write("src/util/foo.h", self.CODE)
         self.assertEqual(self.rules("src/util/foo.h"), [])
 
