@@ -291,15 +291,18 @@ uint64_t ShardRecordsHash(const std::string& path) {
 // Compaction of one saturated shard: each iteration logs `batch` updates
 // whose endpoints all live in shard 0 (outside the timing), then times
 // Compact(force), which rewrites that shard alone and commits the epoch.
-// At the default size the shard holds about 6k records and a 256-update
-// batch names a few percent of them, about the share a perfbench
-// stream-update compaction sees. Inside the loop the rewritten shard is
-// hashed against a reference fold of its previous records and the batch
-// (surviving base neighbors in base order, then inserted partners the
-// record lacked, ascending); a mismatch fails the run.
+// The second argument is the thread count: the shard's record ranges fold
+// on that many workers. At the default size the shard holds about 6k
+// records and a 256-update batch names a few percent of them, about the
+// share a perfbench stream-update compaction sees. Inside the loop the
+// rewritten shard is hashed against a reference fold of its previous
+// records and the batch (surviving base neighbors in base order, then
+// inserted partners the record lacked, ascending); a mismatch fails the
+// run, so every thread count must write the same bytes.
 void BM_StreamCompact(benchmark::State& state) {
   StreamEnv& env = Env();
   const size_t batch = static_cast<size_t>(state.range(0));
+  const auto threads = static_cast<uint32_t>(state.range(1));
   std::string manifest;
   BitVector initial;
   if (!env.NewShardedCopy(&manifest, &initial)) {
@@ -307,7 +310,7 @@ void BM_StreamCompact(benchmark::State& state) {
     return;
   }
   EnginePipelineOptions opts;
-  opts.num_threads = 1;
+  opts.num_threads = threads;
   ShardedStreamingMis mis;
   if (!mis.Initialize(manifest, initial, opts).ok()) {
     state.SkipWithError("Initialize failed");
@@ -416,10 +419,10 @@ void BM_StreamCompact(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(records));
   state.counters["shard_records"] = static_cast<double>(ids.size());
   state.counters["updates"] = static_cast<double>(batch);
+  state.counters["threads"] = threads;
 }
 BENCHMARK(BM_StreamCompact)
-    ->Arg(256)
-    ->Arg(4096)
+    ->ArgsProduct({{256, 4096}, {1, 4}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

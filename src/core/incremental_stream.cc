@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <memory>
 
 #include "graph/degree_sort.h"
 #include "io/epoch_journal.h"
@@ -524,6 +526,128 @@ Status ShardedStreamingMis::Repair() {
   return Status::OK();
 }
 
+namespace {
+
+// One edge that a pending entry names at a record of the shard being
+// compacted: the record's manifest rank, the edge's other end, and what
+// the fold does with it.
+struct Fold {
+  uint32_t rank;
+  VertexId partner;
+  bool deleted;
+  bool in_base;  // an inserted partner the base record already lists
+};
+
+// One range of a compacted shard: the folds that name its records, its
+// slot of the output buffer, and what its read and fold found.
+struct FoldedRange {
+  size_t fold_begin = 0;  // folds [fold_begin, fold_end) name its records
+  size_t fold_end = 0;
+  size_t slot = 0;   // first word of its slot in the output buffer
+  size_t words = 0;  // words written to the slot
+  uint64_t edges_read = 0;
+  ShardInfo info;  // its records, with their folded degrees
+  uint32_t max_degree = 0;
+  bool changed = false;  // a fold changed one of its records
+  IoStats io;
+};
+
+// Reads `range` of shard `shard` and writes its records, folded, to
+// `slot`, which holds the range's bytes plus one word per fold naming
+// one of its records (a fold adds at most one word). The byte offset
+// within the slot of the range's every kLocatorCheckpointStride-th
+// record goes to `checkpoints`, one entry per checkpoint the range
+// starts. Runs on a worker: it writes only its own range's folds, slot,
+// checkpoints and `out`.
+Status FoldRange(const std::string& manifest_path,
+                 const ShardedAdjacencyManifest& manifest,
+                 const ShardRecordLocator& locator, uint32_t shard,
+                 const ShardRecordRange& range, Fold* folds,
+                 FoldedRange* out, uint32_t* slot, uint64_t* checkpoints) {
+  ShardRangeReader reader(locator, range, &out->io);
+  SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path, manifest, shard));
+  // Records no fold names are copied verbatim, a run of consecutive ones
+  // per copy: their bytes lie back to back in the reader's buffer until
+  // it refills, so the run is copied before any Next that is not served
+  // from the buffer (a refill, or the end) and before a folded record.
+  // Every record is still decoded and validated by Next.
+  uint32_t* dst = slot;
+  const uint32_t* run = nullptr;
+  size_t run_words = 0;
+  const auto copy_run = [&] {
+    if (run_words == 0) return;
+    std::memcpy(dst, run, run_words * sizeof(uint32_t));
+    dst += run_words;
+    run_words = 0;
+  };
+  uint64_t rank = locator.first_rank(shard) + range.first_record;
+  uint64_t record = 0;  // within the range, which starts at a checkpoint
+  size_t next_fold = out->fold_begin;
+  VertexRecordView rec;
+  bool has_next = false;
+  while (true) {
+    const bool buffered = reader.NextIsBuffered();
+    if (!buffered) copy_run();
+    SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
+    if (!has_next) break;
+    if (record % kLocatorCheckpointStride == 0) {
+      checkpoints[record / kLocatorCheckpointStride] =
+          (static_cast<size_t>(dst - slot) + run_words) * sizeof(uint32_t);
+    }
+    uint32_t degree = rec.degree;
+    if (next_fold == out->fold_end || folds[next_fold].rank != rank) {
+      // The decoder keeps the header words in front of the neighbors.
+      const uint32_t* words = rec.neighbors - 2;
+      if (run_words == 0) run = words;
+      run_words += 2 + degree;
+      // A record read across a refill sits alone in the decoder's spill
+      // buffer, which the next Next may reuse.
+      if (!buffered) copy_run();
+    } else {
+      copy_run();
+      Fold* first = folds + next_fold;
+      Fold* last = first;
+      while (last != folds + out->fold_end && last->rank == rank) last++;
+      next_fold = static_cast<size_t>(last - folds);
+      // Base neighbors that are not deleted keep their base order, then
+      // inserted partners follow in ascending id order, skipping those
+      // the base record already lists -- an insert may duplicate a base
+      // edge, and folding it twice would corrupt the record.
+      degree = 0;
+      for (const VertexId nb : rec) {
+        Fold* fold = std::lower_bound(
+            first, last, nb,
+            [](const Fold& f, VertexId v) { return f.partner < v; });
+        if (fold != last && fold->partner == nb) {
+          if (fold->deleted) continue;
+          fold->in_base = true;
+        }
+        dst[2 + degree++] = nb;
+      }
+      bool changed = degree != rec.degree;
+      for (const Fold* fold = first; fold != last; ++fold) {
+        if (fold->deleted || fold->in_base) continue;
+        dst[2 + degree++] = fold->partner;
+        changed = true;
+      }
+      dst[0] = rec.id;
+      dst[1] = degree;
+      dst += 2 + degree;
+      if (changed) out->changed = true;
+    }
+    out->info.num_records++;
+    out->info.num_directed_edges += degree;
+    out->max_degree = std::max(out->max_degree, degree);
+    rank++;
+    record++;
+  }
+  out->words = static_cast<size_t>(dst - slot);
+  out->edges_read = reader.edges();
+  return reader.Close();
+}
+
+}  // namespace
+
 Status ShardedStreamingMis::CompactShard(uint32_t shard,
                                          const std::string& out_path,
                                          ShardInfo* new_info,
@@ -538,12 +662,6 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
   // newest included, and where it holds none its base record already
   // reflects the newest. The delta state keeps each edge as its newest
   // entry left it, so one lookup per entry says what the fold does.
-  struct Fold {
-    uint32_t rank;
-    VertexId partner;
-    bool deleted;
-    bool in_base;  // an inserted partner the base record already lists
-  };
   const uint64_t first_rank = locator_.first_rank(shard);
   const uint64_t end_rank = locator_.first_rank(shard + 1);
   std::vector<Fold> folds;
@@ -568,90 +686,75 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
                           }),
               folds.end());
 
-  AdjacencyFileScanner reader(&stats_.io);
-  SEMIS_RETURN_IF_ERROR(reader.OpenShard(manifest_path_, manifest_, shard));
+  // The shard's ranges fold on the workers, each into its own slot of
+  // one buffer allocated here: the range's bytes plus a word per fold
+  // naming one of its records. The buffer's size depends only on the
+  // shard and its folds, not on the cut, so neither does the charge.
+  const size_t workers = ResolveThreadCount(options_.num_threads);
+  const std::vector<ShardRecordRange> ranges = locator_.CutRanges(
+      shard, manifest_.shards[shard], kCompactRangesPerWorker * workers);
+  std::vector<FoldedRange> out(ranges.size());
+  size_t words = 0;
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    out[i].fold_begin = i == 0 ? 0 : out[i - 1].fold_end;
+    out[i].fold_end = static_cast<size_t>(
+        std::lower_bound(folds.begin() + out[i].fold_begin, folds.end(),
+                         first_rank + ranges[i].end_record,
+                         [](const Fold& f, uint64_t r) { return f.rank < r; }) -
+        folds.begin());
+    out[i].slot = words;
+    words += ranges[i].bytes() / sizeof(uint32_t) + out[i].fold_end -
+             out[i].fold_begin;
+  }
+  const auto buffer = std::make_unique_for_overwrite<uint32_t[]>(words);
+  AccountTransientMemory(words * sizeof(uint32_t) +
+                         folds.capacity() * sizeof(Fold));
+  // Records keep their order, so ranks and checkpoint positions do not
+  // move; only the byte offsets of the rewritten records do. Each range
+  // fills the entries of the checkpoints it holds.
+  checkpoints->assign((manifest_.shards[shard].num_records +
+                       kLocatorCheckpointStride - 1) /
+                          kLocatorCheckpointStride,
+                      0);
+  Status folded = ForEachItem(workers, ranges.size(), [&](size_t i, size_t) {
+    return FoldRange(manifest_path_, manifest_, locator_, shard, ranges[i],
+                     folds.data(), &out[i], buffer.get() + out[i].slot,
+                     checkpoints->data() +
+                         ranges[i].first_record / kLocatorCheckpointStride);
+  });
+  for (const FoldedRange& range : out) stats_.io.MergeFrom(range.io);
+  SEMIS_RETURN_IF_ERROR(folded);
+  uint64_t edges_read = 0;
+  for (const FoldedRange& range : out) edges_read += range.edges_read;
+  if (edges_read != manifest_.shards[shard].num_directed_edges) {
+    return Status::Corruption(
+        "edge count mismatch in '" + ShardFilePath(manifest_path_, shard) +
+        "': declared " +
+        std::to_string(manifest_.shards[shard].num_directed_edges) +
+        ", read " + std::to_string(edges_read));
+  }
+
+  // On this thread: the slots in range order, after the shard header,
+  // and each range's checkpoint offsets moved to where its slot lands.
   SequentialFileWriter writer(&stats_.io);
   SEMIS_RETURN_IF_ERROR(writer.Open(out_path));
   SEMIS_RETURN_IF_ERROR(WriteAdjacencyShardHeader(&writer, shard, n_));
-
-  // Records no fold names go out verbatim, a run of consecutive ones per
-  // Append: their bytes lie back to back in the reader's buffer until it
-  // refills, so the run goes out before any Next that is not served from
-  // the buffer (a refill, or the end) and before a folded record. Every
-  // record is still decoded and validated by Next.
-  const char* run = nullptr;
-  size_t run_bytes = 0;
-  const auto flush_run = [&]() -> Status {
-    const size_t bytes = run_bytes;
-    run_bytes = 0;
-    return bytes == 0 ? Status::OK() : writer.Append(run, bytes);
-  };
-  std::vector<VertexId> neighbors;
-  // Records keep their order, so ranks do not move; only the byte
-  // offsets of the rewritten records do.
-  checkpoints->clear();
   uint64_t offset = kAdjacencyShardHeaderBytes;
-  uint64_t rank = first_rank;
-  size_t next_fold = 0;
-  VertexRecordView rec;
-  bool has_next = false;
-  while (true) {
-    const bool buffered = reader.NextIsBuffered();
-    if (!buffered) SEMIS_RETURN_IF_ERROR(flush_run());
-    SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
-    if (!has_next) break;
-    if (new_info->num_records % kLocatorCheckpointStride == 0) {
-      checkpoints->push_back(offset);
-    }
-    uint32_t degree = rec.degree;
-    if (next_fold == folds.size() || folds[next_fold].rank != rank) {
-      // The decoder keeps the header words in front of the neighbors.
-      const char* bytes = reinterpret_cast<const char*>(rec.neighbors - 2);
-      if (run_bytes == 0) run = bytes;
-      run_bytes += AdjacencyRecordBytes(degree);
-      // A record read across a refill sits alone in the decoder's spill
-      // buffer, which the next Next may reuse.
-      if (!buffered) SEMIS_RETURN_IF_ERROR(flush_run());
-    } else {
-      SEMIS_RETURN_IF_ERROR(flush_run());
-      Fold* first = folds.data() + next_fold;
-      Fold* last = first;
-      while (last != folds.data() + folds.size() && last->rank == rank) last++;
-      next_fold = static_cast<size_t>(last - folds.data());
-      // Base neighbors that are not deleted keep their base order, then
-      // inserted partners follow in ascending id order, skipping those
-      // the base record already lists -- an insert may duplicate a base
-      // edge, and folding it twice would corrupt the record.
-      neighbors.clear();
-      for (uint32_t i = 0; i < rec.degree; ++i) {
-        const VertexId nb = rec.neighbors[i];
-        Fold* fold = std::lower_bound(
-            first, last, nb,
-            [](const Fold& f, VertexId v) { return f.partner < v; });
-        if (fold != last && fold->partner == nb) {
-          if (fold->deleted) continue;
-          fold->in_base = true;
-        }
-        neighbors.push_back(nb);
-      }
-      bool changed = neighbors.size() != rec.degree;
-      for (const Fold* fold = first; fold != last; ++fold) {
-        if (fold->deleted || fold->in_base) continue;
-        neighbors.push_back(fold->partner);
-        changed = true;
-      }
-      degree = static_cast<uint32_t>(neighbors.size());
-      SEMIS_RETURN_IF_ERROR(
-          AppendAdjacencyRecord(&writer, rec.id, neighbors.data(), degree));
-      if (changed) *records_changed = true;
-    }
-    offset += AdjacencyRecordBytes(degree);
-    new_info->num_records++;
-    new_info->num_directed_edges += degree;
-    *max_degree_seen = std::max(*max_degree_seen, degree);
-    rank++;
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    const FoldedRange& range = out[i];
+    SEMIS_RETURN_IF_ERROR(writer.Append(buffer.get() + range.slot,
+                                        range.words * sizeof(uint32_t)));
+    const uint64_t first = ranges[i].first_record / kLocatorCheckpointStride;
+    const uint64_t end =
+        (ranges[i].end_record + kLocatorCheckpointStride - 1) /
+        kLocatorCheckpointStride;
+    for (uint64_t j = first; j < end; ++j) (*checkpoints)[j] += offset;
+    offset += range.words * sizeof(uint32_t);
+    new_info->num_records += range.info.num_records;
+    new_info->num_directed_edges += range.info.num_directed_edges;
+    *max_degree_seen = std::max(*max_degree_seen, range.max_degree);
+    if (range.changed) *records_changed = true;
   }
-  SEMIS_RETURN_IF_ERROR(reader.Close());
   return writer.Close();
 }
 

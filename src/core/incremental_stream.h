@@ -50,7 +50,13 @@
 // effective graph, only where it is stored. Its work follows what
 // changed: the records no pending entry names are validated and copied
 // as byte runs, the ones it names fold from the shard's own entries, and
-// the delta state drops only the edges no other shard still holds.
+// the delta state drops only the edges no other shard still holds. The
+// saturated shards are rewritten one after another, each cut into
+// byte-balanced record ranges at the locator's checkpoints
+// (kCompactRangesPerWorker per worker); the ranges are read, validated
+// and folded on the compaction's forked workers, each into its slot of
+// one buffer of the shard's size, and the calling thread writes the
+// slots in order. The bytes written are the same at every thread count.
 //
 // Durability: every multi-file mutation (compaction, re-sort) is an epoch
 // commit of the journaled store layout (graph/shard_store.h): the new
@@ -76,6 +82,7 @@
 #ifndef SEMIS_CORE_INCREMENTAL_STREAM_H_
 #define SEMIS_CORE_INCREMENTAL_STREAM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -144,8 +151,8 @@ struct StreamingMisStats {
   /// I/O of the whole session (routing, repair scans, compaction).
   IoStats io;
   /// Peak logical bytes of the maintainer's in-memory structures,
-  /// including the frontier repair's read buffers and a re-sort's sort
-  /// memory.
+  /// including the frontier repair's read buffers, a compaction's output
+  /// buffer and fold list, and a re-sort's sort memory.
   size_t peak_memory_bytes = 0;
   /// Wall-clock seconds by stage.
   double apply_seconds = 0.0;
@@ -171,14 +178,22 @@ struct StreamingMisStats {
 inline constexpr uint64_t kRepairFrontierDivisor = 8;
 inline constexpr uint64_t kRepairFrontierFloor = 256;
 
+/// Compaction cuts a saturated shard into at most this many record
+/// ranges per worker (ShardRecordLocator::CutRanges), so that ranges of
+/// uneven cost -- a long record, a run of folded ones -- still balance
+/// over the workers. The cut never changes the bytes written.
+inline constexpr size_t kCompactRangesPerWorker = 4;
+
 /// Maintains an independent set over "sharded base file + SDELTA overlay".
 ///
 /// Concurrency contract: this class holds no mutex on purpose. All
 /// public methods are externally serialized per object (MisEngine is the
-/// one concurrent caller and serializes them); Repair's internal
-/// parallelism hands each worker a private slice and merges after the
-/// workers are joined, which is the happens-before edge. Workers only
-/// read the set and the delta state. See docs/architecture.md ("Static
+/// one concurrent caller and serializes them); the internal parallelism
+/// of Repair and Compact hands each worker a private slice and merges
+/// after the workers are joined, which is the happens-before edge.
+/// Repair's workers only read the set and the delta state; a
+/// compaction's workers read the locator and write only their range's
+/// folds, output slot and checkpoints. See docs/architecture.md ("Static
 /// analysis") for the conventions.
 class ShardedStreamingMis {
  public:
@@ -205,9 +220,11 @@ class ShardedStreamingMis {
   /// evicts), so the next Repair() is a full pass.
   ///
   /// `options` is the shared pipeline struct: this layer reads
-  /// `num_threads` (each frontier repair reads on ShardWorkers of it,
-  /// started and joined within the read, so no thread outlives a call;
-  /// the repaired set is independent of it by construction),
+  /// `num_threads` (each frontier repair reads on ShardWorkers of it, and
+  /// each compacted shard folds its ranges on ResolveThreadCount of it,
+  /// started and joined within the pass, so no thread outlives a call;
+  /// the repaired set and the store's bytes are independent of it by
+  /// construction),
   /// `compact_threshold_entries` and `auto_resort`;
   /// `num_shards` is ignored (the manifest fixes it).
   Status Initialize(const std::string& manifest_path,
@@ -243,8 +260,12 @@ class ShardedStreamingMis {
   /// legacy store on its first commit). Clears the degree-sorted flag
   /// when a rewrite changed any record, since the global (degree, id)
   /// order can no longer be guaranteed -- then runs Resort() when
-  /// `options.auto_resort` is set. Every record read is validated, also
-  /// the ones copied unchanged, so a corrupt base fails with Corruption
+  /// `options.auto_resort` is set. Saturated shards are rewritten one at
+  /// a time; each is read as record ranges on up to `num_threads`
+  /// workers, which fold into one buffer of about the shard's bytes, the
+  /// compaction's transient memory. Every record read is validated, also
+  /// the ones copied unchanged, and so is each range's place in the
+  /// shard, so a corrupt base fails with Corruption naming the shard file
   /// before the flip. A failure before the root flip leaves both the
   /// store and the maintainer untouched (the staged files are orphans for
   /// GC); only a failure in the flip itself wedges.
@@ -343,8 +364,8 @@ class ShardedStreamingMis {
   uint64_t FrontierLimit() const;
   // Writes shard `shard` with its pending entries folded in to
   // `out_path` (a staged file of the next epoch), and its locator offsets
-  // to `checkpoints`. Records no entry names go out as validated byte
-  // runs.
+  // to `checkpoints`. The shard's record ranges fold on forked workers;
+  // records no entry names go out as validated byte runs.
   Status CompactShard(uint32_t shard, const std::string& out_path,
                       ShardInfo* new_info, uint32_t* max_degree_seen,
                       bool* records_changed,

@@ -22,37 +22,6 @@ constexpr size_t kSparseReadWindowBytes = 4096;
 // on this, which is proportional to both file bytes and scan work.
 uint64_t RecordWords(uint32_t degree) { return 2 + degree; }
 
-// Reads and validates the header of shard `index` from a freshly opened
-// `reader` (kAdjacencyShardHeaderBytes bytes).
-Status ReadShardHeader(SequentialFileReader* reader, const std::string& path,
-                       uint32_t index, uint64_t num_vertices) {
-  uint32_t magic = 0, version = 0, file_index = 0, reserved = 0;
-  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&magic));
-  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&version));
-  if (magic != kShardMagic) {
-    return Status::Corruption("bad magic in '" + path +
-                              "': not an adjacency shard");
-  }
-  if (version != kVersion) {
-    return Status::NotSupported("adjacency shard version " +
-                                std::to_string(version) + " not supported");
-  }
-  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&file_index));
-  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&reserved));
-  if (file_index != index) {
-    return Status::Corruption("shard index mismatch in '" + path + "'");
-  }
-  uint64_t hint_records = 0, hint_edges = 0, global_vertices = 0;
-  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_records));
-  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_edges));
-  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&global_vertices));
-  if (global_vertices != num_vertices) {
-    return Status::Corruption("shard '" + path +
-                              "' disagrees with manifest vertex count");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 std::string ShardFilePath(const std::string& manifest_path, uint32_t index) {
@@ -157,6 +126,36 @@ Status WriteShardedAdjacencyManifest(const std::string& path,
   }
   SEMIS_RETURN_IF_ERROR(writer.Close());
   SEMIS_RETURN_IF_ERROR(RenameFile(tmp, path));
+  return Status::OK();
+}
+
+Status ReadAdjacencyShardHeader(SequentialFileReader* reader,
+                                const std::string& path, uint32_t index,
+                                uint64_t num_vertices) {
+  uint32_t magic = 0, version = 0, file_index = 0, reserved = 0;
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&magic));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&version));
+  if (magic != kShardMagic) {
+    return Status::Corruption("bad magic in '" + path +
+                              "': not an adjacency shard");
+  }
+  if (version != kVersion) {
+    return Status::NotSupported("adjacency shard version " +
+                                std::to_string(version) + " not supported");
+  }
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&file_index));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&reserved));
+  if (file_index != index) {
+    return Status::Corruption("shard index mismatch in '" + path + "'");
+  }
+  uint64_t hint_records = 0, hint_edges = 0, global_vertices = 0;
+  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_records));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_edges));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&global_vertices));
+  if (global_vertices != num_vertices) {
+    return Status::Corruption("shard '" + path +
+                              "' disagrees with manifest vertex count");
+  }
   return Status::OK();
 }
 
@@ -304,7 +303,7 @@ Status AdjacencyFileScanner::OpenShard(
   edges_seen_ = 0;
   decoder_.Reset(path_, header_.num_vertices, header_.max_degree);
   SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
-  return ReadShardHeader(&reader_, path_, index, header_.num_vertices);
+  return ReadAdjacencyShardHeader(&reader_, path_, index, header_.num_vertices);
 }
 
 AdjacencyShardRecordReader::AdjacencyShardRecordReader(IoStats* stats)
@@ -325,7 +324,7 @@ Status AdjacencyShardRecordReader::Open(
   decoder_.Reset(path_, num_vertices_, max_degree_);
   error_ = Status::OK();
   SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
-  error_ = ReadShardHeader(&reader_, path_, index, num_vertices_);
+  error_ = ReadAdjacencyShardHeader(&reader_, path_, index, num_vertices_);
   return error_;
 }
 

@@ -24,7 +24,9 @@
 // Every reader is forward-only, matching the semi-external model. One
 // shard is read by AdjacencyFileScanner::OpenShard (adjacency_file.h); a
 // parallel pass hands each worker its own scanner, so shards are scanned
-// concurrently without shared reader state. The whole store is read in
+// concurrently without shared reader state. A run of one shard's records
+// is read by ShardRangeReader (shard_record_locator.h), from a
+// checkpoint the record locator keeps. The whole store is read in
 // manifest order by ManifestOrderedShardCursor, on the calling thread.
 #ifndef SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
@@ -99,6 +101,15 @@ Status WriteShardedAdjacencyManifest(const std::string& path,
 /// byte-compatible with a freshly written one.
 Status WriteAdjacencyShardHeader(SequentialFileWriter* writer, uint32_t index,
                                  uint64_t num_vertices);
+
+/// Reads the kAdjacencyShardHeaderBytes-byte header of shard `index`
+/// from `reader`, freshly opened on the shard file at `path`, and checks
+/// its magic, version, index and global vertex count: NotSupported for
+/// another version, else Corruption naming `path` on a mismatch. The
+/// header check of every reader that opens a shard at its start.
+Status ReadAdjacencyShardHeader(SequentialFileReader* reader,
+                                const std::string& path, uint32_t index,
+                                uint64_t num_vertices);
 
 /// Streaming writer: records are appended in global order and rolled into
 /// the next shard when the current shard reaches its payload budget. All

@@ -30,6 +30,11 @@
 # (exit 0 with no "SEMIS_FAULT_INJECTED" announcement on stderr), so new
 # I/O sites are covered automatically; MAX_SITES only bounds runaway.
 #
+# Geometry 3:2 forks compaction's range workers: the 2 000-vertex graph
+# gives 3 shards of about 667 records each, which a compaction at 2
+# threads cuts into up to 8 record ranges, each opening its shard on a
+# worker. Every such per-range open (and read) is a site of the sweep.
+#
 # Environment knobs (the nightly sweep widens these):
 #   FAULT_OPS          op classes to sweep (default
 #                      "open write sync syncdir rename link remove")

@@ -13,6 +13,9 @@
 //   * compaction never changes the effective graph or the maintained
 //     set, also when shards compact at different times, and a restarted
 //     session replays the on-disk delta back to the exact same state;
+//   * at each shard count every store file ends byte-identical across
+//     thread counts, though compaction cuts shards into record ranges
+//     by the thread count and folds them on that many workers;
 //   * after a session's first (full) repair, a repair reads only the
 //     frontier a batch can free, with no scan, and still gives the full
 //     pass's set -- also across re-sorts, and when retried after a read
@@ -21,8 +24,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -33,6 +38,7 @@
 #include "gen/paper_figures.h"
 #include "gen/plrg.h"
 #include "graph/graph_io.h"
+#include "graph/shard_record_locator.h"
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/edge_delta_file.h"
@@ -66,6 +72,59 @@ Graph ApplyDelta(const Graph& base, const std::set<Edge>& inserted,
   }
   for (const Edge& e : inserted) edges.push_back(e);
   return Graph::FromEdges(base.NumVertices(), std::move(edges));
+}
+
+// The whole content of the file at `path`.
+std::string ReadFileBytes(const std::string& path) {
+  SequentialFileReader reader;
+  EXPECT_OK(reader.Open(path));
+  std::string bytes;
+  std::vector<char> chunk(1 << 16);
+  size_t n = 0;
+  do {
+    EXPECT_OK(reader.Read(chunk.data(), chunk.size(), &n));
+    bytes.append(chunk.data(), n);
+  } while (n > 0);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  SequentialFileWriter writer;
+  ASSERT_OK(writer.Open(path));
+  ASSERT_OK(writer.Append(bytes.data(), bytes.size()));
+  ASSERT_OK(writer.Close());
+}
+
+// The record ranges a compaction at `threads` threads cuts shard `shard`
+// of the store at `root` into.
+std::vector<ShardRecordRange> CompactionRanges(const std::string& root,
+                                               uint32_t shard,
+                                               uint32_t threads) {
+  ResolvedShardStore store;
+  EXPECT_OK(ResolveShardStore(root, &store));
+  ShardedAdjacencyManifest manifest;
+  EXPECT_OK(ReadShardedAdjacencyManifest(store.manifest_path, &manifest));
+  ShardRecordLocator locator;
+  EXPECT_OK(locator.Build(store.manifest_path, manifest, nullptr));
+  return locator.CutRanges(shard, manifest.shards[shard],
+                           kCompactRangesPerWorker * threads);
+}
+
+// The bytes of every file of the store at `root` that `mis` serves, the
+// root pointer included, in a fixed order.
+std::vector<std::string> StoreFileBytes(const std::string& root,
+                                        const ShardedStreamingMis& mis) {
+  const ResolvedShardStore& store = mis.store();
+  std::vector<std::string> files;
+  if (store.journaled) files.push_back(ReadFileBytes(root));
+  files.push_back(ReadFileBytes(store.manifest_path));
+  const std::string delta = EdgeDeltaManifestPath(store.manifest_path);
+  files.push_back(ReadFileBytes(delta));
+  for (uint32_t k = 0; k < mis.manifest().num_shards(); ++k) {
+    files.push_back(ReadFileBytes(ShardFilePath(store.manifest_path, k)));
+    files.push_back(ReadFileBytes(EdgeDeltaShardPath(delta, k)));
+  }
+  return files;
 }
 
 // One maintainer bound to its own sharded copy of the base graph. With
@@ -234,6 +293,20 @@ void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
       EXPECT_EQ(inst.mis.stats().full_repair_passes, 1u) << inst.manifest;
     }
   }
+  // At each shard count the stores end byte-identical at every thread
+  // count: epochs, shards, logs and manifests.
+  const size_t per_shard_count = std::size(kThreadCounts);
+  for (size_t first = 0; first < instances.size(); first += per_shard_count) {
+    const Instance& one = instances[first];
+    const std::vector<std::string> want = StoreFileBytes(one.manifest, one.mis);
+    for (size_t i = first + 1; i < first + per_shard_count; ++i) {
+      const Instance& inst = instances[i];
+      EXPECT_EQ(inst.mis.store().current_epoch, one.mis.store().current_epoch)
+          << inst.manifest;
+      EXPECT_TRUE(StoreFileBytes(inst.manifest, inst.mis) == want)
+          << inst.manifest << " differs from " << one.manifest;
+    }
+  }
 }
 
 TEST_F(IncrementalStreamTest, DifferentialRandomStreamsErdosRenyi) {
@@ -253,8 +326,19 @@ TEST_F(IncrementalStreamTest, DifferentialRandomStreamPlrg) {
 TEST_F(IncrementalStreamTest, DifferentialStreamWithAutoCompaction) {
   // Same differential matrix, but with a low compaction threshold so
   // shards are rewritten mid-stream: folding the delta into the base must
-  // never change any answer.
-  Graph base = GenerateErdosRenyi(80, 180, 33);
+  // never change any answer. Every shard holds several checkpoints, so
+  // compaction reads it as several ranges at every thread count, and the
+  // stores must still end byte-identical across thread counts.
+  Graph base = GenerateErdosRenyi(600, 1500, 33);
+  const std::string probe_mono = WriteGraphFile(&scratch_, base);
+  for (uint32_t shards : kShardCounts) {
+    const std::string probe = NewPath("probe" + std::to_string(shards));
+    ASSERT_OK(ShardAdjacencyFile(probe_mono, probe, shards));
+    for (uint32_t k = 0; k < shards; ++k) {
+      EXPECT_GT(CompactionRanges(probe, k, 1).size(), 1u)
+          << shards << " shards, shard " << k;
+    }
+  }
   RunDifferentialStream(&scratch_, base, 7, /*steps=*/120, /*batch=*/20,
                         /*compact_threshold=*/8);
 }
@@ -538,27 +622,6 @@ TEST_F(IncrementalStreamTest, ShardsCompactingAtDifferentTimesFoldOneGraph) {
   ASSERT_OK(VerifyIndependentSetShardedFile(manifest, mis.set(), &vr));
   EXPECT_TRUE(vr.independent);
   EXPECT_TRUE(vr.maximal);
-}
-
-// The whole content of the file at `path`.
-std::string ReadFileBytes(const std::string& path) {
-  SequentialFileReader reader;
-  EXPECT_OK(reader.Open(path));
-  std::string bytes;
-  std::vector<char> chunk(1 << 16);
-  size_t n = 0;
-  do {
-    EXPECT_OK(reader.Read(chunk.data(), chunk.size(), &n));
-    bytes.append(chunk.data(), n);
-  } while (n > 0);
-  return bytes;
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  SequentialFileWriter writer;
-  ASSERT_OK(writer.Open(path));
-  ASSERT_OK(writer.Append(bytes.data(), bytes.size()));
-  ASSERT_OK(writer.Close());
 }
 
 // One record of a shard file and the byte offset it starts at.
@@ -1266,124 +1329,159 @@ TEST_F(IncrementalStreamTest, ReinitializeRecoversFromWedge) {
   EXPECT_EQ(mis.stats().evictions, fresh.stats().evictions);
 }
 
+// The byte offsets in shard `shard` at which those ranges' reads refill
+// their buffers: each range reads its bytes, from the file's start for
+// the shard's first range, through a buffer of at most kReadBufferBytes.
+std::vector<uint64_t> CompactionRefills(const std::string& root,
+                                        uint32_t shard, uint32_t threads) {
+  std::vector<uint64_t> refills;
+  for (const ShardRecordRange& range :
+       CompactionRanges(root, shard, threads)) {
+    const uint64_t start = range.first_record == 0 ? 0 : range.begin_offset;
+    const uint64_t buffer =
+        std::min(kReadBufferBytes, range.end_offset - start);
+    for (uint64_t at = start + buffer; at < range.end_offset; at += buffer) {
+      refills.push_back(at);
+    }
+  }
+  return refills;
+}
+
 TEST_F(IncrementalStreamTest, CompactionCopiesRunsAcrossBufferRefills) {
-  // Compaction copies the records no pending entry names as byte runs out
-  // of the read buffer and must flush a run before the buffer refills.
-  // Touched records sit just before and just after refills, at a refill
-  // boundary itself, and nowhere near others, so untouched runs cross
-  // refills; the hub is an untouched record longer than the buffer.
-  // Every compacted shard must equal a reference written record by record
-  // from the effective graph, and frontier repairs afterwards read
-  // through the new offsets.
+  // Compaction reads each shard as record ranges, one read buffer per
+  // range, copies the records no pending entry names as byte runs out of
+  // it and must copy a run before the buffer refills. Touched records sit
+  // just before and just after the ranges' refills, at a refill boundary
+  // itself, and nowhere near others, so untouched runs cross refills; the
+  // hub is an untouched record longer than the buffer. At every thread
+  // count (the cut follows it) every compacted shard must equal a
+  // reference written record by record from the effective graph, and
+  // frontier repairs afterwards read through the new offsets.
   const Graph base = MakeBufferGraph();
   const std::string mono = WriteGraphFile(&scratch_, base);
   const BitVector initial = RandomMaximalSet(base, 5);
   for (uint32_t shards : {1u, 3u}) {
-    SCOPED_TRACE(std::to_string(shards) + " shards");
-    const std::string root =
-        NewPath("refill" + std::to_string(shards) + ".sadjs");
-    ASSERT_OK(ShardAdjacencyFile(mono, root, shards));
-    std::vector<std::vector<ShardRecord>> before(shards);
-    for (uint32_t k = 0; k < shards; ++k) {
-      before[k] = ReadShardRecords(root, k);
-      ASSERT_GT(before[k].back().offset, kReadBufferBytes) << "shard " << k;
-    }
-    EnginePipelineOptions opts;
-    opts.num_threads = 2;
-    ShardedStreamingMis mis;
-    ASSERT_OK(mis.Initialize(root, initial, opts));
-    IncrementalMis reference;
-    ASSERT_OK(reference.Initialize(mono, initial));
-    ASSERT_OK(mis.Repair());
-    ASSERT_OK(reference.Repair());
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      const std::string root = NewPath("refill" + std::to_string(shards) +
+                                       "_" + std::to_string(threads) +
+                                       ".sadjs");
+      ASSERT_OK(ShardAdjacencyFile(mono, root, shards));
+      std::vector<std::vector<ShardRecord>> before(shards);
+      std::vector<std::vector<uint64_t>> refills(shards);
+      for (uint32_t k = 0; k < shards; ++k) {
+        before[k] = ReadShardRecords(root, k);
+        ASSERT_GT(before[k].back().offset, kReadBufferBytes) << "shard " << k;
+        refills[k] = CompactionRefills(root, k, threads);
+      }
+      EnginePipelineOptions opts;
+      opts.num_threads = threads;
+      ShardedStreamingMis mis;
+      ASSERT_OK(mis.Initialize(root, initial, opts));
+      IncrementalMis reference;
+      ASSERT_OK(reference.Initialize(mono, initial));
+      ASSERT_OK(mis.Repair());
+      ASSERT_OK(reference.Repair());
 
-    // Around each refill of each shard: the last record before it and the
-    // first after it, the record across it, or nothing.
-    DeltaTracker delta(base);
-    std::vector<EdgeUpdate> batch;
-    std::vector<VertexId> near_refills;
-    const auto touch = [&](VertexId x) {
-      if (x == kHub) return;
-      near_refills.push_back(x);
-      batch.push_back(delta.Toggle(x, FarPartner(x)));
-      if (x + 1 < kBufferGraphVertices && x + 1 != kHub) {
-        batch.push_back(delta.Toggle(x, x + 1));
-      }
-    };
-    int spilled_untouched = 0;
-    for (uint32_t k = 0; k < shards; ++k) {
-      const std::vector<ShardRecord>& recs = before[k];
-      size_t i = 0;
-      for (uint64_t j = 1; j * kReadBufferBytes < recs.back().offset; ++j) {
-        const uint64_t refill = j * kReadBufferBytes;
-        while (recs[i + 1].offset <= refill) ++i;
-        // recs[i] starts at or before the refill; it crosses it unless it
-        // ends there.
-        const uint64_t end =
-            recs[i].offset + AdjacencyRecordBytes(static_cast<uint32_t>(
-                                 recs[i].neighbors.size()));
-        switch ((k + j) % 3) {
-          case 1:
-            touch(end <= refill ? recs[i].id : recs[i - 1].id);
-            touch(recs[i + 1].id);
-            break;
-          case 2:
-            if (end > refill) spilled_untouched++;
-            break;
-          default:
-            touch(recs[i].id);
+      // Around each refill of each shard: the last record before it and
+      // the first after it, the record across it, or nothing.
+      DeltaTracker delta(base);
+      std::vector<EdgeUpdate> batch;
+      std::vector<VertexId> near_refills;
+      const auto touch = [&](VertexId x) {
+        if (x == kHub) return;
+        near_refills.push_back(x);
+        batch.push_back(delta.Toggle(x, FarPartner(x)));
+        if (x + 1 < kBufferGraphVertices && x + 1 != kHub) {
+          batch.push_back(delta.Toggle(x, x + 1));
+        }
+      };
+      // The record across each refill, and whether it ends at the refill.
+      std::vector<std::pair<VertexId, bool>> across;
+      for (uint32_t k = 0; k < shards; ++k) {
+        const std::vector<ShardRecord>& recs = before[k];
+        size_t i = 0;
+        for (size_t j = 0; j < refills[k].size(); ++j) {
+          const uint64_t refill = refills[k][j];
+          if (refill >= recs.back().offset) break;
+          while (recs[i + 1].offset <= refill) ++i;
+          // recs[i] starts at or before the refill; it crosses it unless
+          // it ends there.
+          const uint64_t end =
+              recs[i].offset + AdjacencyRecordBytes(static_cast<uint32_t>(
+                                   recs[i].neighbors.size()));
+          across.emplace_back(recs[i].id, end <= refill);
+          switch ((k + j + 1) % 3) {
+            case 1:
+              touch(end <= refill ? recs[i].id : recs[i - 1].id);
+              touch(recs[i + 1].id);
+              break;
+            case 2:
+              break;
+            default:
+              touch(recs[i].id);
+          }
         }
       }
-    }
-    ASSERT_GT(spilled_untouched, 0);
-    ASSERT_OK(mis.ApplyBatch(batch));
-    ApplyToReference(&reference, batch);
-    ASSERT_OK(mis.Compact(/*force=*/true));
-    const Graph effective = delta.Effective();
-    for (uint32_t k = 0; k < shards; ++k) {
-      const std::string want = ReferenceShardBytes(
-          NewPath("reference.shard"), k, before[k], effective);
-      const std::string got =
-          ReadFileBytes(ShardFilePath(mis.store().manifest_path, k));
-      EXPECT_TRUE(got == want) << "shard " << k << ": " << got.size()
-                               << " bytes, reference " << want.size();
-    }
-    ExpectStoreHoldsGraph(root, effective);
+      // Some record no entry names is read across a refill, into the
+      // decoder's spill buffer: the hub at least.
+      std::set<VertexId> touched;
+      for (const EdgeUpdate& up : batch) touched.insert({up.u, up.v});
+      int spilled_untouched = 0;
+      for (const auto& [id, ends_there] : across) {
+        if (!ends_there && touched.count(id) == 0) spilled_untouched++;
+      }
+      ASSERT_GT(spilled_untouched, 0);
+      ASSERT_OK(mis.ApplyBatch(batch));
+      ApplyToReference(&reference, batch);
+      ASSERT_OK(mis.Compact(/*force=*/true));
+      const Graph effective = delta.Effective();
+      for (uint32_t k = 0; k < shards; ++k) {
+        const std::string want = ReferenceShardBytes(
+            NewPath("reference.shard"), k, before[k], effective);
+        const std::string got =
+            ReadFileBytes(ShardFilePath(mis.store().manifest_path, k));
+        EXPECT_TRUE(got == want) << "shard " << k << ": " << got.size()
+                                 << " bytes, reference " << want.size();
+      }
+      ExpectStoreHoldsGraph(root, effective);
 
-    // The batch's frontier, then a second batch that frees the vertices
-    // next to the refills and evicts some, all read through the offsets
-    // the compaction wrote.
-    ASSERT_OK(mis.Repair());
-    ASSERT_OK(reference.Repair());
-    ASSERT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
-    std::vector<EdgeUpdate> frees;
-    for (VertexId x : near_refills) {
-      if (!mis.set().Test(x)) {
-        for (VertexId y : effective.Neighbors(x)) {
-          if (mis.set().Test(y)) frees.push_back(delta.Toggle(x, y));
+      // The batch's frontier, then a second batch that frees the vertices
+      // next to the refills and evicts some, all read through the offsets
+      // the compaction wrote.
+      ASSERT_OK(mis.Repair());
+      ASSERT_OK(reference.Repair());
+      ASSERT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+      std::vector<EdgeUpdate> frees;
+      for (VertexId x : near_refills) {
+        if (!mis.set().Test(x)) {
+          for (VertexId y : effective.Neighbors(x)) {
+            if (mis.set().Test(y)) frees.push_back(delta.Toggle(x, y));
+          }
+          continue;
         }
-        continue;
-      }
-      // An insert to a member with a smaller id evicts x.
-      for (VertexId z = 0; z < x; ++z) {
-        if (mis.set().Test(z) && !effective.HasEdge(z, x)) {
-          frees.push_back(delta.Toggle(z, x));
-          break;
+        // An insert to a member with a smaller id evicts x.
+        for (VertexId z = 0; z < x; ++z) {
+          if (mis.set().Test(z) && !effective.HasEdge(z, x)) {
+            frees.push_back(delta.Toggle(z, x));
+            break;
+          }
         }
       }
+      ASSERT_FALSE(frees.empty());
+      const uint64_t decoded = mis.stats().io.records_decoded;
+      ASSERT_OK(mis.ApplyBatch(frees));
+      ApplyToReference(&reference, frees);
+      ASSERT_OK(mis.Repair());
+      ASSERT_OK(reference.Repair());
+      EXPECT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+      EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+      EXPECT_LT(mis.stats().io.records_decoded - decoded,
+                uint64_t{kBufferGraphVertices} / 50);
+      VerifyResult vr = VerifyIndependentSet(delta.Effective(), mis.set());
+      EXPECT_TRUE(vr.independent && vr.maximal);
     }
-    ASSERT_FALSE(frees.empty());
-    const uint64_t decoded = mis.stats().io.records_decoded;
-    ASSERT_OK(mis.ApplyBatch(frees));
-    ApplyToReference(&reference, frees);
-    ASSERT_OK(mis.Repair());
-    ASSERT_OK(reference.Repair());
-    EXPECT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
-    EXPECT_EQ(mis.stats().full_repair_passes, 1u);
-    EXPECT_LT(mis.stats().io.records_decoded - decoded,
-              uint64_t{kBufferGraphVertices} / 50);
-    VerifyResult vr = VerifyIndependentSet(delta.Effective(), mis.set());
-    EXPECT_TRUE(vr.independent && vr.maximal);
   }
 }
 
@@ -1392,66 +1490,87 @@ TEST_F(IncrementalStreamTest, CompactionValidatesRecordsItCopies) {
   // and checked first: a corrupt one fails the compaction with Corruption
   // naming the shard file, before the root flips, and leaves the
   // maintainer able to compact once the file is whole again. The record
-  // is a small one read in place, or the hub, read across a refill.
+  // is a small one read in place, or the hub, read across a refill, both
+  // in the shard's first range; or one in a middle range or the last
+  // range of the cut, which moves with the thread count.
   const Graph base = MakeBufferGraph();
   const std::string mono = WriteGraphFile(&scratch_, base);
   const BitVector initial = RandomMaximalSet(base, 7);
   struct Case {
-    const char* name;
+    std::string name;
     VertexId record;
     bool degree;  // corrupt the degree word, else a neighbor word
     const char* check;  // what the error must say failed
   };
   const char* kNeighborCheck = "neighbor id out of range";
   const char* kDegreeCheck = "degree exceeds header max_degree";
-  for (const Case& c : {Case{"buffered neighbor", 500, false, kNeighborCheck},
-                        Case{"buffered degree", 500, true, kDegreeCheck},
-                        Case{"spilled neighbor", kHub, false, kNeighborCheck},
-                        Case{"spilled degree", kHub, true, kDegreeCheck}}) {
-    SCOPED_TRACE(c.name);
-    const std::string root = NewPath("corrupt.sadjs");
-    ASSERT_OK(ShardAdjacencyFile(mono, root, 3));
-    ShardedStreamingMis mis;
-    ASSERT_OK(mis.Initialize(root, initial, EnginePipelineOptions{}));
-    DeltaTracker delta(base);
-    // Touch two records near the start of shard 0, next to neither.
-    ASSERT_OK(mis.ApplyBatch({delta.Toggle(10, 20)}));
+  const std::string probe = NewPath("probe.sadjs");
+  ASSERT_OK(ShardAdjacencyFile(mono, probe, 3));
+  const std::vector<ShardRecord> shard0 = ReadShardRecords(probe, 0);
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    const std::vector<ShardRecordRange> ranges =
+        CompactionRanges(probe, 0, threads);
+    ASSERT_GE(ranges.size(), 3u);
+    const ShardRecordRange& middle = ranges[ranges.size() / 2];
+    const VertexId in_middle =
+        shard0[(middle.first_record + middle.end_record) / 2].id;
+    const VertexId in_last = shard0[ranges.back().end_record - 1].id;
+    ASSERT_GT(middle.first_record, 1000u);  // past the hub's range
+    for (const Case& c :
+         {Case{"buffered neighbor", 500, false, kNeighborCheck},
+          Case{"buffered degree", 500, true, kDegreeCheck},
+          Case{"spilled neighbor", kHub, false, kNeighborCheck},
+          Case{"spilled degree", kHub, true, kDegreeCheck},
+          Case{"middle-range neighbor", in_middle, false, kNeighborCheck},
+          Case{"last-range degree", in_last, true, kDegreeCheck}}) {
+      SCOPED_TRACE(c.name + ", " + std::to_string(threads) + " threads");
+      const std::string root = NewPath("corrupt.sadjs");
+      ASSERT_OK(ShardAdjacencyFile(mono, root, 3));
+      EnginePipelineOptions opts;
+      opts.num_threads = threads;
+      ShardedStreamingMis mis;
+      ASSERT_OK(mis.Initialize(root, initial, opts));
+      DeltaTracker delta(base);
+      // Touch two records near the start of shard 0, next to neither.
+      ASSERT_OK(mis.ApplyBatch({delta.Toggle(10, 20)}));
 
-    const ResolvedShardStore before = mis.store();
-    const std::string shard_path = ShardFilePath(before.manifest_path, 0);
-    const std::string intact = ReadFileBytes(shard_path);
-    uint64_t word = 0;  // byte offset of the word to corrupt
-    uint32_t value = 0;
-    for (const ShardRecord& rec : ReadShardRecords(root, 0)) {
-      if (rec.id != c.record) continue;
-      const size_t index = rec.neighbors.size() / 2;
-      word = c.degree ? rec.offset + 4 : rec.offset + 8 + 4 * index;
-      value = c.degree ? mis.manifest().header.max_degree + 1
-                       : kBufferGraphVertices + 7;
+      const ResolvedShardStore before = mis.store();
+      const std::string shard_path = ShardFilePath(before.manifest_path, 0);
+      const std::string intact = ReadFileBytes(shard_path);
+      uint64_t word = 0;  // byte offset of the word to corrupt
+      uint32_t value = 0;
+      for (const ShardRecord& rec : shard0) {
+        if (rec.id != c.record) continue;
+        const size_t index = rec.neighbors.size() / 2;
+        word = c.degree ? rec.offset + 4 : rec.offset + 8 + 4 * index;
+        value = c.degree ? mis.manifest().header.max_degree + 1
+                         : kBufferGraphVertices + 7;
+      }
+      ASSERT_GT(word, 0u);
+      std::string corrupt = intact;
+      std::memcpy(&corrupt[word], &value, sizeof(value));
+      WriteFileBytes(shard_path, corrupt);
+
+      Status s = mis.Compact(/*force=*/true);
+      EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+      EXPECT_NE(s.ToString().find(c.check), std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.ToString().find(shard_path), std::string::npos)
+          << s.ToString();
+      EXPECT_EQ(mis.store().current_epoch, before.current_epoch);
+      ResolvedShardStore on_disk;
+      ASSERT_OK(ResolveShardStore(root, &on_disk));
+      EXPECT_EQ(on_disk.manifest_path, before.manifest_path);
+      EXPECT_EQ(on_disk.current_epoch, before.current_epoch);
+
+      // Not wedged: with the file whole again, updates and the compaction
+      // go through.
+      WriteFileBytes(shard_path, intact);
+      ASSERT_OK(mis.ApplyBatch({delta.Toggle(30, 40)}));
+      ASSERT_OK(mis.Compact(/*force=*/true));
+      EXPECT_EQ(mis.stats().compactions, 1u);
+      ExpectStoreHoldsGraph(root, delta.Effective());
     }
-    ASSERT_GT(word, 0u);
-    std::string corrupt = intact;
-    std::memcpy(&corrupt[word], &value, sizeof(value));
-    WriteFileBytes(shard_path, corrupt);
-
-    Status s = mis.Compact(/*force=*/true);
-    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-    EXPECT_NE(s.ToString().find(c.check), std::string::npos) << s.ToString();
-    EXPECT_NE(s.ToString().find(shard_path), std::string::npos)
-        << s.ToString();
-    EXPECT_EQ(mis.store().current_epoch, before.current_epoch);
-    ResolvedShardStore on_disk;
-    ASSERT_OK(ResolveShardStore(root, &on_disk));
-    EXPECT_EQ(on_disk.manifest_path, before.manifest_path);
-    EXPECT_EQ(on_disk.current_epoch, before.current_epoch);
-
-    // Not wedged: with the file whole again, updates and the compaction
-    // go through.
-    WriteFileBytes(shard_path, intact);
-    ASSERT_OK(mis.ApplyBatch({delta.Toggle(30, 40)}));
-    ASSERT_OK(mis.Compact(/*force=*/true));
-    EXPECT_EQ(mis.stats().compactions, 1u);
-    ExpectStoreHoldsGraph(root, delta.Effective());
   }
 }
 

@@ -1,7 +1,10 @@
-// ShardRecordLocator and ShardFrontierReader (graph/shard_record_locator.h):
-// the locator agrees with a full scan, a frontier read yields exactly the
-// records a scan yields for the ids asked for, at every worker count, and
-// the reader's forward-only and identity checks hold.
+// ShardRecordLocator, ShardFrontierReader and ShardRangeReader
+// (graph/shard_record_locator.h): the locator agrees with a full scan, a
+// frontier read yields exactly the records a scan yields for the ids
+// asked for, at every worker count, and the reader's forward-only and
+// identity checks hold. The locator's range cut covers every record
+// once from checkpoints, its ranges read back the scan's records, and
+// the range checks fail a misplaced or overlong range with Corruption.
 #include "graph/shard_record_locator.h"
 
 #include <gtest/gtest.h>
@@ -11,9 +14,11 @@
 #include <vector>
 
 #include "gen/generators.h"
+#include "graph/graph.h"
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
 #include "graph/sharded_adjacency_file.h"
+#include "io/file.h"
 #include "io/io_stats.h"
 #include "test_util.h"
 
@@ -59,10 +64,37 @@ class ShardRecordLocatorTest : public ScratchTest {
     }
   }
 
+  // Reads `range` of shard `shard` with a ShardRangeReader into `out`
+  // (offsets included), charging `io`.
+  Status ReadRange(const ShardRecordLocator& locator, uint32_t shard,
+                   const ShardRecordRange& range, IoStats* io,
+                   std::vector<ScannedRecord>* out, uint64_t* edges) {
+    ShardRangeReader reader(locator, range, io);
+    SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
+    uint64_t offset = range.begin_offset;
+    VertexRecordView rec;
+    bool has_next = false;
+    while (true) {
+      SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
+      if (!has_next) break;
+      out->push_back({rec.id, {rec.begin(), rec.end()}, offset});
+      offset += AdjacencyRecordBytes(rec.degree);
+    }
+    *edges = reader.edges();
+    return reader.Close();
+  }
+
   std::string manifest_path_;
   ShardedAdjacencyManifest manifest_;
   std::vector<std::vector<ScannedRecord>> scanned_;
 };
+
+// The length of shard `shard` as its manifest entry gives it.
+uint64_t ShardBytes(const ShardedAdjacencyManifest& manifest, uint32_t shard) {
+  return kAdjacencyShardHeaderBytes +
+         AdjacencyRecordBytes(0) * manifest.shards[shard].num_records +
+         sizeof(VertexId) * manifest.shards[shard].num_directed_edges;
+}
 
 TEST_F(ShardRecordLocatorTest, LocatorAgreesWithTheScan) {
   MakeStore(3);
@@ -177,6 +209,185 @@ TEST_F(ShardRecordLocatorTest, CheckpointNamingTheWrongRecordIsCorruption) {
         });
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
     EXPECT_TRUE(visited.empty());
+  }
+}
+
+TEST_F(ShardRecordLocatorTest, CutCoversEveryRecordOnceFromCheckpoints) {
+  MakeStore(3);
+  ShardRecordLocator locator;
+  ASSERT_OK(locator.Build(manifest_path_, manifest_, nullptr));
+  for (size_t max_ranges : {size_t{1}, size_t{4}, size_t{32}}) {
+    for (uint32_t k = 0; k < manifest_.num_shards(); ++k) {
+      SCOPED_TRACE("R = " + std::to_string(max_ranges) + ", shard " +
+                   std::to_string(k));
+      const std::vector<ScannedRecord>& recs = scanned_[k];
+      ASSERT_GT(recs.size(), 4 * kLocatorCheckpointStride);
+      const uint64_t begin = kAdjacencyShardHeaderBytes;
+      const uint64_t end = ShardBytes(manifest_, k);
+      const std::vector<ShardRecordRange> ranges =
+          locator.CutRanges(k, manifest_.shards[k], max_ranges);
+      ASSERT_FALSE(ranges.empty());
+      EXPECT_LE(ranges.size(), max_ranges);
+      if (max_ranges > 1) EXPECT_GT(ranges.size(), 1u);
+      // Back to back from the shard's first record to its last byte.
+      EXPECT_EQ(ranges.front().first_record, 0u);
+      EXPECT_EQ(ranges.front().begin_offset, begin);
+      EXPECT_EQ(ranges.back().end_record, recs.size());
+      EXPECT_EQ(ranges.back().end_offset, end);
+      for (size_t i = 0; i < ranges.size(); ++i) {
+        const ShardRecordRange& r = ranges[i];
+        EXPECT_LT(r.first_record, r.end_record) << "range " << i;
+        // Every range starts on a checkpoint, at that record's offset.
+        EXPECT_EQ(r.first_record % kLocatorCheckpointStride, 0u);
+        EXPECT_EQ(r.begin_offset, recs[r.first_record].offset);
+        if (i + 1 == ranges.size()) continue;
+        EXPECT_EQ(r.end_record, ranges[i + 1].first_record);
+        EXPECT_EQ(r.end_offset, ranges[i + 1].begin_offset);
+        // The cut is the first checkpoint at or after an even byte
+        // target: some target lies above the checkpoint before it.
+        const uint64_t before =
+            recs[r.end_record - kLocatorCheckpointStride].offset;
+        bool first_after_a_target = false;
+        for (uint64_t t = 1; t < max_ranges; ++t) {
+          const uint64_t target = begin + (end - begin) * t / max_ranges;
+          if (before < target && target <= r.end_offset) {
+            first_after_a_target = true;
+          }
+        }
+        EXPECT_TRUE(first_after_a_target) << "range " << i;
+      }
+    }
+  }
+}
+
+TEST_F(ShardRecordLocatorTest, CutOfTinyAndEmptyShardsIsOneRange) {
+  // Six vertices over eight shards: shards of one record, one
+  // checkpoint each, and empty trailing shards.
+  const Graph g = Graph::FromEdges(6, {{0, 1}, {2, 3}, {4, 5}, {1, 2}});
+  const std::string mono = WriteGraphFile(&scratch_, g);
+  manifest_path_ = NewPath("tiny");
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest_path_, 8));
+  ASSERT_OK(ReadShardedAdjacencyManifest(manifest_path_, &manifest_));
+  ShardRecordLocator locator;
+  ASSERT_OK(locator.Build(manifest_path_, manifest_, nullptr));
+  uint32_t empty_shards = 0;
+  for (uint32_t k = 0; k < manifest_.num_shards(); ++k) {
+    SCOPED_TRACE("shard " + std::to_string(k));
+    const uint64_t records = manifest_.shards[k].num_records;
+    ASSERT_LE(records, kLocatorCheckpointStride);
+    if (records == 0) empty_shards++;
+    for (size_t max_ranges : {size_t{1}, size_t{4}, size_t{32}}) {
+      const std::vector<ShardRecordRange> ranges =
+          locator.CutRanges(k, manifest_.shards[k], max_ranges);
+      ASSERT_EQ(ranges.size(), 1u);
+      EXPECT_EQ(ranges[0].first_record, 0u);
+      EXPECT_EQ(ranges[0].end_record, records);
+      EXPECT_EQ(ranges[0].begin_offset, kAdjacencyShardHeaderBytes);
+      EXPECT_EQ(ranges[0].end_offset, ShardBytes(manifest_, k));
+      // The one range reads the shard, an empty one included.
+      IoStats io;
+      std::vector<ScannedRecord> got;
+      uint64_t edges = 0;
+      ASSERT_OK(ReadRange(locator, k, ranges[0], &io, &got, &edges));
+      EXPECT_EQ(got.size(), records);
+      EXPECT_EQ(edges, manifest_.shards[k].num_directed_edges);
+      EXPECT_EQ(io.bytes_read, ShardBytes(manifest_, k));
+    }
+  }
+  EXPECT_GT(empty_shards, 0u);
+}
+
+TEST_F(ShardRecordLocatorTest, RangeReadsMatchTheScan) {
+  MakeStore(3);
+  ShardRecordLocator locator;
+  ASSERT_OK(locator.Build(manifest_path_, manifest_, nullptr));
+  for (size_t max_ranges : {size_t{1}, size_t{4}, size_t{32}}) {
+    for (uint32_t k = 0; k < manifest_.num_shards(); ++k) {
+      SCOPED_TRACE("R = " + std::to_string(max_ranges) + ", shard " +
+                   std::to_string(k));
+      // The scanner's counters for the same shard.
+      IoStats scan_io;
+      ASSERT_OK(ForEachShardRecord(manifest_path_, manifest_, k, &scan_io,
+                                   [](const VertexRecordView&) {}));
+      IoStats io;
+      std::vector<ScannedRecord> got;
+      uint64_t edges = 0;
+      for (const ShardRecordRange& range :
+           locator.CutRanges(k, manifest_.shards[k], max_ranges)) {
+        uint64_t range_edges = 0;
+        ASSERT_OK(ReadRange(locator, k, range, &io, &got, &range_edges));
+        edges += range_edges;
+      }
+      ASSERT_EQ(got.size(), scanned_[k].size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, scanned_[k][i].id);
+        EXPECT_EQ(got[i].neighbors, scanned_[k][i].neighbors);
+        EXPECT_EQ(got[i].offset, scanned_[k][i].offset);
+      }
+      EXPECT_EQ(edges, manifest_.shards[k].num_directed_edges);
+      // Skipped bytes are not charged: the ranges read what a scan reads.
+      EXPECT_EQ(io.records_decoded, scan_io.records_decoded);
+      EXPECT_EQ(io.bytes_read, scan_io.bytes_read);
+      EXPECT_EQ(io.sequential_scans, 0u);
+    }
+  }
+}
+
+TEST_F(ShardRecordLocatorTest, RangeChecksAreCorruption) {
+  MakeStore(3);
+  ShardRecordLocator locator;
+  ASSERT_OK(locator.Build(manifest_path_, manifest_, nullptr));
+  const std::vector<ScannedRecord>& shard = scanned_[1];
+  const std::string path = ShardFilePath(manifest_path_, 1);
+  const auto read = [&](const ShardRecordLocator& loc,
+                        const ShardRecordRange& range) {
+    IoStats io;
+    std::vector<ScannedRecord> got;
+    uint64_t edges = 0;
+    return ReadRange(loc, 1, range, &io, &got, &edges);
+  };
+  const auto expect_corruption = [&](const Status& s, const char* check) {
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find(check), std::string::npos) << s.ToString();
+    EXPECT_NE(s.ToString().find(path), std::string::npos) << s.ToString();
+  };
+  const std::vector<ShardRecordRange> ranges =
+      locator.CutRanges(1, manifest_.shards[1], 4);
+  ASSERT_GE(ranges.size(), 3u);
+  for (const ShardRecordRange& range : ranges) ASSERT_OK(read(locator, range));
+
+  // A range that starts at another record than the locator ranks there:
+  // the cut of a locator whose checkpoints each name the record after.
+  {
+    ShardRecordLocator shifted = locator;
+    std::vector<uint64_t> offsets;
+    for (size_t i = 0; i < shard.size(); i += kLocatorCheckpointStride) {
+      offsets.push_back(shard[std::min(i + 1, shard.size() - 1)].offset);
+    }
+    shifted.ReplaceCheckpoints(1, std::move(offsets));
+    const std::vector<ShardRecordRange> moved =
+        shifted.CutRanges(1, manifest_.shards[1], 4);
+    ASSERT_GE(moved.size(), 2u);
+    // The first range's records end one record short of its end.
+    expect_corruption(read(shifted, moved[0]), "end at byte");
+    expect_corruption(read(shifted, moved[1]), "ranks elsewhere");
+  }
+  // A range whose last record runs past its end offset.
+  {
+    ShardRecordRange short_range = ranges[1];
+    short_range.end_offset -= sizeof(VertexId);
+    expect_corruption(read(locator, short_range), "runs past byte");
+  }
+  // Bytes after the shard's last record fail its last range only.
+  {
+    SequentialFileWriter writer;
+    ASSERT_OK(writer.OpenAppend(path));
+    ASSERT_OK(writer.AppendU32(0));
+    ASSERT_OK(writer.Close());
+    for (size_t i = 0; i + 1 < ranges.size(); ++i) {
+      ASSERT_OK(read(locator, ranges[i]));
+    }
+    expect_corruption(read(locator, ranges.back()), "trailing bytes");
   }
 }
 

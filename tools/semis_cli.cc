@@ -29,8 +29,10 @@
 //                      [--compact-threshold E] [--compact] [--resort]
 //                      [--set set.txt] [--out set.txt] [--verify]
 //                      (maintains an independent set under the edge-update
-//                       stream: batched apply -> parallel repair; the
-//                       result is byte-identical for every thread count.
+//                       stream: batched apply -> parallel repair, and a
+//                       compaction that folds each saturated shard's
+//                       record ranges on T threads; the set and every
+//                       store byte are identical for every thread count.
 //                       A monolithic input is sharded to <input>.sadjs
 //                       first; a SADJS manifest is updated in place. A
 //                       shard whose delta log reaches E entries is
