@@ -403,9 +403,8 @@ Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
     DropFrontier();
     return Status::OK();
   }
-  const ShardFrontierReader reader(
-      manifest_path_, manifest_, locator_,
-      ShardWorkers(options_.num_threads, manifest_.num_shards()));
+  const ShardFrontierReader reader(manifest_path_, manifest_, locator_,
+                                   ResolveThreadCount(options_.num_threads));
   if (!evicted_.empty()) {
     SEMIS_RETURN_IF_ERROR(ExpandEvictions(reader));
     if (!frontier_known_) return Status::OK();  // overflowed: full pass
@@ -539,13 +538,12 @@ struct Fold {
 };
 
 // One range of a compacted shard: the folds that name its records, its
-// slot of the output buffer, and what its read and fold found.
+// slot of the output buffer, and what its fold wrote.
 struct FoldedRange {
   size_t fold_begin = 0;  // folds [fold_begin, fold_end) name its records
   size_t fold_end = 0;
   size_t slot = 0;   // first word of its slot in the output buffer
   size_t words = 0;  // words written to the slot
-  uint64_t edges_read = 0;
   ShardInfo info;  // its records, with their folded degrees
   uint32_t max_degree = 0;
   bool changed = false;  // a fold changed one of its records
@@ -564,10 +562,17 @@ Status FoldRange(const std::string& manifest_path,
                  const ShardRecordLocator& locator, uint32_t shard,
                  const ShardRecordRange& range, Fold* folds,
                  FoldedRange* out, uint32_t* slot, uint64_t* checkpoints) {
-  ShardRangeReader reader(locator, range, &out->io);
-  SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path, manifest, shard));
+  // The scanner's buffer holds the bytes the range reads, the shard
+  // header included for a shard's first range, up to a scan's 1 MiB:
+  // one fill reads a range of up to that size.
+  const uint64_t start = range.first_record == 0 ? 0 : range.begin_offset;
+  AdjacencyFileScanner scanner(
+      &out->io, static_cast<size_t>(std::min<uint64_t>(
+                    range.end_offset - start, kScanBufferBytes)));
+  SEMIS_RETURN_IF_ERROR(scanner.OpenShard(manifest_path, manifest, shard,
+                                          range));
   // Records no fold names are copied verbatim, a run of consecutive ones
-  // per copy: their bytes lie back to back in the reader's buffer until
+  // per copy: their bytes lie back to back in the scanner's buffer until
   // it refills, so the run is copied before any Next that is not served
   // from the buffer (a refill, or the end) and before a folded record.
   // Every record is still decoded and validated by Next.
@@ -586,11 +591,19 @@ Status FoldRange(const std::string& manifest_path,
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    const bool buffered = reader.NextIsBuffered();
+    const bool buffered = scanner.NextIsBuffered();
     if (!buffered) copy_run();
-    SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
+    SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     if (record % kLocatorCheckpointStride == 0) {
+      // The range starts at a checkpoint; only the locator knows which
+      // vertex's record sits there.
+      if (record == 0 && locator.rank(rec.id) != rank) {
+        return Status::Corruption(
+            "record " + std::to_string(range.first_record) + " of '" +
+            scanner.path() + "' holds vertex " + std::to_string(rec.id) +
+            ", which the locator ranks elsewhere");
+      }
       checkpoints[record / kLocatorCheckpointStride] =
           (static_cast<size_t>(dst - slot) + run_words) * sizeof(uint32_t);
     }
@@ -642,8 +655,7 @@ Status FoldRange(const std::string& manifest_path,
     record++;
   }
   out->words = static_cast<size_t>(dst - slot);
-  out->edges_read = reader.edges();
-  return reader.Close();
+  return scanner.Close();
 }
 
 }  // namespace
@@ -723,16 +735,10 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
                          ranges[i].first_record / kLocatorCheckpointStride);
   });
   for (const FoldedRange& range : out) stats_.io.MergeFrom(range.io);
+  // The ranges run back to back from the shard's first record to the
+  // manifest's length, and each one's records end at its end offset, so
+  // the shard's edge total holds once every range read through.
   SEMIS_RETURN_IF_ERROR(folded);
-  uint64_t edges_read = 0;
-  for (const FoldedRange& range : out) edges_read += range.edges_read;
-  if (edges_read != manifest_.shards[shard].num_directed_edges) {
-    return Status::Corruption(
-        "edge count mismatch in '" + ShardFilePath(manifest_path_, shard) +
-        "': declared " +
-        std::to_string(manifest_.shards[shard].num_directed_edges) +
-        ", read " + std::to_string(edges_read));
-  }
 
   // On this thread: the slots in range order, after the shard header,
   // and each range's checkpoint offsets moved to where its slot lands.

@@ -220,8 +220,8 @@ class ShardedStreamingMis {
   /// evicts), so the next Repair() is a full pass.
   ///
   /// `options` is the shared pipeline struct: this layer reads
-  /// `num_threads` (each frontier repair reads on ShardWorkers of it, and
-  /// each compacted shard folds its ranges on ResolveThreadCount of it,
+  /// `num_threads` (each frontier repair reads its shards, and each
+  /// compacted shard folds its ranges, on ResolveThreadCount of it,
   /// started and joined within the pass, so no thread outlives a call;
   /// the repaired set and the store's bytes are independent of it by
   /// construction),

@@ -79,7 +79,7 @@ class ParallelSwapRun {
         manifest_path_(manifest_path),
         manifest_(std::move(manifest)),
         n_(manifest_.header.num_vertices),
-        workers_(ShardWorkers(options.num_threads, manifest_.num_shards())),
+        workers_(ResolveThreadCount(options.num_threads)),
         state_(n_),
         isn1_(n_, kInvalidVertex),
         isn2_(n_, kInvalidVertex),
@@ -251,8 +251,9 @@ class ParallelSwapRun {
   const std::string manifest_path_;
   const ShardedAdjacencyManifest manifest_;
   const uint64_t n_;
-  // One scratch per worker of a pass (ShardWorkers); one worker means
-  // the calling thread runs every pass.
+  // One scratch per worker of a pass (ResolveThreadCount); a pass over
+  // fewer shards leaves the rest untouched, and one worker means the
+  // calling thread runs every pass.
   std::vector<WorkerScratch> workers_;
   uint64_t scans_started_ = 0;
 

@@ -85,9 +85,9 @@ namespace semis {
 struct ParallelSwapOptions {
   /// Stop after this many rounds (0 = until no proposals fire).
   uint32_t max_rounds = 0;
-  /// Worker threads scanning shards (0 = hardware concurrency), capped
-  /// at the shard count (ShardWorkers); at one, the calling thread runs
-  /// every pass. The result is independent of this value by
+  /// Worker threads scanning shards (0 = hardware concurrency); a pass
+  /// runs on at most min(threads, shards) of them, and at one the
+  /// calling thread runs every pass. The result is independent of this value by
   /// construction.
   uint32_t num_threads = 1;
   /// Enable 2<->k swap skeleton discovery (shard-local SC buckets) in

@@ -45,11 +45,11 @@ struct EnginePipelineOptions {
   /// the file fixes the shard count.
   uint32_t num_shards = 0;
 
-  /// Worker threads of the swap stage, the rounds engine and the
-  /// streaming maintainer's frontier repair (0 = hardware concurrency),
-  /// capped at the shard count by ShardWorkers, and of the maintainer's
-  /// compaction, whose items are record ranges of one shard, so it is
-  /// not capped there; above one, each pass forks its workers and joins
+  /// Worker threads of the swap stage, the rounds engine, and the
+  /// streaming maintainer's frontier repair and compaction
+  /// (0 = hardware concurrency). A pass runs its items (shards, or one
+  /// shard's record ranges) on at most min(threads, items) workers
+  /// (ForEachItem); above one, each pass forks its workers and joins
   /// them before it returns, and at one it runs on the calling thread.
   /// The greedy and the full repair read none: a scan in manifest order
   /// runs on the calling thread. The result, and every byte a store

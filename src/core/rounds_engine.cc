@@ -37,8 +37,7 @@ class MinIdRoundsRun {
         manifest_path_(manifest_path),
         manifest_(std::move(manifest)),
         n_(manifest_.header.num_vertices),
-        worker_io_(ShardWorkers(options.pipeline.num_threads,
-                                manifest_.num_shards())),
+        worker_io_(ResolveThreadCount(options.pipeline.num_threads)),
         state_(n_, VState::kInitial),
         winner_round_(n_, 0),
         shard_frontier_(manifest_.num_shards(), 0),
@@ -74,8 +73,9 @@ class MinIdRoundsRun {
   const std::string manifest_path_;
   const ShardedAdjacencyManifest manifest_;
   const uint64_t n_;
-  // One IoStats per worker of a pass (ShardWorkers); one worker means
-  // the calling thread runs every pass.
+  // One IoStats per worker of a pass (ResolveThreadCount); a pass over
+  // fewer shards leaves the rest untouched, and one worker means the
+  // calling thread runs every pass.
   std::vector<IoStats> worker_io_;
   uint64_t scans_started_ = 0;
 

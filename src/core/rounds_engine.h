@@ -48,10 +48,10 @@ struct RoundObservation {
 };
 
 struct MinIdRoundsOptions {
-  /// num_threads drives the per-round shard fan-out, capped at the shard
-  /// count (ShardWorkers); at one, the calling thread runs both passes
-  /// in shard order, skipping settled shards as a multi-threaded run
-  /// does. The other pipeline knobs are accepted for uniformity and
+  /// num_threads drives the per-round shard fan-out, on at most
+  /// min(threads, shards) workers; at one, the calling thread runs both
+  /// passes in shard order, skipping settled shards as a multi-threaded
+  /// run does. The other pipeline knobs are accepted for uniformity and
   /// ignored.
   EnginePipelineOptions pipeline;
   /// Safety cap on rounds (0 = run until the frontier is empty). A capped

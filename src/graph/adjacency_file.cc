@@ -1,13 +1,18 @@
 #include "graph/adjacency_file.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace semis {
 
 namespace {
 constexpr uint32_t kMagic = 0x4A444153u;  // 'SADJ' little-endian
 constexpr uint32_t kVersion = 1;
+constexpr uint64_t kFileHeaderBytes = 32;
 constexpr size_t kHeaderBytes = 2 * sizeof(uint32_t);  // of a record
+// Past this many edges a stream's end byte could pass 2^64: 8 B per
+// record (at most 2^32 records) plus 4 B per edge stays below it.
+constexpr uint64_t kMaxStreamEdges = uint64_t{1} << 61;
 }  // namespace
 
 AdjacencyFileWriter::AdjacencyFileWriter(IoStats* stats) : writer_(stats) {}
@@ -83,8 +88,9 @@ Status AdjacencyFileWriter::Finish() {
   return writer_.Close();
 }
 
-AdjacencyFileScanner::AdjacencyFileScanner(IoStats* stats)
-    : stats_(stats), reader_(stats) {}
+AdjacencyFileScanner::AdjacencyFileScanner(IoStats* stats,
+                                           size_t buffer_bytes)
+    : stats_(stats), reader_(stats, buffer_bytes) {}
 
 Status AdjacencyFileScanner::ReadHeader() {
   uint32_t magic = 0, version = 0;
@@ -109,59 +115,141 @@ Status AdjacencyFileScanner::ReadHeader() {
         "'" + path_ + "' declares " + std::to_string(header_.num_vertices) +
         " vertices, past the 32-bit id space");
   }
-  num_records_ = header_.num_vertices;
-  num_edges_ = header_.num_directed_edges;
-  records_seen_ = 0;
-  edges_seen_ = 0;
+  SEMIS_RETURN_IF_ERROR(CheckEdgeTotal(header_.num_directed_edges));
   decoder_.Reset(path_, header_.num_vertices, header_.max_degree);
+  StartStream(0, header_.num_vertices, kFileHeaderBytes,
+              kFileHeaderBytes +
+                  AdjacencyRecordBytes(0) * header_.num_vertices +
+                  sizeof(VertexId) * header_.num_directed_edges,
+              /*ends_file=*/true);
   return Status::OK();
+}
+
+Status AdjacencyFileScanner::CheckEdgeTotal(uint64_t edges) const {
+  if (edges > kMaxStreamEdges) {
+    return Status::Corruption("'" + path_ + "' declares " +
+                              std::to_string(edges) +
+                              " edges, more than a file can hold");
+  }
+  return Status::OK();
+}
+
+void AdjacencyFileScanner::StartStream(uint64_t first_record,
+                                       uint64_t end_record,
+                                       uint64_t begin_offset,
+                                       uint64_t end_offset, bool ends_file) {
+  first_record_ = first_record;
+  end_record_ = end_record;
+  end_offset_ = end_offset;
+  ends_file_ = ends_file;
+  next_record_ = first_record;
+  offset_ = begin_offset;
+  error_ = Status::OK();
+}
+
+std::string AdjacencyFileScanner::Where() const {
+  return "records " + std::to_string(first_record_) + ".." +
+         std::to_string(end_record_) + " of '" + path_ + "' (end byte " +
+         std::to_string(end_offset_) + "), at record " +
+         std::to_string(next_record_) + ", byte " + std::to_string(offset_);
+}
+
+Status AdjacencyFileScanner::Fail(Status error) {
+  error_ = error;
+  end_record_ = next_record_;
+  return error;
 }
 
 Status AdjacencyFileScanner::Open(const std::string& path) {
   path_ = path;
-  SEMIS_RETURN_IF_ERROR(reader_.Open(path));
-  if (stats_ != nullptr) stats_->sequential_scans++;
-  return ReadHeader();
+  Status s = reader_.Open(path);
+  if (s.ok()) {
+    if (stats_ != nullptr) stats_->sequential_scans++;
+    s = ReadHeader();
+  }
+  return s.ok() ? s : Fail(std::move(s));
 }
 
 Status AdjacencyFileScanner::Close() { return reader_.Close(); }
 
 Status AdjacencyFileScanner::Rewind() {
-  SEMIS_RETURN_IF_ERROR(reader_.Close());
-  SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
-  if (stats_ != nullptr) stats_->sequential_scans++;
-  return ReadHeader();
+  Status s = reader_.Close();
+  if (s.ok()) s = reader_.Open(path_);
+  if (s.ok()) {
+    if (stats_ != nullptr) stats_->sequential_scans++;
+    s = ReadHeader();
+  }
+  return s.ok() ? s : Fail(std::move(s));
 }
 
 Status AdjacencyFileScanner::Next(VertexRecordView* view, bool* has_next) {
-  if (records_seen_ == num_records_) {
-    if (!reader_.AtEof()) {
-      return Status::Corruption("trailing bytes after last record in '" +
-                                path_ + "'");
-    }
-    if (edges_seen_ != num_edges_) {
-      return Status::Corruption(
-          "edge count mismatch in '" + path_ + "': declared " +
-          std::to_string(num_edges_) + ", read " +
-          std::to_string(edges_seen_));
-    }
-    *has_next = false;
-    return Status::OK();
+  if (next_record_ == end_record_) return End(has_next);
+  if (reader_.AtEof()) return Fail(Status::Corruption("truncated " + Where()));
+  Status decoded = decoder_.Decode(&reader_, view);
+  if (!decoded.ok()) return Fail(std::move(decoded));
+  offset_ += AdjacencyRecordBytes(view->degree);
+  // Checked before the record is handed out, so a caller sizing its
+  // output by the stream's bytes never writes past them.
+  if (offset_ > end_offset_) {
+    return Fail(Status::Corruption("record runs past the end of " + Where()));
   }
-  if (reader_.AtEof()) {
-    return Status::Corruption(
-        "'" + path_ + "' truncated: expected " +
-        std::to_string(num_records_) + " records, found " +
-        std::to_string(records_seen_));
-  }
-  SEMIS_RETURN_IF_ERROR(decoder_.Decode(&reader_, view));
-  records_seen_++;
-  edges_seen_ += view->degree;
-  if (edges_seen_ > num_edges_) {
-    return Status::Corruption("more edges than declared in '" + path_ + "'");
-  }
+  next_record_++;
   if (stats_ != nullptr) stats_->records_decoded++;
   *has_next = true;
+  return Status::OK();
+}
+
+Status AdjacencyFileScanner::End(bool* has_next) {
+  if (!error_.ok()) return error_;
+  if (offset_ != end_offset_) {
+    return Fail(Status::Corruption("records end short of the end of " +
+                                   Where()));
+  }
+  if (ends_file_ && !reader_.AtEof()) {
+    return Fail(Status::Corruption("trailing bytes after the last of " +
+                                   Where()));
+  }
+  *has_next = false;
+  return Status::OK();
+}
+
+Status AdjacencyFileScanner::SkipTo(uint64_t record,
+                                    uint64_t checkpoint_record,
+                                    uint64_t checkpoint_offset) {
+  // The read position is only known on the success path.
+  if (!error_.ok()) return error_;
+  Status s = StepTo(record, checkpoint_record, checkpoint_offset);
+  return s.ok() ? s : Fail(std::move(s));
+}
+
+Status AdjacencyFileScanner::StepTo(uint64_t record,
+                                    uint64_t checkpoint_record,
+                                    uint64_t checkpoint_offset) {
+  if (record >= end_record_ || checkpoint_record > record) {
+    return Status::InvalidArgument("read of record " + std::to_string(record) +
+                                   " out of range of " + Where());
+  }
+  if (record < next_record_) {
+    return Status::InvalidArgument("read of record " + std::to_string(record) +
+                                   " moves backwards in " + Where());
+  }
+  if (checkpoint_record > next_record_) {
+    if (checkpoint_offset < offset_) {
+      return Status::Corruption("checkpoint of record " +
+                                std::to_string(checkpoint_record) +
+                                " lies behind the read position in " +
+                                Where());
+    }
+    SEMIS_RETURN_IF_ERROR(reader_.Skip(checkpoint_offset - offset_));
+    next_record_ = checkpoint_record;
+    offset_ = checkpoint_offset;
+  }
+  while (next_record_ < record) {
+    uint64_t record_bytes = 0;
+    SEMIS_RETURN_IF_ERROR(decoder_.SkipRecord(&reader_, &record_bytes));
+    offset_ += record_bytes;
+    next_record_++;
+  }
   return Status::OK();
 }
 
@@ -197,6 +285,15 @@ Status AdjacencyRecordDecoder::CheckNeighbors(const VertexId* neighbors,
     return Status::Corruption("neighbor id out of range in '" + path_ + "'");
   }
   return Status::OK();
+}
+
+Status AdjacencyRecordDecoder::SkipRecord(SequentialFileReader* reader,
+                                          uint64_t* record_bytes) {
+  uint32_t head[2] = {0, 0};
+  SEMIS_RETURN_IF_ERROR(reader->ReadExact(head, sizeof(head)));
+  SEMIS_RETURN_IF_ERROR(CheckHeader(head[0], head[1]));
+  *record_bytes = AdjacencyRecordBytes(head[1]);
+  return reader->Skip(sizeof(VertexId) * uint64_t{head[1]});
 }
 
 bool AdjacencyRecordDecoder::NextIsBuffered(

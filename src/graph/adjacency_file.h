@@ -13,10 +13,12 @@
 // The scanner exposes records strictly in file order; there is no random
 // access, matching the paper's semi-external model. Shard files of a
 // sharded store (graph/sharded_adjacency_file.h) carry the same records
-// under their own header, and the scanner reads them too.
+// under their own header, and the scanner reads them too: whole, as a
+// record range, or record by record from checkpoints, always forward.
 #ifndef SEMIS_GRAPH_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_ADJACENCY_FILE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,6 +31,7 @@
 
 namespace semis {
 
+struct ShardRecordRange;
 struct ShardedAdjacencyManifest;
 
 /// Flag: records appear in ascending order of (degree, id). Produced by
@@ -108,9 +111,9 @@ struct VertexRecordView {
 /// Decodes the records of a SADJ record stream (u32 id, u32 degree,
 /// u32 neighbor[degree]; shard files carry the same records) and checks
 /// each against its header: the id and every neighbor below
-/// `num_vertices`, the degree at most `max_degree`. The one record
-/// decoder of AdjacencyFileScanner, which keeps the record-count and
-/// edge-total checks, and of the sparse AdjacencyShardRecordReader.
+/// `num_vertices`, the degree at most `max_degree`. Only
+/// AdjacencyFileScanner uses it, so every record also passes the
+/// scanner's stream checks.
 ///
 /// A record the reader holds whole is validated and consumed in place
 /// (SequentialFileReader::PeekBuffered/ConsumeBuffered), and its view
@@ -131,6 +134,12 @@ class AdjacencyRecordDecoder {
   /// that failed; a short file fails in ReadExact.
   Status Decode(SequentialFileReader* reader, VertexRecordView* view);
 
+  /// Steps over the next record: reads its two header words, which pass
+  /// Decode's id and degree checks, and skips its neighbor words, which
+  /// are not charged (SequentialFileReader::Skip). `*record_bytes`
+  /// receives the record's encoded size.
+  Status SkipRecord(SequentialFileReader* reader, uint64_t* record_bytes);
+
   /// True when the next record, as far as its degree word says, lies
   /// whole in `reader`'s buffer, so Decode takes the in-place path and
   /// does no I/O.
@@ -148,14 +157,33 @@ class AdjacencyRecordDecoder {
   std::vector<VertexId> spill_;
 };
 
-/// Forward-only reader of one record stream: a SADJ file (Open) or one
-/// shard of a sharded store (OpenShard). Rewind() restarts a SADJ scan
-/// (and bumps IoStats::sequential_scans): this is the only iteration
-/// primitive the semi-external algorithms get.
+/// Read buffer of a scanner whose opener does not size it: one fill
+/// reads 1 MiB.
+inline constexpr size_t kScanBufferBytes = size_t{1} << 20;
+
+/// Forward-only reader of one record stream, and the one reader that
+/// decodes records: a SADJ file (Open), one shard of a sharded store
+/// (OpenShard), or a ShardRecordRange of one shard (OpenShard with a
+/// range). Rewind() restarts a SADJ scan (and bumps
+/// IoStats::sequential_scans): this is the only iteration primitive the
+/// semi-external algorithms get. SkipTo moves the read position forward
+/// from a checkpoint, so records far apart are read without reading the
+/// bytes between them.
+///
+/// Every stream ends at a byte its opener knows: for a SADJ file or a
+/// whole shard, the one its record and edge totals give (the header's,
+/// or the shard's manifest entry); for a range, the range's end offset.
+/// Its records must end exactly there, and a record that would run past
+/// it is Corruption before Next hands it out. A stream that ends its
+/// file (a SADJ file, a whole shard, a shard's last range) must be
+/// followed by no byte. After any error, every later Next and SkipTo
+/// returns it until the scanner is reopened.
 class AdjacencyFileScanner {
  public:
-  /// `stats` may be null.
-  explicit AdjacencyFileScanner(IoStats* stats = nullptr);
+  /// `stats` may be null. `buffer_bytes` sizes the read buffer, as in
+  /// SequentialFileReader.
+  explicit AdjacencyFileScanner(IoStats* stats = nullptr,
+                                size_t buffer_bytes = kScanBufferBytes);
 
   /// Opens the file and parses/validates the header: a vertex count past
   /// kMaxAdjacencyVertices is Corruption, before anything is sized from
@@ -167,9 +195,19 @@ class AdjacencyFileScanner {
   /// record and edge totals are the shard's manifest entry; the id bound,
   /// max_degree and header() are the store's. Counts no scan: a scan of a
   /// store is one pass over every shard, counted by whoever makes it.
-  /// Defined with the shard format in sharded_adjacency_file.cc.
+  /// The shard opens are defined with the shard format in
+  /// sharded_adjacency_file.cc.
   Status OpenShard(const std::string& manifest_path,
                    const ShardedAdjacencyManifest& manifest, uint32_t index);
+
+  /// Opens `range` of shard `index`, as OpenShard opens the whole shard:
+  /// at record 0 it reads and checks the shard header, anywhere else it
+  /// skips to the range's begin offset, and those bytes are not charged.
+  /// A range that lies outside the shard (its manifest entry) is
+  /// InvalidArgument. Counts no scan.
+  Status OpenShard(const std::string& manifest_path,
+                   const ShardedAdjacencyManifest& manifest, uint32_t index,
+                   const ShardRecordRange& range);
 
   /// Header of the open file (of the store, for a shard).
   const AdjacencyFileHeader& header() const { return header_; }
@@ -180,16 +218,37 @@ class AdjacencyFileScanner {
   /// IoStats::records_decoded. `view->neighbors` points into a
   /// scanner-owned buffer until the next call, with the record's id and
   /// degree words right in front of it (see AdjacencyRecordDecoder).
-  /// `*has_next` is false after the last record (in which case `view` is
-  /// untouched). A truncated stream, trailing bytes, or an edge count
-  /// other than the declared total is Corruption naming the file.
+  /// `*has_next` is false after the stream's last record (in which case
+  /// `view` is untouched). A truncated stream, trailing bytes, or records
+  /// that do not end at the stream's end byte are Corruption naming the
+  /// file.
   Status Next(VertexRecordView* view, bool* has_next);
+
+  /// Moves the read position forward to record `record` of the shard or
+  /// file, which the next Next reads. `checkpoint_offset` is the byte
+  /// offset of record `checkpoint_record` <= `record`, as a scan found
+  /// it; the scanner skips there when it lies ahead of the read position,
+  /// then steps over the records in between, reading only their 8-byte
+  /// headers, which pass Decode's id and degree checks. The skipped
+  /// bytes are not charged, the stepped headers are (8 B each), and no
+  /// record counts as decoded. InvalidArgument
+  /// when `record` lies behind the read position or past the stream;
+  /// Corruption when the checkpoint lies ahead in records but behind in
+  /// bytes.
+  Status SkipTo(uint64_t record, uint64_t checkpoint_record,
+                uint64_t checkpoint_offset);
+
+  /// Latches `error`, which is not OK, as if the scanner had returned it:
+  /// for a check the caller makes on a record Next handed out. Every
+  /// later Next and SkipTo returns it until the scanner is reopened.
+  /// Returns `error`.
+  Status Fail(Status error);
 
   /// True when a next record exists and already lies whole in the read
   /// buffer, so Next neither refills the buffer nor moves earlier views'
   /// bytes: views of consecutive buffered records are consecutive bytes.
   bool NextIsBuffered() const {
-    return records_seen_ < num_records_ &&
+    return next_record_ < end_record_ &&
            AdjacencyRecordDecoder::NextIsBuffered(reader_);
   }
 
@@ -208,18 +267,38 @@ class AdjacencyFileScanner {
 
  private:
   Status ReadHeader();
+  // Corruption when a stream declares more edges than a file can hold,
+  // which would wrap its end byte past 2^64.
+  Status CheckEdgeTotal(uint64_t edges) const;
+  // Starts a stream of records [first_record, end_record) at bytes
+  // [begin_offset, end_offset), reading from its first record.
+  void StartStream(uint64_t first_record, uint64_t end_record,
+                   uint64_t begin_offset, uint64_t end_offset,
+                   bool ends_file);
+  // Next at the stream's end: the end checks, or the latched error.
+  Status End(bool* has_next);
+  // The stream and the read position, for error messages.
+  std::string Where() const;
+  Status StepTo(uint64_t record, uint64_t checkpoint_record,
+                uint64_t checkpoint_offset);
 
   IoStats* stats_;
   SequentialFileReader reader_;
   AdjacencyFileHeader header_;
   std::string path_;
   AdjacencyRecordDecoder decoder_;
-  // The stream's declared totals: the SADJ header's, or the shard's
-  // manifest entry.
-  uint64_t num_records_ = 0;
-  uint64_t num_edges_ = 0;
-  uint64_t records_seen_ = 0;
-  uint64_t edges_seen_ = 0;
+  // The stream: records [first_record_, end_record_), ending at byte
+  // end_offset_, the file's last byte when ends_file_. Fail sets
+  // end_record_ to the read position, so Next's end test, which every
+  // call makes anyway, routes every later call to error_.
+  uint64_t first_record_ = 0;
+  uint64_t end_record_ = 0;
+  uint64_t end_offset_ = 0;
+  bool ends_file_ = true;
+  // The read position: index and byte offset of the next record.
+  uint64_t next_record_ = 0;
+  uint64_t offset_ = 0;
+  Status error_;
 };
 
 }  // namespace semis

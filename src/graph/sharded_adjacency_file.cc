@@ -1,6 +1,7 @@
 #include "graph/sharded_adjacency_file.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/shard_store.h"
 
@@ -11,16 +12,43 @@ constexpr uint32_t kManifestMagic = kShardManifestMagic;
 constexpr uint32_t kShardMagic = 0x53444153u;  // 'SADS' little-endian
 constexpr uint32_t kVersion = 1;
 
-// Buffer of the sparse record reader. Most records are a few dozen bytes
-// and the ones a frontier asks for lie far apart, so one window usually
-// covers the checkpoint walk and the record. On a 1M-vertex PLRG a
-// 1024-update frontier repair took 4.6 ms with 4 KB, 5.4 ms with 1 KB
-// and no less with 8 KB.
-constexpr size_t kSparseReadWindowBytes = 4096;
-
 // Record cost in u32 words: id + degree + neighbors. Shards are balanced
 // on this, which is proportional to both file bytes and scan work.
 uint64_t RecordWords(uint32_t degree) { return 2 + degree; }
+
+// Reads the kAdjacencyShardHeaderBytes-byte header of shard `index` from
+// `reader`, freshly opened on the shard file at `path`, and checks its
+// magic, version, index and global vertex count: NotSupported for another
+// version, else Corruption naming `path` on a mismatch.
+Status ReadAdjacencyShardHeader(SequentialFileReader* reader,
+                                const std::string& path, uint32_t index,
+                                uint64_t num_vertices) {
+  uint32_t magic = 0, version = 0, file_index = 0, reserved = 0;
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&magic));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&version));
+  if (magic != kShardMagic) {
+    return Status::Corruption("bad magic in '" + path +
+                              "': not an adjacency shard");
+  }
+  if (version != kVersion) {
+    return Status::NotSupported("adjacency shard version " +
+                                std::to_string(version) + " not supported");
+  }
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&file_index));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&reserved));
+  if (file_index != index) {
+    return Status::Corruption("shard index mismatch in '" + path + "'");
+  }
+  uint64_t hint_records = 0, hint_edges = 0, global_vertices = 0;
+  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_records));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_edges));
+  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&global_vertices));
+  if (global_vertices != num_vertices) {
+    return Status::Corruption("shard '" + path +
+                              "' disagrees with manifest vertex count");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -126,36 +154,6 @@ Status WriteShardedAdjacencyManifest(const std::string& path,
   }
   SEMIS_RETURN_IF_ERROR(writer.Close());
   SEMIS_RETURN_IF_ERROR(RenameFile(tmp, path));
-  return Status::OK();
-}
-
-Status ReadAdjacencyShardHeader(SequentialFileReader* reader,
-                                const std::string& path, uint32_t index,
-                                uint64_t num_vertices) {
-  uint32_t magic = 0, version = 0, file_index = 0, reserved = 0;
-  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&magic));
-  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&version));
-  if (magic != kShardMagic) {
-    return Status::Corruption("bad magic in '" + path +
-                              "': not an adjacency shard");
-  }
-  if (version != kVersion) {
-    return Status::NotSupported("adjacency shard version " +
-                                std::to_string(version) + " not supported");
-  }
-  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&file_index));
-  SEMIS_RETURN_IF_ERROR(reader->ReadU32(&reserved));
-  if (file_index != index) {
-    return Status::Corruption("shard index mismatch in '" + path + "'");
-  }
-  uint64_t hint_records = 0, hint_edges = 0, global_vertices = 0;
-  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_records));
-  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&hint_edges));
-  SEMIS_RETURN_IF_ERROR(reader->ReadU64(&global_vertices));
-  if (global_vertices != num_vertices) {
-    return Status::Corruption("shard '" + path +
-                              "' disagrees with manifest vertex count");
-  }
   return Status::OK();
 }
 
@@ -292,112 +290,45 @@ Status ShardedAdjacencyFileWriter::Finish() {
 Status AdjacencyFileScanner::OpenShard(
     const std::string& manifest_path, const ShardedAdjacencyManifest& manifest,
     uint32_t index) {
+  // An index past the manifest fails in the range open.
+  return OpenShard(manifest_path, manifest, index,
+                   index < manifest.num_shards()
+                       ? WholeShardRange(manifest.shards[index])
+                       : ShardRecordRange{});
+}
+
+Status AdjacencyFileScanner::OpenShard(
+    const std::string& manifest_path, const ShardedAdjacencyManifest& manifest,
+    uint32_t index, const ShardRecordRange& range) {
   if (index >= manifest.num_shards()) {
-    return Status::InvalidArgument("shard index out of range");
+    return Fail(Status::InvalidArgument("shard index out of range"));
   }
   path_ = ShardFilePath(manifest_path, index);
   header_ = manifest.header;
-  num_records_ = manifest.shards[index].num_records;
-  num_edges_ = manifest.shards[index].num_directed_edges;
-  records_seen_ = 0;
-  edges_seen_ = 0;
+  const ShardInfo& info = manifest.shards[index];
+  Status s = CheckEdgeTotal(info.num_directed_edges);
+  if (!s.ok()) return Fail(std::move(s));
+  if (range.first_record > range.end_record ||
+      range.end_record > info.num_records ||
+      range.end_offset > WholeShardRange(info).end_offset) {
+    return Fail(Status::InvalidArgument(
+        "records " + std::to_string(range.first_record) + ".." +
+        std::to_string(range.end_record) + " at bytes " +
+        std::to_string(range.begin_offset) + ".." +
+        std::to_string(range.end_offset) + " lie outside '" + path_ + "'"));
+  }
   decoder_.Reset(path_, header_.num_vertices, header_.max_degree);
-  SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
-  return ReadAdjacencyShardHeader(&reader_, path_, index, header_.num_vertices);
+  StartStream(range.first_record, range.end_record, range.begin_offset,
+              range.end_offset, range.end_record == info.num_records);
+  s = reader_.Open(path_);
+  if (s.ok()) {
+    s = range.first_record == 0
+            ? ReadAdjacencyShardHeader(&reader_, path_, index,
+                                       header_.num_vertices)
+            : reader_.Skip(range.begin_offset);
+  }
+  return s.ok() ? s : Fail(std::move(s));
 }
-
-AdjacencyShardRecordReader::AdjacencyShardRecordReader(IoStats* stats)
-    : stats_(stats), reader_(stats, kSparseReadWindowBytes) {}
-
-Status AdjacencyShardRecordReader::Open(
-    const std::string& manifest_path, const ShardedAdjacencyManifest& manifest,
-    uint32_t index) {
-  if (index >= manifest.num_shards()) {
-    return Status::InvalidArgument("shard index out of range");
-  }
-  path_ = ShardFilePath(manifest_path, index);
-  num_vertices_ = manifest.header.num_vertices;
-  max_degree_ = manifest.header.max_degree;
-  num_records_ = manifest.shards[index].num_records;
-  next_record_ = 0;
-  offset_ = kAdjacencyShardHeaderBytes;
-  decoder_.Reset(path_, num_vertices_, max_degree_);
-  error_ = Status::OK();
-  SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
-  error_ = ReadAdjacencyShardHeader(&reader_, path_, index, num_vertices_);
-  return error_;
-}
-
-Status AdjacencyShardRecordReader::ReadRecord(uint64_t record,
-                                              uint64_t checkpoint_record,
-                                              uint64_t checkpoint_offset,
-                                              VertexId id,
-                                              VertexRecordView* view) {
-  // The read position is only known on the success path; after a failure
-  // it is not, so the reader stays failed.
-  if (!error_.ok()) return error_;
-  error_ = ReadRecordInner(record, checkpoint_record, checkpoint_offset, id,
-                           view);
-  return error_;
-}
-
-Status AdjacencyShardRecordReader::ReadRecordInner(uint64_t record,
-                                                   uint64_t checkpoint_record,
-                                                   uint64_t checkpoint_offset,
-                                                   VertexId id,
-                                                   VertexRecordView* view) {
-  if (record >= num_records_ || checkpoint_record > record) {
-    return Status::InvalidArgument("sparse read of record " +
-                                   std::to_string(record) +
-                                   " out of range in '" + path_ + "'");
-  }
-  if (record < next_record_) {
-    return Status::InvalidArgument("sparse read of record " +
-                                   std::to_string(record) +
-                                   " moves backwards in '" + path_ + "'");
-  }
-  if (checkpoint_record > next_record_) {
-    if (checkpoint_offset < offset_) {
-      return Status::Corruption("checkpoint of record " +
-                                std::to_string(checkpoint_record) +
-                                " lies behind the read position in '" +
-                                path_ + "'");
-    }
-    SEMIS_RETURN_IF_ERROR(reader_.Skip(checkpoint_offset - offset_));
-    offset_ = checkpoint_offset;
-    next_record_ = checkpoint_record;
-  }
-  // Step over the records between the read position and the target,
-  // reading only their headers.
-  while (next_record_ < record) {
-    uint32_t got_id = 0, degree = 0;
-    SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&got_id));
-    SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&degree));
-    if (got_id >= num_vertices_) {
-      return Status::Corruption("record id out of range in '" + path_ + "'");
-    }
-    if (degree > max_degree_) {
-      return Status::Corruption(
-          "record degree exceeds header max_degree in '" + path_ + "'");
-    }
-    SEMIS_RETURN_IF_ERROR(reader_.Skip(sizeof(VertexId) * uint64_t{degree}));
-    offset_ += AdjacencyRecordBytes(degree);
-    next_record_++;
-  }
-  SEMIS_RETURN_IF_ERROR(decoder_.Decode(&reader_, view));
-  if (view->id != id) {
-    return Status::Corruption("record " + std::to_string(record) + " of '" +
-                              path_ + "' holds vertex " +
-                              std::to_string(view->id) + ", not " +
-                              std::to_string(id));
-  }
-  offset_ += AdjacencyRecordBytes(view->degree);
-  next_record_++;
-  if (stats_ != nullptr) stats_->records_decoded++;
-  return Status::OK();
-}
-
-Status AdjacencyShardRecordReader::Close() { return reader_.Close(); }
 
 ManifestOrderedShardCursor::ManifestOrderedShardCursor(IoStats* stats)
     : stats_(stats) {}

@@ -21,13 +21,14 @@
 //   u64 num_vertices  (global; record ids are global ids)
 //   then records exactly as in SADJ: u32 id  u32 degree  u32 neighbor[deg]
 //
-// Every reader is forward-only, matching the semi-external model. One
-// shard is read by AdjacencyFileScanner::OpenShard (adjacency_file.h); a
-// parallel pass hands each worker its own scanner, so shards are scanned
-// concurrently without shared reader state. A run of one shard's records
-// is read by ShardRangeReader (shard_record_locator.h), from a
-// checkpoint the record locator keeps. The whole store is read in
-// manifest order by ManifestOrderedShardCursor, on the calling thread.
+// Every reader is forward-only, matching the semi-external model, and
+// every one is AdjacencyFileScanner (adjacency_file.h): OpenShard reads
+// one shard, whole or as a ShardRecordRange, and SkipTo reads single
+// records from checkpoints the record locator keeps
+// (shard_record_locator.h). A parallel pass hands each worker its own
+// scanner, so shards are scanned concurrently without shared reader
+// state. The whole store is read in manifest order by
+// ManifestOrderedShardCursor, on the calling thread.
 #ifndef SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 
@@ -68,6 +69,31 @@ struct ShardInfo {
   uint64_t num_directed_edges = 0;
 };
 
+/// A run of consecutive records of one shard: records [first_record,
+/// end_record) of the shard (0-based) at bytes [begin_offset,
+/// end_offset) of its file. AdjacencyFileScanner::OpenShard reads one,
+/// and ShardRecordLocator::CutRanges cuts a shard into ranges that start
+/// at checkpoints.
+struct ShardRecordRange {
+  uint64_t first_record = 0;
+  uint64_t end_record = 0;
+  uint64_t begin_offset = 0;
+  uint64_t end_offset = 0;
+
+  uint64_t bytes() const { return end_offset - begin_offset; }
+};
+
+/// Every record of a shard whose manifest entry is `info`: from
+/// kAdjacencyShardHeaderBytes to the file's length, 8 B per record and
+/// 4 B per edge further on.
+inline ShardRecordRange WholeShardRange(const ShardInfo& info) {
+  return ShardRecordRange{
+      0, info.num_records, kAdjacencyShardHeaderBytes,
+      kAdjacencyShardHeaderBytes +
+          AdjacencyRecordBytes(0) * info.num_records +
+          sizeof(VertexId) * info.num_directed_edges};
+}
+
 /// Parsed manifest of a sharded adjacency file.
 struct ShardedAdjacencyManifest {
   /// Global totals and flags, identical in meaning to the monolithic
@@ -101,15 +127,6 @@ Status WriteShardedAdjacencyManifest(const std::string& path,
 /// byte-compatible with a freshly written one.
 Status WriteAdjacencyShardHeader(SequentialFileWriter* writer, uint32_t index,
                                  uint64_t num_vertices);
-
-/// Reads the kAdjacencyShardHeaderBytes-byte header of shard `index`
-/// from `reader`, freshly opened on the shard file at `path`, and checks
-/// its magic, version, index and global vertex count: NotSupported for
-/// another version, else Corruption naming `path` on a mismatch. The
-/// header check of every reader that opens a shard at its start.
-Status ReadAdjacencyShardHeader(SequentialFileReader* reader,
-                                const std::string& path, uint32_t index,
-                                uint64_t num_vertices);
 
 /// Streaming writer: records are appended in global order and rolled into
 /// the next shard when the current shard reaches its payload budget. All
@@ -183,58 +200,6 @@ Status ForEachShardRecord(const std::string& manifest_path,
     visit(rec);
   }
 }
-
-/// Sparse forward reader of one shard: decodes single records at known
-/// positions and skips what lies between them. A position is a record
-/// index within the shard, reached from a checkpoint -- the byte offset
-/// of an earlier record, as a full scan recorded it -- by stepping over
-/// the records in between, reading only their 8-byte headers. Requests
-/// must move forward through the shard. Reads go through a small fixed
-/// window rather than the 1 MB scan buffer, because the records asked
-/// for are usually far apart. The record goes through the scanner's
-/// AdjacencyRecordDecoder, and must hold the vertex asked for.
-class AdjacencyShardRecordReader {
- public:
-  /// `stats` may be null. Decoded records count in records_decoded; the
-  /// skipped bytes are not charged to bytes_read.
-  explicit AdjacencyShardRecordReader(IoStats* stats = nullptr);
-
-  /// Opens shard `index` like AdjacencyFileScanner::OpenShard (no scan
-  /// is counted).
-  Status Open(const std::string& manifest_path,
-              const ShardedAdjacencyManifest& manifest, uint32_t index);
-
-  /// Decodes record `record` (0-based within the shard), which must hold
-  /// vertex `id`: Corruption otherwise. `checkpoint_offset` is the byte
-  /// offset of record `checkpoint_record` <= `record`; the reader jumps
-  /// there only when it lies ahead of the read position. InvalidArgument
-  /// when `record` lies behind the read position. The view stays valid
-  /// until the next call. After any error the reader keeps failing until
-  /// it is reopened.
-  Status ReadRecord(uint64_t record, uint64_t checkpoint_record,
-                    uint64_t checkpoint_offset, VertexId id,
-                    VertexRecordView* view);
-
-  /// Closes the underlying file. Safe to call twice.
-  Status Close();
-
- private:
-  Status ReadRecordInner(uint64_t record, uint64_t checkpoint_record,
-                         uint64_t checkpoint_offset, VertexId id,
-                         VertexRecordView* view);
-
-  IoStats* stats_;
-  SequentialFileReader reader_;
-  std::string path_;
-  uint64_t num_vertices_ = 0;
-  uint32_t max_degree_ = 0;
-  uint64_t num_records_ = 0;
-  // The read position: index and byte offset of the next record.
-  uint64_t next_record_ = 0;
-  uint64_t offset_ = 0;
-  Status error_;
-  AdjacencyRecordDecoder decoder_;
-};
 
 /// Manifest-ordered multi-shard cursor: yields exactly the record stream
 /// of the equivalent monolithic file, reading the shards in manifest

@@ -29,8 +29,9 @@ struct IoStats {
   /// Number of external-sort merge passes executed.
   uint64_t sort_passes = 0;
   /// Records decoded: every record an AdjacencyFileScanner yields, from a
-  /// SADJ file or a shard, plus every sparse record read (one logical
-  /// pass over a graph decodes each record once).
+  /// SADJ file, a shard, a record range or a single-record read; records
+  /// SkipTo steps over are not counted (one logical pass over a graph
+  /// decodes each record once).
   uint64_t records_decoded = 0;
   /// blocks_decoded, arena_bytes and peak_buffered_bytes are set by no
   /// reader: they stay declared, and read 0, only because the end-to-end

@@ -1,14 +1,15 @@
 // Copyright (c) the semis authors.
-// The one rule for how a pass over shards uses threads: ShardWorkers
-// sizes the pass and ForEachItem runs its items. A pass with more than
-// one worker and more than one item is fork-join: it starts its extra
-// workers, the calling thread works as worker 0, and it joins them
-// before it returns, so no thread outlives its pass. Workers pull item
-// indices from a shared atomic counter, so items of uneven cost
-// (adjacency shards) balance automatically. With one worker or one item
-// the items run in order on the calling thread: the sequential reference
-// path of every algorithm built on top. Either way ForEachItem returns
-// the first error in item order, whatever the schedule.
+// The one rule for how a pass over shards or record ranges uses threads:
+// ResolveThreadCount sizes the pass and ForEachItem runs its items on at
+// most min(workers, items) workers. A pass with more than one worker and
+// more than one item is fork-join: it starts its extra workers, the
+// calling thread works as worker 0, and it joins them before it returns,
+// so no thread outlives its pass. Workers pull item indices from a
+// shared atomic counter, so items of uneven cost (adjacency shards)
+// balance automatically. With one worker or one item the items run in
+// order on the calling thread: the sequential reference path of every
+// algorithm built on top. Either way ForEachItem returns the first error
+// in item order, whatever the schedule.
 #ifndef SEMIS_UTIL_FAN_OUT_H_
 #define SEMIS_UTIL_FAN_OUT_H_
 
@@ -31,15 +32,6 @@ namespace semis {
 inline uint32_t ResolveThreadCount(uint32_t num_threads) {
   if (num_threads != 0) return num_threads;
   return std::max(1u, std::thread::hardware_concurrency());
-}
-
-/// The workers of a pass over `num_shards` shards:
-/// max(1, min(ResolveThreadCount(num_threads), num_shards)). Workers
-/// beyond the shard count add no parallelism; they only spread freed
-/// memory over more malloc arenas, which stay resident.
-inline size_t ShardWorkers(uint32_t num_threads, uint64_t num_shards) {
-  return static_cast<size_t>(std::max<uint64_t>(
-      1, std::min<uint64_t>(ResolveThreadCount(num_threads), num_shards)));
 }
 
 /// Runs `fn(item, worker)`, which returns a Status, for every item in

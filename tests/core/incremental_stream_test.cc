@@ -1574,6 +1574,48 @@ TEST_F(IncrementalStreamTest, CompactionValidatesRecordsItCopies) {
   }
 }
 
+TEST_F(IncrementalStreamTest, CompactionChecksEachRangeStartsAtItsVertex) {
+  // Compaction reads a shard as record ranges that start at the
+  // locator's checkpoints, and only the locator knows which vertex it
+  // ranks at a range's first record. Where that record holds another
+  // vertex -- its id word names the shard's first vertex, as if the
+  // checkpoint led to another record -- the compaction fails with
+  // Corruption naming the shard file, before the root flips. The cut
+  // moves with the thread count, and so does the damaged record.
+  const Graph base = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), 47);
+  const std::string mono = WriteGraphFile(&scratch_, base);
+  const BitVector initial = RandomMaximalSet(base, 48);
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const std::string root = NewPath("ranked.sadjs");
+    ASSERT_OK(ShardAdjacencyFile(mono, root, 2));
+    EnginePipelineOptions opts;
+    opts.num_threads = threads;
+    ShardedStreamingMis mis;
+    ASSERT_OK(mis.Initialize(root, initial, opts));
+    DeltaTracker delta(base);
+    ASSERT_OK(mis.ApplyBatch({delta.Toggle(10, 20)}));
+
+    const std::vector<ShardRecordRange> ranges =
+        CompactionRanges(root, 0, threads);
+    ASSERT_GE(ranges.size(), 2u);
+    const VertexId first = ReadShardRecords(root, 0).front().id;
+    const ResolvedShardStore before = mis.store();
+    const std::string shard_path = ShardFilePath(before.manifest_path, 0);
+    std::string bytes = ReadFileBytes(shard_path);
+    std::memcpy(&bytes[ranges[1].begin_offset], &first, sizeof(first));
+    WriteFileBytes(shard_path, bytes);
+
+    const Status s = mis.Compact(/*force=*/true);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("ranks elsewhere"), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.ToString().find(shard_path), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(mis.store().current_epoch, before.current_epoch);
+  }
+}
+
 TEST_F(IncrementalStreamTest, RetiredDeltaStateEqualsReplay) {
   // After a compaction the maintainer drops from its delta state only the
   // edges no other shard still holds an entry for. Its twin, on an

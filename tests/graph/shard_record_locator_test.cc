@@ -1,10 +1,11 @@
-// ShardRecordLocator, ShardFrontierReader and ShardRangeReader
+// ShardRecordLocator and ShardFrontierReader
 // (graph/shard_record_locator.h): the locator agrees with a full scan, a
 // frontier read yields exactly the records a scan yields for the ids
-// asked for, at every worker count, and the reader's forward-only and
-// identity checks hold. The locator's range cut covers every record
-// once from checkpoints, its ranges read back the scan's records, and
-// the range checks fail a misplaced or overlong range with Corruption.
+// asked for, at every worker count, and the forward-only and identity
+// checks hold. The locator's range cut covers every record once from
+// checkpoints, the scanner's range open reads the cut back as the scan's
+// records, and its end checks fail a misplaced or overlong range with
+// Corruption.
 #include "graph/shard_record_locator.h"
 
 #include <gtest/gtest.h>
@@ -64,24 +65,25 @@ class ShardRecordLocatorTest : public ScratchTest {
     }
   }
 
-  // Reads `range` of shard `shard` with a ShardRangeReader into `out`
-  // (offsets included), charging `io`.
-  Status ReadRange(const ShardRecordLocator& locator, uint32_t shard,
-                   const ShardRecordRange& range, IoStats* io,
+  // Reads `range` of shard `shard` through the scanner's range open
+  // into `out` (offsets included), charging `io`; `*edges` counts the
+  // edges read.
+  Status ReadRange(uint32_t shard, const ShardRecordRange& range, IoStats* io,
                    std::vector<ScannedRecord>* out, uint64_t* edges) {
-    ShardRangeReader reader(locator, range, io);
-    SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
+    AdjacencyFileScanner scanner(io);
+    SEMIS_RETURN_IF_ERROR(
+        scanner.OpenShard(manifest_path_, manifest_, shard, range));
     uint64_t offset = range.begin_offset;
     VertexRecordView rec;
     bool has_next = false;
     while (true) {
-      SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
+      SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
       if (!has_next) break;
       out->push_back({rec.id, {rec.begin(), rec.end()}, offset});
       offset += AdjacencyRecordBytes(rec.degree);
+      *edges += rec.degree;
     }
-    *edges = reader.edges();
-    return reader.Close();
+    return scanner.Close();
   }
 
   std::string manifest_path_;
@@ -91,9 +93,7 @@ class ShardRecordLocatorTest : public ScratchTest {
 
 // The length of shard `shard` as its manifest entry gives it.
 uint64_t ShardBytes(const ShardedAdjacencyManifest& manifest, uint32_t shard) {
-  return kAdjacencyShardHeaderBytes +
-         AdjacencyRecordBytes(0) * manifest.shards[shard].num_records +
-         sizeof(VertexId) * manifest.shards[shard].num_directed_edges;
+  return WholeShardRange(manifest.shards[shard]).end_offset;
 }
 
 TEST_F(ShardRecordLocatorTest, LocatorAgreesWithTheScan) {
@@ -122,7 +122,7 @@ TEST_F(ShardRecordLocatorTest, LocatorAgreesWithTheScan) {
                                         scanned_[2][5].id}));
 }
 
-TEST_F(ShardRecordLocatorTest, FrontierReadMatchesTheScanAtEveryPoolSize) {
+TEST_F(ShardRecordLocatorTest, FrontierReadMatchesTheScanAtEveryWorkerCount) {
   MakeStore(3);
   ShardRecordLocator locator;
   ASSERT_OK(locator.Build(manifest_path_, manifest_, nullptr));
@@ -288,7 +288,7 @@ TEST_F(ShardRecordLocatorTest, CutOfTinyAndEmptyShardsIsOneRange) {
       IoStats io;
       std::vector<ScannedRecord> got;
       uint64_t edges = 0;
-      ASSERT_OK(ReadRange(locator, k, ranges[0], &io, &got, &edges));
+      ASSERT_OK(ReadRange(k, ranges[0], &io, &got, &edges));
       EXPECT_EQ(got.size(), records);
       EXPECT_EQ(edges, manifest_.shards[k].num_directed_edges);
       EXPECT_EQ(io.bytes_read, ShardBytes(manifest_, k));
@@ -314,9 +314,7 @@ TEST_F(ShardRecordLocatorTest, RangeReadsMatchTheScan) {
       uint64_t edges = 0;
       for (const ShardRecordRange& range :
            locator.CutRanges(k, manifest_.shards[k], max_ranges)) {
-        uint64_t range_edges = 0;
-        ASSERT_OK(ReadRange(locator, k, range, &io, &got, &range_edges));
-        edges += range_edges;
+        ASSERT_OK(ReadRange(k, range, &io, &got, &edges));
       }
       ASSERT_EQ(got.size(), scanned_[k].size());
       for (size_t i = 0; i < got.size(); ++i) {
@@ -334,17 +332,20 @@ TEST_F(ShardRecordLocatorTest, RangeReadsMatchTheScan) {
 }
 
 TEST_F(ShardRecordLocatorTest, RangeChecksAreCorruption) {
+  // The scanner's end rule on a range: its records end exactly at its end
+  // offset, none runs past it, and only the shard's last range is checked
+  // for trailing bytes. Whether a range starts at the vertex the locator
+  // ranks there is compaction's check (IncrementalStreamTest).
   MakeStore(3);
   ShardRecordLocator locator;
   ASSERT_OK(locator.Build(manifest_path_, manifest_, nullptr));
   const std::vector<ScannedRecord>& shard = scanned_[1];
   const std::string path = ShardFilePath(manifest_path_, 1);
-  const auto read = [&](const ShardRecordLocator& loc,
-                        const ShardRecordRange& range) {
+  const auto read = [&](const ShardRecordRange& range) {
     IoStats io;
     std::vector<ScannedRecord> got;
     uint64_t edges = 0;
-    return ReadRange(loc, 1, range, &io, &got, &edges);
+    return ReadRange(1, range, &io, &got, &edges);
   };
   const auto expect_corruption = [&](const Status& s, const char* check) {
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
@@ -354,10 +355,11 @@ TEST_F(ShardRecordLocatorTest, RangeChecksAreCorruption) {
   const std::vector<ShardRecordRange> ranges =
       locator.CutRanges(1, manifest_.shards[1], 4);
   ASSERT_GE(ranges.size(), 3u);
-  for (const ShardRecordRange& range : ranges) ASSERT_OK(read(locator, range));
+  for (const ShardRecordRange& range : ranges) ASSERT_OK(read(range));
 
-  // A range that starts at another record than the locator ranks there:
-  // the cut of a locator whose checkpoints each name the record after.
+  // A range whose records end short of its end offset: the cut of a
+  // locator whose checkpoints each name the record after, whose first
+  // range ends one record late.
   {
     ShardRecordLocator shifted = locator;
     std::vector<uint64_t> offsets;
@@ -368,15 +370,22 @@ TEST_F(ShardRecordLocatorTest, RangeChecksAreCorruption) {
     const std::vector<ShardRecordRange> moved =
         shifted.CutRanges(1, manifest_.shards[1], 4);
     ASSERT_GE(moved.size(), 2u);
-    // The first range's records end one record short of its end.
-    expect_corruption(read(shifted, moved[0]), "end at byte");
-    expect_corruption(read(shifted, moved[1]), "ranks elsewhere");
+    expect_corruption(read(moved[0]), "end short");
   }
   // A range whose last record runs past its end offset.
   {
     ShardRecordRange short_range = ranges[1];
     short_range.end_offset -= sizeof(VertexId);
-    expect_corruption(read(locator, short_range), "runs past byte");
+    expect_corruption(read(short_range), "runs past");
+  }
+  // A range outside the shard is the caller's error.
+  {
+    ShardRecordRange past = ranges.back();
+    past.end_offset += sizeof(VertexId);
+    EXPECT_TRUE(read(past).IsInvalidArgument());
+    past = ranges.back();
+    past.end_record++;
+    EXPECT_TRUE(read(past).IsInvalidArgument());
   }
   // Bytes after the shard's last record fail its last range only.
   {
@@ -385,9 +394,9 @@ TEST_F(ShardRecordLocatorTest, RangeChecksAreCorruption) {
     ASSERT_OK(writer.AppendU32(0));
     ASSERT_OK(writer.Close());
     for (size_t i = 0; i + 1 < ranges.size(); ++i) {
-      ASSERT_OK(read(locator, ranges[i]));
+      ASSERT_OK(read(ranges[i]));
     }
-    expect_corruption(read(locator, ranges.back()), "trailing bytes");
+    expect_corruption(read(ranges.back()), "trailing bytes");
   }
 }
 

@@ -11,6 +11,7 @@
 #include "gen/generators.h"
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
+#include "graph/shard_record_locator.h"
 #include "graph/shard_store.h"
 #include "test_util.h"
 
@@ -278,20 +279,65 @@ TEST_F(ShardedAdjacencyFileTest, CursorYieldsManifestOrderAtEveryPoolSize) {
 
   ManifestOrderedShardCursor cursor;
   ASSERT_OK(cursor.Open(manifest));
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> got;
-  VertexRecordView rec;
-  bool has_next = false;
-  while (true) {
-    ASSERT_OK(cursor.Next(&rec, &has_next));
-    if (!has_next) break;
-    got.emplace_back(rec.id, std::vector<VertexId>(
-                                 rec.neighbors, rec.neighbors + rec.degree));
-  }
+  EXPECT_EQ(DrainCursor(&cursor), expected);
   ASSERT_OK(cursor.Close());
-  EXPECT_EQ(got, expected);
 }
 
-TEST_F(ShardedAdjacencyFileTest, CursorBoundedWindowAndEarlyClose) {
+TEST_F(ShardedAdjacencyFileTest, CursorMergesWorkerIoAndCountsOneScan) {
+  // The cursor's reads are charged as one scan of the store: the manifest
+  // and every shard opened once, every record decoded and every byte of
+  // the store read once.
+  Graph g = GenerateErdosRenyi(1000, 3000, 32);
+  std::string mono = WriteGraphFile(&scratch_, g);
+  std::string manifest = NewPath("sharded");
+  constexpr uint32_t kShards = 4;
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, kShards));
+  IoStats manifest_io;
+  ShardedAdjacencyManifest m;
+  ASSERT_OK(ReadShardStoreManifest(manifest, &m, &manifest_io));
+  uint64_t store_bytes = manifest_io.bytes_read;
+  for (uint32_t k = 0; k < kShards; ++k) {
+    uint64_t size = 0;
+    ASSERT_OK(GetFileSize(ShardFilePath(manifest, k), &size));
+    store_bytes += size;
+  }
+
+  IoStats io;
+  ManifestOrderedShardCursor cursor(&io);
+  ASSERT_OK(cursor.Open(manifest));
+  EXPECT_EQ(DrainCursor(&cursor).size(), g.NumVertices());
+  ASSERT_OK(cursor.Close());
+  EXPECT_EQ(io.sequential_scans, 1u);
+  EXPECT_EQ(io.files_opened, manifest_io.files_opened + kShards);
+  EXPECT_EQ(io.records_decoded, g.NumVertices());
+  EXPECT_EQ(io.bytes_read, store_bytes);
+}
+
+TEST_F(ShardedAdjacencyFileTest, CursorWithoutPoolAndRejectsDoubleOpen) {
+  // The cursor reads the shards on the calling thread: the monolithic
+  // stream, charged as one scan of the store per Open.
+  Graph g = GenerateErdosRenyi(200, 600, 33);
+  std::string mono = WriteGraphFile(&scratch_, g);
+  std::string manifest = NewPath("sharded");
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
+  const auto expected = DrainMonolithic(mono);
+  IoStats io;
+  ManifestOrderedShardCursor cursor(&io);
+  ASSERT_OK(cursor.Open(manifest));
+  EXPECT_EQ(cursor.path(), manifest);
+  EXPECT_EQ(DrainCursor(&cursor), expected);
+  EXPECT_TRUE(cursor.Open(manifest).IsInvalidArgument());
+  ASSERT_OK(cursor.Close());
+  EXPECT_EQ(io.sequential_scans, 1u);
+  // Reopened after Close; a second Open is rejected again.
+  ASSERT_OK(cursor.Open(manifest));
+  EXPECT_TRUE(cursor.Open(manifest).IsInvalidArgument());
+  EXPECT_EQ(DrainCursor(&cursor), expected);
+  ASSERT_OK(cursor.Close());
+  EXPECT_EQ(io.sequential_scans, 2u);
+}
+
+TEST_F(ShardedAdjacencyFileTest, CursorEarlyCloseEndsTheScan) {
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(4000, 2.0), 31);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
@@ -317,56 +363,6 @@ TEST_F(ShardedAdjacencyFileTest, CursorBoundedWindowAndEarlyClose) {
     ASSERT_OK(cursor.Next(&rec, &has_next));
     EXPECT_TRUE(has_next);
   }
-}
-
-TEST_F(ShardedAdjacencyFileTest, CursorMergesWorkerIoAndCountsOneScan) {
-  Graph g = GenerateErdosRenyi(1000, 3000, 32);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 4));
-  IoStats io;
-  ManifestOrderedShardCursor cursor(&io);
-  ASSERT_OK(cursor.Open(manifest));
-  VertexRecordView rec;
-  bool has_next = false;
-  while (true) {
-    ASSERT_OK(cursor.Next(&rec, &has_next));
-    if (!has_next) break;
-  }
-  ASSERT_OK(cursor.Close());
-  EXPECT_EQ(io.sequential_scans, 1u);
-  EXPECT_GE(io.files_opened, 5u);  // manifest + 4 shards
-  uint64_t manifest_size = 0, shard0_size = 0;
-  ASSERT_OK(GetFileSize(manifest, &manifest_size));
-  ASSERT_OK(GetFileSize(ShardFilePath(manifest, 0), &shard0_size));
-  EXPECT_GT(io.bytes_read, manifest_size + shard0_size);
-}
-
-TEST_F(ShardedAdjacencyFileTest, CursorWithoutPoolAndRejectsDoubleOpen) {
-  // The cursor reads the shards on the calling thread: the monolithic
-  // stream, charged as one scan of the store.
-  Graph g = GenerateErdosRenyi(200, 600, 33);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
-  IoStats io;
-  ManifestOrderedShardCursor cursor(&io);
-  ASSERT_OK(cursor.Open(manifest));
-  EXPECT_EQ(cursor.path(), manifest);
-  EXPECT_EQ(DrainCursor(&cursor), DrainMonolithic(mono));
-  EXPECT_TRUE(cursor.Open(manifest).IsInvalidArgument());
-  ASSERT_OK(cursor.Close());
-  IoStats manifest_io;
-  ShardedAdjacencyManifest m;
-  ASSERT_OK(ReadShardStoreManifest(manifest, &m, &manifest_io));
-  EXPECT_EQ(io.sequential_scans, 1u);
-  EXPECT_EQ(io.files_opened, manifest_io.files_opened + 3);  // + 3 shards
-  EXPECT_EQ(io.records_decoded, g.NumVertices());
-  // Reopened after Close; a second Open is rejected again.
-  ASSERT_OK(cursor.Open(manifest));
-  EXPECT_TRUE(cursor.Open(manifest).IsInvalidArgument());
-  EXPECT_EQ(DrainCursor(&cursor), DrainMonolithic(mono));
-  ASSERT_OK(cursor.Close());
 }
 
 // Empty shards in the MIDDLE of the manifest (the sharding writer only
@@ -476,9 +472,10 @@ std::vector<ScannedRecord> ScanShard(const std::string& manifest_path,
 }
 
 TEST_F(ShardedAdjacencyFileTest, SparseRecordReaderMatchesTheScan) {
-  // Records reached from checkpoints (every 16th offset) and by stepping
-  // over headers are the records a full scan yields, and reading them
-  // counts decodes but no scan.
+  // Single records read through the scanner's SkipTo, from checkpoints
+  // (every 16th offset) and by stepping over headers, are the records a
+  // full scan yields. Each read counts one decoded record and no scan;
+  // the skipped bytes are not charged, each stepped header is (8 B).
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), 33);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sparse");
@@ -486,33 +483,44 @@ TEST_F(ShardedAdjacencyFileTest, SparseRecordReaderMatchesTheScan) {
   ShardedAdjacencyManifest m;
   ASSERT_OK(ReadShardedAdjacencyManifest(manifest, &m));
   IoStats io;
-  uint64_t reads = 0;
+  uint64_t reads = 0, charged = 0;
   for (uint32_t k = 0; k < m.num_shards(); ++k) {
     const std::vector<ScannedRecord> scanned = ScanShard(manifest, m, k);
     ASSERT_EQ(scanned.size(), m.shards[k].num_records);
-    AdjacencyShardRecordReader reader(&io);
-    ASSERT_OK(reader.Open(manifest, m, k));
+    AdjacencyFileScanner scanner(&io, 4096);
+    ASSERT_OK(scanner.OpenShard(manifest, m, k));
+    charged += kAdjacencyShardHeaderBytes;
     // Gaps of 1..40 records: some stay inside one checkpoint block, some
     // jump several.
-    uint64_t gap = 1;
+    uint64_t gap = 1, next = 0;
     for (uint64_t i = 0; i < scanned.size(); i += gap, gap = gap % 40 + 3) {
       const uint64_t checkpoint = i / 16 * 16;
+      ASSERT_OK(scanner.SkipTo(i, checkpoint, scanned[checkpoint].offset));
       VertexRecordView view;
-      ASSERT_OK(reader.ReadRecord(i, checkpoint, scanned[checkpoint].offset,
-                                  scanned[i].id, &view));
+      bool has_next = false;
+      ASSERT_OK(scanner.Next(&view, &has_next));
+      ASSERT_TRUE(has_next);
       EXPECT_EQ(view.id, scanned[i].id);
       EXPECT_EQ(std::vector<VertexId>(view.begin(), view.end()),
                 scanned[i].neighbors)
           << "shard " << k << " record " << i;
+      charged += 8 * (i - std::max(checkpoint, next)) +
+                 AdjacencyRecordBytes(view.degree);
+      next = i + 1;
       reads++;
     }
-    ASSERT_OK(reader.Close());
+    ASSERT_OK(scanner.Close());
   }
   EXPECT_EQ(io.records_decoded, reads);
+  EXPECT_EQ(io.bytes_read, charged);
   EXPECT_EQ(io.sequential_scans, 0u);
 }
 
 TEST_F(ShardedAdjacencyFileTest, SparseRecordReaderRejectsAnotherVertex) {
+  // The locator's identity check on what SkipTo and Next read: a position
+  // holding another vertex is Corruption and leaves the scanner failed.
+  // A checkpoint behind the read position is Corruption, and reads only
+  // move forward.
   Graph g = GenerateErdosRenyi(200, 600, 34);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sparse");
@@ -520,33 +528,44 @@ TEST_F(ShardedAdjacencyFileTest, SparseRecordReaderRejectsAnotherVertex) {
   ShardedAdjacencyManifest m;
   ASSERT_OK(ReadShardedAdjacencyManifest(manifest, &m));
   const std::vector<ScannedRecord> scanned = ScanShard(manifest, m, 0);
-  ASSERT_GT(scanned.size(), 20u);
+  ASSERT_GT(scanned.size(), 40u);
+  ShardRecordLocator locator;
+  ASSERT_OK(locator.Build(manifest, m, nullptr));
 
-  // Vertex v is asked for at a position that holds another id.
-  AdjacencyShardRecordReader reader;
-  ASSERT_OK(reader.Open(manifest, m, 0));
+  // Shard 0's checkpoints each name the record after the right one, so
+  // record 20 is read where record 21 sits.
+  ShardRecordLocator shifted = locator;
+  std::vector<uint64_t> offsets;
+  for (size_t i = 0; i < scanned.size(); i += kLocatorCheckpointStride) {
+    offsets.push_back(scanned[std::min(i + 1, scanned.size() - 1)].offset);
+  }
+  shifted.ReplaceCheckpoints(0, std::move(offsets));
+  AdjacencyFileScanner scanner;
+  ASSERT_OK(scanner.OpenShard(manifest, m, 0));
   VertexRecordView view;
-  Status s = reader.ReadRecord(5, 0, scanned[0].offset, scanned[6].id, &view);
+  Status s = shifted.ReadRecord(0, scanned[20].id, &scanner, &view);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  // The position is unknown after a failure, so the reader stays failed.
-  EXPECT_TRUE(
-      reader.ReadRecord(20, 16, scanned[16].offset, scanned[20].id, &view)
-          .IsCorruption());
-  ASSERT_OK(reader.Close());
+  // The position is unknown after a failure, so the scanner stays failed.
+  EXPECT_TRUE(scanner.SkipTo(40, 32, scanned[32].offset).IsCorruption());
+  bool has_next = false;
+  EXPECT_TRUE(scanner.Next(&view, &has_next).IsCorruption());
+  ASSERT_OK(scanner.Close());
 
-  // A checkpoint offset that belongs to another record is caught too.
-  ASSERT_OK(reader.Open(manifest, m, 0));
-  s = reader.ReadRecord(17, 16, scanned[15].offset, scanned[17].id, &view);
+  // Reopened, it reads again. A checkpoint ahead of the read position in
+  // records but behind it in bytes is stale.
+  ASSERT_OK(scanner.OpenShard(manifest, m, 0));
+  ASSERT_OK(locator.ReadRecord(0, scanned[20].id, &scanner, &view));
+  EXPECT_EQ(view.id, scanned[20].id);
+  s = scanner.SkipTo(40, 32, scanned[5].offset);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  ASSERT_OK(reader.Close());
+  ASSERT_OK(scanner.Close());
 
   // Reads only move forward.
-  ASSERT_OK(reader.Open(manifest, m, 0));
-  ASSERT_OK(reader.ReadRecord(10, 0, scanned[0].offset, scanned[10].id,
-                              &view));
-  EXPECT_TRUE(reader.ReadRecord(3, 0, scanned[0].offset, scanned[3].id, &view)
+  ASSERT_OK(scanner.OpenShard(manifest, m, 0));
+  ASSERT_OK(locator.ReadRecord(0, scanned[10].id, &scanner, &view));
+  EXPECT_TRUE(locator.ReadRecord(0, scanned[3].id, &scanner, &view)
                   .IsInvalidArgument());
-  ASSERT_OK(reader.Close());
+  ASSERT_OK(scanner.Close());
 }
 
 }  // namespace

@@ -147,14 +147,13 @@ TEST(FanOutTest, ZeroWorkersOrOneItemRunOnTheCallingThread) {
 
 TEST(FanOutTest, ZeroThreadsMeansHardwareConcurrency) {
   // threads = 0 sizes a pass by the hardware, and that pass runs every
-  // item exactly once.
+  // item exactly once, on at most min(workers, items) workers.
   constexpr size_t kItems = 10;
-  const size_t workers = ShardWorkers(0, kItems);
+  const size_t workers = ResolveThreadCount(0);
   EXPECT_GE(workers, 1u);
-  EXPECT_EQ(workers, std::min<size_t>(ResolveThreadCount(0), kItems));
   std::vector<std::atomic<int>> hits(kItems);
   ASSERT_TRUE(ForEachItem(workers, kItems, [&](size_t item, size_t worker) {
-                EXPECT_LT(worker, workers);
+                EXPECT_LT(worker, std::min(workers, kItems));
                 hits[item].fetch_add(1);
                 return Status::OK();
               }).ok());
@@ -179,25 +178,6 @@ TEST(FanOutTest, ResolveThreadCountKeepsExplicitCounts) {
   const uint32_t hardware = ResolveThreadCount(0);
   EXPECT_GE(hardware, 1u);
   EXPECT_EQ(hardware, std::max(1u, std::thread::hardware_concurrency()));
-}
-
-TEST(FanOutTest, ShardWorkersSizesByTheSmallerOfThreadsAndShards) {
-  EXPECT_EQ(ShardWorkers(1, 8), 1u);
-  EXPECT_EQ(ShardWorkers(8, 1), 1u);
-  EXPECT_EQ(ShardWorkers(1, 1), 1u);
-  EXPECT_EQ(ShardWorkers(4, 0), 1u);
-  for (uint32_t threads : {2u, 3u, 8u}) {
-    for (uint64_t shards : {2u, 3u, 7u}) {
-      EXPECT_EQ(ShardWorkers(threads, shards),
-                std::min<uint64_t>(threads, shards))
-          << threads << " x " << shards;
-    }
-  }
-  // 0 threads asks for the hardware, still capped by the shards.
-  const uint64_t hardware = ResolveThreadCount(0);
-  EXPECT_EQ(ShardWorkers(0, 64), std::min<uint64_t>(hardware, 64));
-  EXPECT_EQ(ShardWorkers(0, 1), 1u);
-  EXPECT_EQ(ShardWorkers(0, 0), 1u);
 }
 
 }  // namespace

@@ -36,6 +36,12 @@ that contract, before they reach a differential test:
                        file-system access must route through the FileSystem
                        seam in io/env.h so fault injection (SEMIS_FAULT_SPEC)
                        and the retry policy see every operation.
+  raw-record-decoder   AdjacencyRecordDecoder named in code anywhere under
+                       src/ except src/graph/adjacency_file.{h,cc}.
+                       AdjacencyFileScanner is the one reader that decodes
+                       records, so every record passes its stream checks
+                       (the end byte, trailing bytes, the latched error);
+                       a reader built on the bare decoder would skip them.
 
 A finding on line N is suppressed by `// semis-lint: allow(<rule>)` on
 line N or line N-1.  Use a suppression only with a justification comment:
@@ -60,6 +66,7 @@ RULES = (
     "pointer-tiebreak",
     "raw-parallel-for",
     "raw-io",
+    "raw-record-decoder",
 )
 
 # Rules that only apply inside the deterministic core.  raw-random and
@@ -72,6 +79,9 @@ RANDOM_EXEMPT = "src/util/random.h"
 # The posix implementation of the FileSystem seam is the one place raw OS
 # calls are allowed.
 RAW_IO_EXEMPT = ("src/io/env.cc",)
+# The scanner's own files: the decoder is declared and used there only.
+RECORD_DECODER_EXEMPT = ("src/graph/adjacency_file.h",
+                         "src/graph/adjacency_file.cc")
 
 SUPPRESS_RE = re.compile(r"//\s*semis-lint:\s*allow\(([a-z-]+)\)")
 
@@ -97,6 +107,7 @@ POINTER_TIEBREAK_RE = re.compile(
 # (`std::thread::hardware_concurrency()`, `std::thread::id`) and
 # `std::this_thread` start no thread and do not match.
 RAW_PARALLEL_FOR_RE = re.compile(r"\bstd\s*::\s*j?thread\b(?!\s*::)")
+RAW_RECORD_DECODER_RE = re.compile(r"\bAdjacencyRecordDecoder\b")
 
 # Unqualified C-library / posix calls.  The lookbehind rejects member calls
 # (`f.open(`, `f->open(`), identifiers that merely end in a name
@@ -319,6 +330,13 @@ def lint_file(abs_path, rel_path):
                          raw_io_msg, findings)
         check_regex_rule(rel_path, code, "raw-io", RAW_IO_QUAL_RE,
                          raw_io_msg, findings)
+    if (is_under(rel_path, ("src",)) and
+            rel_path.replace(os.sep, "/") not in RECORD_DECODER_EXEMPT):
+        check_regex_rule(
+            rel_path, code, "raw-record-decoder", RAW_RECORD_DECODER_RE,
+            "records are decoded only by AdjacencyFileScanner "
+            "(graph/adjacency_file.h), whose stream checks every record "
+            "must pass", findings)
 
     return [f for f in findings if f.line not in allowed[f.rule]]
 

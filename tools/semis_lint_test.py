@@ -360,6 +360,46 @@ void F() { fopen("x", "r"); }
         self.assertEqual(self.rules("src/core/foo.cc"), [])
 
 
+class RawRecordDecoderTest(LintTestBase):
+    CODE = """
+#include "graph/adjacency_file.h"
+semis::Status Read(semis::SequentialFileReader* reader,
+                   semis::VertexRecordView* view) {
+  semis::AdjacencyRecordDecoder decoder;
+  return decoder.Decode(reader, view);
+}
+"""
+
+    def test_flags_a_planted_decoder_in_core(self):
+        self.write("src/core/foo.cc", self.CODE)
+        findings = self.lint("src/core/foo.cc")
+        self.assertEqual([(f.rule, f.line) for f in findings],
+                         [("raw-record-decoder", 5)])
+
+    def test_scanner_files_exempt(self):
+        for rel in ("src/graph/adjacency_file.h",
+                    "src/graph/adjacency_file.cc"):
+            self.write(rel, self.CODE)
+            self.assertEqual(self.rules(rel), [])
+
+    def test_other_graph_files_flagged(self):
+        self.write("src/graph/sharded_adjacency_file.cc", self.CODE)
+        self.assertEqual(self.rules("src/graph/sharded_adjacency_file.cc"),
+                         ["raw-record-decoder"])
+
+    def test_mention_in_a_comment_clean(self):
+        self.write("src/core/foo.h",
+                   "// Reads through AdjacencyRecordDecoder's scanner.\n")
+        self.assertEqual(self.rules("src/core/foo.h"), [])
+
+    def test_suppression_applies(self):
+        self.write("src/core/foo.cc", """
+// semis-lint: allow(raw-record-decoder) -- a fixture's decoder
+semis::AdjacencyRecordDecoder decoder;
+""")
+        self.assertEqual(self.rules("src/core/foo.cc"), [])
+
+
 class CommentAndStringStrippingTest(LintTestBase):
     def test_mentions_in_comments_and_strings_clean(self):
         self.write("src/core/foo.cc", """
