@@ -262,6 +262,10 @@ void BM_StreamApplyRepair(benchmark::State& state) {
     state.counters["records_per_pass"] =
         static_cast<double>(repair_records) /
         static_cast<double>(st.repair_passes);
+    // Frontier candidates the blocker bound kept from being read.
+    state.counters["skipped_per_pass"] =
+        static_cast<double>(st.candidates_skipped) /
+        static_cast<double>(st.repair_passes);
   }
   state.counters["set_size"] = static_cast<double>(mis->set_size());
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "graph/degree_sort.h"
@@ -45,6 +46,7 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
   n_ = manifest_.header.num_vertices;
   set_ = initial_set;
   set_size_ = set_.Count();
+  blockers_.assign(n_, 0);
   ClearDeltaState();
   pending_.assign(manifest_.num_shards(), {});
   next_sequence_ = 0;
@@ -242,6 +244,10 @@ bool ShardedStreamingMis::ApplyToState(const EdgeUpdate& update) {
   }
   if (!deleted_keys_.Insert(key)) return false;  // already deleted
   EraseDeltaEdge(update.u, update.v);
+  // Each endpoint may have counted the other; the edge may not be a base
+  // edge, but lowering a lower bound is safe.
+  if (set_.Test(update.v)) LowerBlockerBound(update.u);
+  if (set_.Test(update.u)) LowerBlockerBound(update.v);
   // A deletion can only open a maximality gap, at one of its endpoints;
   // Repair() closes it.
   AddToFrontier(update.u);
@@ -272,6 +278,9 @@ void ShardedStreamingMis::DropFrontier() {
   frontier_known_ = false;
   frontier_.clear();
   evicted_.clear();
+  // The dropped evictions were never read, so their neighbors' bounds
+  // may count them; zero is a lower bound until the full pass rebuilds.
+  std::fill(blockers_.begin(), blockers_.end(), 0);
 }
 
 Status ShardedStreamingMis::CheckUsable() const {
@@ -380,7 +389,20 @@ bool ShardedStreamingMis::TryJoin(const VertexRecordView& rec) {
   return true;
 }
 
+void ShardedStreamingMis::CountMember(const VertexRecordView& rec) {
+  for (const VertexId nb : rec) {
+    if (blockers_[nb] < std::numeric_limits<uint8_t>::max() &&
+        !deleted_keys_.Contains(EdgeKey(rec.id, nb))) {
+      blockers_[nb]++;
+    }
+  }
+}
+
 Status ShardedStreamingMis::RepairFull(uint64_t* added) {
+  // Every member is counted at its own record, whether it joins there or
+  // was in already, so a pass that completes leaves the bound exact. A
+  // retry after a failed pass starts again from zero.
+  std::fill(blockers_.begin(), blockers_.end(), 0);
   ManifestOrderedShardCursor cursor(&stats_.io);
   SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_));
   VertexRecordView rec;
@@ -389,11 +411,35 @@ Status ShardedStreamingMis::RepairFull(uint64_t* added) {
     SEMIS_RETURN_IF_ERROR(cursor.Next(&rec, &has_next));
     if (!has_next) break;
     if (TryJoin(rec)) (*added)++;
+    if (set_.Test(rec.id)) CountMember(rec);
   }
   return cursor.Close();
 }
 
 Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
+  SEMIS_RETURN_IF_ERROR(SettleEvictions());
+  if (!frontier_known_) return Status::OK();  // overflowed: full pass
+  // Re-check the frontier's non-members in manifest order. One with an
+  // inserted edge to a member, or with a positive bound, stays out
+  // without a read: the bound proves a member whose base record lists it
+  // through a live edge, which its own record lists too unless the edge
+  // is an inserted one, and the set only grows during a repair. Phase 1
+  // would read such a record only to drop it.
+  read_ids_.clear();
+  skipped_.clear();
+  for (VertexId v : frontier_) {
+    if (set_.Test(v) || HasInsertedSetNeighbor(v)) continue;
+    (blockers_[v] > 0 ? skipped_ : read_ids_).push_back(v);
+  }
+  std::sort(skipped_.begin(), skipped_.end());
+  stats_.candidates_skipped += static_cast<uint64_t>(
+      std::unique(skipped_.begin(), skipped_.end()) - skipped_.begin());
+  locator_.SortByRank(&read_ids_);
+  return CommitCandidates(added);
+}
+
+Status ShardedStreamingMis::SettleEvictions() {
+  if (evicted_.empty()) return Status::OK();
   // Expanding an eviction adds about one entry per neighbor. When that
   // alone would overflow the frontier, skip the reads and leave the work
   // to the full pass.
@@ -403,100 +449,101 @@ Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
     DropFrontier();
     return Status::OK();
   }
-  const ShardFrontierReader reader(manifest_path_, manifest_, locator_,
-                                   ResolveThreadCount(options_.num_threads));
-  if (!evicted_.empty()) {
-    SEMIS_RETURN_IF_ERROR(ExpandEvictions(reader));
-    if (!frontier_known_) return Status::OK();  // overflowed: full pass
-  }
-  // Re-check the frontier's non-members in manifest order. One with an
-  // inserted edge to a member stays out without a read: the set only
-  // grows during a repair.
-  std::vector<VertexId> candidates;
-  candidates.reserve(frontier_.size());
-  for (VertexId v : frontier_) {
-    if (!set_.Test(v) && !HasInsertedSetNeighbor(v)) candidates.push_back(v);
-  }
-  locator_.SortByRank(&candidates);
-  return CommitCandidates(reader, candidates, added);
+  return ExpandEvictions();
 }
 
-Status ShardedStreamingMis::ExpandEvictions(const ShardFrontierReader& reader) {
+void ShardedStreamingMis::ClearShardScratch() {
+  shard_words_.resize(manifest_.num_shards());
+  shard_blocked_.resize(manifest_.num_shards());
+  for (std::vector<VertexId>& words : shard_words_) words.clear();
+  for (auto& blocked : shard_blocked_) blocked.clear();
+}
+
+Status ShardedStreamingMis::ExpandEvictions() {
   // An evicted vertex's neighbors may have lost their only set neighbor:
-  // read its record and collect its base and inserted neighbors, one
-  // list per shard, in rank order. Nothing shared is written until every
-  // read succeeded.
-  std::vector<VertexId> evicted = evicted_;
-  locator_.SortByRank(&evicted);
+  // read its record and collect its base neighbors, one list per shard,
+  // in rank order. Nothing shared is written until every read succeeded.
+  read_ids_.assign(evicted_.begin(), evicted_.end());
+  locator_.SortByRank(&read_ids_);
+  ClearShardScratch();
   // Feeding more than `room` ids overflows the frontier, whatever else
   // is read. A visitor that sees more collected stops collecting; that
   // bounds the lists and leaves the overflow as certain as before.
   const uint64_t limit = FrontierLimit();
   const uint64_t room = limit > frontier_.size() ? limit - frontier_.size() : 0;
   std::atomic<uint64_t> collected{0};
-  std::vector<std::vector<VertexId>> freed(manifest_.num_shards());
+  const ShardFrontierReader reader(manifest_path_, manifest_, locator_,
+                                   ResolveThreadCount(options_.num_threads));
   SEMIS_RETURN_IF_ERROR(reader.Read(
-      evicted, &stats_.io, [&](uint32_t shard, const VertexRecordView& rec) {
+      read_ids_, &stats_.io, [&](uint32_t shard, const VertexRecordView& rec) {
         if (collected > room) return;
-        std::vector<VertexId>& out = freed[shard];
-        const size_t before = out.size();
-        out.insert(out.end(), rec.neighbors, rec.neighbors + rec.degree);
-        for (uint32_t node = inserted_head_[rec.id]; node != kNoNode;
-             node = inserted_pool_[node].next) {
-          out.push_back(inserted_pool_[node].neighbor);
-        }
-        collected += out.size() - before;
+        shard_words_[shard].insert(shard_words_[shard].end(), rec.begin(),
+                                   rec.end());
+        collected += rec.degree;
       }));
-  size_t bytes = evicted.capacity() * sizeof(VertexId);
-  for (const std::vector<VertexId>& ids : freed) {
-    bytes += ids.capacity() * sizeof(VertexId);
-  }
-  AccountTransientMemory(bytes);
-  // Fed in shard order, the ids arrive in the evictions' rank order, and
-  // whether the frontier overflows depends only on their count. From
-  // here the evictions are accounted for, so a retry after a later
-  // failure does not read them again.
+  // From here the evictions are accounted for, so a retry after a later
+  // failure does not read them again. Each base neighbor may have counted
+  // the evicted vertex, so its bound drops; the base and inserted
+  // neighbors enter the frontier. Whether it overflows depends only on
+  // how many ids are fed, not on their order.
   evicted_.clear();
-  for (const std::vector<VertexId>& ids : freed) {
-    for (VertexId v : ids) AddToFrontier(v);
+  for (const std::vector<VertexId>& ids : shard_words_) {
+    for (VertexId v : ids) {
+      LowerBlockerBound(v);
+      AddToFrontier(v);
+    }
+  }
+  for (VertexId w : read_ids_) {
+    for (uint32_t node = inserted_head_[w]; node != kNoNode;
+         node = inserted_pool_[node].next) {
+      AddToFrontier(inserted_pool_[node].neighbor);
+    }
   }
   return Status::OK();
 }
 
-Status ShardedStreamingMis::CommitCandidates(
-    const ShardFrontierReader& reader, const std::vector<VertexId>& candidates,
-    uint64_t* added) {
+Status ShardedStreamingMis::CommitCandidates(uint64_t* added) {
   // Phase 1, read-only, through the reader (on forked workers above
   // one). The set only grows during a repair, so a candidate with a live
-  // set neighbor now stays out, and phase 1 drops it. A survivor can be
-  // blocked later only by a candidate that joins before its turn, so it
-  // keeps its record, per shard in rank order, as the words
-  // [id, degree, neighbors...]. Nothing is committed until every read
-  // succeeded, so a failed read changes nothing.
-  std::vector<std::vector<VertexId>> survivors(manifest_.num_shards());
+  // set neighbor now stays out, and phase 1 drops it, noting how many it
+  // has. A survivor can be blocked later only by a candidate that joins
+  // before its turn, so it keeps its record, per shard in rank order, as
+  // the words [id, degree, neighbors...]. Nothing is committed until
+  // every read succeeded, so a failed read changes nothing.
+  ClearShardScratch();
+  const ShardFrontierReader reader(manifest_path_, manifest_, locator_,
+                                   ResolveThreadCount(options_.num_threads));
   SEMIS_RETURN_IF_ERROR(reader.Read(
-      candidates, &stats_.io, [&](uint32_t shard, const VertexRecordView& rec) {
+      read_ids_, &stats_.io, [&](uint32_t shard, const VertexRecordView& rec) {
+        uint8_t blockers = 0;
         for (const VertexId nb : rec) {
-          if (set_.Test(nb) && !deleted_keys_.Contains(EdgeKey(rec.id, nb))) {
-            return;
+          if (set_.Test(nb) && !deleted_keys_.Contains(EdgeKey(rec.id, nb)) &&
+              ++blockers == std::numeric_limits<uint8_t>::max()) {
+            break;
           }
         }
-        std::vector<VertexId>& out = survivors[shard];
+        if (blockers > 0) {
+          shard_blocked_[shard].emplace_back(rec.id, blockers);
+          return;
+        }
+        std::vector<VertexId>& out = shard_words_[shard];
         out.push_back(rec.id);
         out.push_back(rec.degree);
         out.insert(out.end(), rec.begin(), rec.end());
       }));
-  size_t bytes = candidates.capacity() * sizeof(VertexId);
-  for (const std::vector<VertexId>& words : survivors) {
-    bytes += words.capacity() * sizeof(VertexId);
+  // A dropped candidate's bound was 0 and is now its count at the start
+  // of the pass, which phase 2's joins only add to.
+  for (const auto& blocked : shard_blocked_) {
+    for (const auto& [v, count] : blocked) blockers_[v] = count;
   }
-  AccountTransientMemory(bytes);
   // Phase 2, on this thread, in rank order: TryJoin on each survivor's
   // record, at the same point of the same sequence as the full pass.
-  for (const std::vector<VertexId>& words : survivors) {
+  for (const std::vector<VertexId>& words : shard_words_) {
     for (size_t at = 0; at < words.size(); at += 2 + words[at + 1]) {
-      if (TryJoin(VertexRecordView{words[at], words[at + 1],
-                                   words.data() + at + 2})) {
+      const VertexRecordView rec{words[at], words[at + 1],
+                                 words.data() + at + 2};
+      if (TryJoin(rec)) {
+        CountMember(rec);
         (*added)++;
       }
     }
@@ -853,6 +900,11 @@ Status ShardedStreamingMis::Compact(bool force) {
     }
   }
   if (saturated.empty()) return Status::OK();
+  // A pending eviction lowers its neighbors' bounds when its record is
+  // read. The rewrite may fold away an edge the evicted vertex had when
+  // it was counted, so its record is read now, from the base it was
+  // evicted from, as the next repair would.
+  SEMIS_RETURN_IF_ERROR(SettleEvictions());
 
   // Stage the whole next epoch under its own names, then commit by
   // flipping the root pointer. Until PublishEpoch flips it, nothing here
@@ -1072,10 +1124,18 @@ size_t ShardedStreamingMis::CurrentMemoryBytes() const {
                  deleted_keys_.MemoryBytes() +
                  inserted_head_.capacity() * sizeof(uint32_t) +
                  inserted_pool_.capacity() * sizeof(InsertedNode) +
-                 (frontier_.capacity() + evicted_.capacity()) *
+                 blockers_.capacity() +
+                 (frontier_.capacity() + evicted_.capacity() +
+                  read_ids_.capacity() + skipped_.capacity()) *
                      sizeof(VertexId);
   for (const auto& shard_entries : pending_) {
     bytes += shard_entries.capacity() * sizeof(EdgeDeltaEntry);
+  }
+  for (const std::vector<VertexId>& words : shard_words_) {
+    bytes += words.capacity() * sizeof(VertexId);
+  }
+  for (const auto& blocked : shard_blocked_) {
+    bytes += blocked.capacity() * sizeof(blocked[0]);
   }
   return bytes;
 }

@@ -27,12 +27,16 @@
 // reading their records through graph/shard_record_locator.h's frontier
 // reader, one forward reader per shard. Every vertex outside the
 // frontier still has a set neighbor and the set only grows during a
-// repair, so the result equals the full pass's. The frontier pass runs
-// in two phases at every thread count: the frontier reader (on the
-// repair's forked workers above one) reads the records and drops every
-// candidate that the set at the start of the pass already blocks, then
-// the calling thread commits the survivors in manifest order with the
-// same rule. A failed read therefore commits nothing.
+// repair, so the result equals the full pass's. A candidate whose
+// blocker bound (one byte per vertex: a lower bound on its set neighbors
+// through live base edges, kept by every state change the maintainer
+// sees) is positive stays out without a read. The frontier pass runs in
+// two phases at every thread count: the frontier reader (on the repair's
+// forked workers above one) reads the other candidates' records and
+// drops every one that the set at the start of the pass already blocks,
+// then the calling thread sets the dropped candidates' bounds to their
+// counts and commits the survivors in manifest order with the same rule.
+// A failed read therefore commits nothing and writes no bound.
 //
 //   the repaired set is byte-identical for EVERY shard/thread count, and
 //   equal to sequential IncrementalMis::Repair on the equivalent
@@ -131,6 +135,9 @@ struct StreamingMisStats {
   /// The subset of repair_passes that scanned every record; the rest
   /// read only their frontier.
   uint64_t full_repair_passes = 0;
+  /// Frontier candidates a repair did not read because their blocker
+  /// bound proved a set neighbor (ShardedStreamingMis::blocker_bound).
+  uint64_t candidates_skipped = 0;
   /// Compact() passes that rewrote at least one shard, and shards
   /// rewritten in total.
   uint64_t compactions = 0;
@@ -151,8 +158,9 @@ struct StreamingMisStats {
   /// I/O of the whole session (routing, repair scans, compaction).
   IoStats io;
   /// Peak logical bytes of the maintainer's in-memory structures,
-  /// including the frontier repair's read buffers, a compaction's output
-  /// buffer and fold list, and a re-sort's sort memory.
+  /// including the blocker bound (a byte per vertex), the frontier
+  /// repair's scratch, a compaction's output buffer and fold list, and a
+  /// re-sort's sort memory.
   size_t peak_memory_bytes = 0;
   /// Wall-clock seconds by stage.
   double apply_seconds = 0.0;
@@ -191,7 +199,9 @@ inline constexpr size_t kCompactRangesPerWorker = 4;
 /// one concurrent caller and serializes them); the internal parallelism
 /// of Repair and Compact hands each worker a private slice and merges
 /// after the workers are joined, which is the happens-before edge.
-/// Repair's workers only read the set and the delta state; a
+/// Repair's workers only read the set, the delta state and the locator,
+/// and write only their shard's scratch lists; the calling thread applies
+/// what phase 1 found to the blocker bound after the join. A
 /// compaction's workers read the locator and write only their range's
 /// folds, output slot and checkpoints. See docs/architecture.md ("Static
 /// analysis") for the conventions.
@@ -244,11 +254,14 @@ class ShardedStreamingMis {
   /// Restores maximality (see the file comment for the determinism
   /// contract). A full merged pass over base shards + delta when the
   /// frontier is unknown (the first repair of a session) or too large;
-  /// otherwise a pass over the frontier's records only, with no scan.
+  /// it also rebuilds the blocker bound, exact from then on. Otherwise a
+  /// pass over the frontier's records only, with no scan: it reads the
+  /// pending evictions' records, then the candidates whose bound is 0.
   /// The frontier is cleared only when the repair succeeds, so a failed
   /// repair can be retried, and a failed frontier repair leaves the set
-  /// as it was. InvalidArgument before Initialize and on a wedged
-  /// maintainer, like every mutating call.
+  /// as it was, with every bound still at or below its count.
+  /// InvalidArgument before Initialize and on a wedged maintainer, like
+  /// every mutating call.
   Status Repair();
 
   /// Rewrites every saturated shard (every shard with a non-empty log
@@ -266,9 +279,13 @@ class ShardedStreamingMis {
   /// compaction's transient memory. Every record read is validated, also
   /// the ones copied unchanged, and so is each range's place in the
   /// shard, so a corrupt base fails with Corruption naming the shard file
-  /// before the flip. A failure before the root flip leaves both the
-  /// store and the maintainer untouched (the staged files are orphans for
-  /// GC); only a failure in the flip itself wedges.
+  /// before the flip. When there is a shard to rewrite, the pending
+  /// evictions are expanded first, as a frontier repair would: their
+  /// records are read from the base they were evicted from, which the
+  /// rewrite may change, and their neighbors' bounds drop. A failure
+  /// before the root flip leaves the store and the set untouched (the
+  /// staged files are orphans for GC; an expansion that succeeded stays
+  /// done); only a failure in the flip itself wedges.
   Status Compact(bool force = false);
 
   /// Restores the global (degree, id) record order after degree-changing
@@ -292,6 +309,14 @@ class ShardedStreamingMis {
 
   /// Session statistics so far.
   const StreamingMisStats& stats() const { return stats_; }
+
+  /// The blocker bound of `v`: at most the number of members whose base
+  /// record lists `v` through an edge no delete masks, saturating at 255
+  /// (docs/formats.md, "The blocker bound"). Until a repair or compaction
+  /// reads an evicted vertex's record, the bound may still count it.
+  /// Exact after a full repair; 0 everywhere while the frontier is
+  /// unknown.
+  uint8_t blocker_bound(VertexId v) const { return blockers_[v]; }
 
   /// The SADJS manifest as of the last Initialize/Compact/Resort.
   const ShardedAdjacencyManifest& manifest() const { return manifest_; }
@@ -342,24 +367,36 @@ class ShardedStreamingMis {
   // The Repair commit rule for one base record: a non-member with no
   // live set neighbor joins. Returns true when `rec.id` joined.
   bool TryJoin(const VertexRecordView& rec);
+  // Adds member `rec.id` to the bound of every neighbor its base record
+  // lists through a live edge.
+  void CountMember(const VertexRecordView& rec);
+  void LowerBlockerBound(VertexId v) {
+    if (blockers_[v] > 0) blockers_[v]--;
+  }
   // The full pass: the commit rule over every record, strictly in
-  // manifest order.
+  // manifest order, rebuilding the bound from zero.
   Status RepairFull(uint64_t* added);
   // The frontier pass; drops the frontier (leaving the work to the full
   // pass) when expanding the evictions overflows it.
   Status RepairFrontier(uint64_t* added);
-  // Reads the evicted vertices' records and moves their neighbors into
-  // the frontier. A failed read leaves the evictions pending.
-  Status ExpandEvictions(const ShardFrontierReader& reader);
-  // The two-phase commit of `candidates` (sorted by rank): the reader's
-  // items drop the candidates the current set blocks, this thread runs
-  // TryJoin on the rest in rank order. A failed read changes nothing.
-  Status CommitCandidates(const ShardFrontierReader& reader,
-                          const std::vector<VertexId>& candidates,
-                          uint64_t* added);
+  // Expands the pending evictions, or drops the frontier when their
+  // neighbors alone would overflow it.
+  Status SettleEvictions();
+  // Reads the evicted vertices' records, lowers their base neighbors'
+  // bounds and moves their neighbors into the frontier. A failed read
+  // leaves the evictions pending and writes nothing.
+  Status ExpandEvictions();
+  // The two-phase commit of the candidates in read_ids_ (sorted by
+  // rank): the reader's items drop the candidates the current set
+  // blocks, this thread sets their bounds and runs TryJoin on the rest in
+  // rank order. A failed read changes nothing.
+  Status CommitCandidates(uint64_t* added);
+  // Empties the per-shard scratch lists, keeping their capacity.
+  void ClearShardScratch();
   // Frontier bookkeeping (no-ops while the frontier is unknown).
   void AddToFrontier(VertexId v);
   void NoteEviction(VertexId v);
+  // Forgets the frontier and zeroes the bound until the next full pass.
   void DropFrontier();
   uint64_t FrontierLimit() const;
   // Writes shard `shard` with its pending entries folded in to
@@ -427,6 +464,22 @@ class ShardedStreamingMis {
   bool frontier_known_ = false;
   std::vector<VertexId> frontier_;
   std::vector<VertexId> evicted_;
+  // The blocker bound, one byte per vertex (see blocker_bound()). A
+  // delete lowers it, a join raises it, an eviction lowers it once its
+  // record is read, and phase 1 sets a blocked candidate's to its count.
+  // So a frontier candidate with a positive bound has a set neighbor
+  // phase 1 would find (or an inserted one), and is not read.
+  std::vector<uint8_t> blockers_;
+  // Scratch of the frontier pass, kept across repairs so that a batch
+  // allocates nothing once it has grown: the ids one frontier read takes
+  // (the evictions, then the candidates) in rank order; the candidates
+  // the bound skips; and per shard what the read collects (the evicted
+  // records' base neighbors, then the survivors' records as [id, degree,
+  // neighbors...]) and the blocked candidates with their counts.
+  std::vector<VertexId> read_ids_;
+  std::vector<VertexId> skipped_;
+  std::vector<std::vector<VertexId>> shard_words_;
+  std::vector<std::vector<std::pair<VertexId, uint8_t>>> shard_blocked_;
   // Pending (uncompacted) entries per shard, in sequence order -- the
   // in-memory mirror of the on-disk logs.
   std::vector<std::vector<EdgeDeltaEntry>> pending_;

@@ -206,8 +206,11 @@ Status AdjacencyFileScanner::End(bool* has_next) {
                                    Where()));
   }
   if (ends_file_ && !reader_.AtEof()) {
-    return Fail(Status::Corruption("trailing bytes after the last of " +
-                                   Where()));
+    // AtEof is also false when its peek latched a read error.
+    const Status& read = reader_.latched_error();
+    return Fail(read.ok() ? Status::Corruption(
+                                "trailing bytes after the last of " + Where())
+                          : read);
   }
   *has_next = false;
   return Status::OK();

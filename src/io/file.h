@@ -156,6 +156,10 @@ class SequentialFileReader {
   /// be mistaken for clean truncation.
   bool AtEof();
 
+  /// The read error a failed fill or skip latched, or OK. It stays
+  /// latched until Close reports it.
+  const Status& latched_error() const { return pending_error_; }
+
   /// Closes the file. Safe to call twice. Reports a read error latched
   /// by an earlier fill (see AtEof()) if one is still pending.
   Status Close();

@@ -474,6 +474,45 @@ expect_edge_total_error sort "$work/inflated.adj" "$work/inflated_sorted.sadj"
 expect_edge_total_error shard "$work/inflated.adj" \
     "$work/inflated_split.sadjs" --shards 2
 
+# --- a read error at a stream's end is an I/O error --------------------------
+# Each range a compaction reads has a buffer of exactly its bytes, so the
+# shard's last range learns that the file ends only from one more read,
+# in the scanner's end check. A fault there must fail `update` with that
+# I/O error and degrade the engine with it, as a fault at any other read
+# of the shard does. The sweep faults every read of the original shard
+# file in turn; the last one is that end check.
+"$CLI" generate --vertices 3000 --avg-degree 5 --seed 9 \
+    --out "$work/eof.adj" >/dev/null
+"$CLI" sort "$work/eof.adj" "$work/eof.sadj" >/dev/null
+"$CLI" shard "$work/eof.sadj" "$work/eof.sadjs" --shards 1 >/dev/null
+printf '+ 0 1\n+ 2 3\n+ 4 5\n+ 6 7\n' > "$work/eof_updates.txt"
+last_read=0
+for n in $(seq 1 200); do
+  run="$work/eof_run"
+  rm -rf "$run"
+  mkdir "$run"
+  cp "$work/eof.sadjs" "$run/s.sadjs"
+  cp "$work/eof.sadjs.shard0" "$run/s.sadjs.shard0"
+  rc=0
+  SEMIS_FAULT_SPEC="read:$n:EIO@s.sadjs.shard0" "$CLI" update "$run/s.sadjs" \
+      --stream "$work/eof_updates.txt" --batch 4 --threads 1 --compact \
+      >/dev/null 2>"$work/eof_$n.err" || rc=$?
+  if ! grep -q "SEMIS_FAULT_INJECTED" "$work/eof_$n.err"; then
+    [ "$rc" -eq 0 ] || fail "update exited $rc with read $n never faulted"
+    break
+  fi
+  [ "$rc" -eq 1 ] || fail "update with read $n faulted exited $rc, want 1"
+  grep -q "error: IOError" "$work/eof_$n.err" \
+      || fail "read $n faulted without an IOError: $(cat "$work/eof_$n.err")"
+  grep -q "Corruption" "$work/eof_$n.err" \
+      && fail "read $n faulted as a Corruption: $(cat "$work/eof_$n.err")"
+  last_read="$n"
+done
+[ "$last_read" -gt 1 ] || fail "the end-check sweep faulted no shard read"
+grep -q "note: engine degraded to read-only.*IOError" \
+    "$work/eof_$last_read.err" \
+    || fail "the end check's fault did not degrade the engine with its IOError"
+
 # --- memory figures that repeat ----------------------------------------------
 # The greedy and the full repair scan on the calling thread at every
 # thread count, so what they charge depends on the store alone: three

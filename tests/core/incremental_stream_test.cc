@@ -19,7 +19,11 @@
 //   * after a session's first (full) repair, a repair reads only the
 //     frontier a batch can free, with no scan, and still gives the full
 //     pass's set -- also across re-sorts, and when retried after a read
-//     fault.
+//     fault;
+//   * no vertex's blocker bound exceeds the number of members whose base
+//     record lists it through a live edge (counting evicted vertices
+//     whose records nobody has read yet), after every call and after a
+//     failed repair, and a full pass makes the two equal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -183,9 +187,67 @@ std::string UnshardStore(ScratchDir* scratch, const std::string& root) {
   return path;
 }
 
+// For every vertex of the store at `root`, how many members of `set`
+// list it in their base record through an edge of `effective` (a live
+// edge), plus one for each listing in the record of a `pending` vertex:
+// an evicted vertex whose record no repair or compaction has read yet
+// may still be counted.
+std::vector<uint32_t> ListingMembers(const std::string& root,
+                                     const BitVector& set,
+                                     const Graph& effective,
+                                     const std::vector<VertexId>& pending) {
+  std::vector<uint32_t> count(set.size(), 0);
+  const std::set<VertexId> evicted(pending.begin(), pending.end());
+  ManifestOrderedShardCursor cursor;
+  EXPECT_OK(cursor.Open(root));
+  VertexRecordView rec;
+  bool has_next = false;
+  while (true) {
+    EXPECT_OK(cursor.Next(&rec, &has_next));
+    if (!has_next) break;
+    const bool member = set.Test(rec.id);
+    const bool unread = evicted.count(rec.id) > 0;
+    for (const VertexId nb : rec) {
+      if (unread || (member && effective.HasEdge(rec.id, nb))) count[nb]++;
+    }
+  }
+  return count;
+}
+
+// Checks every vertex's blocker bound against ListingMembers, capped at
+// the bound's 255: never above it, and equal when `exact` (right after a
+// full pass).
+void ExpectBoundHolds(const ShardedStreamingMis& mis, const std::string& root,
+                      const Graph& effective,
+                      const std::vector<VertexId>& pending, bool exact,
+                      const std::string& where) {
+  const std::vector<uint32_t> count =
+      ListingMembers(root, mis.set(), effective, pending);
+  for (VertexId v = 0; v < count.size(); ++v) {
+    const uint32_t cap = std::min<uint32_t>(count[v], 255);
+    if (exact) {
+      ASSERT_EQ(mis.blocker_bound(v), cap) << where << ", vertex " << v;
+    } else {
+      ASSERT_LE(mis.blocker_bound(v), cap) << where << ", vertex " << v;
+    }
+  }
+}
+
+// The members of `before` that `after` lost: a batch's evictions.
+std::vector<VertexId> LeftTheSet(const std::vector<VertexId>& before,
+                                 const BitVector& after) {
+  std::vector<VertexId> left;
+  for (VertexId v : before) {
+    if (!after.Test(v)) left.push_back(v);
+  }
+  return left;
+}
+
 // Drives a seeded random update stream over `base` through a sequential
-// IncrementalMis and the full shard/thread matrix, checking equality and
-// the independence/maximality invariants after every batch + repair.
+// IncrementalMis and the full shard/thread matrix, checking equality, the
+// independence/maximality invariants and the blocker bound after every
+// batch + repair, and the bound again after a closing compaction and
+// re-sort.
 // With `auto_resort`, a re-sort moves records, and the order the repair
 // rule commits in moves with them. Each instance then checks against
 // its own IncrementalMis, rebound after every re-sort to an unsharded
@@ -245,7 +307,16 @@ void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
     const std::vector<VertexId> expected = SetToVector(reference.set());
     Graph updated = ApplyDelta(base, inserted, deleted);
     for (Instance& inst : instances) {
+      const std::string where = inst.manifest + " step " + std::to_string(step);
+      const std::vector<VertexId> members = SetToVector(inst.mis.set());
+      const uint64_t compactions = inst.mis.stats().compactions;
       ASSERT_OK(inst.mis.ApplyBatch(batch_updates));
+      // The batch's evictions stay unread unless it compacted.
+      ExpectBoundHolds(inst.mis, inst.manifest, updated,
+                       inst.mis.stats().compactions == compactions
+                           ? LeftTheSet(members, inst.mis.set())
+                           : std::vector<VertexId>{},
+                       /*exact=*/false, where + " apply");
       if (auto_resort) {
         for (const EdgeUpdate& up : batch_updates) {
           ASSERT_OK(up.op == EdgeDeltaOp::kInsert
@@ -266,7 +337,12 @@ void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
           << "seed " << seed << " step " << step << " manifest "
           << inst.manifest << " edge " << pre.witness_u << "-"
           << pre.witness_v;
+      const uint64_t full_passes = inst.mis.stats().full_repair_passes;
       ASSERT_OK(inst.mis.Repair());
+      ExpectBoundHolds(
+          inst.mis, inst.manifest, updated, {},
+          /*exact=*/inst.mis.stats().full_repair_passes != full_passes,
+          where + " repair");
       // Byte-identical to the sequential monolithic reference -- which
       // also proves every shard/thread combination identical to every
       // other.
@@ -305,7 +381,25 @@ void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
           << inst.manifest;
       EXPECT_TRUE(StoreFileBytes(inst.manifest, inst.mis) == want)
           << inst.manifest << " differs from " << one.manifest;
+      // So are the reads, and the candidates the bound skipped.
+      EXPECT_EQ(inst.mis.stats().io.records_decoded,
+                one.mis.stats().io.records_decoded)
+          << inst.manifest;
+      EXPECT_EQ(inst.mis.stats().candidates_skipped,
+                one.mis.stats().candidates_skipped)
+          << inst.manifest;
     }
+  }
+  // Folding the delta in and re-sorting the records leave the bound
+  // below its count.
+  const Graph final_graph = ApplyDelta(base, inserted, deleted);
+  for (Instance& inst : instances) {
+    ASSERT_OK(inst.mis.Compact(/*force=*/true));
+    ExpectBoundHolds(inst.mis, inst.manifest, final_graph, {},
+                     /*exact=*/false, inst.manifest + " compact");
+    ASSERT_OK(inst.mis.Resort());
+    ExpectBoundHolds(inst.mis, inst.manifest, final_graph, {},
+                     /*exact=*/false, inst.manifest + " resort");
   }
 }
 
@@ -1095,7 +1189,8 @@ TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {
   // The fault lands early (while the evictions' records are read) and
   // late (while the candidates' records are read), each on a fresh twin.
   // At every thread count the reads finish before anything is committed,
-  // so a failed repair leaves the set as it was.
+  // so a failed repair leaves the set as it was and no bound above its
+  // count.
   const FrontierFixture f = MakeFrontierFixture(&scratch_, 8000, 81);
   for (uint32_t threads : {1u, 4u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
@@ -1108,7 +1203,15 @@ TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {
     ASSERT_OK(clean.Repair());
     const std::vector<EdgeUpdate> batch =
         SmallFrontierBatch(f.graph, clean.set(), 24, 82);
+    std::set<Edge> inserted, deleted;
+    for (const EdgeUpdate& up : batch) {
+      const Edge e{std::min(up.u, up.v), std::max(up.u, up.v)};
+      (up.op == EdgeDeltaOp::kInsert ? inserted : deleted).insert(e);
+    }
+    const Graph effective = ApplyDelta(f.graph, inserted, deleted);
+    const std::vector<VertexId> members = SetToVector(clean.set());
     ASSERT_OK(clean.ApplyBatch(batch));
+    const std::vector<VertexId> evicted = LeftTheSet(members, clean.set());
     const uint64_t added_before = clean.stats().repair_added;
 
     // Count the shard reads of a clean frontier repair (the spec's index
@@ -1130,10 +1233,9 @@ TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {
     for (uint64_t nth : {uint64_t{2}, shard_reads - 1}) {
       SCOPED_TRACE("fault at shard read " + std::to_string(nth));
       ShardedStreamingMis faulted;
-      ASSERT_OK(faulted.Initialize(
-          ShardCopy(&scratch_, f.mono,
-                    "faulted" + tag + "_" + std::to_string(nth)),
-          f.initial, opts));
+      const std::string store = ShardCopy(
+          &scratch_, f.mono, "faulted" + tag + "_" + std::to_string(nth));
+      ASSERT_OK(faulted.Initialize(store, f.initial, opts));
       ASSERT_OK(faulted.Repair());
       ASSERT_OK(faulted.ApplyBatch(batch));
       const std::vector<VertexId> before = SetToVector(faulted.set());
@@ -1151,6 +1253,12 @@ TEST_F(IncrementalStreamTest, RepairRetryAfterReadFault) {
       if (SetToVector(faulted.set()) != SetToVector(clean.set())) {
         stopped_short++;
       }
+      // The early fault fails the expansion, whose evictions stay
+      // unread; the late one fails phase 1 after the expansion lowered
+      // their neighbors' bounds.
+      ExpectBoundHolds(faulted, store, effective,
+                       nth == 2 ? evicted : std::vector<VertexId>{},
+                       /*exact=*/false, "after the failed repair");
       // The fault was transient: the retry reads the frontier again.
       ASSERT_OK(faulted.Repair());
       EXPECT_EQ(faulted.stats().full_repair_passes, 1u);
@@ -1222,6 +1330,116 @@ TEST_F(IncrementalStreamTest, AdjacentFreedVerticesOnlyLowerRankJoins) {
 
 TEST_F(IncrementalStreamTest, FreedVerticesJoinedByInsertOnlyLowerRankJoins) {
   RunTwoFreedNeighbors(&scratch_, /*inserted_blocker=*/true);
+}
+
+// Member w = 1 covers x = 2 alone; 0 is an isolated member. One batch
+// inserts (0, 1), which evicts w, and deletes (1, 2), which w no longer
+// counts at, and a compaction folds the delete before the repair: x's
+// bound counted w, and only w's record as it was evicted still lists x.
+// Padding pairs give the shards several records each.
+void RunCompactionBeforeExpansion(ScratchDir* scratch, bool auto_compact) {
+  constexpr VertexId kN = 40;
+  std::vector<Edge> edges = {{1, 2}};
+  for (VertexId x = 4; x + 1 < kN; x += 2) edges.emplace_back(x, x + 1);
+  const Graph g = Graph::FromEdges(kN, std::move(edges));
+  const std::string mono = WriteGraphFile(scratch, g);
+  BitVector initial(kN);
+  for (VertexId x = 0; x < kN; ++x) {
+    if (x != 2 && (x < 4 || x % 2 == 0)) initial.Set(x);
+  }
+  const std::vector<EdgeUpdate> batch = {EdgeUpdate::Insert(0, 1),
+                                         EdgeUpdate::Delete(1, 2)};
+  IncrementalMis reference;
+  ASSERT_OK(reference.Initialize(mono, initial));
+  ASSERT_OK(reference.Repair());
+  ApplyToReference(&reference, batch);
+  ASSERT_OK(reference.Repair());
+  ASSERT_TRUE(reference.set().Test(2));
+
+  for (uint32_t shards : kShardCounts) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      const std::string manifest = scratch->NewFilePath(
+          "fold_s" + std::to_string(shards) + "_t" + std::to_string(threads) +
+          ".sadjs");
+      ASSERT_OK(ShardAdjacencyFile(mono, manifest, shards));
+      EnginePipelineOptions opts;
+      opts.num_threads = threads;
+      opts.compact_threshold_entries = auto_compact ? 1 : 0;
+      ShardedStreamingMis mis;
+      ASSERT_OK(mis.Initialize(manifest, initial, opts));
+      ASSERT_OK(mis.Repair());
+      ASSERT_EQ(mis.blocker_bound(2), 1u);
+      ASSERT_OK(mis.ApplyBatch(batch));
+      if (!auto_compact) ASSERT_OK(mis.Compact(/*force=*/true));
+      ASSERT_EQ(mis.stats().compactions, 1u);
+      // The compaction read w's record before folding the delete.
+      EXPECT_EQ(mis.blocker_bound(2), 0u);
+      ASSERT_OK(mis.Repair());
+      EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+      EXPECT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+    }
+  }
+}
+
+TEST_F(IncrementalStreamTest, EvictionsExpandBeforeAnAutoCompaction) {
+  RunCompactionBeforeExpansion(&scratch_, /*auto_compact=*/true);
+}
+
+TEST_F(IncrementalStreamTest, EvictionsExpandBeforeAnExplicitCompaction) {
+  RunCompactionBeforeExpansion(&scratch_, /*auto_compact=*/false);
+}
+
+TEST_F(IncrementalStreamTest, SaturatedBoundCountsDownToTheJoin) {
+  // Center 0 of a star with 300 member leaves: its bound saturates at
+  // 255. The leaves leave one per batch, by a delete of their edge or by
+  // an eviction (an insert to member 1, which has the lower id). The
+  // center must stay out, mostly unread, and join at the batch that
+  // takes its last member neighbor -- when its bound, refreshed by the
+  // read that found it still blocked, reaches 0.
+  constexpr VertexId kLeaves = 300, kN = kLeaves + 2;
+  std::vector<Edge> edges;
+  for (VertexId leaf = 2; leaf < kN; ++leaf) edges.emplace_back(0, leaf);
+  const Graph g = Graph::FromEdges(kN, std::move(edges));
+  const std::string mono = WriteGraphFile(&scratch_, g);
+  BitVector initial(kN);
+  for (VertexId v = 1; v < kN; ++v) initial.Set(v);
+  IncrementalMis reference;
+  ASSERT_OK(reference.Initialize(mono, initial));
+  const std::string manifest = NewPath("star.sadjs");
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
+  EnginePipelineOptions opts;
+  opts.num_threads = 2;
+  ShardedStreamingMis mis;
+  ASSERT_OK(mis.Initialize(manifest, initial, opts));
+  ASSERT_OK(mis.Repair());
+  EXPECT_EQ(mis.blocker_bound(0), 255u);
+  for (VertexId leaf = 2; leaf < kN; ++leaf) {
+    SCOPED_TRACE("leaf " + std::to_string(leaf));
+    const std::vector<EdgeUpdate> batch = {
+        leaf % 2 == 0 ? EdgeUpdate::Delete(0, leaf)
+                      : EdgeUpdate::Insert(1, leaf)};
+    ASSERT_OK(mis.ApplyBatch(batch));
+    ApplyToReference(&reference, batch);
+    ASSERT_OK(mis.Repair());
+    ASSERT_OK(reference.Repair());
+    ASSERT_EQ(SetToVector(mis.set()), SetToVector(reference.set()));
+    const VertexId departed = leaf - 1, remaining = kLeaves - departed;
+    ASSERT_EQ(mis.set().Test(0), remaining == 0);
+    // Each departure lowers the bound by one; the batch that takes it to
+    // 0 reads the center, which sets it to the count.
+    ASSERT_EQ(mis.blocker_bound(0),
+              departed < 255 ? 255 - departed : remaining);
+  }
+  EXPECT_EQ(mis.stats().full_repair_passes, 1u);
+  // The saturated bound counted down for 255 batches without a read.
+  EXPECT_GE(mis.stats().candidates_skipped, 254u);
+  // The center's join counted it at each leaf whose edge is still live:
+  // the evicted ones.
+  for (VertexId leaf = 2; leaf < kN; ++leaf) {
+    EXPECT_EQ(mis.blocker_bound(leaf), leaf % 2) << "leaf " << leaf;
+  }
 }
 
 TEST_F(IncrementalStreamTest, ExpansionOverflowFallsBackToOneFullPass) {

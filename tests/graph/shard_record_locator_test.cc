@@ -5,7 +5,7 @@
 // checks hold. The locator's range cut covers every record once from
 // checkpoints, the scanner's range open reads the cut back as the scan's
 // records, and its end checks fail a misplaced or overlong range with
-// Corruption.
+// Corruption, but a read error at the end check with that error.
 #include "graph/shard_record_locator.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
 #include "graph/sharded_adjacency_file.h"
+#include "io/env.h"
 #include "io/file.h"
 #include "io/io_stats.h"
 #include "test_util.h"
@@ -397,6 +398,56 @@ TEST_F(ShardRecordLocatorTest, RangeChecksAreCorruption) {
       ASSERT_OK(read(ranges[i]));
     }
     expect_corruption(read(ranges.back()), "trailing bytes");
+  }
+}
+
+TEST_F(ShardRecordLocatorTest, ReadErrorAtTheEndCheckIsAnIoError) {
+  // A scanner whose buffer holds exactly its stream's bytes, as each of
+  // compaction's ranges has, learns that the file ends only from one
+  // more read in the end check. A fault at that read is an I/O error,
+  // not trailing bytes: for a whole shard and for its last range.
+  MakeStore(3);
+  ShardRecordLocator locator;
+  ASSERT_OK(locator.Build(manifest_path_, manifest_, nullptr));
+  const std::string path = ShardFilePath(manifest_path_, 1);
+  const ShardRecordRange last =
+      locator.CutRanges(1, manifest_.shards[1], 4).back();
+  ASSERT_GT(last.first_record, 0u);
+  for (const ShardRecordRange& range :
+       {WholeShardRange(manifest_.shards[1]), last}) {
+    SCOPED_TRACE("records " + std::to_string(range.first_record) + ".." +
+                 std::to_string(range.end_record));
+    const uint64_t start = range.first_record == 0 ? 0 : range.begin_offset;
+    // Reads the range with `spec` armed on the shard; counts the records
+    // handed out and the shard reads made.
+    const auto read = [&](const std::string& spec_text, uint64_t* records,
+                          uint64_t* reads) {
+      FaultSpec spec;
+      EXPECT_OK(FaultSpec::Parse(spec_text + "@" + path, &spec));
+      FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+      ScopedFileSystem scoped(&fs);
+      AdjacencyFileScanner scanner(nullptr, range.end_offset - start);
+      Status s = scanner.OpenShard(manifest_path_, manifest_, 1, range);
+      VertexRecordView rec;
+      bool has_next = true;
+      while (s.ok() && has_next) {
+        s = scanner.Next(&rec, &has_next);
+        if (s.ok() && has_next) ++*records;
+      }
+      const Status closed = scanner.Close();
+      *reads = fs.ops_matched();
+      return s.ok() ? closed : s;
+    };
+    uint64_t records = 0, reads = 0;
+    ASSERT_OK(read("read:1000000000", &records, &reads));
+    ASSERT_EQ(records, range.end_record - range.first_record);
+    // The last read is the end check's: every record was handed out
+    // before it.
+    uint64_t faulted_records = 0, faulted_reads = 0;
+    const Status s = read("read:" + std::to_string(reads), &faulted_records,
+                          &faulted_reads);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_EQ(faulted_records, records);
   }
 }
 

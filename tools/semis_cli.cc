@@ -975,11 +975,17 @@ int CmdUpdate(const Args& args) {
               static_cast<unsigned long long>(st.redundant_updates),
               static_cast<unsigned long long>(st.evictions));
   std::printf("  %llu repair passes (%llu full) re-added %llu vertices in "
-              "%.2fs (apply %.2fs)\n",
+              "%.2fs (apply %.2fs)",
               static_cast<unsigned long long>(st.repair_passes),
               static_cast<unsigned long long>(st.full_repair_passes),
               static_cast<unsigned long long>(st.repair_added),
               st.repair_seconds, st.apply_seconds);
+  if (args.Has("stats")) {
+    // Frontier candidates the blocker bound showed blocked, unread.
+    std::printf("; %llu candidate reads skipped",
+                static_cast<unsigned long long>(st.candidates_skipped));
+  }
+  std::printf("\n");
   std::printf("  %llu compactions rewrote %llu shards in %.2fs; "
               "%llu delta entries pending\n",
               static_cast<unsigned long long>(st.compactions),
