@@ -1,9 +1,9 @@
-// Decode-path benchmark: how fast a sharded file streams through
-// ManifestOrderedShardCursor, and how much heap allocation the decode hot
-// path performs.
+// Decode-path benchmark: how fast a sharded file streams through a store
+// scan (AdjacencyFileScanner::OpenStore), and how much heap allocation
+// the decode hot path performs.
 //
-//   * BM_SequentialShardDecode: the cursor reading the shards in manifest
-//     order on the calling thread, one scanner record at a time. Reports
+//   * BM_SequentialShardDecode: a store scan reading the shards in
+//     manifest order on the calling thread, one record at a time. Reports
 //     records/s and allocs_per_record.
 //   * BM_ShardScanSteadyState: a scanner's inner loop in isolation
 //     (AdjacencyFileScanner::Next over a shard) aborts (SkipWithError ->
@@ -125,20 +125,20 @@ BlockDecodeEnv& Env() {
   return env;
 }
 
-// The cursor, one per scan as the greedy uses it.
+// A store scan, one scanner per scan as the greedy uses it.
 void BM_SequentialShardDecode(benchmark::State& state) {
   BlockDecodeEnv& env = Env();
   uint64_t allocs = 0;
   for (auto _ : state) {
-    ManifestOrderedShardCursor cursor;
-    Status s = cursor.Open(env.manifest);
+    AdjacencyFileScanner scanner;
+    Status s = scanner.OpenStore(env.manifest);
     uint64_t checksum = 0, position = 0;
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);
     if (s.ok()) {
       VertexRecordView view;
       bool has_next = false;
       while (true) {
-        s = cursor.Next(&view, &has_next);
+        s = scanner.Next(&view, &has_next);
         if (!s.ok() || !has_next) break;
         FoldRecord(view.id, view.begin(), view.end(), &position, &checksum);
       }
@@ -149,8 +149,7 @@ void BM_SequentialShardDecode(benchmark::State& state) {
       break;
     }
     if (checksum != env.reference_checksum) {
-      state.SkipWithError("cursor stream differs from the sorted SADJ "
-                          "file");
+      state.SkipWithError("store scan differs from the sorted SADJ file");
       break;
     }
   }
@@ -165,8 +164,8 @@ BENCHMARK(BM_SequentialShardDecode)
     ->UseRealTime();
 
 // A scanner's inner loop in isolation: Next on a scanner open on a
-// shard, folding every record. One scanner serves every pass, as the
-// cursor's serves every shard: after a warm-up pass has grown the
+// shard, folding every record. One scanner serves every pass, as a store
+// scan's serves every shard: after a warm-up pass has grown the
 // decoder's spill buffer to its capacity, a pass must allocate NOTHING.
 // The assertion runs inside the timing loop, so a regression fails the
 // nightly gate.

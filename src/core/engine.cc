@@ -123,7 +123,9 @@ Status MisEngine::Open(const std::string& path) {
   WallTimer timer;
   SolveResult res;
   std::string manifest_path = path;
-  if (!IsShardStoreRoot(path)) {
+  bool is_store = false;
+  SEMIS_RETURN_IF_ERROR(ProbeShardStoreRoot(path, &is_store));
+  if (!is_store) {
     SEMIS_RETURN_IF_ERROR(BuildShardStore(path, &res, &manifest_path));
   }
   // `manifest_path` is the store ROOT: a plain SADM manifest or a SEPR

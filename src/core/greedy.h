@@ -41,36 +41,16 @@ inline void GreedyCommitRecord(const VertexRecordView& rec,
   }
 }
 
-/// The scan skeleton of Algorithm 1, shared by the monolithic path
-/// (RunGreedyWithStates) and both paths of the sharded executor: the
-/// degree-sorted gate (one error text everywhere), the O(|V|) state-array
-/// init (lines 1-2), and one pass applying GreedyCommitRecord to every
-/// record. `Source` is any open record source exposing header() and the
-/// view-API Next(&view, &has_next) (graph/adjacency_file.h) -- the paths
-/// differ only in where records come from: the monolithic scanner, the
-/// sequential sharded scanner, or the block-decode cursor. `path` is
-/// quoted in the rejection error.
-template <typename Source>
-Status RunGreedyScan(Source* source, const std::string& path,
+/// The body of RunGreedyWithStates and RunParallelGreedyWithStates:
+/// Algorithm 1 over `scanner`, open on a SADJ file or a store and not yet
+/// read. The degree-sorted gate (one error text everywhere, quoting
+/// `path`), the O(|V|) state-array init (lines 1-2), one pass applying
+/// GreedyCommitRecord to every record, the scanner's Close, and the set,
+/// memory and state outputs in `res` and `states` (may be null);
+/// `res->seconds` is the caller's.
+Status RunGreedyScan(AdjacencyFileScanner* scanner, const std::string& path,
                      const GreedyOptions& options, AlgoResult* res,
-                     std::vector<VState>* state_out) {
-  if (options.require_degree_sorted && !source->header().IsDegreeSorted()) {
-    return Status::InvalidArgument(
-        "greedy requires a degree-sorted adjacency file: " + path);
-  }
-  const uint64_t n = source->header().num_vertices;
-  std::vector<VState> state(n, VState::kInitial);
-  res->memory.Add("state", n * sizeof(VState));
-  VertexRecordView rec;
-  bool has_next = false;
-  while (true) {
-    SEMIS_RETURN_IF_ERROR(source->Next(&rec, &has_next));
-    if (!has_next) break;
-    GreedyCommitRecord(rec, &state);
-  }
-  *state_out = std::move(state);
-  return Status::OK();
-}
+                     std::vector<VState>* states);
 
 /// Runs Algorithm 1 over the adjacency file at `path`.
 /// On return `result->in_set` holds a maximal independent set.

@@ -403,17 +403,17 @@ Status ShardedStreamingMis::RepairFull(uint64_t* added) {
   // was in already, so a pass that completes leaves the bound exact. A
   // retry after a failed pass starts again from zero.
   std::fill(blockers_.begin(), blockers_.end(), 0);
-  ManifestOrderedShardCursor cursor(&stats_.io);
-  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_));
+  AdjacencyFileScanner scanner(&stats_.io);
+  SEMIS_RETURN_IF_ERROR(scanner.OpenStore(manifest_path_));
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    SEMIS_RETURN_IF_ERROR(cursor.Next(&rec, &has_next));
+    SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     if (TryJoin(rec)) (*added)++;
     if (set_.Test(rec.id)) CountMember(rec);
   }
-  return cursor.Close();
+  return scanner.Close();
 }
 
 Status ShardedStreamingMis::RepairFrontier(uint64_t* added) {
@@ -472,10 +472,10 @@ Status ShardedStreamingMis::ExpandEvictions() {
   const uint64_t limit = FrontierLimit();
   const uint64_t room = limit > frontier_.size() ? limit - frontier_.size() : 0;
   std::atomic<uint64_t> collected{0};
-  const ShardFrontierReader reader(manifest_path_, manifest_, locator_,
-                                   ResolveThreadCount(options_.num_threads));
-  SEMIS_RETURN_IF_ERROR(reader.Read(
-      read_ids_, &stats_.io, [&](uint32_t shard, const VertexRecordView& rec) {
+  SEMIS_RETURN_IF_ERROR(locator_.ReadRecords(
+      manifest_path_, manifest_, read_ids_,
+      ResolveThreadCount(options_.num_threads), &stats_.io,
+      [&](uint32_t shard, const VertexRecordView& rec) {
         if (collected > room) return;
         shard_words_[shard].insert(shard_words_[shard].end(), rec.begin(),
                                    rec.end());
@@ -503,18 +503,19 @@ Status ShardedStreamingMis::ExpandEvictions() {
 }
 
 Status ShardedStreamingMis::CommitCandidates(uint64_t* added) {
-  // Phase 1, read-only, through the reader (on forked workers above
-  // one). The set only grows during a repair, so a candidate with a live
-  // set neighbor now stays out, and phase 1 drops it, noting how many it
-  // has. A survivor can be blocked later only by a candidate that joins
-  // before its turn, so it keeps its record, per shard in rank order, as
-  // the words [id, degree, neighbors...]. Nothing is committed until
-  // every read succeeded, so a failed read changes nothing.
+  // Phase 1, read-only, through the locator's frontier read (on forked
+  // workers above one). The set only grows during a repair, so a
+  // candidate with a live set neighbor now stays out, and phase 1 drops
+  // it, noting how many it has. A survivor can be blocked later only by
+  // a candidate that joins before its turn, so it keeps its record, per
+  // shard in rank order, as the words [id, degree, neighbors...]. Nothing
+  // is committed until every read succeeded, so a failed read changes
+  // nothing.
   ClearShardScratch();
-  const ShardFrontierReader reader(manifest_path_, manifest_, locator_,
-                                   ResolveThreadCount(options_.num_threads));
-  SEMIS_RETURN_IF_ERROR(reader.Read(
-      read_ids_, &stats_.io, [&](uint32_t shard, const VertexRecordView& rec) {
+  SEMIS_RETURN_IF_ERROR(locator_.ReadRecords(
+      manifest_path_, manifest_, read_ids_,
+      ResolveThreadCount(options_.num_threads), &stats_.io,
+      [&](uint32_t shard, const VertexRecordView& rec) {
         uint8_t blockers = 0;
         for (const VertexId nb : rec) {
           if (set_.Test(nb) && !deleted_keys_.Contains(EdgeKey(rec.id, nb)) &&
@@ -1068,8 +1069,8 @@ Status ShardedStreamingMis::ResortInternal() {
     sort_options.memory_budget_bytes = std::max<uint64_t>(max_shard_bytes, 1);
     sort_options.stats = &stats_.io;
     sort_options.memory = &sort_memory;
-    ManifestOrderedShardCursor base(&stats_.io);
-    SEMIS_RETURN_IF_ERROR(base.Open(manifest_path_));
+    AdjacencyFileScanner base(&stats_.io);
+    SEMIS_RETURN_IF_ERROR(base.OpenStore(manifest_path_));
     SEMIS_RETURN_IF_ERROR(BuildDegreeSortedShardStore(
         &base, new_manifest, num_shards, sort_options));
     AccountTransientMemory(sort_memory.PeakBytes());

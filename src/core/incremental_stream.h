@@ -16,22 +16,22 @@
 // Repair() restores maximality. The first Repair() of a session is ONE
 // pass over the base shards merged with the delta: it commits the exact
 // sequential rule of IncrementalMis::Repair strictly in global manifest
-// order, reading the shards on the calling thread through
-// ManifestOrderedShardCursor -- the same scan (and the same determinism
-// contract) as RunParallelGreedy. After it the set is
+// order, reading the shards on the calling thread through one store scan
+// (AdjacencyFileScanner::OpenStore) -- the same scan (and the same
+// determinism contract) as RunParallelGreedy. After it the set is
 // maximal, so a non-member can only become free by losing its set
 // neighbor: ApplyBatch records the endpoints of every delete that
 // changes state and every evicted vertex, and later repairs read the
 // evicted vertices' records to add their neighbors, then re-check only
 // that frontier's non-members with the same rule, in manifest order,
-// reading their records through graph/shard_record_locator.h's frontier
-// reader, one forward reader per shard. Every vertex outside the
-// frontier still has a set neighbor and the set only grows during a
-// repair, so the result equals the full pass's. A candidate whose
+// reading their records through the locator's frontier read
+// (ShardRecordLocator::ReadRecords), one forward reader per shard. Every
+// vertex outside the frontier still has a set neighbor and the set only
+// grows during a repair, so the result equals the full pass's. A candidate whose
 // blocker bound (one byte per vertex: a lower bound on its set neighbors
 // through live base edges, kept by every state change the maintainer
 // sees) is positive stays out without a read. The frontier pass runs in
-// two phases at every thread count: the frontier reader (on the repair's
+// two phases at every thread count: the frontier read (on the repair's
 // forked workers above one) reads the other candidates' records and
 // drops every one that the set at the start of the pass already blocks,
 // then the calling thread sets the dropped candidates' bounds to their

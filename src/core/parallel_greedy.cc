@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "graph/sharded_adjacency_file.h"
+#include "graph/adjacency_file.h"
 #include "util/timer.h"
 
 namespace semis {
@@ -13,19 +13,11 @@ Status RunParallelGreedyWithStates(const std::string& manifest_path,
                                    std::vector<VState>* states) {
   WallTimer timer;
   AlgoResult res;
-
-  ManifestOrderedShardCursor cursor(&res.io);
-  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path));
-  std::vector<VState> state;
+  AdjacencyFileScanner scanner(&res.io);
+  SEMIS_RETURN_IF_ERROR(scanner.OpenStore(manifest_path));
   SEMIS_RETURN_IF_ERROR(
-      RunGreedyScan(&cursor, manifest_path, options.greedy, &res, &state));
-  SEMIS_RETURN_IF_ERROR(cursor.Close());
-
-  ExtractIndependentSet(state, &res.in_set, &res.set_size);
-  res.memory.Add("result-bitset", res.in_set.MemoryBytes());
-  res.peak_memory_bytes = res.memory.PeakBytes();
+      RunGreedyScan(&scanner, manifest_path, options.greedy, &res, states));
   res.seconds = timer.ElapsedSeconds();
-  if (states != nullptr) *states = std::move(state);
   *result = std::move(res);
   return Status::OK();
 }

@@ -3,8 +3,9 @@
 // (graph/sharded_adjacency_file.h). The greedy scan is inherently
 // sequential -- each record's outcome depends on every earlier record --
 // so it runs on the calling thread, reading the shards in manifest order
-// through ManifestOrderedShardCursor: one scan, and O(|V|) memory at
-// every thread count.
+// through one store scan (AdjacencyFileScanner::OpenStore): one scan, and
+// O(|V|) memory at every thread count. The body is RunGreedyScan, the
+// sequential greedy's.
 //
 // Determinism contract: the commit order equals the manifest order for
 // every shard count, so the final state array (and therefore the

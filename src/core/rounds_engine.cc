@@ -201,13 +201,13 @@ Status RunReferenceRounds(const std::string& manifest_path, uint64_t n,
   res->memory.Add("winner-rounds", n * sizeof(uint32_t));
   // One scan of the whole file, in manifest order.
   const auto full_pass = [&](auto&& visit) -> Status {
-    ManifestOrderedShardCursor cursor(&res->io);
-    SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path));
+    AdjacencyFileScanner scanner(&res->io);
+    SEMIS_RETURN_IF_ERROR(scanner.OpenStore(manifest_path));
     VertexRecordView rec;
     bool has_next = false;
     while (true) {
-      SEMIS_RETURN_IF_ERROR(cursor.Next(&rec, &has_next));
-      if (!has_next) return cursor.Close();
+      SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
+      if (!has_next) return scanner.Close();
       visit(rec);
     }
   };

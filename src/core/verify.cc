@@ -1,18 +1,14 @@
 #include "core/verify.h"
 
 #include "graph/adjacency_file.h"
-#include "graph/sharded_adjacency_file.h"
 
 namespace semis {
 
 namespace {
 
-// One streaming verification pass; `Source` is any open record source
-// exposing header() and the view-API Next(&view, &has_next) -- the SADJ
-// scanner and the manifest-order cursor yield the same record stream, so
-// the check is shared.
-template <typename Source>
-Status VerifyScan(Source* scanner, const BitVector& set,
+// One streaming verification pass over `scanner`, open on a SADJ file or
+// a store: both yield the same record stream, so the check is shared.
+Status VerifyScan(AdjacencyFileScanner* scanner, const BitVector& set,
                   VerifyResult* result) {
   if (scanner->header().num_vertices != set.size()) {
     return Status::InvalidArgument("set size != graph vertex count");
@@ -59,9 +55,9 @@ Status VerifyIndependentSetFile(const std::string& adjacency_path,
 Status VerifyIndependentSetShardedFile(const std::string& manifest_path,
                                        const BitVector& set,
                                        VerifyResult* result, IoStats* stats) {
-  ManifestOrderedShardCursor cursor(stats);
-  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path));
-  return VerifyScan(&cursor, set, result);
+  AdjacencyFileScanner scanner(stats);
+  SEMIS_RETURN_IF_ERROR(scanner.OpenStore(manifest_path));
+  return VerifyScan(&scanner, set, result);
 }
 
 VerifyResult VerifyIndependentSet(const Graph& graph, const BitVector& set) {

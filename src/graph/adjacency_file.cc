@@ -160,7 +160,14 @@ Status AdjacencyFileScanner::Fail(Status error) {
   return error;
 }
 
+void AdjacencyFileScanner::LeaveStore() {
+  store_path_.clear();
+  store_.shards.clear();
+  next_store_shard_ = 0;
+}
+
 Status AdjacencyFileScanner::Open(const std::string& path) {
+  LeaveStore();
   path_ = path;
   Status s = reader_.Open(path);
   if (s.ok()) {
@@ -173,6 +180,10 @@ Status AdjacencyFileScanner::Open(const std::string& path) {
 Status AdjacencyFileScanner::Close() { return reader_.Close(); }
 
 Status AdjacencyFileScanner::Rewind() {
+  if (!store_path_.empty()) {
+    return Status::InvalidArgument("a store scan does not rewind: '" +
+                                   store_path_ + "'");
+  }
   Status s = reader_.Close();
   if (s.ok()) s = reader_.Open(path_);
   if (s.ok()) {
@@ -183,7 +194,7 @@ Status AdjacencyFileScanner::Rewind() {
 }
 
 Status AdjacencyFileScanner::Next(VertexRecordView* view, bool* has_next) {
-  if (next_record_ == end_record_) return End(has_next);
+  if (next_record_ == end_record_) return End(view, has_next);
   if (reader_.AtEof()) return Fail(Status::Corruption("truncated " + Where()));
   Status decoded = decoder_.Decode(&reader_, view);
   if (!decoded.ok()) return Fail(std::move(decoded));
@@ -199,21 +210,29 @@ Status AdjacencyFileScanner::Next(VertexRecordView* view, bool* has_next) {
   return Status::OK();
 }
 
-Status AdjacencyFileScanner::End(bool* has_next) {
-  if (!error_.ok()) return error_;
-  if (offset_ != end_offset_) {
-    return Fail(Status::Corruption("records end short of the end of " +
-                                   Where()));
+Status AdjacencyFileScanner::End(VertexRecordView* view, bool* has_next) {
+  while (true) {
+    if (!error_.ok()) return error_;
+    if (offset_ != end_offset_) {
+      return Fail(Status::Corruption("records end short of the end of " +
+                                     Where()));
+    }
+    if (ends_file_ && !reader_.AtEof()) {
+      // AtEof is also false when its peek latched a read error.
+      const Status& read = reader_.latched_error();
+      return Fail(read.ok() ? Status::Corruption(
+                                  "trailing bytes after the last of " +
+                                  Where())
+                            : read);
+    }
+    if (next_store_shard_ == store_.num_shards()) {
+      *has_next = false;
+      return Status::OK();
+    }
+    // A store scan goes on in its next shard, which may be empty.
+    SEMIS_RETURN_IF_ERROR(OpenNextStoreShard());
+    if (next_record_ != end_record_) return Next(view, has_next);
   }
-  if (ends_file_ && !reader_.AtEof()) {
-    // AtEof is also false when its peek latched a read error.
-    const Status& read = reader_.latched_error();
-    return Fail(read.ok() ? Status::Corruption(
-                                "trailing bytes after the last of " + Where())
-                          : read);
-  }
-  *has_next = false;
-  return Status::OK();
 }
 
 Status AdjacencyFileScanner::SkipTo(uint64_t record,

@@ -13,8 +13,9 @@
 // The scanner exposes records strictly in file order; there is no random
 // access, matching the paper's semi-external model. Shard files of a
 // sharded store (graph/sharded_adjacency_file.h) carry the same records
-// under their own header, and the scanner reads them too: whole, as a
-// record range, or record by record from checkpoints, always forward.
+// under their own header, and the scanner reads them too: a whole store
+// in manifest order, one shard, a record range, or record by record from
+// checkpoints, always forward.
 #ifndef SEMIS_GRAPH_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_ADJACENCY_FILE_H_
 
@@ -32,7 +33,6 @@
 namespace semis {
 
 struct ShardRecordRange;
-struct ShardedAdjacencyManifest;
 
 /// Flag: records appear in ascending order of (degree, id). Produced by
 /// the preprocessing sort (Section 4.1) and required by GREEDY for its
@@ -51,6 +51,23 @@ struct AdjacencyFileHeader {
 
   /// True if the file is degree-sorted.
   bool IsDegreeSorted() const { return (flags & kAdjFlagDegreeSorted) != 0; }
+};
+
+/// Per-shard totals recorded in a sharded store's manifest (the format
+/// is in graph/sharded_adjacency_file.h).
+struct ShardInfo {
+  uint64_t num_records = 0;
+  uint64_t num_directed_edges = 0;
+};
+
+/// Parsed manifest of a sharded adjacency file.
+struct ShardedAdjacencyManifest {
+  /// Global totals and flags, identical in meaning to the monolithic
+  /// header (kAdjFlagDegreeSorted refers to the global record order).
+  AdjacencyFileHeader header;
+  std::vector<ShardInfo> shards;
+
+  uint32_t num_shards() const { return static_cast<uint32_t>(shards.size()); }
 };
 
 /// Streaming writer. Vertex totals are declared up front so the header can
@@ -96,8 +113,7 @@ Status AppendAdjacencyRecord(SequentialFileWriter* writer, VertexId id,
                              const VertexId* neighbors, uint32_t degree);
 
 /// One vertex record as the readers hand it out: `neighbors` points into
-/// the reader's buffer (or the cursor's block) and stays valid until the
-/// reader moves on.
+/// the reader's buffer and stays valid until the reader moves on.
 struct VertexRecordView {
   VertexId id = 0;
   uint32_t degree = 0;
@@ -161,14 +177,14 @@ class AdjacencyRecordDecoder {
 /// reads 1 MiB.
 inline constexpr size_t kScanBufferBytes = size_t{1} << 20;
 
-/// Forward-only reader of one record stream, and the one reader that
-/// decodes records: a SADJ file (Open), one shard of a sharded store
-/// (OpenShard), or a ShardRecordRange of one shard (OpenShard with a
-/// range). Rewind() restarts a SADJ scan (and bumps
-/// IoStats::sequential_scans): this is the only iteration primitive the
-/// semi-external algorithms get. SkipTo moves the read position forward
-/// from a checkpoint, so records far apart are read without reading the
-/// bytes between them.
+/// Forward-only reader of a record stream, and the one reader that
+/// decodes records: a SADJ file (Open), a whole sharded store in manifest
+/// order (OpenStore), one shard of a store (OpenShard), or a
+/// ShardRecordRange of one shard (OpenShard with a range). Rewind()
+/// restarts a SADJ scan (and bumps IoStats::sequential_scans): this is
+/// the only iteration primitive the semi-external algorithms get. SkipTo
+/// moves the read position forward from a checkpoint, so records far
+/// apart are read without reading the bytes between them.
 ///
 /// Every stream ends at a byte its opener knows: for a SADJ file or a
 /// whole shard, the one its record and edge totals give (the header's,
@@ -176,8 +192,9 @@ inline constexpr size_t kScanBufferBytes = size_t{1} << 20;
 /// Its records must end exactly there, and a record that would run past
 /// it is Corruption before Next hands it out. A stream that ends its
 /// file (a SADJ file, a whole shard, a shard's last range) must be
-/// followed by no byte. After any error, every later Next and SkipTo
-/// returns it until the scanner is reopened.
+/// followed by no byte. A store scan is one such stream per shard, back
+/// to back. After any error, every later Next and SkipTo returns it until
+/// the scanner is reopened.
 class AdjacencyFileScanner {
  public:
   /// `stats` may be null. `buffer_bytes` sizes the read buffer, as in
@@ -189,6 +206,20 @@ class AdjacencyFileScanner {
   /// kMaxAdjacencyVertices is Corruption, before anything is sized from
   /// it. Counts one sequential scan.
   Status Open(const std::string& path);
+
+  /// Opens the store rooted at `root` (a SEPR root pointer or a SADM
+  /// manifest, resolved by ReadShardStoreManifest) for one scan of every
+  /// record in manifest order, the record stream of the equivalent SADJ
+  /// file. Counts the manifest read and one sequential scan; shard bytes
+  /// are charged as they are read. header() is the store's and path() the
+  /// resolved manifest's; an error inside a shard names the shard file.
+  /// A shard is opened only when the scan reaches it: when the previous
+  /// shard's stream ended and passed its end checks, Next opens the next
+  /// shard, crossing empty ones. An error stops the scan in its shard,
+  /// after every record before it was handed out, and latches. A store
+  /// scan does not rewind: Rewind is InvalidArgument. Defined with the
+  /// shard format in sharded_adjacency_file.cc.
+  Status OpenStore(const std::string& root);
 
   /// Opens shard `index` of the store rooted at `manifest_path`,
   /// validating the index and the shard header against `manifest`. The
@@ -209,19 +240,16 @@ class AdjacencyFileScanner {
                    const ShardedAdjacencyManifest& manifest, uint32_t index,
                    const ShardRecordRange& range);
 
-  /// Header of the open file (of the store, for a shard).
+  /// Header of the open file (of the store, for a store or a shard).
   const AdjacencyFileHeader& header() const { return header_; }
 
-  /// Reads the next record (the view API, so generic scan code such as
-  /// RunGreedyScan and the degree sort runs unchanged over this scanner
-  /// and the manifest-order cursor) and counts it in
-  /// IoStats::records_decoded. `view->neighbors` points into a
-  /// scanner-owned buffer until the next call, with the record's id and
-  /// degree words right in front of it (see AdjacencyRecordDecoder).
-  /// `*has_next` is false after the stream's last record (in which case
-  /// `view` is untouched). A truncated stream, trailing bytes, or records
-  /// that do not end at the stream's end byte are Corruption naming the
-  /// file.
+  /// Reads the next record and counts it in IoStats::records_decoded.
+  /// `view->neighbors` points into a scanner-owned buffer until the next
+  /// call, with the record's id and degree words right in front of it
+  /// (see AdjacencyRecordDecoder). `*has_next` is false after the
+  /// stream's last record (in which case `view` is untouched). A
+  /// truncated stream, trailing bytes, or records that do not end at the
+  /// stream's end byte are Corruption naming the file.
   Status Next(VertexRecordView* view, bool* has_next);
 
   /// Moves the read position forward to record `record` of the shard or
@@ -253,7 +281,7 @@ class AdjacencyFileScanner {
   }
 
   /// Restarts the scan of a SADJ file from the first record. Counts a
-  /// sequential scan.
+  /// sequential scan. InvalidArgument on a store scan.
   Status Rewind();
 
   /// Closes the underlying file without waiting for the destructor. Used
@@ -262,10 +290,21 @@ class AdjacencyFileScanner {
   /// stage. Safe to call twice.
   Status Close();
 
-  /// Path of the open file.
-  const std::string& path() const { return path_; }
+  /// Path of the open file, or the resolved manifest of a store scan.
+  const std::string& path() const {
+    return store_path_.empty() ? path_ : store_path_;
+  }
 
  private:
+  // OpenShard without ending a store scan: a store scan opens its shards
+  // with it.
+  Status StartShard(const std::string& manifest_path,
+                    const ShardedAdjacencyManifest& manifest, uint32_t index,
+                    const ShardRecordRange& range);
+  // Drops a store scan's state, so the stream opened next is the last.
+  void LeaveStore();
+  // Store scan: closes the shard that ended and opens the next one.
+  Status OpenNextStoreShard();
   Status ReadHeader();
   // Corruption when a stream declares more edges than a file can hold,
   // which would wrap its end byte past 2^64.
@@ -275,8 +314,9 @@ class AdjacencyFileScanner {
   void StartStream(uint64_t first_record, uint64_t end_record,
                    uint64_t begin_offset, uint64_t end_offset,
                    bool ends_file);
-  // Next at the stream's end: the end checks, or the latched error.
-  Status End(bool* has_next);
+  // Next at the stream's end: the end checks, or the latched error; in a
+  // store scan, then the next shard's first record.
+  Status End(VertexRecordView* view, bool* has_next);
   // The stream and the read position, for error messages.
   std::string Where() const;
   Status StepTo(uint64_t record, uint64_t checkpoint_record,
@@ -299,6 +339,12 @@ class AdjacencyFileScanner {
   uint64_t next_record_ = 0;
   uint64_t offset_ = 0;
   Status error_;
+  // A store scan: the resolved manifest path, which path() returns, the
+  // manifest, and the shard to open when the open one ends. Every other
+  // opener leaves the manifest without shards, so its stream is the last.
+  std::string store_path_;
+  ShardedAdjacencyManifest store_;
+  uint32_t next_store_shard_ = 0;
 };
 
 }  // namespace semis

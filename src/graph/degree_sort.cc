@@ -3,6 +3,8 @@
 #include <cstring>
 #include <limits>
 
+#include "graph/sharded_adjacency_file.h"
+
 namespace semis {
 
 namespace {
@@ -152,6 +154,18 @@ Status DegreeSorter::Next(VertexRecordView* rec, bool* has_next) {
   return Status::OK();
 }
 
+Status DegreeSorter::AddAll(AdjacencyFileScanner* scanner) {
+  SEMIS_RETURN_IF_ERROR(Begin(scanner->header()));
+  VertexRecordView rec;
+  bool has_next = false;
+  while (true) {
+    SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));
+    if (!has_next) return Status::OK();
+    SEMIS_RETURN_IF_ERROR(placement_ ? Place(rec, scanner->path())
+                                     : Add(rec));
+  }
+}
+
 Status BuildDegreeSortedAdjacencyFile(const std::string& input_path,
                                       const std::string& output_path,
                                       const DegreeSortOptions& options) {
@@ -164,6 +178,23 @@ Status BuildDegreeSortedAdjacencyFile(const std::string& input_path,
   SEMIS_RETURN_IF_ERROR(writer.Open(output_path, h.num_vertices,
                                     h.num_directed_edges, h.max_degree,
                                     h.flags | kAdjFlagDegreeSorted));
+  SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
+  return writer.Finish();
+}
+
+Status BuildDegreeSortedShardStore(AdjacencyFileScanner* input,
+                                   const std::string& manifest_path,
+                                   uint32_t num_shards,
+                                   const DegreeSortOptions& options) {
+  DegreeSorter sorter(options);
+  SEMIS_RETURN_IF_ERROR(sorter.AddAll(input));
+  SEMIS_RETURN_IF_ERROR(input->Close());
+  const AdjacencyFileHeader& h = input->header();
+  ShardedAdjacencyFileWriter writer(options.stats);
+  SEMIS_RETURN_IF_ERROR(writer.Open(manifest_path, h.num_vertices,
+                                    h.num_directed_edges, h.max_degree,
+                                    h.flags | kAdjFlagDegreeSorted,
+                                    num_shards));
   SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
   return writer.Finish();
 }

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "graph/adjacency_file.h"
-#include "graph/sharded_adjacency_file.h"
 #include "io/external_sorter.h"
 #include "io/io_stats.h"
 #include "util/common.h"
@@ -60,7 +59,7 @@ struct DegreeSortOptions {
 /// the regime. Merge-regime spills go to the sorter's private scratch dir
 /// under $TMPDIR, which lives as long as the DegreeSorter.
 ///
-/// Usage: AddAll() over the input reader, then open the output and
+/// Usage: AddAll() over the input scanner, then open the output and
 /// WriteTo() it once. The output is opened only after the input is
 /// consumed, so a sort may overwrite its own input file.
 class DegreeSorter {
@@ -78,22 +77,11 @@ class DegreeSorter {
                                  uint64_t num_directed_edges,
                                  uint32_t max_degree);
 
-  /// Reads every record `source` yields: an AdjacencyFileScanner or a
-  /// ManifestOrderedShardCursor, or any reader with header(), path() and
-  /// the view-API Next. The regime is chosen from the header first. A
-  /// vertex id that appears twice is Corruption naming the source's path.
-  template <typename Source>
-  Status AddAll(Source* source) {
-    SEMIS_RETURN_IF_ERROR(Begin(source->header()));
-    VertexRecordView rec;
-    bool has_next = false;
-    while (true) {
-      SEMIS_RETURN_IF_ERROR(source->Next(&rec, &has_next));
-      if (!has_next) return Status::OK();
-      SEMIS_RETURN_IF_ERROR(placement_ ? Place(rec, source->path())
-                                       : Add(rec));
-    }
-  }
+  /// Reads every record `scanner` yields, open on a SADJ file or a store
+  /// and not yet read. The regime is chosen from the header first. A
+  /// vertex id that appears twice is Corruption naming the scanner's
+  /// path.
+  Status AddAll(AdjacencyFileScanner* scanner);
 
   /// Appends every added record, in (degree, id) order, to `writer` (an
   /// AdjacencyFileWriter or ShardedAdjacencyFileWriter), opened by the
@@ -173,31 +161,18 @@ Status BuildDegreeSortedAdjacencyFile(const std::string& input_path,
                                       const std::string& output_path,
                                       const DegreeSortOptions& options);
 
-/// Sorts the records of `input`, an open record source (as for
+/// Sorts the records of `input`, an open scanner (as for
 /// DegreeSorter::AddAll) that has read no record yet, into a new
 /// degree-sorted store of `num_shards` shards at `manifest_path` with the
 /// input's totals and header flags plus kAdjFlagDegreeSorted, and closes
-/// the input. The source is the caller's, so that a header probe can
+/// the input. The scanner is the caller's, so that a header probe can
 /// decide whether to sort without a second open of the input:
 /// MisEngine::Open hands over its SADJ scanner, and
-/// ShardedStreamingMis::Resort a cursor over the compacted base.
-template <typename Source>
-Status BuildDegreeSortedShardStore(Source* input,
+/// ShardedStreamingMis::Resort a store scan of the compacted base.
+Status BuildDegreeSortedShardStore(AdjacencyFileScanner* input,
                                    const std::string& manifest_path,
                                    uint32_t num_shards,
-                                   const DegreeSortOptions& options) {
-  DegreeSorter sorter(options);
-  SEMIS_RETURN_IF_ERROR(sorter.AddAll(input));
-  SEMIS_RETURN_IF_ERROR(input->Close());
-  const AdjacencyFileHeader& h = input->header();
-  ShardedAdjacencyFileWriter writer(options.stats);
-  SEMIS_RETURN_IF_ERROR(writer.Open(manifest_path, h.num_vertices,
-                                    h.num_directed_edges, h.max_degree,
-                                    h.flags | kAdjFlagDegreeSorted,
-                                    num_shards));
-  SEMIS_RETURN_IF_ERROR(sorter.WriteTo(&writer));
-  return writer.Finish();
-}
+                                   const DegreeSortOptions& options);
 
 }  // namespace semis
 

@@ -105,13 +105,13 @@ size_t ShardRecordLocator::MemoryBytes() const {
   return bytes;
 }
 
-std::vector<ShardFrontierReader::Item> ShardFrontierReader::SplitByShard(
+std::vector<ShardRecordLocator::FrontierItem> ShardRecordLocator::SplitByShard(
     const std::vector<VertexId>& ids) const {
-  std::vector<Item> items;
+  std::vector<FrontierItem> items;
   for (size_t i = 0; i < ids.size(); ++i) {
-    const uint32_t shard = locator_.ShardOf(ids[i]);
+    const uint32_t shard = ShardOf(ids[i]);
     if (items.empty() || items.back().shard != shard) {
-      items.push_back(Item{shard, i, i});
+      items.push_back(FrontierItem{shard, i, i});
     }
     items.back().end = i + 1;
   }

@@ -2,12 +2,12 @@
 // Access to a sharded adjacency file by record position. The degree sort
 // permutes records, so where a vertex's record sits is only discoverable
 // by scanning: ShardRecordLocator keeps what one scan learns. With it,
-// ShardFrontierReader reads the records of a list of ids sorted by that
-// order -- a "frontier" -- without a scan, and a shard splits into
-// byte-balanced record ranges (CutRanges), so a pass over one shard can
-// run on several workers. Both read through AdjacencyFileScanner; the
-// locator adds the one check only it can make, that a record position
-// holds the vertex it ranks there.
+// ReadRecord reads one vertex's record and ReadRecords the records of a
+// list of ids sorted by that order -- a "frontier" -- without a scan,
+// and a shard splits into byte-balanced record ranges (CutRanges), so a
+// pass over one shard can run on several workers. All read through
+// AdjacencyFileScanner; the locator adds the one check only it can make,
+// that a record position holds the vertex it ranks there.
 //
 // Semi-external rule: every read moves forward through its shard. A
 // frontier read opens one scanner per shard that holds frontier ids,
@@ -100,10 +100,46 @@ class ShardRecordLocator {
   Status ReadRecord(uint32_t shard, VertexId v, AdjacencyFileScanner* scanner,
                     VertexRecordView* view) const;
 
+  /// Reads the records of a frontier, `ids` sorted by manifest rank
+  /// without duplicates, from the store at `manifest_path` (parsed as
+  /// `manifest`), and calls `visit(shard, record)` for each, in rank
+  /// order within each shard. Each shard that holds ids is one work item,
+  /// read forward by its own AdjacencyFileScanner through ReadRecord. The
+  /// items run through ForEachItem on `workers` workers; at one, on the
+  /// calling thread in shard order. With more than one worker, different
+  /// shards' visits run concurrently, so a visitor writes only per-shard
+  /// state. Ids out of rank order are InvalidArgument. Each item's
+  /// IoStats merge into `stats` (may be null) after the join. Every item
+  /// runs to its end or its first error, and the first error in shard
+  /// order is returned, at every worker count.
+  template <typename Visit>
+  Status ReadRecords(const std::string& manifest_path,
+                     const ShardedAdjacencyManifest& manifest,
+                     const std::vector<VertexId>& ids, size_t workers,
+                     IoStats* stats, Visit&& visit) const;
+
   /// Heap bytes held (capacity), for memory accounting.
   size_t MemoryBytes() const;
 
  private:
+  // A frontier read's work item: ids[begin, end) lie in `shard`.
+  struct FrontierItem {
+    uint32_t shard = 0;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+
+  // One item per run of consecutive ids in the same shard.
+  std::vector<FrontierItem> SplitByShard(
+      const std::vector<VertexId>& ids) const;
+
+  // Read buffer of a frontier item's scanner. Most records are a few
+  // dozen bytes and the ones a frontier asks for lie far apart, so one
+  // window usually covers the checkpoint walk and the record. On a
+  // 1M-vertex PLRG a 1024-update frontier repair took 4.6 ms with 4 KB,
+  // 5.4 ms with 1 KB and no less with 8 KB.
+  static constexpr size_t kSparseReadWindowBytes = 4096;
+
   // rank_[v] is the manifest rank of v's record. shard_first_rank_[k] is
   // the rank of shard k's first record, with the total at the end, so a
   // rank's shard is a binary search. checkpoints_[k][j] is the byte
@@ -113,80 +149,13 @@ class ShardRecordLocator {
   std::vector<std::vector<uint64_t>> checkpoints_;
 };
 
-/// Reads the records of a frontier: vertex ids sorted by manifest rank,
-/// without duplicates. Each shard that holds frontier ids is one work
-/// item, read forward by its own AdjacencyFileScanner. The items run
-/// through ForEachItem on `workers` workers; at one, on the calling
-/// thread in shard order. An id behind its shard's read position -- ids
-/// out of rank order -- fails with InvalidArgument.
-class ShardFrontierReader {
- public:
-  /// All references must outlive the reader.
-  ShardFrontierReader(const std::string& manifest_path,
-                      const ShardedAdjacencyManifest& manifest,
-                      const ShardRecordLocator& locator, size_t workers)
-      : manifest_path_(manifest_path),
-        manifest_(manifest),
-        locator_(locator),
-        workers_(workers) {}
-
-  /// Calls `visit(shard, record)` for the record of every id in `ids`, in
-  /// rank order within each shard; with more than one worker, different
-  /// shards' visits run concurrently, so a visitor writes only per-shard
-  /// state. Each item's IoStats merge into `stats` (may be null) after
-  /// the join. Every item runs to its end or its first error, and the
-  /// first error in shard order is returned, at every worker count.
-  template <typename Visit>
-  Status Read(const std::vector<VertexId>& ids, IoStats* stats,
-              Visit&& visit) const;
-
- private:
-  struct Item {
-    uint32_t shard = 0;
-    size_t begin = 0;  // ids[begin, end) lie in `shard`
-    size_t end = 0;
-  };
-
-  // One item per run of consecutive ids in the same shard.
-  std::vector<Item> SplitByShard(const std::vector<VertexId>& ids) const;
-
-  template <typename Visit>
-  Status ReadItem(const std::vector<VertexId>& ids, const Item& item,
-                  IoStats* io, Visit& visit) const;
-
-  // Read buffer of an item's scanner. Most records are a few dozen bytes
-  // and the ones a frontier asks for lie far apart, so one window usually
-  // covers the checkpoint walk and the record. On a 1M-vertex PLRG a
-  // 1024-update frontier repair took 4.6 ms with 4 KB, 5.4 ms with 1 KB
-  // and no less with 8 KB.
-  static constexpr size_t kSparseReadWindowBytes = 4096;
-
-  const std::string& manifest_path_;
-  const ShardedAdjacencyManifest& manifest_;
-  const ShardRecordLocator& locator_;
-  const size_t workers_;
-};
-
 template <typename Visit>
-Status ShardFrontierReader::ReadItem(const std::vector<VertexId>& ids,
-                                     const Item& item, IoStats* io,
-                                     Visit& visit) const {
-  AdjacencyFileScanner scanner(io, kSparseReadWindowBytes);
-  SEMIS_RETURN_IF_ERROR(
-      scanner.OpenShard(manifest_path_, manifest_, item.shard));
-  VertexRecordView rec;
-  for (size_t i = item.begin; i < item.end; ++i) {
-    SEMIS_RETURN_IF_ERROR(
-        locator_.ReadRecord(item.shard, ids[i], &scanner, &rec));
-    visit(item.shard, rec);
-  }
-  return scanner.Close();
-}
-
-template <typename Visit>
-Status ShardFrontierReader::Read(const std::vector<VertexId>& ids,
-                                 IoStats* stats, Visit&& visit) const {
-  const std::vector<Item> items = SplitByShard(ids);
+Status ShardRecordLocator::ReadRecords(const std::string& manifest_path,
+                                       const ShardedAdjacencyManifest& manifest,
+                                       const std::vector<VertexId>& ids,
+                                       size_t workers, IoStats* stats,
+                                       Visit&& visit) const {
+  const std::vector<FrontierItem> items = SplitByShard(ids);
   // Ids out of rank order can put one shard in two items, which would
   // hand two workers the same shard's visitor state.
   for (size_t i = 1; i < items.size(); ++i) {
@@ -195,8 +164,17 @@ Status ShardFrontierReader::Read(const std::vector<VertexId>& ids,
     }
   }
   std::vector<IoStats> io(items.size());
-  Status read = ForEachItem(workers_, items.size(), [&](size_t i, size_t) {
-    return ReadItem(ids, items[i], &io[i], visit);
+  Status read = ForEachItem(workers, items.size(), [&](size_t i, size_t) {
+    const FrontierItem& item = items[i];
+    AdjacencyFileScanner scanner(&io[i], kSparseReadWindowBytes);
+    SEMIS_RETURN_IF_ERROR(
+        scanner.OpenShard(manifest_path, manifest, item.shard));
+    VertexRecordView rec;
+    for (size_t at = item.begin; at < item.end; ++at) {
+      SEMIS_RETURN_IF_ERROR(ReadRecord(item.shard, ids[at], &scanner, &rec));
+      visit(item.shard, rec);
+    }
+    return scanner.Close();
   });
   if (stats != nullptr) {
     for (const IoStats& item_io : io) stats->MergeFrom(item_io);

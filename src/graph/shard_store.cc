@@ -102,6 +102,19 @@ bool SuffixIsOrphan(const ResolvedShardStore& store, const std::string& sfx) {
   return false;
 }
 
+// True when `s` reports a missing file: NotFound, or an IOError with
+// ENOENT, which is how an open of a missing file reports it.
+bool IsMissingFile(const Status& s) {
+  return s.IsNotFound() || (s.IsIOError() && s.sys_errno() == ENOENT);
+}
+
+// True when a failed epoch validation shows the epoch damaged -- a file
+// whose bytes fail their checks, or one that is gone -- rather than an
+// I/O failure, which says nothing about the files.
+bool ShowsDamage(const Status& s) {
+  return s.IsCorruption() || IsMissingFile(s);
+}
+
 }  // namespace
 
 Status ValidateShardStoreEpoch(const std::string& manifest_path,
@@ -122,9 +135,11 @@ Status ValidateShardStoreEpoch(const std::string& manifest_path,
   }
   const std::string delta_path = EdgeDeltaManifestPath(manifest_path);
   uint64_t delta_size = 0;
-  if (!GetFileSize(delta_path, &delta_size).ok()) {
+  const Status overlay = GetFileSize(delta_path, &delta_size);
+  if (IsMissingFile(overlay)) {
     return Status::OK();  // no overlay; the base alone is the store
   }
+  SEMIS_RETURN_IF_ERROR(overlay);
   EdgeDeltaManifest delta;
   SEMIS_RETURN_IF_ERROR(ReadEdgeDeltaManifest(delta_path, &delta, stats));
   if (delta.num_shards() != manifest.num_shards() ||
@@ -152,7 +167,11 @@ Status ValidateShardStoreEpoch(const std::string& manifest_path,
 namespace {
 
 // Shared resolution. When `durable`, a fallback is committed back to the
-// root pointer so later readers skip the damaged epoch.
+// root pointer so later readers skip the damaged epoch. Only damage
+// (ShowsDamage) moves the store to its previous epoch: any other error
+// of a validation is returned as it is, with no rewrite and no GC, so a
+// transient read fault can neither retire an epoch nor make a reader
+// serve the previous one.
 Status ResolveInternal(const std::string& root_path, bool durable,
                        ResolvedShardStore* out, ShardStoreRecovery* recovery,
                        IoStats* stats) {
@@ -175,6 +194,7 @@ Status ResolveInternal(const std::string& root_path, bool durable,
   resolved.manifest_path = EpochManifestPath(root_path, root.current_epoch);
   Status current_ok = ValidateShardStoreEpoch(resolved.manifest_path, stats);
   if (!current_ok.ok()) {
+    if (!ShowsDamage(current_ok)) return current_ok;
     if (root.previous_epoch == 0) {
       return Status::Corruption("store '" + root_path + "' epoch " +
                                 std::to_string(root.current_epoch) +
@@ -185,6 +205,7 @@ Status ResolveInternal(const std::string& root_path, bool durable,
         EpochManifestPath(root_path, root.previous_epoch);
     Status previous_ok = ValidateShardStoreEpoch(prev_manifest, stats);
     if (!previous_ok.ok()) {
+      if (!ShowsDamage(previous_ok)) return previous_ok;
       return Status::Corruption(
           "store '" + root_path + "' is damaged in both epochs (current " +
           std::to_string(root.current_epoch) + ": " + current_ok.message() +
@@ -269,10 +290,14 @@ Status GarbageCollectShardStore(const ResolvedShardStore& resolved,
   return Status::OK();
 }
 
-bool IsShardStoreRoot(const std::string& path) {
+Status ProbeShardStoreRoot(const std::string& path, bool* is_store) {
   uint32_t magic = 0;
-  return ProbeFileMagic(path, &magic).ok() &&
-         (magic == kShardManifestMagic || magic == kEpochRootMagic);
+  const Status probe = ProbeFileMagic(path, &magic);
+  *is_store = false;
+  if (IsMissingFile(probe)) return Status::OK();
+  SEMIS_RETURN_IF_ERROR(probe);
+  *is_store = magic == kShardManifestMagic || magic == kEpochRootMagic;
+  return Status::OK();
 }
 
 Status ReadShardStoreManifest(const std::string& root_path,

@@ -19,10 +19,13 @@
 // ResolveShardStore is the read-only half (scanners, verify, stats): it
 // routes on the root magic, validates the current epoch cheaply, and
 // falls back to the previous epoch in memory when the current one is
-// damaged. RecoverShardStore is the writer half (ShardedStreamingMis
-// initialization, fsck --gc): it additionally makes a fallback durable by
-// rewriting the root pointer and removes orphaned files (half-committed
-// epochs, staging files, retired epochs, converted legacy names).
+// damaged: a file fails its checks (Corruption) or is missing (NotFound,
+// or an IOError with ENOENT). Any other validation error, such as an
+// EIO, is returned: it says nothing about the epoch. RecoverShardStore
+// is the writer half (ShardedStreamingMis initialization, fsck --gc): it
+// additionally makes a fallback durable by rewriting the root pointer and
+// removes orphaned files (half-committed epochs, staging files, retired
+// epochs, converted legacy names).
 //
 // GC keeps the current AND previous epochs, so a reader that resolved the
 // store just before a commit can still finish its scan afterwards; only
@@ -72,10 +75,11 @@ Status ValidateShardStoreEpoch(const std::string& manifest_path,
                                IoStats* stats = nullptr);
 
 /// Read-only root resolution (see the file comment). Never writes.
-/// Fails with Corruption when neither the current nor the previous epoch
-/// validates. A root that is neither SEPR nor SADM resolves as legacy and
-/// leaves the format error to the manifest reader, preserving its
-/// diagnostics.
+/// Fails with Corruption when both the current and the previous epoch
+/// are damaged, and with the validation's own error when one fails
+/// without showing damage. A root that is neither SEPR nor SADM resolves
+/// as legacy and leaves the format error to the manifest reader,
+/// preserving its diagnostics.
 Status ResolveShardStore(const std::string& root_path, ResolvedShardStore* out,
                          IoStats* stats = nullptr);
 
@@ -99,13 +103,14 @@ Status ListShardStoreOrphans(const ResolvedShardStore& resolved,
 Status GarbageCollectShardStore(const ResolvedShardStore& resolved,
                                 uint64_t* removed = nullptr);
 
-/// True when `path` starts with a store-root magic: a SADM manifest or a
-/// SEPR epoch root pointer. The engine and the CLI route on this, so a
-/// file that CLAIMS to be a store but fails to parse surfaces the
-/// manifest reader's diagnosis instead of a misleading "not an adjacency
-/// file". An unreadable file is "not a store root"; the consumer's own
-/// open reports the real error.
-bool IsShardStoreRoot(const std::string& path);
+/// Sets `*is_store` to whether `path` starts with a store-root magic: a
+/// SADM manifest or a SEPR epoch root pointer. The engine and the CLI
+/// route on this, so a file that CLAIMS to be a store but fails to parse
+/// surfaces the manifest reader's diagnosis instead of a misleading "not
+/// an adjacency file". A missing file is not a store root, and the
+/// consumer's own open reports it; any other error of the probe's stat
+/// or read is returned.
+Status ProbeShardStoreRoot(const std::string& path, bool* is_store);
 
 /// Resolves `root_path` read-only and reads the serving SADM manifest.
 /// `manifest_path`, when non-null, receives that manifest's path. Every

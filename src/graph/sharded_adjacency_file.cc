@@ -300,6 +300,13 @@ Status AdjacencyFileScanner::OpenShard(
 Status AdjacencyFileScanner::OpenShard(
     const std::string& manifest_path, const ShardedAdjacencyManifest& manifest,
     uint32_t index, const ShardRecordRange& range) {
+  LeaveStore();
+  return StartShard(manifest_path, manifest, index, range);
+}
+
+Status AdjacencyFileScanner::StartShard(
+    const std::string& manifest_path, const ShardedAdjacencyManifest& manifest,
+    uint32_t index, const ShardRecordRange& range) {
   if (index >= manifest.num_shards()) {
     return Fail(Status::InvalidArgument("shard index out of range"));
   }
@@ -330,52 +337,27 @@ Status AdjacencyFileScanner::OpenShard(
   return s.ok() ? s : Fail(std::move(s));
 }
 
-ManifestOrderedShardCursor::ManifestOrderedShardCursor(IoStats* stats)
-    : stats_(stats) {}
-
-ManifestOrderedShardCursor::~ManifestOrderedShardCursor() {
-  Close().IgnoreError();  // a destructor cannot propagate
-}
-
-Status ManifestOrderedShardCursor::Open(const std::string& manifest_path) {
-  if (open_) {
-    return Status::InvalidArgument("cursor is already open");
-  }
-  SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest_,
-                                               stats_, &manifest_path_));
+Status AdjacencyFileScanner::OpenStore(const std::string& root) {
+  LeaveStore();
+  path_ = root;
+  std::string manifest_path;
+  Status s = ReadShardStoreManifest(root, &store_, stats_, &manifest_path);
+  if (!s.ok()) return Fail(std::move(s));
   if (stats_ != nullptr) stats_->sequential_scans++;
-  open_ = true;
-  if (scanner_ == nullptr) {
-    scanner_ = std::make_unique<AdjacencyFileScanner>(stats_);
-  }
-  scan_shard_ = 0;
-  scan_error_ = Status::OK();
+  store_path_ = std::move(manifest_path);
+  header_ = store_.header;
+  // An empty stream before shard 0: the first Next passes its end checks
+  // and opens shard 0, as every later shard is opened.
+  StartStream(0, 0, 0, 0, /*ends_file=*/false);
   return Status::OK();
 }
 
-Status ManifestOrderedShardCursor::NextSlow(VertexRecordView* view,
-                                            bool* has_next) {
-  if (!open_) {
-    return Status::InvalidArgument("cursor is not open");
-  }
-  while (scan_error_.ok()) {
-    if (scan_shard_ == manifest_.num_shards()) {
-      *has_next = false;
-      return Status::OK();
-    }
-    scan_error_ = scanner_->OpenShard(manifest_path_, manifest_, scan_shard_);
-    shard_open_ = scan_error_.ok();
-    if (shard_open_ && ReadOpenShard(view, has_next)) return Status::OK();
-  }
-  return scan_error_;
-}
-
-Status ManifestOrderedShardCursor::Close() {
-  if (!open_) return Status::OK();
-  open_ = false;
-  shard_open_ = false;
-  Status closed = scanner_->Close();
-  return scan_error_.ok() ? closed : scan_error_;
+Status AdjacencyFileScanner::OpenNextStoreShard() {
+  Status closed = reader_.Close();
+  if (!closed.ok()) return Fail(std::move(closed));
+  const uint32_t index = next_store_shard_++;
+  return StartShard(store_path_, store_, index,
+                    WholeShardRange(store_.shards[index]));
 }
 
 Status ShardAdjacencyFile(const std::string& input_path,

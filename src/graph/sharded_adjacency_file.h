@@ -22,21 +22,19 @@
 //   then records exactly as in SADJ: u32 id  u32 degree  u32 neighbor[deg]
 //
 // Every reader is forward-only, matching the semi-external model, and
-// every one is AdjacencyFileScanner (adjacency_file.h): OpenShard reads
-// one shard, whole or as a ShardRecordRange, and SkipTo reads single
-// records from checkpoints the record locator keeps
+// every one is AdjacencyFileScanner (adjacency_file.h): OpenStore reads
+// the whole store in manifest order on the calling thread, OpenShard
+// reads one shard, whole or as a ShardRecordRange, and SkipTo reads
+// single records from checkpoints the record locator keeps
 // (shard_record_locator.h). A parallel pass hands each worker its own
 // scanner, so shards are scanned concurrently without shared reader
-// state. The whole store is read in manifest order by
-// ManifestOrderedShardCursor, on the calling thread.
+// state.
 #ifndef SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/adjacency_file.h"
@@ -63,12 +61,6 @@ inline constexpr uint32_t kShardManifestMagic = 0x4D444153u;  // 'SADM'
 /// record.
 inline constexpr uint64_t kAdjacencyShardHeaderBytes = 40;
 
-/// Per-shard totals recorded in the manifest.
-struct ShardInfo {
-  uint64_t num_records = 0;
-  uint64_t num_directed_edges = 0;
-};
-
 /// A run of consecutive records of one shard: records [first_record,
 /// end_record) of the shard (0-based) at bytes [begin_offset,
 /// end_offset) of its file. AdjacencyFileScanner::OpenShard reads one,
@@ -93,16 +85,6 @@ inline ShardRecordRange WholeShardRange(const ShardInfo& info) {
           AdjacencyRecordBytes(0) * info.num_records +
           sizeof(VertexId) * info.num_directed_edges};
 }
-
-/// Parsed manifest of a sharded adjacency file.
-struct ShardedAdjacencyManifest {
-  /// Global totals and flags, identical in meaning to the monolithic
-  /// header (kAdjFlagDegreeSorted refers to the global record order).
-  AdjacencyFileHeader header;
-  std::vector<ShardInfo> shards;
-
-  uint32_t num_shards() const { return static_cast<uint32_t>(shards.size()); }
-};
 
 /// Path of shard `index` of the sharded file rooted at `manifest_path`.
 std::string ShardFilePath(const std::string& manifest_path, uint32_t index);
@@ -200,81 +182,6 @@ Status ForEachShardRecord(const std::string& manifest_path,
     visit(rec);
   }
 }
-
-/// Manifest-ordered multi-shard cursor: yields exactly the record stream
-/// of the equivalent monolithic file, reading the shards in manifest
-/// order on the calling thread through one AdjacencyFileScanner.
-///
-/// Contract (see docs/formats.md):
-///   * records are delivered strictly in global manifest order, crossing
-///     shard boundaries (empty ones included) transparently, so any
-///     sequential algorithm driven by this cursor produces output
-///     byte-identical to a run over the monolithic file;
-///   * a shard is opened only when the scan reaches it, so a shard the
-///     scan never reaches is never read;
-///   * an error stops the scan in its shard, after every record before
-///     it was yielded; every later Next and Close returns it.
-class ManifestOrderedShardCursor {
- public:
-  /// `stats` may be null. Counts the manifest read and one sequential
-  /// scan at Open; shard bytes are charged as they are read.
-  explicit ManifestOrderedShardCursor(IoStats* stats = nullptr);
-  ~ManifestOrderedShardCursor();
-
-  ManifestOrderedShardCursor(const ManifestOrderedShardCursor&) = delete;
-  ManifestOrderedShardCursor& operator=(const ManifestOrderedShardCursor&) =
-      delete;
-
-  /// Opens the manifest (a store root or a plain manifest). A second Open
-  /// before Close is InvalidArgument.
-  Status Open(const std::string& manifest_path);
-
-  const ShardedAdjacencyManifest& manifest() const { return manifest_; }
-  const AdjacencyFileHeader& header() const { return manifest_.header; }
-  /// The store's manifest path, for error messages.
-  const std::string& path() const { return manifest_path_; }
-
-  /// Next record in global order. The view stays valid until the next
-  /// call, or Close; like every scanner in this library, consume it
-  /// before advancing.
-  Status Next(VertexRecordView* view, bool* has_next) {
-    // A record of the open shard comes straight from the scanner, inline:
-    // this is every record but a shard's first.
-    if (shard_open_ && ReadOpenShard(view, has_next)) return Status::OK();
-    return NextSlow(view, has_next);
-  }
-
-  /// Ends the scan: closes the shard being read. Safe to call twice and
-  /// from the destructor. Returns the error that stopped the scan, if
-  /// one did.
-  Status Close();
-
- private:
-  // Reads the open shard's next record. At the shard's end, or an error,
-  // closes the shard and returns false; an error stops the scan in its
-  // shard, kept in scan_error_ for every later call.
-  bool ReadOpenShard(VertexRecordView* view, bool* has_next) {
-    Status read = scanner_->Next(view, has_next);
-    if (read.ok() && *has_next) return true;
-    shard_open_ = false;
-    scan_error_ = read.ok() ? scanner_->Close() : std::move(read);
-    scan_shard_++;
-    return false;
-  }
-  // Next past the open shard: opens the next one.
-  Status NextSlow(VertexRecordView* view, bool* has_next);
-
-  IoStats* stats_;
-  std::string manifest_path_;
-  ShardedAdjacencyManifest manifest_;
-  bool open_ = false;
-  // The scanner (made at the first Open), the shard it reads next or
-  // reads now, and the error that stopped the scan.
-  std::unique_ptr<AdjacencyFileScanner> scanner_;
-  uint32_t scan_shard_ = 0;
-  bool shard_open_ = false;
-  Status scan_error_;
-};
 
 /// Splits the monolithic adjacency file at `input_path` into `num_shards`
 /// shards rooted at `manifest_path`, preserving record order.

@@ -513,6 +513,97 @@ grep -q "note: engine degraded to read-only.*IOError" \
     "$work/eof_$last_read.err" \
     || fail "the end check's fault did not degrade the engine with its IOError"
 
+# --- an I/O error during recovery is not a damaged epoch --------------------
+# A store serving epoch 2 (previous 1) with four updates pending in epoch
+# 2's logs. A read fault in epoch 2's files says nothing about them: a
+# recovering `update` must fail with that IOError and leave the store
+# serving epoch 2 with its four entries, at every read the session makes
+# there, and `fsck --gc` must neither fall back nor collect epoch 2's
+# files.
+cat > "$work/crash_updates.txt" <<'EOF'
++ 0 1999
++ 1 1998
++ 2 1997
+- 0 1999
++ 5 1500
++ 7 8
++ 100 200
++ 3 1996
+- 7 8
++ 11 1200
+EOF
+printf '+ 10 1900\n+ 20 1800\n+ 30 1700\n+ 40 1600\n' > "$work/four.txt"
+printf '# empty stream\n' > "$work/empty.txt"
+"$CLI" generate --vertices 2000 --avg-degree 4 --seed 7 \
+    --out "$work/rec.adj" >/dev/null
+"$CLI" sort "$work/rec.adj" "$work/rec.sadj" >/dev/null
+"$CLI" shard "$work/rec.sadj" "$work/rec.sadjs" --shards 1 >/dev/null
+"$CLI" update "$work/rec.sadjs" --stream "$work/crash_updates.txt" --batch 3 \
+    --compact --resort >/dev/null 2>&1 || fail "epoch 1 and 2 commits failed"
+"$CLI" update "$work/rec.sadjs" --stream "$work/four.txt" --batch 2 \
+    >/dev/null 2>&1 || fail "the pending batch failed"
+serving_epoch() {  # <store>
+  "$CLI" fsck "$1" | sed -n 's/.*: serving epoch \([0-9]*\).*/\1/p'
+}
+[ "$(serving_epoch "$work/rec.sadjs")" = 2 ] || fail "store not at epoch 2"
+faulted=0
+for n in $(seq 1 200); do
+  run="$work/rec_run"
+  rm -rf "$run"
+  mkdir "$run"
+  cp "$work"/rec.sadjs* "$run/"
+  rc=0
+  SEMIS_FAULT_SPEC="read:$n:EIO@rec.sadjs.epoch2" "$CLI" update \
+      "$run/rec.sadjs" --stream "$work/empty.txt" \
+      >/dev/null 2>"$work/rec_$n.err" || rc=$?
+  if ! grep -q "SEMIS_FAULT_INJECTED" "$work/rec_$n.err"; then
+    [ "$rc" -eq 0 ] || fail "recovery exited $rc with read $n never faulted"
+    break
+  fi
+  faulted="$n"
+  [ "$rc" -eq 1 ] || fail "recovery with read $n faulted exited $rc, want 1"
+  grep -q "IOError" "$work/rec_$n.err" \
+      || fail "read $n faulted without an IOError: $(cat "$work/rec_$n.err")"
+  [ "$(serving_epoch "$run/rec.sadjs")" = 2 ] \
+      || fail "a fault at read $n moved the store off epoch 2"
+  "$CLI" update "$run/rec.sadjs" --stream "$work/empty.txt" \
+      > "$work/rec_$n.log" 2>&1 || fail "fault-free rerun after read $n failed"
+  grep -q "; 4 delta entries pending" "$work/rec_$n.log" \
+      || fail "the pending updates were lost after a fault at read $n"
+done
+[ "$faulted" -gt 1 ] || fail "the recovery sweep faulted no epoch 2 read"
+rm -rf "$run"
+mkdir "$run"
+cp "$work"/rec.sadjs* "$run/"
+rc=0
+SEMIS_FAULT_SPEC="read:1:EIO@rec.sadjs.epoch2" "$CLI" fsck "$run/rec.sadjs" \
+    --gc > "$work/rec_fsck.log" 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || fail "fsck --gc under a read fault exited $rc, want 1"
+grep -q "fell back\|gc: removed" "$work/rec_fsck.log" \
+    && fail "fsck --gc retired epoch 2 on a read fault"
+# The store-root probe: a stat fault is an IOError, not "not a store".
+for cmd in solve update; do
+  rc=0
+  SEMIS_FAULT_SPEC="stat:1:EIO" "$CLI" $cmd "$run/rec.sadjs" \
+      $([ $cmd = update ] && echo --stream "$work/empty.txt") \
+      >/dev/null 2>"$work/probe.err" || rc=$?
+  [ "$rc" -eq 1 ] || fail "$cmd under a stat fault exited $rc, want 1"
+  grep -q "error: IOError" "$work/probe.err" \
+      || fail "$cmd reported a stat fault as: $(cat "$work/probe.err")"
+done
+
+# An empty stream applies no batch, yet the evictions a previous session
+# logged are replayed: the set must come out maximal.
+"$CLI" generate --vertices 2000 --avg-degree 4 --seed 2 \
+    --out "$work/es.adj" >/dev/null
+"$CLI" sort "$work/es.adj" "$work/es.sadj" >/dev/null
+"$CLI" shard "$work/es.sadj" "$work/es.sadjs" --shards 1 >/dev/null
+"$CLI" update "$work/es.sadjs" --stream "$work/crash_updates.txt" --batch 3 \
+    >/dev/null 2>&1 || fail "update before the empty stream failed"
+"$CLI" update "$work/es.sadjs" --stream "$work/empty.txt" --compact --verify \
+    >/dev/null 2>"$work/es.err" \
+    || fail "empty-stream update --verify failed: $(cat "$work/es.err")"
+
 # --- memory figures that repeat ----------------------------------------------
 # The greedy and the full repair scan on the calling thread at every
 # thread count, so what they charge depends on the store alone: three

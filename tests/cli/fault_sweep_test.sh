@@ -11,8 +11,8 @@
 # that fills at site n and stays full. The run must then prove:
 #
 #   1. it fails CLEANLY: exit 0 (fault absorbed or op class exhausted) or
-#      exit 1 (Status error reported) -- never a signal, a hang, or a
-#      usage error;
+#      exit 1 with the injected errno reported as an IOError, never as a
+#      Corruption -- never a signal, a hang, or a usage error;
 #   2. the store it leaves behind passes `fsck --gc` (no torn publish,
 #      every orphan collectable) and still serves a consistent set via an
 #      empty-stream `update --verify` -- both run fault-free;
@@ -36,8 +36,8 @@
 # worker. Every such per-range open (and read) is a site of the sweep.
 #
 # Environment knobs (the nightly sweep widens these):
-#   FAULT_OPS          op classes to sweep (default
-#                      "open write sync syncdir rename link remove")
+#   FAULT_OPS          op classes to sweep (default "open read write
+#                      sync syncdir rename link remove stat")
 #   FAULT_SEEDS        graph seeds, space-separated        (default "7")
 #   FAULT_GEOMS        "shards:threads" pairs              (default "1:1 3:2")
 #   MAX_SITES          sweep upper bound per op class      (default 400)
@@ -55,7 +55,7 @@ else
   trap 'rm -rf "$work"' EXIT
 fi
 
-OPS="${FAULT_OPS:-open write sync syncdir rename link remove}"
+OPS="${FAULT_OPS:-open read write sync syncdir rename link remove stat}"
 SEEDS="${FAULT_SEEDS:-7}"
 GEOMS="${FAULT_GEOMS:-1:1 3:2}"
 MAX_SITES="${MAX_SITES:-400}"
@@ -156,8 +156,12 @@ for seed in $SEEDS; do
               || fail "$op:$n survived but output differs from golden ($ctx)"
           total_absorbed=$((total_absorbed + 1))
         else
-          grep -qi "error" "$run/run.err" \
-              || fail "$op:$n failed without reporting an error ($ctx)"
+          # The fault is an errno, so the run must report an I/O error:
+          # a Corruption would call a healthy store damaged.
+          grep -q "IOError" "$run/run.err" \
+              || fail "$op:$n failed without reporting an IOError ($ctx)"
+          ! grep -q "Corruption" "$run/run.err" \
+              || fail "$op:$n reported an I/O fault as Corruption ($ctx)"
         fi
 
         # 2. The store is never torn: fsck --gc passes and an empty

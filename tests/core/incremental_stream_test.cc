@@ -169,9 +169,9 @@ void MakeInstances(ScratchDir* scratch, const std::string& mono_path,
 // Writes the effective graph of the store at `root` (no pending delta)
 // as a monolithic file in the store's record order.
 std::string UnshardStore(ScratchDir* scratch, const std::string& root) {
-  ManifestOrderedShardCursor cursor;
-  EXPECT_OK(cursor.Open(root));
-  const AdjacencyFileHeader& h = cursor.header();
+  AdjacencyFileScanner scanner;
+  EXPECT_OK(scanner.OpenStore(root));
+  const AdjacencyFileHeader& h = scanner.header();
   const std::string path = scratch->NewFilePath("unsharded.adj");
   AdjacencyFileWriter writer;
   EXPECT_OK(writer.Open(path, h.num_vertices, h.num_directed_edges,
@@ -179,7 +179,7 @@ std::string UnshardStore(ScratchDir* scratch, const std::string& root) {
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    EXPECT_OK(cursor.Next(&rec, &has_next));
+    EXPECT_OK(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     EXPECT_OK(writer.AppendVertex(rec.id, rec.neighbors, rec.degree));
   }
@@ -198,12 +198,12 @@ std::vector<uint32_t> ListingMembers(const std::string& root,
                                      const std::vector<VertexId>& pending) {
   std::vector<uint32_t> count(set.size(), 0);
   const std::set<VertexId> evicted(pending.begin(), pending.end());
-  ManifestOrderedShardCursor cursor;
-  EXPECT_OK(cursor.Open(root));
+  AdjacencyFileScanner scanner;
+  EXPECT_OK(scanner.OpenStore(root));
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    EXPECT_OK(cursor.Next(&rec, &has_next));
+    EXPECT_OK(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     const bool member = set.Test(rec.id);
     const bool unread = evicted.count(rec.id) > 0;
@@ -536,14 +536,14 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   EXPECT_TRUE(mis.set().Test(1)) << "base copy survived its deletion";
   EXPECT_EQ(mis.set_size(), 2u);
   ASSERT_OK(mis.Compact(/*force=*/true));
-  ManifestOrderedShardCursor cursor;
-  ASSERT_OK(cursor.Open(manifest));
-  EXPECT_EQ(cursor.header().num_directed_edges, 0u);
+  AdjacencyFileScanner scanner;
+  ASSERT_OK(scanner.OpenStore(manifest));
+  EXPECT_EQ(scanner.header().num_directed_edges, 0u);
   VertexRecordView rec;
   bool has_next = false;
   uint64_t records = 0;
   while (true) {
-    ASSERT_OK(cursor.Next(&rec, &has_next));
+    ASSERT_OK(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     EXPECT_EQ(rec.degree, 0u);
     records++;
@@ -558,11 +558,11 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   ASSERT_OK(mis2.Initialize(manifest2, set, EnginePipelineOptions{}));
   ASSERT_OK(mis2.ApplyBatch({EdgeUpdate::Insert(0, 1)}));
   ASSERT_OK(mis2.Compact(/*force=*/true));
-  ManifestOrderedShardCursor cursor2;
-  ASSERT_OK(cursor2.Open(manifest2));
-  EXPECT_EQ(cursor2.header().num_directed_edges, 2u);  // one edge, not two
+  AdjacencyFileScanner scanner2;
+  ASSERT_OK(scanner2.OpenStore(manifest2));
+  EXPECT_EQ(scanner2.header().num_directed_edges, 2u);  // one edge, not two
   while (true) {
-    ASSERT_OK(cursor2.Next(&rec, &has_next));
+    ASSERT_OK(scanner2.Next(&rec, &has_next));
     if (!has_next) break;
     EXPECT_EQ(rec.degree, 1u);
   }
@@ -595,14 +595,14 @@ struct DeltaTracker {
 // Re-reads the store at `manifest` and checks it holds exactly `want`,
 // record by record.
 void ExpectStoreHoldsGraph(const std::string& manifest, const Graph& want) {
-  ManifestOrderedShardCursor cursor;
-  ASSERT_OK(cursor.Open(manifest));
-  EXPECT_EQ(cursor.header().num_directed_edges, want.NumDirectedEdges());
+  AdjacencyFileScanner scanner;
+  ASSERT_OK(scanner.OpenStore(manifest));
+  EXPECT_EQ(scanner.header().num_directed_edges, want.NumDirectedEdges());
   VertexRecordView rec;
   bool has_next = false;
   uint64_t records = 0;
   while (true) {
-    ASSERT_OK(cursor.Next(&rec, &has_next));
+    ASSERT_OK(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     records++;
     std::set<VertexId> got(rec.neighbors, rec.neighbors + rec.degree);

@@ -89,9 +89,9 @@ class ResortTest : public ScratchTest {
   std::string RebuildReference(const std::string& root, const std::string& tag,
                                uint32_t num_shards) {
     IoStats io;
-    ManifestOrderedShardCursor cursor(&io);
-    EXPECT_OK(cursor.Open(root));
-    const AdjacencyFileHeader& h = cursor.header();
+    AdjacencyFileScanner scanner(&io);
+    EXPECT_OK(scanner.OpenStore(root));
+    const AdjacencyFileHeader& h = scanner.header();
     const std::string unsharded = NewPath(tag + ".ref.adj");
     AdjacencyFileWriter writer(&io);
     EXPECT_OK(writer.Open(unsharded, h.num_vertices, h.num_directed_edges,
@@ -99,7 +99,7 @@ class ResortTest : public ScratchTest {
     VertexRecordView rec;
     bool has_next = false;
     while (true) {
-      EXPECT_OK(cursor.Next(&rec, &has_next));
+      EXPECT_OK(scanner.Next(&rec, &has_next));
       if (!has_next) break;
       EXPECT_OK(writer.AppendVertex(rec.id, rec.neighbors, rec.degree));
     }

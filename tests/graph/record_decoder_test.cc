@@ -5,9 +5,9 @@
 // Every case runs on both formats, and every corruption is hit on both
 // paths. On both paths a view has the record's header words right in
 // front of its neighbors, which is what lets compaction copy a record as
-// one byte run. Every shard is also drained through
-// ManifestOrderedShardCursor, which must yield what the scanner yields
-// and fail where it fails.
+// one byte run. Every shard is also drained as a store scan
+// (OpenStore), which must yield what the shard scan yields and fail where
+// it fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -144,8 +144,7 @@ using Records = std::vector<std::vector<uint32_t>>;
 // Appends every record `source` yields, as (id, neighbors) pairs, to
 // `out`; returns the first error. Every view must carry the record's
 // words, header words first.
-template <typename Source>
-Status DrainSource(Source* source, Records* out) {
+Status DrainSource(AdjacencyFileScanner* source, Records* out) {
   VertexRecordView view;
   bool has_next = false;
   while (true) {
@@ -161,7 +160,7 @@ Status DrainSource(Source* source, Records* out) {
 
 // Every record of the file at `path` through the scanner, opened on the
 // SADJ file or on the shard; the first error is returned. A shard is read
-// once more, through the cursor, which must yield what the scanner
+// once more, as a store scan, which must yield what the shard scan
 // yielded and fail where it failed.
 Status Drain(Format f, const std::string& path, Records* out) {
   out->clear();
@@ -176,15 +175,16 @@ Status Drain(Format f, const std::string& path, Records* out) {
   Status read = DrainSource(&scanner, out);
   if (read.ok()) read = scanner.Close();
 
-  ManifestOrderedShardCursor cursor;
-  SEMIS_RETURN_IF_ERROR(cursor.Open(path));
+  AdjacencyFileScanner store;
+  SEMIS_RETURN_IF_ERROR(store.OpenStore(path));
   Records got;
-  Status drained = DrainSource(&cursor, &got);
-  Status closed = cursor.Close();
+  Status drained = DrainSource(&store, &got);
+  Status closed = store.Close();
   if (drained.ok()) drained = closed;
   EXPECT_EQ(got, *out);
   EXPECT_EQ(drained.code(), read.code())
-      << "cursor: " << drained.ToString() << ", scanner: " << read.ToString();
+      << "store scan: " << drained.ToString()
+      << ", shard scan: " << read.ToString();
   return read;
 }
 

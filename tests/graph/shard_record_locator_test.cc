@@ -1,8 +1,7 @@
-// ShardRecordLocator and ShardFrontierReader
-// (graph/shard_record_locator.h): the locator agrees with a full scan, a
-// frontier read yields exactly the records a scan yields for the ids
-// asked for, at every worker count, and the forward-only and identity
-// checks hold. The locator's range cut covers every record once from
+// ShardRecordLocator (graph/shard_record_locator.h): the locator agrees
+// with a full scan, a frontier read (ReadRecords) yields exactly the
+// records a scan yields for the ids asked for, at every worker count,
+// and the forward-only and identity checks hold. The locator's range cut covers every record once from
 // checkpoints, the scanner's range open reads the cut back as the scan's
 // records, and its end checks fail a misplaced or overlong range with
 // Corruption, but a read error at the end check with that error.
@@ -142,15 +141,13 @@ TEST_F(ShardRecordLocatorTest, FrontierReadMatchesTheScanAtEveryWorkerCount) {
 
   for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    const ShardFrontierReader reader(manifest_path_, manifest_, locator,
-                                     workers);
     std::vector<std::vector<ScannedRecord>> got(manifest_.num_shards());
     IoStats io;
-    ASSERT_OK(reader.Read(ids, &io,
-                          [&](uint32_t shard, const VertexRecordView& rec) {
-                            got[shard].push_back(
-                                {rec.id, {rec.begin(), rec.end()}, 0});
-                          }));
+    ASSERT_OK(locator.ReadRecords(
+        manifest_path_, manifest_, ids, workers, &io,
+        [&](uint32_t shard, const VertexRecordView& rec) {
+          got[shard].push_back({rec.id, {rec.begin(), rec.end()}, 0});
+        }));
     size_t next = 0;
     for (uint32_t k = 0; k < got.size(); ++k) {
       for (const ScannedRecord& r : got[k]) {
@@ -172,18 +169,18 @@ TEST_F(ShardRecordLocatorTest, IdsOutOfRankOrderAreInvalidArgument) {
   ShardRecordLocator locator;
   ASSERT_OK(locator.Build(manifest_path_, manifest_, nullptr));
   for (size_t workers : {size_t{1}, size_t{2}}) {
-    const ShardFrontierReader reader(manifest_path_, manifest_, locator,
-                                     workers);
-    const auto ignore = [](uint32_t, const VertexRecordView&) {};
+    const auto read = [&](const std::vector<VertexId>& ids) {
+      return locator.ReadRecords(manifest_path_, manifest_, ids, workers,
+                                 nullptr,
+                                 [](uint32_t, const VertexRecordView&) {});
+    };
     // An id behind its shard's read position.
-    const std::vector<VertexId> behind = {scanned_[1][20].id,
-                                          scanned_[1][3].id};
-    EXPECT_TRUE(reader.Read(behind, nullptr, ignore).IsInvalidArgument());
-    // A shard's ids after a later shard's.
-    const std::vector<VertexId> shards_back = {
-        scanned_[0][1].id, scanned_[2][1].id, scanned_[0][9].id};
     EXPECT_TRUE(
-        reader.Read(shards_back, nullptr, ignore).IsInvalidArgument());
+        read({scanned_[1][20].id, scanned_[1][3].id}).IsInvalidArgument());
+    // A shard's ids after a later shard's.
+    EXPECT_TRUE(read({scanned_[0][1].id, scanned_[2][1].id,
+                      scanned_[0][9].id})
+                    .IsInvalidArgument());
   }
 }
 
@@ -199,13 +196,12 @@ TEST_F(ShardRecordLocatorTest, CheckpointNamingTheWrongRecordIsCorruption) {
   }
   locator.ReplaceCheckpoints(1, std::move(shifted));
   for (size_t workers : {size_t{1}, size_t{2}}) {
-    const ShardFrontierReader reader(manifest_path_, manifest_, locator,
-                                     workers);
     const std::vector<VertexId> ids = {scanned_[0][2].id, shard[40].id,
                                        scanned_[2][2].id};
     std::vector<VertexId> visited;
-    const Status s = reader.Read(
-        ids, nullptr, [&](uint32_t shard_index, const VertexRecordView& rec) {
+    const Status s = locator.ReadRecords(
+        manifest_path_, manifest_, ids, workers, nullptr,
+        [&](uint32_t shard_index, const VertexRecordView& rec) {
           if (shard_index == 1) visited.push_back(rec.id);
         });
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();

@@ -8,6 +8,9 @@
 // crashes leave behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/edge_delta_file.h"
+#include "io/env.h"
 #include "io/epoch_journal.h"
 #include "io/file.h"
 #include "test_util.h"
@@ -163,9 +167,9 @@ TEST_F(ShardStoreTest, ReaderHoldingOldEpochSurvivesOneCommit) {
 
   // The reader resolves the store at epoch 1 and starts scanning.
   IoStats io;
-  ManifestOrderedShardCursor cursor(&io);
-  ASSERT_OK(cursor.Open(root));
-  const uint64_t expected = cursor.header().num_vertices;
+  AdjacencyFileScanner scanner(&io);
+  ASSERT_OK(scanner.OpenStore(root));
+  const uint64_t expected = scanner.header().num_vertices;
 
   // A commit happens underneath it: epoch 2 is published and GC runs.
   ASSERT_OK(mis.ApplyBatch(SomeUpdates(2)));
@@ -177,7 +181,7 @@ TEST_F(ShardStoreTest, ReaderHoldingOldEpochSurvivesOneCommit) {
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    ASSERT_OK(cursor.Next(&rec, &has_next));
+    ASSERT_OK(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     records++;
   }
@@ -223,6 +227,70 @@ TEST_F(ShardStoreTest, RootNamingMissingEpochFallsBack) {
   // With no fallback epoch left, a missing current epoch is terminal.
   ASSERT_OK(WriteEpochRootPointer(root, {9, 0}));
   EXPECT_TRUE(ResolveShardStore(root, &store).IsCorruption());
+}
+
+// The files in the directory holding `root`, for a before/after check.
+std::vector<std::string> DirectoryFiles(const std::string& root) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(root).parent_path())) {
+    files.push_back(entry.path().string());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST_F(ShardStoreTest, ReadErrorInTheCurrentEpochDoesNotFallBack) {
+  std::string root;
+  BitVector initial = MakeStore(2, &root);
+  uint64_t pending = 0;
+  {
+    ShardedStreamingMis mis;
+    ASSERT_OK(mis.Initialize(root, initial, EnginePipelineOptions{}));
+    ASSERT_OK(mis.ApplyBatch(SomeUpdates(1)));
+    ASSERT_OK(mis.Compact(/*force=*/true));  // epoch 1
+    ASSERT_OK(mis.ApplyBatch(SomeUpdates(2)));
+    ASSERT_OK(mis.Compact(/*force=*/true));  // epoch 2, previous 1
+    ASSERT_OK(mis.ApplyBatch(SomeUpdates(3)));  // pending in epoch 2
+    pending = mis.stats().pending_delta_entries;
+  }
+  ASSERT_GT(pending, 0u);
+  const std::vector<std::string> files = DirectoryFiles(root);
+
+  // One EIO on the first read of epoch 2's manifest says nothing about
+  // the epoch: both resolutions return it, and recovery neither rewrites
+  // the root nor collects a file.
+  FaultSpec spec;
+  spec.op = IoOp::kRead;
+  spec.nth = 1;
+  spec.fault_errno = EIO;
+  spec.path_substr = EpochManifestPath(root, 2);
+  for (const bool durable : {true, false}) {
+    FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+    ScopedFileSystem scoped(&fs);
+    ResolvedShardStore store;
+    ShardStoreRecovery recovery;
+    const Status s = durable ? RecoverShardStore(root, &store, &recovery)
+                             : ResolveShardStore(root, &store);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_EQ(fs.faults_injected(), 1u);
+  }
+  EpochRootPointer ptr;
+  ASSERT_OK(ReadEpochRootPointer(root, &ptr));
+  EXPECT_EQ(ptr.current_epoch, 2u);
+  EXPECT_EQ(ptr.previous_epoch, 1u);
+  EXPECT_EQ(DirectoryFiles(root), files);
+
+  // Fault-free, the store serves epoch 2, and a new session replays its
+  // pending entries.
+  ResolvedShardStore store;
+  ShardStoreRecovery recovery;
+  ASSERT_OK(RecoverShardStore(root, &store, &recovery));
+  EXPECT_FALSE(recovery.fell_back);
+  EXPECT_EQ(store.current_epoch, 2u);
+  ShardedStreamingMis second;
+  ASSERT_OK(second.Initialize(root, initial, EnginePipelineOptions{}));
+  EXPECT_EQ(second.stats().pending_delta_entries, pending);
 }
 
 TEST_F(ShardStoreTest, InterruptedGcIsRepairedIdempotently) {

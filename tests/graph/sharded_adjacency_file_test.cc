@@ -24,22 +24,22 @@ using testing_util::WriteGraphFile;
 class ShardedAdjacencyFileTest : public ScratchTest {};
 
 // Reads every record of every shard in index order into (id, neighbors),
-// through the cursor.
+// through a store scan.
 std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainSharded(
     const std::string& manifest_path) {
   std::vector<std::pair<VertexId, std::vector<VertexId>>> out;
-  ManifestOrderedShardCursor cursor;
-  Status s = cursor.Open(manifest_path);
+  AdjacencyFileScanner scanner;
+  Status s = scanner.OpenStore(manifest_path);
   EXPECT_TRUE(s.ok()) << s.ToString();
   if (!s.ok()) return out;
   VertexRecordView rec;
   bool has_next = false;
-  while ((s = cursor.Next(&rec, &has_next)).ok() && has_next) {
+  while ((s = scanner.Next(&rec, &has_next)).ok() && has_next) {
     out.emplace_back(rec.id, std::vector<VertexId>(
                                  rec.neighbors, rec.neighbors + rec.degree));
   }
   EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_OK(cursor.Close());
+  EXPECT_OK(scanner.Close());
   return out;
 }
 
@@ -59,13 +59,13 @@ std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainMonolithic(
   return out;
 }
 
-// Drains `cursor` through the view API into (id, neighbors).
-std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainCursor(
-    ManifestOrderedShardCursor* cursor) {
+// Drains `scanner` through the view API into (id, neighbors).
+std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainScan(
+    AdjacencyFileScanner* scanner) {
   std::vector<std::pair<VertexId, std::vector<VertexId>>> got;
   VertexRecordView view;
   bool has_next = false;
-  while (cursor->Next(&view, &has_next).ok() && has_next) {
+  while (scanner->Next(&view, &has_next).ok() && has_next) {
     got.emplace_back(view.id,
                      std::vector<VertexId>(view.begin(), view.end()));
   }
@@ -130,15 +130,15 @@ TEST_F(ShardedAdjacencyFileTest, DegreeSortedFlagSurvivesSharding) {
   ASSERT_OK(BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{}));
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(sorted, manifest, 3));
-  ManifestOrderedShardCursor cursor;
-  ASSERT_OK(cursor.Open(manifest));
-  EXPECT_TRUE(cursor.header().IsDegreeSorted());
+  AdjacencyFileScanner scanner;
+  ASSERT_OK(scanner.OpenStore(manifest));
+  EXPECT_TRUE(scanner.header().IsDegreeSorted());
   // And the records really are in ascending (degree, id) order globally.
   VertexRecordView rec;
   bool has_next = false;
   uint64_t prev_key = 0;
   while (true) {
-    ASSERT_OK(cursor.Next(&rec, &has_next));
+    ASSERT_OK(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     uint64_t key = (static_cast<uint64_t>(rec.degree) << 32) | rec.id;
     EXPECT_GE(key, prev_key);
@@ -268,25 +268,25 @@ TEST_F(ShardedAdjacencyFileTest, CorruptManifestRejected) {
 }
 
 TEST_F(ShardedAdjacencyFileTest, CursorYieldsManifestOrderAtEveryPoolSize) {
-  // The manifest-ordered cursor contract: the record stream of the
-  // monolithic file. The cursor starts no worker; it reads the shards on the
-  // calling thread, so every thread count gets this one stream.
+  // The store scan's contract: the record stream of the monolithic file.
+  // It starts no worker; it reads the shards on the calling thread, so
+  // every thread count gets this one stream.
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(5000, 2.0), 30);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 5));
   auto expected = DrainMonolithic(mono);
 
-  ManifestOrderedShardCursor cursor;
-  ASSERT_OK(cursor.Open(manifest));
-  EXPECT_EQ(DrainCursor(&cursor), expected);
-  ASSERT_OK(cursor.Close());
+  AdjacencyFileScanner scanner;
+  ASSERT_OK(scanner.OpenStore(manifest));
+  EXPECT_EQ(DrainScan(&scanner), expected);
+  ASSERT_OK(scanner.Close());
 }
 
 TEST_F(ShardedAdjacencyFileTest, CursorMergesWorkerIoAndCountsOneScan) {
-  // The cursor's reads are charged as one scan of the store: the manifest
-  // and every shard opened once, every record decoded and every byte of
-  // the store read once.
+  // A store scan's reads are charged as one scan of the store: the
+  // manifest and every shard opened once, every record decoded and every
+  // byte of the store read once.
   Graph g = GenerateErdosRenyi(1000, 3000, 32);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
@@ -303,38 +303,54 @@ TEST_F(ShardedAdjacencyFileTest, CursorMergesWorkerIoAndCountsOneScan) {
   }
 
   IoStats io;
-  ManifestOrderedShardCursor cursor(&io);
-  ASSERT_OK(cursor.Open(manifest));
-  EXPECT_EQ(DrainCursor(&cursor).size(), g.NumVertices());
-  ASSERT_OK(cursor.Close());
+  AdjacencyFileScanner scanner(&io);
+  ASSERT_OK(scanner.OpenStore(manifest));
+  EXPECT_EQ(DrainScan(&scanner).size(), g.NumVertices());
+  ASSERT_OK(scanner.Close());
   EXPECT_EQ(io.sequential_scans, 1u);
   EXPECT_EQ(io.files_opened, manifest_io.files_opened + kShards);
   EXPECT_EQ(io.records_decoded, g.NumVertices());
   EXPECT_EQ(io.bytes_read, store_bytes);
 }
 
-TEST_F(ShardedAdjacencyFileTest, CursorWithoutPoolAndRejectsDoubleOpen) {
-  // The cursor reads the shards on the calling thread: the monolithic
-  // stream, charged as one scan of the store per Open.
+TEST_F(ShardedAdjacencyFileTest, StoreScanReopensAndDoesNotRewind) {
+  // Each OpenStore after a Close is one scan of the store from its first
+  // record, also when the scan before it stopped midway; a store scan
+  // does not rewind; and a shard or SADJ open after one reads only its
+  // own stream.
   Graph g = GenerateErdosRenyi(200, 600, 33);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
   const auto expected = DrainMonolithic(mono);
   IoStats io;
-  ManifestOrderedShardCursor cursor(&io);
-  ASSERT_OK(cursor.Open(manifest));
-  EXPECT_EQ(cursor.path(), manifest);
-  EXPECT_EQ(DrainCursor(&cursor), expected);
-  EXPECT_TRUE(cursor.Open(manifest).IsInvalidArgument());
-  ASSERT_OK(cursor.Close());
-  EXPECT_EQ(io.sequential_scans, 1u);
-  // Reopened after Close; a second Open is rejected again.
-  ASSERT_OK(cursor.Open(manifest));
-  EXPECT_TRUE(cursor.Open(manifest).IsInvalidArgument());
-  EXPECT_EQ(DrainCursor(&cursor), expected);
-  ASSERT_OK(cursor.Close());
+  AdjacencyFileScanner scanner(&io);
+  ASSERT_OK(scanner.OpenStore(manifest));
+  EXPECT_EQ(scanner.path(), manifest);
+  VertexRecordView rec;
+  bool has_next = false;
+  ASSERT_OK(scanner.Next(&rec, &has_next));
+  ASSERT_TRUE(has_next);
+  ASSERT_OK(scanner.Close());
+  ASSERT_OK(scanner.OpenStore(manifest));
+  EXPECT_EQ(DrainScan(&scanner), expected);
+  EXPECT_TRUE(scanner.Rewind().IsInvalidArgument());
+  ASSERT_OK(scanner.Close());
   EXPECT_EQ(io.sequential_scans, 2u);
+
+  ShardedAdjacencyManifest m;
+  ASSERT_OK(ReadShardedAdjacencyManifest(manifest, &m));
+  ASSERT_OK(scanner.OpenShard(manifest, m, 1));
+  EXPECT_EQ(scanner.path(), ShardFilePath(manifest, 1));
+  const auto shard1 = DrainScan(&scanner);
+  ASSERT_EQ(shard1.size(), m.shards[1].num_records);
+  EXPECT_EQ(shard1.front(), expected[m.shards[0].num_records]);
+  ASSERT_OK(scanner.Close());
+  ASSERT_OK(scanner.OpenStore(manifest));
+  ASSERT_OK(scanner.Next(&rec, &has_next));
+  ASSERT_OK(scanner.Close());
+  ASSERT_OK(scanner.Open(mono));
+  EXPECT_EQ(DrainScan(&scanner), expected);
 }
 
 TEST_F(ShardedAdjacencyFileTest, CursorEarlyCloseEndsTheScan) {
@@ -342,32 +358,34 @@ TEST_F(ShardedAdjacencyFileTest, CursorEarlyCloseEndsTheScan) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 8));
+  // The scan below never reaches the last shard, so it never opens it.
+  ASSERT_OK(RemoveFileIfExists(ShardFilePath(manifest, 7)));
   {
     // Abandoning a scan mid-way: Close ends it cleanly, and a second
     // Close is a no-op.
-    ManifestOrderedShardCursor cursor;
-    ASSERT_OK(cursor.Open(manifest));
+    AdjacencyFileScanner scanner;
+    ASSERT_OK(scanner.OpenStore(manifest));
     VertexRecordView rec;
     bool has_next = false;
-    ASSERT_OK(cursor.Next(&rec, &has_next));
+    ASSERT_OK(scanner.Next(&rec, &has_next));
     EXPECT_TRUE(has_next);
-    ASSERT_OK(cursor.Close());
-    ASSERT_OK(cursor.Close());
+    ASSERT_OK(scanner.Close());
+    ASSERT_OK(scanner.Close());
   }
   {
     // The same, with the destructor closing the scan.
-    ManifestOrderedShardCursor cursor;
-    ASSERT_OK(cursor.Open(manifest));
+    AdjacencyFileScanner scanner;
+    ASSERT_OK(scanner.OpenStore(manifest));
     VertexRecordView rec;
     bool has_next = false;
-    ASSERT_OK(cursor.Next(&rec, &has_next));
+    ASSERT_OK(scanner.Next(&rec, &has_next));
     EXPECT_TRUE(has_next);
   }
 }
 
 // Empty shards in the MIDDLE of the manifest (the sharding writer only
 // produces trailing empties, but compaction can empty any shard): the
-// cursor must cross them transparently.
+// store scan must cross them transparently.
 TEST_F(ShardedAdjacencyFileTest, InteriorEmptyShardsYieldSequentialStream) {
   Graph g = GenerateErdosRenyi(200, 600, 36);
   std::string mono = WriteGraphFile(&scratch_, g);
@@ -423,18 +441,22 @@ TEST_F(ShardedAdjacencyFileTest, TruncatedShardSurfacesThroughNext) {
   ASSERT_OK(GetFileSize(shard1, &size));
   std::filesystem::resize_file(shard1, size - 7);
 
-  ManifestOrderedShardCursor cursor;
-  ASSERT_OK(cursor.Open(manifest));
+  AdjacencyFileScanner scanner;
+  ASSERT_OK(scanner.OpenStore(manifest));
   VertexRecordView view;
   bool has_next = false;
   uint64_t yielded = 0;
   Status s;
-  while ((s = cursor.Next(&view, &has_next)).ok() && has_next) yielded++;
+  while ((s = scanner.Next(&view, &has_next)).ok() && has_next) yielded++;
   EXPECT_FALSE(s.ok()) << "scan over a truncated shard completed OK";
-  // Every record of the healthy shard 0 was delivered before the error.
+  // Every record of the healthy shard 0 was delivered before the error,
+  // which names the damaged shard's file.
   EXPECT_GE(yielded, m.shards[0].num_records);
-  // The scan never reached the end, so Close re-reports the failure.
-  EXPECT_FALSE(cursor.Close().ok());
+  EXPECT_NE(s.message().find(shard1), std::string::npos) << s.ToString();
+  // The error latches: the scan does not go on into shard 2.
+  const Status again = scanner.Next(&view, &has_next);
+  EXPECT_EQ(again.code(), s.code());
+  EXPECT_EQ(again.message(), s.message());
 }
 
 TEST_F(ShardedAdjacencyFileTest, ShardReaderValidatesIndex) {

@@ -552,7 +552,9 @@ int CmdSolve(const Args& args) {
   }
   // A SADJS manifest is consumed directly (the file fixes the shard
   // count); a monolithic file becomes a --shards shard store (0 = 1).
-  const bool is_manifest = IsShardStoreRoot(args.positional[0]);
+  bool is_manifest = false;
+  Status probe = ProbeShardStoreRoot(args.positional[0], &is_manifest);
+  if (!probe.ok()) return Fail(probe);
   if (!ParseSolveFlags(args, is_manifest, &opts)) return 1;
   opts.verify = args.Has("verify");
   MisEngine engine(opts);
@@ -838,7 +840,10 @@ int CmdUpdate(const Args& args) {
   // misleading "not an adjacency file" from the sharder.
   std::string manifest_path = input;
   ShardedAdjacencyManifest manifest;
-  if (IsShardStoreRoot(input)) {
+  bool is_store = false;
+  Status probe = ProbeShardStoreRoot(input, &is_store);
+  if (!probe.ok()) return Fail(probe);
+  if (is_store) {
     Status s = ReadShardStoreManifest(input, &manifest);
     if (!s.ok()) return Fail(s);
   } else {
@@ -902,6 +907,7 @@ int CmdUpdate(const Args& args) {
   std::vector<EdgeUpdate> batch_updates;
   batch_updates.reserve(batch);
   bool drained = false;
+  bool repaired = false;
   while (!drained) {
     batch_updates.clear();
     while (batch_updates.size() < batch) {
@@ -926,7 +932,17 @@ int CmdUpdate(const Args& args) {
       NoteEngineDegraded(engine);
       return Fail(s);
     }
+    repaired = true;
     engine.Publish();
+  }
+  // With no batch, nothing repaired the evictions Prepare replayed from a
+  // previous session's overlay.
+  if (!repaired) {
+    s = engine.Repair();
+    if (!s.ok()) {
+      NoteEngineDegraded(engine);
+      return Fail(s);
+    }
   }
   if (compact) {
     s = engine.Compact(/*force=*/true);
@@ -1043,10 +1059,13 @@ int CmdEngine(const Args& args) {
   if (args.positional.size() != 1 || !args.Has("script")) return Usage();
   MisEngineOptions opts;
   if (!ParseCount(args, "compact-threshold", "65536", 0, kMaxU64,
-                  &opts.pipeline.compact_threshold_entries) ||
-      !ParseSolveFlags(args, IsShardStoreRoot(args.positional[0]), &opts)) {
+                  &opts.pipeline.compact_threshold_entries)) {
     return 1;
   }
+  bool is_store = false;
+  Status probe = ProbeShardStoreRoot(args.positional[0], &is_store);
+  if (!probe.ok()) return Fail(probe);
+  if (!ParseSolveFlags(args, is_store, &opts)) return 1;
 
   MisEngine engine(opts);
   Status s = engine.Open(args.positional[0]);
@@ -1261,10 +1280,10 @@ int CmdFsck(const Args& args) {
 int CmdUnshard(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   IoStats io;
-  ManifestOrderedShardCursor cursor(&io);
-  Status s = cursor.Open(args.positional[0]);
+  AdjacencyFileScanner scanner(&io);
+  Status s = scanner.OpenStore(args.positional[0]);
   if (!s.ok()) return Fail(s);
-  const AdjacencyFileHeader& h = cursor.header();
+  const AdjacencyFileHeader& h = scanner.header();
   AdjacencyFileWriter writer(&io);
   s = writer.Open(args.positional[1], h.num_vertices, h.num_directed_edges,
                   h.max_degree, h.flags);
@@ -1272,7 +1291,7 @@ int CmdUnshard(const Args& args) {
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    s = cursor.Next(&rec, &has_next);
+    s = scanner.Next(&rec, &has_next);
     if (!s.ok()) return Fail(s);
     if (!has_next) break;
     s = writer.AppendVertex(rec.id, rec.neighbors, rec.degree);
