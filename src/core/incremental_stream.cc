@@ -53,11 +53,15 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
 
   SEMIS_RETURN_IF_ERROR(locator_.Build(manifest_path_, manifest_, &stats_.io));
 
-  // Resume from an existing overlay, or start a fresh (empty) one.
+  // Resume from an existing overlay, or start a fresh (empty) one. Only
+  // a missing overlay starts fresh: the fresh logs truncate the live
+  // ones, and any other stat error says nothing about the file.
   uint64_t size = 0;
-  const bool delta_exists = GetFileSize(delta_path_, &size).ok();
-  if (delta_exists) {
+  const Status overlay = GetFileSize(delta_path_, &size);
+  if (overlay.ok()) {
     SEMIS_RETURN_IF_ERROR(ReplayExistingDelta());
+  } else if (!overlay.IsNotFound()) {
+    return overlay;
   } else {
     EdgeDeltaManifest dm;
     dm.num_vertices = n_;
@@ -586,9 +590,13 @@ struct Fold {
 };
 
 // One range of a compacted shard: the folds that name its records, its
-// slot of the output buffer, and what its fold wrote.
-struct FoldedRange {
-  size_t fold_begin = 0;  // folds [fold_begin, fold_end) name its records
+// slot of the output buffer, and what its fold wrote. Its worker bumps
+// the counters on every record, so each range sits on cache lines of its
+// own.
+struct alignas(kCacheLineBytes) FoldedRange {
+  // The range's bucket of folds, [fold_begin, fold_end); FoldRange sorts
+  // it and moves fold_end back over the duplicates it drops.
+  size_t fold_begin = 0;
   size_t fold_end = 0;
   size_t slot = 0;   // first word of its slot in the output buffer
   size_t words = 0;  // words written to the slot
@@ -597,19 +605,58 @@ struct FoldedRange {
   bool changed = false;  // a fold changed one of its records
   IoStats io;
 };
+static_assert(alignof(FoldedRange) == kCacheLineBytes,
+              "ranges folded on different workers must share no line");
 
-// Reads `range` of shard `shard` and writes its records, folded, to
-// `slot`, which holds the range's bytes plus one word per fold naming
-// one of its records (a fold adds at most one word). The byte offset
-// within the slot of the range's every kLocatorCheckpointStride-th
-// record goes to `checkpoints`, one entry per checkpoint the range
-// starts. Runs on a worker: it writes only its own range's folds, slot,
-// checkpoints and `out`.
+// Splits folds[begin, end) into the buckets of `ranges[0, num_ranges)`,
+// record ranges of a shard whose first record has rank `first_rank`: a
+// fold goes to the range that holds its record. Sets each range's
+// [fold_begin, fold_end) and leaves each bucket unsorted. Halving the
+// ranges at every step moves each fold about log2(num_ranges) times.
+void BucketFolds(uint64_t first_rank, const ShardRecordRange* ranges,
+                 FoldedRange* out, size_t num_ranges, Fold* folds,
+                 size_t begin, size_t end) {
+  if (num_ranges == 1) {
+    out->fold_begin = begin;
+    out->fold_end = end;
+    return;
+  }
+  const size_t half = num_ranges / 2;
+  const uint64_t cut = first_rank + ranges[half - 1].end_record;
+  const size_t mid = static_cast<size_t>(
+      std::partition(folds + begin, folds + end,
+                     [cut](const Fold& f) { return f.rank < cut; }) -
+      folds);
+  BucketFolds(first_rank, ranges, out, half, folds, begin, mid);
+  BucketFolds(first_rank, ranges + half, out + half, num_ranges - half, folds,
+              mid, end);
+}
+
+// Sorts the range's bucket of folds by (rank, partner), drops repeats,
+// then reads `range` of shard `shard` and writes its records, folded, to
+// `slot`, which holds the range's bytes plus one word per fold in the
+// bucket (a fold adds at most one word). The byte offset within the slot
+// of the range's every kLocatorCheckpointStride-th record goes to
+// `checkpoints`, one entry per checkpoint the range starts. Runs on a
+// worker: it writes only its own range's folds, slot, checkpoints and
+// `out`.
 Status FoldRange(const std::string& manifest_path,
                  const ShardedAdjacencyManifest& manifest,
                  const ShardRecordLocator& locator, uint32_t shard,
                  const ShardRecordRange& range, Fold* folds,
                  FoldedRange* out, uint32_t* slot, uint64_t* checkpoints) {
+  // A repeat names the same edge, so it folds the same way: one copy of
+  // each is enough.
+  Fold* const bucket = folds + out->fold_begin;
+  std::sort(bucket, folds + out->fold_end, [](const Fold& a, const Fold& b) {
+    return a.rank != b.rank ? a.rank < b.rank : a.partner < b.partner;
+  });
+  out->fold_end = static_cast<size_t>(
+      std::unique(bucket, folds + out->fold_end,
+                  [](const Fold& a, const Fold& b) {
+                    return a.rank == b.rank && a.partner == b.partner;
+                  }) -
+      folds);
   // The scanner's buffer holds the bytes the range reads, the shard
   // header included for a shard's first range, up to a scan's 1 MiB:
   // one fill reads a range of up to that size.
@@ -715,13 +762,13 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
                                          bool* records_changed,
                                          std::vector<uint64_t>* checkpoints) {
   // The fold list: one (rank, partner, deleted) per edge that a pending
-  // entry of this shard names at one of its records, sorted by rank and
-  // partner. Every entry touching an edge was routed to both endpoints'
-  // shards, and a compaction retires all of its shard's entries, so what
-  // this shard holds of an edge is a suffix of the edge's entries, the
-  // newest included, and where it holds none its base record already
-  // reflects the newest. The delta state keeps each edge as its newest
-  // entry left it, so one lookup per entry says what the fold does.
+  // entry of this shard names at one of its records. Every entry touching
+  // an edge was routed to both endpoints' shards, and a compaction
+  // retires all of its shard's entries, so what this shard holds of an
+  // edge is a suffix of the edge's entries, the newest included, and
+  // where it holds none its base record already reflects the newest. The
+  // delta state keeps each edge as its newest entry left it, so one
+  // lookup per entry says what the fold does.
   const uint64_t first_rank = locator_.first_rank(shard);
   const uint64_t end_rank = locator_.first_rank(shard + 1);
   std::vector<Fold> folds;
@@ -737,31 +784,21 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
     add(entry.u, entry.v);
     add(entry.v, entry.u);
   }
-  std::sort(folds.begin(), folds.end(), [](const Fold& a, const Fold& b) {
-    return a.rank != b.rank ? a.rank < b.rank : a.partner < b.partner;
-  });
-  folds.erase(std::unique(folds.begin(), folds.end(),
-                          [](const Fold& a, const Fold& b) {
-                            return a.rank == b.rank && a.partner == b.partner;
-                          }),
-              folds.end());
 
   // The shard's ranges fold on the workers, each into its own slot of
-  // one buffer allocated here: the range's bytes plus a word per fold
-  // naming one of its records. The buffer's size depends only on the
-  // shard and its folds, not on the cut, so neither does the charge.
+  // one buffer allocated here: the range's bytes plus a word per fold in
+  // its bucket, repeats included. Here the folds only go to their
+  // ranges' buckets; each range sorts its own. The buffer's size depends
+  // only on the shard and its folds, not on the cut, so neither does the
+  // charge.
   const size_t workers = ResolveThreadCount(options_.num_threads);
   const std::vector<ShardRecordRange> ranges = locator_.CutRanges(
       shard, manifest_.shards[shard], kCompactRangesPerWorker * workers);
   std::vector<FoldedRange> out(ranges.size());
+  BucketFolds(first_rank, ranges.data(), out.data(), ranges.size(),
+              folds.data(), 0, folds.size());
   size_t words = 0;
   for (size_t i = 0; i < ranges.size(); ++i) {
-    out[i].fold_begin = i == 0 ? 0 : out[i - 1].fold_end;
-    out[i].fold_end = static_cast<size_t>(
-        std::lower_bound(folds.begin() + out[i].fold_begin, folds.end(),
-                         first_rank + ranges[i].end_record,
-                         [](const Fold& f, uint64_t r) { return f.rank < r; }) -
-        folds.begin());
     out[i].slot = words;
     words += ranges[i].bytes() / sizeof(uint32_t) + out[i].fold_end -
              out[i].fold_begin;
@@ -790,6 +827,8 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
 
   // On this thread: the slots in range order, after the shard header,
   // and each range's checkpoint offsets moved to where its slot lands.
+  // The file's writeback starts as soon as the last slot is flushed, so
+  // the commit's fsync finds less to wait for.
   SequentialFileWriter writer(&stats_.io);
   SEMIS_RETURN_IF_ERROR(writer.Open(out_path));
   SEMIS_RETURN_IF_ERROR(WriteAdjacencyShardHeader(&writer, shard, n_));
@@ -809,6 +848,7 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
     *max_degree_seen = std::max(*max_degree_seen, range.max_degree);
     if (range.changed) *records_changed = true;
   }
+  SEMIS_RETURN_IF_ERROR(writer.StartWriteback());
   return writer.Close();
 }
 
@@ -816,10 +856,14 @@ Status ShardedStreamingMis::PublishEpoch(
     uint64_t next_epoch, const std::vector<std::string>& staged_files) {
   // Make every staged file durable, then the directory entries, THEN flip
   // the root -- the root must never name an epoch whose files could still
-  // be lost by a power cut.
-  for (const std::string& path : staged_files) {
-    SEMIS_RETURN_IF_ERROR(SyncFile(path));
-  }
+  // be lost by a power cut. The files sync concurrently, one work item
+  // each, so the small files' journal commits do not queue behind a
+  // rewritten shard's writeback; all of them are durable once the items
+  // join, and the first error in staged order is returned. One thread
+  // syncs them in staged order.
+  SEMIS_RETURN_IF_ERROR(ForEachItem(
+      ResolveThreadCount(options_.num_threads), staged_files.size(),
+      [&](size_t i, size_t) { return SyncFile(staged_files[i]); }));
   SEMIS_RETURN_IF_ERROR(SyncParentDirectory(root_path_));
   SEMIS_CRASH_POINT("epoch.staged-files-durable");
   EpochRootPointer root;
@@ -992,13 +1036,21 @@ Status ShardedStreamingMis::Compact(bool force) {
   SEMIS_RETURN_IF_ERROR(PublishEpoch(next_epoch, staged_files));
 
   // The commit succeeded; bring the maintainer in line with the new
-  // epoch, then retire the old one. Only now do the rewritten shards'
-  // offsets replace the old ones.
+  // epoch and collect the old one's garbage. Only now do the rewritten
+  // shards' offsets replace the old ones. The retire (item 0) rewrites
+  // the delta state in memory and GC (item 1) unlinks files, so they
+  // share nothing and run side by side; a GC error is returned once the
+  // retire has finished and the stats are in.
   manifest_ = staged;
   for (uint32_t k : saturated) {
     locator_.ReplaceCheckpoints(k, std::move(staged_checkpoints[k]));
   }
-  RetireCompactedEntries(is_saturated);
+  const Status collected = ForEachItem(
+      ResolveThreadCount(options_.num_threads), 2, [&](size_t item, size_t) {
+        if (item == 1) return CollectStoreGarbage();
+        RetireCompactedEntries(is_saturated);
+        return Status::OK();
+      });
   uint64_t pending_total = 0;
   for (const auto& shard_entries : pending_) {
     pending_total += shard_entries.size();
@@ -1008,7 +1060,7 @@ Status ShardedStreamingMis::Compact(bool force) {
   stats_.pending_delta_entries = pending_total;
   stats_.compact_seconds += timer.ElapsedSeconds();
   AccountMemory();
-  SEMIS_RETURN_IF_ERROR(CollectStoreGarbage());
+  SEMIS_RETURN_IF_ERROR(collected);
   if (options_.auto_resort && !in_resort_ &&
       !manifest_.header.IsDegreeSorted()) {
     return Resort();

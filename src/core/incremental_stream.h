@@ -57,23 +57,27 @@
 // the delta state drops only the edges no other shard still holds. The
 // saturated shards are rewritten one after another, each cut into
 // byte-balanced record ranges at the locator's checkpoints
-// (kCompactRangesPerWorker per worker); the ranges are read, validated
-// and folded on the compaction's forked workers, each into its slot of
-// one buffer of the shard's size, and the calling thread writes the
-// slots in order. The bytes written are the same at every thread count.
+// (kCompactRangesPerWorker per worker). The calling thread puts each
+// fold in its range's bucket; on the compaction's forked workers each
+// range sorts its bucket, then reads, validates and folds its records
+// into its slot of one buffer of the shard's size, and the calling
+// thread appends the slots to the new shard file in order and starts
+// its writeback. The bytes written are the same at every thread count.
 //
 // Durability: every multi-file mutation (compaction, re-sort) is an epoch
 // commit of the journaled store layout (graph/shard_store.h): the new
 // shard, log, and manifest files are staged under `<root>.epoch<E+1>*`
-// names (unchanged files are hard-linked, not copied), fsynced, and
-// published by atomically replacing the root pointer. A crash at ANY
-// point leaves the store resolvable to a consistent epoch; Initialize
-// recovers it (falling back one epoch when the current one is torn) and
-// garbage-collects orphans. A legacy store (SADM manifest at the root)
-// converts to the journaled layout on its first commit. A batch's log
-// appends and manifest rename issue no fsync: the batch survives a
-// process crash once ApplyBatch returns, and a power loss from the next
-// epoch commit on.
+// names (unchanged files are hard-linked, not copied), fsynced
+// concurrently (one work item per file, all joined before the directory
+// sync), and published by atomically replacing the root pointer. After a
+// compaction's flip, the retire of its entries runs beside the GC of the
+// old epoch's files. A crash at ANY point leaves the store resolvable to
+// a consistent epoch; Initialize recovers it (falling back one epoch when
+// the current one is torn) and garbage-collects orphans. A legacy store
+// (SADM manifest at the root) converts to the journaled layout on its
+// first commit. A batch's log appends and manifest rename issue no
+// fsync: the batch survives a process crash once ApplyBatch returns, and
+// a power loss from the next epoch commit on.
 //
 // Resort() restores the global (degree, id) record order that a
 // degree-changing compaction invalidated: pending deltas are folded in
@@ -204,7 +208,9 @@ inline constexpr size_t kCompactRangesPerWorker = 4;
 /// what phase 1 found to the blocker bound after the join. A
 /// compaction's workers read the locator and write only their range's
 /// folds, output slot and checkpoints. See docs/architecture.md ("Static
-/// analysis") for the conventions.
+/// analysis") for the conventions. After an epoch flip the retire of
+/// the compacted entries (the delta state, in memory) runs beside the
+/// store's GC (file unlinks and the orphan count), which share nothing.
 class ShardedStreamingMis {
  public:
   ShardedStreamingMis() = default;
@@ -222,7 +228,9 @@ class ShardedStreamingMis {
   /// session's delta state and eager evictions exactly. Repair additions
   /// are NOT logged, so if the previous session ran Repair() mid-stream
   /// the replayed membership may lag it -- it is still independent w.r.t.
-  /// the updated graph, and the next Repair() restores maximality.
+  /// the updated graph, and the next Repair() restores maximality. Only
+  /// an overlay that is not there (NotFound) gets a fresh, empty one; any
+  /// other error looking for it is returned, and the logs are kept.
   ///
   /// Every call starts a new session: the statistics, a wedge left by a
   /// failed flush and the repair frontier are reset. The frontier starts
@@ -270,22 +278,29 @@ class ShardedStreamingMis {
   /// written fresh under the next epoch's names, untouched shards and
   /// logs are hard-linked across, compacted logs restart empty, and the
   /// whole file set commits atomically via the root pointer (converting a
-  /// legacy store on its first commit). Clears the degree-sorted flag
-  /// when a rewrite changed any record, since the global (degree, id)
-  /// order can no longer be guaranteed -- then runs Resort() when
-  /// `options.auto_resort` is set. Saturated shards are rewritten one at
-  /// a time; each is read as record ranges on up to `num_threads`
-  /// workers, which fold into one buffer of about the shard's bytes, the
-  /// compaction's transient memory. Every record read is validated, also
-  /// the ones copied unchanged, and so is each range's place in the
-  /// shard, so a corrupt base fails with Corruption naming the shard file
-  /// before the flip. When there is a shard to rewrite, the pending
-  /// evictions are expanded first, as a frontier repair would: their
-  /// records are read from the base they were evicted from, which the
-  /// rewrite may change, and their neighbors' bounds drop. A failure
-  /// before the root flip leaves the store and the set untouched (the
-  /// staged files are orphans for GC; an expansion that succeeded stays
-  /// done); only a failure in the flip itself wedges.
+  /// legacy store on its first commit). The commit fsyncs the staged
+  /// files on up to `num_threads` workers and returns the first error in
+  /// staged order before anything names them. After the flip the retire
+  /// of the compacted entries runs beside the GC of the old epoch; a GC
+  /// failure is returned, but the epoch stays committed, the maintainer
+  /// matches it, and the next commit or recovery collects what GC left.
+  /// Clears the degree-sorted flag when a rewrite changed any record,
+  /// since the global (degree, id) order can no longer be guaranteed --
+  /// then runs Resort() when `options.auto_resort` is set. Saturated
+  /// shards are rewritten one at a time; each is read as record ranges on
+  /// up to `num_threads` workers, which sort their own folds and fold
+  /// into one buffer of about the shard's bytes (plus a word per fold,
+  /// repeats included), the compaction's transient memory. Every record
+  /// read is validated, also the ones copied unchanged, and so is each
+  /// range's place in the shard, so a corrupt base fails with Corruption
+  /// naming the shard file before the flip. When there is a shard to
+  /// rewrite, the pending evictions are expanded first, as a frontier
+  /// repair would: their records are read from the base they were
+  /// evicted from, which the rewrite may change, and their neighbors'
+  /// bounds drop. A failure before the root flip leaves the store and the
+  /// set untouched (the staged files are orphans for GC; an expansion
+  /// that succeeded stays done); only a failure in the flip itself
+  /// wedges.
   Status Compact(bool force = false);
 
   /// Restores the global (degree, id) record order after degree-changing
@@ -412,14 +427,19 @@ class ShardedStreamingMis {
   // other shard still holds a pending copy of, then drops the entries.
   void RetireCompactedEntries(const std::vector<bool>& compacted);
   // The commit point of an epoch transaction: fsyncs the staged files of
-  // epoch `next_epoch`, atomically flips the root pointer, and updates
+  // epoch `next_epoch` (one work item each, on ResolveThreadCount
+  // workers; the first error in staged order), then the directory,
+  // atomically flips the root pointer, and updates
   // store_/manifest_path_/delta_path_. Every staged path must be in
-  // `staged_files`. GC of retired files is the caller's final step (after
-  // its in-memory state matches the new epoch). A failure in the flip
-  // itself wedges the maintainer -- disk may be either epoch.
+  // `staged_files`. GC of retired files is the caller's final step
+  // (beside, or after, bringing its in-memory state in line with the new
+  // epoch). A failure in the flip itself wedges the maintainer -- disk
+  // may be either epoch.
   Status PublishEpoch(uint64_t next_epoch,
                       const std::vector<std::string>& staged_files);
-  // Epoch GC + orphan accounting (after a successful commit).
+  // Epoch GC + orphan accounting (after a successful commit). Touches
+  // only store_ (read) and stats_.orphan_files_removed, so it may run
+  // beside RetireCompactedEntries.
   Status CollectStoreGarbage();
   Status ResortInternal();
   size_t CurrentMemoryBytes() const;

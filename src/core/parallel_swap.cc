@@ -167,7 +167,7 @@ class ParallelSwapRun {
   };
 
   // Everything one worker owns, on cache lines no other worker writes.
-  struct alignas(64) WorkerScratch {
+  struct alignas(kCacheLineBytes) WorkerScratch {
     IoStats io;
     std::vector<VertexId> sorted_neighbors;  // RecordNeighbors' buffer
   };

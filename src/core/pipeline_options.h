@@ -47,10 +47,12 @@ struct EnginePipelineOptions {
 
   /// Worker threads of the swap stage, the rounds engine, and the
   /// streaming maintainer's frontier repair and compaction
-  /// (0 = hardware concurrency). A pass runs its items (shards, or one
-  /// shard's record ranges) on at most min(threads, items) workers
-  /// (ForEachItem); above one, each pass forks its workers and joins
-  /// them before it returns, and at one it runs on the calling thread.
+  /// (0 = hardware concurrency). A pass runs its items (shards, one
+  /// shard's record ranges, an epoch commit's staged files to fsync, or
+  /// a compaction's retire beside its GC) on at most min(threads, items)
+  /// workers (ForEachItem); above one, each pass forks its workers and
+  /// joins them before it returns, and at one it runs on the calling
+  /// thread.
   /// The greedy and the full repair read none: a scan in manifest order
   /// runs on the calling thread. The result, and every byte a store
   /// holds, is independent of this value by construction.

@@ -66,17 +66,17 @@ class MinIdRoundsRun {
   template <typename RecordFn>
   Status ScanOneShard(uint32_t shard, size_t worker, RecordFn&& fn) {
     return ForEachShardRecord(manifest_path_, manifest_, shard,
-                              &worker_io_[worker], fn);
+                              &worker_io_[worker].value, fn);
   }
 
   const MinIdRoundsOptions& options_;
   const std::string manifest_path_;
   const ShardedAdjacencyManifest manifest_;
   const uint64_t n_;
-  // One IoStats per worker of a pass (ResolveThreadCount); a pass over
-  // fewer shards leaves the rest untouched, and one worker means the
-  // calling thread runs every pass.
-  std::vector<IoStats> worker_io_;
+  // One IoStats per worker of a pass (ResolveThreadCount), each on its
+  // own cache lines; a pass over fewer shards leaves the rest untouched,
+  // and one worker means the calling thread runs every pass.
+  std::vector<CacheAligned<IoStats>> worker_io_;
   uint64_t scans_started_ = 0;
 
   std::vector<VState> state_;
@@ -183,7 +183,9 @@ Status MinIdRoundsRun::Execute(AlgoResult* res) {
   ExtractIndependentSet(state_, &res->in_set, &res->set_size);
   res->memory.Add("result-bitset", res->in_set.MemoryBytes());
   res->peak_memory_bytes = res->memory.PeakBytes();
-  for (const IoStats& io : worker_io_) res->io.MergeFrom(io);
+  for (const CacheAligned<IoStats>& io : worker_io_) {
+    res->io.MergeFrom(io.value);
+  }
   res->io.sequential_scans += scans_started_;
   return Status::OK();
 }

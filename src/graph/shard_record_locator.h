@@ -18,7 +18,8 @@
 //
 // Concurrency contract: no mutex. The locator is read-only during a
 // frontier or range read. Each work item of a read owns its scanner and
-// IoStats, which merge on the calling thread after ForEachItem joins the
+// IoStats (on cache lines of its own, as every per-item counter in a
+// pass), which merge on the calling thread after ForEachItem joins the
 // read's workers (the happens-before edge); a visitor must write only
 // state private to its item. See docs/architecture.md ("Static
 // analysis").
@@ -163,10 +164,10 @@ Status ShardRecordLocator::ReadRecords(const std::string& manifest_path,
       return Status::InvalidArgument("frontier ids are not sorted by rank");
     }
   }
-  std::vector<IoStats> io(items.size());
+  std::vector<CacheAligned<IoStats>> io(items.size());
   Status read = ForEachItem(workers, items.size(), [&](size_t i, size_t) {
     const FrontierItem& item = items[i];
-    AdjacencyFileScanner scanner(&io[i], kSparseReadWindowBytes);
+    AdjacencyFileScanner scanner(&io[i].value, kSparseReadWindowBytes);
     SEMIS_RETURN_IF_ERROR(
         scanner.OpenShard(manifest_path, manifest, item.shard));
     VertexRecordView rec;
@@ -177,7 +178,9 @@ Status ShardRecordLocator::ReadRecords(const std::string& manifest_path,
     return scanner.Close();
   });
   if (stats != nullptr) {
-    for (const IoStats& item_io : io) stats->MergeFrom(item_io);
+    for (const CacheAligned<IoStats>& item_io : io) {
+      stats->MergeFrom(item_io.value);
+    }
   }
   return read;
 }

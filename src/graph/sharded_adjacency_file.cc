@@ -59,7 +59,7 @@ std::string ShardFilePath(const std::string& manifest_path, uint32_t index) {
 Status ReadShardedAdjacencyManifest(const std::string& path,
                                     ShardedAdjacencyManifest* out,
                                     IoStats* stats) {
-  SequentialFileReader reader(stats);
+  SequentialFileReader reader(stats, kMetadataReadBufferBytes);
   SEMIS_RETURN_IF_ERROR(reader.Open(path));
   uint32_t magic = 0, version = 0;
   SEMIS_RETURN_IF_ERROR(reader.ReadU32(&magic));

@@ -48,7 +48,7 @@ std::string EdgeDeltaShardPath(const std::string& delta_path, uint32_t index) {
 
 Status ReadEdgeDeltaManifest(const std::string& path, EdgeDeltaManifest* out,
                              IoStats* stats) {
-  SequentialFileReader reader(stats);
+  SequentialFileReader reader(stats, kMetadataReadBufferBytes);
   SEMIS_RETURN_IF_ERROR(reader.Open(path));
   uint32_t magic = 0, version = 0;
   SEMIS_RETURN_IF_ERROR(reader.ReadU32(&magic));

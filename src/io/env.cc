@@ -92,6 +92,14 @@ class PosixFile : public RawFile {
     return Status::OK();
   }
 
+  void StartWriteback() override {
+#ifdef __linux__
+    // Offsets 0, 0 cover the whole file. A failure only means no early
+    // start; the fsync that follows reports every real error.
+    (void)::sync_file_range(fd_, 0, 0, SYNC_FILE_RANGE_WRITE);
+#endif
+  }
+
   Status Close() override {
     if (fd_ < 0) return Status::OK();
     int fd = fd_;
@@ -154,7 +162,13 @@ class PosixFileSystemImpl : public FileSystem {
   Status GetFileSize(const std::string& path, uint64_t* size) override {
     struct stat st;
     if (::stat(path.c_str(), &st) != 0) {
-      return Status::NotFound(ErrnoMessage("stat failed for", path, errno));
+      // Only a missing file is NotFound: a store resolution reads that as
+      // damage, and any other stat error says nothing about the file.
+      if (errno == ENOENT) {
+        return Status::NotFound(ErrnoMessage("stat failed for", path, errno));
+      }
+      return Status::IOError(ErrnoMessage("stat failed for", path, errno),
+                             errno);
     }
     *size = static_cast<uint64_t>(st.st_size);
     return Status::OK();
@@ -325,6 +339,9 @@ class FaultInjectionFile : public RawFile {
     if (fs_->ShouldFault(IoOp::kSync, path_, &injected)) return injected;
     return base_->Sync();
   }
+
+  // A hint, not an operation that can fail: no fault site.
+  void StartWriteback() override { base_->StartWriteback(); }
 
   Status Close() override { return base_->Close(); }
 

@@ -70,6 +70,14 @@ class RawFile {
   /// fsync(2)s the file.
   virtual Status Sync() = 0;
 
+  /// Hints the OS to start writing the file's dirty pages back now,
+  /// without waiting for them, so that a later Sync waits only for what
+  /// is still in flight. On Linux, sync_file_range(SYNC_FILE_RANGE_WRITE)
+  /// over the whole file; elsewhere, and in a wrapper that does not
+  /// override it, a no-op. Returns nothing and is not a fault site: Sync
+  /// still reports every real error.
+  virtual void StartWriteback() {}
+
   /// Closes the handle. Safe to call twice; the second call is a no-op.
   virtual Status Close() = 0;
 };
@@ -95,7 +103,8 @@ class FileSystem {
   virtual Status NewReadableFile(const std::string& path,
                                  std::unique_ptr<RawFile>* out) = 0;
 
-  /// Size of `path` in bytes; NotFound when it does not exist.
+  /// Size of `path` in bytes; NotFound when it does not exist, an
+  /// IOError with the errno on any other failure.
   virtual Status GetFileSize(const std::string& path, uint64_t* size) = 0;
   /// Removes `path`; NotFound when it does not exist.
   virtual Status RemoveFile(const std::string& path) = 0;

@@ -98,6 +98,12 @@ Status SequentialFileWriter::Sync() {
   return s;
 }
 
+Status SequentialFileWriter::StartWriteback() {
+  SEMIS_RETURN_IF_ERROR(Flush());
+  file_->StartWriteback();
+  return Status::OK();
+}
+
 Status SequentialFileWriter::Close() {
   if (file_ == nullptr) return Status::OK();
   Status s = Flush();  // reports the deferred error, never re-writes

@@ -59,6 +59,13 @@ class SequentialFileWriter {
   /// (modulo the containing directory entry -- see SyncParentDirectory).
   Status Sync();
 
+  /// Flushes, then hints the OS to start writing back every byte written
+  /// so far without waiting for it (RawFile::StartWriteback), so that a
+  /// later fsync, by Sync or SyncFile, waits only for what is still in
+  /// flight. Returns the flush's error; the hint itself cannot fail, and
+  /// the fsync reports every real error.
+  Status StartWriteback();
+
   /// Flushes and closes. Safe to call twice. After a failed flush the
   /// original error is returned (never masked by a later close result).
   Status Close();
@@ -85,6 +92,10 @@ class SequentialFileWriter {
   std::string path_;
   uint64_t bytes_written_ = 0;
 };
+
+/// The read buffer of a metadata file of a few hundred bytes, such as a
+/// store or delta manifest: one fill reads it; a longer file takes more.
+inline constexpr size_t kMetadataReadBufferBytes = 4 << 10;
 
 /// Forward-only buffered reader.
 class SequentialFileReader {

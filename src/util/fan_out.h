@@ -9,7 +9,9 @@
 // balance automatically. With one worker or one item the items run in
 // order on the calling thread: the sequential reference path of every
 // algorithm built on top. Either way ForEachItem returns the first error
-// in item order, whatever the schedule.
+// in item order, whatever the schedule. State that each worker or item
+// writes on every record (counters above all) sits on cache lines of its
+// own, CacheAligned, so workers never write each other's lines.
 #ifndef SEMIS_UTIL_FAN_OUT_H_
 #define SEMIS_UTIL_FAN_OUT_H_
 
@@ -33,6 +35,19 @@ inline uint32_t ResolveThreadCount(uint32_t num_threads) {
   if (num_threads != 0) return num_threads;
   return std::max(1u, std::thread::hardware_concurrency());
 }
+
+/// The cache line size of the x86-64 and arm64 targets the library is
+/// built for.
+inline constexpr size_t kCacheLineBytes = 64;
+
+/// A `T` on cache lines no other slot shares: the slot type of per-worker
+/// and per-item state in a vector, such as the IoStats every record read
+/// bumps. Without it, neighbouring workers' counters share a line, and
+/// each record's update takes the line from the other worker.
+template <typename T>
+struct alignas(kCacheLineBytes) CacheAligned {
+  T value{};
+};
 
 /// Runs `fn(item, worker)`, which returns a Status, for every item in
 /// [0, num_items), with `worker` < min(workers, num_items) naming the

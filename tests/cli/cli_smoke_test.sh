@@ -603,6 +603,18 @@ done
 "$CLI" update "$work/es.sadjs" --stream "$work/empty.txt" --compact --verify \
     >/dev/null 2>"$work/es.err" \
     || fail "empty-stream update --verify failed: $(cat "$work/es.err")"
+# On a clean store an empty stream has nothing to repair: the set was just
+# solved on the base graph, which is the effective graph. The session
+# reads the store once, for that solve, and publishes no new epoch.
+"$CLI" shard "$work/es.sadj" "$work/clean.sadjs" --shards 1 >/dev/null
+"$CLI" update "$work/clean.sadjs" --stream "$work/empty.txt" --stats \
+    > "$work/clean.log" 2>&1 || fail "empty-stream update on a clean store"
+grep -q "peak memory [^,]*, 1 scans," "$work/clean.log" \
+    || fail "empty stream on a clean store scanned again: $(cat "$work/clean.log")"
+grep -q "0 repair passes (0 full)" "$work/clean.log" \
+    || fail "empty stream on a clean store repaired: $(cat "$work/clean.log")"
+grep -q "^  epoch 1:" "$work/clean.log" \
+    || fail "empty stream on a clean store published a new epoch"
 
 # --- memory figures that repeat ----------------------------------------------
 # The greedy and the full repair scan on the calling thread at every

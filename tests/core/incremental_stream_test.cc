@@ -47,6 +47,7 @@
 #include "graph/sharded_adjacency_file.h"
 #include "io/edge_delta_file.h"
 #include "io/env.h"
+#include "io/epoch_journal.h"
 #include "io/file.h"
 #include "test_util.h"
 
@@ -1938,6 +1939,335 @@ TEST_F(IncrementalStreamTest, RetiredDeltaStateEqualsReplay) {
           << "shard " << k;
     }
     ExpectStoreHoldsGraph(live_root, delta.Effective());
+  }
+}
+
+// A batch of `count` random toggles of edges over vertices [0, n).
+std::vector<EdgeUpdate> RandomToggles(DeltaTracker* delta, uint32_t n,
+                                      int count, Random* rng) {
+  std::vector<EdgeUpdate> batch;
+  while (static_cast<int>(batch.size()) < count) {
+    const auto u = static_cast<VertexId>(rng->Uniform(n));
+    const auto v = static_cast<VertexId>(rng->Uniform(n));
+    if (u != v) batch.push_back(delta->Toggle(u, v));
+  }
+  return batch;
+}
+
+TEST_F(IncrementalStreamTest, CommitSyncFaultKeepsThePreviousEpoch) {
+  // A commit syncs its staged files concurrently above one thread. A
+  // sync that fails on any one of them fails the commit before the root
+  // flips: Compact returns the IOError, the root still names the previous
+  // epoch, the maintainer is not wedged, and a fault-free retry commits
+  // the same bytes as a run that never faulted. Each staged file's sync
+  // is faulted in turn (in staged order at one thread; at four, the k-th
+  // sync to start), and one index past them nothing faults: the commit
+  // synced every staged file once.
+  Graph base = GenerateErdosRenyi(300, 900, 51);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  const BitVector initial = RandomMaximalSet(base, 52);
+  DeltaTracker delta(base);
+  Random rng(53);
+  const std::vector<EdgeUpdate> first = RandomToggles(&delta, 300, 30, &rng);
+  const std::vector<EdgeUpdate> second = RandomToggles(&delta, 300, 30, &rng);
+  for (uint32_t shards : kShardCounts) {
+    for (uint32_t threads : {1u, 4u}) {
+      const std::string tag =
+          std::to_string(shards) + "_" + std::to_string(threads);
+      SCOPED_TRACE(tag);
+      EnginePipelineOptions opts;
+      opts.num_threads = threads;
+      // Each run commits epoch 1, then stages epoch 2.
+      const auto stage = [&](const std::string& root,
+                             ShardedStreamingMis* mis) {
+        ASSERT_OK(ShardAdjacencyFile(mono, root, shards));
+        ASSERT_OK(mis->Initialize(root, initial, opts));
+        ASSERT_OK(mis->ApplyBatch(first));
+        ASSERT_OK(mis->Compact(/*force=*/true));
+        ASSERT_OK(mis->ApplyBatch(second));
+        ASSERT_EQ(mis->store().current_epoch, 1u);
+      };
+      const std::string ref_root = NewPath("sync_ref" + tag + ".sadjs");
+      ShardedStreamingMis ref;
+      stage(ref_root, &ref);
+      ASSERT_FALSE(HasFatalFailure());
+      ASSERT_OK(ref.Compact(/*force=*/true));
+      const std::vector<std::string> want = StoreFileBytes(ref_root, ref);
+
+      const uint64_t staged = 2 * uint64_t{shards} + 2;
+      for (uint64_t k = 1; k <= staged + 1; ++k) {
+        SCOPED_TRACE("sync " + std::to_string(k));
+        const std::string root =
+            NewPath("sync" + tag + "_" + std::to_string(k) + ".sadjs");
+        ShardedStreamingMis mis;
+        stage(root, &mis);
+        ASSERT_FALSE(HasFatalFailure());
+        FaultSpec spec;
+        spec.op = IoOp::kSync;
+        spec.nth = k;
+        spec.fault_errno = ENOSPC;  // permanent: no retry absorbs it
+        spec.path_substr = EpochManifestPath(root, 2);
+        Status committed;
+        {
+          FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+          ScopedFileSystem scoped(&fs);
+          committed = mis.Compact(/*force=*/true);
+          if (k > staged) {
+            EXPECT_EQ(fs.faults_injected(), 0u);
+            EXPECT_EQ(fs.ops_matched(), staged);
+          } else {
+            EXPECT_EQ(fs.faults_injected(), 1u);
+          }
+        }
+        if (k <= staged) {
+          EXPECT_TRUE(committed.IsIOError()) << committed.ToString();
+          EpochRootPointer root_ptr;
+          ASSERT_OK(ReadEpochRootPointer(root, &root_ptr));
+          EXPECT_EQ(root_ptr.current_epoch, 1u);
+          EXPECT_EQ(mis.store().current_epoch, 1u);
+          ASSERT_OK(mis.Compact(/*force=*/true));
+        } else {
+          ASSERT_OK(committed);
+        }
+        EXPECT_EQ(mis.store().current_epoch, 2u);
+        EXPECT_EQ(StoreFileBytes(root, mis), want);
+        EXPECT_EQ(SetToVector(mis.set()), SetToVector(ref.set()));
+      }
+    }
+  }
+}
+
+TEST_F(IncrementalStreamTest, GcRemoveFaultAfterTheFlipKeepsTheEpoch) {
+  // After the flip, the retire of the compacted entries runs beside the
+  // garbage collection of the epoch before the previous one. A remove
+  // that fails in that GC is returned, but the epoch is committed, and
+  // the retire has run to its end: the pending count, the store's files
+  // and the delta state (what later batches log and count as redundant)
+  // equal those of a twin that never faulted. The orphans the failed GC
+  // left are collected by the next commit or by RecoverShardStore.
+  Graph base = GenerateErdosRenyi(90, 200, 61);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  const BitVector initial = RandomMaximalSet(base, 62);
+  for (uint32_t shards : kShardCounts) {
+    for (uint32_t threads : {1u, 4u}) {
+      for (const bool via_recovery : {false, true}) {
+        const std::string tag = std::to_string(shards) + "_" +
+                                std::to_string(threads) + "_" +
+                                (via_recovery ? "recover" : "commit");
+        SCOPED_TRACE(tag);
+        const std::string live_root = NewPath("gc_live" + tag + ".sadjs");
+        const std::string twin_root = NewPath("gc_twin" + tag + ".sadjs");
+        ASSERT_OK(ShardAdjacencyFile(mono, live_root, shards));
+        ASSERT_OK(ShardAdjacencyFile(mono, twin_root, shards));
+        EnginePipelineOptions opts;
+        opts.num_threads = threads;
+        opts.compact_threshold_entries = 7;
+        ShardedStreamingMis live, twin;
+        ASSERT_OK(live.Initialize(live_root, initial, opts));
+        ASSERT_OK(twin.Initialize(twin_root, initial, opts));
+        DeltaTracker delta(base);
+        Random rng(63 + shards);
+
+        // Runs one batch on both; the twin goes first, and the first
+        // batch that makes it commit epoch 3 (whose GC collects epoch 1)
+        // runs on the live maintainer under the fault.
+        bool faulted = false;
+        const auto run_batch = [&](const std::vector<EdgeUpdate>& batch) {
+          ASSERT_OK(twin.ApplyBatch(batch));
+          if (faulted || twin.store().current_epoch != 3 ||
+              live.store().current_epoch == 3) {
+            ASSERT_OK(live.ApplyBatch(batch));
+            return;
+          }
+          FaultSpec spec;
+          spec.op = IoOp::kRemove;
+          spec.nth = 1;
+          spec.fault_errno = EIO;
+          spec.path_substr = EpochManifestPath(live_root, 1);
+          FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+          ScopedFileSystem scoped(&fs);
+          const Status s = live.ApplyBatch(batch);
+          EXPECT_TRUE(s.IsIOError()) << s.ToString();
+          EXPECT_EQ(fs.faults_injected(), 1u);
+          faulted = true;
+        };
+        const auto expect_same = [&] {
+          EXPECT_EQ(live.stats().pending_delta_entries,
+                    twin.stats().pending_delta_entries);
+          EXPECT_EQ(live.stats().redundant_updates,
+                    twin.stats().redundant_updates);
+          EXPECT_EQ(live.stats().compactions, twin.stats().compactions);
+          EXPECT_EQ(SetToVector(live.set()), SetToVector(twin.set()));
+          EXPECT_EQ(StoreFileBytes(live_root, live),
+                    StoreFileBytes(twin_root, twin));
+        };
+        for (int b = 0; b < 200 && !faulted; ++b) {
+          run_batch(RandomToggles(&delta, 90, 4, &rng));
+          ASSERT_FALSE(HasFatalFailure());
+        }
+        ASSERT_TRUE(faulted);
+        EpochRootPointer root_ptr;
+        ASSERT_OK(ReadEpochRootPointer(live_root, &root_ptr));
+        EXPECT_EQ(root_ptr.current_epoch, 3u);
+        EXPECT_EQ(live.store().current_epoch, 3u);
+        expect_same();
+        std::vector<std::string> orphans;
+        ASSERT_OK(ListShardStoreOrphans(live.store(), &orphans));
+        EXPECT_FALSE(orphans.empty());
+
+        if (via_recovery) {
+          ResolvedShardStore store;
+          ShardStoreRecovery recovery;
+          ASSERT_OK(RecoverShardStore(live_root, &store, &recovery));
+          EXPECT_EQ(recovery.orphan_files_removed, orphans.size());
+          EXPECT_EQ(store.current_epoch, 3u);
+        }
+        // Later batches log the same entries, through the next commit.
+        const uint64_t commits = twin.stats().compactions;
+        for (int b = 0; b < 200 && twin.stats().compactions == commits;
+             ++b) {
+          run_batch(RandomToggles(&delta, 90, 4, &rng));
+          ASSERT_FALSE(HasFatalFailure());
+          expect_same();
+        }
+        EXPECT_GT(twin.stats().compactions, commits);
+        ASSERT_OK(ListShardStoreOrphans(live.store(), &orphans));
+        EXPECT_TRUE(orphans.empty());
+        ASSERT_OK(live.Repair());
+        ASSERT_OK(twin.Repair());
+        ASSERT_OK(live.Compact(/*force=*/true));
+        ASSERT_OK(twin.Compact(/*force=*/true));
+        expect_same();
+        ExpectStoreHoldsGraph(live_root, delta.Effective());
+      }
+    }
+  }
+}
+
+TEST_F(IncrementalStreamTest, InitializeStatFaultKeepsTheOverlay) {
+  // Only a missing overlay makes Initialize start a fresh one, whose
+  // empty logs replace the live ones. A stat of an overlay file that
+  // fails for any other reason, in the store's resolution or in
+  // Initialize's own look for the overlay, is returned as the IOError,
+  // and the logs are kept: a fault-free Initialize then replays every
+  // pending entry. On a legacy root, then on a journaled one.
+  Graph base = GenerateErdosRenyi(60, 130, 81);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  const BitVector initial = RandomMaximalSet(base, 82);
+  const std::string root = NewPath("statfault.sadjs");
+  ASSERT_OK(ShardAdjacencyFile(mono, root, 3));
+  DeltaTracker delta(base);
+  Random rng(83);
+  ShardedStreamingMis first;
+  ASSERT_OK(first.Initialize(root, initial, EnginePipelineOptions{}));
+  for (const bool journaled : {false, true}) {
+    SCOPED_TRACE(journaled ? "journaled" : "legacy");
+    if (journaled) ASSERT_OK(first.Compact(/*force=*/true));
+    ASSERT_EQ(first.store().journaled, journaled);
+    ASSERT_OK(first.ApplyBatch(RandomToggles(&delta, 60, 20, &rng)));
+    const uint64_t pending = first.stats().pending_delta_entries;
+    ASSERT_GT(pending, 0u);
+    const std::vector<std::string> want = StoreFileBytes(root, first);
+    FaultSpec spec;
+    spec.op = IoOp::kStat;
+    spec.fault_errno = EIO;
+    spec.path_substr = EdgeDeltaManifestPath(first.store().manifest_path);
+    // The overlay stats a fault-free Initialize makes.
+    uint64_t stats = 0;
+    {
+      spec.nth = uint64_t{1} << 40;
+      FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+      ScopedFileSystem scoped(&fs);
+      ShardedStreamingMis probe;
+      ASSERT_OK(probe.Initialize(root, initial, EnginePipelineOptions{}));
+      stats = fs.ops_matched();
+    }
+    ASSERT_GT(stats, 0u);
+    for (uint64_t k = 1; k <= stats; ++k) {
+      SCOPED_TRACE("stat " + std::to_string(k));
+      ShardedStreamingMis mis;
+      {
+        spec.nth = k;
+        FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+        ScopedFileSystem scoped(&fs);
+        const Status s =
+            mis.Initialize(root, initial, EnginePipelineOptions{});
+        EXPECT_TRUE(s.IsIOError()) << s.ToString();
+        EXPECT_EQ(fs.faults_injected(), 1u);
+      }
+      EXPECT_EQ(StoreFileBytes(root, first), want);
+      ASSERT_OK(mis.Initialize(root, initial, EnginePipelineOptions{}));
+      EXPECT_EQ(mis.stats().pending_delta_entries, pending);
+    }
+  }
+}
+
+TEST_F(IncrementalStreamTest, CompactionFoldsAllEntriesInOneRange) {
+  // Every pending entry names two vertices whose records sit in one
+  // checkpoint block of shard 0, so a compaction's folds all land in the
+  // bucket of the range holding that block, and every other range's
+  // bucket is empty; toggling the same edges again makes repeats the
+  // range drops. The rewritten store must hold the effective graph, with
+  // the same bytes at every thread count.
+  Graph base = GenerateErdosRenyi(3000, 6000, 71);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  const BitVector initial = RandomMaximalSet(base, 72);
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    std::vector<std::vector<std::string>> bytes;
+    for (uint32_t threads : kThreadCounts) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      const std::string root =
+          NewPath("onerange" + std::to_string(shards) + "_" +
+                  std::to_string(threads) + ".sadjs");
+      ASSERT_OK(ShardAdjacencyFile(mono, root, shards));
+      // Records 48-63 of shard 0: the vertex ids of its fourth block.
+      std::vector<VertexId> block;
+      {
+        AdjacencyFileScanner scanner;
+        ASSERT_OK(scanner.OpenStore(root));
+        VertexRecordView rec;
+        bool has_next = false;
+        for (uint32_t r = 0; r < 64; ++r) {
+          ASSERT_OK(scanner.Next(&rec, &has_next));
+          ASSERT_TRUE(has_next);
+          if (r >= 3 * kLocatorCheckpointStride) block.push_back(rec.id);
+        }
+      }
+      const std::vector<ShardRecordRange> ranges =
+          CompactionRanges(root, 0, threads);
+      ASSERT_GT(ranges.size(), threads > 1 ? 3u : 0u);
+      const size_t holding = static_cast<size_t>(
+          std::count_if(ranges.begin(), ranges.end(),
+                        [](const ShardRecordRange& r) {
+                          return r.first_record < 64 && r.end_record > 48;
+                        }));
+      EXPECT_EQ(holding, 1u);
+
+      EnginePipelineOptions opts;
+      opts.num_threads = threads;
+      ShardedStreamingMis mis;
+      ASSERT_OK(mis.Initialize(root, initial, opts));
+      DeltaTracker delta(base);
+      Random rng(73);
+      for (int round = 0; round < 3; ++round) {
+        std::vector<EdgeUpdate> batch;
+        while (batch.size() < 40) {
+          const VertexId u = block[rng.Uniform(block.size())];
+          const VertexId v = block[rng.Uniform(block.size())];
+          if (u != v) batch.push_back(delta.Toggle(u, v));
+        }
+        ASSERT_OK(mis.ApplyBatch(batch));
+      }
+      ASSERT_OK(mis.Repair());
+      ASSERT_OK(mis.Compact(/*force=*/true));
+      EXPECT_EQ(mis.stats().shards_rewritten, 1u);
+      ExpectStoreHoldsGraph(root, delta.Effective());
+      bytes.push_back(StoreFileBytes(root, mis));
+    }
+    for (size_t t = 1; t < bytes.size(); ++t) {
+      EXPECT_EQ(bytes[t], bytes[0]) << "thread count #" << t;
+    }
   }
 }
 

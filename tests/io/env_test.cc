@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -230,6 +231,21 @@ TEST_F(EnvTest, MetadataOperationFaultMatrix) {
   uint64_t size = 0;
   ASSERT_OK(GetFileSize(src, &size));
   EXPECT_EQ(size, 1u);
+}
+
+TEST_F(EnvTest, PosixStatReportsOnlyAMissingFileAsNotFound) {
+  // A store resolution reads NotFound as damage, so a stat that fails for
+  // another reason must not report it. A symlink loop fails with ELOOP,
+  // as root too.
+  uint64_t size = 0;
+  EXPECT_TRUE(GetFileSize(NewPath("absent"), &size).IsNotFound());
+  const std::string a = NewPath("loop_a");
+  const std::string b = NewPath("loop_b");
+  std::filesystem::create_symlink(b, a);
+  std::filesystem::create_symlink(a, b);
+  const Status s = GetFileSize(a, &size);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(s.sys_errno(), ELOOP);
 }
 
 TEST_F(EnvTest, ShortWriteTearsTheTransfer) {

@@ -226,6 +226,32 @@ TEST_F(FileTest, FlushFailureCarriesErrnoAndPoisonsWriter) {
   EXPECT_EQ(fs.ops_matched(), 1u);
 }
 
+TEST_F(FileTest, StartWritebackFlushesAndIsNoFaultSite) {
+  // StartWriteback flushes what is buffered (one write), then only hints
+  // the kernel: under a fault on every op after the open and that write,
+  // it runs no op of its own, and the file holds every byte.
+  std::string path = NewPath("writeback");
+  {
+    FaultInjectionFileSystem fs(PosixFileSystem(),
+                                MustParseSpec("any:3:EIO:sticky"));
+    ScopedFileSystem scoped(&fs);
+    SequentialFileWriter w;
+    ASSERT_OK(w.Open(path));
+    ASSERT_OK(w.Append("payload", 7));
+    ASSERT_OK(w.StartWriteback());
+    ASSERT_OK(w.StartWriteback());  // nothing buffered: no write
+    ASSERT_OK(w.Close());
+    EXPECT_EQ(fs.ops_matched(), 2u);  // the open, the flush
+    EXPECT_EQ(fs.faults_injected(), 0u);
+  }
+  SequentialFileReader r;
+  ASSERT_OK(r.Open(path));
+  char back[8] = {0};
+  ASSERT_OK(r.ReadExact(back, 7));
+  EXPECT_TRUE(r.AtEof());
+  EXPECT_EQ(std::string(back), "payload");
+}
+
 TEST_F(FileTest, WriteFaultMatrixExactCategories) {
   // One writer life-cycle op at a time: open / write / sync each fail
   // independently with IOError carrying the injected errno.

@@ -897,6 +897,11 @@ int CmdUpdate(const Args& args) {
   // overlay) so init I/O is not charged to the first batch.
   Status s = engine.Prepare();
   if (!s.ok()) return Fail(s);
+  // A set solved here on the base graph is maximal on the effective graph
+  // unless a replayed overlay entry changed it; an adopted set may not be
+  // maximal at all.
+  const bool needs_repair = args.Has("set") ||
+                            engine.streaming_stats()->pending_delta_entries > 0;
 
   LineFileReader stream("update stream");
   s = stream.Open(args.Get("stream"));
@@ -936,8 +941,8 @@ int CmdUpdate(const Args& args) {
     engine.Publish();
   }
   // With no batch, nothing repaired the evictions Prepare replayed from a
-  // previous session's overlay.
-  if (!repaired) {
+  // previous session's overlay, or an adopted set.
+  if (!repaired && needs_repair) {
     s = engine.Repair();
     if (!s.ok()) {
       NoteEngineDegraded(engine);

@@ -36,6 +36,15 @@ that contract, before they reach a differential test:
                        file-system access must route through the FileSystem
                        seam in io/env.h so fault injection (SEMIS_FAULT_SPEC)
                        and the retry policy see every operation.
+  shared-worker-counters
+                       A std::vector<IoStats> in src/core or src/graph.
+                       A pass hands each worker or work item its own
+                       IoStats, which it bumps on every record; back to
+                       back in a vector, neighbouring workers' counters
+                       share cache lines, and every record read takes the
+                       line from the other worker.  Per-worker and
+                       per-item counters take the slot type
+                       CacheAligned<IoStats> (util/fan_out.h).
   raw-record-decoder   AdjacencyRecordDecoder named in code anywhere under
                        src/ except src/graph/adjacency_file.{h,cc}.
                        AdjacencyFileScanner is the one reader that decodes
@@ -65,6 +74,7 @@ RULES = (
     "wall-clock",
     "pointer-tiebreak",
     "raw-parallel-for",
+    "shared-worker-counters",
     "raw-io",
     "raw-record-decoder",
 )
@@ -73,7 +83,7 @@ RULES = (
 # raw-io apply to all of src/ (a seeded run must be reproducible end to
 # end, and every file-system call must be fault-injectable).
 CORE_ONLY_RULES = {"unordered-iteration", "wall-clock", "pointer-tiebreak",
-                   "raw-parallel-for"}
+                   "raw-parallel-for", "shared-worker-counters"}
 CORE_DIRS = ("src/core", "src/graph")
 RANDOM_EXEMPT = "src/util/random.h"
 # The posix implementation of the FileSystem seam is the one place raw OS
@@ -107,6 +117,10 @@ POINTER_TIEBREAK_RE = re.compile(
 # (`std::thread::hardware_concurrency()`, `std::thread::id`) and
 # `std::this_thread` start no thread and do not match.
 RAW_PARALLEL_FOR_RE = re.compile(r"\bstd\s*::\s*j?thread\b(?!\s*::)")
+# `std::vector<IoStats>` and `std::vector<semis::IoStats>`, with any
+# spacing; `std::vector<CacheAligned<IoStats>>` does not match.
+SHARED_WORKER_COUNTERS_RE = re.compile(
+    r"\bvector\s*<\s*(?:(?:::)?\s*semis\s*::\s*)?IoStats\s*>")
 RAW_RECORD_DECODER_RE = re.compile(r"\bAdjacencyRecordDecoder\b")
 
 # Unqualified C-library / posix calls.  The lookbehind rejects member calls
@@ -317,6 +331,12 @@ def lint_file(abs_path, rel_path):
             "ForEachItem (util/fan_out.h) so the workers are joined and "
             "a failed pass returns the first error in item order",
             findings)
+        check_regex_rule(
+            rel_path, code, "shared-worker-counters",
+            SHARED_WORKER_COUNTERS_RE,
+            "IoStats back to back in a vector share cache lines between "
+            "workers; give each worker or item a CacheAligned<IoStats> "
+            "(util/fan_out.h)", findings)
     if rel_path.replace(os.sep, "/") != RANDOM_EXEMPT:
         check_regex_rule(
             rel_path, code, "raw-random", RAW_RANDOM_RE,

@@ -267,6 +267,47 @@ void Pass() {
         self.assertEqual(self.rules("src/util/foo.h"), [])
 
 
+class SharedWorkerCountersTest(LintTestBase):
+    CODE = """
+#include <vector>
+#include "io/io_stats.h"
+struct Pass {
+  std::vector<semis::IoStats> worker_io_;
+  std::vector< IoStats > item_io;
+};
+"""
+
+    def test_flags_counter_vectors_in_core_and_graph(self):
+        for rel in ("src/core/foo.cc", "src/graph/foo.h"):
+            self.write(rel, self.CODE)
+            findings = self.lint(rel)
+            self.assertEqual([(f.rule, f.line) for f in findings],
+                             [("shared-worker-counters", 5),
+                              ("shared-worker-counters", 6)])
+
+    def test_aligned_slot_type_clean(self):
+        self.write("src/core/foo.cc", """
+#include <vector>
+#include "util/fan_out.h"
+std::vector<semis::CacheAligned<semis::IoStats>> worker_io;
+std::vector<CacheAligned<IoStats>> item_io(8);
+semis::IoStats total;
+std::vector<IoStatsView> views;
+""")
+        self.assertEqual(self.rules("src/core/foo.cc"), [])
+
+    def test_suppression_applies(self):
+        self.write("src/graph/foo.cc", """
+// semis-lint: allow(shared-worker-counters) -- written by one thread
+std::vector<IoStats> per_shard_io;
+""")
+        self.assertEqual(self.rules("src/graph/foo.cc"), [])
+
+    def test_not_flagged_outside_core(self):
+        self.write("src/io/foo.cc", self.CODE)
+        self.assertEqual(self.rules("src/io/foo.cc"), [])
+
+
 class RawIoTest(LintTestBase):
     def test_fopen_flagged_anywhere_in_src(self):
         self.write("src/core/foo.cc",
